@@ -174,7 +174,16 @@ def cmd_query(args) -> int:
 
     stored = {}
     if args.embeddings:
-        stored = dict(load_embedding_store(_require_file(args.embeddings, "embedding store")))
+        store_path = _require_file(args.embeddings, "embedding store")
+        stored = dict(load_embedding_store(store_path))
+        dim = vocabulary.kpca.out_dim
+        for image_id, embedding in stored.items():
+            if embedding.values.shape[0] != dim:
+                raise VocabError(
+                    f"{store_path}: {image_id} has dimension {embedding.values.shape[0]}, "
+                    f"but the vocabulary embeds to {dim}; was the store built "
+                    "from another vocabulary?"
+                )
     entries = []
     for e in db_entries:
         features = load_entry_features(manifest, e)

@@ -180,6 +180,8 @@ def load_embedding_store(path) -> list:
             raise VocabError(
                 f"{path}:{i}: declared dim {dim}, found {values.shape[0]} values"
             )
+        if not np.all(np.isfinite(values)):
+            raise VocabError(f"{path}:{i}: non-finite embedding value")
         degenerate = not np.any(values)
         items.append((image_id, Embedding(values=values, degenerate=degenerate)))
     return items

@@ -20,6 +20,8 @@ from .seeding import derive_seed
 RANSAC_CHUNK = 128
 # Triangle areas below this (in normalized coordinates) mark a degenerate sample.
 COLLINEAR_EPS = 1e-9
+# The four point triples of a 4-point sample.
+_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 RATIO_DENOMINATORS = ("matches", "all_points")
 
@@ -230,16 +232,51 @@ def reprojection_residuals(H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> n
     return res
 
 
-def _noncollinear(quads: np.ndarray) -> np.ndarray:
-    """True where no triple within a (B, 4, 2) sample is (near-)collinear."""
-    triples = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    ok = np.ones(quads.shape[0], dtype=bool)
-    for i, j, k in triples:
-        ab = quads[:, j] - quads[:, i]
-        ac = quads[:, k] - quads[:, i]
-        area2 = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
-        ok &= area2 > COLLINEAR_EPS
-    return ok
+def _noncollinear(samples: np.ndarray) -> np.ndarray:
+    """True where no point triple of a (B, 4, S, 2) sample is (near-)collinear.
+
+    S is the number of sides (query, database); one collinear side suffices.
+    """
+    t = samples[:, _TRIPLES]
+    ab = t[:, :, 1] - t[:, :, 0]
+    ac = t[:, :, 2] - t[:, :, 0]
+    area2 = np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
+    return np.all(area2 > COLLINEAR_EPS, axis=(1, 2))
+
+
+def _minimal_rows(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The two DLT rows of each correspondence with h33 fixed to 1: (N, 2, 8).
+
+    Fixing h33 = 1 moves the ninth DLT column to the right-hand side.  The
+    rows are written with both sides negated, so a sample's right-hand side
+    is its target coordinates (u, v).
+    """
+    rows = np.zeros((src.shape[0], 2, 8), dtype=np.float64)
+    rows[:, 0, 0:2] = src
+    rows[:, 0, 2] = 1.0
+    rows[:, 1, 3:5] = src
+    rows[:, 1, 5] = 1.0
+    rows[:, :, 6:8] = -dst[:, :, None] * src[:, None, :]
+    return rows
+
+
+def _minimal_homographies(
+    rows: np.ndarray, src: np.ndarray, dst: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
+    """Homographies through the (B, 4) correspondence samples idx: (B, 3, 3).
+
+    The stacked minimal rows of each sample form an 8x8 system; one batched
+    solve fits the whole chunk with h33 = 1.  An exactly singular system
+    (true h33 = 0) makes the batch raise; the chunk is then fitted by the
+    SVD null vectors of its 8x9 DLT matrices instead.
+    """
+    b = idx.shape[0]
+    try:
+        h = np.linalg.solve(rows[idx].reshape(b, 8, 8), dst[idx].reshape(b, 8, 1))
+    except np.linalg.LinAlgError:
+        _, _, Vh = np.linalg.svd(_dlt_matrix(src[idx], dst[idx]))
+        return Vh[:, -1, :].reshape(b, 3, 3)
+    return np.concatenate([h[:, :, 0], np.ones((b, 1))], axis=1).reshape(b, 3, 3)
 
 
 def ransac_homography(
@@ -251,13 +288,16 @@ def ransac_homography(
 ) -> GeomVerdict:
     """Robust homography fit over normalized correspondences.
 
-    Seeded minimal 4-point samples are fitted in vectorized chunks; a
-    correspondence is an inlier when its reprojection distance is strictly
-    below inlier_threshold.  The iteration budget adapts with the standard
-    (1 - w^4) confidence formula, capped at max_iters.  The final homography
-    is refit on the best consensus set; the reported inlier_mask is that
-    consensus.  Fewer than 4 correspondences, or no valid sample, yield
-    n = 0 with no homography.
+    Seeded minimal 4-point samples are fitted in vectorized chunks.  Samples
+    with a (near-)collinear triple on either side are dropped; the rest are
+    fitted with h33 = 1 by one batched solve of their 8x8 DLT systems, and a
+    chunk that holds an exactly singular system (true h33 = 0) falls back to
+    the SVD null vectors of its 8x9 DLT matrices.  A correspondence is an
+    inlier when its reprojection distance is strictly below inlier_threshold.
+    The iteration budget adapts with the standard (1 - w^4) confidence
+    formula, capped at max_iters.  The final homography is refit on the best
+    consensus set; the reported inlier_mask is that consensus.  Fewer than 4
+    correspondences, or no valid sample, yield n = 0 with no homography.
     """
     if inlier_threshold <= 0:
         raise GeometryError(f"inlier_threshold must be positive, got {inlier_threshold}")
@@ -272,6 +312,8 @@ def ransac_homography(
     dst = np.array([c.db_point for c in corr], dtype=np.float64)
 
     rng = np.random.default_rng(seed)
+    pairs = np.stack([src, dst], axis=1)
+    rows = _minimal_rows(src, dst)
     src_h = np.vstack([src.T, np.ones(total)])
     thr2 = inlier_threshold * inlier_threshold
 
@@ -286,13 +328,10 @@ def ransac_homography(
         # 4 distinct indices per model: the smallest entries of a random row.
         keys = rng.random((chunk, total))
         idx = np.argpartition(keys, 4, axis=1)[:, :4]
-        sq, dq = src[idx], dst[idx]
-        valid = _noncollinear(sq) & _noncollinear(dq)
-        if not np.any(valid):
+        idx = idx[_noncollinear(pairs[idx])]
+        if idx.shape[0] == 0:
             continue
-        A = _dlt_matrix(sq[valid], dq[valid])
-        _, _, Vh = np.linalg.svd(A)
-        Hc = Vh[:, -1, :].reshape(-1, 3, 3)
+        Hc = _minimal_homographies(rows, src, dst, idx)
 
         proj = Hc @ src_h
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -435,7 +435,7 @@ def load_vocabulary(path) -> Vocabulary:
         if isinstance(exc, VocabError):
             raise
         raise VocabError(f"{path}: malformed vocabulary file: {exc}") from None
-    return Vocabulary(
+    vocab = Vocabulary(
         pca=pca,
         gmm=gmm,
         kpca=kpca,
@@ -443,3 +443,28 @@ def load_vocabulary(path) -> Vocabulary:
         alpha=alpha,
         version=version,
     )
+    _check_vocabulary(path, vocab)
+    return vocab
+
+
+def _check_vocabulary(path, vocab: Vocabulary) -> None:
+    """Reject values no trained vocabulary can hold, naming the offending section."""
+    pca, gmm, kpca = vocab.pca, vocab.gmm, vocab.kpca
+    sections = {
+        "alpha": [vocab.alpha],
+        "PCA": [pca.mean, pca.eigenvalues, pca.basis],
+        "GMM": [gmm.weights, gmm.means, gmm.variances, gmm.log_likelihoods],
+        "KPCA": [
+            kpca.eigenvalues, kpca.row_means, kpca.total_mean, kpca.alphas,
+            kpca.training_projections, kpca.training_vectors,
+        ],
+    }
+    for name, arrays in sections.items():
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise VocabError(f"{path}: non-finite value in {name} section")
+    if vocab.alpha <= 0:
+        raise VocabError(f"{path}: alpha must be positive, got {vocab.alpha}")
+    if np.any(gmm.variances <= 0):
+        raise VocabError(f"{path}: GMM variances must be positive")
+    if np.any(gmm.weights < 0) or abs(float(gmm.weights.sum()) - 1.0) > 1e-6:
+        raise VocabError(f"{path}: GMM weights must be non-negative and sum to 1")

@@ -155,6 +155,33 @@ class TestQuery:
         via_store = capsys.readouterr().out
         assert direct == via_store
 
+    def test_embedding_store_from_other_vocabulary(self, workspace, tmp_path, capsys):
+        _, bench, vocab = workspace
+        other_vocab, emb = tmp_path / "other.txt", tmp_path / "emb"
+        manifest = str(bench / "manifest.csv")
+        assert main(["build-vocab", "--manifest", manifest, "--out", str(other_vocab),
+                     "--gmm-k", "4", "--pca-dim", "16", "--kpca-dim", "1"]) == 0
+        assert main(["encode", "--manifest", manifest, "--vocab", str(other_vocab),
+                     "--out", str(emb)]) == 0
+        capsys.readouterr()
+        code = main(["query", "--manifest", manifest, "--vocab", str(vocab),
+                     "--features", str(bench / "ind002_v1.patf"),
+                     "--embeddings", str(emb / "database.patemb")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dimension 1" in err
+
+    def test_embedding_store_non_finite(self, workspace, tmp_path, capsys):
+        _, bench, vocab = workspace
+        store = tmp_path / "database.patemb"
+        store.write_text("PATEMB 1\nind000_v0 2 nan 1.0\n", encoding="utf-8")
+        code = main(["query", "--manifest", str(bench / "manifest.csv"),
+                     "--vocab", str(vocab), "--features", str(bench / "ind002_v1.patf"),
+                     "--embeddings", str(store)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+
     def test_invalid_rule_rejected_by_parser(self, workspace):
         _, bench, vocab = workspace
         with pytest.raises(SystemExit) as exc:

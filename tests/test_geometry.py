@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from patreid.geometry import (
+    COLLINEAR_EPS,
     Correspondence,
     GeometryError,
+    _dlt_matrix,
+    _minimal_homographies,
+    _minimal_rows,
+    _noncollinear,
     apply_homography,
     dlt_homography,
     geometric_similarity,
@@ -293,6 +298,112 @@ class TestRansacHomography:
         )
 
 
+# (x, y) -> (1/x, y/x): h33 = 0, so no h33 = 1 solution exists.
+H33_ZERO = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+# Dyadic points keep every DLT entry exact, so the 8x8 system of the first
+# four points is singular in floating point too (LU meets an exact zero pivot).
+H33_ZERO_SRC = np.array(
+    [[1.0, 0.5], [2.0, -1.0], [-1.0, 1.0], [4.0, 2.0], [-2.0, -0.5], [0.5, -2.0], [-4.0, 1.0]]
+)
+
+
+def svd_homographies(src, dst):
+    _, _, Vh = np.linalg.svd(_dlt_matrix(src, dst))
+    return Vh[:, -1, :].reshape(-1, 3, 3)
+
+
+def minimal_homographies(src, dst):
+    """_minimal_homographies over (B, 4, 2) samples given side by side."""
+    src, dst = src.reshape(-1, 2), dst.reshape(-1, 2)
+    idx = np.arange(src.shape[0]).reshape(-1, 4)
+    return _minimal_homographies(_minimal_rows(src, dst), src, dst, idx)
+
+
+@pytest.fixture
+def solve_failures(monkeypatch):
+    """Count the np.linalg.solve calls that raise LinAlgError."""
+    solve = np.linalg.solve
+    failures = []
+
+    def counting_solve(*args):
+        try:
+            return solve(*args)
+        except np.linalg.LinAlgError:
+            failures.append(args)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return failures
+
+
+def noncollinear_loop(quads):
+    """Reference degeneracy test: one (B, 4, 2) side, one triple at a time."""
+    ok = np.ones(quads.shape[0], dtype=bool)
+    for i, j, k in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]:
+        ab = quads[:, j] - quads[:, i]
+        ac = quads[:, k] - quads[:, i]
+        ok &= np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]) > COLLINEAR_EPS
+    return ok
+
+
+class TestMinimalSolver:
+    def test_noncollinear_matches_per_triple_loop(self):
+        rng = np.random.default_rng(7)
+        samples = rng.uniform(-1, 1, (4000, 4, 2, 2))
+        # Put the fourth point on or next to the line through the first two,
+        # on one side or the other, so areas straddle COLLINEAR_EPS.
+        near = rng.random(4000) < 0.5
+        side = rng.integers(0, 2, 4000)
+        t = rng.uniform(-2, 2, 4000)
+        offset = rng.choice([0.0, 1e-10, 5e-10, 2e-9, 1e-6], 4000)
+        rows = np.flatnonzero(near)
+        p0, p1 = samples[rows, 0, side[rows]], samples[rows, 1, side[rows]]
+        samples[rows, 3, side[rows]] = p0 + t[rows, None] * (p1 - p0) + offset[rows, None]
+        expected = noncollinear_loop(samples[:, :, 0]) & noncollinear_loop(samples[:, :, 1])
+        assert 0 < expected.sum() < expected.size
+        np.testing.assert_array_equal(_noncollinear(samples), expected)
+
+    def test_solve_equals_svd_null_vector(self):
+        rng = np.random.default_rng(8)
+        src = rng.uniform(-1, 1, (200, 4, 2))
+        dst = np.stack(
+            [apply_homography(random_bounded_homography(rng, 0.3), s) for s in src]
+        )
+        H = minimal_homographies(src, dst)
+        np.testing.assert_array_equal(H[:, 2, 2], 1.0)
+        H_svd = svd_homographies(src, dst)
+        np.testing.assert_allclose(H, H_svd / H_svd[:, 2:3, 2:3], rtol=0, atol=1e-9)
+
+    def test_singular_chunk_falls_back_to_svd(self, solve_failures):
+        rng = np.random.default_rng(9)
+        singular_src = H33_ZERO_SRC[None, :4]
+        singular_dst = apply_homography(H33_ZERO, H33_ZERO_SRC[:4])[None]
+        src = np.concatenate([rng.uniform(-1, 1, (5, 4, 2)), singular_src])
+        dst = np.concatenate([rng.uniform(-1, 1, (5, 4, 2)), singular_dst])
+        H = minimal_homographies(src, dst)
+        assert len(solve_failures) == 1
+        np.testing.assert_array_equal(H, svd_homographies(src, dst))
+        assert H[-1, 2, 2] == pytest.approx(0.0, abs=1e-12)
+
+    def test_ransac_fallback_matches_svd_path(self, solve_failures, monkeypatch):
+        rng = np.random.default_rng(10)
+        src = np.vstack([H33_ZERO_SRC, rng.uniform(-2, 2, (5, 2))])
+        dst = np.vstack(
+            [apply_homography(H33_ZERO, H33_ZERO_SRC), rng.uniform(-2, 2, (5, 2))]
+        )
+        corrs = make_correspondences(src, dst)
+        mixed = ransac_homography(corrs, 0.05, seed=3)
+        assert solve_failures
+
+        def singular_solve(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular_solve)
+        svd_only = ransac_homography(corrs, 0.05, seed=3)
+        assert mixed.n == svd_only.n >= 7
+        np.testing.assert_array_equal(mixed.inlier_mask, svd_only.inlier_mask)
+
+
 class TestGeometricSimilarity:
     def test_self_match_full_consensus(self):
         cfg = SynthConfig(seed=2, n_individuals=1, views_per_individual=2)
@@ -371,3 +482,35 @@ class TestGeometricSimilarity:
         assert np.mean(strict < 0.2) >= 0.95
         assert np.mean(loose < 0.2) >= 0.60
         assert np.max(loose) < 0.35
+
+
+# (n, omega) of geometric_similarity(query, db, seed=0) for every query (views
+# 1-2) against every database image (view 0, in individual order) of the
+# seed-3 synthetic set with 4 individuals x 3 views, recorded with the SVD
+# minimal solver.  A change to RANSAC that moves a verdict must update these
+# literals and show the diff.
+PINNED_VERDICTS = {
+    "ind000_v1": [(64, 0.9411764705882353), (7, 0.175), (9, 0.23076923076923078), (8, 0.18181818181818182)],
+    "ind000_v2": [(59, 0.9365079365079365), (7, 0.19444444444444445), (8, 0.20512820512820512), (9, 0.23076923076923078)],
+    "ind001_v1": [(7, 0.1891891891891892), (65, 1.0), (7, 0.16666666666666666), (8, 0.18181818181818182)],
+    "ind001_v2": [(7, 0.175), (62, 1.0), (9, 0.25), (7, 0.1891891891891892)],
+    "ind002_v1": [(7, 0.1794871794871795), (8, 0.17777777777777778), (66, 0.9850746268656716), (6, 0.15384615384615385)],
+    "ind002_v2": [(7, 0.18421052631578946), (8, 0.2), (61, 0.9838709677419355), (8, 0.1951219512195122)],
+    "ind003_v1": [(8, 0.1702127659574468), (7, 0.1794871794871795), (7, 0.2), (66, 0.9850746268656716)],
+    "ind003_v2": [(7, 0.1590909090909091), (7, 0.16279069767441862), (7, 0.175), (64, 0.9846153846153847)],
+}
+
+
+def test_pinned_verdicts():
+    cfg = SynthConfig(seed=3, n_individuals=4, views_per_individual=3)
+    inds = [generate_individual(cfg, i) for i in range(cfg.n_individuals)]
+    db = [render_observation(c, cfg, 0)[0] for c in inds]
+    got = {}
+    for c in inds:
+        for v in range(1, cfg.views_per_individual):
+            query = render_observation(c, cfg, v)[0]
+            got[query.image_id] = [
+                (verdict.n, verdict.omega)
+                for verdict in (geometric_similarity(query, d, seed=0) for d in db)
+            ]
+    assert got == PINNED_VERDICTS

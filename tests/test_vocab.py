@@ -383,3 +383,34 @@ class TestVocabularyPersistence:
         path.write_text(text.replace(first_value, "bogus", 1), encoding="utf-8")
         with pytest.raises(VocabError):
             load_vocabulary(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda v: setattr(v, "alpha", float("nan")), "non-finite value in alpha"),
+            (lambda v: np.put(v.pca.basis, 0, np.inf), "non-finite value in PCA"),
+            (lambda v: np.put(v.gmm.means, 8, np.nan), "non-finite value in GMM"),
+            (lambda v: np.put(v.kpca.alphas, 9, -np.inf), "non-finite value in KPCA"),
+            (lambda v: setattr(v.kpca, "total_mean", float("nan")), "non-finite value in KPCA"),
+            (lambda v: setattr(v, "alpha", 0.0), "alpha must be positive"),
+            (lambda v: setattr(v, "alpha", -0.5), "alpha must be positive"),
+            (lambda v: np.put(v.gmm.variances, 3, -0.25), "variances must be positive"),
+            (lambda v: np.put(v.gmm.variances, 12, 0.0), "variances must be positive"),
+            (lambda v: setattr(v.gmm, "weights", np.array([1.2, -0.1, -0.1])), "weights"),
+            (lambda v: setattr(v.gmm, "weights", v.gmm.weights * 0.99), "weights"),
+        ],
+    )
+    def test_invalid_values_rejected(self, tmp_path, corrupt, message):
+        vocab = self._make_vocabulary()
+        corrupt(vocab)
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(vocab, path)
+        with pytest.raises(VocabError, match=message):
+            load_vocabulary(path)
+
+    def test_weights_sum_tolerance(self, tmp_path):
+        vocab = self._make_vocabulary()
+        vocab.gmm.weights = vocab.gmm.weights * (1.0 + 5e-7)
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(vocab, path)
+        np.testing.assert_array_equal(load_vocabulary(path).gmm.weights, vocab.gmm.weights)
