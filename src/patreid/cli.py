@@ -18,7 +18,7 @@ from .encode import (
     train_vocabulary,
     write_embedding_store,
 )
-from .geometry import GeometryError
+from .geometry import GeometryError, GeometryParams
 from .ingest import (
     ManifestError,
     PatfError,
@@ -30,7 +30,6 @@ from .reid import (
     RULES,
     CombineParams,
     DbEntry,
-    MatchingParams,
     ReidDatabase,
     ReidError,
     evaluate_leave_one_out,
@@ -60,6 +59,12 @@ SYNTH_FLAGS = {
     "clutter_rate": "--clutter",
     "max_perspective": "--max-perspective",
 }
+COMBINE_FLAGS = {"rule": "--rule", "a": "--a", "shortlist_size": "--shortlist"}
+GEOMETRY_FLAGS = {
+    "inlier_threshold": "--inlier-thresh",
+    "max_distance": "--max-desc-dist",
+    "ratio": "--ratio",
+}
 
 
 class UsageError(Exception):
@@ -73,28 +78,42 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _combine_params(args) -> CombineParams:
-    params = CombineParams(
-        rule=RULE_TOKENS[args.rule] if hasattr(args, "rule") else "exponential",
-        a=args.a,
-        shortlist_size=args.shortlist,
-        inlier_threshold=args.inlier_thresh,
-    )
+def _validated(config, flags):
+    """config, once its validate() passes; else a UsageError naming the flag.
+
+    validate() messages start with the offending field's name, which is
+    rewritten to the flag that sets it.
+    """
     try:
-        params.validate()
-    except ReidError as exc:
-        raise UsageError(str(exc)) from None
-    return params
+        config.validate()
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise UsageError(f"{flags.get(field, field)} {rest}") from None
+    return config
 
 
-def _matching_params(args) -> MatchingParams:
-    if not 0 < args.max_desc_dist <= 2:
-        raise UsageError(f"--max-desc-dist must be in (0, 2], got {args.max_desc_dist}")
-    if args.ratio is not None and not 0 < args.ratio <= 1:
-        raise UsageError(f"--ratio must be in (0, 1], got {args.ratio}")
-    return MatchingParams(
-        mutual=args.mutual, max_distance=args.max_desc_dist, ratio=args.ratio
+def _combine_params(args, rule: str) -> CombineParams:
+    return _validated(
+        CombineParams(rule=rule, a=args.a, shortlist_size=args.shortlist), COMBINE_FLAGS
     )
+
+
+def _geometry_params(args) -> GeometryParams:
+    return _validated(
+        GeometryParams(
+            inlier_threshold=args.inlier_thresh,
+            mutual=args.mutual,
+            max_distance=args.max_desc_dist,
+            ratio=args.ratio,
+        ),
+        GEOMETRY_FLAGS,
+    )
+
+
+def _topk(args) -> int:
+    if args.topk < 1:
+        raise UsageError(f"--topk must be >= 1, got {args.topk}")
+    return args.topk
 
 
 def cmd_synth(args) -> int:
@@ -109,14 +128,7 @@ def cmd_synth(args) -> int:
         clutter_rate=args.clutter,
         max_perspective=args.max_perspective,
     )
-    try:
-        config.validate()
-    except ValueError as exc:
-        message = str(exc)
-        for fld, flag in SYNTH_FLAGS.items():
-            message = message.replace(fld, flag)
-        raise UsageError(message) from None
-    generate_benchmark(config, args.out)
+    generate_benchmark(_validated(config, SYNTH_FLAGS), args.out)
     print(Path(args.out) / "manifest.csv")
     return 0
 
@@ -165,6 +177,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_query(args) -> int:
+    params = _combine_params(args, RULE_TOKENS[args.rule])
+    geometry_params = _geometry_params(args)
+    topk = _topk(args)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     vocabulary = load_vocabulary(_require_file(args.vocab, "vocabulary"))
     query_features = parse_feature_file(_require_file(args.features, "feature file"))
@@ -205,10 +220,8 @@ def cmd_query(args) -> int:
     except ReidError as exc:
         raise UsageError(str(exc)) from None
 
-    params = _combine_params(args)
-    matching = _matching_params(args)
     result = query_database(
-        db, query_features, params, seed=args.seed, matching=matching
+        db, query_features, params, seed=args.seed, geometry_params=geometry_params
     )
 
     best = {}
@@ -216,7 +229,7 @@ def cmd_query(args) -> int:
         best.setdefault(c.individual_id, c)
     print(f"{'rank':>4}  {'individual':<16} {'db_image':<20} "
           f"{'d_L':>10} {'n':>5} {'omega':>8} {'d_C':>12}")
-    for rank, individual in enumerate(result.individuals[: args.topk], start=1):
+    for rank, individual in enumerate(result.individuals[:topk], start=1):
         c = best[individual]
         print(
             f"{rank:>4}  {individual:<16} {c.db_image_id:<20} "
@@ -226,33 +239,25 @@ def cmd_query(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    rule_params = {rule: _combine_params(args, rule) for rule in RULES}
+    geometry_params = _geometry_params(args)
+    topk = _topk(args)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     vocabulary = load_vocabulary(_require_file(args.vocab, "vocabulary"))
-    matching = _matching_params(args)
     geometry_cache = {}
     feature_cache = {}
 
+    evaluate = evaluate_split if args.protocol == "split" else evaluate_leave_one_out
     reports = {}
-    for rule in RULES:
-        params = CombineParams(
-            rule=rule,
-            a=args.a,
-            shortlist_size=args.shortlist,
-            inlier_threshold=args.inlier_thresh,
-        )
-        try:
-            params.validate()
-        except ReidError as exc:
-            raise UsageError(str(exc)) from None
-        evaluate = evaluate_split if args.protocol == "split" else evaluate_leave_one_out
+    for rule, params in rule_params.items():
         try:
             reports[rule] = evaluate(
                 manifest,
                 vocabulary,
                 params,
-                k_max=args.topk,
+                k_max=topk,
                 seed=args.seed,
-                matching=matching,
+                geometry_params=geometry_params,
                 geometry_cache=geometry_cache,
                 feature_cache=feature_cache,
             )
@@ -260,7 +265,7 @@ def cmd_evaluate(args) -> int:
             raise UsageError(str(exc)) from None
 
     first = next(iter(reports.values()))
-    header = "".join(f"  top-{k:<4}" for k in range(1, args.topk + 1))
+    header = "".join(f"  top-{k:<4}" for k in range(1, topk + 1))
     print(f"{'rule':<16}{header}")
     for rule, report in reports.items():
         cells = "".join(f"  {acc:<8.4f}" for acc in report.accuracies)

@@ -10,7 +10,7 @@ distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -18,36 +18,39 @@ from .seeding import derive_seed
 
 # Candidate models fitted per vectorized RANSAC round.
 RANSAC_CHUNK = 128
+# RANSAC stops once it is this confident that an all-inlier sample was drawn,
+RANSAC_CONFIDENCE = 0.99
+# or after this many candidate models.
+RANSAC_MAX_ITERS = 2000
 # Triangle areas below this (in normalized coordinates) mark a degenerate sample.
 COLLINEAR_EPS = 1e-9
 # The four point triples of a 4-point sample.
 _TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-
-RATIO_DENOMINATORS = ("matches", "all_points")
 
 
 class GeometryError(ValueError):
     """Degenerate geometric configuration."""
 
 
-@dataclass
-class Correspondence:
-    """One matched patch pair, carrying the frame centers of both features."""
+@dataclass(frozen=True)
+class GeometryParams:
+    """Descriptor-matching and RANSAC settings of geometric_similarity."""
 
-    query_point: Tuple[float, float]
-    db_point: Tuple[float, float]
-    descriptor_distance: float
-    query_index: int = -1
-    db_index: int = -1
+    inlier_threshold: float = 0.1
+    mutual: bool = True
+    max_distance: float = 0.9
+    ratio: Optional[float] = None
 
-
-@dataclass
-class PointTransform:
-    """Centroid/scale pair that maps original points to normalized ones."""
-
-    centroid: np.ndarray
-    scale: float
-    degenerate: bool = False
+    def validate(self) -> None:
+        """Raise GeometryError naming the offending field."""
+        if not 0 < self.inlier_threshold < np.inf:
+            raise GeometryError(
+                f"inlier_threshold must be finite and positive, got {self.inlier_threshold}"
+            )
+        if not 0 < self.max_distance <= 2:
+            raise GeometryError(f"max_distance must be in (0, 2], got {self.max_distance}")
+        if self.ratio is not None and not 0 < self.ratio <= 1:
+            raise GeometryError(f"ratio must be in (0, 1], got {self.ratio}")
 
 
 @dataclass
@@ -66,9 +69,8 @@ class Homography:
 class GeomVerdict:
     """Inlier statistics of a verified pair.
 
-    omega is n over the correspondences entering RANSAC (or over the smaller
-    feature count when the alternative denominator is selected); both are 0
-    when no homography was estimable.
+    omega is n over the correspondences entering RANSAC; both are 0 when no
+    homography was estimable.
     """
 
     n: int
@@ -83,19 +85,20 @@ def match_descriptors(
     max_distance: float = 0.9,
     mutual: bool = True,
     ratio: Optional[float] = None,
-) -> list:
+) -> np.ndarray:
     """Match query descriptors to database descriptors by cosine distance.
 
     Each query descriptor pairs with its nearest database descriptor; a pair
     is kept when its distance is <= max_distance, when (with mutual set) the
     database descriptor's nearest query descriptor closes the cycle, and when
-    (with ratio set) it passes a nearest/second-nearest ratio test.  Output
-    is sorted by ascending distance, ties by (query index, db index).
+    (with ratio set) it passes a nearest/second-nearest ratio test.  Returns
+    an (M, 2) integer array of (query index, db index) rows sorted by
+    ascending distance, ties by (query index, db index).
     """
     desc_q = np.asarray(query.descriptors, dtype=np.float64)
     desc_d = np.asarray(db.descriptors, dtype=np.float64)
     if desc_q.shape[0] == 0 or desc_d.shape[0] == 0:
-        return []
+        return np.zeros((0, 2), dtype=np.intp)
     dist = 1.0 - desc_q @ desc_d.T
     nn_of_q = np.argmin(dist, axis=1)
     iq = np.arange(desc_q.shape[0])
@@ -109,39 +112,34 @@ def match_descriptors(
         keep &= d <= ratio * second
     iq, idb, d = iq[keep], nn_of_q[keep], d[keep]
     order = np.lexsort((idb, iq, d))
-    pts_q = query.points
-    pts_d = db.points
-    matches = []
-    for i in order:
-        a, b = int(iq[i]), int(idb[i])
-        matches.append(
-            Correspondence(
-                query_point=(float(pts_q[a, 0]), float(pts_q[a, 1])),
-                db_point=(float(pts_d[b, 0]), float(pts_d[b, 1])),
-                descriptor_distance=float(d[i]),
-                query_index=a,
-                db_index=b,
-            )
-        )
-    return matches
+    return np.stack([iq[order], idb[order]], axis=1)
 
 
-def normalize_points(points: np.ndarray) -> Tuple[np.ndarray, PointTransform]:
+def normalize_points(points: np.ndarray) -> np.ndarray:
     """Shift points to zero mean and scale the set's max norm to 1.
 
-    Returns the normalized points plus the (centroid, scale) transform.  A
-    set of coincident points cannot define a scale; it is returned with
-    scale 1 and the degenerate flag set.
+    A set of coincident points cannot define a scale and raises
+    GeometryError, as does an empty or non-(N, 2) input.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 1:
         raise GeometryError(f"expected non-empty (N, 2) points, got {points.shape}")
-    centroid = points.mean(axis=0)
-    shifted = points - centroid
+    shifted = points - points.mean(axis=0)
     max_norm = float(np.max(np.linalg.norm(shifted, axis=1)))
     if max_norm < 1e-12:
-        return shifted, PointTransform(centroid=centroid, scale=1.0, degenerate=True)
-    return shifted / max_norm, PointTransform(centroid=centroid, scale=max_norm)
+        raise GeometryError("coincident points: no scale to normalize by")
+    return shifted / max_norm
+
+
+def _point_pairs(src, dst):
+    """src and dst as float64 arrays of the same (N, 2) shape."""
+    src = np.asarray(src, dtype=np.float64)
+    dst = np.asarray(dst, dtype=np.float64)
+    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 2:
+        raise GeometryError(
+            f"src/dst must both be (N, 2), got {src.shape} and {dst.shape}"
+        )
+    return src, dst
 
 
 def _dlt_matrix(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -179,12 +177,7 @@ def dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
     a configuration that leaves the system rank-deficient (e.g. collinear
     points) raises GeometryError.
     """
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
-    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 2:
-        raise GeometryError(
-            f"src/dst must both be (N, 2), got {src.shape} and {dst.shape}"
-        )
+    src, dst = _point_pairs(src, dst)
     if src.shape[0] < 4:
         raise GeometryError(f"need at least 4 correspondences, got {src.shape[0]}")
     A = _dlt_matrix(src, dst)
@@ -280,36 +273,33 @@ def _minimal_homographies(
 
 
 def ransac_homography(
-    correspondences: Sequence[Correspondence],
-    inlier_threshold: float,
-    seed=None,
-    confidence: float = 0.99,
-    max_iters: int = 2000,
+    src: np.ndarray, dst: np.ndarray, inlier_threshold: float, seed=None
 ) -> GeomVerdict:
-    """Robust homography fit over normalized correspondences.
+    """Robust homography fit over normalized (N, 2) point pairs src -> dst.
 
     Seeded minimal 4-point samples are fitted in vectorized chunks.  Samples
     with a (near-)collinear triple on either side are dropped; the rest are
     fitted with h33 = 1 by one batched solve of their 8x8 DLT systems, and a
     chunk that holds an exactly singular system (true h33 = 0) falls back to
-    the SVD null vectors of its 8x9 DLT matrices.  A correspondence is an
-    inlier when its reprojection distance is strictly below inlier_threshold.
-    The iteration budget adapts with the standard (1 - w^4) confidence
-    formula, capped at max_iters.  The final homography is refit on the best
-    consensus set; the reported inlier_mask is that consensus.  Fewer than 4
-    correspondences, or no valid sample, yield n = 0 with no homography.
+    the SVD null vectors of its 8x9 DLT matrices.  A pair is an inlier when
+    its reprojection distance is strictly below inlier_threshold.  The
+    iteration budget adapts with the standard (1 - w^4) formula at
+    RANSAC_CONFIDENCE, capped at RANSAC_MAX_ITERS.  The final homography is
+    refit on the best consensus set; the reported inlier_mask is that
+    consensus.  Fewer than 4 pairs, or no valid sample, yield n = 0 with no
+    homography.
     """
-    if inlier_threshold <= 0:
-        raise GeometryError(f"inlier_threshold must be positive, got {inlier_threshold}")
-    corr = list(correspondences)
-    total = len(corr)
+    if not 0 < inlier_threshold < np.inf:
+        raise GeometryError(
+            f"inlier_threshold must be finite and positive, got {inlier_threshold}"
+        )
+    src, dst = _point_pairs(src, dst)
+    total = src.shape[0]
     failure = GeomVerdict(
         n=0, omega=0.0, homography=None, inlier_mask=np.zeros(total, dtype=bool)
     )
     if total < 4:
         return failure
-    src = np.array([c.query_point for c in corr], dtype=np.float64)
-    dst = np.array([c.db_point for c in corr], dtype=np.float64)
 
     rng = np.random.default_rng(seed)
     pairs = np.stack([src, dst], axis=1)
@@ -321,7 +311,7 @@ def ransac_homography(
     best_mask = np.zeros(total, dtype=bool)
     best_H = None
     done = 0
-    target = max_iters
+    target = RANSAC_MAX_ITERS
     while done < target:
         chunk = min(RANSAC_CHUNK, target - done)
         done += chunk
@@ -350,8 +340,8 @@ def ransac_homography(
             if w4 >= 1.0 - 1e-15:
                 target = done
             else:
-                needed = int(np.ceil(np.log1p(-confidence) / np.log1p(-w4)))
-                target = min(max_iters, max(needed, 1))
+                needed = int(np.ceil(np.log1p(-RANSAC_CONFIDENCE) / np.log1p(-w4)))
+                target = min(RANSAC_MAX_ITERS, max(needed, 1))
 
     if best_H is None or best_count < 4:
         return failure
@@ -361,84 +351,39 @@ def ransac_homography(
         homography = _scale_homography(best_H)
     return GeomVerdict(
         n=best_count,
-        omega=best_count / max(1, total),
+        omega=best_count / total,
         homography=homography,
         inlier_mask=best_mask,
     )
 
 
 def geometric_similarity(
-    query,
-    db,
-    inlier_threshold: float = 0.1,
-    seed: int = 0,
-    mutual: bool = True,
-    max_distance: float = 0.9,
-    ratio: Optional[float] = None,
-    confidence: float = 0.99,
-    max_iters: int = 2000,
-    ratio_denominator: str = "matches",
+    query, db, params: GeometryParams = GeometryParams(), seed: int = 0
 ) -> GeomVerdict:
     """Full geometric verification of a (query, db) image pair.
 
     Composition of match_descriptors, per-side normalize_points, and
-    ransac_homography.  The RANSAC stream is derived from the global seed
-    and the two image ids, so verdicts are reproducible pair by pair in any
-    execution order.  omega's denominator is the number of matches, or the
-    smaller feature count with ratio_denominator="all_points".
+    ransac_homography; omega's denominator is the number of matches.  The
+    RANSAC stream is derived from the global seed and the two image ids, so
+    verdicts are reproducible pair by pair in any execution order.
     """
-    if ratio_denominator not in RATIO_DENOMINATORS:
-        raise ValueError(
-            f"ratio_denominator must be one of {RATIO_DENOMINATORS}, "
-            f"got {ratio_denominator!r}"
-        )
+    params.validate()
     matches = match_descriptors(
-        query, db, max_distance=max_distance, mutual=mutual, ratio=ratio
+        query, db, max_distance=params.max_distance, mutual=params.mutual, ratio=params.ratio
     )
-    n_matches = len(matches)
-    if ratio_denominator == "matches":
-        denom = n_matches
-    else:
-        denom = min(query.count, db.count)
-    if n_matches < 4:
-        return GeomVerdict(
-            n=0,
-            omega=0.0,
-            homography=None,
-            inlier_mask=np.zeros(n_matches, dtype=bool),
-        )
-    q_pts = np.array([c.query_point for c in matches], dtype=np.float64)
-    d_pts = np.array([c.db_point for c in matches], dtype=np.float64)
-    q_norm, q_tf = normalize_points(q_pts)
-    d_norm, d_tf = normalize_points(d_pts)
-    if q_tf.degenerate or d_tf.degenerate:
-        return GeomVerdict(
-            n=0,
-            omega=0.0,
-            homography=None,
-            inlier_mask=np.zeros(n_matches, dtype=bool),
-        )
-    normalized = [
-        Correspondence(
-            query_point=(float(q_norm[i, 0]), float(q_norm[i, 1])),
-            db_point=(float(d_norm[i, 0]), float(d_norm[i, 1])),
-            descriptor_distance=c.descriptor_distance,
-            query_index=c.query_index,
-            db_index=c.db_index,
-        )
-        for i, c in enumerate(matches)
-    ]
-    verdict = ransac_homography(
-        normalized,
-        inlier_threshold=inlier_threshold,
+    failure = GeomVerdict(
+        n=0, omega=0.0, homography=None, inlier_mask=np.zeros(len(matches), dtype=bool)
+    )
+    if len(matches) < 4:
+        return failure
+    try:
+        src = normalize_points(query.points[matches[:, 0]])
+        dst = normalize_points(db.points[matches[:, 1]])
+    except GeometryError:
+        return failure
+    return ransac_homography(
+        src,
+        dst,
+        params.inlier_threshold,
         seed=derive_seed(seed, "ransac", query.image_id, db.image_id),
-        confidence=confidence,
-        max_iters=max_iters,
-    )
-    omega = verdict.n / denom if (denom > 0 and verdict.homography is not None) else 0.0
-    return GeomVerdict(
-        n=verdict.n,
-        omega=float(omega),
-        homography=verdict.homography,
-        inlier_mask=verdict.inlier_mask,
     )

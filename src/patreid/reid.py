@@ -17,6 +17,7 @@ import numpy as np
 
 from . import geometry
 from .encode import cosine_distance, embed_image
+from .geometry import GeometryParams
 from .ingest import ImageFeatures, Manifest, load_entry_features
 from .vocab import Embedding, Vocabulary
 
@@ -33,32 +34,16 @@ class CombineParams:
     rule: str = "exponential"
     a: float = 2.0
     shortlist_size: int = 50
-    inlier_threshold: float = 0.1
     epsilon: float = 1e-9
 
     def validate(self) -> None:
+        """Raise ReidError naming the offending field."""
         if self.rule not in RULES:
             raise ReidError(f"rule must be one of {RULES}, got {self.rule!r}")
-        if self.a < 0:
-            raise ReidError(f"a must be >= 0, got {self.a}")
+        if not 0 <= self.a < np.inf:
+            raise ReidError(f"a must be finite and >= 0, got {self.a}")
         if self.shortlist_size < 0:
             raise ReidError(f"shortlist_size must be >= 0, got {self.shortlist_size}")
-        if self.inlier_threshold <= 0:
-            raise ReidError(
-                f"inlier_threshold must be positive, got {self.inlier_threshold}"
-            )
-
-
-@dataclass
-class MatchingParams:
-    """Descriptor-matching and RANSAC knobs forwarded to geometric_similarity."""
-
-    mutual: bool = True
-    max_distance: float = 0.9
-    ratio: Optional[float] = None
-    confidence: float = 0.99
-    max_iters: int = 2000
-    ratio_denominator: str = "matches"
 
 
 @dataclass
@@ -153,9 +138,8 @@ def _combine(params: CombineParams, d_l: float, n: int, omega: float) -> float:
 def _pair_geometry(
     query_features: ImageFeatures,
     entry: DbEntry,
-    params: CombineParams,
+    geometry_params: GeometryParams,
     seed: int,
-    matching: MatchingParams,
     cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]],
 ) -> Tuple[int, float]:
     """Inlier statistics for one pair, memoized across combination rules.
@@ -167,16 +151,7 @@ def _pair_geometry(
     if cache is not None and key in cache:
         return cache[key]
     verdict = geometry.geometric_similarity(
-        query_features,
-        entry.features,
-        inlier_threshold=params.inlier_threshold,
-        seed=seed,
-        mutual=matching.mutual,
-        max_distance=matching.max_distance,
-        ratio=matching.ratio,
-        confidence=matching.confidence,
-        max_iters=matching.max_iters,
-        ratio_denominator=matching.ratio_denominator,
+        query_features, entry.features, params=geometry_params, seed=seed
     )
     stats = (verdict.n, verdict.omega)
     if cache is not None:
@@ -207,17 +182,16 @@ def score_pair(
     entry: DbEntry,
     params: CombineParams,
     seed: int = 0,
-    matching: Optional[MatchingParams] = None,
+    geometry_params: GeometryParams = GeometryParams(),
     geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
 ) -> MatchCandidate:
     """Full appearance + geometry score of one (query, database) pair."""
-    matching = matching or MatchingParams()
     d_l = cosine_distance(query_embedding, entry.embedding)
     use_geometry = params.rule in GEOMETRY_RULES
     n, omega = 0, 0.0
     if use_geometry:
         n, omega = _pair_geometry(
-            query_features, entry, params, seed, matching, geometry_cache
+            query_features, entry, geometry_params, seed, geometry_cache
         )
     return MatchCandidate(
         db_image_id=entry.image_id,
@@ -235,7 +209,7 @@ def query_database(
     query_features: ImageFeatures,
     params: CombineParams,
     seed: int = 0,
-    matching: Optional[MatchingParams] = None,
+    geometry_params: GeometryParams = GeometryParams(),
     geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
 ) -> RankedResult:
     """Two-stage search: cosine ranking, then shortlist verification.
@@ -249,7 +223,6 @@ def query_database(
     params.validate()
     if not db.entries:
         raise ReidError("database is empty")
-    matching = matching or MatchingParams()
     query_embedding = embed_image(query_features, db.vocabulary)
 
     stage1 = [
@@ -274,7 +247,7 @@ def query_database(
                     entry,
                     params,
                     seed=seed,
-                    matching=matching,
+                    geometry_params=geometry_params,
                     geometry_cache=geometry_cache,
                 )
             )
@@ -372,7 +345,7 @@ def evaluate_split(
     params: CombineParams,
     k_max: int = 5,
     seed: int = 0,
-    matching: Optional[MatchingParams] = None,
+    geometry_params: GeometryParams = GeometryParams(),
     geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
     feature_cache: Optional[Dict[str, ImageFeatures]] = None,
 ) -> EvalReport:
@@ -410,7 +383,7 @@ def evaluate_split(
                 features,
                 params,
                 seed=seed,
-                matching=matching,
+                geometry_params=geometry_params,
                 geometry_cache=geometry_cache,
             )
         )
@@ -429,7 +402,7 @@ def evaluate_leave_one_out(
     params: CombineParams,
     k_max: int = 5,
     seed: int = 0,
-    matching: Optional[MatchingParams] = None,
+    geometry_params: GeometryParams = GeometryParams(),
     geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
     feature_cache: Optional[Dict[str, ImageFeatures]] = None,
 ) -> EvalReport:
@@ -488,7 +461,7 @@ def evaluate_leave_one_out(
                 embedded[i].features,
                 params,
                 seed=seed,
-                matching=matching,
+                geometry_params=geometry_params,
                 geometry_cache=geometry_cache,
             )
         )

@@ -21,12 +21,7 @@ from patreid.encode import (
     power_l2_normalize,
     train_vocabulary,
 )
-from patreid.geometry import (
-    Correspondence,
-    apply_homography,
-    dlt_homography,
-    ransac_homography,
-)
+from patreid.geometry import apply_homography, dlt_homography, ransac_homography
 from patreid.ingest import (
     ImageFeatures,
     Manifest,
@@ -173,17 +168,7 @@ def test_ac3_geometry_oracles(capsys):
                 if np.linalg.norm(candidate - dst[i]) >= 0.1:
                     dst[i] = candidate
                     break
-        corrs = [
-            Correspondence(
-                (float(src[i, 0]), float(src[i, 1])),
-                (float(dst[i, 0]), float(dst[i, 1])),
-                0.0,
-                i,
-                i,
-            )
-            for i in range(200)
-        ]
-        result = ransac_homography(corrs, inlier_threshold=0.05, seed=seed)
+        result = ransac_homography(src, dst, inlier_threshold=0.05, seed=seed)
         exact += int(np.array_equal(result.inlier_mask, truth))
     elapsed = time.perf_counter() - t0
     verdict(

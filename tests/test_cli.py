@@ -254,3 +254,19 @@ class TestEvaluate:
         ])
         assert code == 2
         assert "--max-desc-dist" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["query", "evaluate"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--a", "nan"), ("--a", "inf"), ("--inlier-thresh", "nan"),
+     ("--inlier-thresh", "inf"), ("--topk", "0"), ("--topk", "-3")],
+)
+def test_invalid_value_names_flag(workspace, capsys, command, flag, value):
+    _, bench, vocab = workspace
+    args = [command, "--manifest", str(bench / "manifest.csv"), "--vocab", str(vocab)]
+    if command == "query":
+        args += ["--features", str(bench / "ind000_v1.patf"), "--rule", "poly"]
+    assert main(args + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err

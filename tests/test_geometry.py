@@ -5,8 +5,8 @@ import pytest
 
 from patreid.geometry import (
     COLLINEAR_EPS,
-    Correspondence,
     GeometryError,
+    GeometryParams,
     _dlt_matrix,
     _minimal_homographies,
     _minimal_rows,
@@ -39,6 +39,12 @@ def unit_rows(rng, m, dim):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def match_distances(query, db, matches):
+    """Cosine distance of each (query index, db index) row, as the matcher computes it."""
+    dist = 1.0 - query.descriptors @ db.descriptors.T
+    return dist[matches[:, 0], matches[:, 1]]
+
+
 def random_bounded_homography(rng, max_perspective=0.15):
     p = rng.uniform(-max_perspective, max_perspective, 8)
     return np.array(
@@ -50,19 +56,17 @@ class TestMatchDescriptors:
     def test_identical_sets(self):
         desc = np.eye(3, 8)
         points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        matches = match_descriptors(
-            features_from(points, desc, "q"), features_from(points, desc, "d")
-        )
-        assert len(matches) == 3
-        assert all(m.descriptor_distance == 0.0 for m in matches)
-        assert [(m.query_index, m.db_index) for m in matches] == [(0, 0), (1, 1), (2, 2)]
+        q, d = features_from(points, desc, "q"), features_from(points, desc, "d")
+        matches = match_descriptors(q, d)
+        assert matches.tolist() == [[0, 0], [1, 1], [2, 2]]
+        np.testing.assert_array_equal(match_distances(q, d, matches), 0.0)
 
     def test_empty_side(self):
         rng = np.random.default_rng(1)
         full = features_from(np.zeros((2, 2)), unit_rows(rng, 2, 4))
         empty = ImageFeatures("e", np.zeros((0, 6)), np.zeros((0, 4)))
-        assert match_descriptors(empty, full) == []
-        assert match_descriptors(full, empty) == []
+        assert match_descriptors(empty, full).shape == (0, 2)
+        assert match_descriptors(full, empty).shape == (0, 2)
 
     def test_cutoff_inclusive(self):
         # Orthogonal descriptors sit at distance exactly 1.0; a cutoff of
@@ -70,7 +74,7 @@ class TestMatchDescriptors:
         q = features_from([[0.0, 0.0]], [[1.0, 0.0]])
         d = features_from([[0.0, 0.0]], [[0.0, 1.0]])
         assert len(match_descriptors(q, d, max_distance=1.0)) == 1
-        assert match_descriptors(q, d, max_distance=0.999) == []
+        assert len(match_descriptors(q, d, max_distance=0.999)) == 0
 
     def test_mutual_filter(self):
         # db descriptor 0 is the NN of both queries, but its own NN is
@@ -81,7 +85,7 @@ class TestMatchDescriptors:
         d = features_from([[5.0, 5.0]], [[1.0, 0.0]])
         mutual = match_descriptors(q, d, mutual=True)
         one_way = match_descriptors(q, d, mutual=False)
-        assert [(m.query_index, m.db_index) for m in mutual] == [(0, 0)]
+        assert mutual.tolist() == [[0, 0]]
         assert len(one_way) == 2
 
     def test_ratio_test_drops_ambiguous(self):
@@ -96,7 +100,7 @@ class TestMatchDescriptors:
                 [np.cos(0.46), 0.0, np.sin(0.46)],
             ],
         )
-        assert match_descriptors(q, d, mutual=False, ratio=0.95) == []
+        assert len(match_descriptors(q, d, mutual=False, ratio=0.95)) == 0
         assert len(match_descriptors(q, d, mutual=False)) == 1
         assert len(match_descriptors(q, d, mutual=False, ratio=0.97)) == 1
 
@@ -112,10 +116,10 @@ class TestMatchDescriptors:
         # Oracle: full pairwise distance matrix, mutual argmin by brute force.
         dist = 1.0 - desc @ noisy.T
         assert len(matches) == 5
-        for m in matches:
-            assert m.db_index == int(np.argmin(dist[m.query_index]))
-            assert m.query_index == int(np.argmin(dist[:, m.db_index]))
-            assert m.query_index == m.db_index
+        for qi, di in matches:
+            assert di == int(np.argmin(dist[qi]))
+            assert qi == int(np.argmin(dist[:, di]))
+            assert qi == di
 
     def test_sorted_by_distance(self):
         rng = np.random.default_rng(4)
@@ -123,40 +127,47 @@ class TestMatchDescriptors:
         noisy = desc + rng.normal(0, 0.1, desc.shape)
         noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
         points = rng.random((10, 2))
-        matches = match_descriptors(
-            features_from(points, desc, "q"), features_from(points, noisy, "d")
+        q, d = features_from(points, desc, "q"), features_from(points, noisy, "d")
+        matches = match_descriptors(q, d)
+        assert np.all(np.diff(match_distances(q, d, matches)) >= 0)
+        # The order is by distance, not by index.
+        assert not np.all(np.diff(matches[:, 0]) > 0)
+
+    def test_ties_by_query_index(self):
+        # Queries 0 and 2 share a descriptor, as do queries 1 and 3; without
+        # the mutual check each pair ties on distance.
+        q = features_from(
+            np.zeros((4, 2)), [[0.6, 0.8], [1.0, 0.0], [0.6, 0.8], [1.0, 0.0]], "q"
         )
-        dists = [m.descriptor_distance for m in matches]
-        assert dists == sorted(dists)
+        d = features_from(np.zeros((2, 2)), [[1.0, 0.0], [0.8, 0.6]], "d")
+        matches = match_descriptors(q, d, mutual=False)
+        assert matches.tolist() == [[1, 0], [3, 0], [0, 1], [2, 1]]
+        assert np.all(np.diff(match_distances(q, d, matches)) >= 0)
 
 
 class TestNormalizePoints:
     def test_forced_example(self):
         points = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
-        normalized, transform = normalize_points(points)
         np.testing.assert_allclose(
-            normalized, [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], atol=1e-15
+            normalize_points(points), [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], atol=1e-15
         )
-        np.testing.assert_allclose(transform.centroid, [2.0, 0.0], atol=1e-15)
-        assert transform.scale == 2.0
-        assert not transform.degenerate
 
-    def test_single_point_degenerate(self):
-        normalized, transform = normalize_points(np.array([[5.0, 7.0]]))
-        np.testing.assert_array_equal(normalized, [[0.0, 0.0]])
-        assert transform.scale == 1.0
-        assert transform.degenerate
+    @pytest.mark.parametrize("points", [[[5.0, 7.0]], [[5.0, 7.0]] * 4])
+    def test_coincident_points_rejected(self, points):
+        with pytest.raises(GeometryError, match="coincident"):
+            normalize_points(np.array(points))
 
     def test_postconditions_random(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             points = rng.normal(0, 10, (rng.integers(2, 40), 2))
-            normalized, transform = normalize_points(points)
+            normalized = normalize_points(points)
             np.testing.assert_allclose(normalized.mean(axis=0), 0.0, atol=1e-12)
             assert abs(np.max(np.linalg.norm(normalized, axis=1)) - 1.0) < 1e-12
-            np.testing.assert_allclose(
-                normalized * transform.scale + transform.centroid, points, atol=1e-9
-            )
+            # A pure shift and scale of the input.
+            shifted = points - points.mean(axis=0)
+            scale = np.max(np.linalg.norm(shifted, axis=1))
+            np.testing.assert_allclose(normalized * scale, shifted, atol=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(GeometryError):
@@ -222,34 +233,21 @@ class TestHomographyHelpers:
         np.testing.assert_allclose(res, 0.0, atol=1e-12)
 
 
-def make_correspondences(src, dst, dist=0.0):
-    return [
-        Correspondence(
-            query_point=(float(s[0]), float(s[1])),
-            db_point=(float(d[0]), float(d[1])),
-            descriptor_distance=dist,
-            query_index=i,
-            db_index=i,
-        )
-        for i, (s, d) in enumerate(zip(src, dst))
-    ]
-
-
 class TestRansacHomography:
     def test_pure_inliers_any_threshold(self):
         rng = np.random.default_rng(0)
         H_true = random_bounded_homography(rng)
         src = rng.uniform(-1, 1, (30, 2))
-        corrs = make_correspondences(src, apply_homography(H_true, src))
+        dst = apply_homography(H_true, src)
         for threshold in (1e-6, 0.05, 0.5):
-            verdict = ransac_homography(corrs, inlier_threshold=threshold, seed=1)
+            verdict = ransac_homography(src, dst, inlier_threshold=threshold, seed=1)
             assert verdict.n == 30
             assert verdict.omega == 1.0
             assert np.all(verdict.inlier_mask)
 
     def test_three_correspondences(self):
         src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        verdict = ransac_homography(make_correspondences(src, src), 0.05, seed=0)
+        verdict = ransac_homography(src, src, 0.05, seed=0)
         assert verdict.n == 0
         assert verdict.omega == 0.0
         assert verdict.homography is None
@@ -260,9 +258,8 @@ class TestRansacHomography:
         src = rng.uniform(-1, 1, (50, 2))
         dst = apply_homography(H_true, src)
         dst[:20] = rng.uniform(-1, 1, (20, 2))
-        corrs = make_correspondences(src, dst)
-        a = ransac_homography(corrs, 0.05, seed=7)
-        b = ransac_homography(corrs, 0.05, seed=7)
+        a = ransac_homography(src, dst, 0.05, seed=7)
+        b = ransac_homography(src, dst, 0.05, seed=7)
         assert a.n == b.n and a.omega == b.omega
         np.testing.assert_array_equal(a.inlier_mask, b.inlier_mask)
         np.testing.assert_array_equal(a.homography.matrix, b.homography.matrix)
@@ -273,7 +270,7 @@ class TestRansacHomography:
         src = rng.uniform(-1, 1, (40, 2))
         dst = apply_homography(H_true, src)
         dst[:15] = rng.uniform(-1, 1, (15, 2))
-        verdict = ransac_homography(make_correspondences(src, dst), 0.05, seed=2)
+        verdict = ransac_homography(src, dst, 0.05, seed=2)
         assert verdict.n == int(np.sum(verdict.inlier_mask))
         assert 0.0 <= verdict.omega <= 1.0
         assert round(verdict.omega * len(src)) == verdict.n
@@ -291,11 +288,22 @@ class TestRansacHomography:
                 if np.linalg.norm(candidate - dst[i]) >= 0.1:
                     dst[i] = candidate
                     break
-        verdict = ransac_homography(make_correspondences(src, dst), 0.05, seed=11)
+        verdict = ransac_homography(src, dst, 0.05, seed=11)
         np.testing.assert_array_equal(verdict.inlier_mask, ~outliers)
         np.testing.assert_allclose(
             verdict.homography.matrix, H_true / H_true[2, 2], atol=1e-6
         )
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.05, float("nan"), float("inf")])
+    def test_invalid_threshold_rejected(self, threshold):
+        src = np.random.default_rng(6).uniform(-1, 1, (10, 2))
+        with pytest.raises(GeometryError, match="inlier_threshold"):
+            ransac_homography(src, src, threshold, seed=0)
+
+    def test_mismatched_shapes_rejected(self):
+        src = np.random.default_rng(6).uniform(-1, 1, (10, 2))
+        with pytest.raises(GeometryError, match="src/dst"):
+            ransac_homography(src, src[:9], 0.05, seed=0)
 
 
 # (x, y) -> (1/x, y/x): h33 = 0, so no h33 = 1 solution exists.
@@ -391,15 +399,14 @@ class TestMinimalSolver:
         dst = np.vstack(
             [apply_homography(H33_ZERO, H33_ZERO_SRC), rng.uniform(-2, 2, (5, 2))]
         )
-        corrs = make_correspondences(src, dst)
-        mixed = ransac_homography(corrs, 0.05, seed=3)
+        mixed = ransac_homography(src, dst, 0.05, seed=3)
         assert solve_failures
 
         def singular_solve(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular_solve)
-        svd_only = ransac_homography(corrs, 0.05, seed=3)
+        svd_only = ransac_homography(src, dst, 0.05, seed=3)
         assert mixed.n == svd_only.n >= 7
         np.testing.assert_array_equal(mixed.inlier_mask, svd_only.inlier_mask)
 
@@ -430,15 +437,16 @@ class TestGeometricSimilarity:
         assert verdict.n == 0 and verdict.omega == 0.0
         assert verdict.homography is None
 
-    def test_all_points_denominator(self):
-        cfg = SynthConfig(seed=2, n_individuals=1, views_per_individual=2)
-        c = generate_individual(cfg, 0)
-        fq, _, _ = render_observation(c, cfg, 1)
-        fd, _, _ = render_observation(c, cfg, 0)
-        by_matches = geometric_similarity(fq, fd, seed=0)
-        by_points = geometric_similarity(fq, fd, seed=0, ratio_denominator="all_points")
-        assert by_points.n == by_matches.n
-        assert by_points.omega == by_matches.n / min(fq.count, fd.count)
+    def test_coincident_points_zero_verdict(self):
+        # Four clean matches whose query-side centers all coincide: no scale
+        # to normalize by, so the pair gets the n = 0 verdict.
+        desc = np.eye(4, 8)
+        q = features_from(np.full((4, 2), 3.0), desc, "q")
+        d = features_from([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], desc, "d")
+        verdict = geometric_similarity(q, d, seed=0)
+        assert verdict.n == 0 and verdict.omega == 0.0
+        assert verdict.homography is None
+        assert verdict.inlier_mask.shape == (4,)
 
     def test_same_individual_views_verify(self):
         # Frozen regression on a small benchmark: every same-individual
@@ -450,7 +458,9 @@ class TestGeometricSimilarity:
             for v in range(1, cfg.views_per_individual):
                 query, _, source_index = render_observation(c, cfg, v)
                 retained = int(np.sum(source_index >= 0))
-                verdict = geometric_similarity(query, db_view, inlier_threshold=0.1, seed=0)
+                verdict = geometric_similarity(
+                    query, db_view, GeometryParams(inlier_threshold=0.1), seed=0
+                )
                 assert verdict.n >= 0.5 * retained
 
     def test_different_individual_views_rejected(self):
@@ -467,21 +477,52 @@ class TestGeometricSimilarity:
             for c in inds
             for v in range(1, cfg.views_per_individual)
         ]
+        strict_params = GeometryParams(inlier_threshold=0.05)
+        loose_params = GeometryParams(inlier_threshold=0.1)
         strict, loose = [], []
         for individual_id, query in queries:
             for other_id, db_view in db.items():
                 if other_id == individual_id:
                     continue
                 strict.append(
-                    geometric_similarity(query, db_view, inlier_threshold=0.05, seed=0).omega
+                    geometric_similarity(query, db_view, strict_params, seed=0).omega
                 )
                 loose.append(
-                    geometric_similarity(query, db_view, inlier_threshold=0.1, seed=0).omega
+                    geometric_similarity(query, db_view, loose_params, seed=0).omega
                 )
         strict, loose = np.array(strict), np.array(loose)
         assert np.mean(strict < 0.2) >= 0.95
         assert np.mean(loose < 0.2) >= 0.60
         assert np.max(loose) < 0.35
+
+
+class TestGeometryParams:
+    def test_defaults_valid(self):
+        GeometryParams().validate()
+
+    @pytest.mark.parametrize(
+        "kwargs, pattern",
+        [
+            ({"inlier_threshold": 0.0}, "inlier_threshold"),
+            ({"inlier_threshold": -0.1}, "inlier_threshold"),
+            ({"inlier_threshold": float("nan")}, "inlier_threshold"),
+            ({"inlier_threshold": float("inf")}, "inlier_threshold"),
+            ({"max_distance": 0.0}, "max_distance"),
+            ({"max_distance": 2.5}, "max_distance"),
+            ({"max_distance": float("nan")}, "max_distance"),
+            ({"ratio": 0.0}, "ratio"),
+            ({"ratio": 1.5}, "ratio"),
+            ({"ratio": float("nan")}, "ratio"),
+        ],
+    )
+    def test_invalid(self, kwargs, pattern):
+        with pytest.raises(GeometryError, match=f"^{pattern} must"):
+            GeometryParams(**kwargs).validate()
+
+    def test_geometric_similarity_validates(self):
+        f = features_from(np.zeros((1, 2)), [[1.0, 0.0]])
+        with pytest.raises(GeometryError, match="inlier_threshold"):
+            geometric_similarity(f, f, GeometryParams(inlier_threshold=float("nan")))
 
 
 # (n, omega) of geometric_similarity(query, db, seed=0) for every query (views

@@ -80,8 +80,9 @@ class TestCombineParams:
         [
             ({"rule": "both"}, "rule"),
             ({"a": -1.0}, "a must"),
+            ({"a": float("nan")}, "a must"),
+            ({"a": float("inf")}, "a must"),
             ({"shortlist_size": -2}, "shortlist"),
-            ({"inlier_threshold": 0.0}, "inlier_threshold"),
         ],
     )
     def test_invalid(self, kwargs, pattern):
