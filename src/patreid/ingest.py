@@ -108,6 +108,33 @@ def _parse_floats(path, line_no: int, tokens: list, expected: int) -> np.ndarray
     return values
 
 
+def _parse_block(data_lines: list, dim: int):
+    """(frames, unit descriptors) of a whole data block, or None if a line is bad.
+
+    One C-level conversion of every line, then the per-line checks of
+    parse_feature_file as array operations.  np.loadtxt gives the same doubles
+    as float() for every token it accepts; it skips blank lines, which then
+    show up as a row-count mismatch.
+    """
+    if not data_lines:
+        # np.loadtxt warns on empty input; an empty image is legal.
+        return np.zeros((0, 6)), np.zeros((0, dim))
+    try:
+        values = np.loadtxt(data_lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(data_lines), 6 + dim) or not np.isfinite(values).all():
+        return None
+    frames, desc = values[:, :6], values[:, 6:]
+    det = frames[:, 2] * frames[:, 5] - frames[:, 3] * frames[:, 4]
+    # Per-row dot products, bit-identical to np.linalg.norm of each row
+    # (norm(axis=1) and sqrt of summed squares round differently).
+    norms = np.sqrt((desc[:, None, :] @ desc[:, :, None])[:, 0, 0])
+    if not ((np.abs(det) >= 1e-12).all() and (norms >= 1e-12).all()):
+        return None
+    return frames.copy(), desc / norms[:, None]
+
+
 def parse_feature_file(path) -> ImageFeatures:
     """Parse and validate a PATF file.
 
@@ -151,6 +178,13 @@ def parse_feature_file(path) -> ImageFeatures:
             f"declared {count} features but file has {len(data_lines)} data lines",
         )
 
+    block = _parse_block(data_lines, dim)
+    if block is not None:
+        frames, descriptors = block
+        return ImageFeatures(image_id=image_id, frames=frames, descriptors=descriptors)
+
+    # Some line failed the block path: this loop names the first bad line, and
+    # also accepts the tokens float() takes but np.loadtxt does not ("1_0").
     frames = np.zeros((count, 6), dtype=np.float64)
     descriptors = np.zeros((count, dim), dtype=np.float64)
     for i, line in enumerate(data_lines):
@@ -251,8 +285,17 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 
 def load_entry_features(manifest: Manifest, entry: ManifestEntry) -> ImageFeatures:
-    """Parse an entry's feature file and attach its manifest labels."""
-    features = parse_feature_file(manifest.entry_path(entry))
+    """Parse an entry's feature file and attach its manifest labels.
+
+    The file's image_id must be the entry's: results are keyed by it.
+    """
+    path = manifest.entry_path(entry)
+    features = parse_feature_file(path)
+    if features.image_id != entry.image_id:
+        raise ManifestError(
+            f"{path}: feature file image_id {features.image_id!r} does not match "
+            f"manifest image_id {entry.image_id!r}"
+        )
     return replace(
         features, individual_id=entry.individual_id, viewpoint=entry.viewpoint
     )

@@ -178,15 +178,18 @@ def build_database(
 
 def score_pair(
     query_features: ImageFeatures,
-    query_embedding: Embedding,
+    d_l: float,
     entry: DbEntry,
     params: CombineParams,
     seed: int = 0,
     geometry_params: GeometryParams = GeometryParams(),
     geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
 ) -> MatchCandidate:
-    """Full appearance + geometry score of one (query, database) pair."""
-    d_l = cosine_distance(query_embedding, entry.embedding)
+    """Full appearance + geometry score of one (query, database) pair.
+
+    d_l is the pair's appearance distance, as stage 1 of query_database
+    computed it.
+    """
     use_geometry = params.rule in GEOMETRY_RULES
     n, omega = 0, 0.0
     if use_geometry:
@@ -243,7 +246,7 @@ def query_database(
             candidates.append(
                 score_pair(
                     query_features,
-                    query_embedding,
+                    d_l,
                     entry,
                     params,
                     seed=seed,
@@ -319,10 +322,7 @@ def _report(
                 d_C=top.d_C,
             )
         )
-    accuracies = [
-        topk_accuracy(results, truths, k) if results else 0.0
-        for k in range(1, k_max + 1)
-    ]
+    accuracies = [topk_accuracy(results, truths, k) for k in range(1, k_max + 1)]
     return EvalReport(
         protocol=protocol, accuracies=accuracies, records=records, excluded=excluded
     )
@@ -387,6 +387,8 @@ def evaluate_split(
                 geometry_cache=geometry_cache,
             )
         )
+    if not results:
+        raise ReidError("all split queries were excluded")
     return _report("split", results, truths, excluded, k_max)
 
 

@@ -448,8 +448,27 @@ def load_vocabulary(path) -> Vocabulary:
 
 
 def _check_vocabulary(path, vocab: Vocabulary) -> None:
-    """Reject values no trained vocabulary can hold, naming the offending section."""
+    """Reject shapes and values no trained vocabulary can hold, naming the section."""
     pca, gmm, kpca = vocab.pca, vocab.gmm, vocab.kpca
+    k, d = gmm.n_components, gmm.dim
+    n, f = kpca.training_vectors.shape
+    if pca.mean.shape[0] != vocab.descriptor_dim:
+        raise VocabError(
+            f"{path}: PCA section input dimension {pca.mean.shape[0]} "
+            f"!= descriptor_dim {vocab.descriptor_dim}"
+        )
+    if d != pca.out_dim:
+        raise VocabError(
+            f"{path}: GMM section dim {d} != PCA output dimension {pca.out_dim}"
+        )
+    if f != 2 * k * d:
+        raise VocabError(
+            f"{path}: KPCA section feature dimension {f} != 2*K*dim = {2 * k * d}"
+        )
+    if kpca.out_dim > n:
+        raise VocabError(
+            f"{path}: KPCA section output dimension {kpca.out_dim} > {n} training vectors"
+        )
     sections = {
         "alpha": [vocab.alpha],
         "PCA": [pca.mean, pca.eigenvalues, pca.basis],

@@ -1,5 +1,7 @@
 """Command-line interface tests (exit codes, outputs, determinism)."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,32 @@ class TestEvaluate:
         ]) == 0
         out = capsys.readouterr().out
         assert "queries: 9" in out  # 3 individuals x 3 views, all pooled
+
+    def test_feature_file_id_mismatch(self, workspace, tmp_path, capsys):
+        _, bench, vocab = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        patf = copy / "ind001_v1.patf"
+        lines = patf.read_text(encoding="utf-8").splitlines()
+        lines[1] = "renamed"
+        patf.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main([
+            "evaluate", "--manifest", str(copy / "manifest.csv"), "--vocab", str(vocab),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'renamed'" in err and "'ind001_v1'" in err
+
+    def test_split_all_queries_excluded(self, workspace, tmp_path, capsys):
+        _, bench, vocab = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        manifest = copy / "manifest.csv"
+        rows = manifest.read_text(encoding="utf-8").splitlines()
+        rows = [r.replace(",ind", ",stranger", 1) if ",query," in r else r for r in rows]
+        manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["evaluate", "--manifest", str(manifest), "--vocab", str(vocab)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "excluded" in err
 
     def test_invalid_max_desc_dist(self, workspace, capsys):
         _, bench, vocab = workspace

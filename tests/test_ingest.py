@@ -1,5 +1,7 @@
 """Feature-file and manifest I/O tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,44 @@ def make_features(image_id="img0", m=3, dim=8, seed=0):
 def write_patf(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def reference_data_block(data_lines, dim):
+    """The one-line-at-a-time parse of a valid data block, as a reference."""
+    frames = np.zeros((len(data_lines), 6))
+    descriptors = np.zeros((len(data_lines), dim))
+    for i, line in enumerate(data_lines):
+        values = np.array([float(t) for t in line.split()], dtype=np.float64)
+        assert values.shape == (6 + dim,) and np.all(np.isfinite(values))
+        norm = float(np.linalg.norm(values[6:]))
+        frames[i] = values[:6]
+        descriptors[i] = values[6:] / norm
+    return frames, descriptors
+
+
+def random_data_lines(rng, count, dim):
+    """Valid data lines in assorted number spellings and spacings."""
+    spellings = (
+        lambda v: repr(float(v)),
+        lambda v: f"{v:.6g}",
+        lambda v: f"{v:.3e}",
+        lambda v: f"{v:+.17f}",
+    )
+    lines = []
+    for _ in range(count):
+        values = np.concatenate([
+            rng.uniform(-500, 500, 2),
+            [rng.uniform(0.01, 3), rng.uniform(-0.5, 0.5)],
+            [rng.uniform(-0.5, 0.5), rng.uniform(0.01, 3)],
+            rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4),
+        ])
+        if rng.random() < 0.3:
+            values[6 + rng.integers(dim)] = 0.0
+        tokens = [spellings[rng.integers(len(spellings))](v) for v in values]
+        separators = rng.choice([" ", "  ", "\t"], size=len(tokens) - 1)
+        line = tokens[0] + "".join(sep + tok for sep, tok in zip(separators, tokens[1:]))
+        lines.append(line)
+    return lines
 
 
 class TestParseFeatureFile:
@@ -148,6 +188,52 @@ class TestParseFeatureFile:
         with pytest.raises(PatfError, match="empty"):
             parse_feature_file(path)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_identical_to_per_line_parse(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        count, dim = int(rng.integers(1, 60)), int(rng.integers(1, 40))
+        lines = random_data_lines(rng, count, dim)
+        path = write_patf(tmp_path / "a.patf", ["PATF 1", "imgA", f"{dim} {count}"] + lines)
+        f = parse_feature_file(path)
+        frames, descriptors = reference_data_block(lines, dim)
+        assert f.frames.tobytes() == frames.tobytes()
+        assert f.descriptors.tobytes() == descriptors.tobytes()
+        assert f.frames.shape == (count, 6) and f.descriptors.shape == (count, dim)
+
+    def test_tokens_only_float_accepts(self, tmp_path):
+        # float() takes digit separators and non-ASCII digits; np.loadtxt does not.
+        lines = ["1_0 0 1 0 0 1 1 0 0 0", "0 0 1 0 0 1 0 \uff12 0 0"]
+        path = write_patf(tmp_path / "a.patf", ["PATF 1", "imgA", "4 2"] + lines)
+        f = parse_feature_file(path)
+        np.testing.assert_array_equal(f.frames[:, 0], [10.0, 0.0])
+        np.testing.assert_array_equal(f.descriptors, [[1, 0, 0, 0], [0, 1, 0, 0]])
+
+    def test_blank_line_inside_block(self, tmp_path):
+        path = write_patf(
+            tmp_path / "a.patf",
+            ["PATF 1", "imgA", "4 3", "0 0 1 0 0 1 1 0 0 0", "", "0 0 1 0 0 1 1 0 0 0"],
+        )
+        with pytest.raises(PatfError, match="expected 10 values, found 0") as err:
+            parse_feature_file(path)
+        assert err.value.line_no == 5
+
+    def test_first_bad_line_named(self, tmp_path):
+        good = "0 0 1 0 0 1 1 0 0 0"
+        path = write_patf(
+            tmp_path / "a.patf",
+            ["PATF 1", "imgA", "4 4", good, good, "0 0 1 0 0 1 0 0 0 0", "0 0 0 0 0 0 1 0 0 0"],
+        )
+        with pytest.raises(PatfError, match="zero-norm") as err:
+            parse_feature_file(path)
+        assert err.value.line_no == 6
+
+    def test_empty_feature_set_no_warning(self, tmp_path):
+        path = write_patf(tmp_path / "a.patf", ["PATF 1", "imgA", "8 0"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = parse_feature_file(path)
+        assert f.frames.shape == (0, 6) and f.descriptors.shape == (0, 8)
+
     def test_empty_round_trip(self, tmp_path):
         original = ImageFeatures(
             image_id="empty",
@@ -236,3 +322,12 @@ class TestManifest:
         assert features.individual_id == "ind7"
         assert features.viewpoint == "right"
         assert features.count == 3
+
+    def test_load_entry_features_id_mismatch(self, tmp_path):
+        write_feature_file(make_features("b"), tmp_path / "a.patf")
+        manifest = Manifest(
+            entries=[ManifestEntry("a", "ind7", None, "query", "a.patf")],
+            base_dir=tmp_path,
+        )
+        with pytest.raises(ManifestError, match=r"a\.patf.*'b'.*'a'"):
+            load_entry_features(manifest, manifest.entries[0])

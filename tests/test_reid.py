@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from patreid.encode import embed_image, train_vocabulary
+from patreid.encode import cosine_distance, embed_image, train_vocabulary
 from patreid.ingest import (
     ImageFeatures,
     Manifest,
@@ -253,8 +253,9 @@ class TestScorePair:
             features=entry.features,
         )
         query_embedding = Embedding(values=np.zeros(2), degenerate=True)
+        d_l = cosine_distance(query_embedding, hobbled.embedding)
         candidate = score_pair(
-            truth_query, query_embedding, hobbled, CombineParams(rule="exponential")
+            truth_query, d_l, hobbled, CombineParams(rule="exponential")
         )
         assert candidate.d_L == 2.0
         assert candidate.n > 0  # geometry ran despite the appearance blackout
@@ -382,6 +383,16 @@ class TestEvaluateLeaveOneOut:
             e.individual_id = None
         with pytest.raises(ReidError, match="excluded"):
             evaluate_leave_one_out(manifest, vocabulary, CombineParams())
+
+    def test_split_all_excluded_rejected(self, tmp_path):
+        cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=2, views=2)
+        vocabulary = self._vocabulary_for(manifest)
+        queries = manifest.with_role("query")
+        queries[0].individual_id = None
+        for e in queries[1:]:
+            e.individual_id = "stranger"
+        with pytest.raises(ReidError, match="excluded"):
+            evaluate_split(manifest, vocabulary, CombineParams())
 
     def test_too_few_images(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=2, views=2)

@@ -408,6 +408,44 @@ class TestVocabularyPersistence:
         with pytest.raises(VocabError, match=message):
             load_vocabulary(path)
 
+    @staticmethod
+    def _widen_kpca_output(v, m):
+        n = v.kpca.training_vectors.shape[0]
+        v.kpca.alphas = np.ones((n, m))
+        v.kpca.training_projections = np.ones((n, m))
+        v.kpca.eigenvalues = np.ones(m)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda v: setattr(v, "descriptor_dim", 11),
+             "PCA section input dimension 10 != descriptor_dim 11"),
+            (lambda v: (setattr(v.gmm, "means", v.gmm.means[:, :5]),
+                        setattr(v.gmm, "variances", v.gmm.variances[:, :5])),
+             r"GMM section dim 5 != PCA output dimension 6"),
+            (lambda v: setattr(v.kpca, "training_vectors",
+                               np.hstack([v.kpca.training_vectors] * 2)),
+             r"KPCA section feature dimension 72 != 2\*K\*dim = 36"),
+            (lambda v: TestVocabularyPersistence._widen_kpca_output(v, 10),
+             "KPCA section output dimension 10 > 9 training vectors"),
+        ],
+        ids=["descriptor_dim", "gmm_dim", "kpca_features", "kpca_out_dim"],
+    )
+    def test_section_shapes_rejected(self, tmp_path, corrupt, message):
+        vocab = self._make_vocabulary()
+        corrupt(vocab)
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(vocab, path)
+        with pytest.raises(VocabError, match=message):
+            load_vocabulary(path)
+
+    def test_kpca_output_dimension_up_to_n_accepted(self, tmp_path):
+        vocab = self._make_vocabulary()
+        self._widen_kpca_output(vocab, 9)
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(vocab, path)
+        assert load_vocabulary(path).kpca.out_dim == 9
+
     def test_weights_sum_tolerance(self, tmp_path):
         vocab = self._make_vocabulary()
         vocab.gmm.weights = vocab.gmm.weights * (1.0 + 5e-7)
