@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: synth, build-vocab, encode, query, evaluate.  Every run is a
+Subcommands: synth, build-vocab, query, evaluate.  Every run is a
 pure function of its flags plus input files; re-running never mutates
 inputs.  Exit codes: 0 success, 1 I/O or numeric failure, 2 usage or
 validation error (bad flags, missing artifacts, insufficient data).
@@ -12,16 +12,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .encode import (
-    embed_image,
-    load_embedding_store,
-    train_vocabulary,
-    write_embedding_store,
-)
+from .encode import TrainingParams, embed_image, train_vocabulary
 from .geometry import GeometryError, GeometryParams
 from .ingest import (
     ManifestError,
     PatfError,
+    file_sha256,
     load_entry_features,
     load_manifest,
     parse_feature_file,
@@ -38,7 +34,7 @@ from .reid import (
     write_per_query_csv,
 )
 from .synth import SynthConfig, generate_benchmark
-from .vocab import VocabError, load_vocabulary, save_vocabulary
+from .vocab import IndexRow, VocabError, as_loaded, load_vocabulary, save_vocabulary
 
 RULE_TOKENS = {
     "app": "appearance_only",
@@ -59,6 +55,7 @@ SYNTH_FLAGS = {
     "clutter_rate": "--clutter",
     "max_perspective": "--max-perspective",
 }
+TRAINING_FLAGS = {"alpha": "--alpha", "kpca_dim": "--kpca-dim"}
 COMBINE_FLAGS = {"rule": "--rule", "a": "--a", "shortlist_size": "--shortlist"}
 GEOMETRY_FLAGS = {
     "inlier_threshold": "--inlier-thresh",
@@ -134,46 +131,52 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
+    _validated(TrainingParams(alpha=args.alpha, kpca_dim=args.kpca_dim), TRAINING_FLAGS)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     db_entries = manifest.with_role("database")
     if not db_entries:
         raise UsageError("no database entries in manifest")
     feature_sets = [load_entry_features(manifest, e) for e in db_entries]
-    kpca_dim = args.kpca_dim if args.kpca_dim > 0 else None
     try:
         vocabulary = train_vocabulary(
             feature_sets,
             gmm_k=args.gmm_k,
             pca_dim=args.pca_dim,
-            kpca_dim=kpca_dim,
+            kpca_dim=args.kpca_dim or None,
             alpha=args.alpha,
             whiten=args.whiten,
             seed=args.seed,
         )
     except VocabError as exc:
         raise UsageError(f"insufficient data: {exc}") from None
+    # The index is embedded under the model as a query will load it.
+    vocabulary = as_loaded(vocabulary)
+    vocabulary.index = {
+        e.image_id: IndexRow(
+            file_sha256(manifest.entry_path(e)), embed_image(features, vocabulary)
+        )
+        for e, features in zip(db_entries, feature_sets)
+    }
     save_vocabulary(vocabulary, args.out)
     print(args.out)
     return 0
 
 
-def cmd_encode(args) -> int:
-    manifest = load_manifest(_require_file(args.manifest, "manifest"))
-    vocabulary = load_vocabulary(_require_file(args.vocab, "vocabulary"))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for role in ("database", "query"):
-        entries = manifest.with_role(role)
-        if not entries:
-            continue
-        items = []
-        for entry in entries:
-            features = load_entry_features(manifest, entry)
-            items.append((entry.image_id, embed_image(features, vocabulary)))
-        path = out_dir / f"{role}.patemb"
-        write_embedding_store(items, path)
-        print(path)
-    return 0
+def _db_entry(manifest, entry, vocabulary) -> DbEntry:
+    """A database row, embedded from the model's index if its file is unchanged.
+
+    An indexed row is parsed only if verification needs its features; any
+    other row is parsed and embedded now.
+    """
+    def loader():
+        return load_entry_features(manifest, entry)
+
+    row = vocabulary.index.get(entry.image_id)
+    if row is not None and row.sha256 == file_sha256(manifest.entry_path(entry)):
+        return DbEntry(entry.image_id, entry.individual_id, row.embedding, loader=loader)
+    features = loader()
+    embedding = embed_image(features, vocabulary)
+    return DbEntry(entry.image_id, entry.individual_id, embedding, features, loader)
 
 
 def cmd_query(args) -> int:
@@ -186,37 +189,11 @@ def cmd_query(args) -> int:
     db_entries = manifest.with_role("database")
     if not db_entries:
         raise UsageError("no database entries in manifest")
-
-    stored = {}
-    if args.embeddings:
-        store_path = _require_file(args.embeddings, "embedding store")
-        stored = dict(load_embedding_store(store_path))
-        dim = vocabulary.kpca.out_dim
-        for image_id, embedding in stored.items():
-            if embedding.values.shape[0] != dim:
-                raise VocabError(
-                    f"{store_path}: {image_id} has dimension {embedding.values.shape[0]}, "
-                    f"but the vocabulary embeds to {dim}; was the store built "
-                    "from another vocabulary?"
-                )
-    entries = []
-    for e in db_entries:
-        features = load_entry_features(manifest, e)
-        if e.image_id in stored:
-            embedding = stored[e.image_id]
-        else:
-            embedding = embed_image(features, vocabulary)
-        entries.append(
-            DbEntry(
-                image_id=e.image_id,
-                individual_id=e.individual_id,
-                viewpoint=e.viewpoint,
-                embedding=embedding,
-                features=features,
-            )
-        )
     try:
-        db = ReidDatabase(vocabulary=vocabulary, entries=entries)
+        db = ReidDatabase(
+            vocabulary=vocabulary,
+            entries=[_db_entry(manifest, e, vocabulary) for e in db_entries],
+        )
     except ReidError as exc:
         raise UsageError(str(exc)) from None
 
@@ -323,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", help="train the appearance vocabulary")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True, help="vocabulary file to write")
+    p.add_argument("--out", required=True,
+                   help="model file to write: the vocabulary and the database index")
     p.add_argument("--gmm-k", type=int, default=16)
     p.add_argument("--pca-dim", type=int, default=64)
     p.add_argument("--kpca-dim", type=int, default=0,
@@ -334,19 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="whiten PCA projections")
     p.set_defaults(func=cmd_build_vocab)
 
-    p = sub.add_parser("encode", help="embed manifest images into stores")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True, help="output directory for .patemb files")
-    p.set_defaults(func=cmd_encode)
-
     p = sub.add_parser("query", help="rank database individuals for one image")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--features", required=True, help="query PATF file")
-    p.add_argument("--embeddings", default=None,
-                   help="optional database.patemb store (skips re-embedding)")
     p.add_argument("--rule", choices=sorted(RULE_TOKENS), default="exp")
     _add_combine_flags(p)
     p.set_defaults(func=cmd_query)

@@ -9,8 +9,7 @@ and compared with the cosine distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,12 +28,24 @@ from .vocab import (
     gmm_posteriors,
 )
 
-EMBED_MAGIC = "PATEMB"
-EMBED_VERSION = 1
-
 DEFAULT_GMM_K = 16
 DEFAULT_PCA_DIM = 64
 MAX_KPCA_DIM = 512
+
+
+@dataclass(frozen=True)
+class TrainingParams:
+    """The training options that no database can make valid."""
+
+    alpha: float = 0.5
+    kpca_dim: int = 0  # 0: the default, min(N_db - 1, MAX_KPCA_DIM)
+
+    def validate(self) -> None:
+        """Raise VocabError naming the offending field."""
+        if not 0 < self.alpha < np.inf:
+            raise VocabError(f"alpha must be finite and > 0, got {self.alpha}")
+        if self.kpca_dim < 0:
+            raise VocabError(f"kpca_dim must be >= 0, got {self.kpca_dim}")
 
 
 def fisher_encode(features: ImageFeatures, pca: PcaModel, gmm: Gmm) -> np.ndarray:
@@ -121,6 +132,7 @@ def train_vocabulary(
     image, and fits the kernel-PCA compressor on the normalized Fisher
     vectors.  kpca_dim defaults to min(N_db - 1, 512).
     """
+    TrainingParams(alpha=alpha, kpca_dim=kpca_dim or 0).validate()
     non_empty = [f for f in feature_sets if f.count > 0]
     if len(feature_sets) < 2:
         raise VocabError(f"need at least 2 database images, got {len(feature_sets)}")
@@ -146,42 +158,3 @@ def train_vocabulary(
         descriptor_dim=pooled.shape[1],
         alpha=alpha,
     )
-
-
-def write_embedding_store(items: Sequence[Tuple[str, Embedding]], path) -> None:
-    """One row per image: id, dimension, values; degenerate rows are zeros."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{EMBED_MAGIC} {EMBED_VERSION}\n")
-        for image_id, emb in items:
-            dim = emb.values.shape[0]
-            values = " ".join(repr(float(v)) for v in emb.values)
-            fh.write(f"{image_id} {dim} {values}\n")
-
-
-def load_embedding_store(path) -> list:
-    """Parse an embedding store back into (image_id, Embedding) pairs."""
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].split() != [EMBED_MAGIC, str(EMBED_VERSION)]:
-        raise VocabError(f"{path}: bad embedding store header")
-    items = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        try:
-            image_id, dim = tokens[0], int(tokens[1])
-            values = np.array(tokens[2:], dtype=np.float64)
-        except (ValueError, IndexError):
-            raise VocabError(f"{path}:{i}: malformed embedding row") from None
-        if values.shape[0] != dim:
-            raise VocabError(
-                f"{path}:{i}: declared dim {dim}, found {values.shape[0]} values"
-            )
-        if not np.all(np.isfinite(values)):
-            raise VocabError(f"{path}:{i}: non-finite embedding value")
-        degenerate = not np.any(values)
-        items.append((image_id, Embedding(values=values, degenerate=degenerate)))
-    return items

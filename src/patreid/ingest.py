@@ -15,6 +15,8 @@ Dataset splits travel in a manifest CSV with columns
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -126,11 +128,13 @@ def _parse_block(data_lines: list, dim: int):
     if values.shape != (len(data_lines), 6 + dim) or not np.isfinite(values).all():
         return None
     frames, desc = values[:, :6], values[:, 6:]
-    det = frames[:, 2] * frames[:, 5] - frames[:, 3] * frames[:, 4]
-    # Per-row dot products, bit-identical to np.linalg.norm of each row
-    # (norm(axis=1) and sqrt of summed squares round differently).
-    norms = np.sqrt((desc[:, None, :] @ desc[:, :, None])[:, 0, 0])
-    if not ((np.abs(det) >= 1e-12).all() and (norms >= 1e-12).all()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.abs(frames[:, 2] * frames[:, 5] - frames[:, 3] * frames[:, 4])
+        # Per-row dot products, bit-identical to np.linalg.norm of each row
+        # (norm(axis=1) and sqrt of summed squares round differently).
+        norms = np.sqrt((desc[:, None, :] @ desc[:, :, None])[:, 0, 0])
+    # Overflow makes det or norm inf (or det nan), which fails these bounds.
+    if not ((1e-12 <= det) & (det < np.inf) & (1e-12 <= norms) & (norms < np.inf)).all():
         return None
     return frames.copy(), desc / norms[:, None]
 
@@ -142,8 +146,12 @@ def parse_feature_file(path) -> ImageFeatures:
     cosine computations are scale-free.  Feature order is preserved.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    data = path.read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise PatfError(path, line_no, f"not UTF-8 text: {exc.reason}") from None
     # Trailing blank lines are tolerated; anything else must line up exactly.
     while lines and not lines[-1].strip():
         lines.pop()
@@ -190,14 +198,18 @@ def parse_feature_file(path) -> ImageFeatures:
     for i, line in enumerate(data_lines):
         line_no = 4 + i
         values = _parse_floats(path, line_no, line.split(), 6 + dim)
-        frame = values[:6]
-        det = frame[2] * frame[5] - frame[3] * frame[4]
-        if abs(det) < 1e-12:
+        frame, desc = values[:6], values[6:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = abs(frame[2] * frame[5] - frame[3] * frame[4])
+            norm = float(np.linalg.norm(desc))
+        if det < 1e-12:
             raise PatfError(path, line_no, "singular affine frame (det = 0)")
-        desc = values[6:]
-        norm = float(np.linalg.norm(desc))
+        if not det < np.inf:
+            raise PatfError(path, line_no, "affine frame det overflows")
         if norm < 1e-12:
             raise PatfError(path, line_no, "zero-norm descriptor")
+        if not norm < np.inf:
+            raise PatfError(path, line_no, "descriptor norm overflows")
         frames[i] = frame
         descriptors[i] = desc / norm
 
@@ -233,43 +245,46 @@ def load_manifest(path) -> Manifest:
     base_dir = path.parent
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_COLUMNS:
+    try:
+        reader = csv.DictReader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
+        fieldnames, rows = reader.fieldnames, list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ManifestError(f"{path}: unreadable CSV: {exc}") from None
+    if fieldnames is None or tuple(fieldnames) != MANIFEST_COLUMNS:
+        raise ManifestError(
+            f"{path}: header must be {','.join(MANIFEST_COLUMNS)}, "
+            f"got {fieldnames}"
+        )
+    for row in rows:
+        image_id = (row["image_id"] or "").strip()
+        if not image_id:
+            raise ManifestError(f"{path}: empty image_id")
+        if image_id in seen:
+            raise ManifestError(f"{path}: duplicate image_id {image_id!r}")
+        seen.add(image_id)
+        role = (row["role"] or "").strip()
+        if role not in ROLES:
             raise ManifestError(
-                f"{path}: header must be {','.join(MANIFEST_COLUMNS)}, "
-                f"got {reader.fieldnames}"
+                f"{path}: unknown role {role!r} for {image_id!r} "
+                f"(expected one of {ROLES})"
             )
-        for row in reader:
-            image_id = (row["image_id"] or "").strip()
-            if not image_id:
-                raise ManifestError(f"{path}: empty image_id")
-            if image_id in seen:
-                raise ManifestError(f"{path}: duplicate image_id {image_id!r}")
-            seen.add(image_id)
-            role = (row["role"] or "").strip()
-            if role not in ROLES:
-                raise ManifestError(
-                    f"{path}: unknown role {role!r} for {image_id!r} "
-                    f"(expected one of {ROLES})"
-                )
-            feature_path = (row["feature_path"] or "").strip()
-            resolved = Path(feature_path)
-            if not resolved.is_absolute():
-                resolved = base_dir / resolved
-            if not resolved.is_file():
-                raise ManifestError(
-                    f"{path}: feature file not found for {image_id!r}: {resolved}"
-                )
-            entries.append(
-                ManifestEntry(
-                    image_id=image_id,
-                    individual_id=(row["individual_id"] or "").strip() or None,
-                    viewpoint=(row["viewpoint"] or "").strip() or None,
-                    role=role,
-                    feature_path=feature_path,
-                )
+        feature_path = (row["feature_path"] or "").strip()
+        resolved = Path(feature_path)
+        if not resolved.is_absolute():
+            resolved = base_dir / resolved
+        if not resolved.is_file():
+            raise ManifestError(
+                f"{path}: feature file not found for {image_id!r}: {resolved}"
             )
+        entries.append(
+            ManifestEntry(
+                image_id=image_id,
+                individual_id=(row["individual_id"] or "").strip() or None,
+                viewpoint=(row["viewpoint"] or "").strip() or None,
+                role=role,
+                feature_path=feature_path,
+            )
+        )
     return Manifest(entries=entries, base_dir=base_dir)
 
 
@@ -282,6 +297,11 @@ def write_manifest(manifest: Manifest, path) -> None:
             writer.writerow(
                 [e.image_id, e.individual_id or "", e.viewpoint or "", e.role, e.feature_path]
             )
+
+
+def file_sha256(path) -> str:
+    """Hex sha256 of a file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def load_entry_features(manifest: Manifest, entry: ManifestEntry) -> ImageFeatures:

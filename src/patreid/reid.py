@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,9 +68,16 @@ class RankedResult:
 class DbEntry:
     image_id: str
     individual_id: str
-    viewpoint: Optional[str]
     embedding: Embedding
-    features: ImageFeatures
+    # None until verification first needs the features; loader parses them.
+    features: Optional[ImageFeatures] = None
+    loader: Optional[Callable[[], ImageFeatures]] = None
+
+    def verified_features(self) -> ImageFeatures:
+        """The entry's features, parsed by loader the first time they are needed."""
+        if self.features is None:
+            self.features = self.loader()
+        return self.features
 
 
 @dataclass
@@ -151,7 +158,7 @@ def _pair_geometry(
     if cache is not None and key in cache:
         return cache[key]
     verdict = geometry.geometric_similarity(
-        query_features, entry.features, params=geometry_params, seed=seed
+        query_features, entry.verified_features(), params=geometry_params, seed=seed
     )
     stats = (verdict.n, verdict.omega)
     if cache is not None:
@@ -167,7 +174,6 @@ def build_database(
         DbEntry(
             image_id=features.image_id,
             individual_id=features.individual_id,
-            viewpoint=features.viewpoint,
             embedding=embed_image(features, vocabulary),
             features=features,
         )
@@ -440,7 +446,6 @@ def evaluate_leave_one_out(
             DbEntry(
                 image_id=e.image_id,
                 individual_id=unit,
-                viewpoint=e.viewpoint,
                 embedding=embed_image(relabeled, vocabulary),
                 features=relabeled,
             )

@@ -3,22 +3,24 @@
 The trained Vocabulary holds the three stages used to turn an image's local
 descriptors into one fixed-length embedding: PCA decorrelation of raw
 descriptors, a GMM visual vocabulary fitted by EM, and a kernel-PCA
-compressor fitted on the database images' normalized Fisher vectors.
+compressor fitted on the database images' normalized Fisher vectors.  Its
+model file also carries an index of the database images' embeddings, so a
+query embeds only its own image.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Dict, NamedTuple
 
 import numpy as np
 
 VARIANCE_FLOOR = 1e-6
 WHITEN_FLOOR = 1e-12
-VOCAB_MAGIC = "PATVOCAB"
-VOCAB_VERSION = 1
+VOCAB_VERSION = 2
 
 
 class VocabError(ValueError):
@@ -76,6 +78,13 @@ class Embedding:
     degenerate: bool = False
 
 
+class IndexRow(NamedTuple):
+    """A database image's embedding, and the sha256 of the PATF bytes it came from."""
+
+    sha256: str
+    embedding: Embedding
+
+
 @dataclass
 class Vocabulary:
     pca: PcaModel
@@ -85,7 +94,8 @@ class Vocabulary:
     # Power-normalization exponent used when the database Fisher vectors were
     # built; queries must reuse it, so it travels with the model.
     alpha: float = 0.5
-    version: int = VOCAB_VERSION
+    # Database image_id -> IndexRow, as build-vocab embedded it.
+    index: Dict[str, IndexRow] = field(default_factory=dict)
 
 
 def _sign_fix_rows(basis: np.ndarray) -> np.ndarray:
@@ -323,128 +333,151 @@ def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> Embedding:
     return Embedding(values=projection / norm, degenerate=False)
 
 
-def _write_matrix(fh, M: np.ndarray) -> None:
-    for row in np.atleast_2d(M):
-        fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+# The trained stages, stored field by field as "<section>_<field>" arrays.
+_SECTIONS = {"pca": PcaModel, "gmm": Gmm, "kpca": KpcaModel}
+# Arrays of a model file: name -> (dtype, shape).  Shapes are given in named
+# dimensions; a name binds at the first array that has it and must agree
+# after.  Each section has its own names, so _check_vocabulary reports
+# cross-section mismatches in its own words.  "U" is fixed-width unicode of
+# any width, since np.load(allow_pickle=False) reads no object arrays.
+_LAYOUT = {
+    "version": ("i8", ()),
+    "alpha": ("f8", ()),
+    "descriptor_dim": ("i8", ()),
+    "pca_whiten": ("?", ()),
+    "pca_mean": ("f8", ("pca_in",)),
+    "pca_eigenvalues": ("f8", ("pca_out",)),
+    "pca_basis": ("f8", ("pca_out", "pca_in")),
+    "gmm_weights": ("f8", ("k",)),
+    "gmm_means": ("f8", ("k", "gmm_dim")),
+    "gmm_variances": ("f8", ("k", "gmm_dim")),
+    "gmm_log_likelihoods": ("f8", ("em_iters",)),
+    "kpca_eigenvalues": ("f8", ("m",)),
+    "kpca_row_means": ("f8", ("n",)),
+    "kpca_total_mean": ("f8", ()),
+    "kpca_alphas": ("f8", ("n", "m")),
+    "kpca_training_projections": ("f8", ("n", "m")),
+    "kpca_training_vectors": ("f8", ("n", "f")),
+    "index_image_ids": ("U", ("rows",)),
+    "index_sha256": ("U", ("rows",)),
+    "index_embeddings": ("f8", ("rows", "m")),
+    "index_degenerate": ("?", ("rows",)),
+}
 
 
-def save_vocabulary(vocab: Vocabulary, path) -> None:
-    """Persist the vocabulary as a sectioned text file with exact floats."""
-    path = Path(path)
-    pca, gmm, kpca = vocab.pca, vocab.gmm, vocab.kpca
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{VOCAB_MAGIC} {vocab.version}\n")
-        fh.write(f"alpha {repr(float(vocab.alpha))}\n")
-        fh.write(f"descriptor_dim {vocab.descriptor_dim}\n")
-        fh.write(f"PCA {pca.out_dim} {pca.mean.shape[0]} {int(pca.whiten)}\n")
-        _write_matrix(fh, pca.mean)
-        _write_matrix(fh, pca.eigenvalues)
-        _write_matrix(fh, pca.basis)
-        fh.write(
-            f"GMM {gmm.n_components} {gmm.dim} {gmm.log_likelihoods.shape[0]}\n"
-        )
-        _write_matrix(fh, gmm.weights)
-        _write_matrix(fh, gmm.means)
-        _write_matrix(fh, gmm.variances)
-        if gmm.log_likelihoods.shape[0]:
-            _write_matrix(fh, gmm.log_likelihoods)
-        n, f = kpca.training_vectors.shape
-        fh.write(f"KPCA {n} {f} {kpca.out_dim}\n")
-        _write_matrix(fh, kpca.eigenvalues)
-        _write_matrix(fh, kpca.row_means)
-        _write_matrix(fh, np.array([kpca.total_mean]))
-        _write_matrix(fh, kpca.alphas)
-        _write_matrix(fh, kpca.training_projections)
-        _write_matrix(fh, kpca.training_vectors)
+def _model_arrays(vocab: Vocabulary) -> Dict[str, np.ndarray]:
+    """The arrays of vocab's model file by _LAYOUT name, each C-contiguous."""
+    rows = list(vocab.index.values())
+    values = {
+        "version": VOCAB_VERSION,
+        "alpha": vocab.alpha,
+        "descriptor_dim": vocab.descriptor_dim,
+        "index_image_ids": list(vocab.index),
+        "index_sha256": [row.sha256 for row in rows],
+        "index_embeddings": np.reshape(
+            [row.embedding.values for row in rows], (len(rows), vocab.kpca.out_dim)
+        ),
+        "index_degenerate": [row.embedding.degenerate for row in rows],
+    }
+    for section in _SECTIONS:
+        model = getattr(vocab, section)
+        for f in fields(model):
+            values[f"{section}_{f.name}"] = getattr(model, f.name)
+    return {
+        name: np.asarray(values[name], dtype=str if dtype == "U" else dtype, order="C")
+        for name, (dtype, _) in _LAYOUT.items()
+    }
 
 
-class _LineReader:
-    def __init__(self, path, lines):
-        self.path = path
-        self.lines = lines
-        self.pos = 0
-
-    def next_line(self) -> str:
-        if self.pos >= len(self.lines):
-            raise VocabError(f"{self.path}: truncated file at line {self.pos + 1}")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def floats(self, count: int) -> np.ndarray:
-        values = np.array(self.next_line().split(), dtype=np.float64)
-        if values.shape[0] != count:
+def _vocabulary_from(arrays: Dict[str, np.ndarray], path) -> Vocabulary:
+    """The Vocabulary that model-file arrays hold, once every check passes."""
+    dims: Dict[str, int] = {}
+    for name, (dtype, shape) in _LAYOUT.items():
+        a = arrays.get(name)
+        if a is None:
+            raise VocabError(f"{path}: missing array {name!r}")
+        if not isinstance(a, np.ndarray) or (
+            a.dtype.kind != "U" if dtype == "U" else a.dtype != dtype
+        ):
+            raise VocabError(f"{path}: array {name!r} is not of dtype {dtype}")
+        for dim, size in zip(shape, a.shape):
+            dims.setdefault(dim, size)
+        expected = tuple(dims.get(dim, dim) for dim in shape)
+        if a.shape != expected:
             raise VocabError(
-                f"{self.path}:{self.pos}: expected {count} values, got {values.shape[0]}"
+                f"{path}: array {name!r} has shape {a.shape}, expected {expected}"
             )
-        return values
-
-    def matrix(self, rows: int, cols: int) -> np.ndarray:
-        return np.stack([self.floats(cols) for _ in range(rows)]) if rows else np.zeros((0, cols))
-
-
-def load_vocabulary(path) -> Vocabulary:
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    r = _LineReader(path, lines)
-    try:
-        magic = r.next_line().split()
-        if len(magic) != 2 or magic[0] != VOCAB_MAGIC:
-            raise VocabError(f"{path}: bad header {lines[0]!r}")
-        version = int(magic[1])
-        alpha = float(r.next_line().split()[1])
-        descriptor_dim = int(r.next_line().split()[1])
-
-        tag, d_pca, d_raw, whiten = r.next_line().split()
-        if tag != "PCA":
-            raise VocabError(f"{path}: expected PCA section, got {tag!r}")
-        d_pca, d_raw = int(d_pca), int(d_raw)
-        pca = PcaModel(
-            mean=r.floats(d_raw),
-            eigenvalues=r.floats(d_pca),
-            basis=r.matrix(d_pca, d_raw),
-            whiten=bool(int(whiten)),
+        if dtype == "f8" and not np.isfinite(a).all():
+            section = name.split("_")[0]
+            section = section.upper() if section in _SECTIONS else section
+            raise VocabError(f"{path}: non-finite value in {section} section")
+    a = {name: x.item() if x.ndim == 0 else x for name, x in arrays.items()}
+    if a["version"] != VOCAB_VERSION:
+        raise VocabError(
+            f"{path}: model file version {a['version']}, expected {VOCAB_VERSION}"
         )
-
-        tag, k, dim, n_ll = r.next_line().split()
-        if tag != "GMM":
-            raise VocabError(f"{path}: expected GMM section, got {tag!r}")
-        k, dim, n_ll = int(k), int(dim), int(n_ll)
-        gmm = Gmm(
-            weights=r.floats(k),
-            means=r.matrix(k, dim),
-            variances=r.matrix(k, dim),
+    ids = a["index_image_ids"].tolist()
+    index = {
+        image_id: IndexRow(digest, Embedding(values=values, degenerate=bool(flag)))
+        for image_id, digest, values, flag in zip(
+            ids, a["index_sha256"].tolist(), a["index_embeddings"], a["index_degenerate"]
         )
-        if n_ll:
-            gmm.log_likelihoods = r.floats(n_ll)
-
-        tag, n, f, m = r.next_line().split()
-        if tag != "KPCA":
-            raise VocabError(f"{path}: expected KPCA section, got {tag!r}")
-        n, f, m = int(n), int(f), int(m)
-        kpca = KpcaModel(
-            eigenvalues=r.floats(m),
-            row_means=r.floats(n),
-            total_mean=float(r.floats(1)[0]),
-            alphas=r.matrix(n, m),
-            training_projections=r.matrix(n, m),
-            training_vectors=r.matrix(n, f),
-        )
-    except (ValueError, IndexError) as exc:
-        if isinstance(exc, VocabError):
-            raise
-        raise VocabError(f"{path}: malformed vocabulary file: {exc}") from None
+    }
+    if len(index) != len(ids):
+        raise VocabError(f"{path}: database index lists an image id twice")
     vocab = Vocabulary(
-        pca=pca,
-        gmm=gmm,
-        kpca=kpca,
-        descriptor_dim=descriptor_dim,
-        alpha=alpha,
-        version=version,
+        **{
+            section: cls(**{f.name: a[f"{section}_{f.name}"] for f in fields(cls)})
+            for section, cls in _SECTIONS.items()
+        },
+        descriptor_dim=a["descriptor_dim"],
+        alpha=a["alpha"],
+        index=index,
     )
     _check_vocabulary(path, vocab)
     return vocab
+
+
+def as_loaded(vocab: Vocabulary) -> Vocabulary:
+    """vocab as load_vocabulary reads it back: the same values in C-contiguous
+    arrays, so that embeddings made under it are bit-equal to a query's."""
+    return _vocabulary_from(_model_arrays(vocab), "model")
+
+
+def save_vocabulary(vocab: Vocabulary, path) -> None:
+    """Write vocab as one model file: an uncompressed zip of .npy arrays.
+
+    Written through an open handle, so path is used as given (np.savez would
+    append ".npz"), with fixed member timestamps, so one model gives one byte
+    string.
+    """
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+        for name, array in _model_arrays(vocab).items():
+            member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with archive.open(member, "w") as out:
+                np.lib.format.write_array(out, array, allow_pickle=False)
+
+
+def load_vocabulary(path) -> Vocabulary:
+    """Read a model file written by save_vocabulary and check every array."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":  # a zip archive's first local header
+            raise VocabError(
+                f"{path}: not a model file (a text vocabulary from an older "
+                "version must be rebuilt with build-vocab)"
+            )
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                arrays = {
+                    name: archive[name] for name in _LAYOUT if name in archive.files
+                }
+        except Exception as exc:
+            # zipfile and np.load fail on damaged bytes with many types
+            # (BadZipFile, EOFError, KeyError, RuntimeError, TokenError, ...).
+            raise VocabError(f"{path}: unreadable model file: {exc}") from None
+    return _vocabulary_from(arrays, path)
 
 
 def _check_vocabulary(path, vocab: Vocabulary) -> None:
@@ -469,21 +502,16 @@ def _check_vocabulary(path, vocab: Vocabulary) -> None:
         raise VocabError(
             f"{path}: KPCA section output dimension {kpca.out_dim} > {n} training vectors"
         )
-    sections = {
-        "alpha": [vocab.alpha],
-        "PCA": [pca.mean, pca.eigenvalues, pca.basis],
-        "GMM": [gmm.weights, gmm.means, gmm.variances, gmm.log_likelihoods],
-        "KPCA": [
-            kpca.eigenvalues, kpca.row_means, kpca.total_mean, kpca.alphas,
-            kpca.training_projections, kpca.training_vectors,
-        ],
-    }
-    for name, arrays in sections.items():
-        if not all(np.all(np.isfinite(a)) for a in arrays):
-            raise VocabError(f"{path}: non-finite value in {name} section")
     if vocab.alpha <= 0:
         raise VocabError(f"{path}: alpha must be positive, got {vocab.alpha}")
     if np.any(gmm.variances <= 0):
         raise VocabError(f"{path}: GMM variances must be positive")
     if np.any(gmm.weights < 0) or abs(float(gmm.weights.sum()) - 1.0) > 1e-6:
         raise VocabError(f"{path}: GMM weights must be non-negative and sum to 1")
+    for image_id, (_, embedding) in vocab.index.items():
+        norm = float(np.linalg.norm(embedding.values))
+        if abs(norm - (not embedding.degenerate)) > 1e-6:
+            raise VocabError(
+                f"{path}: index embedding of {image_id!r} has norm {norm}, "
+                "expected 1 (0 if degenerate)"
+            )

@@ -1,12 +1,17 @@
 """Command-line interface tests (exit codes, outputs, determinism)."""
 
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import patreid.cli
+import patreid.ingest
 from patreid.cli import main
-from patreid.ingest import load_manifest
+from patreid.encode import embed_image
+from patreid.ingest import file_sha256, load_entry_features, load_manifest, parse_feature_file
+from patreid.vocab import IndexRow, load_vocabulary, save_vocabulary
 
 
 @pytest.fixture(scope="module")
@@ -98,25 +103,21 @@ class TestBuildVocab:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-
-class TestEncode:
-    def test_writes_stores(self, workspace, tmp_path, capsys):
-        _, bench, vocab = workspace
-        out = tmp_path / "emb"
-        assert main([
-            "encode", "--manifest", str(bench / "manifest.csv"),
-            "--vocab", str(vocab), "--out", str(out),
-        ]) == 0
-        assert (out / "database.patemb").is_file()
-        assert (out / "query.patemb").is_file()
-
-    def test_missing_vocab(self, workspace, tmp_path, capsys):
-        _, bench, _ = workspace
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alpha", "-1"), ("--alpha", "0"), ("--alpha", "nan"), ("--alpha", "inf"),
+         ("--kpca-dim", "-3")],
+    )
+    def test_invalid_value_names_flag(self, tmp_path, capsys, flag, value):
+        # Checked before any file is read: the manifest does not exist.
         code = main([
-            "encode", "--manifest", str(bench / "manifest.csv"),
-            "--vocab", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "emb"),
+            "build-vocab", "--manifest", str(tmp_path / "nope.csv"),
+            "--out", str(tmp_path / "v.txt"), flag, value,
         ])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and "not found" not in err
+        assert not (tmp_path / "v.txt").exists()
 
 
 class TestQuery:
@@ -143,46 +144,15 @@ class TestQuery:
             out = capsys.readouterr().out
             assert len(out.splitlines()) <= 3  # header + at most topk rows
 
-    def test_embedding_store_shortcut_matches(self, workspace, tmp_path, capsys):
-        _, bench, vocab = workspace
-        emb = tmp_path / "emb"
-        main(["encode", "--manifest", str(bench / "manifest.csv"),
-              "--vocab", str(vocab), "--out", str(emb)])
-        capsys.readouterr()
-        args = ["query", "--manifest", str(bench / "manifest.csv"),
-                "--vocab", str(vocab), "--features", str(bench / "ind002_v1.patf")]
-        assert main(args) == 0
-        direct = capsys.readouterr().out
-        assert main(args + ["--embeddings", str(emb / "database.patemb")]) == 0
-        via_store = capsys.readouterr().out
-        assert direct == via_store
-
-    def test_embedding_store_from_other_vocabulary(self, workspace, tmp_path, capsys):
-        _, bench, vocab = workspace
-        other_vocab, emb = tmp_path / "other.txt", tmp_path / "emb"
-        manifest = str(bench / "manifest.csv")
-        assert main(["build-vocab", "--manifest", manifest, "--out", str(other_vocab),
-                     "--gmm-k", "4", "--pca-dim", "16", "--kpca-dim", "1"]) == 0
-        assert main(["encode", "--manifest", manifest, "--vocab", str(other_vocab),
-                     "--out", str(emb)]) == 0
-        capsys.readouterr()
-        code = main(["query", "--manifest", manifest, "--vocab", str(vocab),
-                     "--features", str(bench / "ind002_v1.patf"),
-                     "--embeddings", str(emb / "database.patemb")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "dimension 1" in err
-
-    def test_embedding_store_non_finite(self, workspace, tmp_path, capsys):
-        _, bench, vocab = workspace
-        store = tmp_path / "database.patemb"
-        store.write_text("PATEMB 1\nind000_v0 2 nan 1.0\n", encoding="utf-8")
-        code = main(["query", "--manifest", str(bench / "manifest.csv"),
-                     "--vocab", str(vocab), "--features", str(bench / "ind002_v1.patf"),
-                     "--embeddings", str(store)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "non-finite" in err
+    def test_missing_vocab(self, workspace, tmp_path, capsys):
+        _, bench, _ = workspace
+        code = main([
+            "query", "--manifest", str(bench / "manifest.csv"),
+            "--vocab", str(tmp_path / "nope.txt"),
+            "--features", str(bench / "ind000_v1.patf"),
+        ])
+        assert code == 2
+        assert "vocabulary not found" in capsys.readouterr().err
 
     def test_invalid_rule_rejected_by_parser(self, workspace):
         _, bench, vocab = workspace
@@ -202,6 +172,111 @@ class TestQuery:
         ])
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def indexed(tmp_path_factory):
+    """Eight database images, so a shortlist of 5 is a true subset, and a model."""
+    root = tmp_path_factory.mktemp("indexed")
+    bench, model = root / "bench", root / "model.bin"
+    assert main(["synth", "--seed", "5", "--individuals", "8", "--views", "2",
+                 "--out", str(bench)]) == 0
+    assert main(["build-vocab", "--manifest", str(bench / "manifest.csv"),
+                 "--out", str(model), "--gmm-k", "4", "--pca-dim", "16"]) == 0
+    return bench, model
+
+
+def _reindexed(model, manifest_path, out):
+    """model with every database row of the manifest embedded afresh."""
+    vocabulary = load_vocabulary(model)
+    manifest = load_manifest(manifest_path)
+    vocabulary.index = {
+        e.image_id: IndexRow(
+            file_sha256(manifest.entry_path(e)),
+            embed_image(load_entry_features(manifest, e), vocabulary),
+        )
+        for e in manifest.with_role("database")
+    }
+    save_vocabulary(vocabulary, out)
+    return out
+
+
+def _query(capsys, bench, model, features, *flags):
+    capsys.readouterr()
+    assert main(["query", "--manifest", str(bench / "manifest.csv"), "--vocab", str(model),
+                 "--features", str(bench / features), *flags]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Paths of every parse_feature_file call, at both of its lookup sites."""
+    calls = []
+
+    def counted(path):
+        calls.append(Path(path).name)
+        return parse_feature_file(path)
+
+    monkeypatch.setattr(patreid.ingest, "parse_feature_file", counted)
+    monkeypatch.setattr(patreid.cli, "parse_feature_file", counted)
+    return calls
+
+
+class TestDatabaseIndex:
+    def test_stored_embeddings_bit_equal(self, indexed):
+        bench, model = indexed
+        vocabulary = load_vocabulary(model)
+        manifest = load_manifest(bench / "manifest.csv")
+        db = manifest.with_role("database")
+        assert list(vocabulary.index) == [e.image_id for e in db]
+        for e in db:
+            sha256, stored = vocabulary.index[e.image_id]
+            assert sha256 == file_sha256(manifest.entry_path(e))
+            embedding = embed_image(load_entry_features(manifest, e), vocabulary)
+            assert stored.values.tobytes() == embedding.values.tobytes()
+            assert stored.degenerate == embedding.degenerate
+
+    @pytest.mark.parametrize(
+        "flags, parsed",
+        [(("--rule", "exp", "--shortlist", "5"), 6), (("--rule", "app"), 1),
+         (("--rule", "geom", "--shortlist", "0"), 9)],
+    )
+    def test_parses_only_what_is_verified(self, indexed, capsys, parse_calls, flags, parsed):
+        bench, model = indexed
+        _query(capsys, bench, model, "ind003_v1.patf", *flags)
+        assert len(parse_calls) == parsed and parse_calls[0] == "ind003_v1.patf"
+
+    def test_rewritten_file_matches_fresh_index(self, indexed, tmp_path, capsys, parse_calls):
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        before = _query(capsys, copy, model, "ind002_v1.patf", "--rule", "app")
+        # ind001_v0 now holds ind002_v0's features under its own id.
+        lines = (copy / "ind002_v0.patf").read_text(encoding="utf-8").splitlines()
+        lines[1] = "ind001_v0"
+        (copy / "ind001_v0.patf").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fresh = _reindexed(model, copy / "manifest.csv", tmp_path / "fresh.bin")
+        parse_calls.clear()
+        stale = _query(capsys, copy, model, "ind002_v1.patf", "--rule", "app")
+        assert parse_calls == ["ind002_v1.patf", "ind001_v0.patf"]
+        assert stale == _query(capsys, copy, fresh, "ind002_v1.patf", "--rule", "app")
+        assert stale != before
+
+    def test_row_missing_from_index_is_embedded(self, indexed, tmp_path, capsys, parse_calls):
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        manifest = copy / "manifest.csv"
+        text = manifest.read_text(encoding="utf-8")
+        row = "ind004_v1,ind004,,query,"
+        assert row in text
+        manifest.write_text(text.replace(row, "ind004_v1,newcomer,,database,"),
+                            encoding="utf-8")
+        fresh = _reindexed(model, manifest, tmp_path / "fresh.bin")
+        parse_calls.clear()
+        flags = ("--rule", "app", "--topk", "9")
+        out = _query(capsys, copy, model, "ind004_v0.patf", *flags)
+        assert parse_calls == ["ind004_v0.patf", "ind004_v1.patf"]
+        assert out.splitlines()[2].split()[1:3] == ["newcomer", "ind004_v1"]
+        assert out == _query(capsys, copy, fresh, "ind004_v0.patf", *flags)
 
 
 class TestEvaluate:

@@ -8,10 +8,8 @@ from patreid.encode import (
     cosine_distance,
     embed_image,
     fisher_encode,
-    load_embedding_store,
     power_l2_normalize,
     train_vocabulary,
-    write_embedding_store,
 )
 from patreid.ingest import ImageFeatures
 from patreid.vocab import Embedding, Gmm, PcaModel, VocabError, fit_gmm
@@ -232,44 +230,16 @@ class TestTrainVocabularyAndEmbed:
         with pytest.raises(VocabError):
             train_vocabulary(sets, gmm_k=16, pca_dim=2)
 
-
-class TestEmbeddingStore:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        items = []
-        for i in range(4):
-            v = rng.standard_normal(6)
-            items.append((f"img{i}", Embedding(values=v / np.linalg.norm(v))))
-        items.append(("empty", Embedding(values=np.zeros(6), degenerate=True)))
-        path = tmp_path / "db.patemb"
-        write_embedding_store(items, path)
-        loaded = load_embedding_store(path)
-        assert [image_id for image_id, _ in loaded] == [i for i, _ in items]
-        for (_, original), (_, restored) in zip(items, loaded):
-            np.testing.assert_array_equal(restored.values, original.values)
-            assert restored.degenerate == original.degenerate
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "db.patemb"
-        path.write_text("NOPE 1\n", encoding="utf-8")
-        with pytest.raises(VocabError, match="header"):
-            load_embedding_store(path)
-
-    def test_malformed_row_reports_line(self, tmp_path):
-        path = tmp_path / "db.patemb"
-        write_embedding_store([("a", Embedding(values=np.ones(2)))], path)
-        path.write_text(
-            path.read_text(encoding="utf-8") + "bad row without numbers x y\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(VocabError, match=":3"):
-            load_embedding_store(path)
-
-    def test_dim_mismatch_reports_line(self, tmp_path):
-        path = tmp_path / "db.patemb"
-        header = path.name
-        write_embedding_store([("a", Embedding(values=np.ones(2)))], path)
-        text = path.read_text(encoding="utf-8").replace("a 2", "a 3")
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(VocabError, match="declared dim 3"):
-            load_embedding_store(path)
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"alpha": float("nan")}, "alpha must be finite and > 0"),
+            ({"alpha": float("inf")}, "alpha must be finite and > 0"),
+            ({"alpha": 0.0}, "alpha must be finite and > 0"),
+            ({"alpha": -1.0}, "alpha must be finite and > 0"),
+            ({"kpca_dim": -3}, "kpca_dim must be >= 0"),
+        ],
+    )
+    def test_invalid_training_options(self, options, message):
+        with pytest.raises(VocabError, match=message):
+            train_vocabulary(self._feature_sets(), gmm_k=2, pca_dim=4, **options)

@@ -1,0 +1,180 @@
+"""Fuzz tests of the readers of untrusted files: PATF, model and manifest files.
+
+Every damaged input must give a typed error (PatfError, VocabError) or a
+finite result, and the CLI must turn every failure into exit 1 or 2 with an
+"error:" line, never a traceback.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from patreid.cli import main
+from patreid.ingest import ImageFeatures, PatfError, parse_feature_file, write_feature_file
+from patreid.vocab import VocabError, load_vocabulary
+
+TOKENS = ["0", "-0", "1", "1e200", "1e-320", "1e309", "nan", "inf", "-inf", "1_0",
+          "0x10", "1d5", "１", "abc", "", "1 2", "\t", "\x00", "PATF", "-1"]
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """A tiny benchmark, its model file, and the bytes of both fuzz seeds."""
+    root = tmp_path_factory.mktemp("fuzz")
+    bench, model = root / "bench", root / "model.bin"
+    assert main(["synth", "--seed", "2", "--individuals", "3", "--views", "2",
+                 "--points", "12", "--descriptor-dim", "8", "--out", str(bench)]) == 0
+    assert main(["build-vocab", "--manifest", str(bench / "manifest.csv"),
+                 "--out", str(model), "--gmm-k", "2", "--pca-dim", "4"]) == 0
+    features = ImageFeatures(
+        image_id="img",
+        frames=np.array([[0.5, 0.25, 1.0, 0.1, 0.0, 2.0], [0.0, 1.0, 0.5, 0.0, 0.0, 0.5]]),
+        descriptors=np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
+    )
+    write_feature_file(features, root / "seed.patf")
+    return root, bench, model
+
+
+def flipped(data, flips):
+    out = bytearray(data)
+    for at, value in flips:
+        out[at % len(out)] = value
+    return bytes(out)
+
+
+def damaged(data):
+    """Strategy: data with a few bytes overwritten, truncated, or both."""
+    flips = st.lists(st.tuples(st.integers(0, 1 << 30), st.integers(0, 255)), max_size=4)
+    return st.one_of(
+        flips.map(lambda f: flipped(data, f)),
+        st.integers(0, len(data) - 1).map(lambda n: data[:n]),
+        st.tuples(flips, st.integers(1, len(data))).map(lambda t: flipped(data, t[0])[: t[1]]),
+    )
+
+
+def retokened(text):
+    """Strategy: text with some whitespace-separated tokens replaced."""
+    words = text.split(" ")
+    swaps = st.lists(
+        st.tuples(st.integers(0, len(words) - 1), st.sampled_from(TOKENS) | st.text(max_size=4)),
+        min_size=1, max_size=3,
+    )
+
+    def apply(pairs):
+        out = list(words)
+        for at, token in pairs:
+            out[at] = token
+        return " ".join(out)
+
+    return swaps.map(apply)
+
+
+def check_features(path):
+    try:
+        features = parse_feature_file(path)
+    except PatfError:
+        return
+    assert np.isfinite(features.frames).all() and np.isfinite(features.descriptors).all()
+    norms = np.linalg.norm(features.descriptors, axis=1)
+    np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+
+def cli_fails_cleanly(argv):
+    """main's exit code; a failure must be exit 1 or 2 with an "error:" line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ")
+    return code
+
+
+def test_patf_bytes(workspace):
+    root, _, _ = workspace
+    data = (root / "seed.patf").read_bytes()
+
+    @given(damaged(data))
+    def run(blob):
+        (root / "fuzz.patf").write_bytes(blob)
+        check_features(root / "fuzz.patf")
+
+    run()
+
+
+def test_patf_tokens(workspace):
+    root, _, _ = workspace
+    text = (root / "seed.patf").read_text(encoding="utf-8")
+
+    @given(retokened(text))
+    def run(fuzzed):
+        (root / "fuzz.patf").write_text(fuzzed, encoding="utf-8")
+        check_features(root / "fuzz.patf")
+
+    run()
+
+
+def test_model_bytes(workspace):
+    root, _, model = workspace
+    data = model.read_bytes()
+
+    @given(damaged(data))
+    def run(blob):
+        (root / "fuzz.bin").write_bytes(blob)
+        try:
+            vocab = load_vocabulary(root / "fuzz.bin")
+        except VocabError:
+            return
+        assert vocab.alpha > 0 and np.isfinite(vocab.kpca.training_vectors).all()
+
+    run()
+
+
+def test_cli_query(workspace):
+    root, bench, model = workspace
+    query = (bench / "ind001_v1.patf").read_bytes()
+    data = model.read_bytes()
+
+    @given(damaged(query), damaged(data))
+    def run(query_blob, model_blob):
+        (root / "q.patf").write_bytes(query_blob)
+        (root / "fuzz.bin").write_bytes(model_blob)
+        cli_fails_cleanly(["query", "--manifest", str(bench / "manifest.csv"),
+                           "--vocab", str(root / "fuzz.bin"), "--features", str(root / "q.patf")])
+
+    run()
+
+
+def test_cli_manifest(workspace, tmp_path):
+    _, bench, model = workspace
+    data = (bench / "manifest.csv").read_bytes()
+
+    @given(damaged(data))
+    def run(blob):
+        # Beside the feature files, so the relative paths in it resolve.
+        (bench / "fuzz.csv").write_bytes(blob)
+        cli_fails_cleanly(["query", "--manifest", str(bench / "fuzz.csv"), "--vocab", str(model),
+                           "--features", str(bench / "ind001_v1.patf")])
+
+    run()
+
+
+def test_cli_build_vocab(workspace, tmp_path):
+    _, bench, _ = workspace
+    copy = tmp_path / "bench"
+    copy.mkdir()
+    for p in bench.iterdir():
+        (copy / p.name).write_bytes(p.read_bytes())
+    data = (bench / "ind002_v0.patf").read_bytes()
+
+    @given(damaged(data))
+    def run(blob):
+        (copy / "ind002_v0.patf").write_bytes(blob)
+        cli_fails_cleanly(["build-vocab", "--manifest", str(copy / "manifest.csv"),
+                           "--out", str(tmp_path / "model.bin"), "--gmm-k", "2", "--pca-dim", "4"])
+
+    run()

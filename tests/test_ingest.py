@@ -182,6 +182,37 @@ class TestParseFeatureFile:
         with pytest.raises(PatfError, match="zero-norm"):
             parse_feature_file(path)
 
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("0 0 1 0 0 1 1e200 1e200", "descriptor norm overflows"),
+            ("0 0 1e200 0 0 1e200 1 0", "affine frame det overflows"),
+            ("0 0 1e200 1e200 1e200 1e200 1 0", "affine frame det overflows"),
+        ],
+        ids=["descriptor", "det_inf", "det_nan"],
+    )
+    @pytest.mark.parametrize("fallback", [False, True], ids=["block", "per_line"])
+    def test_overflow_rejected(self, tmp_path, bad_line, message, fallback):
+        # A "1_0" token sends the whole block down the per-line path.
+        first = "1_0 0 1 0 0 1 1 0" if fallback else "0 0 1 0 0 1 1 0"
+        path = write_patf(tmp_path / "a.patf", ["PATF 1", "imgA", "2 2", first, bad_line])
+        with pytest.raises(PatfError, match=message) as err:
+            parse_feature_file(path)
+        assert err.value.line_no == 5
+
+    def test_large_finite_values_accepted(self, tmp_path):
+        path = write_patf(
+            tmp_path / "a.patf", ["PATF 1", "imgA", "2 1", "0 0 1e150 0 0 1e150 1e150 1e150"]
+        )
+        np.testing.assert_allclose(parse_feature_file(path).descriptors, [[0.5**0.5] * 2])
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "a.patf"
+        path.write_bytes(b"PATF 1\nimgA\n2 1\n0 0 1 0 0 1 \xff 0\n")
+        with pytest.raises(PatfError, match="not UTF-8") as err:
+            parse_feature_file(path)
+        assert err.value.line_no == 4
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "a.patf"
         path.write_text("", encoding="utf-8")
@@ -299,6 +330,12 @@ class TestManifest:
         path = tmp_path / "manifest.csv"
         path.write_text("image,individual,role\n", encoding="utf-8")
         with pytest.raises(ManifestError, match="header"):
+            load_manifest(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = self._write_bench(tmp_path, [("a", "ind0", "", "database")])
+        path.write_bytes(path.read_bytes().replace(b"ind0", b"ind\xff"))
+        with pytest.raises(ManifestError, match="unreadable CSV"):
             load_manifest(path)
 
     def test_write_read_round_trip(self, tmp_path):

@@ -246,7 +246,6 @@ class TestScorePair:
         hobbled = DbEntry(
             image_id=entry.image_id,
             individual_id=entry.individual_id,
-            viewpoint=None,
             embedding=Embedding(
                 values=np.zeros(entry.embedding.values.shape), degenerate=True
             ),

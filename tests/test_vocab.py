@@ -1,5 +1,7 @@
 """PCA, GMM/EM, kernel PCA, and vocabulary persistence tests."""
 
+import zipfile
+
 import numpy as np
 import pytest
 from oracles import dense_kpca_oracle
@@ -7,6 +9,7 @@ from oracles import dense_kpca_oracle
 from patreid.vocab import (
     Embedding,
     Gmm,
+    IndexRow,
     KpcaModel,
     PcaModel,
     VocabError,
@@ -359,29 +362,33 @@ class TestVocabularyPersistence:
         save_vocabulary(load_vocabulary(a), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_header(self, tmp_path):
+    def test_text_vocabulary_rejected(self, tmp_path):
+        # The text format of earlier versions, which began "PATVOCAB 1".
         path = tmp_path / "vocab.txt"
-        path.write_text("NOTAVOCAB 1\n", encoding="utf-8")
-        with pytest.raises(VocabError, match="header"):
+        path.write_text("PATVOCAB 1\nalpha 0.5\ndescriptor_dim 10\n", encoding="utf-8")
+        with pytest.raises(VocabError, match="not a model file"):
             load_vocabulary(path)
 
     def test_truncated_file(self, tmp_path):
         vocab = self._make_vocabulary()
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join(lines[:5]) + "\n", encoding="utf-8")
-        with pytest.raises(VocabError):
-            load_vocabulary(path)
+        data = path.read_bytes()
+        for size in (4, 100, len(data) // 2, len(data) - 1):
+            path.write_bytes(data[:size])
+            with pytest.raises(VocabError):
+                load_vocabulary(path)
 
     def test_corrupt_number(self, tmp_path):
+        # One flipped byte inside an array's data fails the member's CRC.
         vocab = self._make_vocabulary()
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
-        text = path.read_text(encoding="utf-8")
-        first_value = text.splitlines()[4].split()[0]
-        path.write_text(text.replace(first_value, "bogus", 1), encoding="utf-8")
-        with pytest.raises(VocabError):
+        data = bytearray(path.read_bytes())
+        at = data.index(vocab.pca.basis.tobytes()[:16])
+        data[at + 3] ^= 0x40
+        path.write_bytes(bytes(data))
+        with pytest.raises(VocabError, match="unreadable"):
             load_vocabulary(path)
 
     @pytest.mark.parametrize(
@@ -452,3 +459,97 @@ class TestVocabularyPersistence:
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
         np.testing.assert_array_equal(load_vocabulary(path).gmm.weights, vocab.gmm.weights)
+
+
+def _indexed_vocabulary():
+    """A small vocabulary whose index holds three rows, one of them degenerate."""
+    vocab = TestVocabularyPersistence()._make_vocabulary()
+    rng = np.random.default_rng(5)
+    m = vocab.kpca.out_dim
+    for i in range(2):
+        v = rng.standard_normal(m)
+        vocab.index[f"img{i}"] = IndexRow(f"{i:064x}", Embedding(values=v / np.linalg.norm(v)))
+    vocab.index["empty"] = IndexRow("f" * 64, Embedding(values=np.zeros(m), degenerate=True))
+    return vocab
+
+
+def _rewrite(path, **changes):
+    """Rewrite a model file's arrays: a value replaces an array, None drops it."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
+
+
+class TestModelFile:
+    def test_index_round_trip(self, tmp_path):
+        vocab = _indexed_vocabulary()
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(vocab, path)
+        loaded = load_vocabulary(path)
+        assert list(loaded.index) == list(vocab.index)
+        for image_id, (digest, embedding) in vocab.index.items():
+            assert loaded.index[image_id].sha256 == digest
+            restored = loaded.index[image_id].embedding
+            assert restored.values.tobytes() == embedding.values.tobytes()
+            assert restored.degenerate == embedding.degenerate
+
+    def test_plain_npz_at_the_given_path(self, tmp_path):
+        # np.savez would write vocab-0.txt.npz; timestamps would vary by build.
+        path = tmp_path / "vocab-0.txt"
+        save_vocabulary(_indexed_vocabulary(), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab-0.txt"]
+        with zipfile.ZipFile(path) as archive:
+            for member in archive.infolist():
+                assert member.date_time == (1980, 1, 1, 0, 0, 0)
+                assert member.compress_type == zipfile.ZIP_STORED
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive["index_image_ids"].dtype.kind == "U"
+            assert archive["index_image_ids"].tolist() == ["img0", "img1", "empty"]
+
+    def test_empty_index_is_data(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(TestVocabularyPersistence()._make_vocabulary(), path)
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive["index_embeddings"].shape == (0, 4)
+        assert load_vocabulary(path).index == {}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda a: {"gmm_weights": None}, "missing array 'gmm_weights'"),
+            (lambda a: {"pca_mean": a["pca_mean"].astype(np.float32)},
+             "'pca_mean' is not of dtype f8"),
+            (lambda a: {"pca_whiten": np.array(1)}, "'pca_whiten' is not of dtype"),
+            (lambda a: {"pca_basis": a["pca_basis"][:, :-1]},
+             r"'pca_basis' has shape \(6, 9\), expected \(6, 10\)"),
+            (lambda a: {"alpha": np.array([0.5])}, r"'alpha' has shape \(1,\)"),
+            (lambda a: {"index_sha256": a["index_sha256"][:-1]},
+             r"'index_sha256' has shape \(2,\), expected \(3,\)"),
+            (lambda a: {"index_embeddings": a["index_embeddings"][:, :-1]},
+             r"'index_embeddings' has shape \(3, 3\), expected \(3, 4\)"),
+            (lambda a: {"index_embeddings": np.where(a["index_embeddings"] > 0.1, np.nan, 0.0)},
+             "non-finite value in index"),
+            (lambda a: {"index_embeddings": 2.0 * a["index_embeddings"]},
+             "index embedding of 'img0' has norm"),
+            (lambda a: {"index_degenerate": np.ones(3, dtype=bool)},
+             "index embedding of 'img0' has norm"),
+            (lambda a: {"index_image_ids": np.array(["img0", "img0", "empty"])},
+             "image id twice"),
+            (lambda a: {"index_image_ids": a["index_image_ids"].astype(object)},
+             "unreadable model file"),
+            (lambda a: {"version": np.array(1)}, "version 1, expected 2"),
+        ],
+        ids=["missing", "dtype", "bool_dtype", "shape", "scalar_shape", "index_lengths",
+             "embedding_dim", "embedding_nan", "embedding_norm", "degenerate_flag",
+             "duplicate_id", "object_array", "version"],
+    )
+    def test_rejected(self, tmp_path, change, message):
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(_indexed_vocabulary(), path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        _rewrite(path, **change(arrays))
+        with pytest.raises(VocabError, match=message):
+            load_vocabulary(path)
