@@ -197,9 +197,7 @@ def cmd_query(args) -> int:
     except ReidError as exc:
         raise UsageError(str(exc)) from None
 
-    result = query_database(
-        db, query_features, params, seed=args.seed, geometry_params=geometry_params
-    )
+    result = query_database(db, query_features, params, geometry_params=geometry_params)
 
     best = {}
     for c in result.candidates:
@@ -233,7 +231,6 @@ def cmd_evaluate(args) -> int:
                 vocabulary,
                 params,
                 k_max=topk,
-                seed=args.seed,
                 geometry_params=geometry_params,
                 geometry_cache=geometry_cache,
                 feature_cache=feature_cache,
@@ -261,7 +258,7 @@ def _add_combine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, default=2.0,
                    help="polynomial rule exponent")
     p.add_argument("--inlier-thresh", type=float, default=0.1,
-                   help="RANSAC inlier threshold in normalized coordinates")
+                   help="verification inlier threshold in normalized coordinates")
     p.add_argument("--shortlist", type=int, default=50,
                    help="entries geometrically verified per query (0 = all)")
     p.add_argument("--mutual", action=argparse.BooleanOptionalAction, default=True,
@@ -313,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("query", help="rank database individuals for one image")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--features", required=True, help="query PATF file")
@@ -322,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("evaluate", help="run all rules under a protocol")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--protocol", choices=("split", "loo"), default="split")

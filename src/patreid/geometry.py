@@ -1,10 +1,12 @@
 """Geometric pattern consistency between two images.
 
-Local descriptors are matched into point correspondences, matched coordinates
-are normalized per side, and a projective homography is estimated with
-RANSAC.  The inlier count n and inlier ratio omega summarize how much of the
-pattern agrees geometrically; the reid module folds them into the final
-distance.
+Local descriptors are matched into point correspondences and matched
+coordinates are normalized per side.  Each match's two affine frames give one
+affine hypothesis; the hypothesis with the largest consensus is refined by
+homography refits on its inliers.  The inlier count n and inlier ratio omega
+summarize how much of the pattern agrees geometrically; the reid module folds
+them into the final distance.  ransac_homography, a seeded sampling
+estimator over bare point pairs, is kept as a reference.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-from .seeding import derive_seed
 
 # Candidate models fitted per vectorized RANSAC round.
 RANSAC_CHUNK = 128
@@ -26,6 +26,8 @@ RANSAC_MAX_ITERS = 2000
 COLLINEAR_EPS = 1e-9
 # The four point triples of a 4-point sample.
 _TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+# Homography refits of geometric_similarity's best affine consensus.
+LOCAL_OPTIMIZATION_ROUNDS = 2
 
 
 class GeometryError(ValueError):
@@ -34,7 +36,11 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class GeometryParams:
-    """Descriptor-matching and RANSAC settings of geometric_similarity."""
+    """Descriptor-matching and verification settings of geometric_similarity.
+
+    inlier_threshold is the strict bound on a match's reprojection distance,
+    in normalized coordinates.
+    """
 
     inlier_threshold: float = 0.1
     mutual: bool = True
@@ -69,8 +75,10 @@ class Homography:
 class GeomVerdict:
     """Inlier statistics of a verified pair.
 
-    omega is n over the correspondences entering RANSAC; both are 0 when no
-    homography was estimable.
+    n is the size of the consensus set inlier_mask and omega is n over the
+    correspondences verified.  Both are 0, with no homography, when there
+    are fewer than 4 correspondences, a side's points cannot be normalized,
+    or no hypothesis is finite.
     """
 
     n: int
@@ -121,6 +129,11 @@ def normalize_points(points: np.ndarray) -> np.ndarray:
     A set of coincident points cannot define a scale and raises
     GeometryError, as does an empty or non-(N, 2) input.
     """
+    return _normalized(points)[0]
+
+
+def _normalized(points: np.ndarray):
+    """normalize_points(points) and the max norm it divided by."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 1:
         raise GeometryError(f"expected non-empty (N, 2) points, got {points.shape}")
@@ -128,7 +141,7 @@ def normalize_points(points: np.ndarray) -> np.ndarray:
     max_norm = float(np.max(np.linalg.norm(shifted, axis=1)))
     if max_norm < 1e-12:
         raise GeometryError("coincident points: no scale to normalize by")
-    return shifted / max_norm
+    return shifted / max_norm, max_norm
 
 
 def _point_pairs(src, dst):
@@ -357,33 +370,76 @@ def ransac_homography(
     )
 
 
-def geometric_similarity(
-    query, db, params: GeometryParams = GeometryParams(), seed: int = 0
-) -> GeomVerdict:
+def _affine_maps(query_frames: np.ndarray, db_frames: np.ndarray, scale: float) -> np.ndarray:
+    """Linear part of each match's affine map in normalized coordinates: (M, 2, 2).
+
+    A match maps a query patch onto its database patch by F_d F_q^-1 in
+    pixels; normalization scales that by scale = s_q / s_d.  F_q^-1 is its
+    adjugate over its determinant.
+    """
+    a, b, c, d = query_frames[:, 2:6].T
+    adjugate = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
+    inverse = adjugate / (a * d - b * c)[:, None, None]
+    return scale * (db_frames[:, 2:6].reshape(-1, 2, 2) @ inverse)
+
+
+def geometric_similarity(query, db, params: GeometryParams = GeometryParams()) -> GeomVerdict:
     """Full geometric verification of a (query, db) image pair.
 
-    Composition of match_descriptors, per-side normalize_points, and
-    ransac_homography; omega's denominator is the number of matches.  The
-    RANSAC stream is derived from the global seed and the two image ids, so
-    verdicts are reproducible pair by pair in any execution order.
+    Matches come from match_descriptors and their centers are normalized per
+    side.  Match h's frames give the affine hypothesis x -> A_h (x - src_h) +
+    dst_h, and match m is its inlier when the hypothesis maps src_m strictly
+    within inlier_threshold of dst_m.  All M hypotheses are scored as one
+    (M, M) residual array, and the first one with the largest consensus
+    wins, so ties go to the closest descriptor match.  Up to
+    LOCAL_OPTIMIZATION_ROUNDS rounds then refit a DLT homography on the
+    consensus and rescore all matches; a round is kept only if the consensus
+    grows.  omega's denominator is the number of matches.  Nothing is
+    sampled, so a verdict depends only on the two images and params.
     """
     params.validate()
     matches = match_descriptors(
         query, db, max_distance=params.max_distance, mutual=params.mutual, ratio=params.ratio
     )
+    total = len(matches)
     failure = GeomVerdict(
-        n=0, omega=0.0, homography=None, inlier_mask=np.zeros(len(matches), dtype=bool)
+        n=0, omega=0.0, homography=None, inlier_mask=np.zeros(total, dtype=bool)
     )
-    if len(matches) < 4:
+    if total < 4:
         return failure
     try:
-        src = normalize_points(query.points[matches[:, 0]])
-        dst = normalize_points(db.points[matches[:, 1]])
+        src, s_q = _normalized(query.points[matches[:, 0]])
+        dst, s_d = _normalized(db.points[matches[:, 1]])
     except GeometryError:
         return failure
-    return ransac_homography(
-        src,
-        dst,
-        params.inlier_threshold,
-        seed=derive_seed(seed, "ransac", query.image_id, db.image_id),
-    )
+    thr2 = params.inlier_threshold * params.inlier_threshold
+
+    # Extreme frames overflow to inf or nan residuals, which are never inliers.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        A = _affine_maps(query.frames[matches[:, 0]], db.frames[matches[:, 1]], s_q / s_d)
+        # residual[h, m] = A_h (src_m - src_h) - (dst_m - dst_h)
+        residual = (src[None] - src[:, None]) @ A.transpose(0, 2, 1)
+        residual -= dst[None] - dst[:, None]
+        masks = np.sum(residual * residual, axis=2) < thr2
+        counts = masks.sum(axis=1)
+        best = int(np.argmax(counts))
+        if counts[best] == 0:
+            return failure
+        mask = masks[best]
+        H = np.eye(3)
+        H[:2, :2] = A[best]
+        H[:2, 2] = dst[best] - A[best] @ src[best]
+        homography = Homography(matrix=H)
+
+        for _ in range(LOCAL_OPTIMIZATION_ROUNDS):
+            try:
+                refit = dlt_homography(src[mask], dst[mask])
+            except GeometryError:
+                break
+            grown = np.sum((apply_homography(refit.matrix, src) - dst) ** 2, axis=1) < thr2
+            if grown.sum() <= mask.sum():
+                break
+            mask, homography = grown, refit
+
+    n = int(mask.sum())
+    return GeomVerdict(n=n, omega=n / total, homography=homography, inlier_mask=mask)

@@ -146,19 +146,19 @@ def _pair_geometry(
     query_features: ImageFeatures,
     entry: DbEntry,
     geometry_params: GeometryParams,
-    seed: int,
     cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]],
 ) -> Tuple[int, float]:
     """Inlier statistics for one pair, memoized across combination rules.
 
-    Verdicts depend only on the two images and the derived seed, never on
-    the rule, so a shared cache returns bit-identical results.
+    geometry.geometric_similarity's verdict depends only on the two images
+    and the geometry settings, never on the rule, so a shared cache returns
+    bit-identical results.
     """
     key = (query_features.image_id, entry.image_id)
     if cache is not None and key in cache:
         return cache[key]
     verdict = geometry.geometric_similarity(
-        query_features, entry.verified_features(), params=geometry_params, seed=seed
+        query_features, entry.verified_features(), params=geometry_params
     )
     stats = (verdict.n, verdict.omega)
     if cache is not None:
@@ -187,7 +187,6 @@ def score_pair(
     d_l: float,
     entry: DbEntry,
     params: CombineParams,
-    seed: int = 0,
     geometry_params: GeometryParams = GeometryParams(),
     geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
 ) -> MatchCandidate:
@@ -200,7 +199,7 @@ def score_pair(
     n, omega = 0, 0.0
     if use_geometry:
         n, omega = _pair_geometry(
-            query_features, entry, geometry_params, seed, geometry_cache
+            query_features, entry, geometry_params, geometry_cache
         )
     return MatchCandidate(
         db_image_id=entry.image_id,
@@ -217,7 +216,6 @@ def query_database(
     db: ReidDatabase,
     query_features: ImageFeatures,
     params: CombineParams,
-    seed: int = 0,
     geometry_params: GeometryParams = GeometryParams(),
     geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
 ) -> RankedResult:
@@ -255,7 +253,6 @@ def query_database(
                     d_l,
                     entry,
                     params,
-                    seed=seed,
                     geometry_params=geometry_params,
                     geometry_cache=geometry_cache,
                 )
@@ -350,7 +347,6 @@ def evaluate_split(
     vocabulary: Vocabulary,
     params: CombineParams,
     k_max: int = 5,
-    seed: int = 0,
     geometry_params: GeometryParams = GeometryParams(),
     geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
     feature_cache: Optional[Dict[str, ImageFeatures]] = None,
@@ -388,7 +384,6 @@ def evaluate_split(
                 db,
                 features,
                 params,
-                seed=seed,
                 geometry_params=geometry_params,
                 geometry_cache=geometry_cache,
             )
@@ -409,7 +404,6 @@ def evaluate_leave_one_out(
     vocabulary: Vocabulary,
     params: CombineParams,
     k_max: int = 5,
-    seed: int = 0,
     geometry_params: GeometryParams = GeometryParams(),
     geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
     feature_cache: Optional[Dict[str, ImageFeatures]] = None,
@@ -467,7 +461,6 @@ def evaluate_leave_one_out(
                 db,
                 embedded[i].features,
                 params,
-                seed=seed,
                 geometry_params=geometry_params,
                 geometry_cache=geometry_cache,
             )

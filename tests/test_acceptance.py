@@ -241,15 +241,15 @@ def test_ac4_unit_exactness(capsys):
     queries = [render_observation(c, cfg, 1)[0] for c in constellations]
     vocabulary = train_vocabulary(db_features, gmm_k=2, pca_dim=8)
     db = build_database(vocabulary, db_features)
-    self_result = query_database(db, db_features[0], CombineParams(), seed=0)
+    self_result = query_database(db, db_features[0], CombineParams())
     checks.append(self_result.candidates[0].db_image_id == db_features[0].image_id)
     checks.append(
         self_result.candidates[0].d_C
         == min(c.d_C for c in self_result.candidates)
     )
-    full = query_database(db, queries[0], CombineParams(shortlist_size=0), seed=0)
+    full = query_database(db, queries[0], CombineParams(shortlist_size=0))
     covering = query_database(
-        db, queries[0], CombineParams(shortlist_size=len(db.entries)), seed=0
+        db, queries[0], CombineParams(shortlist_size=len(db.entries))
     )
     checks.append(
         [c.db_image_id for c in full.candidates]
@@ -309,7 +309,6 @@ def table_benchmark(tmp_path_factory):
                 vocabulary,
                 CombineParams(rule=rule),
                 k_max=5,
-                seed=0,
                 geometry_cache=geometry_cache,
                 feature_cache=feature_cache,
             )

@@ -373,3 +373,16 @@ def test_invalid_value_names_flag(workspace, capsys, command, flag, value):
     assert main(args + [flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("command", ["query", "evaluate"])
+def test_seed_flag_removed(workspace, capsys, command):
+    # Verification samples nothing, so only synth and build-vocab take --seed.
+    _, bench, vocab = workspace
+    args = [command, "--manifest", str(bench / "manifest.csv"), "--vocab", str(vocab)]
+    if command == "query":
+        args += ["--features", str(bench / "ind000_v1.patf")]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err

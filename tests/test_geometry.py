@@ -1,4 +1,6 @@
-"""Descriptor matching, point normalization, DLT, and RANSAC tests."""
+"""Descriptor matching, point normalization, DLT, RANSAC and verifier tests."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from patreid.geometry import (
     ransac_homography,
     reprojection_residuals,
 )
-from patreid.ingest import ImageFeatures
+from patreid.ingest import ImageFeatures, parse_feature_file, write_feature_file
+from patreid.seeding import derive_seed
 from patreid.synth import SynthConfig, generate_individual, render_observation
 
 
@@ -416,24 +419,26 @@ class TestGeometricSimilarity:
         cfg = SynthConfig(seed=2, n_individuals=1, views_per_individual=2)
         c = generate_individual(cfg, 0)
         features, _, _ = render_observation(c, cfg, 1)
-        verdict = geometric_similarity(features, features, seed=0)
+        verdict = geometric_similarity(features, features)
         assert verdict.omega == 1.0
         assert verdict.n == features.count
 
-    def test_deterministic_and_seed_sensitive(self):
+    def test_deterministic(self):
         cfg = SynthConfig(seed=2, n_individuals=2, views_per_individual=2)
         a = generate_individual(cfg, 0)
         b = generate_individual(cfg, 1)
         fa, _, _ = render_observation(a, cfg, 1)
         fb, _, _ = render_observation(b, cfg, 0)
-        v1 = geometric_similarity(fa, fb, seed=5)
-        v2 = geometric_similarity(fa, fb, seed=5)
+        v1 = geometric_similarity(fa, fb)
+        v2 = geometric_similarity(fa, fb)
         assert (v1.n, v1.omega) == (v2.n, v2.omega)
+        np.testing.assert_array_equal(v1.inlier_mask, v2.inlier_mask)
+        np.testing.assert_array_equal(v1.homography.matrix, v2.homography.matrix)
 
     def test_no_matches_zero_verdict(self):
         q = features_from([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]], "q")
         d = features_from([[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [-1.0, 0.0]], "d")
-        verdict = geometric_similarity(q, d, seed=0)
+        verdict = geometric_similarity(q, d)
         assert verdict.n == 0 and verdict.omega == 0.0
         assert verdict.homography is None
 
@@ -443,7 +448,7 @@ class TestGeometricSimilarity:
         desc = np.eye(4, 8)
         q = features_from(np.full((4, 2), 3.0), desc, "q")
         d = features_from([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], desc, "d")
-        verdict = geometric_similarity(q, d, seed=0)
+        verdict = geometric_similarity(q, d)
         assert verdict.n == 0 and verdict.omega == 0.0
         assert verdict.homography is None
         assert verdict.inlier_mask.shape == (4,)
@@ -459,7 +464,7 @@ class TestGeometricSimilarity:
                 query, _, source_index = render_observation(c, cfg, v)
                 retained = int(np.sum(source_index >= 0))
                 verdict = geometric_similarity(
-                    query, db_view, GeometryParams(inlier_threshold=0.1), seed=0
+                    query, db_view, GeometryParams(inlier_threshold=0.1)
                 )
                 assert verdict.n >= 0.5 * retained
 
@@ -485,15 +490,152 @@ class TestGeometricSimilarity:
                 if other_id == individual_id:
                     continue
                 strict.append(
-                    geometric_similarity(query, db_view, strict_params, seed=0).omega
+                    geometric_similarity(query, db_view, strict_params).omega
                 )
                 loose.append(
-                    geometric_similarity(query, db_view, loose_params, seed=0).omega
+                    geometric_similarity(query, db_view, loose_params).omega
                 )
         strict, loose = np.array(strict), np.array(loose)
         assert np.mean(strict < 0.2) >= 0.95
         assert np.mean(loose < 0.2) >= 0.60
         assert np.max(loose) < 0.35
+
+
+def framed_features(points, frames_2x2, image_id):
+    """Features with the given (M, 2, 2) frames and one-hot descriptors.
+
+    One-hot rows make every self-match distance exactly 0, so
+    match_descriptors pairs feature i with feature i in index order.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    frames = np.zeros((points.shape[0], 6))
+    frames[:, :2] = points
+    frames[:, 2:] = np.asarray(frames_2x2, dtype=np.float64).reshape(-1, 4)
+    return ImageFeatures(image_id, frames, np.eye(points.shape[0], 64))
+
+
+def rotation(angle, scale=1.0):
+    c, s = np.cos(angle), np.sin(angle)
+    return scale * np.array([[c, -s], [s, c]])
+
+
+class TestAffineVerifier:
+    def test_planted_affine_matches_recovered_exactly(self):
+        rng = np.random.default_rng(12)
+        A, t = np.array([[1.2, 0.3], [-0.2, 0.9]]), np.array([5.0, -3.0])
+        planted = rng.random(40) < 0.6
+        src = rng.uniform(0, 100, (40, 2))
+        dst = src @ A.T + t
+        for i in np.flatnonzero(~planted):
+            while np.linalg.norm(dst[i] - (A @ src[i] + t)) < 40:
+                dst[i] = rng.uniform(0, 100, 2)
+        frames_q = rotation(1.0, 3.0) + rng.uniform(-1, 1, (40, 2, 2))
+        frames_d = np.where(
+            planted[:, None, None], A @ frames_q, rotation(-0.5, 2.0) + rng.uniform(-1, 1, (40, 2, 2))
+        )
+        # The ground truth is unambiguous: in normalized coordinates every
+        # clutter match lies at least twice the threshold off the planted map.
+        n_src, n_dst = normalize_points(src), normalize_points(dst)
+        fit = np.linalg.lstsq(
+            np.column_stack([n_src[planted], np.ones(planted.sum())]), n_dst[planted], rcond=None
+        )[0]
+        off = np.linalg.norm(np.column_stack([n_src, np.ones(40)]) @ fit - n_dst, axis=1)
+        assert np.all(off[~planted] >= 0.2)
+
+        verdict = geometric_similarity(
+            framed_features(src, frames_q, "q"), framed_features(dst, frames_d, "d")
+        )
+        np.testing.assert_array_equal(verdict.inlier_mask, planted)
+        assert verdict.n == planted.sum() and verdict.omega == planted.mean()
+        np.testing.assert_allclose(
+            apply_homography(verdict.homography.matrix, n_src[planted]), n_dst[planted], atol=1e-9
+        )
+
+    def test_three_matches_no_verdict(self):
+        points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        frames = np.tile(np.eye(2), (3, 1, 1))
+        verdict = geometric_similarity(
+            framed_features(points, frames, "q"), framed_features(points, frames, "d")
+        )
+        assert verdict.n == 0 and verdict.omega == 0.0
+        assert verdict.homography is None
+        np.testing.assert_array_equal(verdict.inlier_mask, np.zeros(3, dtype=bool))
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_tie_goes_to_first_match(self, first):
+        # Two interleaved groups of 5 matches, each consistent under its own
+        # affine map and with nothing of the other: their consensus sizes tie.
+        rng = np.random.default_rng(13)
+        maps = [(np.eye(2), np.zeros(2)), (rotation(np.pi / 2, 1.5), np.array([40.0, -20.0]))]
+        group = np.array([first, 1 - first] * 5)
+        src = rng.uniform(0, 100, (10, 2))
+        frames_q = np.tile(np.eye(2), (10, 1, 1))
+        dst = np.array([maps[g][0] @ x + maps[g][1] for g, x in zip(group, src)])
+        frames_d = np.array([maps[g][0] for g in group])
+        verdict = geometric_similarity(
+            framed_features(src, frames_q, "q"), framed_features(dst, frames_d, "d")
+        )
+        np.testing.assert_array_equal(verdict.inlier_mask, group == first)
+        assert verdict.n == 5
+
+    def test_extreme_frames_finite_verdict(self, tmp_path):
+        # Frames at the PATF floor |det| = 1e-12 and with entries up to 1e300
+        # overflow their hypotheses; those score no inliers and raise no
+        # warning, while the ordinary frames still verify every match.
+        floor = np.array([[1e-12, 0.0], [0.0, 1.0]])
+        huge = np.array([[1e300, 1e300], [0.0, 1e-300]])
+        wide = np.array([[1e154, 0.0], [0.0, 1e154]])
+        rng = np.random.default_rng(14)
+        src = rng.uniform(0, 100, (12, 2))
+        frames_q = np.array([floor, huge, wide, np.eye(2)] * 3)
+        frames_d = np.array([huge, wide, floor, np.eye(2)] * 3)
+        q, d = framed_features(src, frames_q, "q"), framed_features(src, frames_d, "d")
+        # Both sides are valid PATF files.
+        write_feature_file(q, tmp_path / "q.patf")
+        write_feature_file(d, tmp_path / "d.patf")
+        q, d = parse_feature_file(tmp_path / "q.patf"), parse_feature_file(tmp_path / "d.patf")
+
+        verdict = geometric_similarity(q, d)
+        assert verdict.n == 12 and verdict.omega == 1.0
+        assert np.all(np.isfinite(verdict.homography.matrix))
+
+        extreme = framed_features(src[:9], frames_q[[0, 1, 2] * 3], "x")
+        verdict = geometric_similarity(extreme, framed_features(src[:9], frames_d[:9], "y"))
+        assert 0 <= verdict.n == verdict.inlier_mask.sum() <= 9
+        assert np.isfinite(verdict.omega)
+
+
+def test_noisy_frames_keep_genuine_pairs_first():
+    # Synthetic frames are exact Jacobians.  Multiply both sides' frame
+    # entries by 1 + 0.2 N(0, 1): ranked by n alone, each query's genuine
+    # database image must still come strictly first, with n of at least 12
+    # (measured minimum 14; with random frames in their place it is 2, and 6
+    # of the 12 genuine images are not first).
+    cfg = SynthConfig(
+        seed=5,
+        n_individuals=6,
+        views_per_individual=3,
+        points_per_individual=40,
+        descriptor_noise_sigma=0.2,
+        dropout_rate=0.5,
+        clutter_rate=1.0,
+        max_perspective=0.3,
+    )
+    rng = np.random.default_rng(0)
+
+    def noisy(features):
+        frames = features.frames.copy()
+        frames[:, 2:] *= 1.0 + 0.2 * rng.standard_normal((frames.shape[0], 4))
+        return dataclasses.replace(features, frames=frames)
+
+    inds = [generate_individual(cfg, i) for i in range(cfg.n_individuals)]
+    db = [noisy(render_observation(c, cfg, 0)[0]) for c in inds]
+    for i, c in enumerate(inds):
+        for v in range(1, cfg.views_per_individual):
+            query = noisy(render_observation(c, cfg, v)[0])
+            n = [geometric_similarity(query, d).n for d in db]
+            assert n[i] > max(n[:i] + n[i + 1 :]), query.image_id
+            assert n[i] >= 12, query.image_id
 
 
 class TestGeometryParams:
@@ -525,10 +667,12 @@ class TestGeometryParams:
             geometric_similarity(f, f, GeometryParams(inlier_threshold=float("nan")))
 
 
-# (n, omega) of geometric_similarity(query, db, seed=0) for every query (views
-# 1-2) against every database image (view 0, in individual order) of the
-# seed-3 synthetic set with 4 individuals x 3 views, recorded with the SVD
-# minimal solver.  A change to RANSAC that moves a verdict must update these
+# (n, omega) of ransac_homography over the normalized matches of every query
+# (views 1-2) against every database image (view 0, in individual order) of
+# the seed-3 synthetic set with 4 individuals x 3 views, each pair seeded
+# with derive_seed(0, "ransac", query id, database id), recorded with the SVD
+# minimal solver.  These were geometric_similarity's verdicts while it ran
+# RANSAC.  A change to RANSAC that moves a verdict must update these
 # literals and show the diff.
 PINNED_VERDICTS = {
     "ind000_v1": [(64, 0.9411764705882353), (7, 0.175), (9, 0.23076923076923078), (8, 0.18181818181818182)],
@@ -542,16 +686,111 @@ PINNED_VERDICTS = {
 }
 
 
-def test_pinned_verdicts():
+
+# (n, omega) of geometric_similarity(query, db) over the same pairs, from the
+# matches' affine frames.  Genuine pairs keep RANSAC's verdicts; impostor
+# pairs no longer get a 4-point consensus for free.  A change to the
+# verifier that moves a verdict must update these literals and show the diff.
+PINNED_AFFINE_VERDICTS = {
+    "ind000_v1": [(64, 0.9411764705882353), (2, 0.05), (3, 0.07692307692307693), (5, 0.11363636363636363)],
+    "ind000_v2": [(59, 0.9365079365079365), (2, 0.05555555555555555), (3, 0.07692307692307693), (3, 0.07692307692307693)],
+    "ind001_v1": [(3, 0.08108108108108109), (65, 1.0), (3, 0.07142857142857142), (4, 0.09090909090909091)],
+    "ind001_v2": [(5, 0.125), (62, 1.0), (2, 0.05555555555555555), (3, 0.08108108108108109)],
+    "ind002_v1": [(2, 0.05128205128205128), (4, 0.08888888888888889), (66, 0.9850746268656716), (2, 0.05128205128205128)],
+    "ind002_v2": [(3, 0.07894736842105263), (2, 0.05), (61, 0.9838709677419355), (5, 0.12195121951219512)],
+    "ind003_v1": [(3, 0.06382978723404255), (3, 0.07692307692307693), (2, 0.05714285714285714), (66, 0.9850746268656716)],
+    "ind003_v2": [(2, 0.045454545454545456), (3, 0.06976744186046512), (2, 0.05), (64, 0.9846153846153847)],
+}
+
+
+def pinned_pairs():
+    """(query, database) features of every pinned pair, in table order."""
     cfg = SynthConfig(seed=3, n_individuals=4, views_per_individual=3)
     inds = [generate_individual(cfg, i) for i in range(cfg.n_individuals)]
     db = [render_observation(c, cfg, 0)[0] for c in inds]
-    got = {}
     for c in inds:
         for v in range(1, cfg.views_per_individual):
             query = render_observation(c, cfg, v)[0]
-            got[query.image_id] = [
-                (verdict.n, verdict.omega)
-                for verdict in (geometric_similarity(query, d, seed=0) for d in db)
-            ]
-    assert got == PINNED_VERDICTS
+            for d in db:
+                yield query, d
+
+
+def pinned_table(verdict_of):
+    got = {}
+    for query, d in pinned_pairs():
+        verdict = verdict_of(query, d)
+        got.setdefault(query.image_id, []).append((verdict.n, verdict.omega))
+    return got
+
+
+def ransac_verdict(query, db):
+    """ransac_homography over the pair's normalized matches, seeded per pair."""
+    matches = match_descriptors(query, db)
+    return ransac_homography(
+        normalize_points(query.points[matches[:, 0]]),
+        normalize_points(db.points[matches[:, 1]]),
+        GeometryParams().inlier_threshold,
+        seed=derive_seed(0, "ransac", query.image_id, db.image_id),
+    )
+
+
+def test_pinned_verdicts():
+    assert pinned_table(ransac_verdict) == PINNED_VERDICTS
+
+
+def test_pinned_affine_verdicts():
+    assert pinned_table(geometric_similarity) == PINNED_AFFINE_VERDICTS
+
+
+def reference_inliers(query, db, threshold=0.1):
+    """geometric_similarity's consensus, one hypothesis at a time.
+
+    Uses np.linalg.inv and Euclidean norms where the verifier uses the
+    adjugate and squared distances.
+    """
+    matches = match_descriptors(query, db)
+    q_points, d_points = query.points[matches[:, 0]], db.points[matches[:, 1]]
+    src, dst = normalize_points(q_points), normalize_points(d_points)
+    scale = np.max(np.linalg.norm(q_points - q_points.mean(axis=0), axis=1)) / np.max(
+        np.linalg.norm(d_points - d_points.mean(axis=0), axis=1)
+    )
+    best = None
+    for h, (iq, idb) in enumerate(matches):
+        F_q = query.frames[iq, 2:].reshape(2, 2)
+        F_d = db.frames[idb, 2:].reshape(2, 2)
+        A = scale * F_d @ np.linalg.inv(F_q)
+        mask = np.linalg.norm((src - src[h]) @ A.T + dst[h] - dst, axis=1) < threshold
+        if best is None or mask.sum() > best.sum():
+            best = mask
+    for _ in range(2):
+        try:
+            H = dlt_homography(src[best], dst[best]).matrix
+        except GeometryError:
+            break
+        grown = reprojection_residuals(H, src, dst) < threshold
+        if grown.sum() <= best.sum():
+            break
+        best = grown
+    return best
+
+
+def test_verifier_matches_per_hypothesis_reference():
+    # The pinned pairs, plus sparse, cluttered, strongly warped pairs where
+    # the homography refits change the consensus.
+    cfg = SynthConfig(
+        seed=11,
+        n_individuals=4,
+        views_per_individual=3,
+        points_per_individual=25,
+        descriptor_noise_sigma=0.3,
+        dropout_rate=0.6,
+        clutter_rate=1.0,
+        max_perspective=0.3,
+    )
+    inds = [generate_individual(cfg, i) for i in range(cfg.n_individuals)]
+    db = [render_observation(c, cfg, 0)[0] for c in inds]
+    stress = [(render_observation(c, cfg, v)[0], d) for c in inds for v in (1, 2) for d in db]
+    for query, d in list(pinned_pairs()) + stress:
+        np.testing.assert_array_equal(
+            geometric_similarity(query, d).inlier_mask, reference_inliers(query, d)
+        )

@@ -143,7 +143,7 @@ def small_world():
 class TestQueryDatabase:
     def test_database_image_ranks_itself_first(self, small_world):
         _, db, _, _ = small_world
-        result = query_database(db, db.entries[0].features, CombineParams(), seed=0)
+        result = query_database(db, db.entries[0].features, CombineParams())
         assert result.candidates[0].db_image_id == db.entries[0].image_id
         assert result.individuals[0] == db.entries[0].individual_id
 
@@ -152,7 +152,7 @@ class TestQueryDatabase:
         for rule in RULES:
             params = CombineParams(rule=rule)
             for query in queries:
-                result = query_database(db, query, params, seed=0)
+                result = query_database(db, query, params)
                 assert result.individuals[0] == query.individual_id, rule
 
     def test_individuals_deduplicated(self, small_world):
@@ -168,17 +168,17 @@ class TestQueryDatabase:
                 dataclasses.replace(entry.features, image_id=entry.image_id + "_copy")
             )
         db2 = build_database(vocabulary, doubled)
-        result = query_database(db2, queries[0], CombineParams(), seed=0)
+        result = query_database(db2, queries[0], CombineParams())
         assert len(result.candidates) == 2 * len(db.entries)
         assert sorted(result.individuals) == sorted(e.individual_id for e in db.entries)
 
     def test_shortlist_equivalence_when_covering(self, small_world):
         _, db, queries, _ = small_world
         full = query_database(
-            db, queries[0], CombineParams(shortlist_size=0), seed=0
+            db, queries[0], CombineParams(shortlist_size=0)
         )
         covering = query_database(
-            db, queries[0], CombineParams(shortlist_size=len(db.entries)), seed=0
+            db, queries[0], CombineParams(shortlist_size=len(db.entries))
         )
         assert full.individuals == covering.individuals
         for a, b in zip(full.candidates, covering.candidates):
@@ -187,7 +187,7 @@ class TestQueryDatabase:
     def test_unverified_rank_after_verified(self, small_world):
         _, db, queries, _ = small_world
         params = CombineParams(rule="exponential", shortlist_size=1)
-        result = query_database(db, queries[0], params, seed=0)
+        result = query_database(db, queries[0], params)
         verified_flags = [c.verified for c in result.candidates]
         assert verified_flags[0] is True
         assert sum(verified_flags) == 1
@@ -196,7 +196,7 @@ class TestQueryDatabase:
     def test_appearance_only_skips_geometry(self, small_world):
         _, db, queries, _ = small_world
         result = query_database(
-            db, queries[0], CombineParams(rule="appearance_only"), seed=0
+            db, queries[0], CombineParams(rule="appearance_only")
         )
         for c in result.candidates:
             assert c.n == 0 and c.omega == 0.0
@@ -205,7 +205,7 @@ class TestQueryDatabase:
     def test_geometry_only_scores_negative_inliers(self, small_world):
         _, db, queries, _ = small_world
         result = query_database(
-            db, queries[0], CombineParams(rule="geometry_only"), seed=0
+            db, queries[0], CombineParams(rule="geometry_only")
         )
         for c in result.candidates:
             if c.verified:
@@ -224,11 +224,11 @@ class TestQueryDatabase:
         _, db, queries, _ = small_world
         cache = {}
         a = query_database(
-            db, queries[0], CombineParams(rule="polynomial"), seed=0, geometry_cache=cache
+            db, queries[0], CombineParams(rule="polynomial"), geometry_cache=cache
         )
         cached = dict(cache)
         b = query_database(
-            db, queries[0], CombineParams(rule="exponential"), seed=0, geometry_cache=cache
+            db, queries[0], CombineParams(rule="exponential"), geometry_cache=cache
         )
         assert cache == cached  # same pairs, no recomputation
         by_id_a = {c.db_image_id: (c.n, c.omega) for c in a.candidates}
