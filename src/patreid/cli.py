@@ -25,11 +25,10 @@ from .ingest import (
 from .reid import (
     RULES,
     CombineParams,
-    DbEntry,
     ReidDatabase,
     ReidError,
-    evaluate_leave_one_out,
-    evaluate_split,
+    database_entry,
+    evaluate,
     query_database,
     write_per_query_csv,
 )
@@ -153,30 +152,13 @@ def cmd_build_vocab(args) -> int:
     vocabulary = as_loaded(vocabulary)
     vocabulary.index = {
         e.image_id: IndexRow(
-            file_sha256(manifest.entry_path(e)), embed_image(features, vocabulary)
+            file_sha256(manifest.entry_path(e)), embed_image(features, vocabulary), features
         )
         for e, features in zip(db_entries, feature_sets)
     }
     save_vocabulary(vocabulary, args.out)
     print(args.out)
     return 0
-
-
-def _db_entry(manifest, entry, vocabulary) -> DbEntry:
-    """A database row, embedded from the model's index if its file is unchanged.
-
-    An indexed row is parsed only if verification needs its features; any
-    other row is parsed and embedded now.
-    """
-    def loader():
-        return load_entry_features(manifest, entry)
-
-    row = vocabulary.index.get(entry.image_id)
-    if row is not None and row.sha256 == file_sha256(manifest.entry_path(entry)):
-        return DbEntry(entry.image_id, entry.individual_id, row.embedding, loader=loader)
-    features = loader()
-    embedding = embed_image(features, vocabulary)
-    return DbEntry(entry.image_id, entry.individual_id, embedding, features, loader)
 
 
 def cmd_query(args) -> int:
@@ -192,51 +174,47 @@ def cmd_query(args) -> int:
     try:
         db = ReidDatabase(
             vocabulary=vocabulary,
-            entries=[_db_entry(manifest, e, vocabulary) for e in db_entries],
+            entries=[database_entry(manifest, e, vocabulary) for e in db_entries],
         )
     except ReidError as exc:
         raise UsageError(str(exc)) from None
 
     result = query_database(db, query_features, params, geometry_params=geometry_params)
 
+    c = result.candidates
     best = {}
-    for c in result.candidates:
-        best.setdefault(c.individual_id, c)
+    for k, individual in enumerate(c.individual_ids):
+        best.setdefault(individual, k)
     print(f"{'rank':>4}  {'individual':<16} {'db_image':<20} "
           f"{'d_L':>10} {'n':>5} {'omega':>8} {'d_C':>12}")
     for rank, individual in enumerate(result.individuals[:topk], start=1):
-        c = best[individual]
+        k = best[individual]
         print(
-            f"{rank:>4}  {individual:<16} {c.db_image_id:<20} "
-            f"{c.d_L:>10.6f} {c.n:>5} {c.omega:>8.4f} {c.d_C:>12.6g}"
+            f"{rank:>4}  {individual:<16} {c.image_ids[k]:<20} "
+            f"{c.d_L[k]:>10.6f} {c.n[k]:>5} {c.omega[k]:>8.4f} {c.d_C[k]:>12.6g}"
         )
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    rule_params = {rule: _combine_params(args, rule) for rule in RULES}
+    rule_params = [_combine_params(args, rule) for rule in RULES]
     geometry_params = _geometry_params(args)
     topk = _topk(args)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     vocabulary = load_vocabulary(_require_file(args.vocab, "vocabulary"))
-    geometry_cache = {}
-    feature_cache = {}
 
-    evaluate = evaluate_split if args.protocol == "split" else evaluate_leave_one_out
-    reports = {}
-    for rule, params in rule_params.items():
-        try:
-            reports[rule] = evaluate(
-                manifest,
-                vocabulary,
-                params,
-                k_max=topk,
-                geometry_params=geometry_params,
-                geometry_cache=geometry_cache,
-                feature_cache=feature_cache,
-            )
-        except ReidError as exc:
-            raise UsageError(str(exc)) from None
+    protocol = "split" if args.protocol == "split" else "leave_one_out"
+    try:
+        reports = evaluate(
+            manifest,
+            vocabulary,
+            rule_params,
+            protocol,
+            k_max=topk,
+            geometry_params=geometry_params,
+        )
+    except ReidError as exc:
+        raise UsageError(str(exc)) from None
 
     first = next(iter(reports.values()))
     header = "".join(f"  top-{k:<4}" for k in range(1, topk + 1))

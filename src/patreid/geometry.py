@@ -28,6 +28,9 @@ COLLINEAR_EPS = 1e-9
 _TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 # Homography refits of geometric_similarity's best affine consensus.
 LOCAL_OPTIMIZATION_ROUNDS = 2
+# Affine hypotheses geometric_similarity scores at once, which bounds its
+# residual array to HYPOTHESIS_BLOCK x M x 2 doubles (8 MB at M = 1,000).
+HYPOTHESIS_BLOCK = 512
 
 
 class GeometryError(ValueError):
@@ -389,9 +392,10 @@ def geometric_similarity(query, db, params: GeometryParams = GeometryParams()) -
     Matches come from match_descriptors and their centers are normalized per
     side.  Match h's frames give the affine hypothesis x -> A_h (x - src_h) +
     dst_h, and match m is its inlier when the hypothesis maps src_m strictly
-    within inlier_threshold of dst_m.  All M hypotheses are scored as one
-    (M, M) residual array, and the first one with the largest consensus
-    wins, so ties go to the closest descriptor match.  Up to
+    within inlier_threshold of dst_m.  All M hypotheses are scored against
+    all matches, HYPOTHESIS_BLOCK hypotheses at a time, and the first one
+    with the largest consensus wins, so ties go to the closest descriptor
+    match.  Up to
     LOCAL_OPTIMIZATION_ROUNDS rounds then refit a DLT homography on the
     consensus and rescore all matches; a round is kept only if the consensus
     grows.  omega's denominator is the number of matches.  Nothing is
@@ -417,15 +421,21 @@ def geometric_similarity(query, db, params: GeometryParams = GeometryParams()) -
     # Extreme frames overflow to inf or nan residuals, which are never inliers.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         A = _affine_maps(query.frames[matches[:, 0]], db.frames[matches[:, 1]], s_q / s_d)
-        # residual[h, m] = A_h (src_m - src_h) - (dst_m - dst_h)
-        residual = (src[None] - src[:, None]) @ A.transpose(0, 2, 1)
-        residual -= dst[None] - dst[:, None]
-        masks = np.sum(residual * residual, axis=2) < thr2
-        counts = masks.sum(axis=1)
-        best = int(np.argmax(counts))
-        if counts[best] == 0:
+        best, best_count = 0, 0
+        for start in range(0, total, HYPOTHESIS_BLOCK):
+            h = slice(start, start + HYPOTHESIS_BLOCK)
+            # residual[h, m] = A_h (src_m - src_h) - (dst_m - dst_h)
+            residual = (src[None] - src[h, None]) @ A[h].transpose(0, 2, 1)
+            residual -= dst[None] - dst[h, None]
+            masks = np.sum(residual * residual, axis=2) < thr2
+            counts = masks.sum(axis=1)
+            top = int(np.argmax(counts))
+            # Only a strictly larger count replaces the best, so the first
+            # best hypothesis wins across blocks as within one.
+            if counts[top] > best_count:
+                best, best_count, mask = start + top, counts[top], masks[top]
+        if best_count == 0:
             return failure
-        mask = masks[best]
         H = np.eye(3)
         H[:2, :2] = A[best]
         H[:2, 2] = dst[best] - A[best] @ src[best]

@@ -2,23 +2,24 @@
 
 Database search runs in two stages: a fast cosine scan over embeddings, then
 geometric verification of a shortlist whose inlier statistics modulate the
-distance (polynomial or exponential rule).  Evaluation reports top-k
-accuracy over distinct individuals under a database/query split or a
-leave-one-out protocol.
+distance (polynomial or exponential rule).  The rules re-rank the same
+pairs, so one search embeds each image once, verifies each shortlisted pair
+once and sorts per rule.  Evaluation reports top-k accuracy over distinct
+individuals under a database/query split or a leave-one-out protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import geometry
 from .encode import cosine_distance, embed_image
 from .geometry import GeometryParams
-from .ingest import ImageFeatures, Manifest, load_entry_features
+from .ingest import ImageFeatures, Manifest, ManifestEntry, file_sha256, load_entry_features
 from .vocab import Embedding, Vocabulary
 
 RULES = ("appearance_only", "geometry_only", "polynomial", "exponential")
@@ -46,38 +47,34 @@ class CombineParams:
             raise ReidError(f"shortlist_size must be >= 0, got {self.shortlist_size}")
 
 
-@dataclass
-class MatchCandidate:
-    db_image_id: str
-    individual_id: str
-    d_L: float
-    n: int
-    omega: float
-    d_C: float
-    verified: bool = False
+class Candidates(NamedTuple):
+    """A query's database images in rank order: item k of each field belongs
+    to the k-th image.  An unverified pair has n = 0, omega = 0, d_C = d_L."""
+
+    image_ids: List[str]
+    individual_ids: List[str]
+    d_L: np.ndarray
+    n: np.ndarray
+    omega: np.ndarray
+    d_C: np.ndarray
+    verified: np.ndarray
 
 
 @dataclass
 class RankedResult:
     query_image_id: str
-    candidates: List[MatchCandidate]
+    candidates: Candidates
     individuals: List[str]
 
 
 @dataclass
 class DbEntry:
+    """A searchable image: its label, embedding and features."""
+
     image_id: str
     individual_id: str
     embedding: Embedding
-    # None until verification first needs the features; loader parses them.
-    features: Optional[ImageFeatures] = None
-    loader: Optional[Callable[[], ImageFeatures]] = None
-
-    def verified_features(self) -> ImageFeatures:
-        """The entry's features, parsed by loader the first time they are needed."""
-        if self.features is None:
-            self.features = self.loader()
-        return self.features
+    features: ImageFeatures
 
 
 @dataclass
@@ -142,74 +139,93 @@ def _combine(params: CombineParams, d_l: float, n: int, omega: float) -> float:
     return combine_exponential(d_l, n, params.epsilon)
 
 
-def _pair_geometry(
-    query_features: ImageFeatures,
-    entry: DbEntry,
-    geometry_params: GeometryParams,
-    cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]],
-) -> Tuple[int, float]:
-    """Inlier statistics for one pair, memoized across combination rules.
+def database_entry(manifest: Manifest, entry: ManifestEntry, vocabulary: Vocabulary) -> DbEntry:
+    """A manifest row's features and embedding, read from the model file's
+    index when the row's PATF file still has the indexed sha256.
 
-    geometry.geometric_similarity's verdict depends only on the two images
-    and the geometry settings, never on the rule, so a shared cache returns
-    bit-identical results.
+    Any other row is parsed and embedded, so a stale index is slower, never
+    wrong.
     """
-    key = (query_features.image_id, entry.image_id)
-    if cache is not None and key in cache:
-        return cache[key]
-    verdict = geometry.geometric_similarity(
-        query_features, entry.verified_features(), params=geometry_params
-    )
-    stats = (verdict.n, verdict.omega)
-    if cache is not None:
-        cache[key] = stats
-    return stats
+    row = vocabulary.index.get(entry.image_id)
+    if row is not None and row.sha256 == file_sha256(manifest.entry_path(entry)):
+        features, embedding = row.features, row.embedding
+    else:
+        features = load_entry_features(manifest, entry)
+        embedding = embed_image(features, vocabulary)
+    return DbEntry(entry.image_id, entry.individual_id, embedding, features)
 
 
-def build_database(
-    vocabulary: Vocabulary, feature_sets: Sequence[ImageFeatures]
-) -> ReidDatabase:
-    """Embed labeled images into a searchable database."""
-    entries = [
-        DbEntry(
-            image_id=features.image_id,
-            individual_id=features.individual_id,
-            embedding=embed_image(features, vocabulary),
-            features=features,
-        )
-        for features in feature_sets
-    ]
-    return ReidDatabase(vocabulary=vocabulary, entries=entries)
+def _shortlist_size(params: CombineParams, rows: int) -> int:
+    """How many of a query's first stage-1 rows params' rule verifies."""
+    if params.rule not in GEOMETRY_RULES:
+        return 0
+    if params.shortlist_size == 0:
+        return rows
+    return min(params.shortlist_size, rows)
 
 
-def score_pair(
-    query_features: ImageFeatures,
-    d_l: float,
-    entry: DbEntry,
-    params: CombineParams,
+def rank_queries(
+    db: ReidDatabase,
+    queries: Sequence[Tuple[ImageFeatures, Embedding]],
+    rule_params: Sequence[CombineParams],
     geometry_params: GeometryParams = GeometryParams(),
-    geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
-) -> MatchCandidate:
-    """Full appearance + geometry score of one (query, database) pair.
+    self_rows: Optional[Sequence[int]] = None,
+) -> Dict[str, List[RankedResult]]:
+    """Every query's ranking of the database under every rule, in one pass.
 
-    d_l is the pair's appearance distance, as stage 1 of query_database
-    computed it.
+    Stage 1 orders a query's database images by (d_L, image_id), and a
+    geometry rule verifies the first shortlist_size of them (all when 0).
+    Each (query, image) pair is verified at most once, whichever rules
+    shortlist it.  A rule's final order is ascending (not verified, d_C, d_L,
+    image_id), so entries outside its shortlist keep d_C = d_L and rank after
+    every verified entry.  self_rows[q], when given, is the database row of
+    query q itself, which its ranking leaves out.
     """
-    use_geometry = params.rule in GEOMETRY_RULES
-    n, omega = 0, 0.0
-    if use_geometry:
-        n, omega = _pair_geometry(
-            query_features, entry, geometry_params, geometry_cache
-        )
-    return MatchCandidate(
-        db_image_id=entry.image_id,
-        individual_id=entry.individual_id,
-        d_L=d_l,
-        n=n,
-        omega=omega,
-        d_C=_combine(params, d_l, n, omega),
-        verified=use_geometry,
-    )
+    for params in rule_params:
+        params.validate()
+    if not db.entries:
+        raise ReidError("database is empty")
+    entries = db.entries
+    ids = [e.image_id for e in entries]
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+
+    results: Dict[str, List[RankedResult]] = {params.rule: [] for params in rule_params}
+    for q, (features, embedding) in enumerate(queries):
+        rows = np.arange(len(entries))
+        if self_rows is not None:
+            rows = np.delete(rows, self_rows[q])
+        d_l = np.array([cosine_distance(embedding, entries[j].embedding) for j in rows])
+        stage1 = np.lexsort((id_rank[rows], d_l))
+        rows, d_l = rows[stage1], d_l[stage1]
+
+        shortlists = [_shortlist_size(params, len(rows)) for params in rule_params]
+        verdicts = [
+            geometry.geometric_similarity(features, entries[j].features, params=geometry_params)
+            for j in rows[: max(shortlists, default=0)]
+        ]
+        for params, k in zip(rule_params, shortlists):
+            n, omega, d_c = np.zeros(len(rows), dtype=int), np.zeros(len(rows)), d_l.copy()
+            for i, v in enumerate(verdicts[:k]):
+                n[i], omega[i] = v.n, v.omega
+                d_c[i] = _combine(params, float(d_l[i]), v.n, v.omega)
+            is_verified = np.arange(len(rows)) < k
+            order = np.lexsort((id_rank[rows], d_l, d_c, ~is_verified))
+            ranked = rows[order]
+            individual_ids = [entries[j].individual_id for j in ranked]
+            candidates = Candidates(
+                image_ids=[ids[j] for j in ranked],
+                individual_ids=individual_ids,
+                d_L=d_l[order],
+                n=n[order],
+                omega=omega[order],
+                d_C=d_c[order],
+                verified=is_verified[order],
+            )
+            results[params.rule].append(
+                RankedResult(features.image_id, candidates, list(dict.fromkeys(individual_ids)))
+            )
+    return results
 
 
 def query_database(
@@ -217,74 +233,10 @@ def query_database(
     query_features: ImageFeatures,
     params: CombineParams,
     geometry_params: GeometryParams = GeometryParams(),
-    geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
 ) -> RankedResult:
-    """Two-stage search: cosine ranking, then shortlist verification.
-
-    Stage 1 orders all entries by d_L; stage 2 verifies the top
-    shortlist_size entries (all of them when 0) and applies the combination
-    rule.  Entries outside the shortlist keep d_C = d_L but rank strictly
-    after every verified entry under geometry-using rules.  Final order is
-    ascending (d_C, d_L, db_image_id).
-    """
-    params.validate()
-    if not db.entries:
-        raise ReidError("database is empty")
-    query_embedding = embed_image(query_features, db.vocabulary)
-
-    stage1 = [
-        (cosine_distance(query_embedding, e.embedding), e.image_id, e)
-        for e in db.entries
-    ]
-    stage1.sort(key=lambda t: (t[0], t[1]))
-
-    use_geometry = params.rule in GEOMETRY_RULES
-    if not use_geometry or params.shortlist_size == 0:
-        cutoff = len(stage1)
-    else:
-        cutoff = min(params.shortlist_size, len(stage1))
-
-    candidates = []
-    for rank, (d_l, _, entry) in enumerate(stage1):
-        if use_geometry and rank < cutoff:
-            candidates.append(
-                score_pair(
-                    query_features,
-                    d_l,
-                    entry,
-                    params,
-                    geometry_params=geometry_params,
-                    geometry_cache=geometry_cache,
-                )
-            )
-        else:
-            candidates.append(
-                MatchCandidate(
-                    db_image_id=entry.image_id,
-                    individual_id=entry.individual_id,
-                    d_L=d_l,
-                    n=0,
-                    omega=0.0,
-                    d_C=d_l,
-                    verified=False,
-                )
-            )
-    if use_geometry:
-        candidates.sort(key=lambda c: (not c.verified, c.d_C, c.d_L, c.db_image_id))
-    else:
-        candidates.sort(key=lambda c: (c.d_C, c.d_L, c.db_image_id))
-
-    individuals = []
-    seen = set()
-    for c in candidates:
-        if c.individual_id not in seen:
-            seen.add(c.individual_id)
-            individuals.append(c.individual_id)
-    return RankedResult(
-        query_image_id=query_features.image_id,
-        candidates=candidates,
-        individuals=individuals,
-    )
+    """One query image's ranking under one rule: rank_queries with Q = 1."""
+    query = (query_features, embed_image(query_features, db.vocabulary))
+    return rank_queries(db, [query], [params], geometry_params)[params.rule][0]
 
 
 def topk_accuracy(
@@ -313,16 +265,16 @@ def _report(
     for r in results:
         truth = truths[r.query_image_id]
         rank = r.individuals.index(truth) + 1 if truth in r.individuals else 0
-        top = r.candidates[0]
+        top = r.candidates
         records.append(
             PerQueryRecord(
                 query_image_id=r.query_image_id,
                 truth=truth,
                 rank_of_truth=rank,
-                d_L=top.d_L,
-                n=top.n,
-                omega=top.omega,
-                d_C=top.d_C,
+                d_L=float(top.d_L[0]),
+                n=int(top.n[0]),
+                omega=float(top.omega[0]),
+                d_C=float(top.d_C[0]),
             )
         )
     accuracies = [topk_accuracy(results, truths, k) for k in range(1, k_max + 1)]
@@ -331,31 +283,11 @@ def _report(
     )
 
 
-def _load_features(
-    manifest: Manifest, entry, cache: Optional[Dict[str, ImageFeatures]]
-) -> ImageFeatures:
-    if cache is not None and entry.image_id in cache:
-        return cache[entry.image_id]
-    features = load_entry_features(manifest, entry)
-    if cache is not None:
-        cache[entry.image_id] = features
-    return features
-
-
-def evaluate_split(
-    manifest: Manifest,
-    vocabulary: Vocabulary,
-    params: CombineParams,
-    k_max: int = 5,
-    geometry_params: GeometryParams = GeometryParams(),
-    geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
-    feature_cache: Optional[Dict[str, ImageFeatures]] = None,
-) -> EvalReport:
-    """Database/query-split protocol over a manifest.
+def _split_search(manifest: Manifest, vocabulary: Vocabulary):
+    """Database/query split: the database roles against the query roles.
 
     Queries with no label, or whose individual is absent from the database,
-    are excluded and reported rather than counted as misses.  The optional
-    caches only memoize work that is identical across combination rules.
+    are excluded and reported rather than counted as misses.
     """
     db_entries = manifest.with_role("database")
     query_entries = manifest.with_role("query")
@@ -363,11 +295,12 @@ def evaluate_split(
         raise ReidError("manifest has no database entries")
     if not query_entries:
         raise ReidError("manifest has no query entries")
-    db_features = [_load_features(manifest, e, feature_cache) for e in db_entries]
-    db = build_database(vocabulary, db_features)
+    db = ReidDatabase(
+        vocabulary, [database_entry(manifest, e, vocabulary) for e in db_entries]
+    )
     known = {e.individual_id for e in db.entries}
 
-    results = []
+    queries = []
     truths = {}
     excluded = []
     for entry in query_entries:
@@ -377,20 +310,12 @@ def evaluate_split(
         if entry.individual_id not in known:
             excluded.append((entry.image_id, "no_database_match"))
             continue
-        features = _load_features(manifest, entry, feature_cache)
+        query = database_entry(manifest, entry, vocabulary)
         truths[entry.image_id] = entry.individual_id
-        results.append(
-            query_database(
-                db,
-                features,
-                params,
-                geometry_params=geometry_params,
-                geometry_cache=geometry_cache,
-            )
-        )
-    if not results:
+        queries.append((query.features, query.embedding))
+    if not queries:
         raise ReidError("all split queries were excluded")
-    return _report("split", results, truths, excluded, k_max)
+    return db, queries, truths, excluded, None
 
 
 def _loo_identity_unit(entries) -> bool:
@@ -399,16 +324,8 @@ def _loo_identity_unit(entries) -> bool:
     return bool(labeled) and all(e.viewpoint is not None for e in labeled)
 
 
-def evaluate_leave_one_out(
-    manifest: Manifest,
-    vocabulary: Vocabulary,
-    params: CombineParams,
-    k_max: int = 5,
-    geometry_params: GeometryParams = GeometryParams(),
-    geometry_cache: Optional[Dict[Tuple[str, str], Tuple[int, float]]] = None,
-    feature_cache: Optional[Dict[str, ImageFeatures]] = None,
-) -> EvalReport:
-    """Leave-one-out protocol: each image queried against all other images.
+def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
+    """Leave-one-out: each image queried against all other images.
 
     All roles are pooled.  The identity unit is individual_id, qualified by
     viewpoint when every labeled image carries one.  Unlabeled images and
@@ -432,42 +349,75 @@ def evaluate_leave_one_out(
     for _, unit in labeled:
         unit_counts[unit] = unit_counts.get(unit, 0) + 1
 
-    embedded = []
-    for e, unit in labeled:
-        features = _load_features(manifest, e, feature_cache)
-        relabeled = replace(features, individual_id=unit)
-        embedded.append(
-            DbEntry(
-                image_id=e.image_id,
-                individual_id=unit,
-                embedding=embed_image(relabeled, vocabulary),
-                features=relabeled,
-            )
-        )
-
-    results = []
+    db = ReidDatabase(
+        vocabulary,
+        [
+            replace(database_entry(manifest, e, vocabulary), individual_id=unit)
+            for e, unit in labeled
+        ],
+    )
+    queries = []
     truths = {}
-    for i, (entry, unit) in enumerate(labeled):
+    self_rows = []
+    for row, (e, unit) in enumerate(labeled):
         if unit_counts[unit] < 2:
-            excluded.append((entry.image_id, "singleton_identity"))
+            excluded.append((e.image_id, "singleton_identity"))
             continue
-        db = ReidDatabase(
-            vocabulary=vocabulary,
-            entries=embedded[:i] + embedded[i + 1 :],
-        )
-        truths[entry.image_id] = unit
-        results.append(
-            query_database(
-                db,
-                embedded[i].features,
-                params,
-                geometry_params=geometry_params,
-                geometry_cache=geometry_cache,
-            )
-        )
-    if not results:
+        truths[e.image_id] = unit
+        queries.append((db.entries[row].features, db.entries[row].embedding))
+        self_rows.append(row)
+    if not queries:
         raise ReidError("all leave-one-out queries were excluded")
-    return _report("leave_one_out", results, truths, excluded, k_max)
+    return db, queries, truths, excluded, self_rows
+
+
+_PROTOCOLS = {"split": _split_search, "leave_one_out": _leave_one_out_search}
+
+
+def evaluate(
+    manifest: Manifest,
+    vocabulary: Vocabulary,
+    rule_params: Sequence[CombineParams],
+    protocol: str = "split",
+    k_max: int = 5,
+    geometry_params: GeometryParams = GeometryParams(),
+) -> Dict[str, EvalReport]:
+    """Each rule's report under protocol ("split" or "leave_one_out").
+
+    Every image is read and embedded once (database rows from the model
+    file's index where it is current, see database_entry) and every rule
+    ranks the same search, see rank_queries.
+    """
+    db, queries, truths, excluded, self_rows = _PROTOCOLS[protocol](manifest, vocabulary)
+    results = rank_queries(db, queries, rule_params, geometry_params, self_rows)
+    return {
+        rule: _report(protocol, ranked, truths, excluded, k_max)
+        for rule, ranked in results.items()
+    }
+
+
+def evaluate_split(
+    manifest: Manifest,
+    vocabulary: Vocabulary,
+    params: CombineParams,
+    k_max: int = 5,
+    geometry_params: GeometryParams = GeometryParams(),
+) -> EvalReport:
+    """The database/query-split report of one rule; see evaluate."""
+    return evaluate(manifest, vocabulary, [params], "split", k_max, geometry_params)[params.rule]
+
+
+def evaluate_leave_one_out(
+    manifest: Manifest,
+    vocabulary: Vocabulary,
+    params: CombineParams,
+    k_max: int = 5,
+    geometry_params: GeometryParams = GeometryParams(),
+) -> EvalReport:
+    """The leave-one-out report of one rule; see evaluate."""
+    return evaluate(
+        manifest, vocabulary, [params], "leave_one_out", k_max, geometry_params
+    )[params.rule]
 
 
 def write_per_query_csv(reports: Dict[str, EvalReport], path) -> None:

@@ -4,8 +4,8 @@ The trained Vocabulary holds the three stages used to turn an image's local
 descriptors into one fixed-length embedding: PCA decorrelation of raw
 descriptors, a GMM visual vocabulary fitted by EM, and a kernel-PCA
 compressor fitted on the database images' normalized Fisher vectors.  Its
-model file also carries an index of the database images' embeddings, so a
-query embeds only its own image.
+model file also carries an index of the database images' embeddings and
+parsed features, so a search parses and embeds only its queries.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from typing import Dict, NamedTuple
 
 import numpy as np
 
+from .ingest import FRAME_FIELDS, ImageFeatures
+
 VARIANCE_FLOOR = 1e-6
 WHITEN_FLOOR = 1e-12
-VOCAB_VERSION = 2
+VOCAB_VERSION = 3
 
 
 class VocabError(ValueError):
@@ -79,10 +81,12 @@ class Embedding:
 
 
 class IndexRow(NamedTuple):
-    """A database image's embedding, and the sha256 of the PATF bytes it came from."""
+    """A database image's embedding and parsed features, and the sha256 of the
+    PATF bytes they came from."""
 
     sha256: str
     embedding: Embedding
+    features: ImageFeatures
 
 
 @dataclass
@@ -94,7 +98,7 @@ class Vocabulary:
     # Power-normalization exponent used when the database Fisher vectors were
     # built; queries must reuse it, so it travels with the model.
     alpha: float = 0.5
-    # Database image_id -> IndexRow, as build-vocab embedded it.
+    # Database image_id -> IndexRow, as build-vocab parsed and embedded it.
     index: Dict[str, IndexRow] = field(default_factory=dict)
 
 
@@ -336,10 +340,12 @@ def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> Embedding:
 # The trained stages, stored field by field as "<section>_<field>" arrays.
 _SECTIONS = {"pca": PcaModel, "gmm": Gmm, "kpca": KpcaModel}
 # Arrays of a model file: name -> (dtype, shape).  Shapes are given in named
-# dimensions; a name binds at the first array that has it and must agree
-# after.  Each section has its own names, so _check_vocabulary reports
-# cross-section mismatches in its own words.  "U" is fixed-width unicode of
-# any width, since np.load(allow_pickle=False) reads no object arrays.
+# dimensions; a name binds at the first array that has it (or in _FIXED_DIMS)
+# and must agree after.  Each section has its own names, so _check_vocabulary
+# reports cross-section mismatches in its own words.  "U" is fixed-width
+# unicode of any width, since np.load(allow_pickle=False) reads no object
+# arrays.  The index's features are concatenated over its rows in index
+# order, index_feature_counts[i] of them for row i.
 _LAYOUT = {
     "version": ("i8", ()),
     "alpha": ("f8", ()),
@@ -362,12 +368,17 @@ _LAYOUT = {
     "index_sha256": ("U", ("rows",)),
     "index_embeddings": ("f8", ("rows", "m")),
     "index_degenerate": ("?", ("rows",)),
+    "index_feature_counts": ("i8", ("rows",)),
+    "index_frames": ("f8", ("features", "frame_fields")),
+    "index_descriptors": ("f8", ("features", "index_dim")),
 }
+_FIXED_DIMS = {"frame_fields": len(FRAME_FIELDS)}
 
 
 def _model_arrays(vocab: Vocabulary) -> Dict[str, np.ndarray]:
     """The arrays of vocab's model file by _LAYOUT name, each C-contiguous."""
     rows = list(vocab.index.values())
+    features = [row.features for row in rows]
     values = {
         "version": VOCAB_VERSION,
         "alpha": vocab.alpha,
@@ -378,6 +389,15 @@ def _model_arrays(vocab: Vocabulary) -> Dict[str, np.ndarray]:
             [row.embedding.values for row in rows], (len(rows), vocab.kpca.out_dim)
         ),
         "index_degenerate": [row.embedding.degenerate for row in rows],
+        "index_feature_counts": [f.count for f in features],
+        "index_frames": np.concatenate(
+            [np.zeros((0, len(FRAME_FIELDS)))] + [f.frames for f in features]
+        ),
+        # An empty image adds no rows, so its descriptor width is not stored.
+        "index_descriptors": np.concatenate(
+            [np.zeros((0, vocab.descriptor_dim))]
+            + [f.descriptors for f in features if f.count]
+        ),
     }
     for section in _SECTIONS:
         model = getattr(vocab, section)
@@ -391,7 +411,7 @@ def _model_arrays(vocab: Vocabulary) -> Dict[str, np.ndarray]:
 
 def _vocabulary_from(arrays: Dict[str, np.ndarray], path) -> Vocabulary:
     """The Vocabulary that model-file arrays hold, once every check passes."""
-    dims: Dict[str, int] = {}
+    dims = dict(_FIXED_DIMS)
     for name, (dtype, shape) in _LAYOUT.items():
         a = arrays.get(name)
         if a is None:
@@ -411,16 +431,23 @@ def _vocabulary_from(arrays: Dict[str, np.ndarray], path) -> Vocabulary:
             section = name.split("_")[0]
             section = section.upper() if section in _SECTIONS else section
             raise VocabError(f"{path}: non-finite value in {section} section")
+        # version leads _LAYOUT, so an older file is named as such before
+        # any array it lacks is reported missing.
+        if name == "version" and a.item() != VOCAB_VERSION:
+            raise VocabError(
+                f"{path}: model file version {a.item()}, expected {VOCAB_VERSION} "
+                "(rebuild it with build-vocab)"
+            )
     a = {name: x.item() if x.ndim == 0 else x for name, x in arrays.items()}
-    if a["version"] != VOCAB_VERSION:
-        raise VocabError(
-            f"{path}: model file version {a['version']}, expected {VOCAB_VERSION}"
-        )
     ids = a["index_image_ids"].tolist()
     index = {
-        image_id: IndexRow(digest, Embedding(values=values, degenerate=bool(flag)))
-        for image_id, digest, values, flag in zip(
-            ids, a["index_sha256"].tolist(), a["index_embeddings"], a["index_degenerate"]
+        image_id: IndexRow(digest, Embedding(values=values, degenerate=bool(flag)), features)
+        for image_id, digest, values, flag, features in zip(
+            ids,
+            a["index_sha256"].tolist(),
+            a["index_embeddings"],
+            a["index_degenerate"],
+            _index_features(path, ids, a),
         )
     }
     if len(index) != len(ids):
@@ -436,6 +463,36 @@ def _vocabulary_from(arrays: Dict[str, np.ndarray], path) -> Vocabulary:
     )
     _check_vocabulary(path, vocab)
     return vocab
+
+
+def _index_features(path, ids, a: Dict[str, np.ndarray]):
+    """Each index row's ImageFeatures, once the stored arrays pass the checks
+    parse_feature_file makes on a PATF file's rows."""
+    counts, frames, descriptors = (
+        a["index_feature_counts"], a["index_frames"], a["index_descriptors"]
+    )
+    total = frames.shape[0]
+    if not ((0 <= counts) & (counts <= total)).all() or counts.sum() != total:
+        raise VocabError(
+            f"{path}: index feature counts must be >= 0 and sum to {total} features"
+        )
+    if descriptors.shape[1] != a["descriptor_dim"]:
+        raise VocabError(
+            f"{path}: index descriptor width {descriptors.shape[1]} "
+            f"!= descriptor_dim {a['descriptor_dim']}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.abs(frames[:, 2] * frames[:, 5] - frames[:, 3] * frames[:, 4])
+        norms = np.sqrt(np.einsum("ij,ij->i", descriptors, descriptors))
+    if not ((1e-12 <= det) & (det < np.inf)).all():
+        raise VocabError(f"{path}: index frame with |det| < 1e-12 or overflowing")
+    if not (np.abs(norms - 1.0) <= 1e-12).all():
+        raise VocabError(f"{path}: index descriptor whose norm is not 1 within 1e-12")
+    bounds = np.cumsum(counts)[:-1]
+    return [
+        ImageFeatures(image_id=image_id, frames=f, descriptors=d)
+        for image_id, f, d in zip(ids, np.split(frames, bounds), np.split(descriptors, bounds))
+    ]
 
 
 def as_loaded(vocab: Vocabulary) -> Vocabulary:
@@ -508,7 +565,8 @@ def _check_vocabulary(path, vocab: Vocabulary) -> None:
         raise VocabError(f"{path}: GMM variances must be positive")
     if np.any(gmm.weights < 0) or abs(float(gmm.weights.sum()) - 1.0) > 1e-6:
         raise VocabError(f"{path}: GMM weights must be non-negative and sum to 1")
-    for image_id, (_, embedding) in vocab.index.items():
+    for image_id, row in vocab.index.items():
+        embedding = row.embedding
         norm = float(np.linalg.norm(embedding.values))
         if abs(norm - (not embedding.degenerate)) > 1e-6:
             raise VocabError(

@@ -7,7 +7,22 @@ verified against a formulation that shares none of its algebra.
 
 import numpy as np
 
+from patreid.encode import cosine_distance, embed_image
+from patreid.geometry import GeometryParams, geometric_similarity
+from patreid.ingest import load_entry_features
+from patreid.reid import DbEntry, ReidDatabase
 from patreid.vocab import Gmm, average_log_likelihood
+
+
+def embedded_database(vocabulary, feature_sets):
+    """A ReidDatabase of labeled in-memory images, each embedded afresh."""
+    return ReidDatabase(
+        vocabulary,
+        [
+            DbEntry(f.image_id, f.individual_id, embed_image(f, vocabulary), f)
+            for f in feature_sets
+        ],
+    )
 
 
 def fisher_fd_oracle(X, gmm, h=1e-6):
@@ -59,3 +74,64 @@ def dense_kpca_oracle(X, out_dim):
     lam = eigvals[order]
     V = eigvecs[:, order]
     return lam, V * np.sqrt(np.maximum(lam, 0.0))
+
+
+def ranking_oracle(manifest, vocabulary, rule, shortlist, protocol, a=2.0,
+                   geometry_params=GeometryParams()):
+    """Per-query records (query, truth, rank_of_truth, d_L, n, omega, d_C) of
+    one rule under protocol "split" or "leave_one_out".
+
+    Every image is parsed and embedded afresh, and each query is ranked on
+    its own: cosine distance to every candidate, stage-1 sort by (d_L, id),
+    verification of the first shortlist candidates (all when 0), the rule's
+    combination, and a final sort by (not verified, d_C, d_L, id).
+    """
+    images = [
+        (e, load_entry_features(manifest, e))
+        for e in manifest.entries
+        if e.individual_id is not None
+    ]
+    if protocol == "split":
+        db = [(e.image_id, e.individual_id, f) for e, f in images if e.role == "database"]
+        known = {individual for _, individual, _ in db}
+        queries = [
+            (e.image_id, e.individual_id, f, db)
+            for e, f in images
+            if e.role == "query" and e.individual_id in known
+        ]
+    else:
+        by_view = all(e.viewpoint is not None for e, _ in images)
+        pool = [
+            (e.image_id, f"{e.individual_id}|{e.viewpoint}" if by_view else e.individual_id, f)
+            for e, f in images
+        ]
+        queries = [
+            (image_id, unit, f, [p for p in pool if p[0] != image_id])
+            for image_id, unit, f in pool
+            if sum(p[1] == unit for p in pool) > 1
+        ]
+
+    records = []
+    for query_id, truth, query, candidates in queries:
+        q = embed_image(query, vocabulary)
+        stage1 = sorted(
+            (cosine_distance(q, embed_image(f, vocabulary)), image_id, individual, f)
+            for image_id, individual, f in candidates
+        )
+        ranked = []
+        for rank, (d_l, image_id, individual, f) in enumerate(stage1):
+            n, omega, d_c, verified = 0, 0.0, d_l, False
+            if rule != "appearance_only" and (shortlist == 0 or rank < shortlist):
+                verdict = geometric_similarity(query, f, geometry_params)
+                n, omega, verified = verdict.n, verdict.omega, True
+                d_c = {
+                    "geometry_only": float(-n),
+                    "polynomial": d_l * (1.0 - omega) ** a,
+                    "exponential": min(max(d_l, 1e-9), 1.0) ** n,
+                }[rule]
+            ranked.append((not verified, d_c, d_l, image_id, individual, n, omega))
+        ranked.sort()
+        individuals = list(dict.fromkeys(r[4] for r in ranked))
+        _, d_c, d_l, _, _, n, omega = ranked[0]
+        records.append((query_id, truth, individuals.index(truth) + 1, d_l, n, omega, d_c))
+    return records

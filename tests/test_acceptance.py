@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` — the verdict lines print
 unconditionally (they bypass output capture), so each criterion reports
-exactly once.  AC-5 and AC-6 share one full-size benchmark evaluation; the
-whole suite is single-threaded.
+exactly once.  AC-5 and AC-6 share one full-size benchmark evaluation, which
+also checks that a model file's database index changes no byte of its CSV;
+the whole suite is single-threaded.
 """
 
 import time
@@ -12,8 +13,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import dense_kpca_oracle, fisher_fd_oracle
+from oracles import dense_kpca_oracle, embedded_database, fisher_fd_oracle
 
+from patreid.cli import main
 from patreid.encode import (
     cosine_distance,
     embed_image,
@@ -33,14 +35,13 @@ from patreid.ingest import (
 )
 from patreid.reid import (
     RULES,
+    Candidates,
     CombineParams,
-    MatchCandidate,
     RankedResult,
-    build_database,
     combine_exponential,
     combine_polynomial,
+    evaluate,
     evaluate_leave_one_out,
-    evaluate_split,
     query_database,
     topk_accuracy,
     write_per_query_csv,
@@ -240,31 +241,29 @@ def test_ac4_unit_exactness(capsys):
     db_features = [render_observation(c, cfg, 0)[0] for c in constellations]
     queries = [render_observation(c, cfg, 1)[0] for c in constellations]
     vocabulary = train_vocabulary(db_features, gmm_k=2, pca_dim=8)
-    db = build_database(vocabulary, db_features)
+    db = embedded_database(vocabulary, db_features)
     self_result = query_database(db, db_features[0], CombineParams())
-    checks.append(self_result.candidates[0].db_image_id == db_features[0].image_id)
-    checks.append(
-        self_result.candidates[0].d_C
-        == min(c.d_C for c in self_result.candidates)
-    )
+    checks.append(self_result.candidates.image_ids[0] == db_features[0].image_id)
+    checks.append(self_result.candidates.d_C[0] == min(self_result.candidates.d_C))
     full = query_database(db, queries[0], CombineParams(shortlist_size=0))
     covering = query_database(
         db, queries[0], CombineParams(shortlist_size=len(db.entries))
     )
-    checks.append(
-        [c.db_image_id for c in full.candidates]
-        == [c.db_image_id for c in covering.candidates]
-    )
+    checks.append(full.candidates.image_ids == covering.candidates.image_ids)
     checks.append(full.individuals == covering.individuals)
 
     # Distinct-individual top-k counting: two images of B ahead of one of A.
     dup = RankedResult(
         query_image_id="q",
-        candidates=[
-            MatchCandidate("b1", "B", 0.1, 0, 0.0, 0.1),
-            MatchCandidate("b2", "B", 0.2, 0, 0.0, 0.2),
-            MatchCandidate("a1", "A", 0.3, 0, 0.0, 0.3),
-        ],
+        candidates=Candidates(
+            image_ids=["b1", "b2", "a1"],
+            individual_ids=["B", "B", "A"],
+            d_L=np.array([0.1, 0.2, 0.3]),
+            n=np.zeros(3, dtype=int),
+            omega=np.zeros(3),
+            d_C=np.array([0.1, 0.2, 0.3]),
+            verified=np.zeros(3, dtype=bool),
+        ),
         individuals=["B", "A"],
     )
     checks.append(topk_accuracy([dup], {"q": "A"}, 1) == 0.0)
@@ -302,18 +301,13 @@ def table_benchmark(tmp_path_factory):
     def run_evaluation(csv_path):
         manifest = load_manifest(manifest_path)
         vocabulary = load_vocabulary(vocab_path)
-        geometry_cache, feature_cache = {}, {}
-        reports = {
-            rule: evaluate_split(
-                manifest,
-                vocabulary,
-                CombineParams(rule=rule),
-                k_max=5,
-                geometry_cache=geometry_cache,
-                feature_cache=feature_cache,
-            )
-            for rule in RULES
-        }
+        reports = evaluate(
+            manifest,
+            vocabulary,
+            [CombineParams(rule=rule) for rule in RULES],
+            "split",
+            k_max=5,
+        )
         write_per_query_csv(reports, csv_path)
         return reports
 
@@ -367,6 +361,18 @@ def test_ac6_determinism(capsys, table_benchmark):
         a == b,
         f"{len(a)} bytes",
     )
+
+
+def test_indexed_model_reproduces_benchmark_csv(table_benchmark):
+    """A model file with a database index gives AC-5's CSV byte for byte."""
+    root = table_benchmark.root
+    indexed = root / "indexed.bin"
+    assert main(["build-vocab", "--manifest", str(root / "bench" / "manifest.csv"),
+                 "--out", str(indexed)]) == 0
+    assert load_vocabulary(root / "vocab.txt").index == {}
+    assert main(["evaluate", "--manifest", str(root / "bench" / "manifest.csv"),
+                 "--vocab", str(indexed), "--per-query-csv", str(root / "indexed.csv")]) == 0
+    assert (root / "indexed.csv").read_bytes() == (root / "run_a.csv").read_bytes()
 
 
 def test_ac7_kpca_oracles(capsys):

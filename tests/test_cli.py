@@ -8,6 +8,7 @@ import pytest
 
 import patreid.cli
 import patreid.ingest
+import patreid.reid
 from patreid.cli import main
 from patreid.encode import embed_image
 from patreid.ingest import file_sha256, load_entry_features, load_manifest, parse_feature_file
@@ -190,13 +191,12 @@ def _reindexed(model, manifest_path, out):
     """model with every database row of the manifest embedded afresh."""
     vocabulary = load_vocabulary(model)
     manifest = load_manifest(manifest_path)
-    vocabulary.index = {
-        e.image_id: IndexRow(
-            file_sha256(manifest.entry_path(e)),
-            embed_image(load_entry_features(manifest, e), vocabulary),
+    vocabulary.index = {}
+    for e in manifest.with_role("database"):
+        features = load_entry_features(manifest, e)
+        vocabulary.index[e.image_id] = IndexRow(
+            file_sha256(manifest.entry_path(e)), embed_image(features, vocabulary), features
         )
-        for e in manifest.with_role("database")
-    }
     save_vocabulary(vocabulary, out)
     return out
 
@@ -222,6 +222,19 @@ def parse_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def embed_calls(monkeypatch):
+    """Image ids of every embed_image call a search makes."""
+    calls = []
+
+    def counted(features, vocabulary):
+        calls.append(features.image_id)
+        return embed_image(features, vocabulary)
+
+    monkeypatch.setattr(patreid.reid, "embed_image", counted)
+    return calls
+
+
 class TestDatabaseIndex:
     def test_stored_embeddings_bit_equal(self, indexed):
         bench, model = indexed
@@ -230,21 +243,62 @@ class TestDatabaseIndex:
         db = manifest.with_role("database")
         assert list(vocabulary.index) == [e.image_id for e in db]
         for e in db:
-            sha256, stored = vocabulary.index[e.image_id]
+            sha256, stored, features = vocabulary.index[e.image_id]
             assert sha256 == file_sha256(manifest.entry_path(e))
-            embedding = embed_image(load_entry_features(manifest, e), vocabulary)
+            parsed = load_entry_features(manifest, e)
+            embedding = embed_image(parsed, vocabulary)
             assert stored.values.tobytes() == embedding.values.tobytes()
             assert stored.degenerate == embedding.degenerate
+            assert features.frames.tobytes() == parsed.frames.tobytes()
+            assert features.descriptors.tobytes() == parsed.descriptors.tobytes()
 
     @pytest.mark.parametrize(
-        "flags, parsed",
-        [(("--rule", "exp", "--shortlist", "5"), 6), (("--rule", "app"), 1),
-         (("--rule", "geom", "--shortlist", "0"), 9)],
+        "argv",
+        [("query", "--rule", "exp", "--shortlist", "5"), ("query", "--rule", "app"),
+         ("query", "--rule", "geom", "--shortlist", "0"), ("evaluate", "--protocol", "split"),
+         ("evaluate", "--protocol", "loo")],
+        ids=["query-exp", "query-app", "query-geom-all", "evaluate-split", "evaluate-loo"],
     )
-    def test_parses_only_what_is_verified(self, indexed, capsys, parse_calls, flags, parsed):
+    def test_indexed_rows_never_parsed_or_embedded(
+        self, indexed, capsys, parse_calls, embed_calls, argv
+    ):
         bench, model = indexed
-        _query(capsys, bench, model, "ind003_v1.patf", *flags)
-        assert len(parse_calls) == parsed and parse_calls[0] == "ind003_v1.patf"
+        command, *flags = argv
+        args = [command, "--manifest", str(bench / "manifest.csv"), "--vocab", str(model)]
+        if command == "query":
+            args += ["--features", str(bench / "ind003_v1.patf")]
+            queries = ["ind003_v1"]
+        else:
+            queries = [e.image_id for e in load_manifest(bench / "manifest.csv").with_role("query")]
+        assert main(args + flags) == 0
+        # The database rows all come from the index; only the queries are read.
+        assert parse_calls == [f"{q}.patf" for q in queries]
+        assert embed_calls == queries
+
+    @pytest.mark.parametrize("protocol", ["split", "loo"])
+    def test_rewritten_file_evaluates_as_fresh_index(
+        self, indexed, tmp_path, parse_calls, embed_calls, protocol
+    ):
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        lines = (copy / "ind002_v0.patf").read_text(encoding="utf-8").splitlines()
+        lines[1] = "ind001_v0"
+        (copy / "ind001_v0.patf").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fresh = _reindexed(model, copy / "manifest.csv", tmp_path / "fresh.bin")
+        queries = [e.image_id for e in load_manifest(copy / "manifest.csv").with_role("query")]
+        csv = {}
+        for name, vocab in (("stale", model), ("fresh", fresh)):
+            parse_calls.clear()
+            embed_calls.clear()
+            out = tmp_path / f"{name}.csv"
+            assert main(["evaluate", "--manifest", str(copy / "manifest.csv"), "--vocab",
+                         str(vocab), "--protocol", protocol, "--per-query-csv", str(out)]) == 0
+            csv[name] = out.read_bytes()
+            if name == "stale":
+                read = sorted(queries + ["ind001_v0"])
+                assert sorted(parse_calls) == [f"{q}.patf" for q in read]
+                assert sorted(embed_calls) == read
+        assert csv["stale"] == csv["fresh"]
 
     def test_rewritten_file_matches_fresh_index(self, indexed, tmp_path, capsys, parse_calls):
         bench, model = indexed

@@ -56,6 +56,39 @@ def damaged(data):
     )
 
 
+# Values written into single entries of a model file's index feature arrays.
+MEMBER_VALUES = {
+    "index_feature_counts": [-1, 0, 1, 7, 1 << 62],
+    "index_frames": [0.0, -1.0, 1e-13, 1e200, np.nan, np.inf],
+    "index_descriptors": [0.0, 1.0, 2.0, 1e200, np.nan, -np.inf],
+}
+
+
+def members_damaged(data):
+    """Strategy: a model file with a few entries of its index feature arrays
+    overwritten, saved again as a valid archive."""
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+
+    def rewrite(edits):
+        changed = dict(arrays)
+        for name, at, value in edits:
+            flat = changed[name].copy().reshape(-1)
+            if flat.size:
+                flat[at % flat.size] = value
+            changed[name] = flat.reshape(arrays[name].shape)
+        out = io.BytesIO()
+        np.savez(out, **changed)
+        return out.getvalue()
+
+    edit = st.sampled_from(sorted(MEMBER_VALUES)).flatmap(
+        lambda name: st.tuples(
+            st.just(name), st.integers(0, 1 << 30), st.sampled_from(MEMBER_VALUES[name])
+        )
+    )
+    return st.lists(edit, min_size=1, max_size=3).map(rewrite)
+
+
 def retokened(text):
     """Strategy: text with some whitespace-separated tokens replaced."""
     words = text.split(" ")
@@ -122,7 +155,7 @@ def test_model_bytes(workspace):
     root, _, model = workspace
     data = model.read_bytes()
 
-    @given(damaged(data))
+    @given(damaged(data) | members_damaged(data))
     def run(blob):
         (root / "fuzz.bin").write_bytes(blob)
         try:
@@ -130,6 +163,13 @@ def test_model_bytes(workspace):
         except VocabError:
             return
         assert vocab.alpha > 0 and np.isfinite(vocab.kpca.training_vectors).all()
+        for row in vocab.index.values():
+            frames, descriptors = row.features.frames, row.features.descriptors
+            assert np.isfinite(frames).all() and np.isfinite(descriptors).all()
+            det = frames[:, 2] * frames[:, 5] - frames[:, 3] * frames[:, 4]
+            assert (np.abs(det) >= 1e-12).all()
+            norms = np.linalg.norm(descriptors, axis=1)
+            np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     run()
 
@@ -139,7 +179,7 @@ def test_cli_query(workspace):
     query = (bench / "ind001_v1.patf").read_bytes()
     data = model.read_bytes()
 
-    @given(damaged(query), damaged(data))
+    @given(damaged(query), damaged(data) | members_damaged(data))
     def run(query_blob, model_blob):
         (root / "q.patf").write_bytes(query_blob)
         (root / "fuzz.bin").write_bytes(model_blob)

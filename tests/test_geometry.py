@@ -7,12 +7,15 @@ import pytest
 
 from patreid.geometry import (
     COLLINEAR_EPS,
+    HYPOTHESIS_BLOCK,
     GeometryError,
     GeometryParams,
+    _affine_maps,
     _dlt_matrix,
     _minimal_homographies,
     _minimal_rows,
     _noncollinear,
+    _normalized,
     apply_homography,
     dlt_homography,
     geometric_similarity,
@@ -794,3 +797,55 @@ def test_verifier_matches_per_hypothesis_reference():
         np.testing.assert_array_equal(
             geometric_similarity(query, d).inlier_mask, reference_inliers(query, d)
         )
+
+
+def test_hypothesis_blocks_match_dense_scoring():
+    # 1,500 matches score in three blocks of HYPOTHESIS_BLOCK hypotheses.  Most
+    # of them are planted on one affine map, so many hypotheses tie for the
+    # largest consensus, in different blocks.
+    rng = np.random.default_rng(8)
+    m = 1500
+    assert 2 * HYPOTHESIS_BLOCK < m <= 3 * HYPOTHESIS_BLOCK
+    A, t = np.array([[1.1, 0.2], [-0.1, 0.95]]), np.array([4.0, -2.0])
+    planted = rng.random(m) < 0.6
+    src = rng.uniform(0, 100, (m, 2))
+    dst = np.where(planted[:, None], src @ A.T + t, rng.uniform(0, 100, (m, 2)))
+    frames_q = rotation(0.7, 2.0) + rng.uniform(-0.5, 0.5, (m, 2, 2))
+    frames_d = np.where(planted[:, None, None], A @ frames_q, rotation(-0.3, 1.5))
+    descriptors = unit_rows(rng, m, 64)
+
+    def features(points, frames, image_id):
+        return ImageFeatures(
+            image_id, np.column_stack([points, frames.reshape(-1, 4)]), descriptors
+        )
+
+    query, db = features(src, frames_q, "q"), features(dst, frames_d, "d")
+    verdict = geometric_similarity(query, db)
+
+    # Dense reference: every hypothesis in one (M, M) array, first argmax.
+    matches = match_descriptors(query, db)
+    assert len(matches) == m
+    n_src, s_q = _normalized(query.points[matches[:, 0]])
+    n_dst, s_d = _normalized(db.points[matches[:, 1]])
+    maps = _affine_maps(query.frames[matches[:, 0]], db.frames[matches[:, 1]], s_q / s_d)
+    residual = (n_src[None] - n_src[:, None]) @ maps.transpose(0, 2, 1)
+    residual -= n_dst[None] - n_dst[:, None]
+    masks = np.sum(residual * residual, axis=2) < 0.01
+    counts = masks.sum(axis=1)
+    best = int(np.argmax(counts))
+    ties = np.flatnonzero(counts == counts[best]) // HYPOTHESIS_BLOCK
+    assert ties.min() < ties.max()  # the best count recurs in a later block
+    mask = masks[best]
+    H = np.eye(3)
+    H[:2, :2] = maps[best]
+    H[:2, 2] = n_dst[best] - maps[best] @ n_src[best]
+    for _ in range(2):
+        refit = dlt_homography(n_src[mask], n_dst[mask]).matrix
+        grown = np.sum((apply_homography(refit, n_src) - n_dst) ** 2, axis=1) < 0.01
+        if grown.sum() <= mask.sum():
+            break
+        mask, H = grown, refit
+
+    np.testing.assert_array_equal(verdict.inlier_mask, mask)
+    assert verdict.n == mask.sum() and verdict.omega == mask.sum() / m
+    np.testing.assert_array_equal(verdict.homography.matrix, H)

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from oracles import embedded_database, ranking_oracle
 
-from patreid.encode import cosine_distance, embed_image, train_vocabulary
+import patreid.geometry
+from patreid.cli import main
+from patreid.encode import embed_image, train_vocabulary
 from patreid.ingest import (
     ImageFeatures,
     Manifest,
     ManifestEntry,
     load_entry_features,
+    load_manifest,
     write_feature_file,
 )
 from patreid.reid import (
@@ -16,23 +20,22 @@ from patreid.reid import (
     CombineParams,
     DbEntry,
     EvalReport,
-    MatchCandidate,
     PerQueryRecord,
     RankedResult,
     ReidDatabase,
     ReidError,
-    build_database,
     combine_exponential,
     combine_polynomial,
+    evaluate,
     evaluate_leave_one_out,
     evaluate_split,
     query_database,
-    score_pair,
+    rank_queries,
     topk_accuracy,
     write_per_query_csv,
 )
 from patreid.synth import SynthConfig, generate_benchmark, generate_individual, render_observation
-from patreid.vocab import Embedding
+from patreid.vocab import Embedding, load_vocabulary
 
 
 class TestCombinePolynomial:
@@ -136,7 +139,7 @@ def synth_setup(seed=21, n_individuals=4, views=3, **overrides):
 @pytest.fixture(scope="module")
 def small_world():
     cfg, db_features, queries, vocabulary = synth_setup()
-    db = build_database(vocabulary, db_features)
+    db = embedded_database(vocabulary, db_features)
     return cfg, db, queries, vocabulary
 
 
@@ -144,7 +147,7 @@ class TestQueryDatabase:
     def test_database_image_ranks_itself_first(self, small_world):
         _, db, _, _ = small_world
         result = query_database(db, db.entries[0].features, CombineParams())
-        assert result.candidates[0].db_image_id == db.entries[0].image_id
+        assert result.candidates.image_ids[0] == db.entries[0].image_id
         assert result.individuals[0] == db.entries[0].individual_id
 
     def test_true_individual_ranks_first(self, small_world):
@@ -167,9 +170,9 @@ class TestQueryDatabase:
             doubled.append(
                 dataclasses.replace(entry.features, image_id=entry.image_id + "_copy")
             )
-        db2 = build_database(vocabulary, doubled)
+        db2 = embedded_database(vocabulary, doubled)
         result = query_database(db2, queries[0], CombineParams())
-        assert len(result.candidates) == 2 * len(db.entries)
+        assert len(result.candidates.image_ids) == 2 * len(db.entries)
         assert sorted(result.individuals) == sorted(e.individual_id for e in db.entries)
 
     def test_shortlist_equivalence_when_covering(self, small_world):
@@ -181,14 +184,14 @@ class TestQueryDatabase:
             db, queries[0], CombineParams(shortlist_size=len(db.entries))
         )
         assert full.individuals == covering.individuals
-        for a, b in zip(full.candidates, covering.candidates):
-            assert (a.db_image_id, a.d_C, a.n, a.omega) == (b.db_image_id, b.d_C, b.n, b.omega)
+        for name in ("image_ids", "d_C", "n", "omega"):
+            assert list(getattr(full.candidates, name)) == list(getattr(covering.candidates, name))
 
     def test_unverified_rank_after_verified(self, small_world):
         _, db, queries, _ = small_world
         params = CombineParams(rule="exponential", shortlist_size=1)
         result = query_database(db, queries[0], params)
-        verified_flags = [c.verified for c in result.candidates]
+        verified_flags = result.candidates.verified.tolist()
         assert verified_flags[0] is True
         assert sum(verified_flags) == 1
         assert all(not v for v in verified_flags[1:])
@@ -198,18 +201,17 @@ class TestQueryDatabase:
         result = query_database(
             db, queries[0], CombineParams(rule="appearance_only")
         )
-        for c in result.candidates:
-            assert c.n == 0 and c.omega == 0.0
-            assert c.d_C == c.d_L
+        c = result.candidates
+        assert (c.n == 0).all() and (c.omega == 0.0).all()
+        assert (c.d_C == c.d_L).all()
 
     def test_geometry_only_scores_negative_inliers(self, small_world):
         _, db, queries, _ = small_world
         result = query_database(
             db, queries[0], CombineParams(rule="geometry_only")
         )
-        for c in result.candidates:
-            if c.verified:
-                assert c.d_C == -c.n
+        c = result.candidates
+        assert (c.d_C[c.verified] == -c.n[c.verified]).all()
 
     def test_empty_database_rejected(self, small_world):
         _, db, queries, vocabulary = small_world
@@ -220,19 +222,22 @@ class TestQueryDatabase:
                 CombineParams(),
             )
 
-    def test_geometry_cache_reused_across_rules(self, small_world):
-        _, db, queries, _ = small_world
-        cache = {}
-        a = query_database(
-            db, queries[0], CombineParams(rule="polynomial"), geometry_cache=cache
+    def test_geometry_cache_reused_across_rules(self, small_world, monkeypatch):
+        _, db, queries, vocabulary = small_world
+        calls = []
+        verify = patreid.geometry.geometric_similarity
+        monkeypatch.setattr(
+            patreid.geometry,
+            "geometric_similarity",
+            lambda q, d, params: calls.append(d.image_id) or verify(q, d, params),
         )
-        cached = dict(cache)
-        b = query_database(
-            db, queries[0], CombineParams(rule="exponential"), geometry_cache=cache
-        )
-        assert cache == cached  # same pairs, no recomputation
-        by_id_a = {c.db_image_id: (c.n, c.omega) for c in a.candidates}
-        by_id_b = {c.db_image_id: (c.n, c.omega) for c in b.candidates}
+        query = (queries[0], embed_image(queries[0], vocabulary))
+        rules = [CombineParams(rule="polynomial"), CombineParams(rule="exponential")]
+        results = rank_queries(db, [query], rules)
+        assert sorted(calls) == sorted(e.image_id for e in db.entries)  # once per pair
+        a, b = (results[p.rule][0].candidates for p in rules)
+        by_id_a = dict(zip(a.image_ids, zip(a.n.tolist(), a.omega.tolist())))
+        by_id_b = dict(zip(b.image_ids, zip(b.n.tolist(), b.omega.tolist())))
         assert by_id_a == by_id_b
 
 
@@ -252,12 +257,13 @@ class TestScorePair:
             features=entry.features,
         )
         query_embedding = Embedding(values=np.zeros(2), degenerate=True)
-        d_l = cosine_distance(query_embedding, hobbled.embedding)
-        candidate = score_pair(
-            truth_query, d_l, hobbled, CombineParams(rule="exponential")
-        )
-        assert candidate.d_L == 2.0
-        assert candidate.n > 0  # geometry ran despite the appearance blackout
+        candidate = rank_queries(
+            ReidDatabase(db.vocabulary, [hobbled]),
+            [(truth_query, query_embedding)],
+            [CombineParams(rule="exponential")],
+        )["exponential"][0].candidates
+        assert candidate.d_L[0] == 2.0
+        assert candidate.n[0] > 0  # geometry ran despite the appearance blackout
 
 
 class TestBuildDatabase:
@@ -266,13 +272,13 @@ class TestBuildDatabase:
         import dataclasses
         unlabeled = dataclasses.replace(db.entries[0].features, individual_id=None)
         with pytest.raises(ReidError, match="individual_id"):
-            build_database(vocabulary, [unlabeled])
+            embedded_database(vocabulary, [unlabeled])
 
     def test_rejects_duplicate_ids(self, small_world):
         _, db, _, vocabulary = small_world
         f = db.entries[0].features
         with pytest.raises(ReidError, match="duplicate"):
-            build_database(vocabulary, [f, f])
+            embedded_database(vocabulary, [f, f])
 
 
 def write_benchmark_manifest(tmp_path, cfg_seed=31, n_individuals=3, views=3):
@@ -399,6 +405,52 @@ class TestEvaluateLeaveOneOut:
         solo = Manifest(entries=manifest.entries[:1], base_dir=manifest.base_dir)
         with pytest.raises(ReidError, match="at least 2"):
             evaluate_leave_one_out(solo, vocabulary, CombineParams())
+
+
+@pytest.fixture(scope="module")
+def noisy_world(tmp_path_factory):
+    """A small noisy benchmark with imperfect rankings, and its indexed model.
+
+    Three empty images of individual "blank" have degenerate embeddings, so
+    every d_L from or to them is 2: their rankings are decided by image id.
+    """
+    root = tmp_path_factory.mktemp("noisy")
+    bench, model = root / "bench", root / "model.bin"
+    assert main(["synth", "--seed", "11", "--individuals", "5", "--views", "3",
+                 "--points", "25", "--noise", "0.3", "--dropout", "0.6", "--clutter", "1.0",
+                 "--max-perspective", "0.3", "--out", str(bench)]) == 0
+    rows = []
+    for image_id, role in (("blank_a", "database"), ("blank_b", "database"), ("blank_q", "query")):
+        write_feature_file(
+            ImageFeatures(image_id, np.zeros((0, 6)), np.zeros((0, 128))), bench / f"{image_id}.patf"
+        )
+        rows.append(f"{image_id},blank,,{role},{image_id}.patf\n")
+    with open(bench / "manifest.csv", "a", encoding="utf-8") as fh:
+        fh.writelines(rows)
+    # The two empty database images share one Fisher vector: kernel rank 5.
+    assert main(["build-vocab", "--manifest", str(bench / "manifest.csv"), "--out", str(model),
+                 "--gmm-k", "4", "--pca-dim", "16", "--kpca-dim", "5"]) == 0
+    return load_manifest(bench / "manifest.csv"), load_vocabulary(model)
+
+
+class TestRankingOracle:
+    @pytest.mark.parametrize("protocol", ["split", "leave_one_out"])
+    @pytest.mark.parametrize("shortlist", [0, 3, 20])
+    def test_evaluate_matches_oracle(self, noisy_world, protocol, shortlist):
+        manifest, vocabulary = noisy_world
+        assert 20 > len(manifest.entries)  # the last shortlist covers every image
+        reports = evaluate(
+            manifest,
+            vocabulary,
+            [CombineParams(rule=rule, shortlist_size=shortlist) for rule in RULES],
+            protocol,
+        )
+        for rule in RULES:
+            records = [
+                (r.query_image_id, r.truth, r.rank_of_truth, r.d_L, r.n, r.omega, r.d_C)
+                for r in reports[rule].records
+            ]
+            assert records == ranking_oracle(manifest, vocabulary, rule, shortlist, protocol)
 
 
 class TestPerQueryCsv:

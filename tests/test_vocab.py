@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import dense_kpca_oracle
 
+from patreid.ingest import ImageFeatures
 from patreid.vocab import (
     Embedding,
     Gmm,
@@ -461,15 +462,29 @@ class TestVocabularyPersistence:
         np.testing.assert_array_equal(load_vocabulary(path).gmm.weights, vocab.gmm.weights)
 
 
+def _features(image_id, count, rng, dim=10):
+    frames = np.zeros((count, 6))
+    frames[:, :2] = rng.uniform(0, 100, (count, 2))
+    frames[:, 2:6] = [2.0, 0.5, -0.25, 1.5]
+    descriptors = rng.standard_normal((count, dim))
+    descriptors /= np.linalg.norm(descriptors, axis=1, keepdims=True)
+    return ImageFeatures(image_id=image_id, frames=frames, descriptors=descriptors)
+
+
 def _indexed_vocabulary():
-    """A small vocabulary whose index holds three rows, one of them degenerate."""
+    """A small vocabulary whose index holds three rows of 3, 2 and 0 features,
+    the empty one degenerate."""
     vocab = TestVocabularyPersistence()._make_vocabulary()
     rng = np.random.default_rng(5)
     m = vocab.kpca.out_dim
     for i in range(2):
         v = rng.standard_normal(m)
-        vocab.index[f"img{i}"] = IndexRow(f"{i:064x}", Embedding(values=v / np.linalg.norm(v)))
-    vocab.index["empty"] = IndexRow("f" * 64, Embedding(values=np.zeros(m), degenerate=True))
+        vocab.index[f"img{i}"] = IndexRow(
+            f"{i:064x}", Embedding(values=v / np.linalg.norm(v)), _features(f"img{i}", 3 - i, rng)
+        )
+    vocab.index["empty"] = IndexRow(
+        "f" * 64, Embedding(values=np.zeros(m), degenerate=True), _features("empty", 0, rng, dim=4)
+    )
     return vocab
 
 
@@ -489,11 +504,17 @@ class TestModelFile:
         save_vocabulary(vocab, path)
         loaded = load_vocabulary(path)
         assert list(loaded.index) == list(vocab.index)
-        for image_id, (digest, embedding) in vocab.index.items():
+        for image_id, (digest, embedding, features) in vocab.index.items():
             assert loaded.index[image_id].sha256 == digest
             restored = loaded.index[image_id].embedding
             assert restored.values.tobytes() == embedding.values.tobytes()
             assert restored.degenerate == embedding.degenerate
+            parsed = loaded.index[image_id].features
+            assert parsed.image_id == image_id
+            assert parsed.frames.tobytes() == features.frames.tobytes()
+            # An empty image's descriptors come back descriptor_dim wide.
+            assert parsed.descriptors.shape == (features.count, vocab.descriptor_dim)
+            assert parsed.descriptors.tobytes() == features.descriptors.tobytes()
 
     def test_plain_npz_at_the_given_path(self, tmp_path):
         # np.savez would write vocab-0.txt.npz; timestamps would vary by build.
@@ -539,11 +560,35 @@ class TestModelFile:
              "image id twice"),
             (lambda a: {"index_image_ids": a["index_image_ids"].astype(object)},
              "unreadable model file"),
-            (lambda a: {"version": np.array(1)}, "version 1, expected 2"),
+            (lambda a: {"version": np.array(1)}, "version 1, expected 3"),
+            (lambda a: {"version": np.array(2), "index_feature_counts": None,
+                        "index_frames": None, "index_descriptors": None},
+             r"version 2, expected 3 \(rebuild it with build-vocab\)"),
+            (lambda a: {"index_feature_counts": np.array([-1, 6, 0])}, "feature counts"),
+            (lambda a: {"index_feature_counts": np.array([3, 1, 0])}, "feature counts"),
+            (lambda a: {"index_frames": a["index_frames"][:, :-1]},
+             r"'index_frames' has shape \(5, 5\), expected \(5, 6\)"),
+            (lambda a: {"index_descriptors": a["index_descriptors"][:-1]},
+             r"'index_descriptors' has shape \(4, 10\), expected \(5, 10\)"),
+            (lambda a: {"index_descriptors": a["index_descriptors"][:, :-1]},
+             "index descriptor width 9 != descriptor_dim 10"),
+            (lambda a: {"index_frames": np.where(a["index_frames"] > 99, np.inf, a["index_frames"])},
+             "non-finite value in index"),
+            (lambda a: {"index_descriptors": np.where(a["index_descriptors"] > 0.5, np.nan, 0.0)},
+             "non-finite value in index"),
+            (lambda a: {"index_frames": a["index_frames"] * [1, 1, 1, 1, 0, 1e-13]},
+             r"index frame with \|det\| < 1e-12"),
+            (lambda a: {"index_frames": a["index_frames"] * [1, 1, 1e200, 1, 1, 1e200]},
+             r"index frame with \|det\| < 1e-12 or overflowing"),
+            (lambda a: {"index_descriptors": a["index_descriptors"] * (1.0 + 1e-11)},
+             "index descriptor whose norm is not 1"),
         ],
         ids=["missing", "dtype", "bool_dtype", "shape", "scalar_shape", "index_lengths",
              "embedding_dim", "embedding_nan", "embedding_norm", "degenerate_flag",
-             "duplicate_id", "object_array", "version"],
+             "duplicate_id", "object_array", "version", "old_version", "negative_count",
+             "count_sum", "frame_width", "feature_lengths", "descriptor_width",
+             "frame_inf", "descriptor_nan", "singular_frame", "det_overflow",
+             "descriptor_norm"],
     )
     def test_rejected(self, tmp_path, change, message):
         path = tmp_path / "vocab.txt"
