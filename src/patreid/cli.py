@@ -25,15 +25,14 @@ from .ingest import (
 from .reid import (
     RULES,
     CombineParams,
-    ReidDatabase,
     ReidError,
-    database_entry,
     evaluate,
+    load_images,
     query_database,
     write_per_query_csv,
 )
 from .synth import SynthConfig, generate_benchmark
-from .vocab import IndexRow, VocabError, as_loaded, load_vocabulary, save_vocabulary
+from .vocab import IndexRow, VocabError, load_vocabulary, save_vocabulary
 
 RULE_TOKENS = {
     "app": "appearance_only",
@@ -148,8 +147,6 @@ def cmd_build_vocab(args) -> int:
         )
     except VocabError as exc:
         raise UsageError(f"insufficient data: {exc}") from None
-    # The index is embedded under the model as a query will load it.
-    vocabulary = as_loaded(vocabulary)
     vocabulary.index = {
         e.image_id: IndexRow(
             file_sha256(manifest.entry_path(e)), embed_image(features, vocabulary), features
@@ -171,15 +168,11 @@ def cmd_query(args) -> int:
     db_entries = manifest.with_role("database")
     if not db_entries:
         raise UsageError("no database entries in manifest")
+    db = load_images(manifest, db_entries, vocabulary)
     try:
-        db = ReidDatabase(
-            vocabulary=vocabulary,
-            entries=[database_entry(manifest, e, vocabulary) for e in db_entries],
-        )
+        result = query_database(db, vocabulary, query_features, params, geometry_params)
     except ReidError as exc:
         raise UsageError(str(exc)) from None
-
-    result = query_database(db, query_features, params, geometry_params=geometry_params)
 
     c = result.candidates
     best = {}

@@ -15,7 +15,6 @@ import numpy as np
 
 from .ingest import ImageFeatures
 from .vocab import (
-    Embedding,
     Gmm,
     PcaModel,
     Vocabulary,
@@ -93,28 +92,34 @@ def power_l2_normalize(v: np.ndarray, alpha: float = 0.5) -> np.ndarray:
     return p if norm == 0.0 else p / norm
 
 
-def embed_image(features: ImageFeatures, vocab: Vocabulary) -> Embedding:
+def embed_image(features: ImageFeatures, vocab: Vocabulary) -> np.ndarray:
     """Full appearance chain: Fisher vector, normalization, kernel PCA.
 
-    Images with no features (or an exactly-zero encoding) come back flagged
-    degenerate; everything else is unit norm.
+    Images with no features (or an exactly-zero encoding) are degenerate and
+    come back as the zero vector; everything else is unit norm.
     """
-    if features.count == 0:
-        return Embedding(values=np.zeros(vocab.kpca.out_dim), degenerate=True)
     fv = fisher_encode(features, vocab.pca, vocab.gmm)
     nv = power_l2_normalize(fv, vocab.alpha)
     if not np.any(nv):
-        return Embedding(values=np.zeros(vocab.kpca.out_dim), degenerate=True)
+        return np.zeros(vocab.kpca.out_dim)
     return apply_kpca(vocab.kpca, nv)
 
 
-def cosine_distance(a: Embedding, b: Embedding) -> float:
-    """d_L = 1 - cos(a, b), in [0, 2]; degenerate inputs score maximal 2."""
-    if a.degenerate or b.degenerate:
-        return 2.0
-    na = float(np.linalg.norm(a.values))
-    nb = float(np.linalg.norm(b.values))
-    return float(1.0 - float(a.values @ b.values) / (na * nb))
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, one vector product per pair: the
+    same bits as a 1-D a @ b, whatever the leading axes."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def cosine_distance(a: np.ndarray, b: np.ndarray):
+    """d_L = 1 - cos(a, b), in [0, 2], over the last axis of two embedding
+    arrays whose leading axes broadcast; a zero vector (a degenerate image)
+    scores the maximal 2.  1-D inputs give a scalar."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    norms = np.sqrt(_dot(a, a)) * np.sqrt(_dot(b, b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 1.0 - _dot(a, b) / norms
+    return np.where(norms == 0, 2.0, d)[()]
 
 
 def train_vocabulary(

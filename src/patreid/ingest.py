@@ -259,6 +259,8 @@ def load_manifest(path) -> Manifest:
         image_id = (row["image_id"] or "").strip()
         if not image_id:
             raise ManifestError(f"{path}: empty image_id")
+        if None in row:  # DictReader files a row's extra values under None
+            raise ManifestError(f"{path}: row of {image_id!r} has more fields than the header")
         if image_id in seen:
             raise ManifestError(f"{path}: duplicate image_id {image_id!r}")
         seen.add(image_id)

@@ -20,7 +20,7 @@ from . import geometry
 from .encode import cosine_distance, embed_image
 from .geometry import GeometryParams
 from .ingest import ImageFeatures, Manifest, ManifestEntry, file_sha256, load_entry_features
-from .vocab import Embedding, Vocabulary
+from .vocab import Vocabulary
 
 RULES = ("appearance_only", "geometry_only", "polynomial", "exponential")
 GEOMETRY_RULES = ("geometry_only", "polynomial", "exponential")
@@ -67,29 +67,12 @@ class RankedResult:
     individuals: List[str]
 
 
-@dataclass
-class DbEntry:
-    """A searchable image: its label, embedding and features."""
+class Images(NamedTuple):
+    """Labelled images: features[i] (with individual_id) and embeddings[i],
+    an (N, m) row that is unit norm, or zero for a degenerate image."""
 
-    image_id: str
-    individual_id: str
-    embedding: Embedding
-    features: ImageFeatures
-
-
-@dataclass
-class ReidDatabase:
-    vocabulary: Vocabulary
-    entries: List[DbEntry]
-
-    def __post_init__(self):
-        seen = set()
-        for e in self.entries:
-            if e.image_id in seen:
-                raise ReidError(f"duplicate database image_id {e.image_id!r}")
-            seen.add(e.image_id)
-            if not e.individual_id:
-                raise ReidError(f"database image {e.image_id!r} has no individual_id")
+    features: List[ImageFeatures]
+    embeddings: np.ndarray
 
 
 @dataclass
@@ -139,20 +122,26 @@ def _combine(params: CombineParams, d_l: float, n: int, omega: float) -> float:
     return combine_exponential(d_l, n, params.epsilon)
 
 
-def database_entry(manifest: Manifest, entry: ManifestEntry, vocabulary: Vocabulary) -> DbEntry:
-    """A manifest row's features and embedding, read from the model file's
-    index when the row's PATF file still has the indexed sha256.
+def load_images(
+    manifest: Manifest, entries: Sequence[ManifestEntry], vocabulary: Vocabulary
+) -> Images:
+    """Manifest rows' labelled features and embeddings, each read from the
+    model file's index when the row's PATF file still has the indexed sha256.
 
     Any other row is parsed and embedded, so a stale index is slower, never
     wrong.
     """
-    row = vocabulary.index.get(entry.image_id)
-    if row is not None and row.sha256 == file_sha256(manifest.entry_path(entry)):
-        features, embedding = row.features, row.embedding
-    else:
-        features = load_entry_features(manifest, entry)
-        embedding = embed_image(features, vocabulary)
-    return DbEntry(entry.image_id, entry.individual_id, embedding, features)
+    features, embeddings = [], []
+    for entry in entries:
+        row = vocabulary.index.get(entry.image_id)
+        if row is not None and row.sha256 == file_sha256(manifest.entry_path(entry)):
+            labels = {"individual_id": entry.individual_id, "viewpoint": entry.viewpoint}
+            features.append(replace(row.features, **labels))
+            embeddings.append(row.embedding)
+        else:
+            features.append(load_entry_features(manifest, entry))
+            embeddings.append(embed_image(features[-1], vocabulary))
+    return Images(features, np.reshape(embeddings, (len(entries), vocabulary.kpca.out_dim)))
 
 
 def _shortlist_size(params: CombineParams, rows: int) -> int:
@@ -165,8 +154,8 @@ def _shortlist_size(params: CombineParams, rows: int) -> int:
 
 
 def rank_queries(
-    db: ReidDatabase,
-    queries: Sequence[Tuple[ImageFeatures, Embedding]],
+    db: Images,
+    queries: Images,
     rule_params: Sequence[CombineParams],
     geometry_params: GeometryParams = GeometryParams(),
     self_rows: Optional[Sequence[int]] = None,
@@ -183,25 +172,31 @@ def rank_queries(
     """
     for params in rule_params:
         params.validate()
-    if not db.entries:
+    if not db.features:
         raise ReidError("database is empty")
-    entries = db.entries
-    ids = [e.image_id for e in entries]
+    ids = [f.image_id for f in db.features]
+    for f in db.features:
+        if not f.individual_id:
+            raise ReidError(f"database image {f.image_id!r} has no individual_id")
+    if len(set(ids)) != len(ids):
+        duplicate = next(i for i in ids if ids.count(i) > 1)
+        raise ReidError(f"duplicate database image_id {duplicate!r}")
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    distances = cosine_distance(queries.embeddings[:, None], db.embeddings[None])
 
     results: Dict[str, List[RankedResult]] = {params.rule: [] for params in rule_params}
-    for q, (features, embedding) in enumerate(queries):
-        rows = np.arange(len(entries))
+    for q, features in enumerate(queries.features):
+        rows = np.arange(len(ids))
         if self_rows is not None:
             rows = np.delete(rows, self_rows[q])
-        d_l = np.array([cosine_distance(embedding, entries[j].embedding) for j in rows])
+        d_l = distances[q, rows]
         stage1 = np.lexsort((id_rank[rows], d_l))
         rows, d_l = rows[stage1], d_l[stage1]
 
         shortlists = [_shortlist_size(params, len(rows)) for params in rule_params]
         verdicts = [
-            geometry.geometric_similarity(features, entries[j].features, params=geometry_params)
+            geometry.geometric_similarity(features, db.features[j], params=geometry_params)
             for j in rows[: max(shortlists, default=0)]
         ]
         for params, k in zip(rule_params, shortlists):
@@ -212,7 +207,7 @@ def rank_queries(
             is_verified = np.arange(len(rows)) < k
             order = np.lexsort((id_rank[rows], d_l, d_c, ~is_verified))
             ranked = rows[order]
-            individual_ids = [entries[j].individual_id for j in ranked]
+            individual_ids = [db.features[j].individual_id for j in ranked]
             candidates = Candidates(
                 image_ids=[ids[j] for j in ranked],
                 individual_ids=individual_ids,
@@ -229,14 +224,15 @@ def rank_queries(
 
 
 def query_database(
-    db: ReidDatabase,
+    db: Images,
+    vocabulary: Vocabulary,
     query_features: ImageFeatures,
     params: CombineParams,
     geometry_params: GeometryParams = GeometryParams(),
 ) -> RankedResult:
     """One query image's ranking under one rule: rank_queries with Q = 1."""
-    query = (query_features, embed_image(query_features, db.vocabulary))
-    return rank_queries(db, [query], [params], geometry_params)[params.rule][0]
+    query = Images([query_features], embed_image(query_features, vocabulary)[None])
+    return rank_queries(db, query, [params], geometry_params)[params.rule][0]
 
 
 def topk_accuracy(
@@ -295,27 +291,22 @@ def _split_search(manifest: Manifest, vocabulary: Vocabulary):
         raise ReidError("manifest has no database entries")
     if not query_entries:
         raise ReidError("manifest has no query entries")
-    db = ReidDatabase(
-        vocabulary, [database_entry(manifest, e, vocabulary) for e in db_entries]
-    )
-    known = {e.individual_id for e in db.entries}
+    db = load_images(manifest, db_entries, vocabulary)
+    known = {f.individual_id for f in db.features}
 
-    queries = []
-    truths = {}
+    kept = []
     excluded = []
     for entry in query_entries:
         if entry.individual_id is None:
             excluded.append((entry.image_id, "unlabeled"))
-            continue
-        if entry.individual_id not in known:
+        elif entry.individual_id not in known:
             excluded.append((entry.image_id, "no_database_match"))
-            continue
-        query = database_entry(manifest, entry, vocabulary)
-        truths[entry.image_id] = entry.individual_id
-        queries.append((query.features, query.embedding))
-    if not queries:
+        else:
+            kept.append(entry)
+    if not kept:
         raise ReidError("all split queries were excluded")
-    return db, queries, truths, excluded, None
+    truths = {e.image_id: e.individual_id for e in kept}
+    return db, load_images(manifest, kept, vocabulary), truths, excluded, None
 
 
 def _loo_identity_unit(entries) -> bool:
@@ -343,31 +334,24 @@ def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
             excluded.append((e.image_id, "unlabeled"))
             continue
         unit = f"{e.individual_id}|{e.viewpoint}" if use_viewpoint else e.individual_id
-        labeled.append((e, unit))
+        labeled.append(replace(e, individual_id=unit))
 
     unit_counts: Dict[str, int] = {}
-    for _, unit in labeled:
-        unit_counts[unit] = unit_counts.get(unit, 0) + 1
+    for e in labeled:
+        unit_counts[e.individual_id] = unit_counts.get(e.individual_id, 0) + 1
 
-    db = ReidDatabase(
-        vocabulary,
-        [
-            replace(database_entry(manifest, e, vocabulary), individual_id=unit)
-            for e, unit in labeled
-        ],
-    )
-    queries = []
+    db = load_images(manifest, labeled, vocabulary)
     truths = {}
     self_rows = []
-    for row, (e, unit) in enumerate(labeled):
-        if unit_counts[unit] < 2:
+    for row, e in enumerate(labeled):
+        if unit_counts[e.individual_id] < 2:
             excluded.append((e.image_id, "singleton_identity"))
             continue
-        truths[e.image_id] = unit
-        queries.append((db.entries[row].features, db.entries[row].embedding))
+        truths[e.image_id] = e.individual_id
         self_rows.append(row)
-    if not queries:
+    if not self_rows:
         raise ReidError("all leave-one-out queries were excluded")
+    queries = Images([db.features[row] for row in self_rows], db.embeddings[self_rows])
     return db, queries, truths, excluded, self_rows
 
 
@@ -385,8 +369,8 @@ def evaluate(
     """Each rule's report under protocol ("split" or "leave_one_out").
 
     Every image is read and embedded once (database rows from the model
-    file's index where it is current, see database_entry) and every rule
-    ranks the same search, see rank_queries.
+    file's index where it is current, see load_images) and every rule ranks
+    the same search, see rank_queries.
     """
     db, queries, truths, excluded, self_rows = _PROTOCOLS[protocol](manifest, vocabulary)
     results = rank_queries(db, queries, rule_params, geometry_params, self_rows)
@@ -394,30 +378,6 @@ def evaluate(
         rule: _report(protocol, ranked, truths, excluded, k_max)
         for rule, ranked in results.items()
     }
-
-
-def evaluate_split(
-    manifest: Manifest,
-    vocabulary: Vocabulary,
-    params: CombineParams,
-    k_max: int = 5,
-    geometry_params: GeometryParams = GeometryParams(),
-) -> EvalReport:
-    """The database/query-split report of one rule; see evaluate."""
-    return evaluate(manifest, vocabulary, [params], "split", k_max, geometry_params)[params.rule]
-
-
-def evaluate_leave_one_out(
-    manifest: Manifest,
-    vocabulary: Vocabulary,
-    params: CombineParams,
-    k_max: int = 5,
-    geometry_params: GeometryParams = GeometryParams(),
-) -> EvalReport:
-    """The leave-one-out report of one rule; see evaluate."""
-    return evaluate(
-        manifest, vocabulary, [params], "leave_one_out", k_max, geometry_params
-    )[params.rule]
 
 
 def write_per_query_csv(reports: Dict[str, EvalReport], path) -> None:

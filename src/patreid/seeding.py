@@ -1,9 +1,8 @@
 """Deterministic RNG stream derivation.
 
-Every random draw in the pipeline comes from a generator derived here, so
-that runs are reproducible from a single global seed and independent work
-items (individuals, views, query/database pairs) get decorrelated streams
-regardless of execution order.
+The synthetic benchmark draws from generators derived here, so that it is
+reproducible from a single global seed and independent work items
+(individuals, views) get decorrelated streams regardless of execution order.
 """
 
 from __future__ import annotations

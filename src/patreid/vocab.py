@@ -22,7 +22,7 @@ from .ingest import FRAME_FIELDS, ImageFeatures
 
 VARIANCE_FLOOR = 1e-6
 WHITEN_FLOOR = 1e-12
-VOCAB_VERSION = 3
+VOCAB_VERSION = 4
 
 
 class VocabError(ValueError):
@@ -72,20 +72,13 @@ class KpcaModel:
         return self.alphas.shape[1]
 
 
-@dataclass
-class Embedding:
-    """Final appearance vector of one image; unit norm unless degenerate."""
-
-    values: np.ndarray
-    degenerate: bool = False
-
-
 class IndexRow(NamedTuple):
-    """A database image's embedding and parsed features, and the sha256 of the
-    PATF bytes they came from."""
+    """A database image's embedding (unit norm, or zero for a degenerate
+    image) and parsed features, and the sha256 of the PATF bytes they came
+    from."""
 
     sha256: str
-    embedding: Embedding
+    embedding: np.ndarray
     features: ImageFeatures
 
 
@@ -301,7 +294,9 @@ def fit_kpca(fisher_vectors: np.ndarray, out_dim: int) -> KpcaModel:
         )
         out_dim = n_pos
     eigvals = eigvals[:out_dim]
-    V = _sign_fix_rows(eigvecs[:, :out_dim].T).T
+    # C order, as a model file loads them: embeddings made at build time are
+    # then bit-equal to a query's.
+    V = np.ascontiguousarray(_sign_fix_rows(eigvecs[:, :out_dim].T).T)
     alphas = V / np.sqrt(eigvals)[None, :]
     projections = V * np.sqrt(eigvals)[None, :]
     return KpcaModel(
@@ -314,13 +309,13 @@ def fit_kpca(fisher_vectors: np.ndarray, out_dim: int) -> KpcaModel:
     )
 
 
-def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> Embedding:
+def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> np.ndarray:
     """Project one normalized Fisher vector through the fitted kernel PCA.
 
     The kernel row against the training vectors is centered with the stored
     statistics and multiplied by the coefficients; the projection is then
     L2-normalized.  An exactly-zero projection cannot be normalized and is
-    returned as a zero vector flagged degenerate.
+    returned as the zero vector, the degenerate embedding.
     """
     v = np.asarray(fisher_vector, dtype=np.float64)
     if v.shape != (model.training_vectors.shape[1],):
@@ -333,8 +328,8 @@ def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> Embedding:
     projection = centered @ model.alphas
     norm = float(np.linalg.norm(projection))
     if norm < 1e-30:
-        return Embedding(values=np.zeros(model.out_dim), degenerate=True)
-    return Embedding(values=projection / norm, degenerate=False)
+        return np.zeros(model.out_dim)
+    return projection / norm
 
 
 # The trained stages, stored field by field as "<section>_<field>" arrays.
@@ -367,7 +362,6 @@ _LAYOUT = {
     "index_image_ids": ("U", ("rows",)),
     "index_sha256": ("U", ("rows",)),
     "index_embeddings": ("f8", ("rows", "m")),
-    "index_degenerate": ("?", ("rows",)),
     "index_feature_counts": ("i8", ("rows",)),
     "index_frames": ("f8", ("features", "frame_fields")),
     "index_descriptors": ("f8", ("features", "index_dim")),
@@ -386,9 +380,8 @@ def _model_arrays(vocab: Vocabulary) -> Dict[str, np.ndarray]:
         "index_image_ids": list(vocab.index),
         "index_sha256": [row.sha256 for row in rows],
         "index_embeddings": np.reshape(
-            [row.embedding.values for row in rows], (len(rows), vocab.kpca.out_dim)
+            [row.embedding for row in rows], (len(rows), vocab.kpca.out_dim)
         ),
-        "index_degenerate": [row.embedding.degenerate for row in rows],
         "index_feature_counts": [f.count for f in features],
         "index_frames": np.concatenate(
             [np.zeros((0, len(FRAME_FIELDS)))] + [f.frames for f in features]
@@ -441,13 +434,9 @@ def _vocabulary_from(arrays: Dict[str, np.ndarray], path) -> Vocabulary:
     a = {name: x.item() if x.ndim == 0 else x for name, x in arrays.items()}
     ids = a["index_image_ids"].tolist()
     index = {
-        image_id: IndexRow(digest, Embedding(values=values, degenerate=bool(flag)), features)
-        for image_id, digest, values, flag, features in zip(
-            ids,
-            a["index_sha256"].tolist(),
-            a["index_embeddings"],
-            a["index_degenerate"],
-            _index_features(path, ids, a),
+        image_id: IndexRow(digest, embedding, features)
+        for image_id, digest, embedding, features in zip(
+            ids, a["index_sha256"].tolist(), a["index_embeddings"], _index_features(path, ids, a)
         )
     }
     if len(index) != len(ids):
@@ -493,12 +482,6 @@ def _index_features(path, ids, a: Dict[str, np.ndarray]):
         ImageFeatures(image_id=image_id, frames=f, descriptors=d)
         for image_id, f, d in zip(ids, np.split(frames, bounds), np.split(descriptors, bounds))
     ]
-
-
-def as_loaded(vocab: Vocabulary) -> Vocabulary:
-    """vocab as load_vocabulary reads it back: the same values in C-contiguous
-    arrays, so that embeddings made under it are bit-equal to a query's."""
-    return _vocabulary_from(_model_arrays(vocab), "model")
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
@@ -566,10 +549,9 @@ def _check_vocabulary(path, vocab: Vocabulary) -> None:
     if np.any(gmm.weights < 0) or abs(float(gmm.weights.sum()) - 1.0) > 1e-6:
         raise VocabError(f"{path}: GMM weights must be non-negative and sum to 1")
     for image_id, row in vocab.index.items():
-        embedding = row.embedding
-        norm = float(np.linalg.norm(embedding.values))
-        if abs(norm - (not embedding.degenerate)) > 1e-6:
+        norm = float(np.linalg.norm(row.embedding))
+        if norm != 0 and abs(norm - 1) > 1e-6:
             raise VocabError(
                 f"{path}: index embedding of {image_id!r} has norm {norm}, "
-                "expected 1 (0 if degenerate)"
+                "expected 1 (or 0 for a degenerate image)"
             )

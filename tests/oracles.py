@@ -10,18 +10,18 @@ import numpy as np
 from patreid.encode import cosine_distance, embed_image
 from patreid.geometry import GeometryParams, geometric_similarity
 from patreid.ingest import load_entry_features
-from patreid.reid import DbEntry, ReidDatabase
+from patreid.reid import Images
 from patreid.vocab import Gmm, average_log_likelihood
 
 
-def embedded_database(vocabulary, feature_sets):
-    """A ReidDatabase of labeled in-memory images, each embedded afresh."""
-    return ReidDatabase(
-        vocabulary,
-        [
-            DbEntry(f.image_id, f.individual_id, embed_image(f, vocabulary), f)
-            for f in feature_sets
-        ],
+def embedded_images(vocabulary, feature_sets):
+    """Images of labeled in-memory features, each embedded afresh."""
+    return Images(
+        list(feature_sets),
+        np.reshape(
+            [embed_image(f, vocabulary) for f in feature_sets],
+            (len(feature_sets), vocabulary.kpca.out_dim),
+        ),
     )
 
 

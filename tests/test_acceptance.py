@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import dense_kpca_oracle, embedded_database, fisher_fd_oracle
+from oracles import dense_kpca_oracle, embedded_images, fisher_fd_oracle
 
 from patreid.cli import main
 from patreid.encode import (
@@ -41,7 +41,6 @@ from patreid.reid import (
     combine_exponential,
     combine_polynomial,
     evaluate,
-    evaluate_leave_one_out,
     query_database,
     topk_accuracy,
     write_per_query_csv,
@@ -49,7 +48,6 @@ from patreid.reid import (
 from patreid.reid import _combine
 from patreid.synth import SynthConfig, generate_benchmark, generate_individual, render_observation
 from patreid.vocab import (
-    Embedding,
     Gmm,
     PcaModel,
     fit_gmm,
@@ -211,11 +209,11 @@ def test_ac4_unit_exactness(capsys):
 
     # Cosine distance identities.
     v = rng.standard_normal(6)
-    a = Embedding(values=v / np.linalg.norm(v))
+    a = v / np.linalg.norm(v)
     checks.append(abs(cosine_distance(a, a)) < 1e-12)
-    e1 = Embedding(values=np.array([1.0, 0.0]))
-    e2 = Embedding(values=np.array([0.0, 1.0]))
-    e3 = Embedding(values=np.array([-1.0, 0.0]))
+    e1 = np.array([1.0, 0.0])
+    e2 = np.array([0.0, 1.0])
+    e3 = np.array([-1.0, 0.0])
     checks.append(abs(cosine_distance(e1, e2) - 1.0) < 1e-12)
     checks.append(abs(cosine_distance(e1, e3) - 2.0) < 1e-12)
 
@@ -241,13 +239,13 @@ def test_ac4_unit_exactness(capsys):
     db_features = [render_observation(c, cfg, 0)[0] for c in constellations]
     queries = [render_observation(c, cfg, 1)[0] for c in constellations]
     vocabulary = train_vocabulary(db_features, gmm_k=2, pca_dim=8)
-    db = embedded_database(vocabulary, db_features)
-    self_result = query_database(db, db_features[0], CombineParams())
+    db = embedded_images(vocabulary, db_features)
+    self_result = query_database(db, vocabulary, db_features[0], CombineParams())
     checks.append(self_result.candidates.image_ids[0] == db_features[0].image_id)
     checks.append(self_result.candidates.d_C[0] == min(self_result.candidates.d_C))
-    full = query_database(db, queries[0], CombineParams(shortlist_size=0))
+    full = query_database(db, vocabulary, queries[0], CombineParams(shortlist_size=0))
     covering = query_database(
-        db, queries[0], CombineParams(shortlist_size=len(db.entries))
+        db, vocabulary, queries[0], CombineParams(shortlist_size=len(db.features))
     )
     checks.append(full.candidates.image_ids == covering.candidates.image_ids)
     checks.append(full.individuals == covering.individuals)
@@ -439,7 +437,9 @@ def test_ac8_leave_one_out_protocol(capsys, tmp_path):
     manifest = load_manifest(manifest_path)
 
     vocabulary = train_vocabulary(all_features, gmm_k=4, pca_dim=16)
-    report = evaluate_leave_one_out(manifest, vocabulary, CombineParams(), k_max=3)
+    report = evaluate(
+        manifest, vocabulary, [CombineParams()], "leave_one_out", k_max=3
+    )["exponential"]
 
     checks = [
         report.excluded == [("ind002_v0", "singleton_identity")],

@@ -10,7 +10,7 @@ import patreid.cli
 import patreid.ingest
 import patreid.reid
 from patreid.cli import main
-from patreid.encode import embed_image
+from patreid.encode import cosine_distance, embed_image
 from patreid.ingest import file_sha256, load_entry_features, load_manifest, parse_feature_file
 from patreid.vocab import IndexRow, load_vocabulary, save_vocabulary
 
@@ -247,10 +247,24 @@ class TestDatabaseIndex:
             assert sha256 == file_sha256(manifest.entry_path(e))
             parsed = load_entry_features(manifest, e)
             embedding = embed_image(parsed, vocabulary)
-            assert stored.values.tobytes() == embedding.values.tobytes()
-            assert stored.degenerate == embedding.degenerate
+            assert stored.tobytes() == embedding.tobytes()
             assert features.frames.tobytes() == parsed.frames.tobytes()
             assert features.descriptors.tobytes() == parsed.descriptors.tobytes()
+
+    def test_one_cosine_call_equals_pairwise_calls(self, indexed):
+        _, model = indexed
+        stored = [row.embedding for row in load_vocabulary(model).index.values()]
+        embeddings = np.vstack(stored + [np.zeros_like(stored[0])])  # last: degenerate
+        d = cosine_distance(embeddings[:, None], embeddings[None])
+        assert d.shape == (len(embeddings), len(embeddings))
+        for i, a in enumerate(embeddings):
+            for j, b in enumerate(embeddings):
+                assert d[i, j].tobytes() == np.float64(cosine_distance(a, b)).tobytes()
+                if i < len(stored) and j < len(stored):
+                    # The 1-D formula stage 1 used per pair before it took arrays.
+                    plain = 1.0 - float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+                    assert d[i, j].tobytes() == np.float64(plain).tobytes()
+        assert (d[-1] == 2.0).all() and (d[:, -1] == 2.0).all()
 
     @pytest.mark.parametrize(
         "argv",
@@ -390,6 +404,18 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'renamed'" in err and "'ind001_v1'" in err
+
+    def test_manifest_row_with_extra_field(self, workspace, tmp_path, capsys):
+        _, bench, vocab = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        manifest = copy / "manifest.csv"
+        text = manifest.read_text(encoding="utf-8")
+        text = text.replace("ind000_v0.patf", "ind000_v0.patf,EXTRA")
+        manifest.write_text(text, encoding="utf-8")
+        code = main(["evaluate", "--manifest", str(manifest), "--vocab", str(vocab)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'ind000_v0' has more fields" in err
 
     def test_split_all_queries_excluded(self, workspace, tmp_path, capsys):
         _, bench, vocab = workspace

@@ -170,6 +170,8 @@ def test_model_bytes(workspace):
             assert (np.abs(det) >= 1e-12).all()
             norms = np.linalg.norm(descriptors, axis=1)
             np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+            norm = np.linalg.norm(row.embedding)
+            assert norm == 0 or abs(norm - 1) <= 1e-6
 
     run()
 

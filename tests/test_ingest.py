@@ -315,6 +315,15 @@ class TestManifest:
         with pytest.raises(ManifestError, match="duplicate.*'a'"):
             load_manifest(path)
 
+    def test_extra_field_rejected(self, tmp_path):
+        path = self._write_bench(
+            tmp_path, [("a", "ind0", "", "database"), ("b", "ind0", "", "query")]
+        )
+        text = path.read_text(encoding="utf-8").replace("b.patf", "b.patf,EXTRA")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ManifestError, match="'b' has more fields than the header"):
+            load_manifest(path)
+
     def test_unknown_role(self, tmp_path):
         path = self._write_bench(tmp_path, [("a", "ind0", "", "gallery")])
         with pytest.raises(ManifestError, match="unknown role"):

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from oracles import embedded_database, ranking_oracle
+from oracles import embedded_images, ranking_oracle
 
 import patreid.geometry
 from patreid.cli import main
-from patreid.encode import embed_image, train_vocabulary
+from patreid.encode import train_vocabulary
 from patreid.ingest import (
     ImageFeatures,
     Manifest,
@@ -18,24 +18,21 @@ from patreid.ingest import (
 from patreid.reid import (
     RULES,
     CombineParams,
-    DbEntry,
     EvalReport,
+    Images,
     PerQueryRecord,
     RankedResult,
-    ReidDatabase,
     ReidError,
     combine_exponential,
     combine_polynomial,
     evaluate,
-    evaluate_leave_one_out,
-    evaluate_split,
     query_database,
     rank_queries,
     topk_accuracy,
     write_per_query_csv,
 )
 from patreid.synth import SynthConfig, generate_benchmark, generate_individual, render_observation
-from patreid.vocab import Embedding, load_vocabulary
+from patreid.vocab import load_vocabulary
 
 
 class TestCombinePolynomial:
@@ -139,76 +136,73 @@ def synth_setup(seed=21, n_individuals=4, views=3, **overrides):
 @pytest.fixture(scope="module")
 def small_world():
     cfg, db_features, queries, vocabulary = synth_setup()
-    db = embedded_database(vocabulary, db_features)
+    db = embedded_images(vocabulary, db_features)
     return cfg, db, queries, vocabulary
 
 
 class TestQueryDatabase:
     def test_database_image_ranks_itself_first(self, small_world):
-        _, db, _, _ = small_world
-        result = query_database(db, db.entries[0].features, CombineParams())
-        assert result.candidates.image_ids[0] == db.entries[0].image_id
-        assert result.individuals[0] == db.entries[0].individual_id
+        _, db, _, vocabulary = small_world
+        first = db.features[0]
+        result = query_database(db, vocabulary, first, CombineParams())
+        assert result.candidates.image_ids[0] == first.image_id
+        assert result.individuals[0] == first.individual_id
 
     def test_true_individual_ranks_first(self, small_world):
-        _, db, queries, _ = small_world
+        _, db, queries, vocabulary = small_world
         for rule in RULES:
             params = CombineParams(rule=rule)
             for query in queries:
-                result = query_database(db, query, params)
+                result = query_database(db, vocabulary, query, params)
                 assert result.individuals[0] == query.individual_id, rule
 
     def test_individuals_deduplicated(self, small_world):
         cfg, db, queries, vocabulary = small_world
         # Duplicate every individual's database image under a new image_id:
         # candidate list doubles, individual list must not.
-        doubled = []
-        for entry in db.entries:
-            doubled.append(entry.features)
         import dataclasses
-        for entry in db.entries:
-            doubled.append(
-                dataclasses.replace(entry.features, image_id=entry.image_id + "_copy")
-            )
-        db2 = embedded_database(vocabulary, doubled)
-        result = query_database(db2, queries[0], CombineParams())
-        assert len(result.candidates.image_ids) == 2 * len(db.entries)
-        assert sorted(result.individuals) == sorted(e.individual_id for e in db.entries)
+        doubled = db.features + [
+            dataclasses.replace(f, image_id=f.image_id + "_copy") for f in db.features
+        ]
+        db2 = embedded_images(vocabulary, doubled)
+        result = query_database(db2, vocabulary, queries[0], CombineParams())
+        assert len(result.candidates.image_ids) == 2 * len(db.features)
+        assert sorted(result.individuals) == sorted(f.individual_id for f in db.features)
 
     def test_shortlist_equivalence_when_covering(self, small_world):
-        _, db, queries, _ = small_world
+        _, db, queries, vocabulary = small_world
         full = query_database(
-            db, queries[0], CombineParams(shortlist_size=0)
+            db, vocabulary, queries[0], CombineParams(shortlist_size=0)
         )
         covering = query_database(
-            db, queries[0], CombineParams(shortlist_size=len(db.entries))
+            db, vocabulary, queries[0], CombineParams(shortlist_size=len(db.features))
         )
         assert full.individuals == covering.individuals
         for name in ("image_ids", "d_C", "n", "omega"):
             assert list(getattr(full.candidates, name)) == list(getattr(covering.candidates, name))
 
     def test_unverified_rank_after_verified(self, small_world):
-        _, db, queries, _ = small_world
+        _, db, queries, vocabulary = small_world
         params = CombineParams(rule="exponential", shortlist_size=1)
-        result = query_database(db, queries[0], params)
+        result = query_database(db, vocabulary, queries[0], params)
         verified_flags = result.candidates.verified.tolist()
         assert verified_flags[0] is True
         assert sum(verified_flags) == 1
         assert all(not v for v in verified_flags[1:])
 
     def test_appearance_only_skips_geometry(self, small_world):
-        _, db, queries, _ = small_world
+        _, db, queries, vocabulary = small_world
         result = query_database(
-            db, queries[0], CombineParams(rule="appearance_only")
+            db, vocabulary, queries[0], CombineParams(rule="appearance_only")
         )
         c = result.candidates
         assert (c.n == 0).all() and (c.omega == 0.0).all()
         assert (c.d_C == c.d_L).all()
 
     def test_geometry_only_scores_negative_inliers(self, small_world):
-        _, db, queries, _ = small_world
+        _, db, queries, vocabulary = small_world
         result = query_database(
-            db, queries[0], CombineParams(rule="geometry_only")
+            db, vocabulary, queries[0], CombineParams(rule="geometry_only")
         )
         c = result.candidates
         assert (c.d_C[c.verified] == -c.n[c.verified]).all()
@@ -217,7 +211,8 @@ class TestQueryDatabase:
         _, db, queries, vocabulary = small_world
         with pytest.raises(ReidError, match="empty"):
             query_database(
-                ReidDatabase(vocabulary=vocabulary, entries=[]),
+                Images([], np.zeros((0, vocabulary.kpca.out_dim))),
+                vocabulary,
                 queries[0],
                 CombineParams(),
             )
@@ -231,10 +226,10 @@ class TestQueryDatabase:
             "geometric_similarity",
             lambda q, d, params: calls.append(d.image_id) or verify(q, d, params),
         )
-        query = (queries[0], embed_image(queries[0], vocabulary))
+        query = embedded_images(vocabulary, queries[:1])
         rules = [CombineParams(rule="polynomial"), CombineParams(rule="exponential")]
-        results = rank_queries(db, [query], rules)
-        assert sorted(calls) == sorted(e.image_id for e in db.entries)  # once per pair
+        results = rank_queries(db, query, rules)
+        assert sorted(calls) == sorted(f.image_id for f in db.features)  # once per pair
         a, b = (results[p.rule][0].candidates for p in rules)
         by_id_a = dict(zip(a.image_ids, zip(a.n.tolist(), a.omega.tolist())))
         by_id_b = dict(zip(b.image_ids, zip(b.n.tolist(), b.omega.tolist())))
@@ -244,22 +239,15 @@ class TestQueryDatabase:
 class TestScorePair:
     def test_degenerate_embedding_still_verified_geometrically(self, small_world):
         _, db, queries, _ = small_world
-        entry = db.entries[0]
+        entry = db.features[0]
         truth_query = next(
             q for q in queries if q.individual_id == entry.individual_id
         )
-        hobbled = DbEntry(
-            image_id=entry.image_id,
-            individual_id=entry.individual_id,
-            embedding=Embedding(
-                values=np.zeros(entry.embedding.values.shape), degenerate=True
-            ),
-            features=entry.features,
-        )
-        query_embedding = Embedding(values=np.zeros(2), degenerate=True)
+        # Zero embeddings on both sides: degenerate images.
+        hobbled = Images([entry], np.zeros((1, db.embeddings.shape[1])))
         candidate = rank_queries(
-            ReidDatabase(db.vocabulary, [hobbled]),
-            [(truth_query, query_embedding)],
+            hobbled,
+            Images([truth_query], np.zeros((1, db.embeddings.shape[1]))),
             [CombineParams(rule="exponential")],
         )["exponential"][0].candidates
         assert candidate.d_L[0] == 2.0
@@ -268,17 +256,21 @@ class TestScorePair:
 
 class TestBuildDatabase:
     def test_requires_labels(self, small_world):
-        _, db, _, vocabulary = small_world
+        _, db, queries, vocabulary = small_world
         import dataclasses
-        unlabeled = dataclasses.replace(db.entries[0].features, individual_id=None)
+        unlabeled = dataclasses.replace(db.features[0], individual_id=None)
         with pytest.raises(ReidError, match="individual_id"):
-            embedded_database(vocabulary, [unlabeled])
+            query_database(
+                embedded_images(vocabulary, [unlabeled]), vocabulary, queries[0], CombineParams()
+            )
 
     def test_rejects_duplicate_ids(self, small_world):
-        _, db, _, vocabulary = small_world
-        f = db.entries[0].features
+        _, db, queries, vocabulary = small_world
+        f = db.features[0]
         with pytest.raises(ReidError, match="duplicate"):
-            embedded_database(vocabulary, [f, f])
+            query_database(
+                embedded_images(vocabulary, [f, f]), vocabulary, queries[0], CombineParams()
+            )
 
 
 def write_benchmark_manifest(tmp_path, cfg_seed=31, n_individuals=3, views=3):
@@ -295,7 +287,9 @@ class TestEvaluateSplit:
             load_entry_features(manifest, e) for e in manifest.with_role("database")
         ]
         vocabulary = train_vocabulary(feature_sets, gmm_k=4, pca_dim=16)
-        report = evaluate_split(manifest, vocabulary, CombineParams(), k_max=3)
+        report = evaluate(
+            manifest, vocabulary, [CombineParams()], "split", k_max=3
+        )["exponential"]
         assert report.protocol == "split"
         assert len(report.records) == len(manifest.with_role("query"))
         assert len(report.accuracies) == 3
@@ -314,7 +308,9 @@ class TestEvaluateSplit:
             load_entry_features(manifest, e) for e in manifest.with_role("database")
         ]
         vocabulary = train_vocabulary(feature_sets, gmm_k=4, pca_dim=16)
-        report = evaluate_split(manifest, vocabulary, CombineParams(), k_max=2)
+        report = evaluate(
+            manifest, vocabulary, [CombineParams()], "split", k_max=2
+        )["exponential"]
         assert (queries[0].image_id, "unlabeled") in report.excluded
         assert (queries[1].image_id, "no_database_match") in report.excluded
         assert len(report.records) == len(queries) - 2
@@ -330,7 +326,7 @@ class TestEvaluateSplit:
             pca_dim=16,
         )
         with pytest.raises(ReidError, match="query"):
-            evaluate_split(db_only, vocabulary, CombineParams())
+            evaluate(db_only, vocabulary, [CombineParams()], "split")
 
 
 class TestEvaluateLeaveOneOut:
@@ -349,7 +345,9 @@ class TestEvaluateLeaveOneOut:
             entries=[e for e in manifest.entries if e.individual_id == "ind000"],
             base_dir=manifest.base_dir,
         )
-        report = evaluate_leave_one_out(solo, vocabulary, CombineParams(), k_max=1)
+        report = evaluate(
+            solo, vocabulary, [CombineParams()], "leave_one_out", k_max=1
+        )["exponential"]
         assert report.protocol == "leave_one_out"
         assert len(report.records) == 2  # both roles pooled
         assert report.accuracies[0] == 1.0
@@ -364,7 +362,9 @@ class TestEvaluateLeaveOneOut:
         ]
         pruned = Manifest(entries=keep, base_dir=manifest.base_dir)
         vocabulary = self._vocabulary_for(manifest)
-        report = evaluate_leave_one_out(pruned, vocabulary, CombineParams(), k_max=2)
+        report = evaluate(
+            pruned, vocabulary, [CombineParams()], "leave_one_out", k_max=2
+        )["exponential"]
         assert ("ind002_v0", "singleton_identity") in report.excluded
         assert len(report.records) == len(keep) - 1
 
@@ -374,7 +374,9 @@ class TestEvaluateLeaveOneOut:
         for e in manifest.entries:
             e.viewpoint = "left" if e.image_id[-1] in "01" else "right"
         vocabulary = self._vocabulary_for(manifest)
-        report = evaluate_leave_one_out(manifest, vocabulary, CombineParams(), k_max=1)
+        report = evaluate(
+            manifest, vocabulary, [CombineParams()], "leave_one_out", k_max=1
+        )["exponential"]
         # Each (individual, viewpoint) unit has exactly 2 images, so nothing
         # is singleton and every query's truth unit is present once.
         assert report.excluded == []
@@ -387,7 +389,7 @@ class TestEvaluateLeaveOneOut:
         for e in manifest.entries:
             e.individual_id = None
         with pytest.raises(ReidError, match="excluded"):
-            evaluate_leave_one_out(manifest, vocabulary, CombineParams())
+            evaluate(manifest, vocabulary, [CombineParams()], "leave_one_out")
 
     def test_split_all_excluded_rejected(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=2, views=2)
@@ -397,14 +399,14 @@ class TestEvaluateLeaveOneOut:
         for e in queries[1:]:
             e.individual_id = "stranger"
         with pytest.raises(ReidError, match="excluded"):
-            evaluate_split(manifest, vocabulary, CombineParams())
+            evaluate(manifest, vocabulary, [CombineParams()], "split")
 
     def test_too_few_images(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=2, views=2)
         vocabulary = self._vocabulary_for(manifest)
         solo = Manifest(entries=manifest.entries[:1], base_dir=manifest.base_dir)
         with pytest.raises(ReidError, match="at least 2"):
-            evaluate_leave_one_out(solo, vocabulary, CombineParams())
+            evaluate(solo, vocabulary, [CombineParams()], "leave_one_out")
 
 
 @pytest.fixture(scope="module")

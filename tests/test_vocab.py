@@ -8,7 +8,6 @@ from oracles import dense_kpca_oracle
 
 from patreid.ingest import ImageFeatures
 from patreid.vocab import (
-    Embedding,
     Gmm,
     IndexRow,
     KpcaModel,
@@ -242,7 +241,7 @@ class TestFitKpca:
             embedding = apply_kpca(model, X[i])
             stored = model.training_projections[i]
             norm = np.linalg.norm(stored)
-            np.testing.assert_allclose(embedding.values, stored / norm, atol=1e-9)
+            np.testing.assert_allclose(embedding, stored / norm, atol=1e-9)
 
     def test_equals_linear_pca_up_to_sign(self):
         rng = np.random.default_rng(2)
@@ -283,9 +282,8 @@ class TestApplyKpca:
         query = rng.standard_normal(4)
         a = apply_kpca(model, query)
         b = apply_kpca(model, query)
-        np.testing.assert_array_equal(a.values, b.values)
-        assert not a.degenerate
-        np.testing.assert_allclose(np.linalg.norm(a.values), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(np.linalg.norm(a), 1.0, atol=1e-12)
 
     def test_orthogonal_query_still_unit_normalized(self):
         # Training vectors live on the first axes; an orthogonal query has a
@@ -296,8 +294,7 @@ class TestApplyKpca:
         query = np.zeros(6)
         query[5] = 1.0
         embedding = apply_kpca(model, query)
-        assert not embedding.degenerate
-        np.testing.assert_allclose(np.linalg.norm(embedding.values), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(embedding), 1.0, atol=1e-12)
 
     def test_exactly_zero_projection_degenerate(self):
         # Symmetric training set: a query equidistant from all training
@@ -305,8 +302,7 @@ class TestApplyKpca:
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         model = fit_kpca(X, out_dim=2)
         embedding = apply_kpca(model, np.zeros(2))
-        assert embedding.degenerate
-        np.testing.assert_array_equal(embedding.values, np.zeros(2))
+        np.testing.assert_array_equal(embedding, np.zeros(2))
 
     def test_dim_mismatch(self):
         X = np.random.default_rng(1).standard_normal((5, 4))
@@ -473,17 +469,17 @@ def _features(image_id, count, rng, dim=10):
 
 def _indexed_vocabulary():
     """A small vocabulary whose index holds three rows of 3, 2 and 0 features,
-    the empty one degenerate."""
+    the empty one degenerate (a zero embedding)."""
     vocab = TestVocabularyPersistence()._make_vocabulary()
     rng = np.random.default_rng(5)
     m = vocab.kpca.out_dim
     for i in range(2):
         v = rng.standard_normal(m)
         vocab.index[f"img{i}"] = IndexRow(
-            f"{i:064x}", Embedding(values=v / np.linalg.norm(v)), _features(f"img{i}", 3 - i, rng)
+            f"{i:064x}", v / np.linalg.norm(v), _features(f"img{i}", 3 - i, rng)
         )
     vocab.index["empty"] = IndexRow(
-        "f" * 64, Embedding(values=np.zeros(m), degenerate=True), _features("empty", 0, rng, dim=4)
+        "f" * 64, np.zeros(m), _features("empty", 0, rng, dim=4)
     )
     return vocab
 
@@ -507,8 +503,7 @@ class TestModelFile:
         for image_id, (digest, embedding, features) in vocab.index.items():
             assert loaded.index[image_id].sha256 == digest
             restored = loaded.index[image_id].embedding
-            assert restored.values.tobytes() == embedding.values.tobytes()
-            assert restored.degenerate == embedding.degenerate
+            assert restored.tobytes() == embedding.tobytes()
             parsed = loaded.index[image_id].features
             assert parsed.image_id == image_id
             assert parsed.frames.tobytes() == features.frames.tobytes()
@@ -554,16 +549,17 @@ class TestModelFile:
              "non-finite value in index"),
             (lambda a: {"index_embeddings": 2.0 * a["index_embeddings"]},
              "index embedding of 'img0' has norm"),
-            (lambda a: {"index_degenerate": np.ones(3, dtype=bool)},
-             "index embedding of 'img0' has norm"),
+            (lambda a: {"index_embeddings": 0.5 * a["index_embeddings"]},
+             r"index embedding of 'img0' has norm 0\.5, expected 1 \(or 0"),
+            (lambda a: {"index_embeddings": 1e-7 * a["index_embeddings"]},
+             r"index embedding of 'img0' has norm 1e-07, expected 1 \(or 0"),
             (lambda a: {"index_image_ids": np.array(["img0", "img0", "empty"])},
              "image id twice"),
             (lambda a: {"index_image_ids": a["index_image_ids"].astype(object)},
              "unreadable model file"),
-            (lambda a: {"version": np.array(1)}, "version 1, expected 3"),
-            (lambda a: {"version": np.array(2), "index_feature_counts": None,
-                        "index_frames": None, "index_descriptors": None},
-             r"version 2, expected 3 \(rebuild it with build-vocab\)"),
+            (lambda a: {"version": np.array(1)}, "version 1, expected 4"),
+            (lambda a: {"version": np.array(3), "index_degenerate": np.zeros(3, dtype=bool)},
+             r"version 3, expected 4 \(rebuild it with build-vocab\)"),
             (lambda a: {"index_feature_counts": np.array([-1, 6, 0])}, "feature counts"),
             (lambda a: {"index_feature_counts": np.array([3, 1, 0])}, "feature counts"),
             (lambda a: {"index_frames": a["index_frames"][:, :-1]},
@@ -584,7 +580,8 @@ class TestModelFile:
              "index descriptor whose norm is not 1"),
         ],
         ids=["missing", "dtype", "bool_dtype", "shape", "scalar_shape", "index_lengths",
-             "embedding_dim", "embedding_nan", "embedding_norm", "degenerate_flag",
+             "embedding_dim", "embedding_nan", "embedding_norm", "embedding_norm_half",
+             "embedding_norm_tiny",
              "duplicate_id", "object_array", "version", "old_version", "negative_count",
              "count_sum", "frame_width", "feature_lengths", "descriptor_width",
              "frame_inf", "descriptor_nan", "singular_frame", "det_overflow",
