@@ -123,7 +123,7 @@ def fit_pca(descriptors: np.ndarray, out_dim: int, whiten: bool = False) -> PcaM
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals, kind="stable")[::-1][:out_dim]
     eigvals = np.maximum(eigvals[order], 0.0)
-    basis = _sign_fix_rows(eigvecs[:, order].T)
+    basis = np.ascontiguousarray(_sign_fix_rows(eigvecs[:, order].T))
     return PcaModel(mean=mean, basis=basis, eigenvalues=eigvals, whiten=whiten)
 
 

@@ -352,6 +352,15 @@ class TestVocabularyPersistence:
         assert loaded.descriptor_dim == vocab.descriptor_dim
         assert loaded.alpha == vocab.alpha
 
+    def test_fitted_arrays_in_c_order(self):
+        # A model file loads its arrays in C order; fitted ones in the same
+        # order make build-time embeddings bit-equal to query-time ones.
+        vocab = self._make_vocabulary()
+        for part in (vocab.pca, vocab.gmm, vocab.kpca):
+            for name, value in vars(part).items():
+                if isinstance(value, np.ndarray):
+                    assert value.flags.c_contiguous, f"{type(part).__name__}.{name}"
+
     def test_rewrite_byte_identical(self, tmp_path):
         vocab = self._make_vocabulary()
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -560,6 +569,9 @@ class TestModelFile:
             (lambda a: {"version": np.array(1)}, "version 1, expected 4"),
             (lambda a: {"version": np.array(3), "index_degenerate": np.zeros(3, dtype=bool)},
              r"version 3, expected 4 \(rebuild it with build-vocab\)"),
+            (lambda a: {"version": np.array(2), "index_feature_counts": None,
+                        "index_frames": None, "index_descriptors": None},
+             r"version 2, expected 4 \(rebuild it with build-vocab\)"),
             (lambda a: {"index_feature_counts": np.array([-1, 6, 0])}, "feature counts"),
             (lambda a: {"index_feature_counts": np.array([3, 1, 0])}, "feature counts"),
             (lambda a: {"index_frames": a["index_frames"][:, :-1]},
@@ -582,7 +594,8 @@ class TestModelFile:
         ids=["missing", "dtype", "bool_dtype", "shape", "scalar_shape", "index_lengths",
              "embedding_dim", "embedding_nan", "embedding_norm", "embedding_norm_half",
              "embedding_norm_tiny",
-             "duplicate_id", "object_array", "version", "old_version", "negative_count",
+             "duplicate_id", "object_array", "version", "old_version", "version_2",
+             "negative_count",
              "count_sum", "frame_width", "feature_lengths", "descriptor_width",
              "frame_inf", "descriptor_nan", "singular_frame", "det_overflow",
              "descriptor_norm"],
