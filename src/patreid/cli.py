@@ -149,7 +149,9 @@ def cmd_build_vocab(args) -> int:
         raise UsageError(f"insufficient data: {exc}") from None
     vocabulary.index = {
         e.image_id: IndexRow(
-            file_sha256(manifest.entry_path(e)), embed_image(features, vocabulary), features
+            file_sha256(manifest.entry_path(e)),
+            embed_image(features, vocabulary),
+            lambda features=features: features,
         )
         for e, features in zip(db_entries, feature_sets)
     }
@@ -163,16 +165,16 @@ def cmd_query(args) -> int:
     geometry_params = _geometry_params(args)
     topk = _topk(args)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
-    vocabulary = load_vocabulary(_require_file(args.vocab, "vocabulary"))
-    query_features = parse_feature_file(_require_file(args.features, "feature file"))
-    db_entries = manifest.with_role("database")
-    if not db_entries:
-        raise UsageError("no database entries in manifest")
-    db = load_images(manifest, db_entries, vocabulary)
-    try:
-        result = query_database(db, vocabulary, query_features, params, geometry_params)
-    except ReidError as exc:
-        raise UsageError(str(exc)) from None
+    with load_vocabulary(_require_file(args.vocab, "vocabulary")) as vocabulary:
+        query_features = parse_feature_file(_require_file(args.features, "feature file"))
+        db_entries = manifest.with_role("database")
+        if not db_entries:
+            raise UsageError("no database entries in manifest")
+        db = load_images(manifest, db_entries, vocabulary)
+        try:
+            result = query_database(db, vocabulary, query_features, params, geometry_params)
+        except ReidError as exc:
+            raise UsageError(str(exc)) from None
 
     c = result.candidates
     best = {}
@@ -194,20 +196,19 @@ def cmd_evaluate(args) -> int:
     geometry_params = _geometry_params(args)
     topk = _topk(args)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
-    vocabulary = load_vocabulary(_require_file(args.vocab, "vocabulary"))
-
     protocol = "split" if args.protocol == "split" else "leave_one_out"
-    try:
-        reports = evaluate(
-            manifest,
-            vocabulary,
-            rule_params,
-            protocol,
-            k_max=topk,
-            geometry_params=geometry_params,
-        )
-    except ReidError as exc:
-        raise UsageError(str(exc)) from None
+    with load_vocabulary(_require_file(args.vocab, "vocabulary")) as vocabulary:
+        try:
+            reports = evaluate(
+                manifest,
+                vocabulary,
+                rule_params,
+                protocol,
+                k_max=topk,
+                geometry_params=geometry_params,
+            )
+        except ReidError as exc:
+            raise UsageError(str(exc)) from None
 
     first = next(iter(reports.values()))
     header = "".join(f"  top-{k:<4}" for k in range(1, topk + 1))

@@ -17,9 +17,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -85,12 +86,11 @@ class ManifestEntry:
 @dataclass
 class Manifest:
     entries: list[ManifestEntry]
-    base_dir: Path = field(default_factory=Path)
+    base_dir: Union[str, os.PathLike] = ""
 
-    def entry_path(self, entry: ManifestEntry) -> Path:
+    def entry_path(self, entry: ManifestEntry) -> str:
         """Feature path resolved against the manifest's directory."""
-        p = Path(entry.feature_path)
-        return p if p.is_absolute() else self.base_dir / p
+        return os.path.join(self.base_dir, entry.feature_path)
 
     def with_role(self, role: str) -> list[ManifestEntry]:
         return [e for e in self.entries if e.role == role]
@@ -242,8 +242,7 @@ def load_manifest(path) -> Manifest:
     resolve to an existing file relative to the manifest's directory.
     """
     path = Path(path)
-    base_dir = path.parent
-    entries: list[ManifestEntry] = []
+    manifest = Manifest(entries=[], base_dir=os.path.dirname(path))
     seen: set[str] = set()
     try:
         reader = csv.DictReader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
@@ -261,33 +260,35 @@ def load_manifest(path) -> Manifest:
             raise ManifestError(f"{path}: empty image_id")
         if None in row:  # DictReader files a row's extra values under None
             raise ManifestError(f"{path}: row of {image_id!r} has more fields than the header")
+        if None in row.values():  # and gives a short row's missing fields None
+            raise ManifestError(f"{path}: row of {image_id!r} has fewer fields than the header")
         if image_id in seen:
             raise ManifestError(f"{path}: duplicate image_id {image_id!r}")
         seen.add(image_id)
-        role = (row["role"] or "").strip()
+        role = row["role"].strip()
         if role not in ROLES:
             raise ManifestError(
                 f"{path}: unknown role {role!r} for {image_id!r} "
                 f"(expected one of {ROLES})"
             )
-        feature_path = (row["feature_path"] or "").strip()
-        resolved = Path(feature_path)
-        if not resolved.is_absolute():
-            resolved = base_dir / resolved
-        if not resolved.is_file():
-            raise ManifestError(
-                f"{path}: feature file not found for {image_id!r}: {resolved}"
-            )
-        entries.append(
-            ManifestEntry(
-                image_id=image_id,
-                individual_id=(row["individual_id"] or "").strip() or None,
-                viewpoint=(row["viewpoint"] or "").strip() or None,
-                role=role,
-                feature_path=feature_path,
-            )
+        feature_path = row["feature_path"].strip()
+        if not feature_path:
+            raise ManifestError(f"{path}: empty feature_path for {image_id!r}")
+        entry = ManifestEntry(
+            image_id=image_id,
+            individual_id=row["individual_id"].strip() or None,
+            viewpoint=row["viewpoint"].strip() or None,
+            role=role,
+            feature_path=feature_path,
         )
-    return Manifest(entries=entries, base_dir=base_dir)
+        if not os.path.isfile(manifest.entry_path(entry)):
+            # Printed through Path(), which normalizes it ("./a" as "a").
+            raise ManifestError(
+                f"{path}: feature file not found for {image_id!r}: "
+                f"{Path(manifest.entry_path(entry))}"
+            )
+        manifest.entries.append(entry)
+    return manifest
 
 
 def write_manifest(manifest: Manifest, path) -> None:
@@ -303,7 +304,8 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 def file_sha256(path) -> str:
     """Hex sha256 of a file's bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def load_entry_features(manifest: Manifest, entry: ManifestEntry) -> ImageFeatures:
@@ -311,7 +313,7 @@ def load_entry_features(manifest: Manifest, entry: ManifestEntry) -> ImageFeatur
 
     The file's image_id must be the entry's: results are keyed by it.
     """
-    path = manifest.entry_path(entry)
+    path = Path(manifest.entry_path(entry))
     features = parse_feature_file(path)
     if features.image_id != entry.image_id:
         raise ManifestError(

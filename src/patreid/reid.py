@@ -10,9 +10,10 @@ individuals under a database/query split or a leave-one-out protocol.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import geometry
 from .encode import cosine_distance, embed_image
 from .geometry import GeometryParams
 from .ingest import ImageFeatures, Manifest, ManifestEntry, file_sha256, load_entry_features
-from .vocab import Vocabulary
+from .vocab import IndexRow, Vocabulary
 
 RULES = ("appearance_only", "geometry_only", "polynomial", "exponential")
 GEOMETRY_RULES = ("geometry_only", "polynomial", "exponential")
@@ -68,11 +69,25 @@ class RankedResult:
 
 
 class Images(NamedTuple):
-    """Labelled images: features[i] (with individual_id) and embeddings[i],
-    an (N, m) row that is unit norm, or zero for a degenerate image."""
+    """Labelled images: row i is image image_ids[i] of individual_ids[i],
+    embeddings[i] is its (m,) embedding, unit norm or zero for a degenerate
+    image, and features[i]() returns its labelled ImageFeatures (see
+    load_images for when they are read)."""
 
-    features: List[ImageFeatures]
+    image_ids: List[str]
+    individual_ids: List[Optional[str]]
     embeddings: np.ndarray
+    features: List[Callable[[], ImageFeatures]]
+
+    @classmethod
+    def of(cls, features: Sequence[ImageFeatures], embeddings: np.ndarray) -> Images:
+        """Images of labelled features already in memory."""
+        return cls(
+            [f.image_id for f in features],
+            [f.individual_id for f in features],
+            embeddings,
+            [lambda f=f: f for f in features],
+        )
 
 
 @dataclass
@@ -122,26 +137,43 @@ def _combine(params: CombineParams, d_l: float, n: int, omega: float) -> float:
     return combine_exponential(d_l, n, params.epsilon)
 
 
+def _read_once(row: IndexRow, entry: ManifestEntry) -> Callable[[], ImageFeatures]:
+    """Index row's features with entry's labels, read on the first call only."""
+
+    @functools.cache
+    def read():
+        return replace(row.read(), individual_id=entry.individual_id, viewpoint=entry.viewpoint)
+
+    return read
+
+
 def load_images(
     manifest: Manifest, entries: Sequence[ManifestEntry], vocabulary: Vocabulary
 ) -> Images:
-    """Manifest rows' labelled features and embeddings, each read from the
-    model file's index when the row's PATF file still has the indexed sha256.
+    """Manifest rows' labelled images, each read from the model file's index
+    when the row's PATF file still has the indexed sha256.
 
-    Any other row is parsed and embedded, so a stale index is slower, never
+    An indexed row's features are read on the first call of its features
+    function, so a search reads only the rows it verifies, each once.  Any
+    other row is parsed and embedded here, so a stale index is slower, never
     wrong.
     """
     features, embeddings = [], []
     for entry in entries:
         row = vocabulary.index.get(entry.image_id)
         if row is not None and row.sha256 == file_sha256(manifest.entry_path(entry)):
-            labels = {"individual_id": entry.individual_id, "viewpoint": entry.viewpoint}
-            features.append(replace(row.features, **labels))
+            features.append(_read_once(row, entry))
             embeddings.append(row.embedding)
         else:
-            features.append(load_entry_features(manifest, entry))
-            embeddings.append(embed_image(features[-1], vocabulary))
-    return Images(features, np.reshape(embeddings, (len(entries), vocabulary.kpca.out_dim)))
+            parsed = load_entry_features(manifest, entry)
+            features.append(lambda parsed=parsed: parsed)
+            embeddings.append(embed_image(parsed, vocabulary))
+    return Images(
+        [e.image_id for e in entries],
+        [e.individual_id for e in entries],
+        np.reshape(embeddings, (len(entries), vocabulary.kpca.out_dim)),
+        features,
+    )
 
 
 def _shortlist_size(params: CombineParams, rows: int) -> int:
@@ -168,16 +200,17 @@ def rank_queries(
     shortlist it.  A rule's final order is ascending (not verified, d_C, d_L,
     image_id), so entries outside its shortlist keep d_C = d_L and rank after
     every verified entry.  self_rows[q], when given, is the database row of
-    query q itself, which its ranking leaves out.
+    query q itself, which its ranking leaves out.  Only the verified pairs'
+    features are asked for.
     """
     for params in rule_params:
         params.validate()
-    if not db.features:
+    ids = db.image_ids
+    if not ids:
         raise ReidError("database is empty")
-    ids = [f.image_id for f in db.features]
-    for f in db.features:
-        if not f.individual_id:
-            raise ReidError(f"database image {f.image_id!r} has no individual_id")
+    for image_id, individual_id in zip(ids, db.individual_ids):
+        if not individual_id:
+            raise ReidError(f"database image {image_id!r} has no individual_id")
     if len(set(ids)) != len(ids):
         duplicate = next(i for i in ids if ids.count(i) > 1)
         raise ReidError(f"duplicate database image_id {duplicate!r}")
@@ -186,7 +219,7 @@ def rank_queries(
     distances = cosine_distance(queries.embeddings[:, None], db.embeddings[None])
 
     results: Dict[str, List[RankedResult]] = {params.rule: [] for params in rule_params}
-    for q, features in enumerate(queries.features):
+    for q, query in enumerate(queries.features):
         rows = np.arange(len(ids))
         if self_rows is not None:
             rows = np.delete(rows, self_rows[q])
@@ -196,7 +229,7 @@ def rank_queries(
 
         shortlists = [_shortlist_size(params, len(rows)) for params in rule_params]
         verdicts = [
-            geometry.geometric_similarity(features, db.features[j], params=geometry_params)
+            geometry.geometric_similarity(query(), db.features[j](), params=geometry_params)
             for j in rows[: max(shortlists, default=0)]
         ]
         for params, k in zip(rule_params, shortlists):
@@ -207,7 +240,7 @@ def rank_queries(
             is_verified = np.arange(len(rows)) < k
             order = np.lexsort((id_rank[rows], d_l, d_c, ~is_verified))
             ranked = rows[order]
-            individual_ids = [db.features[j].individual_id for j in ranked]
+            individual_ids = [db.individual_ids[j] for j in ranked]
             candidates = Candidates(
                 image_ids=[ids[j] for j in ranked],
                 individual_ids=individual_ids,
@@ -218,7 +251,9 @@ def rank_queries(
                 verified=is_verified[order],
             )
             results[params.rule].append(
-                RankedResult(features.image_id, candidates, list(dict.fromkeys(individual_ids)))
+                RankedResult(
+                    queries.image_ids[q], candidates, list(dict.fromkeys(individual_ids))
+                )
             )
     return results
 
@@ -231,7 +266,7 @@ def query_database(
     geometry_params: GeometryParams = GeometryParams(),
 ) -> RankedResult:
     """One query image's ranking under one rule: rank_queries with Q = 1."""
-    query = Images([query_features], embed_image(query_features, vocabulary)[None])
+    query = Images.of([query_features], embed_image(query_features, vocabulary)[None])
     return rank_queries(db, query, [params], geometry_params)[params.rule][0]
 
 
@@ -292,7 +327,7 @@ def _split_search(manifest: Manifest, vocabulary: Vocabulary):
     if not query_entries:
         raise ReidError("manifest has no query entries")
     db = load_images(manifest, db_entries, vocabulary)
-    known = {f.individual_id for f in db.features}
+    known = set(db.individual_ids)
 
     kept = []
     excluded = []
@@ -351,7 +386,12 @@ def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
         self_rows.append(row)
     if not self_rows:
         raise ReidError("all leave-one-out queries were excluded")
-    queries = Images([db.features[row] for row in self_rows], db.embeddings[self_rows])
+    queries = Images(
+        [db.image_ids[row] for row in self_rows],
+        [db.individual_ids[row] for row in self_rows],
+        db.embeddings[self_rows],
+        [db.features[row] for row in self_rows],
+    )
     return db, queries, truths, excluded, self_rows
 
 

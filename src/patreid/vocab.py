@@ -5,16 +5,19 @@ descriptors into one fixed-length embedding: PCA decorrelation of raw
 descriptors, a GMM visual vocabulary fitted by EM, and a kernel-PCA
 compressor fitted on the database images' normalized Fisher vectors.  Its
 model file also carries an index of the database images' embeddings and
-parsed features, so a search parses and embeds only its queries.
+parsed features, so a search parses and embeds only its queries, and reads
+the features of only the database images it verifies.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import warnings
 import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, NamedTuple
+from typing import Callable, Dict, List, NamedTuple
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .ingest import FRAME_FIELDS, ImageFeatures
 
 VARIANCE_FLOOR = 1e-6
 WHITEN_FLOOR = 1e-12
-VOCAB_VERSION = 4
+VOCAB_VERSION = 5
 
 
 class VocabError(ValueError):
@@ -74,12 +77,13 @@ class KpcaModel:
 
 class IndexRow(NamedTuple):
     """A database image's embedding (unit norm, or zero for a degenerate
-    image) and parsed features, and the sha256 of the PATF bytes they came
-    from."""
+    image), the sha256 of the PATF bytes it came from, and read, which
+    returns the image's parsed features.  A loaded model's read takes them
+    from the model file and checks them on every call."""
 
     sha256: str
     embedding: np.ndarray
-    features: ImageFeatures
+    read: Callable[[], ImageFeatures]
 
 
 @dataclass
@@ -93,6 +97,14 @@ class Vocabulary:
     alpha: float = 0.5
     # Database image_id -> IndexRow, as build-vocab parsed and embedded it.
     index: Dict[str, IndexRow] = field(default_factory=dict)
+    # Closes the model file a loaded vocabulary reads its index rows from.
+    close: Callable[[], None] = field(default=lambda: None, repr=False, compare=False)
+
+    def __enter__(self) -> Vocabulary:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def _sign_fix_rows(basis: np.ndarray) -> np.ndarray:
@@ -335,12 +347,12 @@ def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> np.ndarray:
 # The trained stages, stored field by field as "<section>_<field>" arrays.
 _SECTIONS = {"pca": PcaModel, "gmm": Gmm, "kpca": KpcaModel}
 # Arrays of a model file: name -> (dtype, shape).  Shapes are given in named
-# dimensions; a name binds at the first array that has it (or in _FIXED_DIMS)
-# and must agree after.  Each section has its own names, so _check_vocabulary
-# reports cross-section mismatches in its own words.  "U" is fixed-width
-# unicode of any width, since np.load(allow_pickle=False) reads no object
-# arrays.  The index's features are concatenated over its rows in index
-# order, index_feature_counts[i] of them for row i.
+# dimensions; a name binds at the first array that has it and must agree
+# after.  Each section has its own names, so _check_vocabulary reports
+# cross-section mismatches in its own words.  "U" is fixed-width unicode of
+# any width, since np.load(allow_pickle=False) reads no object arrays.  The
+# index arrays hold one entry per database image; its features are members
+# of their own (_ROW_MEMBER).
 _LAYOUT = {
     "version": ("i8", ()),
     "alpha": ("f8", ()),
@@ -363,16 +375,23 @@ _LAYOUT = {
     "index_sha256": ("U", ("rows",)),
     "index_embeddings": ("f8", ("rows", "m")),
     "index_feature_counts": ("i8", ("rows",)),
-    "index_frames": ("f8", ("features", "frame_fields")),
-    "index_descriptors": ("f8", ("features", "index_dim")),
 }
-_FIXED_DIMS = {"frame_fields": len(FRAME_FIELDS)}
+# Member of index row k's features: its (count, 6) frames, then its
+# (count, descriptor_dim) unit descriptors, as raw little-endian float64.
+_ROW_MEMBER = "index_rows/{}"
 
 
-def _model_arrays(vocab: Vocabulary) -> Dict[str, np.ndarray]:
-    """The arrays of vocab's model file by _LAYOUT name, each C-contiguous."""
+def _member(name: str) -> zipfile.ZipInfo:
+    """A model-file member with a fixed timestamp, stored uncompressed."""
+    return zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+
+
+def _model_arrays(
+    vocab: Vocabulary, features: List[ImageFeatures]
+) -> Dict[str, np.ndarray]:
+    """The arrays of vocab's model file by _LAYOUT name, each C-contiguous;
+    features[k] is index row k's."""
     rows = list(vocab.index.values())
-    features = [row.features for row in rows]
     values = {
         "version": VOCAB_VERSION,
         "alpha": vocab.alpha,
@@ -383,14 +402,6 @@ def _model_arrays(vocab: Vocabulary) -> Dict[str, np.ndarray]:
             [row.embedding for row in rows], (len(rows), vocab.kpca.out_dim)
         ),
         "index_feature_counts": [f.count for f in features],
-        "index_frames": np.concatenate(
-            [np.zeros((0, len(FRAME_FIELDS)))] + [f.frames for f in features]
-        ),
-        # An empty image adds no rows, so its descriptor width is not stored.
-        "index_descriptors": np.concatenate(
-            [np.zeros((0, vocab.descriptor_dim))]
-            + [f.descriptors for f in features if f.count]
-        ),
     }
     for section in _SECTIONS:
         model = getattr(vocab, section)
@@ -402,9 +413,10 @@ def _model_arrays(vocab: Vocabulary) -> Dict[str, np.ndarray]:
     }
 
 
-def _vocabulary_from(arrays: Dict[str, np.ndarray], path) -> Vocabulary:
-    """The Vocabulary that model-file arrays hold, once every check passes."""
-    dims = dict(_FIXED_DIMS)
+def _vocabulary_from(arrays: Dict[str, np.ndarray], path, archive) -> Vocabulary:
+    """The Vocabulary that model-file arrays hold, once every check passes;
+    its index rows read their features from archive."""
+    dims = {}
     for name, (dtype, shape) in _LAYOUT.items():
         a = arrays.get(name)
         if a is None:
@@ -432,15 +444,6 @@ def _vocabulary_from(arrays: Dict[str, np.ndarray], path) -> Vocabulary:
                 "(rebuild it with build-vocab)"
             )
     a = {name: x.item() if x.ndim == 0 else x for name, x in arrays.items()}
-    ids = a["index_image_ids"].tolist()
-    index = {
-        image_id: IndexRow(digest, embedding, features)
-        for image_id, digest, embedding, features in zip(
-            ids, a["index_sha256"].tolist(), a["index_embeddings"], _index_features(path, ids, a)
-        )
-    }
-    if len(index) != len(ids):
-        raise VocabError(f"{path}: database index lists an image id twice")
     vocab = Vocabulary(
         **{
             section: cls(**{f.name: a[f"{section}_{f.name}"] for f in fields(cls)})
@@ -448,60 +451,113 @@ def _vocabulary_from(arrays: Dict[str, np.ndarray], path) -> Vocabulary:
         },
         descriptor_dim=a["descriptor_dim"],
         alpha=a["alpha"],
-        index=index,
+        index=_index(path, a, archive),
     )
     _check_vocabulary(path, vocab)
     return vocab
 
 
-def _index_features(path, ids, a: Dict[str, np.ndarray]):
-    """Each index row's ImageFeatures, once the stored arrays pass the checks
-    parse_feature_file makes on a PATF file's rows."""
-    counts, frames, descriptors = (
-        a["index_feature_counts"], a["index_frames"], a["index_descriptors"]
+def _index(path, a: Dict[str, np.ndarray], archive) -> Dict[str, IndexRow]:
+    """The index that model-file arrays a hold, once its ids, counts and
+    embeddings pass the checks; row k's features are read from archive."""
+    ids, counts, embeddings = (
+        a["index_image_ids"].tolist(), a["index_feature_counts"], a["index_embeddings"]
     )
-    total = frames.shape[0]
-    if not ((0 <= counts) & (counts <= total)).all() or counts.sum() != total:
+    if len(set(ids)) != len(ids):
+        raise VocabError(f"{path}: database index lists an image id twice")
+    if (counts < 0).any():
+        raise VocabError(f"{path}: index feature counts must be >= 0")
+    # Per-row dot products, bit-identical to np.linalg.norm of each row.
+    norms = np.sqrt((embeddings[:, None, :] @ embeddings[:, :, None])[:, 0, 0])
+    bad = (norms != 0) & (np.abs(norms - 1) > 1e-6)
+    if bad.any():
+        k = int(np.argmax(bad))
         raise VocabError(
-            f"{path}: index feature counts must be >= 0 and sum to {total} features"
+            f"{path}: index embedding of {ids[k]!r} has norm {float(norms[k])}, "
+            "expected 1 (or 0 for a degenerate image)"
         )
-    if descriptors.shape[1] != a["descriptor_dim"]:
+    return {
+        image_id: IndexRow(
+            digest,
+            embedding,
+            functools.partial(
+                read_index_row, archive, path, k, image_id, count, a["descriptor_dim"]
+            ),
+        )
+        for k, (image_id, digest, embedding, count) in enumerate(
+            zip(ids, a["index_sha256"].tolist(), embeddings, counts.tolist())
+        )
+    }
+
+
+def read_index_row(
+    archive: zipfile.ZipFile, path, k: int, image_id: str, count: int, dim: int
+) -> ImageFeatures:
+    """Index row k's features, read from the model file's archive (which
+    checks the member's CRC-32) and then checked as parse_feature_file checks
+    a PATF file's rows."""
+    try:
+        data = archive.read(_ROW_MEMBER.format(k))
+    except Exception as exc:
+        # Damaged bytes fail with many types, as in load_vocabulary.
+        raise VocabError(f"{path}: unreadable index row of {image_id!r}: {exc}") from None
+    size = 8 * count * (len(FRAME_FIELDS) + dim)
+    if len(data) != size:
         raise VocabError(
-            f"{path}: index descriptor width {descriptors.shape[1]} "
-            f"!= descriptor_dim {a['descriptor_dim']}"
+            f"{path}: index row of {image_id!r} has {len(data)} bytes, "
+            f"expected {size} for {count} features"
         )
+    values = np.frombuffer(data, dtype="<f8")
+    frames = values[: count * len(FRAME_FIELDS)].reshape(count, len(FRAME_FIELDS))
+    descriptors = values[frames.size :].reshape(count, dim)
+    if not np.isfinite(values).all():
+        raise VocabError(f"{path}: non-finite value in index row of {image_id!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         det = np.abs(frames[:, 2] * frames[:, 5] - frames[:, 3] * frames[:, 4])
         norms = np.sqrt(np.einsum("ij,ij->i", descriptors, descriptors))
     if not ((1e-12 <= det) & (det < np.inf)).all():
-        raise VocabError(f"{path}: index frame with |det| < 1e-12 or overflowing")
+        raise VocabError(
+            f"{path}: index frame with |det| < 1e-12 or overflowing in row of {image_id!r}"
+        )
     if not (np.abs(norms - 1.0) <= 1e-12).all():
-        raise VocabError(f"{path}: index descriptor whose norm is not 1 within 1e-12")
-    bounds = np.cumsum(counts)[:-1]
-    return [
-        ImageFeatures(image_id=image_id, frames=f, descriptors=d)
-        for image_id, f, d in zip(ids, np.split(frames, bounds), np.split(descriptors, bounds))
-    ]
+        raise VocabError(
+            f"{path}: index descriptor whose norm is not 1 within 1e-12 "
+            f"in row of {image_id!r}"
+        )
+    return ImageFeatures(image_id=image_id, frames=frames, descriptors=descriptors)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    """Write vocab as one model file: an uncompressed zip of .npy arrays.
+    """Write vocab as one model file: an uncompressed zip of .npy arrays and
+    one member per index row.
 
     Written through an open handle, so path is used as given (np.savez would
     append ".npz"), with fixed member timestamps, so one model gives one byte
     string.
     """
+    features = [row.read() for row in vocab.index.values()]
     with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
-        for name, array in _model_arrays(vocab).items():
-            member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-            with archive.open(member, "w") as out:
+        for name, array in _model_arrays(vocab, features).items():
+            with archive.open(_member(f"{name}.npy"), "w") as out:
                 np.lib.format.write_array(out, array, allow_pickle=False)
+        for k, f in enumerate(features):
+            archive.writestr(
+                _member(_ROW_MEMBER.format(k)),
+                np.ascontiguousarray(f.frames, "<f8").tobytes()
+                + np.ascontiguousarray(f.descriptors, "<f8").tobytes(),
+            )
 
 
 def load_vocabulary(path) -> Vocabulary:
-    """Read a model file written by save_vocabulary and check every array."""
+    """Read a model file written by save_vocabulary and check every array.
+
+    An index row's features are read and checked on each IndexRow.read call,
+    so the file stays open until the vocabulary is closed: use the result
+    in a with block.
+    """
     path = Path(path)
-    with open(path, "rb") as fh:
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(open(path, "rb"))
         if fh.read(4) != b"PK\x03\x04":  # a zip archive's first local header
             raise VocabError(
                 f"{path}: not a model file (a text vocabulary from an older "
@@ -509,15 +565,15 @@ def load_vocabulary(path) -> Vocabulary:
             )
         fh.seek(0)
         try:
-            with np.load(fh, allow_pickle=False) as archive:
-                arrays = {
-                    name: archive[name] for name in _LAYOUT if name in archive.files
-                }
+            archive = stack.enter_context(np.load(fh, allow_pickle=False))
+            arrays = {name: archive[name] for name in _LAYOUT if name in archive.files}
         except Exception as exc:
             # zipfile and np.load fail on damaged bytes with many types
             # (BadZipFile, EOFError, KeyError, RuntimeError, TokenError, ...).
             raise VocabError(f"{path}: unreadable model file: {exc}") from None
-    return _vocabulary_from(arrays, path)
+        vocab = _vocabulary_from(arrays, path, archive.zip)
+        vocab.close = stack.pop_all().close
+    return vocab
 
 
 def _check_vocabulary(path, vocab: Vocabulary) -> None:
@@ -548,10 +604,3 @@ def _check_vocabulary(path, vocab: Vocabulary) -> None:
         raise VocabError(f"{path}: GMM variances must be positive")
     if np.any(gmm.weights < 0) or abs(float(gmm.weights.sum()) - 1.0) > 1e-6:
         raise VocabError(f"{path}: GMM weights must be non-negative and sum to 1")
-    for image_id, row in vocab.index.items():
-        norm = float(np.linalg.norm(row.embedding))
-        if norm != 0 and abs(norm - 1) > 1e-6:
-            raise VocabError(
-                f"{path}: index embedding of {image_id!r} has norm {norm}, "
-                "expected 1 (or 0 for a degenerate image)"
-            )

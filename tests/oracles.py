@@ -16,7 +16,7 @@ from patreid.vocab import Gmm, average_log_likelihood
 
 def embedded_images(vocabulary, feature_sets):
     """Images of labeled in-memory features, each embedded afresh."""
-    return Images(
+    return Images.of(
         list(feature_sets),
         np.reshape(
             [embed_image(f, vocabulary) for f in feature_sets],

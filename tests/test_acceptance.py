@@ -298,14 +298,14 @@ def table_benchmark(tmp_path_factory):
 
     def run_evaluation(csv_path):
         manifest = load_manifest(manifest_path)
-        vocabulary = load_vocabulary(vocab_path)
-        reports = evaluate(
-            manifest,
-            vocabulary,
-            [CombineParams(rule=rule) for rule in RULES],
-            "split",
-            k_max=5,
-        )
+        with load_vocabulary(vocab_path) as vocabulary:
+            reports = evaluate(
+                manifest,
+                vocabulary,
+                [CombineParams(rule=rule) for rule in RULES],
+                "split",
+                k_max=5,
+            )
         write_per_query_csv(reports, csv_path)
         return reports
 
@@ -367,7 +367,8 @@ def test_indexed_model_reproduces_benchmark_csv(table_benchmark):
     indexed = root / "indexed.bin"
     assert main(["build-vocab", "--manifest", str(root / "bench" / "manifest.csv"),
                  "--out", str(indexed)]) == 0
-    assert load_vocabulary(root / "vocab.txt").index == {}
+    with load_vocabulary(root / "vocab.txt") as vocabulary:
+        assert vocabulary.index == {}
     assert main(["evaluate", "--manifest", str(root / "bench" / "manifest.csv"),
                  "--vocab", str(indexed), "--per-query-csv", str(root / "indexed.csv")]) == 0
     assert (root / "indexed.csv").read_bytes() == (root / "run_a.csv").read_bytes()

@@ -1,14 +1,17 @@
 """Command-line interface tests (exit codes, outputs, determinism)."""
 
 import shutil
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import patreid.cli
+import patreid.geometry
 import patreid.ingest
 import patreid.reid
+import patreid.vocab
 from patreid.cli import main
 from patreid.encode import cosine_distance, embed_image
 from patreid.ingest import file_sha256, load_entry_features, load_manifest, parse_feature_file
@@ -189,15 +192,17 @@ def indexed(tmp_path_factory):
 
 def _reindexed(model, manifest_path, out):
     """model with every database row of the manifest embedded afresh."""
-    vocabulary = load_vocabulary(model)
     manifest = load_manifest(manifest_path)
-    vocabulary.index = {}
-    for e in manifest.with_role("database"):
-        features = load_entry_features(manifest, e)
-        vocabulary.index[e.image_id] = IndexRow(
-            file_sha256(manifest.entry_path(e)), embed_image(features, vocabulary), features
-        )
-    save_vocabulary(vocabulary, out)
+    with load_vocabulary(model) as vocabulary:
+        vocabulary.index = {}
+        for e in manifest.with_role("database"):
+            features = load_entry_features(manifest, e)
+            vocabulary.index[e.image_id] = IndexRow(
+                file_sha256(manifest.entry_path(e)),
+                embed_image(features, vocabulary),
+                lambda f=features: f,
+            )
+        save_vocabulary(vocabulary, out)
     return out
 
 
@@ -235,25 +240,132 @@ def embed_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def row_reads(monkeypatch):
+    """Image ids of every index row read from a model file."""
+    calls = []
+    read = patreid.vocab.read_index_row
+
+    def counted(archive, path, k, image_id, count, dim):
+        calls.append(image_id)
+        return read(archive, path, k, image_id, count, dim)
+
+    monkeypatch.setattr(patreid.vocab, "read_index_row", counted)
+    return calls
+
+
+@pytest.fixture
+def verified_pairs(monkeypatch):
+    """(query id, database id) of every pair a search verifies."""
+    calls = []
+    verify = patreid.geometry.geometric_similarity
+
+    def counted(query, db, params):
+        calls.append((query.image_id, db.image_id))
+        return verify(query, db, params)
+
+    monkeypatch.setattr(patreid.geometry, "geometric_similarity", counted)
+    return calls
+
+
+def _damaged_row(model, out, image_id):
+    """A copy of model with one byte flipped in image_id's index row."""
+    with load_vocabulary(model) as vocabulary:
+        k = list(vocabulary.index).index(image_id)
+    with zipfile.ZipFile(model) as archive:
+        row = archive.read(f"index_rows/{k}")
+    data = bytearray(model.read_bytes())
+    data[data.index(row) + 5] ^= 0x40
+    out.write_bytes(bytes(data))
+    return out
+
+
 class TestDatabaseIndex:
+    @pytest.mark.parametrize(
+        "flags, reads",
+        [(("--rule", "exp", "--shortlist", "5"), 5), (("--rule", "geom", "--shortlist", "0"), 8),
+         (("--rule", "app"), 0)],
+        ids=["shortlist-5", "shortlist-all", "appearance"],
+    )
+    def test_query_reads_only_verified_rows(
+        self, indexed, capsys, row_reads, verified_pairs, flags, reads
+    ):
+        bench, model = indexed
+        _query(capsys, bench, model, "ind003_v1.patf", *flags)
+        assert len(row_reads) == reads
+        assert row_reads == [db for _, db in verified_pairs]
+
+    @pytest.mark.parametrize("protocol", ["split", "loo"])
+    @pytest.mark.parametrize("shortlist", ["3", "0"])
+    def test_evaluate_reads_each_verified_row_once(
+        self, indexed, row_reads, verified_pairs, protocol, shortlist
+    ):
+        bench, model = indexed
+        assert main(["evaluate", "--manifest", str(bench / "manifest.csv"), "--vocab", str(model),
+                     "--protocol", protocol, "--shortlist", shortlist]) == 0
+        with load_vocabulary(model) as vocabulary:
+            indexed_ids = set(vocabulary.index)
+        # Leave-one-out queries are database rows too, read once as either.
+        used = {image_id for pair in verified_pairs for image_id in pair} & indexed_ids
+        assert sorted(row_reads) == sorted(used)
+
+    def test_damaged_row_read_fails(self, indexed, tmp_path, capsys, row_reads):
+        bench, model = indexed
+        _query(capsys, bench, model, "ind003_v1.patf", "--shortlist", "5")
+        damaged = _damaged_row(model, tmp_path / "damaged.bin", row_reads[2])
+        code = main(["query", "--manifest", str(bench / "manifest.csv"), "--vocab", str(damaged),
+                     "--features", str(bench / "ind003_v1.patf"), "--shortlist", "5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {damaged}: unreadable index row of '{row_reads[2]}'")
+        assert "CRC" in err
+
+    @pytest.mark.parametrize("command", ["query", "evaluate"])
+    def test_damaged_row_not_read_changes_nothing(self, indexed, tmp_path, capsys, row_reads,
+                                                  command):
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        # One query, so a shortlist of 2 leaves database rows unread.
+        lines = (copy / "manifest.csv").read_text(encoding="utf-8").splitlines()
+        lines = [line for line in lines if ",query," not in line or "ind003_v1" in line]
+        (copy / "manifest.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        flags = ["--manifest", str(copy / "manifest.csv"), "--shortlist", "2"]
+        if command == "query":
+            flags += ["--features", str(copy / "ind003_v1.patf")]
+        else:
+            flags += ["--per-query-csv", str(tmp_path / "out.csv")]
+
+        def run(vocab):
+            capsys.readouterr()
+            assert main([command, "--vocab", str(vocab), *flags]) == 0
+            csv = tmp_path / "out.csv"
+            return capsys.readouterr().out, csv.read_bytes() if csv.exists() else b""
+
+        before = run(model)
+        assert len(row_reads) == 2
+        with load_vocabulary(model) as vocabulary:
+            unread = next(i for i in vocabulary.index if i not in row_reads)
+        assert run(_damaged_row(model, tmp_path / "damaged.bin", unread)) == before
+
     def test_stored_embeddings_bit_equal(self, indexed):
         bench, model = indexed
-        vocabulary = load_vocabulary(model)
         manifest = load_manifest(bench / "manifest.csv")
         db = manifest.with_role("database")
-        assert list(vocabulary.index) == [e.image_id for e in db]
-        for e in db:
-            sha256, stored, features = vocabulary.index[e.image_id]
-            assert sha256 == file_sha256(manifest.entry_path(e))
-            parsed = load_entry_features(manifest, e)
-            embedding = embed_image(parsed, vocabulary)
-            assert stored.tobytes() == embedding.tobytes()
-            assert features.frames.tobytes() == parsed.frames.tobytes()
-            assert features.descriptors.tobytes() == parsed.descriptors.tobytes()
+        with load_vocabulary(model) as vocabulary:
+            assert list(vocabulary.index) == [e.image_id for e in db]
+            for e in db:
+                sha256, stored, read = vocabulary.index[e.image_id]
+                assert sha256 == file_sha256(manifest.entry_path(e))
+                parsed = load_entry_features(manifest, e)
+                embedding = embed_image(parsed, vocabulary)
+                assert stored.tobytes() == embedding.tobytes()
+                assert read().frames.tobytes() == parsed.frames.tobytes()
+                assert read().descriptors.tobytes() == parsed.descriptors.tobytes()
 
     def test_one_cosine_call_equals_pairwise_calls(self, indexed):
         _, model = indexed
-        stored = [row.embedding for row in load_vocabulary(model).index.values()]
+        with load_vocabulary(model) as vocabulary:
+            stored = [row.embedding for row in vocabulary.index.values()]
         embeddings = np.vstack(stored + [np.zeros_like(stored[0])])  # last: degenerate
         d = cosine_distance(embeddings[:, None], embeddings[None])
         assert d.shape == (len(embeddings), len(embeddings))
@@ -416,6 +528,24 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'ind000_v0' has more fields" in err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("ind000_v0,ind000,,database", "row of 'ind000_v0' has fewer fields than the header"),
+         ("ind000_v0,ind000,,database,", "empty feature_path for 'ind000_v0'")],
+        ids=["short_row", "empty_path"],
+    )
+    def test_manifest_row_short(self, workspace, tmp_path, capsys, row, message):
+        _, bench, vocab = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        manifest = copy / "manifest.csv"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        lines = [row if line.startswith("ind000_v0,") else line for line in lines]
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["evaluate", "--manifest", str(manifest), "--vocab", str(vocab)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {manifest}: {message}\n"
 
     def test_split_all_queries_excluded(self, workspace, tmp_path, capsys):
         _, bench, vocab = workspace

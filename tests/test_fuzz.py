@@ -7,6 +7,7 @@ finite result, and the CLI must turn every failure into exit 1 or 2 with an
 
 import contextlib
 import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -56,7 +57,8 @@ def damaged(data):
     )
 
 
-# Values written into single entries of a model file's index feature arrays.
+# Values written into single entries of a model file's index: its feature
+# counts, and the frames and descriptors of its rows' members.
 MEMBER_VALUES = {
     "index_feature_counts": [-1, 0, 1, 7, 1 << 62],
     "index_frames": [0.0, -1.0, 1e-13, 1e200, np.nan, np.inf],
@@ -65,25 +67,41 @@ MEMBER_VALUES = {
 
 
 def members_damaged(data):
-    """Strategy: a model file with a few entries of its index feature arrays
-    overwritten, saved again as a valid archive."""
-    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files}
+    """Strategy: a model file with a few entries of its index feature counts
+    or of its index rows' frames and descriptors overwritten, saved again as
+    a valid archive."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    counts = np.load(io.BytesIO(members["index_feature_counts.npy"]))
+    dim = int(np.load(io.BytesIO(members["descriptor_dim.npy"])))
 
     def rewrite(edits):
-        changed = dict(arrays)
-        for name, at, value in edits:
-            flat = changed[name].copy().reshape(-1)
-            if flat.size:
-                flat[at % flat.size] = value
-            changed[name] = flat.reshape(arrays[name].shape)
+        changed = dict(members)
+        for name, k, at, value in edits:
+            if name == "index_feature_counts":
+                array = counts.copy()
+                array[at % array.size] = value
+                buffer = io.BytesIO()
+                np.save(buffer, array)
+                changed["index_feature_counts.npy"] = buffer.getvalue()
+                continue
+            row = f"index_rows/{k % counts.size}"
+            values = np.frombuffer(changed[row], dtype="<f8").copy()
+            frames = 6 * counts[k % counts.size]
+            part = values[:frames] if name == "index_frames" else values[frames:]
+            if part.size:
+                part[at % part.size] = value
+            changed[row] = values.tobytes()
         out = io.BytesIO()
-        np.savez(out, **changed)
+        with zipfile.ZipFile(out, "w") as archive:
+            for name, blob in changed.items():
+                archive.writestr(name, blob)
         return out.getvalue()
 
     edit = st.sampled_from(sorted(MEMBER_VALUES)).flatmap(
         lambda name: st.tuples(
-            st.just(name), st.integers(0, 1 << 30), st.sampled_from(MEMBER_VALUES[name])
+            st.just(name), st.integers(0, 1 << 30), st.integers(0, 1 << 30),
+            st.sampled_from(MEMBER_VALUES[name]),
         )
     )
     return st.lists(edit, min_size=1, max_size=3).map(rewrite)
@@ -162,16 +180,22 @@ def test_model_bytes(workspace):
             vocab = load_vocabulary(root / "fuzz.bin")
         except VocabError:
             return
-        assert vocab.alpha > 0 and np.isfinite(vocab.kpca.training_vectors).all()
-        for row in vocab.index.values():
-            frames, descriptors = row.features.frames, row.features.descriptors
-            assert np.isfinite(frames).all() and np.isfinite(descriptors).all()
-            det = frames[:, 2] * frames[:, 5] - frames[:, 3] * frames[:, 4]
-            assert (np.abs(det) >= 1e-12).all()
-            norms = np.linalg.norm(descriptors, axis=1)
-            np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-            norm = np.linalg.norm(row.embedding)
-            assert norm == 0 or abs(norm - 1) <= 1e-6
+        with vocab:
+            assert vocab.alpha > 0 and np.isfinite(vocab.kpca.training_vectors).all()
+            for row in vocab.index.values():
+                norm = np.linalg.norm(row.embedding)
+                assert norm == 0 or abs(norm - 1) <= 1e-6
+                # Each row is checked where it is read.
+                try:
+                    features = row.read()
+                except VocabError:
+                    continue
+                frames, descriptors = features.frames, features.descriptors
+                assert np.isfinite(frames).all() and np.isfinite(descriptors).all()
+                det = frames[:, 2] * frames[:, 5] - frames[:, 3] * frames[:, 4]
+                assert (np.abs(det) >= 1e-12).all()
+                norms = np.linalg.norm(descriptors, axis=1)
+                np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     run()
 

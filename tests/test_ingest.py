@@ -324,6 +324,21 @@ class TestManifest:
         with pytest.raises(ManifestError, match="'b' has more fields than the header"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("b,ind0,,query", "'b' has fewer fields than the header"),
+         ("b", "'b' has fewer fields than the header"),
+         ("b,ind0,,query,", "empty feature_path for 'b'"),
+         ("b,ind0,,query,  ", "empty feature_path for 'b'")],
+        ids=["four_fields", "one_field", "empty_path", "blank_path"],
+    )
+    def test_short_row_named(self, tmp_path, row, message):
+        # Not reported as a missing feature file at the manifest's directory.
+        path = self._write_bench(tmp_path, [("a", "ind0", "", "database")])
+        path.write_text(path.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+        with pytest.raises(ManifestError, match=message):
+            load_manifest(path)
+
     def test_unknown_role(self, tmp_path):
         path = self._write_bench(tmp_path, [("a", "ind0", "", "gallery")])
         with pytest.raises(ManifestError, match="unknown role"):
@@ -334,6 +349,29 @@ class TestManifest:
         (tmp_path / "a.patf").unlink()
         with pytest.raises(ManifestError, match="not found"):
             load_manifest(path)
+
+    def test_missing_feature_file_path_normalized(self, tmp_path, monkeypatch):
+        path = self._write_bench(tmp_path, [("a", "ind0", "", "database")])
+        text = path.read_text(encoding="utf-8").replace("a.patf", "./sub//a.patf")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ManifestError) as err:
+            load_manifest(path)
+        assert str(err.value) == (
+            f"{path}: feature file not found for 'a': {tmp_path / 'sub' / 'a.patf'}"
+        )
+        # A manifest in the working directory names the bare relative path.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ManifestError) as err:
+            load_manifest("manifest.csv")
+        assert str(err.value) == "manifest.csv: feature file not found for 'a': sub/a.patf"
+
+    def test_entry_path_resolves_against_manifest_dir(self, tmp_path, monkeypatch):
+        path = self._write_bench(tmp_path, [("a", "ind0", "", "database")])
+        manifest = load_manifest(path)
+        assert manifest.entry_path(manifest.entries[0]) == str(tmp_path / "a.patf")
+        monkeypatch.chdir(tmp_path)
+        manifest = load_manifest("manifest.csv")
+        assert manifest.entry_path(manifest.entries[0]) == "a.patf"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "manifest.csv"

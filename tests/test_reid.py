@@ -143,7 +143,7 @@ def small_world():
 class TestQueryDatabase:
     def test_database_image_ranks_itself_first(self, small_world):
         _, db, _, vocabulary = small_world
-        first = db.features[0]
+        first = db.features[0]()
         result = query_database(db, vocabulary, first, CombineParams())
         assert result.candidates.image_ids[0] == first.image_id
         assert result.individuals[0] == first.individual_id
@@ -161,13 +161,14 @@ class TestQueryDatabase:
         # Duplicate every individual's database image under a new image_id:
         # candidate list doubles, individual list must not.
         import dataclasses
-        doubled = db.features + [
-            dataclasses.replace(f, image_id=f.image_id + "_copy") for f in db.features
+        features = [read() for read in db.features]
+        doubled = features + [
+            dataclasses.replace(f, image_id=f.image_id + "_copy") for f in features
         ]
         db2 = embedded_images(vocabulary, doubled)
         result = query_database(db2, vocabulary, queries[0], CombineParams())
-        assert len(result.candidates.image_ids) == 2 * len(db.features)
-        assert sorted(result.individuals) == sorted(f.individual_id for f in db.features)
+        assert len(result.candidates.image_ids) == 2 * len(features)
+        assert sorted(result.individuals) == sorted(db.individual_ids)
 
     def test_shortlist_equivalence_when_covering(self, small_world):
         _, db, queries, vocabulary = small_world
@@ -211,7 +212,7 @@ class TestQueryDatabase:
         _, db, queries, vocabulary = small_world
         with pytest.raises(ReidError, match="empty"):
             query_database(
-                Images([], np.zeros((0, vocabulary.kpca.out_dim))),
+                Images.of([], np.zeros((0, vocabulary.kpca.out_dim))),
                 vocabulary,
                 queries[0],
                 CombineParams(),
@@ -229,7 +230,7 @@ class TestQueryDatabase:
         query = embedded_images(vocabulary, queries[:1])
         rules = [CombineParams(rule="polynomial"), CombineParams(rule="exponential")]
         results = rank_queries(db, query, rules)
-        assert sorted(calls) == sorted(f.image_id for f in db.features)  # once per pair
+        assert sorted(calls) == sorted(db.image_ids)  # once per pair
         a, b = (results[p.rule][0].candidates for p in rules)
         by_id_a = dict(zip(a.image_ids, zip(a.n.tolist(), a.omega.tolist())))
         by_id_b = dict(zip(b.image_ids, zip(b.n.tolist(), b.omega.tolist())))
@@ -239,15 +240,15 @@ class TestQueryDatabase:
 class TestScorePair:
     def test_degenerate_embedding_still_verified_geometrically(self, small_world):
         _, db, queries, _ = small_world
-        entry = db.features[0]
+        entry = db.features[0]()
         truth_query = next(
             q for q in queries if q.individual_id == entry.individual_id
         )
         # Zero embeddings on both sides: degenerate images.
-        hobbled = Images([entry], np.zeros((1, db.embeddings.shape[1])))
+        hobbled = Images.of([entry], np.zeros((1, db.embeddings.shape[1])))
         candidate = rank_queries(
             hobbled,
-            Images([truth_query], np.zeros((1, db.embeddings.shape[1]))),
+            Images.of([truth_query], np.zeros((1, db.embeddings.shape[1]))),
             [CombineParams(rule="exponential")],
         )["exponential"][0].candidates
         assert candidate.d_L[0] == 2.0
@@ -258,7 +259,7 @@ class TestBuildDatabase:
     def test_requires_labels(self, small_world):
         _, db, queries, vocabulary = small_world
         import dataclasses
-        unlabeled = dataclasses.replace(db.features[0], individual_id=None)
+        unlabeled = dataclasses.replace(db.features[0](), individual_id=None)
         with pytest.raises(ReidError, match="individual_id"):
             query_database(
                 embedded_images(vocabulary, [unlabeled]), vocabulary, queries[0], CombineParams()
@@ -266,7 +267,7 @@ class TestBuildDatabase:
 
     def test_rejects_duplicate_ids(self, small_world):
         _, db, queries, vocabulary = small_world
-        f = db.features[0]
+        f = db.features[0]()
         with pytest.raises(ReidError, match="duplicate"):
             query_database(
                 embedded_images(vocabulary, [f, f]), vocabulary, queries[0], CombineParams()
@@ -432,7 +433,8 @@ def noisy_world(tmp_path_factory):
     # The two empty database images share one Fisher vector: kernel rank 5.
     assert main(["build-vocab", "--manifest", str(bench / "manifest.csv"), "--out", str(model),
                  "--gmm-k", "4", "--pca-dim", "16", "--kpca-dim", "5"]) == 0
-    return load_manifest(bench / "manifest.csv"), load_vocabulary(model)
+    with load_vocabulary(model) as vocabulary:
+        yield load_manifest(bench / "manifest.csv"), vocabulary
 
 
 class TestRankingOracle:

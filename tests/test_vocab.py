@@ -1,11 +1,13 @@
 """PCA, GMM/EM, kernel PCA, and vocabulary persistence tests."""
 
+import io
 import zipfile
 
 import numpy as np
 import pytest
 from oracles import dense_kpca_oracle
 
+import patreid.vocab as vocab_module
 from patreid.ingest import ImageFeatures
 from patreid.vocab import (
     Gmm,
@@ -326,7 +328,7 @@ class TestVocabularyPersistence:
         vocab = self._make_vocabulary()
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
-        loaded = load_vocabulary(path)
+        loaded, _ = _read_all(path)
         np.testing.assert_array_equal(loaded.pca.mean, vocab.pca.mean)
         np.testing.assert_array_equal(loaded.pca.basis, vocab.pca.basis)
         np.testing.assert_array_equal(loaded.pca.eigenvalues, vocab.pca.eigenvalues)
@@ -365,7 +367,8 @@ class TestVocabularyPersistence:
         vocab = self._make_vocabulary()
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         save_vocabulary(vocab, a)
-        save_vocabulary(load_vocabulary(a), b)
+        with load_vocabulary(a) as loaded:
+            save_vocabulary(loaded, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_text_vocabulary_rejected(self, tmp_path):
@@ -457,14 +460,14 @@ class TestVocabularyPersistence:
         self._widen_kpca_output(vocab, 9)
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
-        assert load_vocabulary(path).kpca.out_dim == 9
+        assert _read_all(path)[0].kpca.out_dim == 9
 
     def test_weights_sum_tolerance(self, tmp_path):
         vocab = self._make_vocabulary()
         vocab.gmm.weights = vocab.gmm.weights * (1.0 + 5e-7)
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
-        np.testing.assert_array_equal(load_vocabulary(path).gmm.weights, vocab.gmm.weights)
+        np.testing.assert_array_equal(_read_all(path)[0].gmm.weights, vocab.gmm.weights)
 
 
 def _features(image_id, count, rng, dim=10):
@@ -484,22 +487,60 @@ def _indexed_vocabulary():
     m = vocab.kpca.out_dim
     for i in range(2):
         v = rng.standard_normal(m)
+        features = _features(f"img{i}", 3 - i, rng)
         vocab.index[f"img{i}"] = IndexRow(
-            f"{i:064x}", v / np.linalg.norm(v), _features(f"img{i}", 3 - i, rng)
+            f"{i:064x}", v / np.linalg.norm(v), lambda f=features: f
         )
-    vocab.index["empty"] = IndexRow(
-        "f" * 64, np.zeros(m), _features("empty", 0, rng, dim=4)
-    )
+    empty = _features("empty", 0, rng, dim=4)
+    vocab.index["empty"] = IndexRow("f" * 64, np.zeros(m), lambda: empty)
     return vocab
 
 
-def _rewrite(path, **changes):
-    """Rewrite a model file's arrays: a value replaces an array, None drops it."""
+def _read_all(path):
+    """A model file's vocabulary, closed, and each index row's features."""
+    with load_vocabulary(path) as vocab:
+        return vocab, {image_id: row.read() for image_id, row in vocab.index.items()}
+
+
+def _members(path):
+    """A model file's members: arrays by name for the .npy members, and
+    (frames, descriptors) by member name for the index rows."""
     with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    arrays.update(changes)
-    with open(path, "wb") as fh:
-        np.savez(fh, **{k: v for k, v in arrays.items() if v is not None})
+        members = {name: archive[name] for name in archive.files}
+    dim = int(members["descriptor_dim"])
+    for k, count in enumerate(members["index_feature_counts"]):
+        values = np.frombuffer(members[f"index_rows/{k}"], dtype="<f8")
+        members[f"index_rows/{k}"] = (
+            values[: 6 * count].reshape(count, 6), values[6 * count :].reshape(count, dim)
+        )
+    return members
+
+
+def _rewrite(path, changes):
+    """Rewrite a model file's members: an array replaces an .npy member, a
+    (frames, descriptors) pair or bytes an index row, and None drops one."""
+    with zipfile.ZipFile(path) as archive:
+        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    for name, value in changes.items():
+        member = name if name.startswith("index_rows/") else f"{name}.npy"
+        if isinstance(value, np.ndarray):
+            buffer = io.BytesIO()
+            np.lib.format.write_array(buffer, value, allow_pickle=True)
+            value = buffer.getvalue()
+        elif isinstance(value, tuple):
+            value = b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in value)
+        members.pop(member, None)
+        if value is not None:
+            members[member] = value
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+def _row_change(k, frames=lambda f: f, descriptors=lambda d: d):
+    """A change of index row k's frames and descriptors."""
+    return lambda a: {f"index_rows/{k}": (frames(a[f"index_rows/{k}"][0]),
+                                          descriptors(a[f"index_rows/{k}"][1]))}
 
 
 class TestModelFile:
@@ -507,18 +548,18 @@ class TestModelFile:
         vocab = _indexed_vocabulary()
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
-        loaded = load_vocabulary(path)
+        loaded, read = _read_all(path)
         assert list(loaded.index) == list(vocab.index)
         for image_id, (digest, embedding, features) in vocab.index.items():
             assert loaded.index[image_id].sha256 == digest
             restored = loaded.index[image_id].embedding
             assert restored.tobytes() == embedding.tobytes()
-            parsed = loaded.index[image_id].features
+            parsed = read[image_id]
             assert parsed.image_id == image_id
-            assert parsed.frames.tobytes() == features.frames.tobytes()
+            assert parsed.frames.tobytes() == features().frames.tobytes()
             # An empty image's descriptors come back descriptor_dim wide.
-            assert parsed.descriptors.shape == (features.count, vocab.descriptor_dim)
-            assert parsed.descriptors.tobytes() == features.descriptors.tobytes()
+            assert parsed.descriptors.shape == (features().count, vocab.descriptor_dim)
+            assert parsed.descriptors.tobytes() == features().descriptors.tobytes()
 
     def test_plain_npz_at_the_given_path(self, tmp_path):
         # np.savez would write vocab-0.txt.npz; timestamps would vary by build.
@@ -529,6 +570,11 @@ class TestModelFile:
             for member in archive.infolist():
                 assert member.date_time == (1980, 1, 1, 0, 0, 0)
                 assert member.compress_type == zipfile.ZIP_STORED
+            # One raw member per index row: 8 bytes per frame field and
+            # descriptor value of each of its features.
+            rows = [n for n in archive.namelist() if n.startswith("index_rows/")]
+            assert rows == ["index_rows/0", "index_rows/1", "index_rows/2"]
+            assert [archive.getinfo(n).file_size for n in rows] == [8 * 3 * 16, 8 * 2 * 16, 0]
         with np.load(path, allow_pickle=False) as archive:
             assert archive["index_image_ids"].dtype.kind == "U"
             assert archive["index_image_ids"].tolist() == ["img0", "img1", "empty"]
@@ -538,73 +584,120 @@ class TestModelFile:
         save_vocabulary(TestVocabularyPersistence()._make_vocabulary(), path)
         with np.load(path, allow_pickle=False) as archive:
             assert archive["index_embeddings"].shape == (0, 4)
-        assert load_vocabulary(path).index == {}
+        assert _read_all(path)[0].index == {}
+
+    def test_rows_read_on_demand(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(_indexed_vocabulary(), path)
+        reads = []
+        read_index_row = vocab_module.read_index_row
+        monkeypatch.setattr(
+            vocab_module, "read_index_row",
+            lambda *args: reads.append(args[3]) or read_index_row(*args),
+        )
+        with load_vocabulary(path) as vocab:
+            assert reads == []
+            vocab.index["img1"].read()
+            vocab.index["img1"].read()
+            assert reads == ["img1", "img1"]  # checked again on every read
+        with pytest.raises(VocabError, match="unreadable index row of 'img0'"):
+            vocab.index["img0"].read()  # the file is closed
+
+    def test_damaged_row_fails_its_crc(self, tmp_path):
+        # One flipped byte inside a row's data fails only that row's read.
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(_indexed_vocabulary(), path)
+        with zipfile.ZipFile(path) as archive:
+            row = archive.read("index_rows/1")
+        data = bytearray(path.read_bytes())
+        data[data.index(row) + 5] ^= 0x40
+        path.write_bytes(bytes(data))
+        with load_vocabulary(path) as vocab:
+            vocab.index["img0"].read()
+            with pytest.raises(VocabError, match="unreadable index row of 'img1'.*CRC"):
+                vocab.index["img1"].read()
 
     @pytest.mark.parametrize(
-        "change, message",
+        "change, row, message",
         [
-            (lambda a: {"gmm_weights": None}, "missing array 'gmm_weights'"),
-            (lambda a: {"pca_mean": a["pca_mean"].astype(np.float32)},
+            (lambda a: {"gmm_weights": None}, None, "missing array 'gmm_weights'"),
+            (lambda a: {"pca_mean": a["pca_mean"].astype(np.float32)}, None,
              "'pca_mean' is not of dtype f8"),
-            (lambda a: {"pca_whiten": np.array(1)}, "'pca_whiten' is not of dtype"),
-            (lambda a: {"pca_basis": a["pca_basis"][:, :-1]},
+            (lambda a: {"pca_whiten": np.array(1)}, None, "'pca_whiten' is not of dtype"),
+            (lambda a: {"pca_basis": a["pca_basis"][:, :-1]}, None,
              r"'pca_basis' has shape \(6, 9\), expected \(6, 10\)"),
-            (lambda a: {"alpha": np.array([0.5])}, r"'alpha' has shape \(1,\)"),
-            (lambda a: {"index_sha256": a["index_sha256"][:-1]},
+            (lambda a: {"alpha": np.array([0.5])}, None, r"'alpha' has shape \(1,\)"),
+            (lambda a: {"index_sha256": a["index_sha256"][:-1]}, None,
              r"'index_sha256' has shape \(2,\), expected \(3,\)"),
-            (lambda a: {"index_embeddings": a["index_embeddings"][:, :-1]},
+            (lambda a: {"index_embeddings": a["index_embeddings"][:, :-1]}, None,
              r"'index_embeddings' has shape \(3, 3\), expected \(3, 4\)"),
             (lambda a: {"index_embeddings": np.where(a["index_embeddings"] > 0.1, np.nan, 0.0)},
-             "non-finite value in index"),
-            (lambda a: {"index_embeddings": 2.0 * a["index_embeddings"]},
+             None, "non-finite value in index"),
+            (lambda a: {"index_embeddings": 2.0 * a["index_embeddings"]}, None,
              "index embedding of 'img0' has norm"),
-            (lambda a: {"index_embeddings": 0.5 * a["index_embeddings"]},
+            (lambda a: {"index_embeddings": 0.5 * a["index_embeddings"]}, None,
              r"index embedding of 'img0' has norm 0\.5, expected 1 \(or 0"),
-            (lambda a: {"index_embeddings": 1e-7 * a["index_embeddings"]},
+            (lambda a: {"index_embeddings": 1e-7 * a["index_embeddings"]}, None,
              r"index embedding of 'img0' has norm 1e-07, expected 1 \(or 0"),
-            (lambda a: {"index_image_ids": np.array(["img0", "img0", "empty"])},
+            (lambda a: {"index_image_ids": np.array(["img0", "img0", "empty"])}, None,
              "image id twice"),
-            (lambda a: {"index_image_ids": a["index_image_ids"].astype(object)},
+            (lambda a: {"index_image_ids": a["index_image_ids"].astype(object)}, None,
              "unreadable model file"),
-            (lambda a: {"version": np.array(1)}, "version 1, expected 4"),
+            (lambda a: {"version": np.array(1)}, None, "version 1, expected 5"),
             (lambda a: {"version": np.array(3), "index_degenerate": np.zeros(3, dtype=bool)},
-             r"version 3, expected 4 \(rebuild it with build-vocab\)"),
+             None, r"version 3, expected 5 \(rebuild it with build-vocab\)"),
             (lambda a: {"version": np.array(2), "index_feature_counts": None,
-                        "index_frames": None, "index_descriptors": None},
-             r"version 2, expected 4 \(rebuild it with build-vocab\)"),
-            (lambda a: {"index_feature_counts": np.array([-1, 6, 0])}, "feature counts"),
-            (lambda a: {"index_feature_counts": np.array([3, 1, 0])}, "feature counts"),
-            (lambda a: {"index_frames": a["index_frames"][:, :-1]},
-             r"'index_frames' has shape \(5, 5\), expected \(5, 6\)"),
-            (lambda a: {"index_descriptors": a["index_descriptors"][:-1]},
-             r"'index_descriptors' has shape \(4, 10\), expected \(5, 10\)"),
-            (lambda a: {"index_descriptors": a["index_descriptors"][:, :-1]},
-             "index descriptor width 9 != descriptor_dim 10"),
-            (lambda a: {"index_frames": np.where(a["index_frames"] > 99, np.inf, a["index_frames"])},
-             "non-finite value in index"),
-            (lambda a: {"index_descriptors": np.where(a["index_descriptors"] > 0.5, np.nan, 0.0)},
-             "non-finite value in index"),
-            (lambda a: {"index_frames": a["index_frames"] * [1, 1, 1, 1, 0, 1e-13]},
+                        **{f"index_rows/{k}": None for k in range(3)}},
+             None, r"version 2, expected 5 \(rebuild it with build-vocab\)"),
+            (lambda a: {"version": np.array(4), "index_frames": np.zeros((5, 6)),
+                        "index_descriptors": np.zeros((5, 10)),
+                        **{f"index_rows/{k}": None for k in range(3)}},
+             None, r"version 4, expected 5 \(rebuild it with build-vocab\)"),
+            (lambda a: {"index_feature_counts": np.array([-1, 6, 0])}, None, "feature counts"),
+            (lambda a: {"index_feature_counts": np.array([3, 1, 0])}, "img1",
+             "index row of 'img1' has 256 bytes, expected 128 for 1 features"),
+            (_row_change(0, frames=lambda f: f[:, :-1]), "img0",
+             "index row of 'img0' has 360 bytes, expected 384"),
+            (_row_change(0, descriptors=lambda d: d[:-1]), "img0",
+             "index row of 'img0' has 304 bytes, expected 384"),
+            (_row_change(1, descriptors=lambda d: d[:, :-1]), "img1",
+             "index row of 'img1' has 240 bytes, expected 256"),
+            (_row_change(0, frames=lambda f: np.where(f > 99, np.inf, f)), "img0",
+             "non-finite value in index row of 'img0'"),
+            (_row_change(1, descriptors=lambda d: np.where(d > 0.5, np.nan, 0.0)), "img1",
+             "non-finite value in index row of 'img1'"),
+            (_row_change(0, frames=lambda f: f * [1, 1, 1, 1, 0, 1e-13]), "img0",
              r"index frame with \|det\| < 1e-12"),
-            (lambda a: {"index_frames": a["index_frames"] * [1, 1, 1e200, 1, 1, 1e200]},
-             r"index frame with \|det\| < 1e-12 or overflowing"),
-            (lambda a: {"index_descriptors": a["index_descriptors"] * (1.0 + 1e-11)},
-             "index descriptor whose norm is not 1"),
+            (_row_change(1, frames=lambda f: f * [1, 1, 1e200, 1, 1, 1e200]), "img1",
+             r"index frame with \|det\| < 1e-12 or overflowing in row of 'img1'"),
+            (_row_change(0, descriptors=lambda d: d * (1.0 + 1e-11)), "img0",
+             "index descriptor whose norm is not 1 within 1e-12 in row of 'img0'"),
+            (lambda a: {"index_rows/2": None}, "empty", "unreadable index row of 'empty'"),
+            (lambda a: {"index_rows/2": b"\0" * 8}, "empty",
+             "index row of 'empty' has 8 bytes, expected 0 for 0 features"),
         ],
         ids=["missing", "dtype", "bool_dtype", "shape", "scalar_shape", "index_lengths",
              "embedding_dim", "embedding_nan", "embedding_norm", "embedding_norm_half",
              "embedding_norm_tiny",
              "duplicate_id", "object_array", "version", "old_version", "version_2",
-             "negative_count",
+             "version_4", "negative_count",
              "count_sum", "frame_width", "feature_lengths", "descriptor_width",
              "frame_inf", "descriptor_nan", "singular_frame", "det_overflow",
-             "descriptor_norm"],
+             "descriptor_norm", "row_missing", "row_bytes"],
     )
-    def test_rejected(self, tmp_path, change, message):
+    def test_rejected(self, tmp_path, change, row, message):
+        """A damage to the vocabulary or the index metadata fails the load;
+        a damage to an index row fails only that row's read."""
         path = tmp_path / "vocab.txt"
         save_vocabulary(_indexed_vocabulary(), path)
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        _rewrite(path, **change(arrays))
-        with pytest.raises(VocabError, match=message):
-            load_vocabulary(path)
+        _rewrite(path, change(_members(path)))
+        if row is None:
+            with pytest.raises(VocabError, match=message):
+                load_vocabulary(path)
+            return
+        with load_vocabulary(path) as vocab:
+            for image_id, index_row in vocab.index.items():
+                if image_id != row:
+                    index_row.read()
+            with pytest.raises(VocabError, match=message):
+                vocab.index[row].read()
