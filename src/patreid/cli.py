@@ -9,6 +9,7 @@ validation error (bad flags, missing artifacts, insufficient data).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from .geometry import GeometryError, GeometryParams
 from .ingest import (
     ManifestError,
     PatfError,
-    file_sha256,
     load_entry_features,
     load_manifest,
     parse_feature_file,
@@ -134,7 +134,12 @@ def cmd_build_vocab(args) -> int:
     db_entries = manifest.with_role("database")
     if not db_entries:
         raise UsageError("no database entries in manifest")
-    feature_sets = [load_entry_features(manifest, e) for e in db_entries]
+    # Each file is read once; its row records the sha256 of the bytes parsed.
+    digests, feature_sets = [], []
+    for e in db_entries:
+        data = Path(manifest.entry_path(e)).read_bytes()
+        digests.append(hashlib.sha256(data).hexdigest())
+        feature_sets.append(load_entry_features(manifest, e, data))
     try:
         vocabulary = train_vocabulary(
             feature_sets,
@@ -149,11 +154,9 @@ def cmd_build_vocab(args) -> int:
         raise UsageError(f"insufficient data: {exc}") from None
     vocabulary.index = {
         e.image_id: IndexRow(
-            file_sha256(manifest.entry_path(e)),
-            embed_image(features, vocabulary),
-            lambda features=features: features,
+            digest, embed_image(features, vocabulary), lambda features=features: features
         )
-        for e, features in zip(db_entries, feature_sets)
+        for e, digest, features in zip(db_entries, digests, feature_sets)
     }
     save_vocabulary(vocabulary, args.out)
     print(args.out)

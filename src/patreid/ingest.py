@@ -15,7 +15,6 @@ Dataset splits travel in a manifest CSV with columns
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import os
 from dataclasses import dataclass, replace
@@ -139,14 +138,16 @@ def _parse_block(data_lines: list, dim: int):
     return frames.copy(), desc / norms[:, None]
 
 
-def parse_feature_file(path) -> ImageFeatures:
-    """Parse and validate a PATF file.
+def parse_feature_file(path, data: Optional[bytes] = None) -> ImageFeatures:
+    """Parse and validate a PATF file; data, when given, is its bytes
+    already read, and errors still name path.
 
     Descriptors are re-normalized to unit L2 norm on the way in so downstream
     cosine computations are scale-free.  Feature order is preserved.
     """
     path = Path(path)
-    data = path.read_bytes()
+    if data is None:
+        data = path.read_bytes()
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -302,19 +303,16 @@ def write_manifest(manifest: Manifest, path) -> None:
             )
 
 
-def file_sha256(path) -> str:
-    """Hex sha256 of a file's bytes."""
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def load_entry_features(manifest: Manifest, entry: ManifestEntry) -> ImageFeatures:
-    """Parse an entry's feature file and attach its manifest labels.
+def load_entry_features(
+    manifest: Manifest, entry: ManifestEntry, data: Optional[bytes] = None
+) -> ImageFeatures:
+    """Parse an entry's feature file (or data, its bytes already read) and
+    attach its manifest labels.
 
     The file's image_id must be the entry's: results are keyed by it.
     """
     path = Path(manifest.entry_path(entry))
-    features = parse_feature_file(path)
+    features = parse_feature_file(path, data)
     if features.image_id != entry.image_id:
         raise ManifestError(
             f"{path}: feature file image_id {features.image_id!r} does not match "

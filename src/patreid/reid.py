@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry
 from .encode import cosine_distance, embed_image
 from .geometry import GeometryParams
-from .ingest import ImageFeatures, Manifest, ManifestEntry, file_sha256, load_entry_features
+from .ingest import ImageFeatures, Manifest, ManifestEntry, load_entry_features
 from .vocab import IndexRow, Vocabulary
 
 RULES = ("appearance_only", "geometry_only", "polynomial", "exponential")
@@ -150,18 +150,19 @@ def _read_once(row: IndexRow, entry: ManifestEntry) -> Callable[[], ImageFeature
 def load_images(
     manifest: Manifest, entries: Sequence[ManifestEntry], vocabulary: Vocabulary
 ) -> Images:
-    """Manifest rows' labelled images, each read from the model file's index
-    when the row's PATF file still has the indexed sha256.
+    """Manifest rows' labelled images, each taken from the model file's index
+    when the index has a row of its image_id.
 
-    An indexed row's features are read on the first call of its features
-    function, so a search reads only the rows it verifies, each once.  Any
-    other row is parsed and embedded here, so a stale index is slower, never
-    wrong.
+    The index is a snapshot of the database as build-vocab saw it, so an
+    indexed row's PATF file is never opened: after editing one, rerun
+    build-vocab.  An indexed row's features are read on the first call of
+    its features function, so a search reads only the rows it verifies, each
+    once.  A row the index lacks is parsed and embedded here, as a query is.
     """
     features, embeddings = [], []
     for entry in entries:
         row = vocabulary.index.get(entry.image_id)
-        if row is not None and row.sha256 == file_sha256(manifest.entry_path(entry)):
+        if row is not None:
             features.append(_read_once(row, entry))
             embeddings.append(row.embedding)
         else:
@@ -408,9 +409,8 @@ def evaluate(
 ) -> Dict[str, EvalReport]:
     """Each rule's report under protocol ("split" or "leave_one_out").
 
-    Every image is read and embedded once (database rows from the model
-    file's index where it is current, see load_images) and every rule ranks
-    the same search, see rank_queries.
+    Every image is read and embedded once (indexed rows from the model file,
+    see load_images) and every rule ranks the same search, see rank_queries.
     """
     db, queries, truths, excluded, self_rows = _PROTOCOLS[protocol](manifest, vocabulary)
     results = rank_queries(db, queries, rule_params, geometry_params, self_rows)

@@ -11,7 +11,7 @@ from patreid.encode import cosine_distance, embed_image
 from patreid.geometry import GeometryParams, geometric_similarity
 from patreid.ingest import load_entry_features
 from patreid.reid import Images
-from patreid.vocab import Gmm, average_log_likelihood
+from patreid.vocab import VARIANCE_FLOOR, Gmm, _kmeanspp_centers, average_log_likelihood
 
 
 def embedded_images(vocabulary, feature_sets):
@@ -61,6 +61,44 @@ def fisher_fd_oracle(X, gmm, h=1e-6):
                 sigmas[k, d] / np.sqrt(2 * gmm.weights[k]) * (up - down) / (2 * h)
             )
     return out.reshape(-1)
+
+
+def em_reference(X, k, seed=0, max_iters=200, tol=1e-6):
+    """(weights, means, variances, log_likelihoods) of fit_gmm's EM (k >= 2)
+    as it was before X * X left the loop: recomputed in the E step's
+    quadratic form and again in the variance update.
+
+    Unlike the oracles above it shares fit_gmm's algebra on purpose, so its
+    arrays pin the hoisted loop bit for bit.
+    """
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    means = _kmeanspp_centers(X, k, rng)
+    variances = np.tile(np.maximum(X.var(axis=0), VARIANCE_FLOOR), (k, 1))
+    weights = np.full(k, 1.0 / k)
+    trace = []
+    for _ in range(max_iters):
+        log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=1)
+        quad = (
+            (X * X) @ (1.0 / variances).T
+            - 2.0 * (X @ (means / variances).T)
+            + np.sum(means * means / variances, axis=1)[None, :]
+        )
+        log_terms = np.log(weights)[None, :] + log_norm[None, :] - 0.5 * quad
+        m = np.max(log_terms, axis=1, keepdims=True)
+        lse = np.squeeze(m + np.log(np.sum(np.exp(log_terms - m), axis=1, keepdims=True)), 1)
+        trace.append(float(np.mean(lse)))
+        if len(trace) > 1 and trace[-1] - trace[-2] < tol:
+            break
+        gamma = np.exp(log_terms - lse[:, None])
+        nk = gamma.sum(axis=0)
+        nk_safe = np.maximum(nk, 1e-10)
+        weights = nk / n
+        weights = weights / weights.sum()
+        means = (gamma.T @ X) / nk_safe[:, None]
+        second = (gamma.T @ (X * X)) / nk_safe[:, None]
+        variances = np.maximum(second - means**2, VARIANCE_FLOOR)
+    return weights, means, variances, np.array(trace)
 
 
 def dense_kpca_oracle(X, out_dim):

@@ -1,5 +1,6 @@
 """Command-line interface tests (exit codes, outputs, determinism)."""
 
+import hashlib
 import shutil
 import zipfile
 from pathlib import Path
@@ -14,7 +15,7 @@ import patreid.reid
 import patreid.vocab
 from patreid.cli import main
 from patreid.encode import cosine_distance, embed_image
-from patreid.ingest import file_sha256, load_entry_features, load_manifest, parse_feature_file
+from patreid.ingest import load_entry_features, load_manifest, parse_feature_file
 from patreid.vocab import IndexRow, load_vocabulary, save_vocabulary
 
 
@@ -190,6 +191,10 @@ def indexed(tmp_path_factory):
     return bench, model
 
 
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _reindexed(model, manifest_path, out):
     """model with every database row of the manifest embedded afresh."""
     manifest = load_manifest(manifest_path)
@@ -198,7 +203,7 @@ def _reindexed(model, manifest_path, out):
         for e in manifest.with_role("database"):
             features = load_entry_features(manifest, e)
             vocabulary.index[e.image_id] = IndexRow(
-                file_sha256(manifest.entry_path(e)),
+                _sha256(manifest.entry_path(e)),
                 embed_image(features, vocabulary),
                 lambda f=features: f,
             )
@@ -218,9 +223,9 @@ def parse_calls(monkeypatch):
     """Paths of every parse_feature_file call, at both of its lookup sites."""
     calls = []
 
-    def counted(path):
+    def counted(path, data=None):
         calls.append(Path(path).name)
-        return parse_feature_file(path)
+        return parse_feature_file(path, data)
 
     monkeypatch.setattr(patreid.ingest, "parse_feature_file", counted)
     monkeypatch.setattr(patreid.cli, "parse_feature_file", counted)
@@ -266,6 +271,13 @@ def verified_pairs(monkeypatch):
 
     monkeypatch.setattr(patreid.geometry, "geometric_similarity", counted)
     return calls
+
+
+def _swap_in_ind002_v0(bench):
+    """Rewrite bench's ind001_v0.patf to hold ind002_v0's features under its own id."""
+    lines = (bench / "ind002_v0.patf").read_text(encoding="utf-8").splitlines()
+    lines[1] = "ind001_v0"
+    (bench / "ind001_v0.patf").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _damaged_row(model, out, image_id):
@@ -355,7 +367,7 @@ class TestDatabaseIndex:
             assert list(vocabulary.index) == [e.image_id for e in db]
             for e in db:
                 sha256, stored, read = vocabulary.index[e.image_id]
-                assert sha256 == file_sha256(manifest.entry_path(e))
+                assert sha256 == _sha256(manifest.entry_path(e))
                 parsed = load_entry_features(manifest, e)
                 embedding = embed_image(parsed, vocabulary)
                 assert stored.tobytes() == embedding.tobytes()
@@ -401,45 +413,80 @@ class TestDatabaseIndex:
         assert parse_calls == [f"{q}.patf" for q in queries]
         assert embed_calls == queries
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("query", "--rule", "exp"), ("evaluate", "--protocol", "split"),
+         ("evaluate", "--protocol", "loo")],
+        ids=["query", "evaluate-split", "evaluate-loo"],
+    )
+    def test_no_database_file_read(self, indexed, tmp_path, capsys, parse_calls, argv):
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        command, *flags = argv
+        args = [command, "--manifest", str(copy / "manifest.csv"), "--vocab", str(model),
+                "--shortlist", "0", *flags]
+        manifest = load_manifest(copy / "manifest.csv")
+        if command == "query":
+            args += ["--features", str(copy / "ind003_v1.patf")]
+            queries = ["ind003_v1"]
+        else:
+            args += ["--per-query-csv", str(tmp_path / "out.csv")]
+            queries = [e.image_id for e in manifest.with_role("query")]
+
+        def run():
+            capsys.readouterr()
+            parse_calls.clear()
+            assert main(args) == 0
+            csv = tmp_path / "out.csv"
+            return capsys.readouterr().out, csv.read_bytes() if csv.exists() else b""
+
+        before = run()
+        with load_vocabulary(model) as vocabulary:
+            indexed_ids = set(vocabulary.index)
+        for e in manifest.entries:
+            if e.image_id in indexed_ids:
+                # Still a file, so the manifest loads, but no PATF file.
+                Path(manifest.entry_path(e)).write_bytes(b"not a PATF file\n")
+        assert run() == before
+        assert parse_calls == [f"{q}.patf" for q in queries]
+
     @pytest.mark.parametrize("protocol", ["split", "loo"])
-    def test_rewritten_file_evaluates_as_fresh_index(
+    def test_rewritten_file_evaluates_as_snapshot(
         self, indexed, tmp_path, parse_calls, embed_calls, protocol
     ):
         bench, model = indexed
         copy = shutil.copytree(bench, tmp_path / "bench")
-        lines = (copy / "ind002_v0.patf").read_text(encoding="utf-8").splitlines()
-        lines[1] = "ind001_v0"
-        (copy / "ind001_v0.patf").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        fresh = _reindexed(model, copy / "manifest.csv", tmp_path / "fresh.bin")
         queries = [e.image_id for e in load_manifest(copy / "manifest.csv").with_role("query")]
-        csv = {}
-        for name, vocab in (("stale", model), ("fresh", fresh)):
+
+        def run(name, vocab):
             parse_calls.clear()
             embed_calls.clear()
             out = tmp_path / f"{name}.csv"
             assert main(["evaluate", "--manifest", str(copy / "manifest.csv"), "--vocab",
                          str(vocab), "--protocol", protocol, "--per-query-csv", str(out)]) == 0
-            csv[name] = out.read_bytes()
-            if name == "stale":
-                read = sorted(queries + ["ind001_v0"])
-                assert sorted(parse_calls) == [f"{q}.patf" for q in read]
-                assert sorted(embed_calls) == read
-        assert csv["stale"] == csv["fresh"]
+            return out.read_bytes()
 
-    def test_rewritten_file_matches_fresh_index(self, indexed, tmp_path, capsys, parse_calls):
+        before = run("before", model)
+        _swap_in_ind002_v0(copy)
+        stale = run("stale", model)
+        # The model is the database as build-vocab saw it: only queries are read.
+        assert parse_calls == [f"{q}.patf" for q in queries]
+        assert embed_calls == queries
+        assert stale == before
+        fresh = _reindexed(model, copy / "manifest.csv", tmp_path / "fresh.bin")
+        assert run("fresh", fresh) != stale
+
+    def test_rewritten_file_queries_as_snapshot(self, indexed, tmp_path, capsys, parse_calls):
         bench, model = indexed
         copy = shutil.copytree(bench, tmp_path / "bench")
         before = _query(capsys, copy, model, "ind002_v1.patf", "--rule", "app")
-        # ind001_v0 now holds ind002_v0's features under its own id.
-        lines = (copy / "ind002_v0.patf").read_text(encoding="utf-8").splitlines()
-        lines[1] = "ind001_v0"
-        (copy / "ind001_v0.patf").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _swap_in_ind002_v0(copy)
         fresh = _reindexed(model, copy / "manifest.csv", tmp_path / "fresh.bin")
         parse_calls.clear()
         stale = _query(capsys, copy, model, "ind002_v1.patf", "--rule", "app")
-        assert parse_calls == ["ind002_v1.patf", "ind001_v0.patf"]
-        assert stale == _query(capsys, copy, fresh, "ind002_v1.patf", "--rule", "app")
-        assert stale != before
+        assert parse_calls == ["ind002_v1.patf"]
+        assert stale == before
+        assert stale != _query(capsys, copy, fresh, "ind002_v1.patf", "--rule", "app")
 
     def test_row_missing_from_index_is_embedded(self, indexed, tmp_path, capsys, parse_calls):
         bench, model = indexed

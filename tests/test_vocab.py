@@ -5,7 +5,7 @@ import zipfile
 
 import numpy as np
 import pytest
-from oracles import dense_kpca_oracle
+from oracles import dense_kpca_oracle, em_reference
 
 import patreid.vocab as vocab_module
 from patreid.ingest import ImageFeatures
@@ -162,6 +162,17 @@ class TestFitGmm:
     def test_too_few_vectors(self):
         with pytest.raises(VocabError, match="at least"):
             fit_gmm(np.zeros((2, 3)), k=3)
+
+    @pytest.mark.parametrize("max_iters, tol", [(5, 1e-6), (200, 1e-6)], ids=["cap", "tol"])
+    def test_bit_equal_to_reference_loop(self, max_iters, tol):
+        # X * X is computed once per fit; the loop that recomputed it gives the same bits.
+        rng = np.random.default_rng(4)
+        X = np.vstack([rng.normal(c, 0.8, (90, 6)) for c in rng.uniform(-3, 3, (4, 6))])
+        gmm = fit_gmm(X, k=4, seed=2, max_iters=max_iters, tol=tol)
+        reference = em_reference(X, 4, seed=2, max_iters=max_iters, tol=tol)
+        fitted = (gmm.weights, gmm.means, gmm.variances, gmm.log_likelihoods)
+        for got, want in zip(fitted, reference):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGmmPosteriors:
