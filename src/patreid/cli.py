@@ -9,7 +9,6 @@ validation error (bad flags, missing artifacts, insufficient data).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
@@ -134,12 +133,7 @@ def cmd_build_vocab(args) -> int:
     db_entries = manifest.with_role("database")
     if not db_entries:
         raise UsageError("no database entries in manifest")
-    # Each file is read once; its row records the sha256 of the bytes parsed.
-    digests, feature_sets = [], []
-    for e in db_entries:
-        data = Path(manifest.entry_path(e)).read_bytes()
-        digests.append(hashlib.sha256(data).hexdigest())
-        feature_sets.append(load_entry_features(manifest, e, data))
+    feature_sets = [load_entry_features(manifest, e) for e in db_entries]
     try:
         vocabulary = train_vocabulary(
             feature_sets,
@@ -153,10 +147,8 @@ def cmd_build_vocab(args) -> int:
     except VocabError as exc:
         raise UsageError(f"insufficient data: {exc}") from None
     vocabulary.index = {
-        e.image_id: IndexRow(
-            digest, embed_image(features, vocabulary), lambda features=features: features
-        )
-        for e, digest, features in zip(db_entries, digests, feature_sets)
+        e.image_id: IndexRow(embed_image(features, vocabulary), lambda f=features: f)
+        for e, features in zip(db_entries, feature_sets)
     }
     save_vocabulary(vocabulary, args.out)
     print(args.out)

@@ -19,7 +19,7 @@ import io
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -138,16 +138,14 @@ def _parse_block(data_lines: list, dim: int):
     return frames.copy(), desc / norms[:, None]
 
 
-def parse_feature_file(path, data: Optional[bytes] = None) -> ImageFeatures:
-    """Parse and validate a PATF file; data, when given, is its bytes
-    already read, and errors still name path.
+def parse_feature_file(path) -> ImageFeatures:
+    """Parse and validate a PATF file; errors name path and the line.
 
     Descriptors are re-normalized to unit L2 norm on the way in so downstream
     cosine computations are scale-free.  Feature order is preserved.
     """
     path = Path(path)
-    if data is None:
-        data = path.read_bytes()
+    data = path.read_bytes()
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -239,8 +237,10 @@ def write_feature_file(features: ImageFeatures, path) -> None:
 def load_manifest(path) -> Manifest:
     """Load and validate a manifest CSV.
 
-    Rejects duplicate image ids and unknown roles; every feature_path must
-    resolve to an existing file relative to the manifest's directory.
+    Rejects duplicate image ids, unknown roles and empty feature paths.  A
+    feature_path resolves against the manifest's directory; its file is
+    checked where it is read (load_entry_features), so a database row that
+    the model file's index holds need not have one.
     """
     path = Path(path)
     manifest = Manifest(entries=[], base_dir=os.path.dirname(path))
@@ -275,20 +275,15 @@ def load_manifest(path) -> Manifest:
         feature_path = row["feature_path"].strip()
         if not feature_path:
             raise ManifestError(f"{path}: empty feature_path for {image_id!r}")
-        entry = ManifestEntry(
-            image_id=image_id,
-            individual_id=row["individual_id"].strip() or None,
-            viewpoint=row["viewpoint"].strip() or None,
-            role=role,
-            feature_path=feature_path,
-        )
-        if not os.path.isfile(manifest.entry_path(entry)):
-            # Printed through Path(), which normalizes it ("./a" as "a").
-            raise ManifestError(
-                f"{path}: feature file not found for {image_id!r}: "
-                f"{Path(manifest.entry_path(entry))}"
+        manifest.entries.append(
+            ManifestEntry(
+                image_id=image_id,
+                individual_id=row["individual_id"].strip() or None,
+                viewpoint=row["viewpoint"].strip() or None,
+                role=role,
+                feature_path=feature_path,
             )
-        manifest.entries.append(entry)
+        )
     return manifest
 
 
@@ -303,16 +298,17 @@ def write_manifest(manifest: Manifest, path) -> None:
             )
 
 
-def load_entry_features(
-    manifest: Manifest, entry: ManifestEntry, data: Optional[bytes] = None
-) -> ImageFeatures:
-    """Parse an entry's feature file (or data, its bytes already read) and
-    attach its manifest labels.
+def load_entry_features(manifest: Manifest, entry: ManifestEntry) -> ImageFeatures:
+    """Parse an entry's feature file and attach its manifest labels.
 
-    The file's image_id must be the entry's: results are keyed by it.
+    The file must exist, and its image_id must be the entry's: results are
+    keyed by it.
     """
+    # Printed through Path(), which normalizes it ("./a" as "a").
     path = Path(manifest.entry_path(entry))
-    features = parse_feature_file(path, data)
+    if not path.is_file():
+        raise ManifestError(f"feature file not found for {entry.image_id!r}: {path}")
+    features = parse_feature_file(path)
     if features.image_id != entry.image_id:
         raise ManifestError(
             f"{path}: feature file image_id {features.image_id!r} does not match "

@@ -36,7 +36,6 @@ class CombineParams:
     rule: str = "exponential"
     a: float = 2.0
     shortlist_size: int = 50
-    epsilon: float = 1e-9
 
     def validate(self) -> None:
         """Raise ReidError naming the offending field."""
@@ -134,7 +133,7 @@ def _combine(params: CombineParams, d_l: float, n: int, omega: float) -> float:
         return float(-n)
     if params.rule == "polynomial":
         return combine_polynomial(d_l, omega, params.a)
-    return combine_exponential(d_l, n, params.epsilon)
+    return combine_exponential(d_l, n)
 
 
 def _read_once(row: IndexRow, entry: ManifestEntry) -> Callable[[], ImageFeatures]:

@@ -25,7 +25,7 @@ from .ingest import FRAME_FIELDS, ImageFeatures
 
 VARIANCE_FLOOR = 1e-6
 WHITEN_FLOOR = 1e-12
-VOCAB_VERSION = 5
+VOCAB_VERSION = 6
 
 
 class VocabError(ValueError):
@@ -63,30 +63,33 @@ class Gmm:
 
 @dataclass
 class KpcaModel:
-    training_vectors: np.ndarray
-    alphas: np.ndarray
-    eigenvalues: np.ndarray
-    row_means: np.ndarray
-    total_mean: float
-    training_projections: np.ndarray
+    """Kernel PCA as the affine map it applies: a normalized Fisher vector v
+    projects to matrix @ v - offset, with matrix (m, f) and offset (m,).  A
+    model file stores only the map, not the training vectors it was fitted on."""
+
+    matrix: np.ndarray
+    offset: np.ndarray
+    # Fit diagnostics, not stored: the kept eigenvalues of the centered Gram
+    # matrix and the training vectors' projections.
+    eigenvalues: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    training_projections: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     @property
     def out_dim(self) -> int:
-        return self.alphas.shape[1]
+        return self.matrix.shape[0]
 
 
 class IndexRow(NamedTuple):
-    """A database image as build-vocab saw it: the sha256 of the PATF bytes
-    it was parsed from, its embedding (unit norm, or zero for a degenerate
-    image), and read, which returns its parsed features.  A loaded model's
-    read takes them from the model file and checks them on every call.
+    """A database image as build-vocab saw it: its embedding (unit norm, or
+    zero for a degenerate image), and read, which returns its parsed
+    features.  A loaded model's read takes them from the model file and
+    checks them on every call.
 
     The row is a snapshot: a search uses it without opening the PATF file,
-    so an edited database file counts only once build-vocab is rerun.  The
-    digest records which bytes the row was built from; no search compares it.
+    which need not exist, so an edited database file counts only once
+    build-vocab is rerun.
     """
 
-    sha256: str
     embedding: np.ndarray
     read: Callable[[], ImageFeatures]
 
@@ -286,7 +289,8 @@ def fit_kpca(fisher_vectors: np.ndarray, out_dim: int) -> KpcaModel:
     Keeps the top out_dim eigenpairs with positive eigenvalues (reducing
     out_dim with a warning when rank falls short); coefficient columns are
     scaled by 1/sqrt(eigenvalue) so projections carry unit-eigenvalue
-    scaling, with the same sign convention as fit_pca.
+    scaling, with the same sign convention as fit_pca.  The result is the
+    affine map those coefficients apply to a vector's centered kernel row.
     """
     X = np.asarray(fisher_vectors, dtype=np.float64)
     if X.ndim != 2:
@@ -315,45 +319,38 @@ def fit_kpca(fisher_vectors: np.ndarray, out_dim: int) -> KpcaModel:
         )
         out_dim = n_pos
     eigvals = eigvals[:out_dim]
-    # C order, as a model file loads them: embeddings made at build time are
-    # then bit-equal to a query's.
-    V = np.ascontiguousarray(_sign_fix_rows(eigvecs[:, :out_dim].T).T)
+    V = _sign_fix_rows(eigvecs[:, :out_dim].T).T
     alphas = V / np.sqrt(eigvals)[None, :]
-    projections = V * np.sqrt(eigvals)[None, :]
+    # The centered kernel row of v, X v - row_means - mean(X v) + total_mean, is
+    # (X - 1 mean(X)^T) v - (row_means - total_mean), so its product with alphas
+    # is affine in v.  matmul returns both parts in C order, as a model file
+    # loads them: embeddings made at build time are then bit-equal to a query's.
     return KpcaModel(
-        training_vectors=X.copy(),
-        alphas=alphas,
+        matrix=alphas.T @ (X - X.mean(axis=0)),
+        offset=alphas.T @ (row_means - total_mean),
         eigenvalues=eigvals,
-        row_means=row_means,
-        total_mean=total_mean,
-        training_projections=projections,
+        training_projections=np.ascontiguousarray(V * np.sqrt(eigvals)[None, :]),
     )
 
 
 def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> np.ndarray:
-    """Project one normalized Fisher vector through the fitted kernel PCA.
-
-    The kernel row against the training vectors is centered with the stored
-    statistics and multiplied by the coefficients; the projection is then
-    L2-normalized.  An exactly-zero projection cannot be normalized and is
-    returned as the zero vector, the degenerate embedding.
+    """Project one normalized Fisher vector through the kernel PCA map,
+    matrix @ v - offset, and L2-normalize the projection.  An exactly-zero
+    projection cannot be normalized and is returned as the zero vector, the
+    degenerate embedding.
     """
     v = np.asarray(fisher_vector, dtype=np.float64)
-    if v.shape != (model.training_vectors.shape[1],):
-        raise VocabError(
-            f"expected vector of dim {model.training_vectors.shape[1]}, "
-            f"got shape {v.shape}"
-        )
-    k_row = model.training_vectors @ v
-    centered = k_row - model.row_means - k_row.mean() + model.total_mean
-    projection = centered @ model.alphas
+    if v.shape != (model.matrix.shape[1],):
+        raise VocabError(f"expected vector of dim {model.matrix.shape[1]}, got shape {v.shape}")
+    projection = model.matrix @ v - model.offset
     norm = float(np.linalg.norm(projection))
     if norm < 1e-30:
         return np.zeros(model.out_dim)
     return projection / norm
 
 
-# The trained stages, stored field by field as "<section>_<field>" arrays.
+# The trained stages, stored field by field as "<section>_<field>" arrays;
+# a field _LAYOUT does not name (a fit diagnostic) is not stored.
 _SECTIONS = {"pca": PcaModel, "gmm": Gmm, "kpca": KpcaModel}
 # Arrays of a model file: name -> (dtype, shape).  Shapes are given in named
 # dimensions; a name binds at the first array that has it and must agree
@@ -373,15 +370,9 @@ _LAYOUT = {
     "gmm_weights": ("f8", ("k",)),
     "gmm_means": ("f8", ("k", "gmm_dim")),
     "gmm_variances": ("f8", ("k", "gmm_dim")),
-    "gmm_log_likelihoods": ("f8", ("em_iters",)),
-    "kpca_eigenvalues": ("f8", ("m",)),
-    "kpca_row_means": ("f8", ("n",)),
-    "kpca_total_mean": ("f8", ()),
-    "kpca_alphas": ("f8", ("n", "m")),
-    "kpca_training_projections": ("f8", ("n", "m")),
-    "kpca_training_vectors": ("f8", ("n", "f")),
+    "kpca_matrix": ("f8", ("m", "f")),
+    "kpca_offset": ("f8", ("m",)),
     "index_image_ids": ("U", ("rows",)),
-    "index_sha256": ("U", ("rows",)),
     "index_embeddings": ("f8", ("rows", "m")),
     "index_feature_counts": ("i8", ("rows",)),
 }
@@ -406,7 +397,6 @@ def _model_arrays(
         "alpha": vocab.alpha,
         "descriptor_dim": vocab.descriptor_dim,
         "index_image_ids": list(vocab.index),
-        "index_sha256": [row.sha256 for row in rows],
         "index_embeddings": np.reshape(
             [row.embedding for row in rows], (len(rows), vocab.kpca.out_dim)
         ),
@@ -455,7 +445,10 @@ def _vocabulary_from(arrays: Dict[str, np.ndarray], path, archive) -> Vocabulary
     a = {name: x.item() if x.ndim == 0 else x for name, x in arrays.items()}
     vocab = Vocabulary(
         **{
-            section: cls(**{f.name: a[f"{section}_{f.name}"] for f in fields(cls)})
+            section: cls(
+                **{f.name: a[f"{section}_{f.name}"] for f in fields(cls)
+                   if f"{section}_{f.name}" in _LAYOUT}
+            )
             for section, cls in _SECTIONS.items()
         },
         descriptor_dim=a["descriptor_dim"],
@@ -487,15 +480,12 @@ def _index(path, a: Dict[str, np.ndarray], archive) -> Dict[str, IndexRow]:
         )
     return {
         image_id: IndexRow(
-            digest,
             embedding,
             functools.partial(
                 read_index_row, archive, path, k, image_id, count, a["descriptor_dim"]
             ),
         )
-        for k, (image_id, digest, embedding, count) in enumerate(
-            zip(ids, a["index_sha256"].tolist(), embeddings, counts.tolist())
-        )
+        for k, (image_id, embedding, count) in enumerate(zip(ids, embeddings, counts.tolist()))
     }
 
 
@@ -589,7 +579,7 @@ def _check_vocabulary(path, vocab: Vocabulary) -> None:
     """Reject shapes and values no trained vocabulary can hold, naming the section."""
     pca, gmm, kpca = vocab.pca, vocab.gmm, vocab.kpca
     k, d = gmm.n_components, gmm.dim
-    n, f = kpca.training_vectors.shape
+    f = kpca.matrix.shape[1]
     if pca.mean.shape[0] != vocab.descriptor_dim:
         raise VocabError(
             f"{path}: PCA section input dimension {pca.mean.shape[0]} "
@@ -602,10 +592,6 @@ def _check_vocabulary(path, vocab: Vocabulary) -> None:
     if f != 2 * k * d:
         raise VocabError(
             f"{path}: KPCA section feature dimension {f} != 2*K*dim = {2 * k * d}"
-        )
-    if kpca.out_dim > n:
-        raise VocabError(
-            f"{path}: KPCA section output dimension {kpca.out_dim} > {n} training vectors"
         )
     if vocab.alpha <= 0:
         raise VocabError(f"{path}: alpha must be positive, got {vocab.alpha}")

@@ -114,6 +114,22 @@ def dense_kpca_oracle(X, out_dim):
     return lam, V * np.sqrt(np.maximum(lam, 0.0))
 
 
+def kernel_row_kpca(X, kpca, v):
+    """apply_kpca the way model files up to version 5 computed it: v's kernel
+    row against the training vectors X, centered by the Gram matrix's row
+    means, its own mean and the Gram matrix's total mean, times the
+    coefficients (recovered from fit_kpca's diagnostics as
+    training_projections / eigenvalues), then L2-normalized; a zero
+    projection stays zero."""
+    alphas = kpca.training_projections / kpca.eigenvalues
+    gram = X @ X.T
+    row_means, total_mean = gram.mean(axis=1), gram.mean()
+    k = X @ v
+    projection = (k - row_means - k.mean() + total_mean) @ alphas
+    norm = np.linalg.norm(projection)
+    return np.zeros_like(projection) if norm < 1e-30 else projection / norm
+
+
 def ranking_oracle(manifest, vocabulary, rule, shortlist, protocol, a=2.0,
                    geometry_params=GeometryParams()):
     """Per-query records (query, truth, rank_of_truth, d_L, n, omega, d_C) of

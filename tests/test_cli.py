@@ -1,6 +1,5 @@
 """Command-line interface tests (exit codes, outputs, determinism)."""
 
-import hashlib
 import shutil
 import zipfile
 from pathlib import Path
@@ -191,10 +190,6 @@ def indexed(tmp_path_factory):
     return bench, model
 
 
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _reindexed(model, manifest_path, out):
     """model with every database row of the manifest embedded afresh."""
     manifest = load_manifest(manifest_path)
@@ -203,9 +198,7 @@ def _reindexed(model, manifest_path, out):
         for e in manifest.with_role("database"):
             features = load_entry_features(manifest, e)
             vocabulary.index[e.image_id] = IndexRow(
-                _sha256(manifest.entry_path(e)),
-                embed_image(features, vocabulary),
-                lambda f=features: f,
+                embed_image(features, vocabulary), lambda f=features: f
             )
         save_vocabulary(vocabulary, out)
     return out
@@ -223,9 +216,9 @@ def parse_calls(monkeypatch):
     """Paths of every parse_feature_file call, at both of its lookup sites."""
     calls = []
 
-    def counted(path, data=None):
+    def counted(path):
         calls.append(Path(path).name)
-        return parse_feature_file(path, data)
+        return parse_feature_file(path)
 
     monkeypatch.setattr(patreid.ingest, "parse_feature_file", counted)
     monkeypatch.setattr(patreid.cli, "parse_feature_file", counted)
@@ -366,8 +359,7 @@ class TestDatabaseIndex:
         with load_vocabulary(model) as vocabulary:
             assert list(vocabulary.index) == [e.image_id for e in db]
             for e in db:
-                sha256, stored, read = vocabulary.index[e.image_id]
-                assert sha256 == _sha256(manifest.entry_path(e))
+                stored, read = vocabulary.index[e.image_id]
                 parsed = load_entry_features(manifest, e)
                 embedding = embed_image(parsed, vocabulary)
                 assert stored.tobytes() == embedding.tobytes()
@@ -445,10 +437,38 @@ class TestDatabaseIndex:
             indexed_ids = set(vocabulary.index)
         for e in manifest.entries:
             if e.image_id in indexed_ids:
-                # Still a file, so the manifest loads, but no PATF file.
+                # Not a PATF file any more; an indexed row's file is never read.
                 Path(manifest.entry_path(e)).write_bytes(b"not a PATF file\n")
         assert run() == before
         assert parse_calls == [f"{q}.patf" for q in queries]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("query", "--rule", "exp"), ("evaluate", "--protocol", "split"),
+         ("evaluate", "--protocol", "loo")],
+        ids=["query", "evaluate-split", "evaluate-loo"],
+    )
+    def test_deleted_database_file_changes_nothing(self, indexed, tmp_path, capsys, argv):
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        command, *flags = argv
+        args = [command, "--manifest", str(copy / "manifest.csv"), "--vocab", str(model),
+                "--shortlist", "0", *flags]
+        if command == "query":
+            args += ["--features", str(copy / "ind003_v1.patf")]
+        else:
+            args += ["--per-query-csv", str(tmp_path / "out.csv")]
+
+        def run():
+            capsys.readouterr()
+            assert main(args) == 0
+            csv = tmp_path / "out.csv"
+            return capsys.readouterr().out, csv.read_bytes() if csv.exists() else b""
+
+        before = run()
+        # An indexed row is taken from the model file, so its PATF file need not exist.
+        (copy / "ind002_v0.patf").unlink()
+        assert run() == before
 
     @pytest.mark.parametrize("protocol", ["split", "loo"])
     def test_rewritten_file_evaluates_as_snapshot(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import fisher_fd_oracle
+from oracles import fisher_fd_oracle, kernel_row_kpca
 
 from patreid.encode import (
     cosine_distance,
@@ -11,7 +11,8 @@ from patreid.encode import (
     power_l2_normalize,
     train_vocabulary,
 )
-from patreid.ingest import ImageFeatures
+from patreid.ingest import ImageFeatures, load_entry_features, load_manifest
+from patreid.synth import SynthConfig, generate_benchmark
 from patreid.vocab import Gmm, PcaModel, VocabError, fit_gmm
 
 
@@ -210,6 +211,21 @@ class TestTrainVocabularyAndEmbed:
         empty = ImageFeatures("e", np.zeros((0, 6)), np.zeros((0, 10)))
         embedding = embed_image(empty, vocab)
         np.testing.assert_array_equal(embedding, np.zeros(vocab.kpca.out_dim))
+
+    def test_kpca_map_matches_kernel_row_formula(self, tmp_path):
+        # On the database Fisher vectors of a vocabulary trained as build-vocab
+        # trains one, at the default kernel-PCA dimension N_db - 1.
+        generate_benchmark(SynthConfig(seed=3, n_individuals=12, views_per_individual=2), tmp_path)
+        manifest = load_manifest(tmp_path / "manifest.csv")
+        sets = [load_entry_features(manifest, e) for e in manifest.with_role("database")]
+        vocab = train_vocabulary(sets, gmm_k=4, pca_dim=16)
+        fvs = np.stack(
+            [power_l2_normalize(fisher_encode(f, vocab.pca, vocab.gmm), vocab.alpha) for f in sets]
+        )
+        for f, v in zip(sets, fvs):
+            np.testing.assert_allclose(
+                embed_image(f, vocab), kernel_row_kpca(fvs, vocab.kpca, v), rtol=0, atol=1e-12
+            )
 
     def test_too_few_images(self):
         sets = self._feature_sets(n_images=1)

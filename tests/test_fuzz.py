@@ -181,7 +181,7 @@ def test_model_bytes(workspace):
         except VocabError:
             return
         with vocab:
-            assert vocab.alpha > 0 and np.isfinite(vocab.kpca.training_vectors).all()
+            assert vocab.alpha > 0 and np.isfinite(vocab.kpca.matrix).all()
             for row in vocab.index.values():
                 norm = np.linalg.norm(row.embedding)
                 assert norm == 0 or abs(norm - 1) <= 1e-6

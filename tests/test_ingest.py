@@ -345,25 +345,27 @@ class TestManifest:
             load_manifest(path)
 
     def test_missing_feature_file(self, tmp_path):
+        # The manifest loads; the file is missing only where it is read.
         path = self._write_bench(tmp_path, [("a", "ind0", "", "database")])
         (tmp_path / "a.patf").unlink()
+        manifest = load_manifest(path)
         with pytest.raises(ManifestError, match="not found"):
-            load_manifest(path)
+            load_entry_features(manifest, manifest.entries[0])
 
     def test_missing_feature_file_path_normalized(self, tmp_path, monkeypatch):
         path = self._write_bench(tmp_path, [("a", "ind0", "", "database")])
         text = path.read_text(encoding="utf-8").replace("a.patf", "./sub//a.patf")
         path.write_text(text, encoding="utf-8")
+        manifest = load_manifest(path)
         with pytest.raises(ManifestError) as err:
-            load_manifest(path)
-        assert str(err.value) == (
-            f"{path}: feature file not found for 'a': {tmp_path / 'sub' / 'a.patf'}"
-        )
+            load_entry_features(manifest, manifest.entries[0])
+        assert str(err.value) == f"feature file not found for 'a': {tmp_path / 'sub' / 'a.patf'}"
         # A manifest in the working directory names the bare relative path.
         monkeypatch.chdir(tmp_path)
+        manifest = load_manifest("manifest.csv")
         with pytest.raises(ManifestError) as err:
-            load_manifest("manifest.csv")
-        assert str(err.value) == "manifest.csv: feature file not found for 'a': sub/a.patf"
+            load_entry_features(manifest, manifest.entries[0])
+        assert str(err.value) == "feature file not found for 'a': sub/a.patf"
 
     def test_entry_path_resolves_against_manifest_dir(self, tmp_path, monkeypatch):
         path = self._write_bench(tmp_path, [("a", "ind0", "", "database")])

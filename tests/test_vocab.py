@@ -5,7 +5,7 @@ import zipfile
 
 import numpy as np
 import pytest
-from oracles import dense_kpca_oracle, em_reference
+from oracles import dense_kpca_oracle, em_reference, kernel_row_kpca
 
 import patreid.vocab as vocab_module
 from patreid.ingest import ImageFeatures
@@ -317,6 +317,18 @@ class TestApplyKpca:
         embedding = apply_kpca(model, np.zeros(2))
         np.testing.assert_array_equal(embedding, np.zeros(2))
 
+    def test_matches_kernel_row_formula(self):
+        # The stored affine map against the kernel row it replaces, on the
+        # training vectors and on fresh ones.
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 12))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        model = fit_kpca(X, out_dim=6)
+        for v in np.vstack([X, rng.standard_normal((10, 12))]):
+            np.testing.assert_allclose(
+                apply_kpca(model, v), kernel_row_kpca(X, model, v), rtol=0, atol=1e-12
+            )
+
     def test_dim_mismatch(self):
         X = np.random.default_rng(1).standard_normal((5, 4))
         model = fit_kpca(X, out_dim=2)
@@ -347,21 +359,8 @@ class TestVocabularyPersistence:
         np.testing.assert_array_equal(loaded.gmm.weights, vocab.gmm.weights)
         np.testing.assert_array_equal(loaded.gmm.means, vocab.gmm.means)
         np.testing.assert_array_equal(loaded.gmm.variances, vocab.gmm.variances)
-        np.testing.assert_array_equal(
-            loaded.gmm.log_likelihoods, vocab.gmm.log_likelihoods
-        )
-        np.testing.assert_array_equal(
-            loaded.kpca.training_vectors, vocab.kpca.training_vectors
-        )
-        np.testing.assert_array_equal(loaded.kpca.alphas, vocab.kpca.alphas)
-        np.testing.assert_array_equal(
-            loaded.kpca.eigenvalues, vocab.kpca.eigenvalues
-        )
-        np.testing.assert_array_equal(loaded.kpca.row_means, vocab.kpca.row_means)
-        assert loaded.kpca.total_mean == vocab.kpca.total_mean
-        np.testing.assert_array_equal(
-            loaded.kpca.training_projections, vocab.kpca.training_projections
-        )
+        np.testing.assert_array_equal(loaded.kpca.matrix, vocab.kpca.matrix)
+        np.testing.assert_array_equal(loaded.kpca.offset, vocab.kpca.offset)
         assert loaded.descriptor_dim == vocab.descriptor_dim
         assert loaded.alpha == vocab.alpha
 
@@ -417,8 +416,8 @@ class TestVocabularyPersistence:
             (lambda v: setattr(v, "alpha", float("nan")), "non-finite value in alpha"),
             (lambda v: np.put(v.pca.basis, 0, np.inf), "non-finite value in PCA"),
             (lambda v: np.put(v.gmm.means, 8, np.nan), "non-finite value in GMM"),
-            (lambda v: np.put(v.kpca.alphas, 9, -np.inf), "non-finite value in KPCA"),
-            (lambda v: setattr(v.kpca, "total_mean", float("nan")), "non-finite value in KPCA"),
+            (lambda v: np.put(v.kpca.matrix, 9, -np.inf), "non-finite value in KPCA"),
+            (lambda v: np.put(v.kpca.offset, 2, np.nan), "non-finite value in KPCA"),
             (lambda v: setattr(v, "alpha", 0.0), "alpha must be positive"),
             (lambda v: setattr(v, "alpha", -0.5), "alpha must be positive"),
             (lambda v: np.put(v.gmm.variances, 3, -0.25), "variances must be positive"),
@@ -435,13 +434,6 @@ class TestVocabularyPersistence:
         with pytest.raises(VocabError, match=message):
             load_vocabulary(path)
 
-    @staticmethod
-    def _widen_kpca_output(v, m):
-        n = v.kpca.training_vectors.shape[0]
-        v.kpca.alphas = np.ones((n, m))
-        v.kpca.training_projections = np.ones((n, m))
-        v.kpca.eigenvalues = np.ones(m)
-
     @pytest.mark.parametrize(
         "corrupt, message",
         [
@@ -450,13 +442,10 @@ class TestVocabularyPersistence:
             (lambda v: (setattr(v.gmm, "means", v.gmm.means[:, :5]),
                         setattr(v.gmm, "variances", v.gmm.variances[:, :5])),
              r"GMM section dim 5 != PCA output dimension 6"),
-            (lambda v: setattr(v.kpca, "training_vectors",
-                               np.hstack([v.kpca.training_vectors] * 2)),
+            (lambda v: setattr(v.kpca, "matrix", np.hstack([v.kpca.matrix] * 2)),
              r"KPCA section feature dimension 72 != 2\*K\*dim = 36"),
-            (lambda v: TestVocabularyPersistence._widen_kpca_output(v, 10),
-             "KPCA section output dimension 10 > 9 training vectors"),
         ],
-        ids=["descriptor_dim", "gmm_dim", "kpca_features", "kpca_out_dim"],
+        ids=["descriptor_dim", "gmm_dim", "kpca_features"],
     )
     def test_section_shapes_rejected(self, tmp_path, corrupt, message):
         vocab = self._make_vocabulary()
@@ -465,13 +454,6 @@ class TestVocabularyPersistence:
         save_vocabulary(vocab, path)
         with pytest.raises(VocabError, match=message):
             load_vocabulary(path)
-
-    def test_kpca_output_dimension_up_to_n_accepted(self, tmp_path):
-        vocab = self._make_vocabulary()
-        self._widen_kpca_output(vocab, 9)
-        path = tmp_path / "vocab.txt"
-        save_vocabulary(vocab, path)
-        assert _read_all(path)[0].kpca.out_dim == 9
 
     def test_weights_sum_tolerance(self, tmp_path):
         vocab = self._make_vocabulary()
@@ -499,11 +481,9 @@ def _indexed_vocabulary():
     for i in range(2):
         v = rng.standard_normal(m)
         features = _features(f"img{i}", 3 - i, rng)
-        vocab.index[f"img{i}"] = IndexRow(
-            f"{i:064x}", v / np.linalg.norm(v), lambda f=features: f
-        )
+        vocab.index[f"img{i}"] = IndexRow(v / np.linalg.norm(v), lambda f=features: f)
     empty = _features("empty", 0, rng, dim=4)
-    vocab.index["empty"] = IndexRow("f" * 64, np.zeros(m), lambda: empty)
+    vocab.index["empty"] = IndexRow(np.zeros(m), lambda: empty)
     return vocab
 
 
@@ -561,8 +541,7 @@ class TestModelFile:
         save_vocabulary(vocab, path)
         loaded, read = _read_all(path)
         assert list(loaded.index) == list(vocab.index)
-        for image_id, (digest, embedding, features) in vocab.index.items():
-            assert loaded.index[image_id].sha256 == digest
+        for image_id, (embedding, features) in vocab.index.items():
             restored = loaded.index[image_id].embedding
             assert restored.tobytes() == embedding.tobytes()
             parsed = read[image_id]
@@ -585,6 +564,10 @@ class TestModelFile:
             # descriptor value of each of its features.
             rows = [n for n in archive.namelist() if n.startswith("index_rows/")]
             assert rows == ["index_rows/0", "index_rows/1", "index_rows/2"]
+            # Beside them, exactly the arrays a search reads.
+            assert sorted(set(archive.namelist()) - set(rows)) == sorted(
+                f"{name}.npy" for name in vocab_module._LAYOUT
+            )
             assert [archive.getinfo(n).file_size for n in rows] == [8 * 3 * 16, 8 * 2 * 16, 0]
         with np.load(path, allow_pickle=False) as archive:
             assert archive["index_image_ids"].dtype.kind == "U"
@@ -638,8 +621,8 @@ class TestModelFile:
             (lambda a: {"pca_basis": a["pca_basis"][:, :-1]}, None,
              r"'pca_basis' has shape \(6, 9\), expected \(6, 10\)"),
             (lambda a: {"alpha": np.array([0.5])}, None, r"'alpha' has shape \(1,\)"),
-            (lambda a: {"index_sha256": a["index_sha256"][:-1]}, None,
-             r"'index_sha256' has shape \(2,\), expected \(3,\)"),
+            (lambda a: {"index_feature_counts": a["index_feature_counts"][:-1]}, None,
+             r"'index_feature_counts' has shape \(2,\), expected \(3,\)"),
             (lambda a: {"index_embeddings": a["index_embeddings"][:, :-1]}, None,
              r"'index_embeddings' has shape \(3, 3\), expected \(3, 4\)"),
             (lambda a: {"index_embeddings": np.where(a["index_embeddings"] > 0.1, np.nan, 0.0)},
@@ -654,16 +637,20 @@ class TestModelFile:
              "image id twice"),
             (lambda a: {"index_image_ids": a["index_image_ids"].astype(object)}, None,
              "unreadable model file"),
-            (lambda a: {"version": np.array(1)}, None, "version 1, expected 5"),
+            (lambda a: {"version": np.array(1)}, None, "version 1, expected 6"),
             (lambda a: {"version": np.array(3), "index_degenerate": np.zeros(3, dtype=bool)},
-             None, r"version 3, expected 5 \(rebuild it with build-vocab\)"),
+             None, r"version 3, expected 6 \(rebuild it with build-vocab\)"),
             (lambda a: {"version": np.array(2), "index_feature_counts": None,
                         **{f"index_rows/{k}": None for k in range(3)}},
-             None, r"version 2, expected 5 \(rebuild it with build-vocab\)"),
+             None, r"version 2, expected 6 \(rebuild it with build-vocab\)"),
             (lambda a: {"version": np.array(4), "index_frames": np.zeros((5, 6)),
                         "index_descriptors": np.zeros((5, 10)),
                         **{f"index_rows/{k}": None for k in range(3)}},
-             None, r"version 4, expected 5 \(rebuild it with build-vocab\)"),
+             None, r"version 4, expected 6 \(rebuild it with build-vocab\)"),
+            (lambda a: {"version": np.array(5), "kpca_matrix": None, "kpca_offset": None,
+                        "kpca_alphas": np.zeros((9, 4)),
+                        "index_sha256": np.array(["0" * 64] * 3)},
+             None, r"model file version 5, expected 6 \(rebuild it with build-vocab\)"),
             (lambda a: {"index_feature_counts": np.array([-1, 6, 0])}, None, "feature counts"),
             (lambda a: {"index_feature_counts": np.array([3, 1, 0])}, "img1",
              "index row of 'img1' has 256 bytes, expected 128 for 1 features"),
@@ -691,7 +678,7 @@ class TestModelFile:
              "embedding_dim", "embedding_nan", "embedding_norm", "embedding_norm_half",
              "embedding_norm_tiny",
              "duplicate_id", "object_array", "version", "old_version", "version_2",
-             "version_4", "negative_count",
+             "version_4", "version_5", "negative_count",
              "count_sum", "frame_width", "feature_lengths", "descriptor_width",
              "frame_inf", "descriptor_nan", "singular_frame", "det_overflow",
              "descriptor_norm", "row_missing", "row_bytes"],
