@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .encode import TrainingParams, embed_image, train_vocabulary
+from .encode import TrainingParams, train_vocabulary
 from .geometry import GeometryError, GeometryParams
 from .ingest import (
     ManifestError,
@@ -31,7 +31,7 @@ from .reid import (
     write_per_query_csv,
 )
 from .synth import SynthConfig, generate_benchmark
-from .vocab import IndexRow, VocabError, load_vocabulary, save_vocabulary
+from .vocab import VocabError, load_vocabulary, save_vocabulary
 
 RULE_TOKENS = {
     "app": "appearance_only",
@@ -146,10 +146,6 @@ def cmd_build_vocab(args) -> int:
         )
     except VocabError as exc:
         raise UsageError(f"insufficient data: {exc}") from None
-    vocabulary.index = {
-        e.image_id: IndexRow(embed_image(features, vocabulary), lambda f=features: f)
-        for e, features in zip(db_entries, feature_sets)
-    }
     save_vocabulary(vocabulary, args.out)
     print(args.out)
     return 0

@@ -15,6 +15,7 @@ import numpy as np
 
 from .ingest import ImageFeatures
 from .vocab import (
+    DatabaseIndex,
     Gmm,
     PcaModel,
     Vocabulary,
@@ -99,10 +100,7 @@ def embed_image(features: ImageFeatures, vocab: Vocabulary) -> np.ndarray:
     come back as the zero vector; everything else is unit norm.
     """
     fv = fisher_encode(features, vocab.pca, vocab.gmm)
-    nv = power_l2_normalize(fv, vocab.alpha)
-    if not np.any(nv):
-        return np.zeros(vocab.kpca.out_dim)
-    return apply_kpca(vocab.kpca, nv)
+    return apply_kpca(vocab.kpca, power_l2_normalize(fv, vocab.alpha))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,35 +129,50 @@ def train_vocabulary(
     whiten: bool = True,
     seed: int = 0,
 ) -> Vocabulary:
-    """Fit the whole appearance model on the database images.
+    """Fit the whole appearance model on the database images, and index them.
 
     Pools all descriptors for PCA and the GMM, Fisher-encodes each database
-    image, and fits the kernel-PCA compressor on the normalized Fisher
-    vectors.  kpca_dim defaults to min(N_db - 1, 512).
+    image once, and fits the kernel-PCA compressor on the normalized Fisher
+    vectors.  Each image's embedding is then its vector's apply_kpca, bit for
+    bit what embed_image gives.  The index rows are feature_sets in order,
+    read from memory.  kpca_dim defaults to min(N_db - 1, 512).
     """
     TrainingParams(alpha=alpha, kpca_dim=kpca_dim or 0).validate()
+    feature_sets = list(feature_sets)
+    image_ids = [f.image_id for f in feature_sets]
     non_empty = [f for f in feature_sets if f.count > 0]
     if len(feature_sets) < 2:
         raise VocabError(f"need at least 2 database images, got {len(feature_sets)}")
+    if len(set(image_ids)) != len(image_ids):
+        repeated = next(i for i in image_ids if image_ids.count(i) > 1)
+        raise VocabError(f"database image id {repeated!r} given twice")
     if not non_empty:
         raise VocabError("all database images are empty")
+    dim = non_empty[0].descriptors.shape[1]
+    for f in non_empty:
+        if f.descriptors.shape[1] != dim:
+            raise VocabError(
+                f"image {f.image_id!r} has {f.descriptors.shape[1]}-dim descriptors, "
+                f"expected {dim} as image {non_empty[0].image_id!r} has"
+            )
     pooled = np.vstack([f.descriptors for f in non_empty])
     pca = fit_pca(pooled, pca_dim, whiten=whiten)
     gmm = fit_gmm(apply_pca(pca, pooled), gmm_k, seed=seed)
 
-    fvs = np.stack(
-        [
-            power_l2_normalize(fisher_encode(f, pca, gmm), alpha)
-            for f in feature_sets
-        ]
-    )
+    fvs = [power_l2_normalize(fisher_encode(f, pca, gmm), alpha) for f in feature_sets]
     if kpca_dim is None:
         kpca_dim = min(len(feature_sets) - 1, MAX_KPCA_DIM)
-    kpca = fit_kpca(fvs, kpca_dim)
+    kpca = fit_kpca(np.stack(fvs), kpca_dim)
     return Vocabulary(
         pca=pca,
         gmm=gmm,
         kpca=kpca,
-        descriptor_dim=pooled.shape[1],
+        index=DatabaseIndex(
+            image_ids,
+            np.stack([apply_kpca(kpca, v) for v in fvs]),
+            np.array([f.count for f in feature_sets]),
+        ),
+        read_row=feature_sets.__getitem__,
+        descriptor_dim=dim,
         alpha=alpha,
     )

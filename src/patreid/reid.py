@@ -21,7 +21,7 @@ from . import geometry
 from .encode import cosine_distance, embed_image
 from .geometry import GeometryParams
 from .ingest import ImageFeatures, Manifest, ManifestEntry, load_entry_features
-from .vocab import IndexRow, Vocabulary
+from .vocab import Vocabulary
 
 RULES = ("appearance_only", "geometry_only", "polynomial", "exponential")
 GEOMETRY_RULES = ("geometry_only", "polynomial", "exponential")
@@ -136,12 +136,12 @@ def _combine(params: CombineParams, d_l: float, n: int, omega: float) -> float:
     return combine_exponential(d_l, n)
 
 
-def _read_once(row: IndexRow, entry: ManifestEntry) -> Callable[[], ImageFeatures]:
-    """Index row's features with entry's labels, read on the first call only."""
+def _read_once(read_row, k: int, entry: ManifestEntry) -> Callable[[], ImageFeatures]:
+    """Index row k's features with entry's labels, read on the first call only."""
 
     @functools.cache
     def read():
-        return replace(row.read(), individual_id=entry.individual_id, viewpoint=entry.viewpoint)
+        return replace(read_row(k), individual_id=entry.individual_id, viewpoint=entry.viewpoint)
 
     return read
 
@@ -149,7 +149,7 @@ def _read_once(row: IndexRow, entry: ManifestEntry) -> Callable[[], ImageFeature
 def load_images(
     manifest: Manifest, entries: Sequence[ManifestEntry], vocabulary: Vocabulary
 ) -> Images:
-    """Manifest rows' labelled images, each taken from the model file's index
+    """Manifest rows' labelled images, each taken from the vocabulary's index
     when the index has a row of its image_id.
 
     The index is a snapshot of the database as build-vocab saw it, so an
@@ -158,12 +158,14 @@ def load_images(
     its features function, so a search reads only the rows it verifies, each
     once.  A row the index lacks is parsed and embedded here, as a query is.
     """
+    index = vocabulary.index
+    rows = {image_id: k for k, image_id in enumerate(index.image_ids)}
     features, embeddings = [], []
     for entry in entries:
-        row = vocabulary.index.get(entry.image_id)
-        if row is not None:
-            features.append(_read_once(row, entry))
-            embeddings.append(row.embedding)
+        k = rows.get(entry.image_id)
+        if k is not None:
+            features.append(_read_once(vocabulary.read_row, k, entry))
+            embeddings.append(index.embeddings[k])
         else:
             parsed = load_entry_features(manifest, entry)
             features.append(lambda parsed=parsed: parsed)

@@ -55,14 +55,10 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.clutter_rate < 0.0:
-            raise ValueError(f"clutter_rate must be >= 0, got {self.clutter_rate}")
-        if self.descriptor_noise_sigma < 0.0:
-            raise ValueError(
-                f"descriptor_noise_sigma must be >= 0, got {self.descriptor_noise_sigma}"
-            )
-        if self.max_perspective < 0.0:
-            raise ValueError(f"max_perspective must be >= 0, got {self.max_perspective}")
+        for name in ("clutter_rate", "descriptor_noise_sigma", "max_perspective"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

@@ -3,21 +3,21 @@
 The trained Vocabulary holds the three stages used to turn an image's local
 descriptors into one fixed-length embedding: PCA decorrelation of raw
 descriptors, a GMM visual vocabulary fitted by EM, and a kernel-PCA
-compressor fitted on the database images' normalized Fisher vectors.  Its
-model file also carries an index of the database images' embeddings and
-parsed features, so a search parses and embeds only its queries, and reads
-the features of only the database images it verifies.
+compressor fitted on the database images' normalized Fisher vectors.
+Training also indexes those images: their embeddings, and their features
+read by row.  The model file stores the index with the stages, so a search
+parses and embeds only its queries, and reads the features of only the
+database images it verifies.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import warnings
 import zipfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -79,19 +79,20 @@ class KpcaModel:
         return self.matrix.shape[0]
 
 
-class IndexRow(NamedTuple):
-    """A database image as build-vocab saw it: its embedding (unit norm, or
-    zero for a degenerate image), and read, which returns its parsed
-    features.  A loaded model's read takes them from the model file and
-    checks them on every call.
+@dataclass
+class DatabaseIndex:
+    """The database images as training saw them: row k is image image_ids[k],
+    with embeddings[k] its (m,) embedding (unit norm, or zero for a
+    degenerate image) and feature_counts[k] features.
 
-    The row is a snapshot: a search uses it without opening the PATF file,
-    which need not exist, so an edited database file counts only once
+    The index is a snapshot: a search uses a row without opening its PATF
+    file, which need not exist, so an edited database file counts only once
     build-vocab is rerun.
     """
 
-    embedding: np.ndarray
-    read: Callable[[], ImageFeatures]
+    image_ids: List[str]
+    embeddings: np.ndarray
+    feature_counts: np.ndarray
 
 
 @dataclass
@@ -99,12 +100,14 @@ class Vocabulary:
     pca: PcaModel
     gmm: Gmm
     kpca: KpcaModel
+    index: DatabaseIndex
+    # read_row(k) returns index row k's features: from memory after training,
+    # from the model file (checked on every call) after load_vocabulary.
+    read_row: Callable[[int], ImageFeatures] = field(repr=False, compare=False)
     descriptor_dim: int
     # Power-normalization exponent used when the database Fisher vectors were
     # built; queries must reuse it, so it travels with the model.
-    alpha: float = 0.5
-    # Database image_id -> IndexRow, as build-vocab parsed and embedded it.
-    index: Dict[str, IndexRow] = field(default_factory=dict)
+    alpha: float
     # Closes the model file a loaded vocabulary reads its index rows from.
     close: Callable[[], None] = field(default=lambda: None, repr=False, compare=False)
 
@@ -335,13 +338,16 @@ def fit_kpca(fisher_vectors: np.ndarray, out_dim: int) -> KpcaModel:
 
 def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> np.ndarray:
     """Project one normalized Fisher vector through the kernel PCA map,
-    matrix @ v - offset, and L2-normalize the projection.  An exactly-zero
-    projection cannot be normalized and is returned as the zero vector, the
+    matrix @ v - offset, and L2-normalize the projection.  The zero vector
+    (the normalized Fisher vector of a degenerate image) and an exactly-zero
+    projection, which cannot be normalized, give the zero vector, the
     degenerate embedding.
     """
     v = np.asarray(fisher_vector, dtype=np.float64)
     if v.shape != (model.matrix.shape[1],):
         raise VocabError(f"expected vector of dim {model.matrix.shape[1]}, got shape {v.shape}")
+    if not v.any():
+        return np.zeros(model.out_dim)
     projection = model.matrix @ v - model.offset
     norm = float(np.linalg.norm(projection))
     if norm < 1e-30:
@@ -349,9 +355,10 @@ def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> np.ndarray:
     return projection / norm
 
 
-# The trained stages, stored field by field as "<section>_<field>" arrays;
-# a field _LAYOUT does not name (a fit diagnostic) is not stored.
-_SECTIONS = {"pca": PcaModel, "gmm": Gmm, "kpca": KpcaModel}
+# The trained stages and the database index, stored field by field as
+# "<section>_<field>" arrays; a field _LAYOUT does not name (a fit diagnostic)
+# is not stored.
+_SECTIONS = {"pca": PcaModel, "gmm": Gmm, "kpca": KpcaModel, "index": DatabaseIndex}
 # Arrays of a model file: name -> (dtype, shape).  Shapes are given in named
 # dimensions; a name binds at the first array that has it and must agree
 # after.  Each section has its own names, so _check_vocabulary reports
@@ -386,22 +393,9 @@ def _member(name: str) -> zipfile.ZipInfo:
     return zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
 
 
-def _model_arrays(
-    vocab: Vocabulary, features: List[ImageFeatures]
-) -> Dict[str, np.ndarray]:
-    """The arrays of vocab's model file by _LAYOUT name, each C-contiguous;
-    features[k] is index row k's."""
-    rows = list(vocab.index.values())
-    values = {
-        "version": VOCAB_VERSION,
-        "alpha": vocab.alpha,
-        "descriptor_dim": vocab.descriptor_dim,
-        "index_image_ids": list(vocab.index),
-        "index_embeddings": np.reshape(
-            [row.embedding for row in rows], (len(rows), vocab.kpca.out_dim)
-        ),
-        "index_feature_counts": [f.count for f in features],
-    }
+def _model_arrays(vocab: Vocabulary) -> Dict[str, np.ndarray]:
+    """The arrays of vocab's model file by _LAYOUT name, each C-contiguous."""
+    values = {"version": VOCAB_VERSION, "alpha": vocab.alpha, "descriptor_dim": vocab.descriptor_dim}
     for section in _SECTIONS:
         model = getattr(vocab, section)
         for f in fields(model):
@@ -414,7 +408,7 @@ def _model_arrays(
 
 def _vocabulary_from(arrays: Dict[str, np.ndarray], path, archive) -> Vocabulary:
     """The Vocabulary that model-file arrays hold, once every check passes;
-    its index rows read their features from archive."""
+    its index rows are read from archive."""
     dims = {}
     for name, (dtype, shape) in _LAYOUT.items():
         a = arrays.get(name)
@@ -433,7 +427,7 @@ def _vocabulary_from(arrays: Dict[str, np.ndarray], path, archive) -> Vocabulary
             )
         if dtype == "f8" and not np.isfinite(a).all():
             section = name.split("_")[0]
-            section = section.upper() if section in _SECTIONS else section
+            section = section.upper() if section in ("pca", "gmm", "kpca") else section
             raise VocabError(f"{path}: non-finite value in {section} section")
         # version leads _LAYOUT, so an older file is named as such before
         # any array it lacks is reported missing.
@@ -442,7 +436,9 @@ def _vocabulary_from(arrays: Dict[str, np.ndarray], path, archive) -> Vocabulary
                 f"{path}: model file version {a.item()}, expected {VOCAB_VERSION} "
                 "(rebuild it with build-vocab)"
             )
-    a = {name: x.item() if x.ndim == 0 else x for name, x in arrays.items()}
+    # Scalars load as Python values, image ids as a list of str.
+    a = {n: x.tolist() if x.ndim == 0 or x.dtype.kind == "U" else x for n, x in arrays.items()}
+    ids, counts, dim = a["index_image_ids"], a["index_feature_counts"], a["descriptor_dim"]
     vocab = Vocabulary(
         **{
             section: cls(
@@ -451,42 +447,12 @@ def _vocabulary_from(arrays: Dict[str, np.ndarray], path, archive) -> Vocabulary
             )
             for section, cls in _SECTIONS.items()
         },
-        descriptor_dim=a["descriptor_dim"],
+        read_row=lambda k: read_index_row(archive, path, k, ids[k], int(counts[k]), dim),
+        descriptor_dim=dim,
         alpha=a["alpha"],
-        index=_index(path, a, archive),
     )
     _check_vocabulary(path, vocab)
     return vocab
-
-
-def _index(path, a: Dict[str, np.ndarray], archive) -> Dict[str, IndexRow]:
-    """The index that model-file arrays a hold, once its ids, counts and
-    embeddings pass the checks; row k's features are read from archive."""
-    ids, counts, embeddings = (
-        a["index_image_ids"].tolist(), a["index_feature_counts"], a["index_embeddings"]
-    )
-    if len(set(ids)) != len(ids):
-        raise VocabError(f"{path}: database index lists an image id twice")
-    if (counts < 0).any():
-        raise VocabError(f"{path}: index feature counts must be >= 0")
-    # Per-row dot products, bit-identical to np.linalg.norm of each row.
-    norms = np.sqrt((embeddings[:, None, :] @ embeddings[:, :, None])[:, 0, 0])
-    bad = (norms != 0) & (np.abs(norms - 1) > 1e-6)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise VocabError(
-            f"{path}: index embedding of {ids[k]!r} has norm {float(norms[k])}, "
-            "expected 1 (or 0 for a degenerate image)"
-        )
-    return {
-        image_id: IndexRow(
-            embedding,
-            functools.partial(
-                read_index_row, archive, path, k, image_id, count, a["descriptor_dim"]
-            ),
-        )
-        for k, (image_id, embedding, count) in enumerate(zip(ids, embeddings, counts.tolist()))
-    }
 
 
 def read_index_row(
@@ -534,12 +500,12 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
     append ".npz"), with fixed member timestamps, so one model gives one byte
     string.
     """
-    features = [row.read() for row in vocab.index.values()]
     with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
-        for name, array in _model_arrays(vocab, features).items():
+        for name, array in _model_arrays(vocab).items():
             with archive.open(_member(f"{name}.npy"), "w") as out:
                 np.lib.format.write_array(out, array, allow_pickle=False)
-        for k, f in enumerate(features):
+        for k in range(len(vocab.index.image_ids)):
+            f = vocab.read_row(k)
             archive.writestr(
                 _member(_ROW_MEMBER.format(k)),
                 np.ascontiguousarray(f.frames, "<f8").tobytes()
@@ -550,7 +516,7 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 def load_vocabulary(path) -> Vocabulary:
     """Read a model file written by save_vocabulary and check every array.
 
-    An index row's features are read and checked on each IndexRow.read call,
+    Index row k's features are read and checked on each read_row(k) call,
     so the file stays open until the vocabulary is closed: use the result
     in a with block.
     """
@@ -599,3 +565,17 @@ def _check_vocabulary(path, vocab: Vocabulary) -> None:
         raise VocabError(f"{path}: GMM variances must be positive")
     if np.any(gmm.weights < 0) or abs(float(gmm.weights.sum()) - 1.0) > 1e-6:
         raise VocabError(f"{path}: GMM weights must be non-negative and sum to 1")
+    ids, embeddings = vocab.index.image_ids, vocab.index.embeddings
+    if len(set(ids)) != len(ids):
+        raise VocabError(f"{path}: database index lists an image id twice")
+    if (vocab.index.feature_counts < 0).any():
+        raise VocabError(f"{path}: index feature counts must be >= 0")
+    # Per-row dot products, bit-identical to np.linalg.norm of each row.
+    norms = np.sqrt((embeddings[:, None, :] @ embeddings[:, :, None])[:, 0, 0])
+    bad = (norms != 0) & (np.abs(norms - 1) > 1e-6)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise VocabError(
+            f"{path}: index embedding of {ids[k]!r} has norm {float(norms[k])}, "
+            "expected 1 (or 0 for a degenerate image)"
+        )

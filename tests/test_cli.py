@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import patreid.cli
+import patreid.encode
 import patreid.geometry
 import patreid.ingest
 import patreid.reid
@@ -15,7 +16,7 @@ import patreid.vocab
 from patreid.cli import main
 from patreid.encode import cosine_distance, embed_image
 from patreid.ingest import load_entry_features, load_manifest, parse_feature_file
-from patreid.vocab import IndexRow, load_vocabulary, save_vocabulary
+from patreid.vocab import DatabaseIndex, load_vocabulary, save_vocabulary
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +55,21 @@ class TestSynth:
         for p in sorted((tmp_path / "one").iterdir()):
             assert p.read_bytes() == (tmp_path / "two" / p.name).read_bytes()
 
-    def test_invalid_dropout_names_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--dropout", "1.5"), ("--clutter", "nan"), ("--clutter", "inf"),
+         ("--max-perspective", "nan"), ("--max-perspective", "inf"), ("--noise", "nan"),
+         ("--noise", "inf"), ("--noise", "-0.1")],
+    )
+    def test_invalid_value_names_flag(self, tmp_path, capsys, flag, value):
         code = main([
             "synth", "--seed", "1", "--individuals", "2", "--views", "2",
-            "--dropout", "1.5", "--out", str(tmp_path / "bench"),
+            flag, value, "--out", str(tmp_path / "bench"),
         ])
         assert code == 2
-        assert "--dropout" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+        assert not (tmp_path / "bench").exists()
 
 
 class TestBuildVocab:
@@ -98,6 +107,35 @@ class TestBuildVocab:
         ])
         assert code == 2
         assert "insufficient data" in capsys.readouterr().err
+
+    def test_one_fisher_encode_per_database_image(self, workspace, tmp_path, monkeypatch):
+        _, bench, _ = workspace
+        calls = []
+        encode = patreid.encode.fisher_encode
+
+        def counted(features, pca, gmm):
+            calls.append(features.image_id)
+            return encode(features, pca, gmm)
+
+        monkeypatch.setattr(patreid.encode, "fisher_encode", counted)
+        assert main(["build-vocab", "--manifest", str(bench / "manifest.csv"),
+                     "--out", str(tmp_path / "v.bin"), "--gmm-k", "4", "--pca-dim", "16"]) == 0
+        db = load_manifest(bench / "manifest.csv").with_role("database")
+        assert calls == [e.image_id for e in db]
+
+    def test_mixed_descriptor_widths(self, workspace, tmp_path, capsys):
+        _, bench, _ = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        assert main(["synth", "--seed", "13", "--individuals", "3", "--views", "3",
+                     "--descriptor-dim", "64", "--out", str(tmp_path / "narrow")]) == 0
+        shutil.copy(tmp_path / "narrow" / "ind001_v0.patf", copy / "ind001_v0.patf")
+        code = main(["build-vocab", "--manifest", str(copy / "manifest.csv"),
+                     "--out", str(tmp_path / "v.bin")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "image 'ind001_v0' has 64-dim descriptors, expected 128 as image 'ind000_v0'" in err
+        assert not (tmp_path / "v.bin").exists()
 
     def test_missing_manifest(self, tmp_path, capsys):
         code = main([
@@ -193,13 +231,14 @@ def indexed(tmp_path_factory):
 def _reindexed(model, manifest_path, out):
     """model with every database row of the manifest embedded afresh."""
     manifest = load_manifest(manifest_path)
+    rows = [load_entry_features(manifest, e) for e in manifest.with_role("database")]
     with load_vocabulary(model) as vocabulary:
-        vocabulary.index = {}
-        for e in manifest.with_role("database"):
-            features = load_entry_features(manifest, e)
-            vocabulary.index[e.image_id] = IndexRow(
-                embed_image(features, vocabulary), lambda f=features: f
-            )
+        vocabulary.index = DatabaseIndex(
+            [f.image_id for f in rows],
+            np.stack([embed_image(f, vocabulary) for f in rows]),
+            np.array([f.count for f in rows]),
+        )
+        vocabulary.read_row = rows.__getitem__
         save_vocabulary(vocabulary, out)
     return out
 
@@ -276,7 +315,7 @@ def _swap_in_ind002_v0(bench):
 def _damaged_row(model, out, image_id):
     """A copy of model with one byte flipped in image_id's index row."""
     with load_vocabulary(model) as vocabulary:
-        k = list(vocabulary.index).index(image_id)
+        k = vocabulary.index.image_ids.index(image_id)
     with zipfile.ZipFile(model) as archive:
         row = archive.read(f"index_rows/{k}")
     data = bytearray(model.read_bytes())
@@ -309,7 +348,7 @@ class TestDatabaseIndex:
         assert main(["evaluate", "--manifest", str(bench / "manifest.csv"), "--vocab", str(model),
                      "--protocol", protocol, "--shortlist", shortlist]) == 0
         with load_vocabulary(model) as vocabulary:
-            indexed_ids = set(vocabulary.index)
+            indexed_ids = set(vocabulary.index.image_ids)
         # Leave-one-out queries are database rows too, read once as either.
         used = {image_id for pair in verified_pairs for image_id in pair} & indexed_ids
         assert sorted(row_reads) == sorted(used)
@@ -349,7 +388,7 @@ class TestDatabaseIndex:
         before = run(model)
         assert len(row_reads) == 2
         with load_vocabulary(model) as vocabulary:
-            unread = next(i for i in vocabulary.index if i not in row_reads)
+            unread = next(i for i in vocabulary.index.image_ids if i not in row_reads)
         assert run(_damaged_row(model, tmp_path / "damaged.bin", unread)) == before
 
     def test_stored_embeddings_bit_equal(self, indexed):
@@ -357,19 +396,19 @@ class TestDatabaseIndex:
         manifest = load_manifest(bench / "manifest.csv")
         db = manifest.with_role("database")
         with load_vocabulary(model) as vocabulary:
-            assert list(vocabulary.index) == [e.image_id for e in db]
-            for e in db:
-                stored, read = vocabulary.index[e.image_id]
+            assert vocabulary.index.image_ids == [e.image_id for e in db]
+            for k, e in enumerate(db):
+                stored, read = vocabulary.index.embeddings[k], vocabulary.read_row(k)
                 parsed = load_entry_features(manifest, e)
                 embedding = embed_image(parsed, vocabulary)
                 assert stored.tobytes() == embedding.tobytes()
-                assert read().frames.tobytes() == parsed.frames.tobytes()
-                assert read().descriptors.tobytes() == parsed.descriptors.tobytes()
+                assert read.frames.tobytes() == parsed.frames.tobytes()
+                assert read.descriptors.tobytes() == parsed.descriptors.tobytes()
 
     def test_one_cosine_call_equals_pairwise_calls(self, indexed):
         _, model = indexed
         with load_vocabulary(model) as vocabulary:
-            stored = [row.embedding for row in vocabulary.index.values()]
+            stored = list(vocabulary.index.embeddings)
         embeddings = np.vstack(stored + [np.zeros_like(stored[0])])  # last: degenerate
         d = cosine_distance(embeddings[:, None], embeddings[None])
         assert d.shape == (len(embeddings), len(embeddings))
@@ -434,7 +473,7 @@ class TestDatabaseIndex:
 
         before = run()
         with load_vocabulary(model) as vocabulary:
-            indexed_ids = set(vocabulary.index)
+            indexed_ids = set(vocabulary.index.image_ids)
         for e in manifest.entries:
             if e.image_id in indexed_ids:
                 # Not a PATF file any more; an indexed row's file is never read.

@@ -227,6 +227,25 @@ class TestTrainVocabularyAndEmbed:
                 embed_image(f, vocab), kernel_row_kpca(fvs, vocab.kpca, v), rtol=0, atol=1e-12
             )
 
+    def test_index_of_training_images(self):
+        # One row per training image, in order, read from memory; each
+        # embedding is bit-equal to embed_image's, and an empty image's is zero.
+        empty = ImageFeatures("e", np.zeros((0, 6)), np.zeros((0, 10)))
+        sets = self._feature_sets() + [empty]
+        vocab = train_vocabulary(sets, gmm_k=2, pca_dim=4)
+        assert vocab.index.image_ids == [f.image_id for f in sets]
+        assert vocab.index.feature_counts.tolist() == [f.count for f in sets]
+        for k, f in enumerate(sets):
+            assert vocab.read_row(k) is f
+            assert vocab.index.embeddings[k].tobytes() == embed_image(f, vocab).tobytes()
+        assert not vocab.index.embeddings[-1].any()
+
+    def test_repeated_image_id(self):
+        sets = self._feature_sets()
+        sets[4] = random_features(np.random.default_rng(1), m=40, dim=10, image_id="img2")
+        with pytest.raises(VocabError, match="database image id 'img2' given twice"):
+            train_vocabulary(sets, gmm_k=2, pca_dim=4)
+
     def test_too_few_images(self):
         sets = self._feature_sets(n_images=1)
         with pytest.raises(VocabError, match="at least 2"):

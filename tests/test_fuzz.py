@@ -182,12 +182,12 @@ def test_model_bytes(workspace):
             return
         with vocab:
             assert vocab.alpha > 0 and np.isfinite(vocab.kpca.matrix).all()
-            for row in vocab.index.values():
-                norm = np.linalg.norm(row.embedding)
+            for k, embedding in enumerate(vocab.index.embeddings):
+                norm = np.linalg.norm(embedding)
                 assert norm == 0 or abs(norm - 1) <= 1e-6
                 # Each row is checked where it is read.
                 try:
-                    features = row.read()
+                    features = vocab.read_row(k)
                 except VocabError:
                     continue
                 frames, descriptors = features.frames, features.descriptors

@@ -10,8 +10,8 @@ from oracles import dense_kpca_oracle, em_reference, kernel_row_kpca
 import patreid.vocab as vocab_module
 from patreid.ingest import ImageFeatures
 from patreid.vocab import (
+    DatabaseIndex,
     Gmm,
-    IndexRow,
     KpcaModel,
     PcaModel,
     VocabError,
@@ -345,7 +345,9 @@ class TestVocabularyPersistence:
         gmm = fit_gmm(apply_pca(pca, descriptors), k=3, seed=seed)
         fvs = rng.standard_normal((9, 2 * 3 * 6))
         kpca = fit_kpca(fvs, out_dim=4)
-        return Vocabulary(pca=pca, gmm=gmm, kpca=kpca, descriptor_dim=10, alpha=0.5)
+        index = DatabaseIndex([], np.zeros((0, kpca.out_dim)), np.zeros(0, dtype=np.int64))
+        return Vocabulary(pca=pca, gmm=gmm, kpca=kpca, index=index, read_row=[].__getitem__,
+                          descriptor_dim=10, alpha=0.5)
 
     def test_round_trip_value_identical(self, tmp_path):
         vocab = self._make_vocabulary()
@@ -478,19 +480,24 @@ def _indexed_vocabulary():
     vocab = TestVocabularyPersistence()._make_vocabulary()
     rng = np.random.default_rng(5)
     m = vocab.kpca.out_dim
+    rows, embeddings = [], []
     for i in range(2):
         v = rng.standard_normal(m)
-        features = _features(f"img{i}", 3 - i, rng)
-        vocab.index[f"img{i}"] = IndexRow(v / np.linalg.norm(v), lambda f=features: f)
-    empty = _features("empty", 0, rng, dim=4)
-    vocab.index["empty"] = IndexRow(np.zeros(m), lambda: empty)
+        rows.append(_features(f"img{i}", 3 - i, rng))
+        embeddings.append(v / np.linalg.norm(v))
+    rows.append(_features("empty", 0, rng, dim=4))
+    embeddings.append(np.zeros(m))
+    vocab.index = DatabaseIndex(
+        [f.image_id for f in rows], np.stack(embeddings), np.array([f.count for f in rows])
+    )
+    vocab.read_row = rows.__getitem__
     return vocab
 
 
 def _read_all(path):
-    """A model file's vocabulary, closed, and each index row's features."""
+    """A model file's vocabulary, closed, and each index row's features by image id."""
     with load_vocabulary(path) as vocab:
-        return vocab, {image_id: row.read() for image_id, row in vocab.index.items()}
+        return vocab, {i: vocab.read_row(k) for k, i in enumerate(vocab.index.image_ids)}
 
 
 def _members(path):
@@ -540,16 +547,17 @@ class TestModelFile:
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
         loaded, read = _read_all(path)
-        assert list(loaded.index) == list(vocab.index)
-        for image_id, (embedding, features) in vocab.index.items():
-            restored = loaded.index[image_id].embedding
-            assert restored.tobytes() == embedding.tobytes()
-            parsed = read[image_id]
+        assert loaded.index.image_ids == vocab.index.image_ids == ["img0", "img1", "empty"]
+        assert loaded.index.feature_counts.tolist() == [3, 2, 0]
+        for k, image_id in enumerate(vocab.index.image_ids):
+            restored = loaded.index.embeddings[k]
+            assert restored.tobytes() == vocab.index.embeddings[k].tobytes()
+            features, parsed = vocab.read_row(k), read[image_id]
             assert parsed.image_id == image_id
-            assert parsed.frames.tobytes() == features().frames.tobytes()
+            assert parsed.frames.tobytes() == features.frames.tobytes()
             # An empty image's descriptors come back descriptor_dim wide.
-            assert parsed.descriptors.shape == (features().count, vocab.descriptor_dim)
-            assert parsed.descriptors.tobytes() == features().descriptors.tobytes()
+            assert parsed.descriptors.shape == (features.count, vocab.descriptor_dim)
+            assert parsed.descriptors.tobytes() == features.descriptors.tobytes()
 
     def test_plain_npz_at_the_given_path(self, tmp_path):
         # np.savez would write vocab-0.txt.npz; timestamps would vary by build.
@@ -578,7 +586,7 @@ class TestModelFile:
         save_vocabulary(TestVocabularyPersistence()._make_vocabulary(), path)
         with np.load(path, allow_pickle=False) as archive:
             assert archive["index_embeddings"].shape == (0, 4)
-        assert _read_all(path)[0].index == {}
+        assert _read_all(path)[0].index.image_ids == []
 
     def test_rows_read_on_demand(self, tmp_path, monkeypatch):
         path = tmp_path / "vocab.txt"
@@ -591,11 +599,11 @@ class TestModelFile:
         )
         with load_vocabulary(path) as vocab:
             assert reads == []
-            vocab.index["img1"].read()
-            vocab.index["img1"].read()
+            vocab.read_row(1)
+            vocab.read_row(1)
             assert reads == ["img1", "img1"]  # checked again on every read
         with pytest.raises(VocabError, match="unreadable index row of 'img0'"):
-            vocab.index["img0"].read()  # the file is closed
+            vocab.read_row(0)  # the file is closed
 
     def test_damaged_row_fails_its_crc(self, tmp_path):
         # One flipped byte inside a row's data fails only that row's read.
@@ -607,9 +615,9 @@ class TestModelFile:
         data[data.index(row) + 5] ^= 0x40
         path.write_bytes(bytes(data))
         with load_vocabulary(path) as vocab:
-            vocab.index["img0"].read()
+            vocab.read_row(0)
             with pytest.raises(VocabError, match="unreadable index row of 'img1'.*CRC"):
-                vocab.index["img1"].read()
+                vocab.read_row(1)
 
     @pytest.mark.parametrize(
         "change, row, message",
@@ -694,8 +702,9 @@ class TestModelFile:
                 load_vocabulary(path)
             return
         with load_vocabulary(path) as vocab:
-            for image_id, index_row in vocab.index.items():
+            ids = vocab.index.image_ids
+            for k, image_id in enumerate(ids):
                 if image_id != row:
-                    index_row.read()
+                    vocab.read_row(k)
             with pytest.raises(VocabError, match=message):
-                vocab.index[row].read()
+                vocab.read_row(ids.index(row))
