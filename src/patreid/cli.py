@@ -145,7 +145,7 @@ def cmd_build_vocab(args) -> int:
             seed=args.seed,
         )
     except VocabError as exc:
-        raise UsageError(f"insufficient data: {exc}") from None
+        raise UsageError(f"cannot train the vocabulary: {exc}") from None
     save_vocabulary(vocabulary, args.out)
     print(args.out)
     return 0

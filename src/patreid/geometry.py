@@ -5,14 +5,18 @@ coordinates are normalized per side.  Each match's two affine frames give one
 affine hypothesis; the hypothesis with the largest consensus is refined by
 homography refits on its inliers.  The inlier count n and inlier ratio omega
 summarize how much of the pattern agrees geometrically; the reid module folds
-them into the final distance.  ransac_homography, a seeded sampling
-estimator over bare point pairs, is kept as a reference.
+them into the final distance.  verify_shortlist verifies one query against
+its whole shortlist: matching runs per pair, while normalization, the affine
+maps and hypothesis scoring run over zero- or NaN-padded stacks of all pairs'
+matches, elementwise and in cache-sized blocks, so each pair's verdict is
+the one it gets alone (geometric_similarity).  ransac_homography, a seeded
+sampling estimator over bare point pairs, is kept as a reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,13 +28,17 @@ RANSAC_CONFIDENCE = 0.99
 RANSAC_MAX_ITERS = 2000
 # Triangle areas below this (in normalized coordinates) mark a degenerate sample.
 COLLINEAR_EPS = 1e-9
+# A point set whose max distance from its mean is below this has no scale.
+COINCIDENT_EPS = 1e-12
 # The four point triples of a 4-point sample.
 _TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-# Homography refits of geometric_similarity's best affine consensus.
+# Homography refits of verify_shortlist's best affine consensus.
 LOCAL_OPTIMIZATION_ROUNDS = 2
-# Affine hypotheses geometric_similarity scores at once, which bounds its
-# residual array to HYPOTHESIS_BLOCK x M x 2 doubles (8 MB at M = 1,000).
-HYPOTHESIS_BLOCK = 512
+# (hypothesis, match) residuals verify_shortlist scores at once.  Consecutive
+# pairs are scored together while pairs x M_max^2 stays within it, and a pair
+# with M^2 above it is scored SCORE_BUDGET // M hypotheses at a time, so a
+# block's arrays (128 KB each) stay in cache.
+SCORE_BUDGET = 16384
 
 
 class GeometryError(ValueError):
@@ -39,7 +47,7 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class GeometryParams:
-    """Descriptor-matching and verification settings of geometric_similarity.
+    """Descriptor-matching and verification settings of verify_shortlist.
 
     inlier_threshold is the strict bound on a match's reprojection distance,
     in normalized coordinates.
@@ -132,19 +140,30 @@ def normalize_points(points: np.ndarray) -> np.ndarray:
     A set of coincident points cannot define a scale and raises
     GeometryError, as does an empty or non-(N, 2) input.
     """
-    return _normalized(points)[0]
-
-
-def _normalized(points: np.ndarray):
-    """normalize_points(points) and the max norm it divided by."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 1:
         raise GeometryError(f"expected non-empty (N, 2) points, got {points.shape}")
-    shifted = points - points.mean(axis=0)
-    max_norm = float(np.max(np.linalg.norm(shifted, axis=1)))
-    if max_norm < 1e-12:
+    normalized, max_norm = _normalized(points[None], np.array([len(points)]))
+    if max_norm[0] < COINCIDENT_EPS:
         raise GeometryError("coincident points: no scale to normalize by")
-    return shifted / max_norm, max_norm
+    return normalized[0]
+
+
+def _normalized(points: np.ndarray, counts: np.ndarray):
+    """normalize_points of each set in a zero-padded (P, N, 2) stack, and the
+    (P,) max norms it divided by.
+
+    Set p is its first counts[p] rows.  The padding adds only zeros to a
+    set's sums, so each set gets the bits it would get alone; padding rows
+    come back NaN.  A set whose max norm is below COINCIDENT_EPS comes back
+    meaningless, for the caller to reject.
+    """
+    valid = np.arange(points.shape[1]) < counts[:, None]
+    shifted = points - (points.sum(axis=1) / counts[:, None])[:, None]
+    shifted[~valid] = np.nan
+    max_norm = np.max(np.linalg.norm(shifted, axis=2), axis=1, where=valid, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return shifted / max_norm[:, None, None], max_norm
 
 
 def _point_pairs(src, dst):
@@ -373,83 +392,152 @@ def ransac_homography(
     )
 
 
-def _affine_maps(query_frames: np.ndarray, db_frames: np.ndarray, scale: float) -> np.ndarray:
-    """Linear part of each match's affine map in normalized coordinates: (M, 2, 2).
+def _affine_maps(query_frames: np.ndarray, db_frames: np.ndarray, scale) -> np.ndarray:
+    """Linear part of each match's affine map in normalized coordinates:
+    (..., 2, 2) from (..., 6) frames.
 
     A match maps a query patch onto its database patch by F_d F_q^-1 in
     pixels; normalization scales that by scale = s_q / s_d.  F_q^-1 is its
-    adjugate over its determinant.
+    adjugate over its determinant, so an all-zero padding frame gives NaN.
     """
-    a, b, c, d = query_frames[:, 2:6].T
-    adjugate = np.stack([d, -b, -c, a], axis=1).reshape(-1, 2, 2)
-    inverse = adjugate / (a * d - b * c)[:, None, None]
-    return scale * (db_frames[:, 2:6].reshape(-1, 2, 2) @ inverse)
+    a, b, c, d = np.moveaxis(query_frames[..., 2:6], -1, 0)
+    adjugate = np.stack([d, -b, -c, a], axis=-1).reshape(a.shape + (2, 2))
+    inverse = adjugate / (a * d - b * c)[..., None, None]
+    return scale * (db_frames[..., 2:6].reshape(a.shape + (2, 2)) @ inverse)
 
 
-def geometric_similarity(query, db, params: GeometryParams = GeometryParams()) -> GeomVerdict:
-    """Full geometric verification of a (query, db) image pair.
+def _score_blocks(counts: np.ndarray):
+    """(pairs, hypotheses, m) blocks that together score every hypothesis of
+    every pair against its matches, padded to m matches per pair.
 
-    Matches come from match_descriptors and their centers are normalized per
-    side.  Match h's frames give the affine hypothesis x -> A_h (x - src_h) +
-    dst_h, and match m is its inlier when the hypothesis maps src_m strictly
-    within inlier_threshold of dst_m.  All M hypotheses are scored against
-    all matches, HYPOTHESIS_BLOCK hypotheses at a time, and the first one
-    with the largest consensus wins, so ties go to the closest descriptor
-    match.  Up to
-    LOCAL_OPTIMIZATION_ROUNDS rounds then refit a DLT homography on the
-    consensus and rescore all matches; a round is kept only if the consensus
-    grows.  omega's denominator is the number of matches.  Nothing is
-    sampled, so a verdict depends only on the two images and params.
+    A block's pairs are a run of consecutive pairs with pairs x m^2 within
+    SCORE_BUDGET, m being their largest match count.  A pair alone over the
+    budget scores SCORE_BUDGET // m hypotheses per block.  Blocks come in
+    pair order, and a pair's hypotheses in ascending order.
+    """
+    counts, start = counts.tolist(), 0
+    while start < len(counts):
+        stop, m = start + 1, counts[start]
+        while stop < len(counts) and (stop + 1 - start) * max(m, counts[stop]) ** 2 <= SCORE_BUDGET:
+            stop, m = stop + 1, max(m, counts[stop])
+        step = max(1, SCORE_BUDGET // ((stop - start) * m))
+        for h in range(0, m, step):
+            yield slice(start, stop), slice(h, h + step), m
+        start = stop
+
+
+def _best_hypotheses(src, dst, A, counts, thr2):
+    """Each pair's first hypothesis with the largest consensus: its index,
+    its consensus size and its (P, N) inlier mask.
+
+    src, dst and A are NaN-padded (P, N, 2), (P, N, 2) and (P, N, 2, 2)
+    stacks, so padding never scores an inlier.  Match m is hypothesis h's
+    inlier when A_h src_m + (dst_h - A_h src_h) - dst_m is shorter than
+    sqrt(thr2), written out per coordinate.
+    """
+    t = dst - (A[..., 0] * src[..., None, 0] + A[..., 1] * src[..., None, 1])
+    best = np.zeros(len(counts), dtype=np.intp)
+    best_count = np.zeros(len(counts), dtype=np.intp)
+    best_mask = np.zeros(src.shape[:2], dtype=bool)
+    for pairs, hypotheses, m in _score_blocks(counts):
+        a, x, y = A[pairs, hypotheses], src[pairs, None, :m, 0], src[pairs, None, :m, 1]
+        squared, term = None, None
+        for i in range(2):
+            r = np.multiply(a[..., i, 0, None], x)
+            term = np.multiply(a[..., i, 1, None], y, out=term)
+            r += term
+            r += t[pairs, hypotheses, i, None]
+            r -= dst[pairs, None, :m, i]
+            r *= r
+            squared = r if squared is None else np.add(squared, r, out=squared)
+        masks = squared < thr2
+        block_counts = masks.sum(axis=2)
+        top = block_counts.argmax(axis=1)
+        rows = np.arange(len(top))
+        top_count = block_counts[rows, top]
+        # Only a strictly larger count replaces the best, so the first best
+        # hypothesis wins across blocks as within one.
+        better = top_count > best_count[pairs]
+        won = np.arange(pairs.start, pairs.stop)[better]
+        best[won] = hypotheses.start + top[better]
+        best_count[won] = top_count[better]
+        best_mask[won, :m] = masks[rows[better], top[better]]
+    return best, best_count, best_mask
+
+
+def verify_shortlist(
+    query, dbs: Sequence, params: GeometryParams = GeometryParams()
+) -> List[GeomVerdict]:
+    """Geometric verification of each (query, db) pair of a shortlist, in order.
+
+    Matches come from match_descriptors, per pair, and their centers are
+    normalized per side.  Match h's frames give the affine hypothesis
+    x -> A_h (x - src_h) + dst_h, and match m is its inlier when the
+    hypothesis maps src_m strictly within inlier_threshold of dst_m.  Every
+    hypothesis is scored against all of its pair's matches, the pairs in
+    blocks of SCORE_BUDGET residuals, and the first one with the largest
+    consensus wins, so ties go to the closest descriptor match.  When that
+    consensus has at least 4 matches, up to LOCAL_OPTIMIZATION_ROUNDS rounds
+    refit a DLT homography on it and rescore the pair's matches; a round is
+    kept only if the consensus grows.  omega's denominator is the number of
+    matches.  Nothing is sampled, and a pair's verdict is the same in any
+    shortlist: it depends only on the two images and params.
     """
     params.validate()
-    matches = match_descriptors(
-        query, db, max_distance=params.max_distance, mutual=params.mutual, ratio=params.ratio
-    )
-    total = len(matches)
-    failure = GeomVerdict(
-        n=0, omega=0.0, homography=None, inlier_mask=np.zeros(total, dtype=bool)
-    )
-    if total < 4:
-        return failure
-    try:
-        src, s_q = _normalized(query.points[matches[:, 0]])
-        dst, s_d = _normalized(db.points[matches[:, 1]])
-    except GeometryError:
-        return failure
+    matches = [
+        match_descriptors(
+            query, db, max_distance=params.max_distance, mutual=params.mutual,
+            ratio=params.ratio,
+        )
+        for db in dbs
+    ]
+    verdicts = [
+        GeomVerdict(n=0, omega=0.0, homography=None, inlier_mask=np.zeros(len(m), dtype=bool))
+        for m in matches
+    ]
+    live = [k for k, m in enumerate(matches) if len(m) >= 4]
+    if not live:
+        return verdicts
+    counts = np.array([len(matches[k]) for k in live])
+    valid = np.arange(counts.max()) < counts[:, None]
+    q_frames = np.zeros(valid.shape + (6,))
+    d_frames = np.zeros(valid.shape + (6,))
+    q_frames[valid] = query.frames[np.concatenate([matches[k][:, 0] for k in live])]
+    d_frames[valid] = np.concatenate([dbs[k].frames[matches[k][:, 1]] for k in live])
+    src, s_q = _normalized(q_frames[..., :2], counts)
+    dst, s_d = _normalized(d_frames[..., :2], counts)
+    # A side whose matched points coincide has no scale: its pair scores nothing.
+    src[(s_q < COINCIDENT_EPS) | (s_d < COINCIDENT_EPS)] = np.nan
     thr2 = params.inlier_threshold * params.inlier_threshold
 
     # Extreme frames overflow to inf or nan residuals, which are never inliers.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        A = _affine_maps(query.frames[matches[:, 0]], db.frames[matches[:, 1]], s_q / s_d)
-        best, best_count = 0, 0
-        for start in range(0, total, HYPOTHESIS_BLOCK):
-            h = slice(start, start + HYPOTHESIS_BLOCK)
-            # residual[h, m] = A_h (src_m - src_h) - (dst_m - dst_h)
-            residual = (src[None] - src[h, None]) @ A[h].transpose(0, 2, 1)
-            residual -= dst[None] - dst[h, None]
-            masks = np.sum(residual * residual, axis=2) < thr2
-            counts = masks.sum(axis=1)
-            top = int(np.argmax(counts))
-            # Only a strictly larger count replaces the best, so the first
-            # best hypothesis wins across blocks as within one.
-            if counts[top] > best_count:
-                best, best_count, mask = start + top, counts[top], masks[top]
-        if best_count == 0:
-            return failure
-        H = np.eye(3)
-        H[:2, :2] = A[best]
-        H[:2, 2] = dst[best] - A[best] @ src[best]
-        homography = Homography(matrix=H)
+        A = _affine_maps(q_frames, d_frames, (s_q / s_d)[:, None, None, None])
+        best, best_count, best_mask = _best_hypotheses(src, dst, A, counts, thr2)
+        for p, k in enumerate(live):
+            if best_count[p] == 0:
+                continue
+            total, h = len(matches[k]), best[p]
+            src_p, dst_p, mask = src[p, :total], dst[p, :total], best_mask[p, :total]
+            H = np.eye(3)
+            H[:2, :2] = A[p, h]
+            H[:2, 2] = dst_p[h] - A[p, h] @ src_p[h]
+            homography = Homography(matrix=H)
+            for _ in range(LOCAL_OPTIMIZATION_ROUNDS if best_count[p] >= 4 else 0):
+                try:
+                    refit = dlt_homography(src_p[mask], dst_p[mask])
+                except GeometryError:
+                    break
+                grown = np.sum((apply_homography(refit.matrix, src_p) - dst_p) ** 2, axis=1) < thr2
+                if grown.sum() <= mask.sum():
+                    break
+                mask, homography = grown, refit
+            n = int(mask.sum())
+            verdicts[k] = GeomVerdict(n=n, omega=n / total, homography=homography, inlier_mask=mask)
+    return verdicts
 
-        for _ in range(LOCAL_OPTIMIZATION_ROUNDS):
-            try:
-                refit = dlt_homography(src[mask], dst[mask])
-            except GeometryError:
-                break
-            grown = np.sum((apply_homography(refit.matrix, src) - dst) ** 2, axis=1) < thr2
-            if grown.sum() <= mask.sum():
-                break
-            mask, homography = grown, refit
 
-    n = int(mask.sum())
-    return GeomVerdict(n=n, omega=n / total, homography=homography, inlier_mask=mask)
+def geometric_similarity(query, db, params: GeometryParams = GeometryParams()) -> GeomVerdict:
+    """Full geometric verification of one (query, db) image pair: the
+    one-pair case of verify_shortlist."""
+    return verify_shortlist(query, [db], params)[0]

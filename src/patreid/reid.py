@@ -199,11 +199,12 @@ def rank_queries(
     Stage 1 orders a query's database images by (d_L, image_id), and a
     geometry rule verifies the first shortlist_size of them (all when 0).
     Each (query, image) pair is verified at most once, whichever rules
-    shortlist it.  A rule's final order is ascending (not verified, d_C, d_L,
-    image_id), so entries outside its shortlist keep d_C = d_L and rank after
-    every verified entry.  self_rows[q], when given, is the database row of
-    query q itself, which its ranking leaves out.  Only the verified pairs'
-    features are asked for.
+    shortlist it, in one geometry.verify_shortlist call per query.  A
+    rule's final order is ascending (not verified, d_C, d_L, image_id), so
+    entries outside its shortlist keep d_C = d_L and rank after every
+    verified entry.  self_rows[q], when given, is the database row of query
+    q itself, which its ranking leaves out.  Only the verified pairs'
+    features are asked for, in stage-1 order.
     """
     for params in rule_params:
         params.validate()
@@ -230,10 +231,10 @@ def rank_queries(
         rows, d_l = rows[stage1], d_l[stage1]
 
         shortlists = [_shortlist_size(params, len(rows)) for params in rule_params]
-        verdicts = [
-            geometry.geometric_similarity(query(), db.features[j](), params=geometry_params)
-            for j in rows[: max(shortlists, default=0)]
-        ]
+        shortlist = rows[: max(shortlists, default=0)]
+        verdicts = geometry.verify_shortlist(
+            query(), [db.features[j]() for j in shortlist], geometry_params
+        ) if len(shortlist) else []
         for params, k in zip(rule_params, shortlists):
             n, omega, d_c = np.zeros(len(rows), dtype=int), np.zeros(len(rows)), d_l.copy()
             for i, v in enumerate(verdicts[:k]):

@@ -106,7 +106,7 @@ class TestBuildVocab:
             "--out", str(tmp_path / "v.txt"), "--gmm-k", "4096",
         ])
         assert code == 2
-        assert "insufficient data" in capsys.readouterr().err
+        assert "need at least" in capsys.readouterr().err
 
     def test_one_fisher_encode_per_database_image(self, workspace, tmp_path, monkeypatch):
         _, bench, _ = workspace
@@ -293,15 +293,15 @@ def row_reads(monkeypatch):
 
 @pytest.fixture
 def verified_pairs(monkeypatch):
-    """(query id, database id) of every pair a search verifies."""
+    """(query id, database id) of every pair a search verifies, in order."""
     calls = []
-    verify = patreid.geometry.geometric_similarity
+    verify = patreid.geometry.verify_shortlist
 
-    def counted(query, db, params):
-        calls.append((query.image_id, db.image_id))
-        return verify(query, db, params)
+    def counted(query, dbs, params):
+        calls.extend((query.image_id, db.image_id) for db in dbs)
+        return verify(query, dbs, params)
 
-    monkeypatch.setattr(patreid.geometry, "geometric_similarity", counted)
+    monkeypatch.setattr(patreid.geometry, "verify_shortlist", counted)
     return calls
 
 
@@ -349,6 +349,7 @@ class TestDatabaseIndex:
                      "--protocol", protocol, "--shortlist", shortlist]) == 0
         with load_vocabulary(model) as vocabulary:
             indexed_ids = set(vocabulary.index.image_ids)
+        assert len(set(verified_pairs)) == len(verified_pairs)  # each pair once
         # Leave-one-out queries are database rows too, read once as either.
         used = {image_id for pair in verified_pairs for image_id in pair} & indexed_ids
         assert sorted(row_reads) == sorted(used)

@@ -7,7 +7,7 @@ import pytest
 
 from patreid.geometry import (
     COLLINEAR_EPS,
-    HYPOTHESIS_BLOCK,
+    SCORE_BUDGET,
     GeometryError,
     GeometryParams,
     _affine_maps,
@@ -24,6 +24,7 @@ from patreid.geometry import (
     normalize_points,
     ransac_homography,
     reprojection_residuals,
+    verify_shortlist,
 )
 from patreid.ingest import ImageFeatures, parse_feature_file, write_feature_file
 from patreid.seeding import derive_seed
@@ -792,20 +793,33 @@ def test_verifier_matches_per_hypothesis_reference():
     )
     inds = [generate_individual(cfg, i) for i in range(cfg.n_individuals)]
     db = [render_observation(c, cfg, 0)[0] for c in inds]
-    stress = [(render_observation(c, cfg, v)[0], d) for c in inds for v in (1, 2) for d in db]
-    for query, d in list(pinned_pairs()) + stress:
+    stress = [render_observation(c, cfg, v)[0] for c in inds for v in (1, 2)]
+    for query, d in list(pinned_pairs()) + [(q, d) for q in stress for d in db]:
         np.testing.assert_array_equal(
             geometric_similarity(query, d).inlier_mask, reference_inliers(query, d)
         )
+    # Each stress query's database images verified as one shortlist.
+    for query in stress:
+        for d, verdict in zip(db, verify_shortlist(query, db)):
+            assert_same_verdict(verdict, geometric_similarity(query, d))
+            np.testing.assert_array_equal(verdict.inlier_mask, reference_inliers(query, d))
 
 
-def test_hypothesis_blocks_match_dense_scoring():
-    # 1,500 matches score in three blocks of HYPOTHESIS_BLOCK hypotheses.  Most
-    # of them are planted on one affine map, so many hypotheses tie for the
-    # largest consensus, in different blocks.
+def assert_same_verdict(got, want):
+    """n, omega, inlier_mask and homography all equal, to the bit."""
+    assert (got.n, got.omega) == (want.n, want.omega)
+    np.testing.assert_array_equal(got.inlier_mask, want.inlier_mask)
+    if want.homography is None:
+        assert got.homography is None
+    else:
+        np.testing.assert_array_equal(got.homography.matrix, want.homography.matrix)
+        assert got.homography.frobenius_scaled == want.homography.frobenius_scaled
+
+
+def big_planted_pair():
+    """(query, db) with 1,500 matches, 60% of them planted on one affine map."""
     rng = np.random.default_rng(8)
     m = 1500
-    assert 2 * HYPOTHESIS_BLOCK < m <= 3 * HYPOTHESIS_BLOCK
     A, t = np.array([[1.1, 0.2], [-0.1, 0.95]]), np.array([4.0, -2.0])
     planted = rng.random(m) < 0.6
     src = rng.uniform(0, 100, (m, 2))
@@ -819,21 +833,33 @@ def test_hypothesis_blocks_match_dense_scoring():
             image_id, np.column_stack([points, frames.reshape(-1, 4)]), descriptors
         )
 
-    query, db = features(src, frames_q, "q"), features(dst, frames_d, "d")
+    return features(src, frames_q, "q"), features(dst, frames_d, "d")
+
+
+def test_hypothesis_blocks_match_dense_scoring():
+    # 1,500 matches are over SCORE_BUDGET, so they score in blocks of
+    # SCORE_BUDGET // 1,500 hypotheses.  Most of them are planted on one
+    # affine map, so many hypotheses tie for the largest consensus, in
+    # different blocks.
+    query, db = big_planted_pair()
+    m = query.count
+    block = SCORE_BUDGET // m
+    assert m * m > SCORE_BUDGET and 0 < block < m
     verdict = geometric_similarity(query, db)
 
     # Dense reference: every hypothesis in one (M, M) array, first argmax.
     matches = match_descriptors(query, db)
     assert len(matches) == m
-    n_src, s_q = _normalized(query.points[matches[:, 0]])
-    n_dst, s_d = _normalized(db.points[matches[:, 1]])
-    maps = _affine_maps(query.frames[matches[:, 0]], db.frames[matches[:, 1]], s_q / s_d)
+    q_frames, d_frames = query.frames[matches[:, 0]], db.frames[matches[:, 1]]
+    (n_src,), (s_q,) = _normalized(q_frames[None, :, :2], np.array([m]))
+    (n_dst,), (s_d,) = _normalized(d_frames[None, :, :2], np.array([m]))
+    maps = _affine_maps(q_frames, d_frames, s_q / s_d)
     residual = (n_src[None] - n_src[:, None]) @ maps.transpose(0, 2, 1)
     residual -= n_dst[None] - n_dst[:, None]
     masks = np.sum(residual * residual, axis=2) < 0.01
     counts = masks.sum(axis=1)
     best = int(np.argmax(counts))
-    ties = np.flatnonzero(counts == counts[best]) // HYPOTHESIS_BLOCK
+    ties = np.flatnonzero(counts == counts[best]) // block
     assert ties.min() < ties.max()  # the best count recurs in a later block
     mask = masks[best]
     H = np.eye(3)
@@ -849,3 +875,42 @@ def test_hypothesis_blocks_match_dense_scoring():
     np.testing.assert_array_equal(verdict.inlier_mask, mask)
     assert verdict.n == mask.sum() and verdict.omega == mask.sum() / m
     np.testing.assert_array_equal(verdict.homography.matrix, H)
+
+
+def test_mixed_shortlist_matches_one_pair_verdicts():
+    # One query against a shortlist of every kind of pair: fewer than 4
+    # matches, an empty image, coincident points, overflowing frames, the
+    # 1,500-match pair scored in hypothesis blocks, and two ordinary pairs
+    # that share a score block with a neighbour.
+    query, big = big_planted_pair()
+
+    def rows_of(rows, points, frames_2x2, image_id):
+        """Features holding the query's descriptors rows, at points with frames."""
+        frames = np.column_stack([points, np.reshape(frames_2x2, (-1, 4))])
+        return ImageFeatures(image_id, frames, query.descriptors[rows])
+
+    floor = np.array([[1e-12, 0.0], [0.0, 1.0]])
+    huge = np.array([[1e300, 1e300], [0.0, 1e-300]])
+    wide = np.array([[1e154, 0.0], [0.0, 1e154]])
+    overflow_frames = np.array([floor, huge, wide, np.eye(2)] * 3)
+    overflow_frames[3::4] = query.frames[21:33:4, 2:].reshape(-1, 2, 2)
+    shortlist = [
+        rows_of(slice(0, 3), big.points[:3], big.frames[:3, 2:], "few"),
+        rows_of(slice(100, 140), big.points[100:140], big.frames[100:140, 2:], "ordinary"),
+        rows_of(slice(3, 9), np.full((6, 2), 5.0), big.frames[3:9, 2:], "coincident"),
+        big,
+        ImageFeatures("empty", np.zeros((0, 6)), np.zeros((0, 64))),
+        rows_of(slice(21, 33), query.points[21:33], overflow_frames, "overflow"),
+        rows_of(slice(200, 260), big.points[200:260], big.frames[200:260, 2:], "ordinary2"),
+    ]
+    verdicts = verify_shortlist(query, shortlist)
+    assert [v.n > 0 for v in verdicts] == [False, True, False, True, False, True, True]
+    assert [len(v.inlier_mask) for v in verdicts] == [3, 40, 6, 1500, 0, 12, 60]
+    assert verdicts[5].n == 12
+    for d, verdict in zip(shortlist, verdicts):
+        assert_same_verdict(verdict, geometric_similarity(query, d))
+        if verdict.n == 0:
+            assert verdict.homography is None and not verdict.inlier_mask.any()
+            continue
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            np.testing.assert_array_equal(verdict.inlier_mask, reference_inliers(query, d))

@@ -221,16 +221,20 @@ class TestQueryDatabase:
     def test_geometry_cache_reused_across_rules(self, small_world, monkeypatch):
         _, db, queries, vocabulary = small_world
         calls = []
-        verify = patreid.geometry.geometric_similarity
+        verify = patreid.geometry.verify_shortlist
         monkeypatch.setattr(
             patreid.geometry,
-            "geometric_similarity",
-            lambda q, d, params: calls.append(d.image_id) or verify(q, d, params),
+            "verify_shortlist",
+            lambda q, dbs, params: calls.append([d.image_id for d in dbs]) or verify(q, dbs, params),
         )
         query = embedded_images(vocabulary, queries[:1])
         rules = [CombineParams(rule="polynomial"), CombineParams(rule="exponential")]
         results = rank_queries(db, query, rules)
-        assert sorted(calls) == sorted(db.image_ids)  # once per pair
+        assert len(calls) == 1  # one shortlist per query
+        assert sorted(calls[0]) == sorted(db.image_ids)  # once per pair
+        # In stage-1 order (d_L, image_id), the order rows are read in.
+        c = results["polynomial"][0].candidates
+        assert calls[0] == [i for _, i in sorted(zip(c.d_L.tolist(), c.image_ids))]
         a, b = (results[p.rule][0].candidates for p in rules)
         by_id_a = dict(zip(a.image_ids, zip(a.n.tolist(), a.omega.tolist())))
         by_id_b = dict(zip(b.image_ids, zip(b.n.tolist(), b.omega.tolist())))
