@@ -39,6 +39,12 @@ class PatfError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = path
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        # Pickling (an evaluate worker sends its error back) would otherwise
+        # call PatfError(str(self)).
+        return type(self), (self.path, self.line_no, self.message)
 
 
 class ManifestError(ValueError):

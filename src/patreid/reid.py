@@ -11,6 +11,8 @@ individuals under a database/query split or a leave-one-out protocol.
 from __future__ import annotations
 
 import functools
+import os
+import pickle
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -344,7 +346,7 @@ def _split_search(manifest: Manifest, vocabulary: Vocabulary):
     if not kept:
         raise ReidError("all split queries were excluded")
     truths = {e.image_id: e.individual_id for e in kept}
-    return db, load_images(manifest, kept, vocabulary), truths, excluded, None
+    return db, lambda part: load_images(manifest, kept[part], vocabulary), truths, excluded, None
 
 
 def _loo_identity_unit(entries) -> bool:
@@ -395,10 +397,53 @@ def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
         db.embeddings[self_rows],
         [db.features[row] for row in self_rows],
     )
-    return db, queries, truths, excluded, self_rows
+    return db, lambda part: Images(*(field[part] for field in queries)), truths, excluded, self_rows
 
 
+# A protocol gives (database, queries(part) loading the slice part of its
+# queries, truths by query id in query order, excluded, self_rows or None).
 _PROTOCOLS = {"split": _split_search, "leave_one_out": _leave_one_out_search}
+
+
+def _in_slices(n: int, search: Callable[[slice], tuple]) -> Dict[str, List[RankedResult]]:
+    """search over n queries in contiguous slices, one per CPU this process
+    may use: slice 0 here, each other in a forked child that pickles its
+    outcome back over a pipe.  Results join per rule in slice order.  Every
+    child is reaped before this returns or raises the error of the earliest
+    stage, then slice: the one a single process would raise."""
+    workers = min(n, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    parts = [slice(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: never returns, flushes nothing, runs no atexit
+                try:
+                    for fd in [r] + [fd for _, fd in children]:
+                        os.close(fd)
+                    with open(w, "wb") as out:
+                        out.write(pickle.dumps(search(part)))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        outcomes = [search(parts[0])]
+        for (_, r), part in zip(children, parts[1:]):
+            try:
+                with open(r, "rb", closefd=False) as fh:
+                    outcomes.append(pickle.load(fh))
+            except (EOFError, pickle.UnpicklingError):
+                message = f"queries {part.start + 1}-{part.stop}: worker ended without a result"
+                outcomes.append((0, OSError(message)))
+    finally:
+        for pid, r in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+    stage, value = min(outcomes, key=lambda outcome: outcome[0])
+    if stage < 2:
+        raise value
+    return {rule: [r for _, results in outcomes for r in results[rule]] for rule in value}
 
 
 def evaluate(
@@ -413,9 +458,22 @@ def evaluate(
 
     Every image is read and embedded once (indexed rows from the model file,
     see load_images) and every rule ranks the same search, see rank_queries.
+    Queries are loaded and ranked in slices, one per usable CPU (_in_slices).
     """
-    db, queries, truths, excluded, self_rows = _PROTOCOLS[protocol](manifest, vocabulary)
-    results = rank_queries(db, queries, rule_params, geometry_params, self_rows)
+    db, load, truths, excluded, self_rows = _PROTOCOLS[protocol](manifest, vocabulary)
+
+    def search(part: slice):
+        # (2, results), or (stage, error): one process loads every query
+        # (stage 0) before it ranks any (stage 1).
+        stage = 0
+        try:
+            queries = load(part)
+            stage, rows = 1, None if self_rows is None else self_rows[part]
+            return 2, rank_queries(db, queries, rule_params, geometry_params, rows)
+        except Exception as exc:
+            return stage, exc
+
+    results = _in_slices(len(truths), search)
     return {
         rule: _report(protocol, ranked, truths, excluded, k_max)
         for rule, ranked in results.items()

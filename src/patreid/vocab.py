@@ -13,6 +13,8 @@ database images it verifies.
 from __future__ import annotations
 
 import contextlib
+import operator
+import os
 import warnings
 import zipfile
 from dataclasses import dataclass, field, fields
@@ -408,7 +410,7 @@ def _model_arrays(vocab: Vocabulary) -> Dict[str, np.ndarray]:
 
 def _vocabulary_from(arrays: Dict[str, np.ndarray], path, archive) -> Vocabulary:
     """The Vocabulary that model-file arrays hold, once every check passes;
-    its index rows are read from archive."""
+    its index rows are read from archive(), the calling process's archive."""
     dims = {}
     for name, (dtype, shape) in _LAYOUT.items():
         a = arrays.get(name)
@@ -447,7 +449,7 @@ def _vocabulary_from(arrays: Dict[str, np.ndarray], path, archive) -> Vocabulary
             )
             for section, cls in _SECTIONS.items()
         },
-        read_row=lambda k: read_index_row(archive, path, k, ids[k], int(counts[k]), dim),
+        read_row=lambda k: read_index_row(archive(), path, k, ids[k], int(counts[k]), dim),
         descriptor_dim=dim,
         alpha=a["alpha"],
     )
@@ -536,9 +538,29 @@ def load_vocabulary(path) -> Vocabulary:
             # zipfile and np.load fail on damaged bytes with many types
             # (BadZipFile, EOFError, KeyError, RuntimeError, TokenError, ...).
             raise VocabError(f"{path}: unreadable model file: {exc}") from None
-        vocab = _vocabulary_from(arrays, path, archive.zip)
+        vocab = _vocabulary_from(arrays, path, _process_archive(path, fh, archive.zip))
         vocab.close = stack.pop_all().close
     return vocab
+
+
+def _process_archive(path, fh, archive: zipfile.ZipFile) -> Callable[[], zipfile.ZipFile]:
+    """The model file's archive for the calling process: archive in the
+    loader.  Any other process (a forked evaluate worker) opens the file anew
+    on its first read, so no two processes share a file offset, and checks
+    that it is the file the loader opened."""
+    identity = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
+    loaded, archives = identity(os.fstat(fh.fileno())), {os.getpid(): archive}
+
+    def current() -> zipfile.ZipFile:
+        if os.getpid() not in archives:
+            own = open(path, "rb")
+            if identity(os.fstat(own.fileno())) != loaded:
+                own.close()
+                raise VocabError(f"{path}: model file changed since it was loaded")
+            archives[os.getpid()] = zipfile.ZipFile(own)
+        return archives[os.getpid()]
+
+    return current
 
 
 def _check_vocabulary(path, vocab: Vocabulary) -> None:

@@ -1,5 +1,7 @@
 """Command-line interface tests (exit codes, outputs, determinism)."""
 
+import os
+import pickle
 import shutil
 import zipfile
 from pathlib import Path
@@ -250,59 +252,123 @@ def _query(capsys, bench, model, features, *flags):
     return capsys.readouterr().out
 
 
+class Spy:
+    """The calls a patched function saw, from every process: each call is
+    one line appended to a file, with the caller's pid, so the calls that
+    evaluate's forked workers make count too.  A call records one token (a
+    file name or an image id) or a pair of them."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def record(self, *values):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(" ".join([str(os.getpid()), *values]) + "\n")
+
+    def clear(self):
+        self.path.write_text("", encoding="utf-8")
+
+    def _lines(self):
+        for line in self.path.read_text(encoding="utf-8").splitlines():
+            pid, *values = line.split()
+            yield pid, values[0] if len(values) == 1 else tuple(values)
+
+    def calls(self):
+        """Every call, in the order the calls were recorded."""
+        return [call for _, call in self._lines()]
+
+    def by_process(self):
+        """{pid: that process's calls, in call order}"""
+        calls = {}
+        for pid, call in self._lines():
+            calls.setdefault(pid, []).append(call)
+        return calls
+
+    def in_slices(self, expected):
+        """Each process's calls in call order, the processes taken in the
+        order of their first call in expected: equal to expected when the
+        processes made its calls in contiguous slices, each call once."""
+        runs = self.by_process().values()
+        at = {call: i for i, call in enumerate(expected)}
+        return [call for run in sorted(runs, key=lambda run: at.get(run[0], -1)) for call in run]
+
+
 @pytest.fixture
-def parse_calls(monkeypatch):
-    """Paths of every parse_feature_file call, at both of its lookup sites."""
-    calls = []
+def parse_calls(monkeypatch, tmp_path):
+    """File names of every parse_feature_file call, at both of its lookup sites."""
+    spy = Spy(tmp_path / "parse_calls.log")
 
     def counted(path):
-        calls.append(Path(path).name)
+        spy.record(Path(path).name)
         return parse_feature_file(path)
 
     monkeypatch.setattr(patreid.ingest, "parse_feature_file", counted)
     monkeypatch.setattr(patreid.cli, "parse_feature_file", counted)
-    return calls
+    return spy
 
 
 @pytest.fixture
-def embed_calls(monkeypatch):
+def embed_calls(monkeypatch, tmp_path):
     """Image ids of every embed_image call a search makes."""
-    calls = []
+    spy = Spy(tmp_path / "embed_calls.log")
 
     def counted(features, vocabulary):
-        calls.append(features.image_id)
+        spy.record(features.image_id)
         return embed_image(features, vocabulary)
 
     monkeypatch.setattr(patreid.reid, "embed_image", counted)
-    return calls
+    return spy
 
 
 @pytest.fixture
-def row_reads(monkeypatch):
+def row_reads(monkeypatch, tmp_path):
     """Image ids of every index row read from a model file."""
-    calls = []
+    spy = Spy(tmp_path / "row_reads.log")
     read = patreid.vocab.read_index_row
 
     def counted(archive, path, k, image_id, count, dim):
-        calls.append(image_id)
+        spy.record(image_id)
         return read(archive, path, k, image_id, count, dim)
 
     monkeypatch.setattr(patreid.vocab, "read_index_row", counted)
-    return calls
+    return spy
 
 
 @pytest.fixture
-def verified_pairs(monkeypatch):
-    """(query id, database id) of every pair a search verifies, in order."""
-    calls = []
+def verified_pairs(monkeypatch, tmp_path):
+    """(query id, database id) of every pair a search verifies."""
+    spy = Spy(tmp_path / "verified_pairs.log")
     verify = patreid.geometry.verify_shortlist
 
     def counted(query, dbs, params):
-        calls.extend((query.image_id, db.image_id) for db in dbs)
+        for db in dbs:
+            spy.record(query.image_id, db.image_id)
         return verify(query, dbs, params)
 
     monkeypatch.setattr(patreid.geometry, "verify_shortlist", counted)
-    return calls
+    return spy
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes this process's affinity mask n CPUs, so evaluate runs n
+    workers; the fixture's list holds one entry per os.fork call."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        forks.clear()
+        return forks
+
+    return set_cpus
 
 
 def _swap_in_ind002_v0(bench):
@@ -336,33 +402,41 @@ class TestDatabaseIndex:
     ):
         bench, model = indexed
         _query(capsys, bench, model, "ind003_v1.patf", *flags)
-        assert len(row_reads) == reads
-        assert row_reads == [db for _, db in verified_pairs]
+        assert len(row_reads.calls()) == reads
+        assert row_reads.calls() == [db for _, db in verified_pairs.calls()]
 
     @pytest.mark.parametrize("protocol", ["split", "loo"])
     @pytest.mark.parametrize("shortlist", ["3", "0"])
     def test_evaluate_reads_each_verified_row_once(
-        self, indexed, row_reads, verified_pairs, protocol, shortlist
+        self, indexed, row_reads, verified_pairs, cpus, protocol, shortlist
     ):
         bench, model = indexed
+        cpus(2)
         assert main(["evaluate", "--manifest", str(bench / "manifest.csv"), "--vocab", str(model),
                      "--protocol", protocol, "--shortlist", shortlist]) == 0
         with load_vocabulary(model) as vocabulary:
             indexed_ids = set(vocabulary.index.image_ids)
-        assert len(set(verified_pairs)) == len(verified_pairs)  # each pair once
+        pairs = verified_pairs.calls()
+        assert len(set(pairs)) == len(pairs)  # each pair once
         # Leave-one-out queries are database rows too, read once as either.
-        used = {image_id for pair in verified_pairs for image_id in pair} & indexed_ids
-        assert sorted(row_reads) == sorted(used)
+        # Each process reads the rows its own slice of queries verifies, once
+        # each, so a row that two slices verify is read once per process.
+        pairs, reads = verified_pairs.by_process(), row_reads.by_process()
+        assert len(reads) == 2  # this process and its worker
+        for pid in set(pairs) | set(reads):
+            used = {image_id for pair in pairs.get(pid, []) for image_id in pair} & indexed_ids
+            assert sorted(reads.get(pid, [])) == sorted(used)
 
     def test_damaged_row_read_fails(self, indexed, tmp_path, capsys, row_reads):
         bench, model = indexed
         _query(capsys, bench, model, "ind003_v1.patf", "--shortlist", "5")
-        damaged = _damaged_row(model, tmp_path / "damaged.bin", row_reads[2])
+        read = row_reads.calls()[2]
+        damaged = _damaged_row(model, tmp_path / "damaged.bin", read)
         code = main(["query", "--manifest", str(bench / "manifest.csv"), "--vocab", str(damaged),
                      "--features", str(bench / "ind003_v1.patf"), "--shortlist", "5"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {damaged}: unreadable index row of '{row_reads[2]}'")
+        assert err.startswith(f"error: {damaged}: unreadable index row of '{read}'")
         assert "CRC" in err
 
     @pytest.mark.parametrize("command", ["query", "evaluate"])
@@ -387,9 +461,9 @@ class TestDatabaseIndex:
             return capsys.readouterr().out, csv.read_bytes() if csv.exists() else b""
 
         before = run(model)
-        assert len(row_reads) == 2
+        assert len(row_reads.calls()) == 2
         with load_vocabulary(model) as vocabulary:
-            unread = next(i for i in vocabulary.index.image_ids if i not in row_reads)
+            unread = next(i for i in vocabulary.index.image_ids if i not in row_reads.calls())
         assert run(_damaged_row(model, tmp_path / "damaged.bin", unread)) == before
 
     def test_stored_embeddings_bit_equal(self, indexed):
@@ -430,9 +504,10 @@ class TestDatabaseIndex:
         ids=["query-exp", "query-app", "query-geom-all", "evaluate-split", "evaluate-loo"],
     )
     def test_indexed_rows_never_parsed_or_embedded(
-        self, indexed, capsys, parse_calls, embed_calls, argv
+        self, indexed, capsys, parse_calls, embed_calls, cpus, argv
     ):
         bench, model = indexed
+        cpus(2)
         command, *flags = argv
         args = [command, "--manifest", str(bench / "manifest.csv"), "--vocab", str(model)]
         if command == "query":
@@ -442,8 +517,9 @@ class TestDatabaseIndex:
             queries = [e.image_id for e in load_manifest(bench / "manifest.csv").with_role("query")]
         assert main(args + flags) == 0
         # The database rows all come from the index; only the queries are read.
-        assert parse_calls == [f"{q}.patf" for q in queries]
-        assert embed_calls == queries
+        expected = [f"{q}.patf" for q in queries]
+        assert parse_calls.in_slices(expected) == expected
+        assert embed_calls.in_slices(queries) == queries
 
     @pytest.mark.parametrize(
         "argv",
@@ -451,8 +527,9 @@ class TestDatabaseIndex:
          ("evaluate", "--protocol", "loo")],
         ids=["query", "evaluate-split", "evaluate-loo"],
     )
-    def test_no_database_file_read(self, indexed, tmp_path, capsys, parse_calls, argv):
+    def test_no_database_file_read(self, indexed, tmp_path, capsys, parse_calls, cpus, argv):
         bench, model = indexed
+        cpus(2)
         copy = shutil.copytree(bench, tmp_path / "bench")
         command, *flags = argv
         args = [command, "--manifest", str(copy / "manifest.csv"), "--vocab", str(model),
@@ -480,7 +557,8 @@ class TestDatabaseIndex:
                 # Not a PATF file any more; an indexed row's file is never read.
                 Path(manifest.entry_path(e)).write_bytes(b"not a PATF file\n")
         assert run() == before
-        assert parse_calls == [f"{q}.patf" for q in queries]
+        expected = [f"{q}.patf" for q in queries]
+        assert parse_calls.in_slices(expected) == expected
 
     @pytest.mark.parametrize(
         "argv",
@@ -512,9 +590,10 @@ class TestDatabaseIndex:
 
     @pytest.mark.parametrize("protocol", ["split", "loo"])
     def test_rewritten_file_evaluates_as_snapshot(
-        self, indexed, tmp_path, parse_calls, embed_calls, protocol
+        self, indexed, tmp_path, parse_calls, embed_calls, cpus, protocol
     ):
         bench, model = indexed
+        cpus(2)
         copy = shutil.copytree(bench, tmp_path / "bench")
         queries = [e.image_id for e in load_manifest(copy / "manifest.csv").with_role("query")]
 
@@ -530,8 +609,9 @@ class TestDatabaseIndex:
         _swap_in_ind002_v0(copy)
         stale = run("stale", model)
         # The model is the database as build-vocab saw it: only queries are read.
-        assert parse_calls == [f"{q}.patf" for q in queries]
-        assert embed_calls == queries
+        expected = [f"{q}.patf" for q in queries]
+        assert parse_calls.in_slices(expected) == expected
+        assert embed_calls.in_slices(queries) == queries
         assert stale == before
         fresh = _reindexed(model, copy / "manifest.csv", tmp_path / "fresh.bin")
         assert run("fresh", fresh) != stale
@@ -544,7 +624,7 @@ class TestDatabaseIndex:
         fresh = _reindexed(model, copy / "manifest.csv", tmp_path / "fresh.bin")
         parse_calls.clear()
         stale = _query(capsys, copy, model, "ind002_v1.patf", "--rule", "app")
-        assert parse_calls == ["ind002_v1.patf"]
+        assert parse_calls.calls() == ["ind002_v1.patf"]
         assert stale == before
         assert stale != _query(capsys, copy, fresh, "ind002_v1.patf", "--rule", "app")
 
@@ -561,9 +641,178 @@ class TestDatabaseIndex:
         parse_calls.clear()
         flags = ("--rule", "app", "--topk", "9")
         out = _query(capsys, copy, model, "ind004_v0.patf", *flags)
-        assert parse_calls == ["ind004_v0.patf", "ind004_v1.patf"]
+        assert parse_calls.calls() == ["ind004_v0.patf", "ind004_v1.patf"]
         assert out.splitlines()[2].split()[1:3] == ["newcomer", "ind004_v1"]
         assert out == _query(capsys, copy, fresh, "ind004_v0.patf", *flags)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _evaluate(capsys, bench, model, *flags):
+    """(exit code, stdout, stderr, per-query CSV bytes) of one evaluate run."""
+    capsys.readouterr()
+    csv = bench / "out.csv"
+    csv.unlink(missing_ok=True)
+    code = main(["evaluate", "--manifest", str(bench / "manifest.csv"), "--vocab", str(model),
+                 "--per-query-csv", str(csv), *flags])
+    out, err = capsys.readouterr()
+    return code, out, err, csv.read_bytes() if csv.exists() else b""
+
+
+def _query_ids(bench):
+    return [e.image_id for e in load_manifest(bench / "manifest.csv").with_role("query")]
+
+
+class TestParallelEvaluate:
+    """evaluate with two workers (the indexed benchmark's 8 split queries in
+    two slices of 4) against one."""
+
+    @pytest.mark.parametrize("protocol", ["split", "loo"])
+    @pytest.mark.parametrize("shortlist", ["0", "3"])
+    def test_same_bytes_as_one_worker(self, indexed, tmp_path, capsys, cpus, protocol,
+                                      shortlist):
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        flags = ("--protocol", protocol, "--shortlist", shortlist)
+        forks = cpus(1)
+        one = _evaluate(capsys, copy, model, *flags)
+        assert forks == []
+        assert_no_child_left()
+        forks = cpus(2)
+        two = _evaluate(capsys, copy, model, *flags)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert one[0] == 0 and one[3]
+        assert two == one
+
+    def test_malformed_query_in_second_slice(self, indexed, tmp_path, capsys, cpus):
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        second = _query_ids(copy)[5]
+        (copy / f"{second}.patf").write_text(f"PATF 1\n{second}\n4 1\n0 0 1 0 0 1 nan 0 0 0\n",
+                                             encoding="utf-8")
+        cpus(1)
+        one = _evaluate(capsys, copy, model)
+        forks = cpus(2)
+        two = _evaluate(capsys, copy, model)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert one[0] == 1 and one[2].startswith(f"error: {copy / second}.patf:4: ")
+        assert two == one
+        assert "Traceback" not in two[2]
+
+    def _row_only_worker_reads(self, bench, model, capsys, row_reads, flags):
+        """An index row that the worker process reads and this one does not."""
+        assert _evaluate(capsys, bench, model, *flags)[0] == 0
+        reads = row_reads.by_process()
+        assert len(reads) == 2
+        mine = set(reads.pop(str(os.getpid())))
+        row_reads.clear()
+        return next(image_id for image_id in next(iter(reads.values())) if image_id not in mine)
+
+    def test_damaged_row_only_worker_reads(self, indexed, tmp_path, capsys, cpus, row_reads):
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        flags = ("--shortlist", "1")
+        cpus(2)
+        row = self._row_only_worker_reads(copy, model, capsys, row_reads, flags)
+        damaged = _damaged_row(model, tmp_path / "damaged.bin", row)
+        cpus(1)
+        one = _evaluate(capsys, copy, damaged, *flags)
+        forks = cpus(2)
+        two = _evaluate(capsys, copy, damaged, *flags)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert one[0] == 1
+        assert one[2].startswith(f"error: {damaged}: unreadable index row of '{row}'")
+        assert "CRC" in one[2]
+        assert two == one
+
+    def test_parse_error_outranks_earlier_slice_row_error(self, indexed, tmp_path, capsys,
+                                                          cpus, row_reads):
+        # One process parses every query before it reads a row, so a bad
+        # query file in the second slice is the error even when the first
+        # slice's search reads a damaged row.
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        flags = ("--shortlist", "1")
+        cpus(2)
+        assert _evaluate(capsys, copy, model, *flags)[0] == 0
+        first_read = row_reads.by_process()[str(os.getpid())][0]
+        damaged = _damaged_row(model, tmp_path / "damaged.bin", first_read)
+        second = _query_ids(copy)[6]
+        (copy / f"{second}.patf").write_text("PATF 2\n", encoding="utf-8")
+        cpus(1)
+        one = _evaluate(capsys, copy, damaged, *flags)
+        cpus(2)
+        two = _evaluate(capsys, copy, damaged, *flags)
+        assert_no_child_left()
+        assert one[0] == 1 and one[2].startswith(f"error: {copy / second}.patf:1: bad header")
+        assert two == one
+
+    def test_worker_without_result(self, indexed, capsys, cpus, monkeypatch):
+        bench, model = indexed
+        parent, in_slices = os.getpid(), patreid.reid._in_slices
+
+        def dying(n, search):
+            def search_or_die(part):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return search(part)
+
+            return in_slices(n, search_or_die)
+
+        monkeypatch.setattr(patreid.reid, "_in_slices", dying)
+        cpus(2)
+        code, out, err, _ = _evaluate(capsys, bench, model)
+        assert_no_child_left()
+        assert code == 1 and out == ""
+        assert err == "error: queries 5-8: worker ended without a result\n"
+
+    def test_worker_rejects_replaced_model_file(self, indexed, tmp_path, cpus):
+        bench, model = indexed
+        copy = shutil.copy(model, tmp_path / "model.bin")
+        manifest = load_manifest(bench / "manifest.csv")
+        params = [patreid.reid.CombineParams(shortlist_size=0)]
+        cpus(2)
+        with load_vocabulary(copy) as vocabulary:
+            # Same bytes, another file: the worker must not read rows from it.
+            shutil.copy(model, tmp_path / "other.bin")
+            os.replace(tmp_path / "other.bin", copy)
+            with pytest.raises(patreid.vocab.VocabError,
+                               match=f"{copy}: model file changed since it was loaded"):
+                patreid.reid.evaluate(manifest, vocabulary, params)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("rule", ["exp", "app"])
+    def test_query_never_forks(self, indexed, capsys, cpus, rule):
+        bench, model = indexed
+        forks = cpus(2)
+        _query(capsys, bench, model, "ind003_v1.patf", "--rule", rule, "--shortlist", "0")
+        assert forks == []
+
+
+@pytest.mark.parametrize(
+    "error",
+    [patreid.ingest.PatfError("dir/a.patf", 7, "non-finite value"),
+     patreid.ingest.ManifestError("m.csv: duplicate image_id 'a'"),
+     patreid.vocab.VocabError("model.bin: unreadable index row of 'a'"),
+     patreid.geometry.GeometryError("need at least 4 correspondences"),
+     patreid.reid.ReidError("database is empty"),
+     FileNotFoundError(2, "No such file or directory", "a.patf")],
+    ids=lambda error: type(error).__name__,
+)
+def test_error_survives_pickle(error):
+    # An evaluate worker sends its error back pickled; the error: line and
+    # the exit code come from its type and str.
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)
+    assert copy.args == error.args and vars(copy) == vars(error)
+    for name in ("path", "line_no", "errno", "strerror", "filename"):
+        assert getattr(copy, name, None) == getattr(error, name, None)
 
 
 class TestEvaluate:
