@@ -52,7 +52,8 @@ SYNTH_FLAGS = {
     "clutter_rate": "--clutter",
     "max_perspective": "--max-perspective",
 }
-TRAINING_FLAGS = {"alpha": "--alpha", "kpca_dim": "--kpca-dim"}
+TRAINING_FLAGS = {"alpha": "--alpha", "kpca_dim": "--kpca-dim", "seed": "--seed",
+                  "gmm_k": "--gmm-k", "pca_dim": "--pca-dim"}
 COMBINE_FLAGS = {"rule": "--rule", "a": "--a", "shortlist_size": "--shortlist"}
 GEOMETRY_FLAGS = {
     "inlier_threshold": "--inlier-thresh",
@@ -128,7 +129,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    _validated(TrainingParams(alpha=args.alpha, kpca_dim=args.kpca_dim), TRAINING_FLAGS)
+    params = TrainingParams(alpha=args.alpha, kpca_dim=args.kpca_dim, seed=args.seed,
+                            gmm_k=args.gmm_k, pca_dim=args.pca_dim)
+    _validated(params, TRAINING_FLAGS)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     db_entries = manifest.with_role("database")
     if not db_entries:

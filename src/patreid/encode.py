@@ -39,13 +39,17 @@ class TrainingParams:
 
     alpha: float = 0.5
     kpca_dim: int = 0  # 0: the default, min(N_db - 1, MAX_KPCA_DIM)
+    seed: int = 0
+    gmm_k: int = DEFAULT_GMM_K
+    pca_dim: int = DEFAULT_PCA_DIM
 
     def validate(self) -> None:
         """Raise VocabError naming the offending field."""
         if not 0 < self.alpha < np.inf:
             raise VocabError(f"alpha must be finite and > 0, got {self.alpha}")
-        if self.kpca_dim < 0:
-            raise VocabError(f"kpca_dim must be >= 0, got {self.kpca_dim}")
+        for name, least in (("kpca_dim", 0), ("seed", 0), ("gmm_k", 1), ("pca_dim", 1)):
+            if getattr(self, name) < least:
+                raise VocabError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 def fisher_encode(features: ImageFeatures, pca: PcaModel, gmm: Gmm) -> np.ndarray:
@@ -137,7 +141,7 @@ def train_vocabulary(
     bit what embed_image gives.  The index rows are feature_sets in order,
     read from memory.  kpca_dim defaults to min(N_db - 1, 512).
     """
-    TrainingParams(alpha=alpha, kpca_dim=kpca_dim or 0).validate()
+    TrainingParams(alpha, kpca_dim or 0, seed, gmm_k, pca_dim).validate()
     feature_sets = list(feature_sets)
     image_ids = [f.image_id for f in feature_sets]
     non_empty = [f for f in feature_sets if f.count > 0]

@@ -72,22 +72,23 @@ class RankedResult:
 class Images(NamedTuple):
     """Labelled images: row i is image image_ids[i] of individual_ids[i],
     embeddings[i] is its (m,) embedding, unit norm or zero for a degenerate
-    image, and features[i]() returns its labelled ImageFeatures (see
-    load_images for when they are read)."""
+    image, and features(i) returns its ImageFeatures (see load_images for
+    when they are read)."""
 
     image_ids: List[str]
     individual_ids: List[Optional[str]]
     embeddings: np.ndarray
-    features: List[Callable[[], ImageFeatures]]
+    features: Callable[[int], ImageFeatures]
 
     @classmethod
     def of(cls, features: Sequence[ImageFeatures], embeddings: np.ndarray) -> Images:
         """Images of labelled features already in memory."""
+        features = list(features)
         return cls(
             [f.image_id for f in features],
             [f.individual_id for f in features],
             embeddings,
-            [lambda f=f: f for f in features],
+            features.__getitem__,
         )
 
 
@@ -138,16 +139,6 @@ def _combine(params: CombineParams, d_l: float, n: int, omega: float) -> float:
     return combine_exponential(d_l, n)
 
 
-def _read_once(read_row, k: int, entry: ManifestEntry) -> Callable[[], ImageFeatures]:
-    """Index row k's features with entry's labels, read on the first call only."""
-
-    @functools.cache
-    def read():
-        return replace(read_row(k), individual_id=entry.individual_id, viewpoint=entry.viewpoint)
-
-    return read
-
-
 def load_images(
     manifest: Manifest, entries: Sequence[ManifestEntry], vocabulary: Vocabulary
 ) -> Images:
@@ -156,27 +147,27 @@ def load_images(
 
     The index is a snapshot of the database as build-vocab saw it, so an
     indexed row's PATF file is never opened: after editing one, rerun
-    build-vocab.  An indexed row's features are read on the first call of
-    its features function, so a search reads only the rows it verifies, each
-    once.  A row the index lacks is parsed and embedded here, as a query is.
+    build-vocab.  An indexed row's features are read on the first features(i)
+    call for it, so a search reads only the rows it verifies, each once.  A
+    row the index lacks is parsed and embedded here, as a query is.
     """
     index = vocabulary.index
     rows = {image_id: k for k, image_id in enumerate(index.image_ids)}
-    features, embeddings = [], []
+    read_row = functools.cache(vocabulary.read_row)
+    sources, embeddings = [], []  # per entry: its index row, or its parsed features
     for entry in entries:
-        k = rows.get(entry.image_id)
-        if k is not None:
-            features.append(_read_once(vocabulary.read_row, k, entry))
-            embeddings.append(index.embeddings[k])
+        source = rows.get(entry.image_id)
+        if source is None:
+            source = load_entry_features(manifest, entry)
+            embeddings.append(embed_image(source, vocabulary))
         else:
-            parsed = load_entry_features(manifest, entry)
-            features.append(lambda parsed=parsed: parsed)
-            embeddings.append(embed_image(parsed, vocabulary))
+            embeddings.append(index.embeddings[source])
+        sources.append(source)
     return Images(
         [e.image_id for e in entries],
         [e.individual_id for e in entries],
         np.reshape(embeddings, (len(entries), vocabulary.kpca.out_dim)),
-        features,
+        lambda i: read_row(sources[i]) if isinstance(sources[i], int) else sources[i],
     )
 
 
@@ -224,7 +215,7 @@ def rank_queries(
     distances = cosine_distance(queries.embeddings[:, None], db.embeddings[None])
 
     results: Dict[str, List[RankedResult]] = {params.rule: [] for params in rule_params}
-    for q, query in enumerate(queries.features):
+    for q in range(len(queries.image_ids)):
         rows = np.arange(len(ids))
         if self_rows is not None:
             rows = np.delete(rows, self_rows[q])
@@ -235,7 +226,7 @@ def rank_queries(
         shortlists = [_shortlist_size(params, len(rows)) for params in rule_params]
         shortlist = rows[: max(shortlists, default=0)]
         verdicts = geometry.verify_shortlist(
-            query(), [db.features[j]() for j in shortlist], geometry_params
+            queries.features(q), [db.features(j) for j in shortlist], geometry_params
         ) if len(shortlist) else []
         for params, k in zip(rule_params, shortlists):
             n, omega, d_c = np.zeros(len(rows), dtype=int), np.zeros(len(rows)), d_l.copy()
@@ -391,13 +382,13 @@ def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
         self_rows.append(row)
     if not self_rows:
         raise ReidError("all leave-one-out queries were excluded")
-    queries = Images(
-        [db.image_ids[row] for row in self_rows],
-        [db.individual_ids[row] for row in self_rows],
-        db.embeddings[self_rows],
-        [db.features[row] for row in self_rows],
-    )
-    return db, lambda part: Images(*(field[part] for field in queries)), truths, excluded, self_rows
+
+    def queries(part: slice) -> Images:
+        rows = self_rows[part]
+        ids, individuals = [db.image_ids[r] for r in rows], [db.individual_ids[r] for r in rows]
+        return Images(ids, individuals, db.embeddings[rows], lambda q: db.features(rows[q]))
+
+    return db, queries, truths, excluded, self_rows
 
 
 # A protocol gives (database, queries(part) loading the slice part of its

@@ -2,13 +2,26 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, dense matrices, finite differences) so the production code is
-verified against a formulation that shares none of its algebra.
+verified against a formulation that shares none of its algebra.  It also
+holds AC-3's sampling estimator, ransac_homography: a seeded RANSAC over
+bare point pairs whose verdicts test_geometry pins, and which no search
+uses.
 """
 
 import numpy as np
 
 from patreid.encode import cosine_distance, embed_image
-from patreid.geometry import GeometryParams, geometric_similarity
+from patreid.geometry import (
+    GeometryError,
+    GeometryParams,
+    GeomVerdict,
+    _dlt_matrix,
+    _point_pairs,
+    _scale_homography,
+    apply_homography,
+    dlt_homography,
+    geometric_similarity,
+)
 from patreid.ingest import load_entry_features
 from patreid.reid import Images
 from patreid.vocab import VARIANCE_FLOOR, Gmm, _kmeanspp_centers, average_log_likelihood
@@ -189,3 +202,156 @@ def ranking_oracle(manifest, vocabulary, rule, shortlist, protocol, a=2.0,
         _, d_c, d_l, _, _, n, omega = ranked[0]
         records.append((query_id, truth, individuals.index(truth) + 1, d_l, n, omega, d_c))
     return records
+
+
+# Candidate models fitted per vectorized RANSAC round.
+RANSAC_CHUNK = 128
+# RANSAC stops once it is this confident that an all-inlier sample was drawn,
+RANSAC_CONFIDENCE = 0.99
+# or after this many candidate models.
+RANSAC_MAX_ITERS = 2000
+# Triangle areas below this (in normalized coordinates) mark a degenerate sample.
+COLLINEAR_EPS = 1e-9
+# The four point triples of a 4-point sample.
+_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def reprojection_residuals(H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Euclidean distance between H(src) and dst; non-finite projections give inf."""
+    proj = apply_homography(H, np.asarray(src, dtype=np.float64))
+    diff = proj - np.asarray(dst, dtype=np.float64)
+    res = np.linalg.norm(diff, axis=1)
+    res[~np.isfinite(res)] = np.inf
+    return res
+
+
+def _noncollinear(samples: np.ndarray) -> np.ndarray:
+    """True where no point triple of a (B, 4, S, 2) sample is (near-)collinear.
+
+    S is the number of sides (query, database); one collinear side suffices.
+    """
+    t = samples[:, _TRIPLES]
+    ab = t[:, :, 1] - t[:, :, 0]
+    ac = t[:, :, 2] - t[:, :, 0]
+    area2 = np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
+    return np.all(area2 > COLLINEAR_EPS, axis=(1, 2))
+
+
+def _minimal_rows(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The two DLT rows of each correspondence with h33 fixed to 1: (N, 2, 8).
+
+    Fixing h33 = 1 moves the ninth DLT column to the right-hand side.  The
+    rows are written with both sides negated, so a sample's right-hand side
+    is its target coordinates (u, v).
+    """
+    rows = np.zeros((src.shape[0], 2, 8), dtype=np.float64)
+    rows[:, 0, 0:2] = src
+    rows[:, 0, 2] = 1.0
+    rows[:, 1, 3:5] = src
+    rows[:, 1, 5] = 1.0
+    rows[:, :, 6:8] = -dst[:, :, None] * src[:, None, :]
+    return rows
+
+
+def _minimal_homographies(
+    rows: np.ndarray, src: np.ndarray, dst: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
+    """Homographies through the (B, 4) correspondence samples idx: (B, 3, 3).
+
+    The stacked minimal rows of each sample form an 8x8 system; one batched
+    solve fits the whole chunk with h33 = 1.  An exactly singular system
+    (true h33 = 0) makes the batch raise; the chunk is then fitted by the
+    SVD null vectors of its 8x9 DLT matrices instead.
+    """
+    b = idx.shape[0]
+    try:
+        h = np.linalg.solve(rows[idx].reshape(b, 8, 8), dst[idx].reshape(b, 8, 1))
+    except np.linalg.LinAlgError:
+        _, _, Vh = np.linalg.svd(_dlt_matrix(src[idx], dst[idx]))
+        return Vh[:, -1, :].reshape(b, 3, 3)
+    return np.concatenate([h[:, :, 0], np.ones((b, 1))], axis=1).reshape(b, 3, 3)
+
+
+def ransac_homography(
+    src: np.ndarray, dst: np.ndarray, inlier_threshold: float, seed=None
+) -> GeomVerdict:
+    """Robust homography fit over normalized (N, 2) point pairs src -> dst.
+
+    Seeded minimal 4-point samples are fitted in vectorized chunks.  Samples
+    with a (near-)collinear triple on either side are dropped; the rest are
+    fitted with h33 = 1 by one batched solve of their 8x8 DLT systems, and a
+    chunk that holds an exactly singular system (true h33 = 0) falls back to
+    the SVD null vectors of its 8x9 DLT matrices.  A pair is an inlier when
+    its reprojection distance is strictly below inlier_threshold.  The
+    iteration budget adapts with the standard (1 - w^4) formula at
+    RANSAC_CONFIDENCE, capped at RANSAC_MAX_ITERS.  The final homography is
+    refit on the best consensus set; the reported inlier_mask is that
+    consensus.  Fewer than 4 pairs, or no valid sample, yield n = 0 with no
+    homography.
+    """
+    if not 0 < inlier_threshold < np.inf:
+        raise GeometryError(
+            f"inlier_threshold must be finite and positive, got {inlier_threshold}"
+        )
+    src, dst = _point_pairs(src, dst)
+    total = src.shape[0]
+    failure = GeomVerdict(
+        n=0, omega=0.0, homography=None, inlier_mask=np.zeros(total, dtype=bool)
+    )
+    if total < 4:
+        return failure
+
+    rng = np.random.default_rng(seed)
+    pairs = np.stack([src, dst], axis=1)
+    rows = _minimal_rows(src, dst)
+    src_h = np.vstack([src.T, np.ones(total)])
+    thr2 = inlier_threshold * inlier_threshold
+
+    best_count = 0
+    best_mask = np.zeros(total, dtype=bool)
+    best_H = None
+    done = 0
+    target = RANSAC_MAX_ITERS
+    while done < target:
+        chunk = min(RANSAC_CHUNK, target - done)
+        done += chunk
+        # 4 distinct indices per model: the smallest entries of a random row.
+        keys = rng.random((chunk, total))
+        idx = np.argpartition(keys, 4, axis=1)[:, :4]
+        idx = idx[_noncollinear(pairs[idx])]
+        if idx.shape[0] == 0:
+            continue
+        Hc = _minimal_homographies(rows, src, dst, idx)
+
+        proj = Hc @ src_h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xy = proj[:, :2, :] / proj[:, 2:3, :]
+        res2 = np.sum((xy - dst.T) ** 2, axis=1)
+        res2[~np.isfinite(res2)] = np.inf
+        masks = res2 < thr2
+        counts = masks.sum(axis=1)
+        top = int(np.argmax(counts))
+        if counts[top] > best_count:
+            best_count = int(counts[top])
+            best_mask = masks[top].copy()
+            best_H = Hc[top]
+            # Shrink the iteration budget as the inlier ratio estimate grows.
+            w4 = (best_count / total) ** 4
+            if w4 >= 1.0 - 1e-15:
+                target = done
+            else:
+                needed = int(np.ceil(np.log1p(-RANSAC_CONFIDENCE) / np.log1p(-w4)))
+                target = min(RANSAC_MAX_ITERS, max(needed, 1))
+
+    if best_H is None or best_count < 4:
+        return failure
+    try:
+        homography = dlt_homography(src[best_mask], dst[best_mask])
+    except GeometryError:
+        homography = _scale_homography(best_H)
+    return GeomVerdict(
+        n=best_count,
+        omega=best_count / total,
+        homography=homography,
+        inlier_mask=best_mask,
+    )

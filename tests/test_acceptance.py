@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import dense_kpca_oracle, embedded_images, fisher_fd_oracle
+from oracles import dense_kpca_oracle, embedded_images, fisher_fd_oracle, ransac_homography
 
 from patreid.cli import main
 from patreid.encode import (
@@ -23,7 +23,7 @@ from patreid.encode import (
     power_l2_normalize,
     train_vocabulary,
 )
-from patreid.geometry import apply_homography, dlt_homography, ransac_homography
+from patreid.geometry import apply_homography, dlt_homography
 from patreid.ingest import (
     ImageFeatures,
     Manifest,
@@ -246,7 +246,7 @@ def test_ac4_unit_exactness(capsys):
     checks.append(self_result.candidates.d_C[0] == min(self_result.candidates.d_C))
     full = query_database(db, vocabulary, queries[0], CombineParams(shortlist_size=0))
     covering = query_database(
-        db, vocabulary, queries[0], CombineParams(shortlist_size=len(db.features))
+        db, vocabulary, queries[0], CombineParams(shortlist_size=len(db.image_ids))
     )
     checks.append(full.candidates.image_ids == covering.candidates.image_ids)
     checks.append(full.individuals == covering.individuals)

@@ -150,7 +150,8 @@ class TestBuildVocab:
     @pytest.mark.parametrize(
         "flag, value",
         [("--alpha", "-1"), ("--alpha", "0"), ("--alpha", "nan"), ("--alpha", "inf"),
-         ("--kpca-dim", "-3")],
+         ("--kpca-dim", "-3"), ("--seed", "-1"), ("--gmm-k", "0"), ("--gmm-k", "-2"),
+         ("--pca-dim", "0"), ("--pca-dim", "-5")],
     )
     def test_invalid_value_names_flag(self, tmp_path, capsys, flag, value):
         # Checked before any file is read: the manifest does not exist.

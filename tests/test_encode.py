@@ -272,8 +272,11 @@ class TestTrainVocabularyAndEmbed:
             ({"alpha": 0.0}, "alpha must be finite and > 0"),
             ({"alpha": -1.0}, "alpha must be finite and > 0"),
             ({"kpca_dim": -3}, "kpca_dim must be >= 0"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"gmm_k": 0}, "gmm_k must be >= 1"),
+            ({"pca_dim": 0}, "pca_dim must be >= 1"),
         ],
     )
     def test_invalid_training_options(self, options, message):
         with pytest.raises(VocabError, match=message):
-            train_vocabulary(self._feature_sets(), gmm_k=2, pca_dim=4, **options)
+            train_vocabulary(self._feature_sets(), **{"gmm_k": 2, "pca_dim": 4, **options})

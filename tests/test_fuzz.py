@@ -7,6 +7,7 @@ finite result, and the CLI must turn every failure into exit 1 or 2 with an
 
 import contextlib
 import io
+import warnings
 import zipfile
 
 import numpy as np
@@ -242,5 +243,30 @@ def test_cli_build_vocab(workspace, tmp_path):
         (copy / "ind002_v0.patf").write_bytes(blob)
         cli_fails_cleanly(["build-vocab", "--manifest", str(copy / "manifest.csv"),
                            "--out", str(tmp_path / "model.bin"), "--gmm-k", "2", "--pca-dim", "4"])
+
+    run()
+
+
+def test_cli_build_vocab_integer_flags(tmp_path):
+    bench = tmp_path / "bench"
+    assert cli_fails_cleanly(["synth", "--seed", "5", "--individuals", "4", "--views", "2",
+                              "--out", str(bench)]) == 0
+    # Small values and negatives, plus values too large for the bench's 4
+    # database images of 80 descriptors of width 128.
+    seeds = st.integers(-2, 2) | st.integers(-(1 << 70), 1 << 70)
+    gmm_ks = st.integers(-1, 6) | st.just(400)
+    pca_dims = st.integers(-1, 8) | st.just(129)
+    kpca_dims = st.integers(-1, 4)
+
+    @given(seeds, gmm_ks, pca_dims, kpca_dims)
+    def run(seed, gmm_k, pca_dim, kpca_dim):
+        flags = ["--seed", seed, "--gmm-k", gmm_k, "--pca-dim", pca_dim, "--kpca-dim", kpca_dim]
+        with warnings.catch_warnings():
+            # A default kpca_dim above the Fisher vectors' rank is reduced
+            # with a warning, by design (see test_vocab).
+            warnings.filterwarnings("ignore", "kernel PCA rank", UserWarning)
+            code = cli_fails_cleanly(["build-vocab", "--manifest", str(bench / "manifest.csv"),
+                                      "--out", str(tmp_path / "model.bin"), *map(str, flags)])
+        assert code in (0, 2)
 
     run()

@@ -1,20 +1,24 @@
-"""Descriptor matching, point normalization, DLT, RANSAC and verifier tests."""
+"""Descriptor matching, point normalization, DLT, RANSAC oracle and verifier tests."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from oracles import (
+    COLLINEAR_EPS,
+    _minimal_homographies,
+    _minimal_rows,
+    _noncollinear,
+    ransac_homography,
+    reprojection_residuals,
+)
 
 from patreid.geometry import (
-    COLLINEAR_EPS,
     SCORE_BUDGET,
     GeometryError,
     GeometryParams,
     _affine_maps,
     _dlt_matrix,
-    _minimal_homographies,
-    _minimal_rows,
-    _noncollinear,
     _normalized,
     apply_homography,
     dlt_homography,
@@ -22,8 +26,6 @@ from patreid.geometry import (
     homography_jacobian,
     match_descriptors,
     normalize_points,
-    ransac_homography,
-    reprojection_residuals,
     verify_shortlist,
 )
 from patreid.ingest import ImageFeatures, parse_feature_file, write_feature_file

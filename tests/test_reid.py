@@ -143,7 +143,7 @@ def small_world():
 class TestQueryDatabase:
     def test_database_image_ranks_itself_first(self, small_world):
         _, db, _, vocabulary = small_world
-        first = db.features[0]()
+        first = db.features(0)
         result = query_database(db, vocabulary, first, CombineParams())
         assert result.candidates.image_ids[0] == first.image_id
         assert result.individuals[0] == first.individual_id
@@ -161,7 +161,7 @@ class TestQueryDatabase:
         # Duplicate every individual's database image under a new image_id:
         # candidate list doubles, individual list must not.
         import dataclasses
-        features = [read() for read in db.features]
+        features = [db.features(i) for i in range(len(db.image_ids))]
         doubled = features + [
             dataclasses.replace(f, image_id=f.image_id + "_copy") for f in features
         ]
@@ -176,7 +176,7 @@ class TestQueryDatabase:
             db, vocabulary, queries[0], CombineParams(shortlist_size=0)
         )
         covering = query_database(
-            db, vocabulary, queries[0], CombineParams(shortlist_size=len(db.features))
+            db, vocabulary, queries[0], CombineParams(shortlist_size=len(db.image_ids))
         )
         assert full.individuals == covering.individuals
         for name in ("image_ids", "d_C", "n", "omega"):
@@ -244,7 +244,7 @@ class TestQueryDatabase:
 class TestScorePair:
     def test_degenerate_embedding_still_verified_geometrically(self, small_world):
         _, db, queries, _ = small_world
-        entry = db.features[0]()
+        entry = db.features(0)
         truth_query = next(
             q for q in queries if q.individual_id == entry.individual_id
         )
@@ -263,7 +263,7 @@ class TestBuildDatabase:
     def test_requires_labels(self, small_world):
         _, db, queries, vocabulary = small_world
         import dataclasses
-        unlabeled = dataclasses.replace(db.features[0](), individual_id=None)
+        unlabeled = dataclasses.replace(db.features(0), individual_id=None)
         with pytest.raises(ReidError, match="individual_id"):
             query_database(
                 embedded_images(vocabulary, [unlabeled]), vocabulary, queries[0], CombineParams()
@@ -271,7 +271,7 @@ class TestBuildDatabase:
 
     def test_rejects_duplicate_ids(self, small_world):
         _, db, queries, vocabulary = small_world
-        f = db.features[0]()
+        f = db.features(0)
         with pytest.raises(ReidError, match="duplicate"):
             query_database(
                 embedded_images(vocabulary, [f, f]), vocabulary, queries[0], CombineParams()
