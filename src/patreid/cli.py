@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .encode import TrainingParams, train_vocabulary
@@ -26,6 +27,7 @@ from .reid import (
     CombineParams,
     ReidError,
     evaluate,
+    fork_map,
     load_images,
     query_database,
     write_per_query_csv,
@@ -136,19 +138,27 @@ def cmd_build_vocab(args) -> int:
     db_entries = manifest.with_role("database")
     if not db_entries:
         raise UsageError("no database entries in manifest")
-    feature_sets = [load_entry_features(manifest, e) for e in db_entries]
+
+    def parse(part: slice) -> list:
+        return [load_entry_features(manifest, e) for e in db_entries[part]]
+
+    slices = fork_map(len(db_entries), parse, what="database files")
     try:
-        vocabulary = train_vocabulary(
-            feature_sets,
-            gmm_k=args.gmm_k,
-            pca_dim=args.pca_dim,
-            kpca_dim=args.kpca_dim or None,
-            alpha=args.alpha,
-            whiten=args.whiten,
-            seed=args.seed,
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vocabulary = train_vocabulary(
+                [features for part in slices for features in part],
+                gmm_k=args.gmm_k,
+                pca_dim=args.pca_dim,
+                kpca_dim=args.kpca_dim or None,
+                alpha=args.alpha,
+                whiten=args.whiten,
+                seed=args.seed,
+            )
     except VocabError as exc:
         raise UsageError(f"cannot train the vocabulary: {exc}") from None
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     save_vocabulary(vocabulary, args.out)
     print(args.out)
     return 0

@@ -140,7 +140,10 @@ def _combine(params: CombineParams, d_l: float, n: int, omega: float) -> float:
 
 
 def load_images(
-    manifest: Manifest, entries: Sequence[ManifestEntry], vocabulary: Vocabulary
+    manifest: Manifest,
+    entries: Sequence[ManifestEntry],
+    vocabulary: Vocabulary,
+    forked: bool = False,
 ) -> Images:
     """Manifest rows' labelled images, each taken from the vocabulary's index
     when the index has a row of its image_id.
@@ -149,20 +152,27 @@ def load_images(
     indexed row's PATF file is never opened: after editing one, rerun
     build-vocab.  An indexed row's features are read on the first features(i)
     call for it, so a search reads only the rows it verifies, each once.  A
-    row the index lacks is parsed and embedded here, as a query is.
+    row the index lacks is parsed and embedded here, as a query is: in
+    fork_map slices when forked, else in this process.
     """
     index = vocabulary.index
     rows = {image_id: k for k, image_id in enumerate(index.image_ids)}
+    missing = [e for e in entries if e.image_id not in rows]
+
+    def parse(part: slice) -> List[Tuple[ImageFeatures, np.ndarray]]:
+        # Each file is embedded before the next is parsed: the first error wins.
+        loaded = (load_entry_features(manifest, e) for e in missing[part])
+        return [(features, embed_image(features, vocabulary)) for features in loaded]
+
+    slices = fork_map(len(missing), parse, what="images") if forked else [parse(slice(None))]
+    parsed = iter([image for part in slices for image in part])
     read_row = functools.cache(vocabulary.read_row)
     sources, embeddings = [], []  # per entry: its index row, or its parsed features
     for entry in entries:
-        source = rows.get(entry.image_id)
-        if source is None:
-            source = load_entry_features(manifest, entry)
-            embeddings.append(embed_image(source, vocabulary))
-        else:
-            embeddings.append(index.embeddings[source])
+        k = rows.get(entry.image_id)
+        source, embedding = next(parsed) if k is None else (k, index.embeddings[k])
         sources.append(source)
+        embeddings.append(embedding)
     return Images(
         [e.image_id for e in entries],
         [e.individual_id for e in entries],
@@ -322,7 +332,7 @@ def _split_search(manifest: Manifest, vocabulary: Vocabulary):
         raise ReidError("manifest has no database entries")
     if not query_entries:
         raise ReidError("manifest has no query entries")
-    db = load_images(manifest, db_entries, vocabulary)
+    db = load_images(manifest, db_entries, vocabulary, forked=True)
     known = set(db.individual_ids)
 
     kept = []
@@ -371,7 +381,7 @@ def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
     for e in labeled:
         unit_counts[e.individual_id] = unit_counts.get(e.individual_id, 0) + 1
 
-    db = load_images(manifest, labeled, vocabulary)
+    db = load_images(manifest, labeled, vocabulary, forked=True)
     truths = {}
     self_rows = []
     for row, e in enumerate(labeled):
@@ -396,14 +406,32 @@ def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
 _PROTOCOLS = {"split": _split_search, "leave_one_out": _leave_one_out_search}
 
 
-def _in_slices(n: int, search: Callable[[slice], tuple]) -> Dict[str, List[RankedResult]]:
-    """search over n queries in contiguous slices, one per CPU this process
-    may use: slice 0 here, each other in a forked child that pickles its
-    outcome back over a pipe.  Results join per rule in slice order.  Every
-    child is reaped before this returns or raises the error of the earliest
-    stage, then slice: the one a single process would raise."""
-    workers = min(n, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+def fork_map(n: int, *steps: Callable, what: str) -> list:
+    """Run steps over range(n) in contiguous slices, one per CPU this process
+    may use, and return the last step's output of each slice, in slice order.
+
+    Slice 0 runs here and each other slice in a forked child that pickles its
+    outcome back over a pipe.  A slice runs steps[0](part), then each next
+    step on (part, the previous step's output); no step may call fork_map.
+    Every child is reaped before this returns or raises the error of the
+    earliest step, then slice: the one a single process that ran each step
+    over all n items would raise.  A child that ends without a result is an
+    OSError naming its slice of what.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = max(1, min(n, cpus))
     parts = [slice(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
+
+    def run(part: slice):
+        # (len(steps), output), or (index of the failed step, its error).
+        output = None
+        for k, step in enumerate(steps):
+            try:
+                output = step(part) if k == 0 else step(part, output)
+            except Exception as exc:
+                return k, exc
+        return len(steps), output
+
     children = []  # (pid, read end of its pipe)
     try:
         for part in parts[1:]:
@@ -414,27 +442,27 @@ def _in_slices(n: int, search: Callable[[slice], tuple]) -> Dict[str, List[Ranke
                     for fd in [r] + [fd for _, fd in children]:
                         os.close(fd)
                     with open(w, "wb") as out:
-                        out.write(pickle.dumps(search(part)))
+                        out.write(pickle.dumps(run(part)))
                 finally:
                     os._exit(0)
             os.close(w)
             children.append((pid, r))
-        outcomes = [search(parts[0])]
+        outcomes = [run(parts[0])]
         for (_, r), part in zip(children, parts[1:]):
             try:
                 with open(r, "rb", closefd=False) as fh:
                     outcomes.append(pickle.load(fh))
             except (EOFError, pickle.UnpicklingError):
-                message = f"queries {part.start + 1}-{part.stop}: worker ended without a result"
+                message = f"{what} {part.start + 1}-{part.stop}: worker ended without a result"
                 outcomes.append((0, OSError(message)))
     finally:
         for pid, r in children:
             os.close(r)
             os.waitpid(pid, 0)
-    stage, value = min(outcomes, key=lambda outcome: outcome[0])
-    if stage < 2:
+    step, value = min(outcomes, key=lambda outcome: outcome[0])
+    if step < len(steps):
         raise value
-    return {rule: [r for _, results in outcomes for r in results[rule]] for rule in value}
+    return [output for _, output in outcomes]
 
 
 def evaluate(
@@ -449,25 +477,19 @@ def evaluate(
 
     Every image is read and embedded once (indexed rows from the model file,
     see load_images) and every rule ranks the same search, see rank_queries.
-    Queries are loaded and ranked in slices, one per usable CPU (_in_slices).
+    Queries are loaded and ranked in fork_map slices, one per usable CPU.
     """
     db, load, truths, excluded, self_rows = _PROTOCOLS[protocol](manifest, vocabulary)
 
-    def search(part: slice):
-        # (2, results), or (stage, error): one process loads every query
-        # (stage 0) before it ranks any (stage 1).
-        stage = 0
-        try:
-            queries = load(part)
-            stage, rows = 1, None if self_rows is None else self_rows[part]
-            return 2, rank_queries(db, queries, rule_params, geometry_params, rows)
-        except Exception as exc:
-            return stage, exc
+    def rank(part: slice, queries: Images) -> Dict[str, List[RankedResult]]:
+        rows = None if self_rows is None else self_rows[part]
+        return rank_queries(db, queries, rule_params, geometry_params, rows)
 
-    results = _in_slices(len(truths), search)
+    slices = fork_map(len(truths), load, rank, what="queries")
     return {
-        rule: _report(protocol, ranked, truths, excluded, k_max)
-        for rule, ranked in results.items()
+        rule: _report(protocol, [r for ranked in slices for r in ranked[rule]], truths,
+                      excluded, k_max)
+        for rule in slices[0]
     }
 
 

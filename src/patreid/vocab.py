@@ -227,16 +227,16 @@ def fit_gmm(
     k: int,
     seed: int = 0,
     max_iters: int = 200,
-    tol: float = 1e-6,
+    tol: float = 1e-3,
 ) -> Gmm:
     """Diagonal-covariance GMM by EM with k-means++ seeding.
 
-    Stops when the per-point average log-likelihood improves by less than
-    tol, or after max_iters.  On the benchmark's three datasets the
-    max_iters cap ends EM: its last gains are 3e-4 to 5e-5, far above tol.
-    The likelihood trace is attached to the model; it is non-decreasing up
-    to floating-point slack.  K=1 is the closed-form maximum-likelihood
-    Gaussian.
+    Stops once an iteration improves the per-point average log-likelihood
+    by less than tol (scikit-learn's GaussianMixture default on the same
+    quantity), or after max_iters.  On the benchmark's three datasets the
+    tol rule ends EM after 30 to 60 iterations.  The likelihood trace is
+    attached to the model; it is non-decreasing up to floating-point slack.
+    K=1 is the closed-form maximum-likelihood Gaussian.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2:

@@ -76,7 +76,7 @@ def fisher_fd_oracle(X, gmm, h=1e-6):
     return out.reshape(-1)
 
 
-def em_reference(X, k, seed=0, max_iters=200, tol=1e-6):
+def em_reference(X, k, seed=0, max_iters=200, tol=1e-3):
     """(weights, means, variances, log_likelihoods) of fit_gmm's EM (k >= 2)
     as it was before X * X left the loop: recomputed in the E step's
     quadratic form and again in the variance update.

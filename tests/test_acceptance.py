@@ -116,7 +116,9 @@ def test_ac2_em_monotonicity_and_k1_recovery(capsys):
         rng = np.random.default_rng(100 + seed)
         centers = rng.uniform(-5, 5, (4, 8))
         X = np.vstack([rng.normal(c, rng.uniform(0.5, 1.5), (125, 8)) for c in centers])
-        gmm = fit_gmm(X, k=4, seed=seed)
+        # tol=1e-6 runs EM past the default 1e-3 stop, so longer traces
+        # are checked.
+        gmm = fit_gmm(X, k=4, seed=seed, tol=1e-6)
         if len(gmm.log_likelihoods) > 1:
             worst_drop = min(worst_drop, float(np.min(np.diff(gmm.log_likelihoods))))
 
@@ -295,7 +297,8 @@ def table_benchmark(tmp_path_factory):
     feature_sets = [
         load_entry_features(manifest, e) for e in manifest.with_role("database")
     ]
-    save_vocabulary(train_vocabulary(feature_sets), vocab_path)
+    vocabulary = train_vocabulary(feature_sets)
+    save_vocabulary(vocabulary, vocab_path)
 
     def run_evaluation(csv_path):
         manifest = load_manifest(manifest_path)
@@ -318,6 +321,7 @@ def table_benchmark(tmp_path_factory):
         elapsed=elapsed,
         run_evaluation=run_evaluation,
         n_queries=len(manifest.with_role("query")),
+        gmm_trace=vocabulary.gmm.log_likelihoods,
     )
 
 
@@ -360,6 +364,13 @@ def test_ac6_determinism(capsys, table_benchmark):
         a == b,
         f"{len(a)} bytes",
     )
+
+
+def test_em_stops_at_convergence(table_benchmark):
+    """On the benchmark's database, EM ends on its tol rule, not its cap."""
+    trace = table_benchmark.gmm_trace
+    assert len(trace) < 200
+    assert trace[-1] - trace[-2] < 1e-3
 
 
 def test_indexed_model_reproduces_benchmark_csv(table_benchmark):

@@ -139,6 +139,16 @@ class TestBuildVocab:
         assert "image 'ind001_v0' has 64-dim descriptors, expected 128 as image 'ind000_v0'" in err
         assert not (tmp_path / "v.bin").exists()
 
+    def test_kernel_pca_rank_warning_line(self, tmp_path, capsys):
+        bench, model = tmp_path / "bench", tmp_path / "v.bin"
+        assert main(["synth", "--individuals", "4", "--views", "2", "--out", str(bench)]) == 0
+        capsys.readouterr()
+        code = main(["build-vocab", "--manifest", str(bench / "manifest.csv"), "--out", str(model),
+                     "--gmm-k", "1", "--pca-dim", "1"])
+        out, err = capsys.readouterr()
+        assert code == 0 and out == f"{model}\n"
+        assert err == "warning: kernel PCA rank 2 below requested 3; reducing\n"
+
     def test_missing_manifest(self, tmp_path, capsys):
         code = main([
             "build-vocab", "--manifest", str(tmp_path / "nope.csv"),
@@ -352,13 +362,17 @@ def verified_pairs(monkeypatch, tmp_path):
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """cpus(n) makes this process's affinity mask n CPUs, so evaluate runs n
-    workers; the fixture's list holds one entry per os.fork call."""
-    forks = []
-    fork = os.fork
+def cpus(monkeypatch, tmp_path):
+    """cpus(n) makes this process's affinity mask n CPUs, so fork_map runs n
+    workers; the fixture's list holds one entry per os.fork call.  No worker
+    may fork: the test fails if one does."""
+    forks, nested = [], tmp_path / "nested_forks.log"
+    fork, parent = os.fork, os.getpid()
 
     def counted():
+        if os.getpid() != parent:
+            with open(nested, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
         forks.append(os.getpid())
         return fork()
 
@@ -369,7 +383,8 @@ def cpus(monkeypatch):
         forks.clear()
         return forks
 
-    return set_cpus
+    yield set_cpus
+    assert not nested.exists(), "a forked worker forked"
 
 
 def _swap_in_ind002_v0(bench):
@@ -684,7 +699,9 @@ class TestParallelEvaluate:
         assert_no_child_left()
         forks = cpus(2)
         two = _evaluate(capsys, copy, model, *flags)
-        assert len(forks) == 1
+        # Leave-one-out loads the query-role images, which the index lacks,
+        # in one fork_map and ranks in a second.
+        assert len(forks) == {"split": 1, "loo": 2}[protocol]
         assert_no_child_left()
         assert one[0] == 0 and one[3]
         assert two == one
@@ -756,17 +773,14 @@ class TestParallelEvaluate:
 
     def test_worker_without_result(self, indexed, capsys, cpus, monkeypatch):
         bench, model = indexed
-        parent, in_slices = os.getpid(), patreid.reid._in_slices
+        parent, rank = os.getpid(), patreid.reid.rank_queries
 
-        def dying(n, search):
-            def search_or_die(part):
-                if os.getpid() != parent:
-                    os._exit(3)
-                return search(part)
+        def rank_or_die(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return rank(*args)
 
-            return in_slices(n, search_or_die)
-
-        monkeypatch.setattr(patreid.reid, "_in_slices", dying)
+        monkeypatch.setattr(patreid.reid, "rank_queries", rank_or_die)
         cpus(2)
         code, out, err, _ = _evaluate(capsys, bench, model)
         assert_no_child_left()
@@ -794,6 +808,101 @@ class TestParallelEvaluate:
         forks = cpus(2)
         _query(capsys, bench, model, "ind003_v1.patf", "--rule", rule, "--shortlist", "0")
         assert forks == []
+
+    def test_loo_loads_in_slices_then_ranks(self, indexed, capsys, cpus, parse_calls,
+                                             embed_calls):
+        # The pooled set's rows the index lacks (the query-role images) are
+        # parsed and embedded in two contiguous slices before any is ranked.
+        bench, model = indexed
+        forks = cpus(2)
+        assert _evaluate(capsys, bench, model, "--protocol", "loo")[0] == 0
+        queries = _query_ids(bench)
+        expected = [f"{q}.patf" for q in queries]
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert len(parse_calls.by_process()) == 2
+        assert parse_calls.in_slices(expected) == expected
+        assert embed_calls.in_slices(queries) == queries
+
+    def test_loo_malformed_file_in_second_slice(self, indexed, tmp_path, capsys, cpus):
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        first, second = _query_ids(copy)[5], _query_ids(copy)[6]
+        (copy / f"{first}.patf").write_text(f"PATF 1\n{first}\n4 1\n0 0 1 0 0 1 nan 0 0 0\n",
+                                            encoding="utf-8")
+        (copy / f"{second}.patf").write_text("PATF 2\n", encoding="utf-8")
+        cpus(1)
+        one = _evaluate(capsys, copy, model, "--protocol", "loo")
+        cpus(2)
+        two = _evaluate(capsys, copy, model, "--protocol", "loo")
+        assert_no_child_left()
+        assert one[0] == 1 and one[2].startswith(f"error: {copy / first}.patf:4: ")
+        assert two == one
+
+
+def _build_vocab(capsys, bench, out):
+    """(exit code, stdout, stderr) of build-vocab with the indexed model's flags."""
+    capsys.readouterr()
+    code = main(["build-vocab", "--manifest", str(bench / "manifest.csv"), "--out", str(out),
+                 "--gmm-k", "4", "--pca-dim", "16"])
+    stdout, stderr = capsys.readouterr()
+    return code, stdout, stderr
+
+
+class TestParallelBuildVocab:
+    """build-vocab parses the indexed benchmark's 8 database files in one
+    contiguous slice per worker."""
+
+    def test_same_bytes_for_any_worker_count(self, indexed, tmp_path, capsys, cpus, parse_calls):
+        bench, model = indexed
+        expected = [f"{e.image_id}.patf"
+                    for e in load_manifest(bench / "manifest.csv").with_role("database")]
+        for n in (1, 2, 3):
+            forks = cpus(n)
+            parse_calls.clear()
+            out = tmp_path / f"model-{n}.bin"
+            assert _build_vocab(capsys, bench, out)[0] == 0
+            assert len(forks) == n - 1
+            assert_no_child_left()
+            assert len(parse_calls.by_process()) == n
+            assert parse_calls.in_slices(expected) == expected
+            assert out.read_bytes() == model.read_bytes()
+
+    def test_first_damaged_file_in_manifest_order(self, indexed, tmp_path, capsys, cpus):
+        bench, _ = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        ids = [e.image_id for e in load_manifest(copy / "manifest.csv").with_role("database")]
+        # Rows 3 and 6 fall in slices 0 and 1 of two workers, 1 and 2 of three.
+        first, second = ids[3], ids[6]
+        (copy / f"{first}.patf").write_text(f"PATF 1\n{first}\n4 1\n0 0 1 0 0 1 nan 0 0 0\n",
+                                            encoding="utf-8")
+        (copy / f"{second}.patf").write_text("PATF 2\n", encoding="utf-8")
+        outcomes = []
+        for n in (1, 2, 3):
+            cpus(n)
+            outcomes.append(_build_vocab(capsys, copy, tmp_path / "v.bin"))
+            assert_no_child_left()
+        code, out, err = outcomes[0]
+        assert code == 1 and out == "" and err.startswith(f"error: {copy / first}.patf:4: ")
+        assert outcomes == [outcomes[0]] * 3
+        assert not (tmp_path / "v.bin").exists()
+
+    def test_worker_without_result(self, indexed, tmp_path, capsys, cpus, monkeypatch):
+        bench, _ = indexed
+        parent, load = os.getpid(), patreid.cli.load_entry_features
+
+        def load_or_die(manifest, entry):
+            if os.getpid() != parent:
+                os._exit(3)
+            return load(manifest, entry)
+
+        monkeypatch.setattr(patreid.cli, "load_entry_features", load_or_die)
+        cpus(2)
+        code, out, err = _build_vocab(capsys, bench, tmp_path / "v.bin")
+        assert_no_child_left()
+        assert code == 1 and out == ""
+        assert err == "error: database files 5-8: worker ended without a result\n"
+        assert not (tmp_path / "v.bin").exists()
 
 
 @pytest.mark.parametrize(

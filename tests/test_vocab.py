@@ -1,5 +1,6 @@
 """PCA, GMM/EM, kernel PCA, and vocabulary persistence tests."""
 
+import inspect
 import io
 import zipfile
 
@@ -135,7 +136,7 @@ class TestFitGmm:
             X = np.vstack([
                 rng.normal(c, 0.7, (120, 5)) for c in centers
             ])
-            gmm = fit_gmm(X, k=3, seed=seed)
+            gmm = fit_gmm(X, k=3, seed=seed, tol=1e-6)
             diffs = np.diff(gmm.log_likelihoods)
             assert np.all(diffs >= -1e-9)
 
@@ -173,6 +174,15 @@ class TestFitGmm:
         fitted = (gmm.weights, gmm.means, gmm.variances, gmm.log_likelihoods)
         for got, want in zip(fitted, reference):
             assert got.tobytes() == want.tobytes()
+
+    def test_reference_shares_default_stopping_rule(self):
+        defaults = inspect.signature(fit_gmm).parameters
+        assert inspect.signature(em_reference).parameters["tol"].default == defaults["tol"].default
+        rng = np.random.default_rng(4)
+        X = np.vstack([rng.normal(c, 0.8, (90, 6)) for c in rng.uniform(-3, 3, (4, 6))])
+        trace = fit_gmm(X, k=4, seed=2).log_likelihoods
+        assert trace.tobytes() == em_reference(X, 4, seed=2)[3].tobytes()
+        assert trace[-1] - trace[-2] < defaults["tol"].default
 
 
 class TestGmmPosteriors:
