@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .encode import TrainingParams, train_vocabulary
@@ -42,27 +43,6 @@ RULE_TOKENS = {
     "exp": "exponential",
 }
 
-# SynthConfig field -> flag, for validation messages that name the flag.
-SYNTH_FLAGS = {
-    "seed": "--seed",
-    "n_individuals": "--individuals",
-    "views_per_individual": "--views",
-    "points_per_individual": "--points",
-    "descriptor_dim": "--descriptor-dim",
-    "descriptor_noise_sigma": "--noise",
-    "dropout_rate": "--dropout",
-    "clutter_rate": "--clutter",
-    "max_perspective": "--max-perspective",
-}
-TRAINING_FLAGS = {"alpha": "--alpha", "kpca_dim": "--kpca-dim", "seed": "--seed",
-                  "gmm_k": "--gmm-k", "pca_dim": "--pca-dim"}
-COMBINE_FLAGS = {"rule": "--rule", "a": "--a", "shortlist_size": "--shortlist"}
-GEOMETRY_FLAGS = {
-    "inlier_threshold": "--inlier-thresh",
-    "max_distance": "--max-desc-dist",
-    "ratio": "--ratio",
-}
-
 
 class UsageError(Exception):
     """Bad arguments, missing artifacts, or insufficient data (exit 2)."""
@@ -75,36 +55,28 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _validated(config, flags):
-    """config, once its validate() passes; else a UsageError naming the flag.
+def _flagged(exc: ValueError, flags) -> str:
+    """exc's message with its leading field name, if flags has it, rewritten
+    to the flag that sets that field."""
+    field, _, rest = str(exc).partition(" ")
+    return f"{flags.get(field, field)} {rest}"
 
-    validate() messages start with the offending field's name, which is
-    rewritten to the flag that sets it.
+
+def _params(config, args, **given):
+    """config built from the fields its subcommand's flags set, plus given,
+    once its validate() passes; else a UsageError naming the flag.
+
+    validate() messages start with the offending field's name.
     """
+    params = config(
+        **{f.name: getattr(args, f.name) for f in fields(config) if f.name in args.flags},
+        **given,
+    )
     try:
-        config.validate()
+        params.validate()
     except ValueError as exc:
-        field, _, rest = str(exc).partition(" ")
-        raise UsageError(f"{flags.get(field, field)} {rest}") from None
-    return config
-
-
-def _combine_params(args, rule: str) -> CombineParams:
-    return _validated(
-        CombineParams(rule=rule, a=args.a, shortlist_size=args.shortlist), COMBINE_FLAGS
-    )
-
-
-def _geometry_params(args) -> GeometryParams:
-    return _validated(
-        GeometryParams(
-            inlier_threshold=args.inlier_thresh,
-            mutual=args.mutual,
-            max_distance=args.max_desc_dist,
-            ratio=args.ratio,
-        ),
-        GEOMETRY_FLAGS,
-    )
+        raise UsageError(_flagged(exc, args.flags)) from None
+    return params
 
 
 def _topk(args) -> int:
@@ -114,26 +86,13 @@ def _topk(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(
-        seed=args.seed,
-        n_individuals=args.individuals,
-        views_per_individual=args.views,
-        points_per_individual=args.points,
-        descriptor_dim=args.descriptor_dim,
-        descriptor_noise_sigma=args.noise,
-        dropout_rate=args.dropout,
-        clutter_rate=args.clutter,
-        max_perspective=args.max_perspective,
-    )
-    generate_benchmark(_validated(config, SYNTH_FLAGS), args.out)
+    generate_benchmark(_params(SynthConfig, args), args.out)
     print(Path(args.out) / "manifest.csv")
     return 0
 
 
 def cmd_build_vocab(args) -> int:
-    params = TrainingParams(alpha=args.alpha, kpca_dim=args.kpca_dim, seed=args.seed,
-                            gmm_k=args.gmm_k, pca_dim=args.pca_dim)
-    _validated(params, TRAINING_FLAGS)
+    params = _params(TrainingParams, args)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     db_entries = manifest.with_role("database")
     if not db_entries:
@@ -146,17 +105,9 @@ def cmd_build_vocab(args) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            vocabulary = train_vocabulary(
-                [features for part in slices for features in part],
-                gmm_k=args.gmm_k,
-                pca_dim=args.pca_dim,
-                kpca_dim=args.kpca_dim or None,
-                alpha=args.alpha,
-                whiten=args.whiten,
-                seed=args.seed,
-            )
+            vocabulary = train_vocabulary([f for part in slices for f in part], params)
     except VocabError as exc:
-        raise UsageError(f"cannot train the vocabulary: {exc}") from None
+        raise UsageError(f"cannot train the vocabulary: {_flagged(exc, args.flags)}") from None
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     save_vocabulary(vocabulary, args.out)
@@ -165,8 +116,8 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_query(args) -> int:
-    params = _combine_params(args, RULE_TOKENS[args.rule])
-    geometry_params = _geometry_params(args)
+    params = _params(CombineParams, args, rule=RULE_TOKENS[args.rule])
+    geometry_params = _params(GeometryParams, args)
     topk = _topk(args)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     with load_vocabulary(_require_file(args.vocab, "vocabulary")) as vocabulary:
@@ -196,8 +147,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    rule_params = [_combine_params(args, rule) for rule in RULES]
-    geometry_params = _geometry_params(args)
+    rule_params = [_params(CombineParams, args, rule=rule) for rule in RULES]
+    geometry_params = _params(GeometryParams, args)
     topk = _topk(args)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     protocol = "split" if args.protocol == "split" else "leave_one_out"
@@ -230,19 +181,43 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _subcommand(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A subparser that runs func; its "flags" default maps each field that a
+    flag sets to that flag, for _params."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func, flags={})
+    return p
+
+
+def _add_setting(p: argparse.ArgumentParser, config, flag: str, field: str = "", **kw) -> None:
+    """Add flag to p as the flag that sets config's field, by default the one
+    named after the flag.  Its default is the field's, where the field has one
+    (a dataclass keeps it as the class attribute), and its metavar is named
+    after the flag, as argparse would name it.
+    """
+    name = flag.lstrip("-").replace("-", "_")
+    field = field or name
+    default = getattr(config, field, MISSING)
+    if default is not MISSING:
+        kw["default"] = default
+    if "action" not in kw:
+        kw["metavar"] = name.upper()
+    p.add_argument(flag, dest=field, **kw)
+    p.get_default("flags")[field] = flag
+
+
 def _add_combine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, default=2.0,
-                   help="polynomial rule exponent")
-    p.add_argument("--inlier-thresh", type=float, default=0.1,
-                   help="verification inlier threshold in normalized coordinates")
-    p.add_argument("--shortlist", type=int, default=50,
-                   help="entries geometrically verified per query (0 = all)")
-    p.add_argument("--mutual", action=argparse.BooleanOptionalAction, default=True,
-                   help="require mutual nearest-neighbor matches")
-    p.add_argument("--max-desc-dist", type=float, default=0.9,
-                   help="descriptor cosine-distance cutoff for matches")
-    p.add_argument("--ratio", type=float, default=None,
-                   help="Lowe-style nearest/second-nearest ratio cutoff (off by default)")
+    _add_setting(p, CombineParams, "--a", type=float, help="polynomial rule exponent")
+    _add_setting(p, GeometryParams, "--inlier-thresh", "inlier_threshold", type=float,
+                 help="verification inlier threshold in normalized coordinates")
+    _add_setting(p, CombineParams, "--shortlist", "shortlist_size", type=int,
+                 help="entries geometrically verified per query (0 = all)")
+    _add_setting(p, GeometryParams, "--mutual", action=argparse.BooleanOptionalAction,
+                 help="require mutual nearest-neighbor matches")
+    _add_setting(p, GeometryParams, "--max-desc-dist", "max_distance", type=float,
+                 help="descriptor cosine-distance cutoff for matches")
+    _add_setting(p, GeometryParams, "--ratio", type=float,
+                 help="Lowe-style nearest/second-nearest ratio cutoff (off by default)")
     p.add_argument("--topk", type=int, default=5, help="ranks to report")
 
 
@@ -253,53 +228,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic benchmark")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--individuals", type=int, required=True)
-    p.add_argument("--views", type=int, required=True)
-    p.add_argument("--points", type=int, default=80)
-    p.add_argument("--descriptor-dim", type=int, default=128)
-    p.add_argument("--noise", type=float, default=0.05,
-                   help="descriptor Gaussian noise sigma")
-    p.add_argument("--dropout", type=float, default=0.2,
-                   help="per-point dropout probability in query views")
-    p.add_argument("--clutter", type=float, default=0.2,
-                   help="clutter points as a fraction of true points")
-    p.add_argument("--max-perspective", type=float, default=0.15,
-                   help="bound on homography distortion")
+    p = _subcommand(sub, "synth", cmd_synth, help="generate a synthetic benchmark")
+    _add_setting(p, SynthConfig, "--seed", type=int, default=0)
+    _add_setting(p, SynthConfig, "--individuals", "n_individuals", type=int, required=True)
+    _add_setting(p, SynthConfig, "--views", "views_per_individual", type=int, required=True)
+    _add_setting(p, SynthConfig, "--points", "points_per_individual", type=int)
+    _add_setting(p, SynthConfig, "--descriptor-dim", type=int)
+    _add_setting(p, SynthConfig, "--noise", "descriptor_noise_sigma", type=float,
+                 help="descriptor Gaussian noise sigma")
+    _add_setting(p, SynthConfig, "--dropout", "dropout_rate", type=float,
+                 help="per-point dropout probability in query views")
+    _add_setting(p, SynthConfig, "--clutter", "clutter_rate", type=float,
+                 help="clutter points as a fraction of true points")
+    _add_setting(p, SynthConfig, "--max-perspective", type=float,
+                 help="bound on homography distortion")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("build-vocab", help="train the appearance vocabulary")
-    p.add_argument("--seed", type=int, default=0)
+    p = _subcommand(sub, "build-vocab", cmd_build_vocab, help="train the appearance vocabulary")
+    _add_setting(p, TrainingParams, "--seed", type=int)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True,
                    help="model file to write: the vocabulary and the database index")
-    p.add_argument("--gmm-k", type=int, default=16)
-    p.add_argument("--pca-dim", type=int, default=64)
-    p.add_argument("--kpca-dim", type=int, default=0,
-                   help="kernel-PCA dimension (0 = min(N_db - 1, 512))")
-    p.add_argument("--alpha", type=float, default=0.5,
-                   help="power-normalization exponent")
-    p.add_argument("--whiten", action=argparse.BooleanOptionalAction, default=True,
-                   help="whiten PCA projections")
-    p.set_defaults(func=cmd_build_vocab)
+    _add_setting(p, TrainingParams, "--gmm-k", type=int)
+    _add_setting(p, TrainingParams, "--pca-dim", type=int)
+    _add_setting(p, TrainingParams, "--kpca-dim", type=int,
+                 help="kernel-PCA dimension (0 = min(N_db - 1, 512))")
+    _add_setting(p, TrainingParams, "--alpha", type=float, help="power-normalization exponent")
+    _add_setting(p, TrainingParams, "--whiten", action=argparse.BooleanOptionalAction,
+                 help="whiten PCA projections")
 
-    p = sub.add_parser("query", help="rank database individuals for one image")
+    p = _subcommand(sub, "query", cmd_query, help="rank database individuals for one image")
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--features", required=True, help="query PATF file")
-    p.add_argument("--rule", choices=sorted(RULE_TOKENS), default="exp")
+    p.add_argument("--rule", choices=sorted(RULE_TOKENS),
+                   default=next(t for t, r in RULE_TOKENS.items() if r == CombineParams.rule))
     _add_combine_flags(p)
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("evaluate", help="run all rules under a protocol")
+    p = _subcommand(sub, "evaluate", cmd_evaluate, help="run all rules under a protocol")
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--protocol", choices=("split", "loo"), default="split")
     p.add_argument("--per-query-csv", default=None)
     _add_combine_flags(p)
-    p.set_defaults(func=cmd_evaluate)
 
     return parser
 

@@ -8,8 +8,8 @@ and compared with the cosine distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -28,23 +28,23 @@ from .vocab import (
     gmm_posteriors,
 )
 
-DEFAULT_GMM_K = 16
-DEFAULT_PCA_DIM = 64
 MAX_KPCA_DIM = 512
 
 
 @dataclass(frozen=True)
 class TrainingParams:
-    """The training options that no database can make valid."""
+    """The whole training configuration of train_vocabulary."""
 
     alpha: float = 0.5
-    kpca_dim: int = 0  # 0: the default, min(N_db - 1, MAX_KPCA_DIM)
+    kpca_dim: int = 0  # 0: min(N_db - 1, MAX_KPCA_DIM)
     seed: int = 0
-    gmm_k: int = DEFAULT_GMM_K
-    pca_dim: int = DEFAULT_PCA_DIM
+    gmm_k: int = 16
+    pca_dim: int = 64
+    whiten: bool = True
 
     def validate(self) -> None:
-        """Raise VocabError naming the offending field."""
+        """Raise VocabError naming the offending field, for the bounds that
+        hold whatever the database; train_vocabulary checks the others."""
         if not 0 < self.alpha < np.inf:
             raise VocabError(f"alpha must be finite and > 0, got {self.alpha}")
         for name, least in (("kpca_dim", 0), ("seed", 0), ("gmm_k", 1), ("pca_dim", 1)):
@@ -125,23 +125,19 @@ def cosine_distance(a: np.ndarray, b: np.ndarray):
 
 
 def train_vocabulary(
-    feature_sets: Sequence[ImageFeatures],
-    gmm_k: int = DEFAULT_GMM_K,
-    pca_dim: int = DEFAULT_PCA_DIM,
-    kpca_dim: Optional[int] = None,
-    alpha: float = 0.5,
-    whiten: bool = True,
-    seed: int = 0,
+    feature_sets: Sequence[ImageFeatures], params: TrainingParams = TrainingParams(), **options
 ) -> Vocabulary:
     """Fit the whole appearance model on the database images, and index them.
 
+    options override fields of params, as in train_vocabulary(sets, gmm_k=2).
     Pools all descriptors for PCA and the GMM, Fisher-encodes each database
     image once, and fits the kernel-PCA compressor on the normalized Fisher
     vectors.  Each image's embedding is then its vector's apply_kpca, bit for
     bit what embed_image gives.  The index rows are feature_sets in order,
-    read from memory.  kpca_dim defaults to min(N_db - 1, 512).
+    read from memory.  A VocabError about a setting starts with its field name.
     """
-    TrainingParams(alpha, kpca_dim or 0, seed, gmm_k, pca_dim).validate()
+    params = replace(params, **options)
+    params.validate()
     feature_sets = list(feature_sets)
     image_ids = [f.image_id for f in feature_sets]
     non_empty = [f for f in feature_sets if f.count > 0]
@@ -160,12 +156,23 @@ def train_vocabulary(
                 f"expected {dim} as image {non_empty[0].image_id!r} has"
             )
     pooled = np.vstack([f.descriptors for f in non_empty])
-    pca = fit_pca(pooled, pca_dim, whiten=whiten)
-    gmm = fit_gmm(apply_pca(pca, pooled), gmm_k, seed=seed)
+    n, top_kpca = len(pooled), len(feature_sets) - 1
+    kpca_dim = params.kpca_dim or min(top_kpca, MAX_KPCA_DIM)
+    if params.pca_dim > dim:
+        raise VocabError(
+            f"pca_dim must be in [1, {dim}], the descriptor width, got {params.pca_dim}"
+        )
+    for name, least in (("pca_dim", params.pca_dim + 1), ("gmm_k", params.gmm_k)):
+        if n < least:
+            raise VocabError(f"{name} is too large: need at least {least} descriptors, got {n}")
+    if kpca_dim > top_kpca:
+        raise VocabError(
+            f"kpca_dim must be in [0, {top_kpca}], below the image count, got {kpca_dim}"
+        )
+    pca = fit_pca(pooled, params.pca_dim, whiten=params.whiten)
+    gmm = fit_gmm(apply_pca(pca, pooled), params.gmm_k, seed=params.seed)
 
-    fvs = [power_l2_normalize(fisher_encode(f, pca, gmm), alpha) for f in feature_sets]
-    if kpca_dim is None:
-        kpca_dim = min(len(feature_sets) - 1, MAX_KPCA_DIM)
+    fvs = [power_l2_normalize(fisher_encode(f, pca, gmm), params.alpha) for f in feature_sets]
     kpca = fit_kpca(np.stack(fvs), kpca_dim)
     return Vocabulary(
         pca=pca,
@@ -178,5 +185,5 @@ def train_vocabulary(
         ),
         read_row=feature_sets.__getitem__,
         descriptor_dim=dim,
-        alpha=alpha,
+        alpha=params.alpha,
     )

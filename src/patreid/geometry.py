@@ -14,7 +14,7 @@ the one it gets alone (geometric_similarity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -88,21 +88,20 @@ class GeomVerdict:
 
 
 def match_descriptors(
-    query,
-    db,
-    max_distance: float = 0.9,
-    mutual: bool = True,
-    ratio: Optional[float] = None,
+    query, db, params: GeometryParams = GeometryParams(), **options
 ) -> np.ndarray:
     """Match query descriptors to database descriptors by cosine distance.
 
     Each query descriptor pairs with its nearest database descriptor; a pair
     is kept when its distance is <= max_distance, when (with mutual set) the
     database descriptor's nearest query descriptor closes the cycle, and when
-    (with ratio set) it passes a nearest/second-nearest ratio test.  Returns
-    an (M, 2) integer array of (query index, db index) rows sorted by
-    ascending distance, ties by (query index, db index).
+    (with ratio set) it passes a nearest/second-nearest ratio test.  The three
+    settings are params' fields, which options override, as in
+    match_descriptors(q, d, mutual=False).  Returns an (M, 2) integer array of
+    (query index, db index) rows sorted by ascending distance, ties by
+    (query index, db index).
     """
+    params = replace(params, **options)
     desc_q = np.asarray(query.descriptors, dtype=np.float64)
     desc_d = np.asarray(db.descriptors, dtype=np.float64)
     if desc_q.shape[0] == 0 or desc_d.shape[0] == 0:
@@ -111,13 +110,13 @@ def match_descriptors(
     nn_of_q = np.argmin(dist, axis=1)
     iq = np.arange(desc_q.shape[0])
     d = dist[iq, nn_of_q]
-    keep = d <= max_distance
-    if mutual:
+    keep = d <= params.max_distance
+    if params.mutual:
         nn_of_d = np.argmin(dist, axis=0)
         keep &= nn_of_d[nn_of_q] == iq
-    if ratio is not None and desc_d.shape[0] >= 2:
+    if params.ratio is not None and desc_d.shape[0] >= 2:
         second = np.partition(dist, 1, axis=1)[:, 1]
-        keep &= d <= ratio * second
+        keep &= d <= params.ratio * second
     iq, idb, d = iq[keep], nn_of_q[keep], d[keep]
     order = np.lexsort((idb, iq, d))
     return np.stack([iq[order], idb[order]], axis=1)
@@ -332,13 +331,7 @@ def verify_shortlist(
     shortlist: it depends only on the two images and params.
     """
     params.validate()
-    matches = [
-        match_descriptors(
-            query, db, max_distance=params.max_distance, mutual=params.mutual,
-            ratio=params.ratio,
-        )
-        for db in dbs
-    ]
+    matches = [match_descriptors(query, db, params) for db in dbs]
     verdicts = [
         GeomVerdict(n=0, omega=0.0, homography=None, inlier_mask=np.zeros(len(m), dtype=bool))
         for m in matches

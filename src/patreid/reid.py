@@ -10,11 +10,11 @@ individuals under a database/query split or a leave-one-out protocol.
 
 from __future__ import annotations
 
+import csv
 import functools
 import os
 import pickle
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -497,23 +497,22 @@ def write_per_query_csv(reports: Dict[str, EvalReport], path) -> None:
     """Per-query rows for every rule, plus a trailing commented summary block.
 
     The output is a pure function of the reports, so identical evaluations
-    produce byte-identical files.
+    produce byte-identical files.  Fields are quoted only where csv needs it,
+    so an id with a comma or quote reads back whole through csv.reader.
     """
-    path = Path(path)
-    lines = ["rule,query_id,truth,rank_of_truth,d_L,n,omega,d_C"]
+    rows = [["rule", "query_id", "truth", "rank_of_truth", "d_L", "n", "omega", "d_C"]]
     for rule, report in reports.items():
-        for r in report.records:
-            lines.append(
-                f"{rule},{r.query_image_id},{r.truth},{r.rank_of_truth},"
-                f"{repr(float(r.d_L))},{r.n},{repr(float(r.omega))},{repr(float(r.d_C))}"
-            )
+        rows += [
+            [rule, r.query_image_id, r.truth, r.rank_of_truth, repr(float(r.d_L)), r.n,
+             repr(float(r.omega)), repr(float(r.d_C))]
+            for r in report.records
+        ]
     first = next(iter(reports.values()))
-    lines.append(f"# protocol,{first.protocol}")
-    lines.append(f"# queries,{first.n_queries}")
-    for image_id, reason in first.excluded:
-        lines.append(f"# excluded,{image_id},{reason}")
+    rows.append(["# protocol", first.protocol])
+    rows.append(["# queries", first.n_queries])
+    rows += [["# excluded", image_id, reason] for image_id, reason in first.excluded]
     for rule, report in reports.items():
-        for k, acc in enumerate(report.accuracies, start=1):
-            lines.append(f"# topk,{rule},{k},{repr(float(acc))}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows += [["# topk", rule, k, repr(float(acc))]
+                 for k, acc in enumerate(report.accuracies, start=1)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -3,7 +3,9 @@
 import os
 import pickle
 import shutil
+import sys
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,11 @@ import patreid.ingest
 import patreid.reid
 import patreid.vocab
 from patreid.cli import main
-from patreid.encode import cosine_distance, embed_image
+from patreid.encode import TrainingParams, cosine_distance, embed_image
+from patreid.geometry import GeometryParams
 from patreid.ingest import load_entry_features, load_manifest, parse_feature_file
+from patreid.reid import RULES, CombineParams
+from patreid.synth import SynthConfig
 from patreid.vocab import DatabaseIndex, load_vocabulary, save_vocabulary
 
 
@@ -156,6 +161,23 @@ class TestBuildVocab:
         ])
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--pca-dim", "300", "--pca-dim must be in [1, 128], the descriptor width, got 300"),
+         ("--kpca-dim", "40", "--kpca-dim must be in [0, 2], below the image count, got 40"),
+         ("--gmm-k", "4096", "--gmm-k is too large: need at least 4096 descriptors, got ")],
+    )
+    def test_data_bound_names_flag(self, workspace, tmp_path, capsys, flag, value, message):
+        # The bound depends on the database: 3 images of 128-dim descriptors.
+        _, bench, _ = workspace
+        code = main(["build-vocab", "--manifest", str(bench / "manifest.csv"),
+                     "--out", str(tmp_path / "v.bin"), flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot train the vocabulary: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "v.bin").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -1049,6 +1071,76 @@ def test_invalid_value_names_flag(workspace, capsys, command, flag, value):
     assert main(args + [flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+
+
+class TestLibraryDefaults:
+    """A subcommand run with only its required flags hands the library the
+    parameter objects' own defaults."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        seen = {}
+
+        def spy(name, record):
+            real = getattr(patreid.cli, name)
+
+            def spied(*args, **kwargs):
+                seen[name] = record(*args, **kwargs)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(patreid.cli, name, spied)
+
+        spy("generate_benchmark", lambda config, out: config)
+        spy("train_vocabulary",
+            lambda sets, params=TrainingParams(), **options: replace(params, **options))
+        spy("evaluate", lambda manifest, vocabulary, rule_params, protocol, k_max,
+            geometry_params: (rule_params, geometry_params))
+        spy("query_database", lambda db, vocabulary, features, params, geometry_params:
+            (params, geometry_params))
+        return seen
+
+    def test_synth(self, tmp_path, spies):
+        out = str(tmp_path / "bench")
+        assert main(["synth", "--individuals", "2", "--views", "2", "--out", out]) == 0
+        assert spies["generate_benchmark"] == SynthConfig(
+            seed=0, n_individuals=2, views_per_individual=2
+        )
+
+    def test_build_vocab(self, workspace, tmp_path, spies):
+        _, bench, _ = workspace
+        assert main(["build-vocab", "--manifest", str(bench / "manifest.csv"),
+                     "--out", str(tmp_path / "v.bin")]) == 0
+        assert spies["train_vocabulary"] == TrainingParams()
+
+    def test_query(self, workspace, spies):
+        _, bench, vocab = workspace
+        assert main(["query", "--manifest", str(bench / "manifest.csv"), "--vocab", str(vocab),
+                     "--features", str(bench / "ind000_v1.patf")]) == 0
+        assert spies["query_database"] == (CombineParams(rule="exponential"), GeometryParams())
+
+    def test_evaluate(self, workspace, spies):
+        _, bench, vocab = workspace
+        assert main(["evaluate", "--manifest", str(bench / "manifest.csv"),
+                     "--vocab", str(vocab)]) == 0
+        assert spies["evaluate"] == (
+            [CombineParams(rule=rule) for rule in RULES], GeometryParams()
+        )
+
+
+# argparse's layout changes between Python versions: 3.10's appends
+# "(default: True)" to a BooleanOptionalAction's help, and 3.13's wraps usage
+# lines differently.  The golden text is the layout of 3.11 and 3.12.
+@pytest.mark.skipif(not (3, 11) <= sys.version_info[:2] <= (3, 12),
+                    reason="the golden --help text is argparse's layout on Python 3.11-3.12")
+def test_help_text_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for command in ([], ["synth"], ["build-vocab"], ["query"], ["evaluate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert "".join(texts) == (Path(__file__).parent / "cli_help.txt").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("command", ["query", "evaluate"])

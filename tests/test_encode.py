@@ -5,6 +5,7 @@ import pytest
 from oracles import fisher_fd_oracle, kernel_row_kpca
 
 from patreid.encode import (
+    TrainingParams,
     cosine_distance,
     embed_image,
     fisher_encode,
@@ -13,7 +14,7 @@ from patreid.encode import (
 )
 from patreid.ingest import ImageFeatures, load_entry_features, load_manifest
 from patreid.synth import SynthConfig, generate_benchmark
-from patreid.vocab import Gmm, PcaModel, VocabError, fit_gmm
+from patreid.vocab import Gmm, PcaModel, VocabError, fit_gmm, save_vocabulary
 
 
 def identity_pca(dim):
@@ -28,6 +29,11 @@ def features_with(descriptors, image_id="img"):
     frames[:, 5] = 1.0
     frames[:, 0] = np.arange(m, dtype=np.float64)
     return ImageFeatures(image_id=image_id, frames=frames, descriptors=descriptors)
+
+
+def model_bytes(vocabulary, path):
+    save_vocabulary(vocabulary, path)
+    return path.read_bytes()
 
 
 def random_features(rng, m=20, dim=8, image_id="img"):
@@ -280,3 +286,34 @@ class TestTrainVocabularyAndEmbed:
     def test_invalid_training_options(self, options, message):
         with pytest.raises(VocabError, match=message):
             train_vocabulary(self._feature_sets(), **{"gmm_k": 2, "pca_dim": 4, **options})
+
+    def test_kpca_dim_zero_is_the_default(self, tmp_path):
+        sets = self._feature_sets()
+        default = train_vocabulary(sets, gmm_k=2, pca_dim=4)
+        zero = train_vocabulary(sets, gmm_k=2, pca_dim=4, kpca_dim=0)
+        assert model_bytes(zero, tmp_path / "zero") == model_bytes(default, tmp_path / "default")
+
+    def test_params_object_and_keywords_train_alike(self, tmp_path):
+        sets = self._feature_sets()
+        options = {"alpha": 0.3, "kpca_dim": 3, "seed": 5, "gmm_k": 2, "whiten": False}
+        expected = model_bytes(
+            train_vocabulary(sets, TrainingParams(pca_dim=4, **options)), tmp_path / "params"
+        )
+        keywords = train_vocabulary(sets, pca_dim=4, **options)
+        overridden = train_vocabulary(sets, TrainingParams(gmm_k=7, pca_dim=4), **options)
+        assert model_bytes(keywords, tmp_path / "keywords") == expected
+        assert model_bytes(overridden, tmp_path / "overridden") == expected
+
+    @pytest.mark.parametrize(
+        "m, options, message",
+        [
+            (40, {"pca_dim": 11}, r"^pca_dim must be in \[1, 10\], the descriptor width, got 11$"),
+            (1, {"pca_dim": 6}, "^pca_dim is too large: need at least 7 descriptors, got 6$"),
+            (40, {"gmm_k": 241}, "^gmm_k is too large: need at least 241 descriptors, got 240$"),
+            (40, {"kpca_dim": 6}, r"^kpca_dim must be in \[0, 5\], below the image count, got 6$"),
+        ],
+    )
+    def test_data_bounds_name_the_field(self, m, options, message):
+        sets = self._feature_sets(m=m)
+        with pytest.raises(VocabError, match=message):
+            train_vocabulary(sets, **{"gmm_k": 1, "pca_dim": 4, **options})

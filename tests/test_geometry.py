@@ -113,6 +113,21 @@ class TestMatchDescriptors:
         assert len(match_descriptors(q, d, mutual=False)) == 1
         assert len(match_descriptors(q, d, mutual=False, ratio=0.97)) == 1
 
+    def test_settings_are_geometry_params_fields(self):
+        # The ambiguous pair above; keywords override the params' fields.
+        q = features_from([[0.0, 0.0]], [[1.0, 0.0, 0.0]])
+        d = features_from(
+            [[0.0, 0.0], [1.0, 1.0]],
+            [
+                [np.cos(0.45), np.sin(0.45), 0.0],
+                [np.cos(0.46), 0.0, np.sin(0.46)],
+            ],
+        )
+        params = GeometryParams(mutual=False, ratio=0.95)
+        assert len(match_descriptors(q, d, params)) == 0
+        assert len(match_descriptors(q, d, params, ratio=0.97)) == 1
+        assert len(match_descriptors(q, d, params, ratio=None)) == 1
+
     def test_noisy_recovery_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(3)
         desc = unit_rows(rng, 5, 32)

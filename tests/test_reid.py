@@ -1,5 +1,7 @@
 """Combination rules, ranked retrieval, and evaluation protocol tests."""
 
+import csv
+
 import numpy as np
 import pytest
 from oracles import embedded_images, ranking_oracle
@@ -490,6 +492,19 @@ class TestPerQueryCsv:
         assert any(line.startswith("# protocol,split") for line in lines)
         assert any(line.startswith("# excluded,q9,unlabeled") for line in lines)
         assert any(line.startswith("# topk,polynomial,1,1.0") for line in lines)
+
+    def test_ids_with_commas_and_quotes_read_back_whole(self, tmp_path):
+        report = self._report()
+        report.records[0].query_image_id = "ind001,v1"
+        report.records[0].truth = 'ind001 "spotty"'
+        report.excluded = [("ind009,v0", "no_database_match")]
+        path = tmp_path / "per_query.csv"
+        write_per_query_csv({"polynomial": report}, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][:4] == ["polynomial", "ind001,v1", 'ind001 "spotty"', "1"]
+        assert len(rows[1]) == 8
+        assert ["# excluded", "ind009,v0", "no_database_match"] in rows
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
