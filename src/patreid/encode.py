@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import ImageFeatures
+from .ingest import ImageFeatures, row_dot
 from .vocab import (
     DatabaseIndex,
     Gmm,
@@ -101,16 +101,17 @@ def embed_image(features: ImageFeatures, vocab: Vocabulary) -> np.ndarray:
     """Full appearance chain: Fisher vector, normalization, kernel PCA.
 
     Images with no features (or an exactly-zero encoding) are degenerate and
-    come back as the zero vector; everything else is unit norm.
+    come back as the zero vector; everything else is unit norm.  Descriptors
+    of another width than the model's raise VocabError naming the image.
     """
+    width = features.descriptors.shape[1]
+    if features.count and width != vocab.descriptor_dim:
+        raise VocabError(
+            f"image {features.image_id!r} has {width}-dim descriptors, "
+            f"expected {vocab.descriptor_dim} as the model has"
+        )
     fv = fisher_encode(features, vocab.pca, vocab.gmm)
     return apply_kpca(vocab.kpca, power_l2_normalize(fv, vocab.alpha))
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products over the last axis, one vector product per pair: the
-    same bits as a 1-D a @ b, whatever the leading axes."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray):
@@ -118,9 +119,9 @@ def cosine_distance(a: np.ndarray, b: np.ndarray):
     arrays whose leading axes broadcast; a zero vector (a degenerate image)
     scores the maximal 2.  1-D inputs give a scalar."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    norms = np.sqrt(_dot(a, a)) * np.sqrt(_dot(b, b))
+    norms = np.sqrt(row_dot(a, a)) * np.sqrt(row_dot(b, b))
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = 1.0 - _dot(a, b) / norms
+        d = 1.0 - row_dot(a, b) / norms
     return np.where(norms == 0, 2.0, d)[()]
 
 

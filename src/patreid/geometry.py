@@ -60,18 +60,6 @@ class GeometryParams:
 
 
 @dataclass
-class Homography:
-    """3x3 projective transform, scaled so h33 = 1 when possible.
-
-    When |h33| is numerically zero the matrix is scaled to unit Frobenius
-    norm instead and frobenius_scaled is set.
-    """
-
-    matrix: np.ndarray
-    frobenius_scaled: bool = False
-
-
-@dataclass
 class GeomVerdict:
     """Inlier statistics of a verified pair.
 
@@ -83,7 +71,7 @@ class GeomVerdict:
 
     n: int
     omega: float
-    homography: Optional[Homography]
+    homography: Optional[np.ndarray]  # 3x3, h33 = 1 as _scale_homography allows
     inlier_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
 
@@ -186,14 +174,15 @@ def _dlt_matrix(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return A
 
 
-def _scale_homography(H: np.ndarray) -> Homography:
-    if abs(H[2, 2]) > 1e-9:
-        return Homography(matrix=H / H[2, 2])
-    return Homography(matrix=H / np.linalg.norm(H), frobenius_scaled=True)
+def _scale_homography(H: np.ndarray) -> np.ndarray:
+    """H scaled so h33 = 1, or to unit Frobenius norm when |h33| is
+    numerically zero."""
+    return H / (H[2, 2] if abs(H[2, 2]) > 1e-9 else np.linalg.norm(H))
 
 
-def dlt_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
-    """Least-squares homography from >= 4 point pairs (direct linear transform).
+def dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Least-squares 3x3 homography from >= 4 point pairs (direct linear
+    transform), scaled per _scale_homography.
 
     Expects coordinates already normalized per normalize_points.  The
     solution is the singular direction of the stacked constraint system;
@@ -360,16 +349,15 @@ def verify_shortlist(
                 continue
             total, h = len(matches[k]), best[p]
             src_p, dst_p, mask = src[p, :total], dst[p, :total], best_mask[p, :total]
-            H = np.eye(3)
-            H[:2, :2] = A[p, h]
-            H[:2, 2] = dst_p[h] - A[p, h] @ src_p[h]
-            homography = Homography(matrix=H)
+            homography = np.eye(3)
+            homography[:2, :2] = A[p, h]
+            homography[:2, 2] = dst_p[h] - A[p, h] @ src_p[h]
             for _ in range(LOCAL_OPTIMIZATION_ROUNDS if best_count[p] >= 4 else 0):
                 try:
                     refit = dlt_homography(src_p[mask], dst_p[mask])
                 except GeometryError:
                     break
-                grown = np.sum((apply_homography(refit.matrix, src_p) - dst_p) ** 2, axis=1) < thr2
+                grown = np.sum((apply_homography(refit, src_p) - dst_p) ** 2, axis=1) < thr2
                 if grown.sum() <= mask.sum():
                     break
                 mask, homography = grown, refit

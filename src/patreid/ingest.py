@@ -101,47 +101,61 @@ class Manifest:
         return [e for e in self.entries if e.role == role]
 
 
-def _parse_floats(path, line_no: int, tokens: list, expected: int) -> np.ndarray:
-    if len(tokens) != expected:
-        raise PatfError(
-            path, line_no, f"expected {expected} values, found {len(tokens)}"
-        )
-    try:
-        values = np.array([float(t) for t in tokens], dtype=np.float64)
-    except ValueError as exc:
-        raise PatfError(path, line_no, f"unparseable number: {exc}") from None
-    if not np.all(np.isfinite(values)):
-        raise PatfError(path, line_no, "non-finite value")
-    return values
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, one vector product per pair: the
+    same bits as a 1-D a @ b, whatever the leading axes."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _parse_block(data_lines: list, dim: int):
-    """(frames, unit descriptors) of a whole data block, or None if a line is bad.
+# The rules a feature row can break, in the order a row's fault is reported.
+ROW_RULES = (
+    "non-finite value",
+    "singular affine frame (det = 0)",
+    "affine frame det overflows",
+    "zero-norm descriptor",
+    "descriptor norm overflows",
+)
 
-    One C-level conversion of every line, then the per-line checks of
-    parse_feature_file as array operations.  np.loadtxt gives the same doubles
-    as float() for every token it accepts; it skips blank lines, which then
-    show up as a row-count mismatch.
-    """
-    if not data_lines:
-        # np.loadtxt warns on empty input; an empty image is legal.
-        return np.zeros((0, 6)), np.zeros((0, dim))
-    try:
-        values = np.loadtxt(data_lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (len(data_lines), 6 + dim) or not np.isfinite(values).all():
-        return None
-    frames, desc = values[:, :6], values[:, 6:]
+
+def row_faults(frames: np.ndarray, descriptors: np.ndarray):
+    """(faults, norms): faults[r, i] is set when row i breaks ROW_RULES[r];
+    norms are the rows' descriptor L2 norms."""
     with np.errstate(over="ignore", invalid="ignore"):
         det = np.abs(frames[:, 2] * frames[:, 5] - frames[:, 3] * frames[:, 4])
-        # Per-row dot products, bit-identical to np.linalg.norm of each row
-        # (norm(axis=1) and sqrt of summed squares round differently).
-        norms = np.sqrt((desc[:, None, :] @ desc[:, :, None])[:, 0, 0])
-    # Overflow makes det or norm inf (or det nan), which fails these bounds.
-    if not ((1e-12 <= det) & (det < np.inf) & (1e-12 <= norms) & (norms < np.inf)).all():
-        return None
-    return frames.copy(), desc / norms[:, None]
+        norms = np.sqrt(row_dot(descriptors, descriptors))
+        finite = np.isfinite(frames).all(axis=1) & np.isfinite(descriptors).all(axis=1)
+        # Overflow makes det or norm inf (or det nan), which fails "< inf".
+        faults = np.array([~finite, det < 1e-12, ~(det < np.inf), norms < 1e-12, ~(norms < np.inf)])
+    return faults, norms
+
+
+def _convert(path, data_lines: list, width: int):
+    """(values, error): the data lines as an (n, width) array, and for n short
+    of every line the PatfError of line 4 + n, the first not converted.
+
+    One np.loadtxt pass, which gives the same doubles as float() for every
+    token it accepts.  It skips blank lines and refuses some tokens float()
+    takes ("1_0"); then the lines are converted one by one.
+    """
+    if data_lines:  # np.loadtxt warns on empty input; an empty image is legal.
+        try:
+            values = np.loadtxt(data_lines, dtype=np.float64, comments=None, ndmin=2)
+            if values.shape == (len(data_lines), width):
+                return values, None
+        except ValueError:
+            pass
+    rows, error = [], None
+    for i, line in enumerate(data_lines):
+        tokens = line.split()
+        if len(tokens) != width:
+            error = PatfError(path, 4 + i, f"expected {width} values, found {len(tokens)}")
+            break
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError as exc:
+            error = PatfError(path, 4 + i, f"unparseable number: {exc}")
+            break
+    return np.array(rows, dtype=np.float64).reshape(-1, width), error
 
 
 def parse_feature_file(path) -> ImageFeatures:
@@ -191,34 +205,19 @@ def parse_feature_file(path) -> ImageFeatures:
             f"declared {count} features but file has {len(data_lines)} data lines",
         )
 
-    block = _parse_block(data_lines, dim)
-    if block is not None:
-        frames, descriptors = block
-        return ImageFeatures(image_id=image_id, frames=frames, descriptors=descriptors)
-
-    # Some line failed the block path: this loop names the first bad line, and
-    # also accepts the tokens float() takes but np.loadtxt does not ("1_0").
-    frames = np.zeros((count, 6), dtype=np.float64)
-    descriptors = np.zeros((count, dim), dtype=np.float64)
-    for i, line in enumerate(data_lines):
-        line_no = 4 + i
-        values = _parse_floats(path, line_no, line.split(), 6 + dim)
-        frame, desc = values[:6], values[6:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            det = abs(frame[2] * frame[5] - frame[3] * frame[4])
-            norm = float(np.linalg.norm(desc))
-        if det < 1e-12:
-            raise PatfError(path, line_no, "singular affine frame (det = 0)")
-        if not det < np.inf:
-            raise PatfError(path, line_no, "affine frame det overflows")
-        if norm < 1e-12:
-            raise PatfError(path, line_no, "zero-norm descriptor")
-        if not norm < np.inf:
-            raise PatfError(path, line_no, "descriptor norm overflows")
-        frames[i] = frame
-        descriptors[i] = desc / norm
-
-    return ImageFeatures(image_id=image_id, frames=frames, descriptors=descriptors)
+    values, error = _convert(path, data_lines, len(FRAME_FIELDS) + dim)
+    frames, descriptors = values[:, : len(FRAME_FIELDS)], values[:, len(FRAME_FIELDS) :]
+    faults, norms = row_faults(frames, descriptors)
+    # The first line to break a rule or fail conversion is named.
+    broken = faults.any(axis=0)
+    if broken.any():
+        i = int(np.argmax(broken))
+        raise PatfError(path, 4 + i, ROW_RULES[int(np.argmax(faults[:, i]))])
+    if error is not None:
+        raise error
+    return ImageFeatures(
+        image_id=image_id, frames=frames.copy(), descriptors=descriptors / norms[:, None]
+    )
 
 
 def _fmt(x) -> str:
@@ -252,7 +251,7 @@ def load_manifest(path) -> Manifest:
     manifest = Manifest(entries=[], base_dir=os.path.dirname(path))
     seen: set[str] = set()
     try:
-        reader = csv.DictReader(io.StringIO(path.read_bytes().decode("utf-8"), newline=""))
+        reader = csv.DictReader(io.StringIO(path.read_bytes().decode("utf-8-sig"), newline=""))
         fieldnames, rows = reader.fieldnames, list(reader)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ManifestError(f"{path}: unreadable CSV: {exc}") from None

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .ingest import FRAME_FIELDS, ImageFeatures
+from .ingest import FRAME_FIELDS, ImageFeatures, row_dot, row_faults
 
 VARIANCE_FLOOR = 1e-6
 WHITEN_FLOOR = 1e-12
@@ -477,12 +477,10 @@ def read_index_row(
     values = np.frombuffer(data, dtype="<f8")
     frames = values[: count * len(FRAME_FIELDS)].reshape(count, len(FRAME_FIELDS))
     descriptors = values[frames.size :].reshape(count, dim)
-    if not np.isfinite(values).all():
+    faults, norms = row_faults(frames, descriptors)
+    if faults[0].any():
         raise VocabError(f"{path}: non-finite value in index row of {image_id!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = np.abs(frames[:, 2] * frames[:, 5] - frames[:, 3] * frames[:, 4])
-        norms = np.sqrt(np.einsum("ij,ij->i", descriptors, descriptors))
-    if not ((1e-12 <= det) & (det < np.inf)).all():
+    if faults[1:3].any():
         raise VocabError(
             f"{path}: index frame with |det| < 1e-12 or overflowing in row of {image_id!r}"
         )
@@ -592,8 +590,7 @@ def _check_vocabulary(path, vocab: Vocabulary) -> None:
         raise VocabError(f"{path}: database index lists an image id twice")
     if (vocab.index.feature_counts < 0).any():
         raise VocabError(f"{path}: index feature counts must be >= 0")
-    # Per-row dot products, bit-identical to np.linalg.norm of each row.
-    norms = np.sqrt((embeddings[:, None, :] @ embeddings[:, :, None])[:, 0, 0])
+    norms = np.sqrt(row_dot(embeddings, embeddings))
     bad = (norms != 0) & (np.abs(norms - 1) > 1e-6)
     if bad.any():
         k = int(np.argmax(bad))

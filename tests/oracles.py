@@ -5,8 +5,11 @@ loops, dense matrices, finite differences) so the production code is
 verified against a formulation that shares none of its algebra.  It also
 holds AC-3's sampling estimator, ransac_homography: a seeded RANSAC over
 bare point pairs whose verdicts test_geometry pins, and which no search
-uses.
+uses; and reference_parse_feature_file, which reads a PATF file one line
+at a time.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +25,13 @@ from patreid.geometry import (
     dlt_homography,
     geometric_similarity,
 )
-from patreid.ingest import load_entry_features
+from patreid.ingest import (
+    PATF_MAGIC,
+    PATF_VERSION,
+    ImageFeatures,
+    PatfError,
+    load_entry_features,
+)
 from patreid.reid import Images
 from patreid.vocab import VARIANCE_FLOOR, Gmm, _kmeanspp_centers, average_log_likelihood
 
@@ -355,3 +364,85 @@ def ransac_homography(
         homography=homography,
         inlier_mask=best_mask,
     )
+
+
+def _parse_floats(path, line_no: int, tokens: list, expected: int) -> np.ndarray:
+    if len(tokens) != expected:
+        raise PatfError(
+            path, line_no, f"expected {expected} values, found {len(tokens)}"
+        )
+    try:
+        values = np.array([float(t) for t in tokens], dtype=np.float64)
+    except ValueError as exc:
+        raise PatfError(path, line_no, f"unparseable number: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise PatfError(path, line_no, "non-finite value")
+    return values
+
+
+def reference_parse_feature_file(path) -> ImageFeatures:
+    """parse_feature_file line by line: each data line is converted with
+    float() and checked before the next is read, so the first bad line is
+    the one named."""
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise PatfError(path, line_no, f"not UTF-8 text: {exc.reason}") from None
+    # Trailing blank lines are tolerated; anything else must line up exactly.
+    while lines and not lines[-1].strip():
+        lines.pop()
+
+    if not lines:
+        raise PatfError(path, 1, "empty file")
+    header = lines[0].split()
+    if len(header) != 2 or header[0] != PATF_MAGIC or header[1] != str(PATF_VERSION):
+        raise PatfError(path, 1, f"bad header {lines[0]!r}, expected 'PATF 1'")
+    if len(lines) < 3:
+        raise PatfError(path, len(lines) + 1, "truncated file: missing id or size line")
+
+    image_id = lines[1].strip()
+    if not image_id or len(image_id.split()) != 1:
+        raise PatfError(path, 2, f"image_id must be a single token, got {lines[1]!r}")
+
+    size_tokens = lines[2].split()
+    if len(size_tokens) != 2:
+        raise PatfError(path, 3, "size line must be '<descriptor_dim> <count>'")
+    try:
+        dim, count = int(size_tokens[0]), int(size_tokens[1])
+    except ValueError:
+        raise PatfError(path, 3, f"non-integer size line {lines[2]!r}") from None
+    if dim < 1 or count < 0:
+        raise PatfError(path, 3, f"invalid dimensions dim={dim} count={count}")
+
+    data_lines = lines[3:]
+    if len(data_lines) != count:
+        raise PatfError(
+            path,
+            4 + min(len(data_lines), count),
+            f"declared {count} features but file has {len(data_lines)} data lines",
+        )
+
+    frames = np.zeros((count, 6), dtype=np.float64)
+    descriptors = np.zeros((count, dim), dtype=np.float64)
+    for i, line in enumerate(data_lines):
+        line_no = 4 + i
+        values = _parse_floats(path, line_no, line.split(), 6 + dim)
+        frame, desc = values[:6], values[6:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = abs(frame[2] * frame[5] - frame[3] * frame[4])
+            norm = float(np.linalg.norm(desc))
+        if det < 1e-12:
+            raise PatfError(path, line_no, "singular affine frame (det = 0)")
+        if not det < np.inf:
+            raise PatfError(path, line_no, "affine frame det overflows")
+        if norm < 1e-12:
+            raise PatfError(path, line_no, "zero-norm descriptor")
+        if not norm < np.inf:
+            raise PatfError(path, line_no, "descriptor norm overflows")
+        frames[i] = frame
+        descriptors[i] = desc / norm
+
+    return ImageFeatures(image_id=image_id, frames=frames, descriptors=descriptors)

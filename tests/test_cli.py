@@ -1035,6 +1035,41 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == f"error: {manifest}: {message}\n"
 
+    def test_manifest_with_bom(self, workspace, tmp_path, capsys):
+        # Spreadsheet tools save CSV as UTF-8 with a byte-order mark.
+        _, bench, vocab = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        bom = copy / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (copy / "manifest.csv").read_bytes())
+        outputs, csv = [], tmp_path / "out.csv"
+        for manifest in (copy / "manifest.csv", bom):
+            assert main(["evaluate", "--manifest", str(manifest), "--vocab", str(vocab),
+                         "--per-query-csv", str(csv)]) == 0
+            outputs.append((capsys.readouterr().out, csv.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("query",), ("evaluate", "--protocol", "split"), ("evaluate", "--protocol", "loo")],
+        ids=["query", "evaluate-split", "evaluate-loo"],
+    )
+    def test_query_of_other_width_named(self, workspace, tmp_path, capsys, argv):
+        _, bench, vocab = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        assert main(["synth", "--seed", "13", "--individuals", "3", "--views", "3",
+                     "--descriptor-dim", "64", "--out", str(tmp_path / "narrow")]) == 0
+        shutil.copy(tmp_path / "narrow" / "ind001_v1.patf", copy / "ind001_v1.patf")
+        command, *flags = argv
+        if command == "query":
+            flags = ["--features", str(copy / "ind001_v1.patf")]
+        capsys.readouterr()
+        code = main([command, "--manifest", str(copy / "manifest.csv"), "--vocab", str(vocab),
+                     *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: image 'ind001_v1' has 64-dim descriptors, "
+                       "expected 128 as the model has\n")
+
     def test_split_all_queries_excluded(self, workspace, tmp_path, capsys):
         _, bench, vocab = workspace
         copy = shutil.copytree(bench, tmp_path / "bench")

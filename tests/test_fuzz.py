@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import reference_parse_feature_file
 
 from patreid.cli import main
 from patreid.ingest import ImageFeatures, PatfError, parse_feature_file, write_feature_file
@@ -166,6 +167,32 @@ def test_patf_tokens(workspace):
     def run(fuzzed):
         (root / "fuzz.patf").write_text(fuzzed, encoding="utf-8")
         check_features(root / "fuzz.patf")
+
+    run()
+
+
+def parse_outcome(parse, path):
+    """What parse makes of path: the bytes of its arrays, or its PatfError's
+    line and message."""
+    try:
+        f = parse(path)
+    except PatfError as exc:
+        return exc.line_no, exc.message
+    return f.image_id, [(a.shape, a.tobytes()) for a in (f.frames, f.descriptors)]
+
+
+def test_patf_matches_reference(workspace):
+    root, bench, _ = workspace
+    seeds = [(root / "seed.patf").read_bytes(), (bench / "ind001_v1.patf").read_bytes()]
+    texts = st.sampled_from(seeds).flatmap(
+        lambda data: damaged(data) | retokened(data.decode("utf-8")).map(str.encode)
+    )
+
+    @given(texts)
+    def run(blob):
+        (root / "ref.patf").write_bytes(blob)
+        got = parse_outcome(parse_feature_file, root / "ref.patf")
+        assert got == parse_outcome(reference_parse_feature_file, root / "ref.patf")
 
     run()
 

@@ -201,7 +201,7 @@ class TestNormalizePoints:
 class TestDltHomography:
     def test_identity(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        H = dlt_homography(pts, pts).matrix
+        H = dlt_homography(pts, pts)
         np.testing.assert_allclose(H, np.eye(3), atol=1e-9)
 
     def test_collinear_rejected(self):
@@ -220,7 +220,7 @@ class TestDltHomography:
             H_true = random_bounded_homography(rng)
             src = rng.uniform(-1, 1, (12, 2))
             dst = apply_homography(H_true, src)
-            H = dlt_homography(src, dst).matrix
+            H = dlt_homography(src, dst)
             np.testing.assert_allclose(H, H_true / H_true[2, 2], atol=1e-6)
 
     def test_h33_one_after_scaling(self):
@@ -228,8 +228,7 @@ class TestDltHomography:
         H_true = random_bounded_homography(rng)
         src = rng.uniform(-1, 1, (8, 2))
         H = dlt_homography(src, apply_homography(H_true, src))
-        assert H.matrix[2, 2] == 1.0
-        assert not H.frobenius_scaled
+        assert H[2, 2] == 1.0
 
 
 class TestHomographyHelpers:
@@ -286,7 +285,7 @@ class TestRansacHomography:
         b = ransac_homography(src, dst, 0.05, seed=7)
         assert a.n == b.n and a.omega == b.omega
         np.testing.assert_array_equal(a.inlier_mask, b.inlier_mask)
-        np.testing.assert_array_equal(a.homography.matrix, b.homography.matrix)
+        np.testing.assert_array_equal(a.homography, b.homography)
 
     def test_invariants(self):
         rng = np.random.default_rng(4)
@@ -315,7 +314,7 @@ class TestRansacHomography:
         verdict = ransac_homography(src, dst, 0.05, seed=11)
         np.testing.assert_array_equal(verdict.inlier_mask, ~outliers)
         np.testing.assert_allclose(
-            verdict.homography.matrix, H_true / H_true[2, 2], atol=1e-6
+            verdict.homography, H_true / H_true[2, 2], atol=1e-6
         )
 
     @pytest.mark.parametrize("threshold", [0.0, -0.05, float("nan"), float("inf")])
@@ -454,7 +453,7 @@ class TestGeometricSimilarity:
         v2 = geometric_similarity(fa, fb)
         assert (v1.n, v1.omega) == (v2.n, v2.omega)
         np.testing.assert_array_equal(v1.inlier_mask, v2.inlier_mask)
-        np.testing.assert_array_equal(v1.homography.matrix, v2.homography.matrix)
+        np.testing.assert_array_equal(v1.homography, v2.homography)
 
     def test_no_matches_zero_verdict(self):
         q = features_from([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]], "q")
@@ -569,7 +568,7 @@ class TestAffineVerifier:
         np.testing.assert_array_equal(verdict.inlier_mask, planted)
         assert verdict.n == planted.sum() and verdict.omega == planted.mean()
         np.testing.assert_allclose(
-            apply_homography(verdict.homography.matrix, n_src[planted]), n_dst[planted], atol=1e-9
+            apply_homography(verdict.homography, n_src[planted]), n_dst[planted], atol=1e-9
         )
 
     def test_three_matches_no_verdict(self):
@@ -618,7 +617,7 @@ class TestAffineVerifier:
 
         verdict = geometric_similarity(q, d)
         assert verdict.n == 12 and verdict.omega == 1.0
-        assert np.all(np.isfinite(verdict.homography.matrix))
+        assert np.all(np.isfinite(verdict.homography))
 
         extreme = framed_features(src[:9], frames_q[[0, 1, 2] * 3], "x")
         verdict = geometric_similarity(extreme, framed_features(src[:9], frames_d[:9], "y"))
@@ -785,7 +784,7 @@ def reference_inliers(query, db, threshold=0.1):
             best = mask
     for _ in range(2):
         try:
-            H = dlt_homography(src[best], dst[best]).matrix
+            H = dlt_homography(src[best], dst[best])
         except GeometryError:
             break
         grown = reprojection_residuals(H, src, dst) < threshold
@@ -829,8 +828,7 @@ def assert_same_verdict(got, want):
     if want.homography is None:
         assert got.homography is None
     else:
-        np.testing.assert_array_equal(got.homography.matrix, want.homography.matrix)
-        assert got.homography.frobenius_scaled == want.homography.frobenius_scaled
+        np.testing.assert_array_equal(got.homography, want.homography)
 
 
 def big_planted_pair():
@@ -883,7 +881,7 @@ def test_hypothesis_blocks_match_dense_scoring():
     H[:2, :2] = maps[best]
     H[:2, 2] = n_dst[best] - maps[best] @ n_src[best]
     for _ in range(2):
-        refit = dlt_homography(n_src[mask], n_dst[mask]).matrix
+        refit = dlt_homography(n_src[mask], n_dst[mask])
         grown = np.sum((apply_homography(refit, n_src) - n_dst) ** 2, axis=1) < 0.01
         if grown.sum() <= mask.sum():
             break
@@ -891,7 +889,7 @@ def test_hypothesis_blocks_match_dense_scoring():
 
     np.testing.assert_array_equal(verdict.inlier_mask, mask)
     assert verdict.n == mask.sum() and verdict.omega == mask.sum() / m
-    np.testing.assert_array_equal(verdict.homography.matrix, H)
+    np.testing.assert_array_equal(verdict.homography, H)
 
 
 def test_mixed_shortlist_matches_one_pair_verdicts():

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import reference_parse_feature_file
 
 from patreid.ingest import (
     MANIFEST_COLUMNS,
@@ -11,10 +12,12 @@ from patreid.ingest import (
     Manifest,
     ManifestEntry,
     ManifestError,
+    ROW_RULES,
     PatfError,
     load_entry_features,
     load_manifest,
     parse_feature_file,
+    row_faults,
     write_feature_file,
     write_manifest,
 )
@@ -34,19 +37,6 @@ def make_features(image_id="img0", m=3, dim=8, seed=0):
 def write_patf(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
-
-
-def reference_data_block(data_lines, dim):
-    """The one-line-at-a-time parse of a valid data block, as a reference."""
-    frames = np.zeros((len(data_lines), 6))
-    descriptors = np.zeros((len(data_lines), dim))
-    for i, line in enumerate(data_lines):
-        values = np.array([float(t) for t in line.split()], dtype=np.float64)
-        assert values.shape == (6 + dim,) and np.all(np.isfinite(values))
-        norm = float(np.linalg.norm(values[6:]))
-        frames[i] = values[:6]
-        descriptors[i] = values[6:] / norm
-    return frames, descriptors
 
 
 def random_data_lines(rng, count, dim):
@@ -225,10 +215,9 @@ class TestParseFeatureFile:
         count, dim = int(rng.integers(1, 60)), int(rng.integers(1, 40))
         lines = random_data_lines(rng, count, dim)
         path = write_patf(tmp_path / "a.patf", ["PATF 1", "imgA", f"{dim} {count}"] + lines)
-        f = parse_feature_file(path)
-        frames, descriptors = reference_data_block(lines, dim)
-        assert f.frames.tobytes() == frames.tobytes()
-        assert f.descriptors.tobytes() == descriptors.tobytes()
+        f, want = parse_feature_file(path), reference_parse_feature_file(path)
+        assert f.frames.tobytes() == want.frames.tobytes()
+        assert f.descriptors.tobytes() == want.descriptors.tobytes()
         assert f.frames.shape == (count, 6) and f.descriptors.shape == (count, dim)
 
     def test_tokens_only_float_accepts(self, tmp_path):
@@ -258,6 +247,16 @@ class TestParseFeatureFile:
             parse_feature_file(path)
         assert err.value.line_no == 6
 
+    def test_row_rule_named_before_later_conversion_error(self, tmp_path):
+        path = write_patf(
+            tmp_path / "a.patf",
+            ["PATF 1", "imgA", "4 3", "0 0 1 0 0 1 1 0 0 0", "0 0 1 0 0 1 0 0 0 0",
+             "0 0 1 0 0 1 abc 0 0 0"],
+        )
+        with pytest.raises(PatfError, match="zero-norm descriptor") as err:
+            parse_feature_file(path)
+        assert err.value.line_no == 5
+
     def test_empty_feature_set_no_warning(self, tmp_path):
         path = write_patf(tmp_path / "a.patf", ["PATF 1", "imgA", "8 0"])
         with warnings.catch_warnings():
@@ -276,6 +275,21 @@ class TestParseFeatureFile:
         loaded = parse_feature_file(path)
         assert loaded.count == 0
         assert loaded.degenerate
+
+
+def test_row_faults_one_rule_per_row():
+    frames = np.tile([0.0, 0.0, 1.0, 0.0, 0.0, 1.0], (6, 1))
+    descriptors = np.tile([1.0, 0.0], (6, 1))
+    frames[0, 0] = np.nan
+    frames[1, 2] = 0.0
+    frames[2, [2, 5]] = 1e200
+    descriptors[3] = 0.0
+    descriptors[4] = 1e200
+    faults, norms = row_faults(frames, descriptors)
+    # Row r breaks ROW_RULES[r] alone; row 5 breaks none.
+    assert faults.shape == (len(ROW_RULES), 6)
+    np.testing.assert_array_equal(faults, np.eye(5, 6, dtype=bool))
+    np.testing.assert_array_equal(norms, [1, 1, 1, 0, np.inf, 1])
 
 
 class TestManifest:
