@@ -251,44 +251,32 @@ def load_manifest(path) -> Manifest:
     manifest = Manifest(entries=[], base_dir=os.path.dirname(path))
     seen: set[str] = set()
     try:
-        reader = csv.DictReader(io.StringIO(path.read_bytes().decode("utf-8-sig"), newline=""))
-        fieldnames, rows = reader.fieldnames, list(reader)
+        rows = list(csv.reader(io.StringIO(path.read_bytes().decode("utf-8-sig"), newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ManifestError(f"{path}: unreadable CSV: {exc}") from None
-    if fieldnames is None or tuple(fieldnames) != MANIFEST_COLUMNS:
-        raise ManifestError(
-            f"{path}: header must be {','.join(MANIFEST_COLUMNS)}, "
-            f"got {fieldnames}"
-        )
-    for row in rows:
-        image_id = (row["image_id"] or "").strip()
+    header = rows[0] if rows else None
+    if header is None or tuple(header) != MANIFEST_COLUMNS:
+        raise ManifestError(f"{path}: header must be {','.join(MANIFEST_COLUMNS)}, got {header}")
+    for row in filter(None, rows[1:]):  # blank lines read as []
+        image_id = row[0].strip()
         if not image_id:
             raise ManifestError(f"{path}: empty image_id")
-        if None in row:  # DictReader files a row's extra values under None
-            raise ManifestError(f"{path}: row of {image_id!r} has more fields than the header")
-        if None in row.values():  # and gives a short row's missing fields None
-            raise ManifestError(f"{path}: row of {image_id!r} has fewer fields than the header")
+        if len(row) != len(MANIFEST_COLUMNS):
+            more = "more" if len(row) > len(MANIFEST_COLUMNS) else "fewer"
+            raise ManifestError(f"{path}: row of {image_id!r} has {more} fields than the header")
         if image_id in seen:
             raise ManifestError(f"{path}: duplicate image_id {image_id!r}")
         seen.add(image_id)
-        role = row["role"].strip()
+        _, individual, viewpoint, role, feature_path = map(str.strip, row)
         if role not in ROLES:
             raise ManifestError(
                 f"{path}: unknown role {role!r} for {image_id!r} "
                 f"(expected one of {ROLES})"
             )
-        feature_path = row["feature_path"].strip()
         if not feature_path:
             raise ManifestError(f"{path}: empty feature_path for {image_id!r}")
-        manifest.entries.append(
-            ManifestEntry(
-                image_id=image_id,
-                individual_id=row["individual_id"].strip() or None,
-                viewpoint=row["viewpoint"].strip() or None,
-                role=role,
-                feature_path=feature_path,
-            )
-        )
+        entry = ManifestEntry(image_id, individual or None, viewpoint or None, role, feature_path)
+        manifest.entries.append(entry)
     return manifest
 
 

@@ -13,10 +13,15 @@ database images it verifies.
 from __future__ import annotations
 
 import contextlib
-import operator
+import io
+import itertools
+import json
+import math
 import os
+import struct
 import warnings
 import zipfile
+import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List
@@ -27,7 +32,7 @@ from .ingest import FRAME_FIELDS, ImageFeatures, row_dot, row_faults
 
 VARIANCE_FLOOR = 1e-6
 WHITEN_FLOOR = 1e-12
-VOCAB_VERSION = 6
+VOCAB_VERSION = 7
 
 
 class VocabError(ValueError):
@@ -170,24 +175,31 @@ def _log_gaussian_terms(gmm: Gmm, X: np.ndarray, XX: np.ndarray) -> np.ndarray:
     XX is X * X, which EM computes once per fit."""
     var = gmm.variances
     log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * var), axis=1)
-    # (N, K): quadratic form of the diagonal Gaussian, expanded to use BLAS.
-    x2 = XX @ (1.0 / var).T
+    # (N, K): quadratic form of the diagonal Gaussian, expanded to use BLAS
+    # and finished in place (a - b is a + -b, bit for bit).
+    quad = XX @ (1.0 / var).T
     xm = X @ (gmm.means / var).T
-    m2 = np.sum(gmm.means * gmm.means / var, axis=1)
-    quad = x2 - 2.0 * xm + m2[None, :]
-    return np.log(gmm.weights)[None, :] + log_norm[None, :] - 0.5 * quad
+    quad -= np.multiply(xm, 2.0, out=xm)
+    quad += np.sum(gmm.means * gmm.means / var, axis=1)
+    quad *= -0.5
+    quad += np.log(gmm.weights) + log_norm
+    return quad
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)), shifted by each row's max; the max is taken
+    column by column, which is exact and propagates NaN as np.max does."""
+    m = a[:, 0].copy()
+    for column in a.T[1:]:
+        np.maximum(m, column, out=m)
+    shifted = a - m[:, None]
+    return m + np.log(np.sum(np.exp(shifted, out=shifted), axis=1))
 
 
 def average_log_likelihood(gmm: Gmm, X: np.ndarray) -> float:
     """Per-point average log-likelihood of X under the mixture."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return float(np.mean(_logsumexp(_log_gaussian_terms(gmm, X, X * X), axis=1)))
+    return float(np.mean(_logsumexp(_log_gaussian_terms(gmm, X, X * X))))
 
 
 def gmm_posteriors(gmm: Gmm, x: np.ndarray) -> np.ndarray:
@@ -201,7 +213,8 @@ def gmm_posteriors(gmm: Gmm, x: np.ndarray) -> np.ndarray:
     if X.shape[1] != gmm.dim:
         raise VocabError(f"input dim {X.shape[1]} != gmm dim {gmm.dim}")
     log_terms = _log_gaussian_terms(gmm, X, X * X)
-    gamma = np.exp(log_terms - _logsumexp(log_terms, axis=1)[:, None])
+    log_terms -= _logsumexp(log_terms)[:, None]
+    gamma = np.exp(log_terms, out=log_terms)
     return gamma[0] if single else gamma
 
 
@@ -268,14 +281,15 @@ def fit_gmm(
     prev = None
     for _ in range(max_iters):
         log_terms = _log_gaussian_terms(gmm, X, XX)
-        lse = _logsumexp(log_terms, axis=1)
+        lse = _logsumexp(log_terms)
         avg_ll = float(np.mean(lse))
         trace.append(avg_ll)
         if prev is not None and avg_ll - prev < tol:
             break
         prev = avg_ll
 
-        gamma = np.exp(log_terms - lse[:, None])
+        log_terms -= lse[:, None]
+        gamma = np.exp(log_terms, out=log_terms)
         nk = gamma.sum(axis=0)
         nk_safe = np.maximum(nk, 1e-10)
         weights = nk / n
@@ -358,36 +372,35 @@ def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> np.ndarray:
 
 
 # The trained stages and the database index, stored field by field as
-# "<section>_<field>" arrays; a field _LAYOUT does not name (a fit diagnostic)
-# is not stored.
+# "<section>_<field>"; a field that neither _HEADER_FIELDS nor _LAYOUT names
+# (a fit diagnostic) is not stored.
 _SECTIONS = {"pca": PcaModel, "gmm": Gmm, "kpca": KpcaModel, "index": DatabaseIndex}
-# Arrays of a model file: name -> (dtype, shape).  Shapes are given in named
-# dimensions; a name binds at the first array that has it and must agree
-# after.  Each section has its own names, so _check_vocabulary reports
-# cross-section mismatches in its own words.  "U" is fixed-width unicode of
-# any width, since np.load(allow_pickle=False) reads no object arrays.  The
-# index arrays hold one entry per database image; its features are members
-# of their own (_ROW_MEMBER).
+# A model file is an uncompressed zip of a JSON header (the scalars, the
+# image ids and the named dimensions, by type), one raw little-endian member
+# per _LAYOUT array, and the index rows' member.
+_HEADER = "header.json"
+_HEADER_FIELDS = {"version": int, "alpha": float, "descriptor_dim": int, "pca_whiten": bool,
+                  "index_image_ids": list, "dims": dict}
+# name -> (dtype, shape in the header's named dimensions).  Each section has
+# its own names, so _check_vocabulary reports cross-section mismatches in
+# its own words.  The index arrays hold one entry per database image.
 _LAYOUT = {
-    "version": ("i8", ()),
-    "alpha": ("f8", ()),
-    "descriptor_dim": ("i8", ()),
-    "pca_whiten": ("?", ()),
-    "pca_mean": ("f8", ("pca_in",)),
-    "pca_eigenvalues": ("f8", ("pca_out",)),
-    "pca_basis": ("f8", ("pca_out", "pca_in")),
-    "gmm_weights": ("f8", ("k",)),
-    "gmm_means": ("f8", ("k", "gmm_dim")),
-    "gmm_variances": ("f8", ("k", "gmm_dim")),
-    "kpca_matrix": ("f8", ("m", "f")),
-    "kpca_offset": ("f8", ("m",)),
-    "index_image_ids": ("U", ("rows",)),
-    "index_embeddings": ("f8", ("rows", "m")),
-    "index_feature_counts": ("i8", ("rows",)),
+    "pca_mean": ("<f8", ("pca_in",)),
+    "pca_eigenvalues": ("<f8", ("pca_out",)),
+    "pca_basis": ("<f8", ("pca_out", "pca_in")),
+    "gmm_weights": ("<f8", ("k",)),
+    "gmm_means": ("<f8", ("k", "gmm_dim")),
+    "gmm_variances": ("<f8", ("k", "gmm_dim")),
+    "kpca_matrix": ("<f8", ("m", "f")),
+    "kpca_offset": ("<f8", ("m",)),
+    "index_embeddings": ("<f8", ("rows", "m")),
+    "index_feature_counts": ("<i8", ("rows",)),
+    "index_row_crc32": ("<u4", ("rows",)),
 }
-# Member of index row k's features: its (count, 6) frames, then its
-# (count, descriptor_dim) unit descriptors, as raw little-endian float64.
-_ROW_MEMBER = "index_rows/{}"
+# Every index row, one after another: row k is its (count, 6) frames, then
+# its (count, descriptor_dim) unit descriptors, as raw little-endian float64,
+# and index_row_crc32[k] is the CRC-32 of its bytes.
+_ROWS = "index_rows"
 
 
 def _member(name: str) -> zipfile.ZipInfo:
@@ -395,85 +408,77 @@ def _member(name: str) -> zipfile.ZipInfo:
     return zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
 
 
-def _model_arrays(vocab: Vocabulary) -> Dict[str, np.ndarray]:
-    """The arrays of vocab's model file by _LAYOUT name, each C-contiguous."""
-    values = {"version": VOCAB_VERSION, "alpha": vocab.alpha, "descriptor_dim": vocab.descriptor_dim}
-    for section in _SECTIONS:
-        model = getattr(vocab, section)
-        for f in fields(model):
-            values[f"{section}_{f.name}"] = getattr(model, f.name)
-    return {
-        name: np.asarray(values[name], dtype=str if dtype == "U" else dtype, order="C")
-        for name, (dtype, _) in _LAYOUT.items()
-    }
-
-
-def _vocabulary_from(arrays: Dict[str, np.ndarray], path, archive) -> Vocabulary:
-    """The Vocabulary that model-file arrays hold, once every check passes;
-    its index rows are read from archive(), the calling process's archive."""
-    dims = {}
-    for name, (dtype, shape) in _LAYOUT.items():
-        a = arrays.get(name)
-        if a is None:
-            raise VocabError(f"{path}: missing array {name!r}")
-        if not isinstance(a, np.ndarray) or (
-            a.dtype.kind != "U" if dtype == "U" else a.dtype != dtype
-        ):
-            raise VocabError(f"{path}: array {name!r} is not of dtype {dtype}")
-        for dim, size in zip(shape, a.shape):
-            dims.setdefault(dim, size)
-        expected = tuple(dims.get(dim, dim) for dim in shape)
-        if a.shape != expected:
+def _vocabulary_from(header: dict, members: Dict[str, bytes], rows, path, fh) -> Vocabulary:
+    """The Vocabulary that a model file's header and raw arrays hold, once every
+    check passes; it reads index rows from fh, where rows = (offset, size)."""
+    for name, kind in _HEADER_FIELDS.items():
+        if type(header.get(name)) is not kind:
+            raise VocabError(f"{path}: header field {name!r} is not of type {kind.__name__}")
+    if not math.isfinite(header["alpha"]):
+        raise VocabError(f"{path}: non-finite value in alpha")
+    values, dims, ids = dict(header), header["dims"], header["index_image_ids"]
+    for name, (dtype, dim_names) in _LAYOUT.items():
+        shape = tuple(dims.get(d) for d in dim_names)
+        if not all(type(size) is int and size >= 0 for size in shape):
+            raise VocabError(f"{path}: header dims {dim_names} of array {name!r} are not counts")
+        size, data = np.dtype(dtype).itemsize * math.prod(shape), members[name]
+        if len(data) != size:
             raise VocabError(
-                f"{path}: array {name!r} has shape {a.shape}, expected {expected}"
+                f"{path}: array {name!r} has {len(data)} bytes, expected {size} for shape {shape}"
             )
-        if dtype == "f8" and not np.isfinite(a).all():
+        try:
+            values[name] = np.frombuffer(data, dtype).reshape(shape)
+        except ValueError as exc:  # an empty array with a dimension numpy cannot hold
+            raise VocabError(f"{path}: array {name!r} of shape {shape}: {exc}") from None
+        if dtype == "<f8" and not np.isfinite(values[name]).all():
             section = name.split("_")[0]
-            section = section.upper() if section in ("pca", "gmm", "kpca") else section
+            section = section if section == "index" else section.upper()
             raise VocabError(f"{path}: non-finite value in {section} section")
-        # version leads _LAYOUT, so an older file is named as such before
-        # any array it lacks is reported missing.
-        if name == "version" and a.item() != VOCAB_VERSION:
-            raise VocabError(
-                f"{path}: model file version {a.item()}, expected {VOCAB_VERSION} "
-                "(rebuild it with build-vocab)"
-            )
-    # Scalars load as Python values, image ids as a list of str.
-    a = {n: x.tolist() if x.ndim == 0 or x.dtype.kind == "U" else x for n, x in arrays.items()}
-    ids, counts, dim = a["index_image_ids"], a["index_feature_counts"], a["descriptor_dim"]
+    if len(ids) != dims["rows"] or not all(type(i) is str for i in ids):
+        raise VocabError(f"{path}: header field 'index_image_ids' is not {dims['rows']} strings")
     vocab = Vocabulary(
         **{
             section: cls(
-                **{f.name: a[f"{section}_{f.name}"] for f in fields(cls)
-                   if f"{section}_{f.name}" in _LAYOUT}
+                **{f.name: values[f"{section}_{f.name}"] for f in fields(cls)
+                   if f"{section}_{f.name}" in values}
             )
             for section, cls in _SECTIONS.items()
         },
-        read_row=lambda k: read_index_row(archive(), path, k, ids[k], int(counts[k]), dim),
-        descriptor_dim=dim,
-        alpha=a["alpha"],
+        read_row=None,
+        descriptor_dim=header["descriptor_dim"],
+        alpha=header["alpha"],
     )
     _check_vocabulary(path, vocab)
+    counts, crcs = values["index_feature_counts"].tolist(), values["index_row_crc32"].tolist()
+    dim, width = vocab.descriptor_dim, 8 * (len(FRAME_FIELDS) + vocab.descriptor_dim)
+    starts = list(itertools.accumulate((width * c for c in counts), initial=rows[0]))
+    held = min(rows[1], os.fstat(fh.fileno()).st_size - rows[0])
+    if starts[-1] - rows[0] != held:
+        raise VocabError(
+            f"{path}: index rows member has {held} bytes, "
+            f"expected {starts[-1] - rows[0]} for the feature counts"
+        )
+    vocab.read_row = lambda k: read_index_row(fh, path, ids[k], starts[k], counts[k], dim, crcs[k])
     return vocab
 
 
-def read_index_row(
-    archive: zipfile.ZipFile, path, k: int, image_id: str, count: int, dim: int
-) -> ImageFeatures:
-    """Index row k's features, read from the model file's archive (which
-    checks the member's CRC-32) and then checked as parse_feature_file checks
-    a PATF file's rows."""
-    try:
-        data = archive.read(_ROW_MEMBER.format(k))
-    except Exception as exc:
-        # Damaged bytes fail with many types, as in load_vocabulary.
-        raise VocabError(f"{path}: unreadable index row of {image_id!r}: {exc}") from None
+def read_index_row(fh, path, image_id, at: int, count: int, dim: int, crc: int) -> ImageFeatures:
+    """An index row's features, read at byte at of the open model file fh
+    and checked against the row's stored CRC-32, then as parse_feature_file
+    checks a PATF file's rows.  os.pread moves no file offset, so forked
+    processes share the descriptor."""
     size = 8 * count * (len(FRAME_FIELDS) + dim)
+    try:
+        data = os.pread(fh.fileno(), size, at)
+    except (OSError, ValueError) as exc:  # ValueError: fh is closed
+        raise VocabError(f"{path}: unreadable index row of {image_id!r}: {exc}") from None
     if len(data) != size:
         raise VocabError(
             f"{path}: index row of {image_id!r} has {len(data)} bytes, "
             f"expected {size} for {count} features"
         )
+    if zlib.crc32(data) != crc:
+        raise VocabError(f"{path}: unreadable index row of {image_id!r}: bad CRC-32")
     values = np.frombuffer(data, dtype="<f8")
     frames = values[: count * len(FRAME_FIELDS)].reshape(count, len(FRAME_FIELDS))
     descriptors = values[frames.size :].reshape(count, dim)
@@ -493,32 +498,42 @@ def read_index_row(
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    """Write vocab as one model file: an uncompressed zip of .npy arrays and
-    one member per index row.
-
-    Written through an open handle, so path is used as given (np.savez would
-    append ".npz"), with fixed member timestamps, so one model gives one byte
-    string.
+    """Write vocab as one model file, streaming the index rows into their
+    member one by one.  Written through an open handle, so path is used as
+    given, with fixed member timestamps, so one model gives one byte string.
     """
+    values = {"version": VOCAB_VERSION, "alpha": vocab.alpha, "descriptor_dim": vocab.descriptor_dim}
+    for section in _SECTIONS:
+        model = getattr(vocab, section)
+        values.update((f"{section}_{f.name}", getattr(model, f.name)) for f in fields(model))
+    rows, counts, crcs = _member(_ROWS), vocab.index.feature_counts, []
+    # Sized ahead, so zipfile gives a member over 2 GiB a zip64 header.
+    rows.file_size = 8 * (len(FRAME_FIELDS) + vocab.descriptor_dim) * int(np.sum(counts))
     with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
-        for name, array in _model_arrays(vocab).items():
-            with archive.open(_member(f"{name}.npy"), "w") as out:
-                np.lib.format.write_array(out, array, allow_pickle=False)
-        for k in range(len(vocab.index.image_ids)):
-            f = vocab.read_row(k)
-            archive.writestr(
-                _member(_ROW_MEMBER.format(k)),
-                np.ascontiguousarray(f.frames, "<f8").tobytes()
-                + np.ascontiguousarray(f.descriptors, "<f8").tobytes(),
-            )
+        with archive.open(rows, "w") as out:
+            for f in map(vocab.read_row, range(len(counts))):
+                data = b"".join(np.ascontiguousarray(a, "<f8").tobytes()
+                                for a in (f.frames, f.descriptors))
+                crcs.append(zlib.crc32(data))
+                out.write(data)
+        values["index_row_crc32"] = crcs
+        arrays = {n: np.ascontiguousarray(values[n], dtype) for n, (dtype, _) in _LAYOUT.items()}
+        values["dims"] = {d: size for n, (_, dim_names) in _LAYOUT.items()
+                          for d, size in zip(dim_names, arrays[n].shape)}
+        header = {name: kind(values[name]) for name, kind in _HEADER_FIELDS.items()}
+        archive.writestr(_member(_HEADER), json.dumps(header))
+        for name, array in arrays.items():
+            archive.writestr(_member(name), array.tobytes())
 
 
 def load_vocabulary(path) -> Vocabulary:
-    """Read a model file written by save_vocabulary and check every array.
+    """Read a model file written by save_vocabulary and check its header and
+    every array.
 
-    Index row k's features are read and checked on each read_row(k) call,
-    so the file stays open until the vocabulary is closed: use the result
-    in a with block.
+    Index row k's features are read and checked on each read_row(k) call, by
+    offset in the file this opens, so the file stays open until the
+    vocabulary is closed: use the result in a with block.  A forked process
+    reads rows through the same descriptor, from the file that was loaded.
     """
     path = Path(path)
     with contextlib.ExitStack() as stack:
@@ -528,37 +543,34 @@ def load_vocabulary(path) -> Vocabulary:
                 f"{path}: not a model file (a text vocabulary from an older "
                 "version must be rebuilt with build-vocab)"
             )
-        fh.seek(0)
         try:
-            archive = stack.enter_context(np.load(fh, allow_pickle=False))
-            arrays = {name: archive[name] for name in _LAYOUT if name in archive.files}
+            with zipfile.ZipFile(fh) as archive:
+                if "version.npy" in archive.namelist():  # a file from before version 7
+                    header = {"version": np.load(io.BytesIO(archive.read("version.npy"))).item()}
+                else:
+                    header = json.loads(archive.read(_HEADER))
+                if not isinstance(header, dict):
+                    raise VocabError(f"{path}: header {_HEADER!r} is not a JSON object")
+                # An older file is named as such before anything it lacks.
+                if header.get("version") != VOCAB_VERSION:
+                    raise VocabError(
+                        f"{path}: model file version {header.get('version')}, "
+                        f"expected {VOCAB_VERSION} (rebuild it with build-vocab)"
+                    )
+                members = {name: archive.read(name) for name in _LAYOUT}
+                rows = archive.getinfo(_ROWS)
+                # The rows' data follows their 30-byte local header, name and extra field.
+                fh.seek(rows.header_offset)
+                at = rows.header_offset + 30 + sum(struct.unpack("<26xHH", fh.read(30)))
+        except VocabError:
+            raise
         except Exception as exc:
-            # zipfile and np.load fail on damaged bytes with many types
-            # (BadZipFile, EOFError, KeyError, RuntimeError, TokenError, ...).
+            # zipfile, json and np.load fail on damaged bytes with many types
+            # (BadZipFile, EOFError, KeyError, ValueError, struct.error, ...).
             raise VocabError(f"{path}: unreadable model file: {exc}") from None
-        vocab = _vocabulary_from(arrays, path, _process_archive(path, fh, archive.zip))
+        vocab = _vocabulary_from(header, members, (at, rows.compress_size), path, fh)
         vocab.close = stack.pop_all().close
     return vocab
-
-
-def _process_archive(path, fh, archive: zipfile.ZipFile) -> Callable[[], zipfile.ZipFile]:
-    """The model file's archive for the calling process: archive in the
-    loader.  Any other process (a forked evaluate worker) opens the file anew
-    on its first read, so no two processes share a file offset, and checks
-    that it is the file the loader opened."""
-    identity = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
-    loaded, archives = identity(os.fstat(fh.fileno())), {os.getpid(): archive}
-
-    def current() -> zipfile.ZipFile:
-        if os.getpid() not in archives:
-            own = open(path, "rb")
-            if identity(os.fstat(own.fileno())) != loaded:
-                own.close()
-                raise VocabError(f"{path}: model file changed since it was loaded")
-            archives[os.getpid()] = zipfile.ZipFile(own)
-        return archives[os.getpid()]
-
-    return current
 
 
 def _check_vocabulary(path, vocab: Vocabulary) -> None:

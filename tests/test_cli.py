@@ -4,7 +4,6 @@ import os
 import pickle
 import shutil
 import sys
-import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -360,9 +359,9 @@ def row_reads(monkeypatch, tmp_path):
     spy = Spy(tmp_path / "row_reads.log")
     read = patreid.vocab.read_index_row
 
-    def counted(archive, path, k, image_id, count, dim):
+    def counted(fh, path, image_id, *row):
         spy.record(image_id)
-        return read(archive, path, k, image_id, count, dim)
+        return read(fh, path, image_id, *row)
 
     monkeypatch.setattr(patreid.vocab, "read_index_row", counted)
     return spy
@@ -417,13 +416,12 @@ def _swap_in_ind002_v0(bench):
 
 
 def _damaged_row(model, out, image_id):
-    """A copy of model with one byte flipped in image_id's index row."""
+    """model, or a copy of it at out, with one byte flipped in image_id's
+    index row."""
     with load_vocabulary(model) as vocabulary:
-        k = vocabulary.index.image_ids.index(image_id)
-    with zipfile.ZipFile(model) as archive:
-        row = archive.read(f"index_rows/{k}")
+        features = vocabulary.read_row(vocabulary.index.image_ids.index(image_id))
     data = bytearray(model.read_bytes())
-    data[data.index(row) + 5] ^= 0x40
+    data[data.index(features.frames.tobytes() + features.descriptors.tobytes()) + 5] ^= 0x40
     out.write_bytes(bytes(data))
     return out
 
@@ -753,7 +751,20 @@ class TestParallelEvaluate:
         row_reads.clear()
         return next(image_id for image_id in next(iter(reads.values())) if image_id not in mine)
 
-    def test_damaged_row_only_worker_reads(self, indexed, tmp_path, capsys, cpus, row_reads):
+    @staticmethod
+    def _after_load(monkeypatch, change):
+        """Make the CLI call change(path) on its model file just after loading it."""
+        load = patreid.cli.load_vocabulary
+
+        def load_then_change(path):
+            vocabulary = load(path)
+            change(path)
+            return vocabulary
+
+        monkeypatch.setattr(patreid.cli, "load_vocabulary", load_then_change)
+
+    def test_damaged_row_only_worker_reads(self, indexed, tmp_path, capsys, cpus, row_reads,
+                                           monkeypatch):
         bench, model = indexed
         copy = shutil.copytree(bench, tmp_path / "bench")
         flags = ("--shortlist", "1")
@@ -770,6 +781,47 @@ class TestParallelEvaluate:
         assert one[2].startswith(f"error: {damaged}: unreadable index row of '{row}'")
         assert "CRC" in one[2]
         assert two == one
+        # The same byte flipped in place after the file is loaded fails the
+        # same read with the same line, whichever process reads the row.
+        at = next(i for i, pair in enumerate(zip(model.read_bytes(), damaged.read_bytes()))
+                  if pair[0] != pair[1])
+
+        def flip(path):
+            with open(path, "r+b") as fh:
+                fh.seek(at)
+                byte = fh.read(1)[0]
+                fh.seek(at)
+                fh.write(bytes([byte ^ 0x40]))
+
+        self._after_load(monkeypatch, flip)
+        for n in (1, 2):
+            shutil.copy(model, damaged)
+            cpus(n)
+            assert _evaluate(capsys, copy, damaged, *flags) == one
+        assert_no_child_left()
+
+    def test_worker_reads_the_loaded_file(self, indexed, tmp_path, capsys, cpus, row_reads,
+                                          monkeypatch):
+        # Workers read rows through the descriptor they inherit, so a file
+        # renamed over the path after the load is not read, even one whose
+        # copy of a row that only the worker reads is damaged.
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        flags = ("--shortlist", "1")
+        cpus(2)
+        row = self._row_only_worker_reads(copy, model, capsys, row_reads, flags)
+        loaded = shutil.copy(model, tmp_path / "model.bin")
+        cpus(1)
+        one = _evaluate(capsys, copy, loaded, *flags)
+        damaged = _damaged_row(model, tmp_path / "damaged.bin", row)
+        self._after_load(monkeypatch, lambda path: os.replace(damaged, path))
+        forks = cpus(2)
+        two = _evaluate(capsys, copy, loaded, *flags)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert one[0] == 0 and one[3]
+        assert two == one
+        assert loaded.read_bytes() != model.read_bytes()  # the rename happened
 
     def test_parse_error_outranks_earlier_slice_row_error(self, indexed, tmp_path, capsys,
                                                           cpus, row_reads):
@@ -808,21 +860,6 @@ class TestParallelEvaluate:
         assert_no_child_left()
         assert code == 1 and out == ""
         assert err == "error: queries 5-8: worker ended without a result\n"
-
-    def test_worker_rejects_replaced_model_file(self, indexed, tmp_path, cpus):
-        bench, model = indexed
-        copy = shutil.copy(model, tmp_path / "model.bin")
-        manifest = load_manifest(bench / "manifest.csv")
-        params = [patreid.reid.CombineParams(shortlist_size=0)]
-        cpus(2)
-        with load_vocabulary(copy) as vocabulary:
-            # Same bytes, another file: the worker must not read rows from it.
-            shutil.copy(model, tmp_path / "other.bin")
-            os.replace(tmp_path / "other.bin", copy)
-            with pytest.raises(patreid.vocab.VocabError,
-                               match=f"{copy}: model file changed since it was loaded"):
-                patreid.reid.evaluate(manifest, vocabulary, params)
-        assert_no_child_left()
 
     @pytest.mark.parametrize("rule", ["exp", "app"])
     def test_query_never_forks(self, indexed, capsys, cpus, rule):

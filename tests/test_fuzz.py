@@ -7,8 +7,10 @@ finite result, and the CLI must turn every failure into exit 1 or 2 with an
 
 import contextlib
 import io
+import json
 import warnings
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ def damaged(data):
 
 
 # Values written into single entries of a model file's index: its feature
-# counts, and the frames and descriptors of its rows' members.
+# counts, and the frames and descriptors of its rows.
 MEMBER_VALUES = {
     "index_feature_counts": [-1, 0, 1, 7, 1 << 62],
     "index_frames": [0.0, -1.0, 1e-13, 1e200, np.nan, np.inf],
@@ -70,30 +72,29 @@ MEMBER_VALUES = {
 
 def members_damaged(data):
     """Strategy: a model file with a few entries of its index feature counts
-    or of its index rows' frames and descriptors overwritten, saved again as
-    a valid archive."""
+    or of its index rows' frames and descriptors overwritten, each edited
+    row's CRC-32 stored anew, saved again as a valid archive."""
     with zipfile.ZipFile(io.BytesIO(data)) as archive:
         members = {info.filename: archive.read(info) for info in archive.infolist()}
-    counts = np.load(io.BytesIO(members["index_feature_counts.npy"]))
-    dim = int(np.load(io.BytesIO(members["descriptor_dim.npy"])))
+    counts = np.frombuffer(members["index_feature_counts"], "<i8")
+    width = 6 + json.loads(members["header.json"])["descriptor_dim"]
+    starts = np.concatenate([[0], np.cumsum(width * counts)])
 
     def rewrite(edits):
-        changed = dict(members)
+        array, crcs = counts.copy(), np.frombuffer(members["index_row_crc32"], "<u4").copy()
+        rows = np.frombuffer(members["index_rows"], "<f8").copy()
         for name, k, at, value in edits:
             if name == "index_feature_counts":
-                array = counts.copy()
                 array[at % array.size] = value
-                buffer = io.BytesIO()
-                np.save(buffer, array)
-                changed["index_feature_counts.npy"] = buffer.getvalue()
                 continue
-            row = f"index_rows/{k % counts.size}"
-            values = np.frombuffer(changed[row], dtype="<f8").copy()
-            frames = 6 * counts[k % counts.size]
-            part = values[:frames] if name == "index_frames" else values[frames:]
+            k %= counts.size
+            row = rows[starts[k] : starts[k + 1]]
+            part = row[: 6 * counts[k]] if name == "index_frames" else row[6 * counts[k] :]
             if part.size:
                 part[at % part.size] = value
-            changed[row] = values.tobytes()
+            crcs[k] = zlib.crc32(row.tobytes())
+        changed = dict(members, index_feature_counts=array.tobytes(),
+                       index_row_crc32=crcs.tobytes(), index_rows=rows.tobytes())
         out = io.BytesIO()
         with zipfile.ZipFile(out, "w") as archive:
             for name, blob in changed.items():

@@ -2,7 +2,10 @@
 
 import inspect
 import io
+import json
+import os
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -511,35 +514,49 @@ def _read_all(path):
 
 
 def _members(path):
-    """A model file's members: arrays by name for the .npy members, and
-    (frames, descriptors) by member name for the index rows."""
-    with np.load(path, allow_pickle=False) as archive:
-        members = {name: archive[name] for name in archive.files}
-    dim = int(members["descriptor_dim"])
-    for k, count in enumerate(members["index_feature_counts"]):
-        values = np.frombuffer(members[f"index_rows/{k}"], dtype="<f8")
-        members[f"index_rows/{k}"] = (
-            values[: 6 * count].reshape(count, 6), values[6 * count :].reshape(count, dim)
-        )
-    return members
+    """A model file's members: its header as a dict, each raw array by name,
+    and index_rows as a list of each row's (frames, descriptors)."""
+    with zipfile.ZipFile(path) as archive:
+        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    header = json.loads(members.pop("header.json"))
+    dims, rows = header["dims"], members.pop("index_rows")
+    members = {name: np.frombuffer(members[name], dtype).reshape([dims[d] for d in shape]).copy()
+               for name, (dtype, shape) in vocab_module._LAYOUT.items()}
+    values, dim, at = np.frombuffer(rows, "<f8"), header["descriptor_dim"], 0
+    members["index_rows"] = []
+    for count in members["index_feature_counts"]:
+        frames = values[at : at + 6 * count].reshape(count, 6)
+        descriptors = values[at + 6 * count : at + (6 + dim) * count].reshape(count, dim)
+        members["index_rows"].append((frames, descriptors))
+        at += (6 + dim) * count
+    return {"header.json": header, **members}
 
 
 def _rewrite(path, changes):
-    """Rewrite a model file's members: an array replaces an .npy member, a
-    (frames, descriptors) pair or bytes an index row, and None drops one."""
+    """Rewrite a model file's members: a dict replaces the header, an array
+    (its raw bytes) an array member, a list of (frames, descriptors) the
+    index rows, whose CRC-32s are stored anew unless changes gives them;
+    bytes replace any member and None drops one.  An array whose name ends
+    in ".npy" is written in the .npy format of files before version 7."""
     with zipfile.ZipFile(path) as archive:
         members = {info.filename: archive.read(info) for info in archive.infolist()}
+    rows = changes.get("index_rows")
+    if isinstance(rows, list):
+        rows = [b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in row) for row in rows]
+        changes = {"index_row_crc32": np.array([zlib.crc32(r) for r in rows], "<u4"),
+                   **changes, "index_rows": b"".join(rows)}
     for name, value in changes.items():
-        member = name if name.startswith("index_rows/") else f"{name}.npy"
-        if isinstance(value, np.ndarray):
+        if isinstance(value, dict):
+            value = json.dumps(value).encode()
+        elif isinstance(value, np.ndarray) and name.endswith(".npy"):
             buffer = io.BytesIO()
-            np.lib.format.write_array(buffer, value, allow_pickle=True)
+            np.lib.format.write_array(buffer, value)
             value = buffer.getvalue()
-        elif isinstance(value, tuple):
-            value = b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in value)
-        members.pop(member, None)
+        elif isinstance(value, np.ndarray):
+            value = value.tobytes()
+        members.pop(name, None)
         if value is not None:
-            members[member] = value
+            members[name] = value
     with zipfile.ZipFile(path, "w") as archive:
         for name, data in members.items():
             archive.writestr(name, data)
@@ -547,8 +564,32 @@ def _rewrite(path, changes):
 
 def _row_change(k, frames=lambda f: f, descriptors=lambda d: d):
     """A change of index row k's frames and descriptors."""
-    return lambda a: {f"index_rows/{k}": (frames(a[f"index_rows/{k}"][0]),
-                                          descriptors(a[f"index_rows/{k}"][1]))}
+
+    def change(a):
+        rows = list(a["index_rows"])
+        rows[k] = (frames(rows[k][0]), descriptors(rows[k][1]))
+        return {"index_rows": rows}
+
+    return change
+
+
+def _header_change(**fields):
+    """A change of the header's fields."""
+    return lambda a: {"header.json": {**a["header.json"], **fields}}
+
+
+def _before_version_7(version, **members):
+    """A file of an older layout, with no header and no raw member: its
+    version.npy, then members (arrays named "<name>.npy")."""
+    return lambda a: {**dict.fromkeys(["header.json", "index_rows", *vocab_module._LAYOUT]),
+                      "version.npy": np.array(version), **members}
+
+
+def _row_bytes(path, k):
+    """Index row k's bytes in the model file at path."""
+    with load_vocabulary(path) as vocab:
+        row = vocab.read_row(k)
+    return row.frames.tobytes() + row.descriptors.tobytes()
 
 
 class TestModelFile:
@@ -578,24 +619,32 @@ class TestModelFile:
             for member in archive.infolist():
                 assert member.date_time == (1980, 1, 1, 0, 0, 0)
                 assert member.compress_type == zipfile.ZIP_STORED
-            # One raw member per index row: 8 bytes per frame field and
-            # descriptor value of each of its features.
-            rows = [n for n in archive.namelist() if n.startswith("index_rows/")]
-            assert rows == ["index_rows/0", "index_rows/1", "index_rows/2"]
-            # Beside them, exactly the arrays a search reads.
-            assert sorted(set(archive.namelist()) - set(rows)) == sorted(
-                f"{name}.npy" for name in vocab_module._LAYOUT
+            # The header, one raw member per array, and one member of every
+            # index row: 8 bytes per frame field and descriptor value of each
+            # feature.  The member count does not grow with the database.
+            assert sorted(archive.namelist()) == sorted(
+                ["header.json", "index_rows", *vocab_module._LAYOUT]
             )
-            assert [archive.getinfo(n).file_size for n in rows] == [8 * 3 * 16, 8 * 2 * 16, 0]
-        with np.load(path, allow_pickle=False) as archive:
-            assert archive["index_image_ids"].dtype.kind == "U"
-            assert archive["index_image_ids"].tolist() == ["img0", "img1", "empty"]
+            assert archive.getinfo("index_rows").file_size == 8 * (3 + 2 + 0) * 16
+        members = _members(path)
+        assert members["header.json"]["index_image_ids"] == ["img0", "img1", "empty"]
+        assert members["header.json"]["dims"]["rows"] == 3
+        assert members["index_row_crc32"].tolist() == [
+            zlib.crc32(_row_bytes(path, k)) for k in range(3)
+        ]
+
+    def test_load_parses_no_npy_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(_indexed_vocabulary(), path)
+        monkeypatch.setattr(np.lib.format, "read_array", None)
+        monkeypatch.setattr(np, "load", None)
+        with load_vocabulary(path) as vocab:
+            assert vocab.read_row(0).count == 3
 
     def test_empty_index_is_data(self, tmp_path):
         path = tmp_path / "vocab.txt"
         save_vocabulary(TestVocabularyPersistence()._make_vocabulary(), path)
-        with np.load(path, allow_pickle=False) as archive:
-            assert archive["index_embeddings"].shape == (0, 4)
+        assert _members(path)["index_embeddings"].shape == (0, 4)
         assert _read_all(path)[0].index.image_ids == []
 
     def test_rows_read_on_demand(self, tmp_path, monkeypatch):
@@ -605,7 +654,7 @@ class TestModelFile:
         read_index_row = vocab_module.read_index_row
         monkeypatch.setattr(
             vocab_module, "read_index_row",
-            lambda *args: reads.append(args[3]) or read_index_row(*args),
+            lambda *args: reads.append(args[2]) or read_index_row(*args),
         )
         with load_vocabulary(path) as vocab:
             assert reads == []
@@ -619,30 +668,50 @@ class TestModelFile:
         # One flipped byte inside a row's data fails only that row's read.
         path = tmp_path / "vocab.txt"
         save_vocabulary(_indexed_vocabulary(), path)
-        with zipfile.ZipFile(path) as archive:
-            row = archive.read("index_rows/1")
+        row = _row_bytes(path, 1)
         data = bytearray(path.read_bytes())
         data[data.index(row) + 5] ^= 0x40
         path.write_bytes(bytes(data))
         with load_vocabulary(path) as vocab:
             vocab.read_row(0)
-            with pytest.raises(VocabError, match="unreadable index row of 'img1'.*CRC"):
+            with pytest.raises(VocabError, match="unreadable index row of 'img1': bad CRC-32"):
                 vocab.read_row(1)
+
+    def test_rows_read_from_the_loaded_file(self, tmp_path):
+        # A row is read from the file that was loaded, as it is when read:
+        # replacing the path changes nothing, a byte flipped in place fails.
+        path, other = tmp_path / "vocab.txt", tmp_path / "other.txt"
+        save_vocabulary(_indexed_vocabulary(), path)
+        rows = [_row_bytes(path, k) for k in range(3)]
+        with load_vocabulary(path) as vocab:
+            save_vocabulary(TestVocabularyPersistence()._make_vocabulary(), other)
+            os.replace(other, path)
+            assert [vocab.read_row(k).frames.tobytes() for k in range(2)] == [
+                r[: len(r) * 6 // 16] for r in rows[:2]
+            ]
+        save_vocabulary(_indexed_vocabulary(), path)
+        with load_vocabulary(path) as vocab:
+            with open(path, "r+b") as fh:
+                fh.seek(path.read_bytes().index(rows[0]) + 9)
+                fh.write(b"\x01")
+            with pytest.raises(VocabError, match="unreadable index row of 'img0': bad CRC-32"):
+                vocab.read_row(0)
+            vocab.read_row(1)
 
     @pytest.mark.parametrize(
         "change, row, message",
         [
-            (lambda a: {"gmm_weights": None}, None, "missing array 'gmm_weights'"),
+            (lambda a: {"gmm_weights": None}, None, "no item named 'gmm_weights'"),
             (lambda a: {"pca_mean": a["pca_mean"].astype(np.float32)}, None,
-             "'pca_mean' is not of dtype f8"),
-            (lambda a: {"pca_whiten": np.array(1)}, None, "'pca_whiten' is not of dtype"),
+             r"array 'pca_mean' has 40 bytes, expected 80 for shape \(10,\)"),
+            (_header_change(pca_whiten=1), None, "header field 'pca_whiten' is not of type bool"),
             (lambda a: {"pca_basis": a["pca_basis"][:, :-1]}, None,
-             r"'pca_basis' has shape \(6, 9\), expected \(6, 10\)"),
-            (lambda a: {"alpha": np.array([0.5])}, None, r"'alpha' has shape \(1,\)"),
+             r"'pca_basis' has 432 bytes, expected 480 for shape \(6, 10\)"),
+            (_header_change(alpha=[0.5]), None, "header field 'alpha' is not of type float"),
             (lambda a: {"index_feature_counts": a["index_feature_counts"][:-1]}, None,
-             r"'index_feature_counts' has shape \(2,\), expected \(3,\)"),
+             r"'index_feature_counts' has 16 bytes, expected 24 for shape \(3,\)"),
             (lambda a: {"index_embeddings": a["index_embeddings"][:, :-1]}, None,
-             r"'index_embeddings' has shape \(3, 3\), expected \(3, 4\)"),
+             r"'index_embeddings' has 72 bytes, expected 96 for shape \(3, 4\)"),
             (lambda a: {"index_embeddings": np.where(a["index_embeddings"] > 0.1, np.nan, 0.0)},
              None, "non-finite value in index"),
             (lambda a: {"index_embeddings": 2.0 * a["index_embeddings"]}, None,
@@ -651,33 +720,29 @@ class TestModelFile:
              r"index embedding of 'img0' has norm 0\.5, expected 1 \(or 0"),
             (lambda a: {"index_embeddings": 1e-7 * a["index_embeddings"]}, None,
              r"index embedding of 'img0' has norm 1e-07, expected 1 \(or 0"),
-            (lambda a: {"index_image_ids": np.array(["img0", "img0", "empty"])}, None,
-             "image id twice"),
-            (lambda a: {"index_image_ids": a["index_image_ids"].astype(object)}, None,
-             "unreadable model file"),
-            (lambda a: {"version": np.array(1)}, None, "version 1, expected 6"),
-            (lambda a: {"version": np.array(3), "index_degenerate": np.zeros(3, dtype=bool)},
-             None, r"version 3, expected 6 \(rebuild it with build-vocab\)"),
-            (lambda a: {"version": np.array(2), "index_feature_counts": None,
-                        **{f"index_rows/{k}": None for k in range(3)}},
-             None, r"version 2, expected 6 \(rebuild it with build-vocab\)"),
-            (lambda a: {"version": np.array(4), "index_frames": np.zeros((5, 6)),
-                        "index_descriptors": np.zeros((5, 10)),
-                        **{f"index_rows/{k}": None for k in range(3)}},
-             None, r"version 4, expected 6 \(rebuild it with build-vocab\)"),
-            (lambda a: {"version": np.array(5), "kpca_matrix": None, "kpca_offset": None,
-                        "kpca_alphas": np.zeros((9, 4)),
-                        "index_sha256": np.array(["0" * 64] * 3)},
-             None, r"model file version 5, expected 6 \(rebuild it with build-vocab\)"),
+            (_header_change(index_image_ids=["img0", "img0", "empty"]), None, "image id twice"),
+            (lambda a: {"index_feature_counts": a["index_feature_counts"].astype("<i4")}, None,
+             r"'index_feature_counts' has 12 bytes, expected 24 for shape \(3,\)"),
+            (_header_change(version=1), None, "version 1, expected 7"),
+            (_before_version_7(3, **{"index_degenerate.npy": np.zeros(3, dtype=bool)}),
+             None, r"version 3, expected 7 \(rebuild it with build-vocab\)"),
+            (_before_version_7(2, **{"index_embeddings.npy": np.zeros((3, 4))}),
+             None, r"version 2, expected 7 \(rebuild it with build-vocab\)"),
+            (_before_version_7(4, **{"index_frames.npy": np.zeros((5, 6)),
+                                     "index_descriptors.npy": np.zeros((5, 10))}),
+             None, r"version 4, expected 7 \(rebuild it with build-vocab\)"),
+            (_before_version_7(5, **{"kpca_alphas.npy": np.zeros((9, 4)),
+                                     "index_sha256.npy": np.array(["0" * 64] * 3)}),
+             None, r"model file version 5, expected 7 \(rebuild it with build-vocab\)"),
             (lambda a: {"index_feature_counts": np.array([-1, 6, 0])}, None, "feature counts"),
-            (lambda a: {"index_feature_counts": np.array([3, 1, 0])}, "img1",
-             "index row of 'img1' has 256 bytes, expected 128 for 1 features"),
-            (_row_change(0, frames=lambda f: f[:, :-1]), "img0",
-             "index row of 'img0' has 360 bytes, expected 384"),
-            (_row_change(0, descriptors=lambda d: d[:-1]), "img0",
-             "index row of 'img0' has 304 bytes, expected 384"),
-            (_row_change(1, descriptors=lambda d: d[:, :-1]), "img1",
-             "index row of 'img1' has 240 bytes, expected 256"),
+            (lambda a: {"index_feature_counts": np.array([3, 1, 0])}, None,
+             "index rows member has 640 bytes, expected 512 for the feature counts"),
+            (_row_change(0, frames=lambda f: f[:, :-1]), None,
+             "index rows member has 616 bytes, expected 640"),
+            (_row_change(0, descriptors=lambda d: d[:-1]), None,
+             "index rows member has 560 bytes, expected 640"),
+            (_row_change(1, descriptors=lambda d: d[:, :-1]), None,
+             "index rows member has 624 bytes, expected 640"),
             (_row_change(0, frames=lambda f: np.where(f > 99, np.inf, f)), "img0",
              "non-finite value in index row of 'img0'"),
             (_row_change(1, descriptors=lambda d: np.where(d > 0.5, np.nan, 0.0)), "img1",
@@ -688,9 +753,26 @@ class TestModelFile:
              r"index frame with \|det\| < 1e-12 or overflowing in row of 'img1'"),
             (_row_change(0, descriptors=lambda d: d * (1.0 + 1e-11)), "img0",
              "index descriptor whose norm is not 1 within 1e-12 in row of 'img0'"),
-            (lambda a: {"index_rows/2": None}, "empty", "unreadable index row of 'empty'"),
-            (lambda a: {"index_rows/2": b"\0" * 8}, "empty",
-             "index row of 'empty' has 8 bytes, expected 0 for 0 features"),
+            (lambda a: {"index_rows": None}, None, "no item named 'index_rows'"),
+            (lambda a: {"index_rows": a["index_rows"][:2] + [(np.zeros((0, 6)), np.zeros(1))]},
+             None, "index rows member has 648 bytes, expected 640 for the feature counts"),
+            (lambda a: {"index_row_crc32": a["index_row_crc32"] ^ np.array([0, 1, 0], "<u4")},
+             "img1", "unreadable index row of 'img1': bad CRC-32"),
+            (lambda a: {"index_rows": bytes(632), "index_row_crc32": a["index_row_crc32"]},
+             None, "index rows member has 632 bytes, expected 640 for the feature counts"),
+            (lambda a: {"header.json": None}, None, "no item named 'header.json'"),
+            (lambda a: {"header.json": b'{"version": 7,'}, None, "unreadable model file: "),
+            (lambda a: {"header.json": b"[7]"}, None, "header 'header.json' is not a JSON object"),
+            (_header_change(index_image_ids=["img0", 1, "empty"]), None,
+             "header field 'index_image_ids' is not 3 strings"),
+            (lambda a: {"header.json": {**a["header.json"], "dims": {"k": 3}}}, None,
+             r"header dims \('pca_in',\) of array 'pca_mean' are not counts"),
+            (_before_version_7(6, **{"pca_mean.npy": np.zeros(10), "index_rows/0": bytes(384)}),
+             None, r"model file version 6, expected 7 \(rebuild it with build-vocab\)"),
+            (lambda a: {"header.json": {**a["header.json"],
+                                        "dims": {**a["header.json"]["dims"], "m": 0, "f": 1 << 62}},
+                        "kpca_matrix": b""},
+             None, r"array 'kpca_matrix' of shape \(0, 4611686018427387904\): "),
         ],
         ids=["missing", "dtype", "bool_dtype", "shape", "scalar_shape", "index_lengths",
              "embedding_dim", "embedding_nan", "embedding_norm", "embedding_norm_half",
@@ -699,7 +781,9 @@ class TestModelFile:
              "version_4", "version_5", "negative_count",
              "count_sum", "frame_width", "feature_lengths", "descriptor_width",
              "frame_inf", "descriptor_nan", "singular_frame", "det_overflow",
-             "descriptor_norm", "row_missing", "row_bytes"],
+             "descriptor_norm", "row_missing", "row_bytes", "row_crc", "rows_short",
+             "header_missing", "header_unparsable", "header_not_object", "id_type", "dims",
+             "version_6", "empty_huge_dim"],
     )
     def test_rejected(self, tmp_path, change, row, message):
         """A damage to the vocabulary or the index metadata fails the load;
