@@ -24,7 +24,6 @@ from .ingest import (
     parse_feature_file,
 )
 from .reid import (
-    RULES,
     CombineParams,
     ReidError,
     evaluate,
@@ -62,15 +61,14 @@ def _flagged(exc: ValueError, flags) -> str:
     return f"{flags.get(field, field)} {rest}"
 
 
-def _params(config, args, **given):
-    """config built from the fields its subcommand's flags set, plus given,
-    once its validate() passes; else a UsageError naming the flag.
+def _params(config, args):
+    """config built from the fields its subcommand's flags set, once its
+    validate() passes; else a UsageError naming the flag.
 
     validate() messages start with the offending field's name.
     """
     params = config(
-        **{f.name: getattr(args, f.name) for f in fields(config) if f.name in args.flags},
-        **given,
+        **{f.name: getattr(args, f.name) for f in fields(config) if f.name in args.flags}
     )
     try:
         params.validate()
@@ -116,7 +114,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_query(args) -> int:
-    params = _params(CombineParams, args, rule=RULE_TOKENS[args.rule])
+    params = _params(CombineParams, args)
     geometry_params = _params(GeometryParams, args)
     topk = _topk(args)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
@@ -126,10 +124,9 @@ def cmd_query(args) -> int:
         if not db_entries:
             raise UsageError("no database entries in manifest")
         db = load_images(manifest, db_entries, vocabulary)
-        try:
-            result = query_database(db, vocabulary, query_features, params, geometry_params)
-        except ReidError as exc:
-            raise UsageError(str(exc)) from None
+        result = query_database(
+            db, vocabulary, query_features, RULE_TOKENS[args.rule], params, geometry_params
+        )
 
     c = result.candidates
     best = {}
@@ -147,23 +144,17 @@ def cmd_query(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    rule_params = [_params(CombineParams, args, rule=rule) for rule in RULES]
+    params = _params(CombineParams, args)
     geometry_params = _params(GeometryParams, args)
     topk = _topk(args)
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     protocol = "split" if args.protocol == "split" else "leave_one_out"
     with load_vocabulary(_require_file(args.vocab, "vocabulary")) as vocabulary:
-        try:
-            reports = evaluate(
-                manifest,
-                vocabulary,
-                rule_params,
-                protocol,
-                k_max=topk,
-                geometry_params=geometry_params,
-            )
-        except ReidError as exc:
-            raise UsageError(str(exc)) from None
+        reports = evaluate(
+            manifest, vocabulary, params, protocol, k_max=topk, geometry_params=geometry_params
+        )
+    if args.per_query_csv:  # written first, so a failed write prints no table
+        write_per_query_csv(reports, args.per_query_csv)
 
     first = next(iter(reports.values()))
     header = "".join(f"  top-{k:<4}" for k in range(1, topk + 1))
@@ -176,7 +167,6 @@ def cmd_evaluate(args) -> int:
         print(f"  excluded {image_id}: {reason}")
 
     if args.per_query_csv:
-        write_per_query_csv(reports, args.per_query_csv)
         print(args.per_query_csv)
     return 0
 
@@ -261,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--features", required=True, help="query PATF file")
-    p.add_argument("--rule", choices=sorted(RULE_TOKENS),
-                   default=next(t for t, r in RULE_TOKENS.items() if r == CombineParams.rule))
+    p.add_argument("--rule", choices=sorted(RULE_TOKENS), default="exp")
     _add_combine_flags(p)
 
     p = _subcommand(sub, "evaluate", cmd_evaluate, help="run all rules under a protocol")
@@ -280,10 +269,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ReidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PatfError, ManifestError, VocabError, GeometryError, ReidError, OSError) as exc:
+    except (PatfError, ManifestError, VocabError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,14 +35,13 @@ class ReidError(ValueError):
 
 @dataclass
 class CombineParams:
-    rule: str = "exponential"
+    """The settings every rule shares; the caller names the rule."""
+
     a: float = 2.0
     shortlist_size: int = 50
 
     def validate(self) -> None:
         """Raise ReidError naming the offending field."""
-        if self.rule not in RULES:
-            raise ReidError(f"rule must be one of {RULES}, got {self.rule!r}")
         if not 0 <= self.a < np.inf:
             raise ReidError(f"a must be finite and >= 0, got {self.a}")
         if self.shortlist_size < 0:
@@ -129,13 +128,13 @@ def combine_exponential(d_l: float, n: int, epsilon: float = 1e-9) -> float:
     return min(max(d_l, epsilon), 1.0) ** n
 
 
-def _combine(params: CombineParams, d_l: float, n: int, omega: float) -> float:
-    if params.rule == "appearance_only":
+def _combine(rule: str, a: float, d_l: float, n: int, omega: float) -> float:
+    if rule == "appearance_only":
         return d_l
-    if params.rule == "geometry_only":
+    if rule == "geometry_only":
         return float(-n)
-    if params.rule == "polynomial":
-        return combine_polynomial(d_l, omega, params.a)
+    if rule == "polynomial":
+        return combine_polynomial(d_l, omega, a)
     return combine_exponential(d_l, n)
 
 
@@ -181,36 +180,29 @@ def load_images(
     )
 
 
-def _shortlist_size(params: CombineParams, rows: int) -> int:
-    """How many of a query's first stage-1 rows params' rule verifies."""
-    if params.rule not in GEOMETRY_RULES:
-        return 0
-    if params.shortlist_size == 0:
-        return rows
-    return min(params.shortlist_size, rows)
-
-
 def rank_queries(
     db: Images,
     queries: Images,
-    rule_params: Sequence[CombineParams],
+    rules: Sequence[str],
+    params: CombineParams = CombineParams(),
     geometry_params: GeometryParams = GeometryParams(),
     self_rows: Optional[Sequence[int]] = None,
 ) -> Dict[str, List[RankedResult]]:
     """Every query's ranking of the database under every rule, in one pass.
 
-    Stage 1 orders a query's database images by (d_L, image_id), and a
-    geometry rule verifies the first shortlist_size of them (all when 0).
-    Each (query, image) pair is verified at most once, whichever rules
-    shortlist it, in one geometry.verify_shortlist call per query.  A
-    rule's final order is ascending (not verified, d_C, d_L, image_id), so
-    entries outside its shortlist keep d_C = d_L and rank after every
-    verified entry.  self_rows[q], when given, is the database row of query
-    q itself, which its ranking leaves out.  Only the verified pairs'
-    features are asked for, in stage-1 order.
+    Stage 1 orders a query's database images by (d_L, image_id).  When rules
+    has a geometry rule, the first shortlist_size of them (all when 0) are
+    verified in one geometry.verify_shortlist call per query, which every
+    geometry rule shares.  A rule's final order is ascending (not verified,
+    d_C, d_L, image_id), so entries outside its shortlist keep d_C = d_L and
+    rank after every verified entry.  self_rows[q], when given, is the
+    database row of query q itself, which its ranking leaves out.  Only the
+    verified pairs' features are asked for, in stage-1 order.
     """
-    for params in rule_params:
-        params.validate()
+    for rule in rules:
+        if rule not in RULES:
+            raise ReidError(f"rule must be one of {RULES}, got {rule!r}")
+    params.validate()
     ids = db.image_ids
     if not ids:
         raise ReidError("database is empty")
@@ -224,7 +216,8 @@ def rank_queries(
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     distances = cosine_distance(queries.embeddings[:, None], db.embeddings[None])
 
-    results: Dict[str, List[RankedResult]] = {params.rule: [] for params in rule_params}
+    verifies = any(rule in GEOMETRY_RULES for rule in rules)
+    results: Dict[str, List[RankedResult]] = {rule: [] for rule in rules}
     for q in range(len(queries.image_ids)):
         rows = np.arange(len(ids))
         if self_rows is not None:
@@ -233,16 +226,16 @@ def rank_queries(
         stage1 = np.lexsort((id_rank[rows], d_l))
         rows, d_l = rows[stage1], d_l[stage1]
 
-        shortlists = [_shortlist_size(params, len(rows)) for params in rule_params]
-        shortlist = rows[: max(shortlists, default=0)]
+        shortlist = rows[: (params.shortlist_size or len(rows)) if verifies else 0]
         verdicts = geometry.verify_shortlist(
             queries.features(q), [db.features(j) for j in shortlist], geometry_params
         ) if len(shortlist) else []
-        for params, k in zip(rule_params, shortlists):
+        for rule in rules:
+            k = len(verdicts) if rule in GEOMETRY_RULES else 0
             n, omega, d_c = np.zeros(len(rows), dtype=int), np.zeros(len(rows)), d_l.copy()
             for i, v in enumerate(verdicts[:k]):
                 n[i], omega[i] = v.n, v.omega
-                d_c[i] = _combine(params, float(d_l[i]), v.n, v.omega)
+                d_c[i] = _combine(rule, params.a, float(d_l[i]), v.n, v.omega)
             is_verified = np.arange(len(rows)) < k
             order = np.lexsort((id_rank[rows], d_l, d_c, ~is_verified))
             ranked = rows[order]
@@ -256,7 +249,7 @@ def rank_queries(
                 d_C=d_c[order],
                 verified=is_verified[order],
             )
-            results[params.rule].append(
+            results[rule].append(
                 RankedResult(
                     queries.image_ids[q], candidates, list(dict.fromkeys(individual_ids))
                 )
@@ -268,12 +261,13 @@ def query_database(
     db: Images,
     vocabulary: Vocabulary,
     query_features: ImageFeatures,
-    params: CombineParams,
+    rule: str,
+    params: CombineParams = CombineParams(),
     geometry_params: GeometryParams = GeometryParams(),
 ) -> RankedResult:
     """One query image's ranking under one rule: rank_queries with Q = 1."""
     query = Images.of([query_features], embed_image(query_features, vocabulary)[None])
-    return rank_queries(db, query, [params], geometry_params)[params.rule][0]
+    return rank_queries(db, query, [rule], params, geometry_params)[rule][0]
 
 
 def topk_accuracy(
@@ -468,12 +462,13 @@ def fork_map(n: int, *steps: Callable, what: str) -> list:
 def evaluate(
     manifest: Manifest,
     vocabulary: Vocabulary,
-    rule_params: Sequence[CombineParams],
+    params: CombineParams = CombineParams(),
     protocol: str = "split",
     k_max: int = 5,
     geometry_params: GeometryParams = GeometryParams(),
 ) -> Dict[str, EvalReport]:
-    """Each rule's report under protocol ("split" or "leave_one_out").
+    """Each rule's report under protocol ("split" or "leave_one_out"), in
+    RULES order.
 
     Every image is read and embedded once (indexed rows from the model file,
     see load_images) and every rule ranks the same search, see rank_queries.
@@ -483,13 +478,13 @@ def evaluate(
 
     def rank(part: slice, queries: Images) -> Dict[str, List[RankedResult]]:
         rows = None if self_rows is None else self_rows[part]
-        return rank_queries(db, queries, rule_params, geometry_params, rows)
+        return rank_queries(db, queries, RULES, params, geometry_params, rows)
 
     slices = fork_map(len(truths), load, rank, what="queries")
     return {
         rule: _report(protocol, [r for ranked in slices for r in ranked[rule]], truths,
                       excluded, k_max)
-        for rule in slices[0]
+        for rule in RULES
     }
 
 

@@ -501,6 +501,10 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
     """Write vocab as one model file, streaming the index rows into their
     member one by one.  Written through an open handle, so path is used as
     given, with fixed member timestamps, so one model gives one byte string.
+
+    The file is written beside path and renamed over it once complete, so a
+    failed write leaves whatever path held (a reader of the old file keeps
+    reading it); on any error the new file is removed.
     """
     values = {"version": VOCAB_VERSION, "alpha": vocab.alpha, "descriptor_dim": vocab.descriptor_dim}
     for section in _SECTIONS:
@@ -509,21 +513,29 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
     rows, counts, crcs = _member(_ROWS), vocab.index.feature_counts, []
     # Sized ahead, so zipfile gives a member over 2 GiB a zip64 header.
     rows.file_size = 8 * (len(FRAME_FIELDS) + vocab.descriptor_dim) * int(np.sum(counts))
-    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
-        with archive.open(rows, "w") as out:
-            for f in map(vocab.read_row, range(len(counts))):
-                data = b"".join(np.ascontiguousarray(a, "<f8").tobytes()
-                                for a in (f.frames, f.descriptors))
-                crcs.append(zlib.crc32(data))
-                out.write(data)
-        values["index_row_crc32"] = crcs
-        arrays = {n: np.ascontiguousarray(values[n], dtype) for n, (dtype, _) in _LAYOUT.items()}
-        values["dims"] = {d: size for n, (_, dim_names) in _LAYOUT.items()
-                          for d, size in zip(dim_names, arrays[n].shape)}
-        header = {name: kind(values[name]) for name, kind in _HEADER_FIELDS.items()}
-        archive.writestr(_member(_HEADER), json.dumps(header))
-        for name, array in arrays.items():
-            archive.writestr(_member(name), array.tobytes())
+    partial = f"{os.fspath(path)}.{os.getpid()}.partial"
+    fh = open(partial, "xb")  # permissions as open(path, "wb") would give
+    try:
+        with fh, zipfile.ZipFile(fh, "w") as archive:
+            with archive.open(rows, "w") as out:
+                for f in map(vocab.read_row, range(len(counts))):
+                    data = b"".join(np.ascontiguousarray(a, "<f8").tobytes()
+                                    for a in (f.frames, f.descriptors))
+                    crcs.append(zlib.crc32(data))
+                    out.write(data)
+            values["index_row_crc32"] = crcs
+            arrays = {n: np.ascontiguousarray(values[n], dtype)
+                      for n, (dtype, _) in _LAYOUT.items()}
+            values["dims"] = {d: size for n, (_, dim_names) in _LAYOUT.items()
+                              for d, size in zip(dim_names, arrays[n].shape)}
+            header = {name: kind(values[name]) for name, kind in _HEADER_FIELDS.items()}
+            archive.writestr(_member(_HEADER), json.dumps(header))
+            for name, array in arrays.items():
+                archive.writestr(_member(name), array.tobytes())
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
 
 
 def load_vocabulary(path) -> Vocabulary:

@@ -232,9 +232,9 @@ def test_ac4_unit_exactness(capsys):
 
     # Rule dispatch identities.
     checks.append(
-        _combine(CombineParams(rule="appearance_only"), 0.77, 5, 0.5) == 0.77
+        _combine("appearance_only", 2.0, 0.77, 5, 0.5) == 0.77
     )
-    checks.append(_combine(CombineParams(rule="geometry_only"), 0.77, 17, 0.5) == -17.0)
+    checks.append(_combine("geometry_only", 2.0, 0.77, 17, 0.5) == -17.0)
 
     # Ranked-retrieval identities on a small synthetic world.
     cfg = SynthConfig(seed=21, n_individuals=3, views_per_individual=2)
@@ -243,12 +243,15 @@ def test_ac4_unit_exactness(capsys):
     queries = [render_observation(c, cfg, 1)[0] for c in constellations]
     vocabulary = train_vocabulary(db_features, gmm_k=2, pca_dim=8)
     db = embedded_images(vocabulary, db_features)
-    self_result = query_database(db, vocabulary, db_features[0], CombineParams())
+    self_result = query_database(db, vocabulary, db_features[0], "exponential")
     checks.append(self_result.candidates.image_ids[0] == db_features[0].image_id)
     checks.append(self_result.candidates.d_C[0] == min(self_result.candidates.d_C))
-    full = query_database(db, vocabulary, queries[0], CombineParams(shortlist_size=0))
+    full = query_database(
+        db, vocabulary, queries[0], "exponential", CombineParams(shortlist_size=0)
+    )
     covering = query_database(
-        db, vocabulary, queries[0], CombineParams(shortlist_size=len(db.image_ids))
+        db, vocabulary, queries[0], "exponential",
+        CombineParams(shortlist_size=len(db.image_ids)),
     )
     checks.append(full.candidates.image_ids == covering.candidates.image_ids)
     checks.append(full.individuals == covering.individuals)
@@ -306,7 +309,7 @@ def table_benchmark(tmp_path_factory):
             reports = evaluate(
                 manifest,
                 vocabulary,
-                [CombineParams(rule=rule) for rule in RULES],
+                CombineParams(),
                 "split",
                 k_max=5,
             )
@@ -457,7 +460,7 @@ def test_ac8_leave_one_out_protocol(capsys, tmp_path):
 
     vocabulary = train_vocabulary(all_features, gmm_k=4, pca_dim=16)
     report = evaluate(
-        manifest, vocabulary, [CombineParams()], "leave_one_out", k_max=3
+        manifest, vocabulary, CombineParams(), "leave_one_out", k_max=3
     )["exponential"]
 
     checks = [

@@ -20,7 +20,7 @@ from patreid.cli import main
 from patreid.encode import TrainingParams, cosine_distance, embed_image
 from patreid.geometry import GeometryParams
 from patreid.ingest import load_entry_features, load_manifest, parse_feature_file
-from patreid.reid import RULES, CombineParams
+from patreid.reid import CombineParams
 from patreid.synth import SynthConfig
 from patreid.vocab import DatabaseIndex, load_vocabulary, save_vocabulary
 
@@ -237,6 +237,20 @@ class TestQuery:
                   "--vocab", str(vocab), "--features", "x.patf",
                   "--rule", "bogus"])
         assert exc.value.code == 2
+
+    def test_unlabeled_database_row(self, workspace, tmp_path, capsys):
+        _, bench, vocab = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        manifest = copy / "manifest.csv"
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("ind001_v0,ind001,", "ind001_v0,,"), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["query", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--features", str(copy / "ind000_v1.patf")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: database image 'ind001_v0' has no individual_id\n"
+        assert captured.out == ""
 
     def test_malformed_feature_file(self, workspace, tmp_path, capsys):
         _, bench, vocab = workspace
@@ -1119,6 +1133,16 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "excluded" in err
 
+    def test_unwritable_csv_prints_no_table(self, workspace, tmp_path, capsys):
+        _, bench, vocab = workspace
+        capsys.readouterr()
+        code = main(["evaluate", "--manifest", str(bench / "manifest.csv"), "--vocab", str(vocab),
+                     "--per-query-csv", str(tmp_path / "missing" / "x.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_invalid_max_desc_dist(self, workspace, capsys):
         _, bench, vocab = workspace
         code = main([
@@ -1165,10 +1189,10 @@ class TestLibraryDefaults:
         spy("generate_benchmark", lambda config, out: config)
         spy("train_vocabulary",
             lambda sets, params=TrainingParams(), **options: replace(params, **options))
-        spy("evaluate", lambda manifest, vocabulary, rule_params, protocol, k_max,
-            geometry_params: (rule_params, geometry_params))
-        spy("query_database", lambda db, vocabulary, features, params, geometry_params:
-            (params, geometry_params))
+        spy("evaluate", lambda manifest, vocabulary, params, protocol, k_max,
+            geometry_params: (params, geometry_params))
+        spy("query_database", lambda db, vocabulary, features, rule, params, geometry_params:
+            (rule, params, geometry_params))
         return seen
 
     def test_synth(self, tmp_path, spies):
@@ -1188,15 +1212,13 @@ class TestLibraryDefaults:
         _, bench, vocab = workspace
         assert main(["query", "--manifest", str(bench / "manifest.csv"), "--vocab", str(vocab),
                      "--features", str(bench / "ind000_v1.patf")]) == 0
-        assert spies["query_database"] == (CombineParams(rule="exponential"), GeometryParams())
+        assert spies["query_database"] == ("exponential", CombineParams(), GeometryParams())
 
     def test_evaluate(self, workspace, spies):
         _, bench, vocab = workspace
         assert main(["evaluate", "--manifest", str(bench / "manifest.csv"),
                      "--vocab", str(vocab)]) == 0
-        assert spies["evaluate"] == (
-            [CombineParams(rule=rule) for rule in RULES], GeometryParams()
-        )
+        assert spies["evaluate"] == (CombineParams(), GeometryParams())
 
 
 # argparse's layout changes between Python versions: 3.10's appends

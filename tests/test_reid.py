@@ -80,7 +80,7 @@ class TestCombineParams:
     @pytest.mark.parametrize(
         "kwargs, pattern",
         [
-            ({"rule": "both"}, "rule"),
+            ({"shortlist_size": -1}, "shortlist"),
             ({"a": -1.0}, "a must"),
             ({"a": float("nan")}, "a must"),
             ({"a": float("inf")}, "a must"),
@@ -146,16 +146,15 @@ class TestQueryDatabase:
     def test_database_image_ranks_itself_first(self, small_world):
         _, db, _, vocabulary = small_world
         first = db.features(0)
-        result = query_database(db, vocabulary, first, CombineParams())
+        result = query_database(db, vocabulary, first, "exponential")
         assert result.candidates.image_ids[0] == first.image_id
         assert result.individuals[0] == first.individual_id
 
     def test_true_individual_ranks_first(self, small_world):
         _, db, queries, vocabulary = small_world
         for rule in RULES:
-            params = CombineParams(rule=rule)
             for query in queries:
-                result = query_database(db, vocabulary, query, params)
+                result = query_database(db, vocabulary, query, rule)
                 assert result.individuals[0] == query.individual_id, rule
 
     def test_individuals_deduplicated(self, small_world):
@@ -168,17 +167,18 @@ class TestQueryDatabase:
             dataclasses.replace(f, image_id=f.image_id + "_copy") for f in features
         ]
         db2 = embedded_images(vocabulary, doubled)
-        result = query_database(db2, vocabulary, queries[0], CombineParams())
+        result = query_database(db2, vocabulary, queries[0], "exponential")
         assert len(result.candidates.image_ids) == 2 * len(features)
         assert sorted(result.individuals) == sorted(db.individual_ids)
 
     def test_shortlist_equivalence_when_covering(self, small_world):
         _, db, queries, vocabulary = small_world
         full = query_database(
-            db, vocabulary, queries[0], CombineParams(shortlist_size=0)
+            db, vocabulary, queries[0], "exponential", CombineParams(shortlist_size=0)
         )
         covering = query_database(
-            db, vocabulary, queries[0], CombineParams(shortlist_size=len(db.image_ids))
+            db, vocabulary, queries[0], "exponential",
+            CombineParams(shortlist_size=len(db.image_ids)),
         )
         assert full.individuals == covering.individuals
         for name in ("image_ids", "d_C", "n", "omega"):
@@ -186,8 +186,8 @@ class TestQueryDatabase:
 
     def test_unverified_rank_after_verified(self, small_world):
         _, db, queries, vocabulary = small_world
-        params = CombineParams(rule="exponential", shortlist_size=1)
-        result = query_database(db, vocabulary, queries[0], params)
+        params = CombineParams(shortlist_size=1)
+        result = query_database(db, vocabulary, queries[0], "exponential", params)
         verified_flags = result.candidates.verified.tolist()
         assert verified_flags[0] is True
         assert sum(verified_flags) == 1
@@ -195,18 +195,14 @@ class TestQueryDatabase:
 
     def test_appearance_only_skips_geometry(self, small_world):
         _, db, queries, vocabulary = small_world
-        result = query_database(
-            db, vocabulary, queries[0], CombineParams(rule="appearance_only")
-        )
+        result = query_database(db, vocabulary, queries[0], "appearance_only")
         c = result.candidates
         assert (c.n == 0).all() and (c.omega == 0.0).all()
         assert (c.d_C == c.d_L).all()
 
     def test_geometry_only_scores_negative_inliers(self, small_world):
         _, db, queries, vocabulary = small_world
-        result = query_database(
-            db, vocabulary, queries[0], CombineParams(rule="geometry_only")
-        )
+        result = query_database(db, vocabulary, queries[0], "geometry_only")
         c = result.candidates
         assert (c.d_C[c.verified] == -c.n[c.verified]).all()
 
@@ -217,8 +213,13 @@ class TestQueryDatabase:
                 Images.of([], np.zeros((0, vocabulary.kpca.out_dim))),
                 vocabulary,
                 queries[0],
-                CombineParams(),
+                "exponential",
             )
+
+    def test_unknown_rule_rejected(self, small_world):
+        _, db, queries, vocabulary = small_world
+        with pytest.raises(ReidError, match="rule must be one of"):
+            rank_queries(db, embedded_images(vocabulary, queries[:1]), ["exponential", "both"])
 
     def test_geometry_cache_reused_across_rules(self, small_world, monkeypatch):
         _, db, queries, vocabulary = small_world
@@ -230,14 +231,14 @@ class TestQueryDatabase:
             lambda q, dbs, params: calls.append([d.image_id for d in dbs]) or verify(q, dbs, params),
         )
         query = embedded_images(vocabulary, queries[:1])
-        rules = [CombineParams(rule="polynomial"), CombineParams(rule="exponential")]
+        rules = ["polynomial", "exponential"]
         results = rank_queries(db, query, rules)
         assert len(calls) == 1  # one shortlist per query
         assert sorted(calls[0]) == sorted(db.image_ids)  # once per pair
         # In stage-1 order (d_L, image_id), the order rows are read in.
         c = results["polynomial"][0].candidates
         assert calls[0] == [i for _, i in sorted(zip(c.d_L.tolist(), c.image_ids))]
-        a, b = (results[p.rule][0].candidates for p in rules)
+        a, b = (results[rule][0].candidates for rule in rules)
         by_id_a = dict(zip(a.image_ids, zip(a.n.tolist(), a.omega.tolist())))
         by_id_b = dict(zip(b.image_ids, zip(b.n.tolist(), b.omega.tolist())))
         assert by_id_a == by_id_b
@@ -255,7 +256,7 @@ class TestScorePair:
         candidate = rank_queries(
             hobbled,
             Images.of([truth_query], np.zeros((1, db.embeddings.shape[1]))),
-            [CombineParams(rule="exponential")],
+            ["exponential"],
         )["exponential"][0].candidates
         assert candidate.d_L[0] == 2.0
         assert candidate.n[0] > 0  # geometry ran despite the appearance blackout
@@ -268,7 +269,7 @@ class TestBuildDatabase:
         unlabeled = dataclasses.replace(db.features(0), individual_id=None)
         with pytest.raises(ReidError, match="individual_id"):
             query_database(
-                embedded_images(vocabulary, [unlabeled]), vocabulary, queries[0], CombineParams()
+                embedded_images(vocabulary, [unlabeled]), vocabulary, queries[0], "exponential"
             )
 
     def test_rejects_duplicate_ids(self, small_world):
@@ -276,7 +277,7 @@ class TestBuildDatabase:
         f = db.features(0)
         with pytest.raises(ReidError, match="duplicate"):
             query_database(
-                embedded_images(vocabulary, [f, f]), vocabulary, queries[0], CombineParams()
+                embedded_images(vocabulary, [f, f]), vocabulary, queries[0], "exponential"
             )
 
 
@@ -295,7 +296,7 @@ class TestEvaluateSplit:
         ]
         vocabulary = train_vocabulary(feature_sets, gmm_k=4, pca_dim=16)
         report = evaluate(
-            manifest, vocabulary, [CombineParams()], "split", k_max=3
+            manifest, vocabulary, CombineParams(), "split", k_max=3
         )["exponential"]
         assert report.protocol == "split"
         assert len(report.records) == len(manifest.with_role("query"))
@@ -316,7 +317,7 @@ class TestEvaluateSplit:
         ]
         vocabulary = train_vocabulary(feature_sets, gmm_k=4, pca_dim=16)
         report = evaluate(
-            manifest, vocabulary, [CombineParams()], "split", k_max=2
+            manifest, vocabulary, CombineParams(), "split", k_max=2
         )["exponential"]
         assert (queries[0].image_id, "unlabeled") in report.excluded
         assert (queries[1].image_id, "no_database_match") in report.excluded
@@ -333,7 +334,7 @@ class TestEvaluateSplit:
             pca_dim=16,
         )
         with pytest.raises(ReidError, match="query"):
-            evaluate(db_only, vocabulary, [CombineParams()], "split")
+            evaluate(db_only, vocabulary, CombineParams(), "split")
 
 
 class TestEvaluateLeaveOneOut:
@@ -353,7 +354,7 @@ class TestEvaluateLeaveOneOut:
             base_dir=manifest.base_dir,
         )
         report = evaluate(
-            solo, vocabulary, [CombineParams()], "leave_one_out", k_max=1
+            solo, vocabulary, CombineParams(), "leave_one_out", k_max=1
         )["exponential"]
         assert report.protocol == "leave_one_out"
         assert len(report.records) == 2  # both roles pooled
@@ -370,7 +371,7 @@ class TestEvaluateLeaveOneOut:
         pruned = Manifest(entries=keep, base_dir=manifest.base_dir)
         vocabulary = self._vocabulary_for(manifest)
         report = evaluate(
-            pruned, vocabulary, [CombineParams()], "leave_one_out", k_max=2
+            pruned, vocabulary, CombineParams(), "leave_one_out", k_max=2
         )["exponential"]
         assert ("ind002_v0", "singleton_identity") in report.excluded
         assert len(report.records) == len(keep) - 1
@@ -382,7 +383,7 @@ class TestEvaluateLeaveOneOut:
             e.viewpoint = "left" if e.image_id[-1] in "01" else "right"
         vocabulary = self._vocabulary_for(manifest)
         report = evaluate(
-            manifest, vocabulary, [CombineParams()], "leave_one_out", k_max=1
+            manifest, vocabulary, CombineParams(), "leave_one_out", k_max=1
         )["exponential"]
         # Each (individual, viewpoint) unit has exactly 2 images, so nothing
         # is singleton and every query's truth unit is present once.
@@ -396,7 +397,7 @@ class TestEvaluateLeaveOneOut:
         for e in manifest.entries:
             e.individual_id = None
         with pytest.raises(ReidError, match="excluded"):
-            evaluate(manifest, vocabulary, [CombineParams()], "leave_one_out")
+            evaluate(manifest, vocabulary, CombineParams(), "leave_one_out")
 
     def test_split_all_excluded_rejected(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=2, views=2)
@@ -406,14 +407,14 @@ class TestEvaluateLeaveOneOut:
         for e in queries[1:]:
             e.individual_id = "stranger"
         with pytest.raises(ReidError, match="excluded"):
-            evaluate(manifest, vocabulary, [CombineParams()], "split")
+            evaluate(manifest, vocabulary, CombineParams(), "split")
 
     def test_too_few_images(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=2, views=2)
         vocabulary = self._vocabulary_for(manifest)
         solo = Manifest(entries=manifest.entries[:1], base_dir=manifest.base_dir)
         with pytest.raises(ReidError, match="at least 2"):
-            evaluate(solo, vocabulary, [CombineParams()], "leave_one_out")
+            evaluate(solo, vocabulary, CombineParams(), "leave_one_out")
 
 
 @pytest.fixture(scope="module")
@@ -452,7 +453,7 @@ class TestRankingOracle:
         reports = evaluate(
             manifest,
             vocabulary,
-            [CombineParams(rule=rule, shortlist_size=shortlist) for rule in RULES],
+            CombineParams(shortlist_size=shortlist),
             protocol,
         )
         for rule in RULES:

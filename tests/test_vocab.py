@@ -1,5 +1,6 @@
 """PCA, GMM/EM, kernel PCA, and vocabulary persistence tests."""
 
+import errno
 import inspect
 import io
 import json
@@ -632,6 +633,24 @@ class TestModelFile:
         assert members["index_row_crc32"].tolist() == [
             zlib.crc32(_row_bytes(path, k)) for k in range(3)
         ]
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(_indexed_vocabulary(), path)
+        old = path.read_bytes()
+        vocab = _indexed_vocabulary()
+        rows = vocab.read_row
+
+        def read_row(k):
+            if k == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return rows(k)
+
+        vocab.read_row = read_row
+        with pytest.raises(OSError, match="No space left"):
+            save_vocabulary(vocab, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
     def test_load_parses_no_npy_header(self, tmp_path, monkeypatch):
         path = tmp_path / "vocab.txt"
