@@ -32,7 +32,6 @@ from .reid import (
     query_database,
     write_per_query_csv,
 )
-from .synth import SynthConfig, generate_benchmark
 from .vocab import VocabError, load_vocabulary, save_vocabulary
 
 RULE_TOKENS = {
@@ -84,6 +83,8 @@ def _topk(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthConfig, generate_benchmark
+
     generate_benchmark(_params(SynthConfig, args), args.out)
     print(Path(args.out) / "manifest.csv")
     return 0
@@ -132,14 +133,16 @@ def cmd_query(args) -> int:
     best = {}
     for k, individual in enumerate(c.individual_ids):
         best.setdefault(individual, k)
-    print(f"{'rank':>4}  {'individual':<16} {'db_image':<20} "
-          f"{'d_L':>10} {'n':>5} {'omega':>8} {'d_C':>12}")
+    d_l, n, omega, d_c = c.d_L.tolist(), c.n.tolist(), c.omega.tolist(), c.d_C.tolist()
+    lines = [f"{'rank':>4}  {'individual':<16} {'db_image':<20} "
+             f"{'d_L':>10} {'n':>5} {'omega':>8} {'d_C':>12}"]
     for rank, individual in enumerate(result.individuals[:topk], start=1):
         k = best[individual]
-        print(
+        lines.append(
             f"{rank:>4}  {individual:<16} {c.image_ids[k]:<20} "
-            f"{c.d_L[k]:>10.6f} {c.n[k]:>5} {c.omega[k]:>8.4f} {c.d_C[k]:>12.6g}"
+            f"{d_l[k]:>10.6f} {n[k]:>5} {omega[k]:>8.4f} {d_c[k]:>12.6g}"
         )
+    print("\n".join(lines))
     return 0
 
 
@@ -169,14 +172,6 @@ def cmd_evaluate(args) -> int:
     if args.per_query_csv:
         print(args.per_query_csv)
     return 0
-
-
-def _subcommand(sub, name: str, func, help: str) -> argparse.ArgumentParser:
-    """A subparser that runs func; its "flags" default maps each field that a
-    flag sets to that flag, for _params."""
-    p = sub.add_parser(name, help=help)
-    p.set_defaults(func=func, flags={})
-    return p
 
 
 def _add_setting(p: argparse.ArgumentParser, config, flag: str, field: str = "", **kw) -> None:
@@ -211,14 +206,9 @@ def _add_combine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topk", type=int, default=5, help="ranks to report")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="patreid",
-        description="Pattern-based animal re-identification engine.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _synth_arguments(p: argparse.ArgumentParser) -> None:
+    from .synth import SynthConfig  # only synth loads synth (and hashlib)
 
-    p = _subcommand(sub, "synth", cmd_synth, help="generate a synthetic benchmark")
     _add_setting(p, SynthConfig, "--seed", type=int, default=0)
     _add_setting(p, SynthConfig, "--individuals", "n_individuals", type=int, required=True)
     _add_setting(p, SynthConfig, "--views", "views_per_individual", type=int, required=True)
@@ -234,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                  help="bound on homography distortion")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = _subcommand(sub, "build-vocab", cmd_build_vocab, help="train the appearance vocabulary")
+
+def _build_vocab_arguments(p: argparse.ArgumentParser) -> None:
     _add_setting(p, TrainingParams, "--seed", type=int)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True,
@@ -247,26 +238,57 @@ def build_parser() -> argparse.ArgumentParser:
     _add_setting(p, TrainingParams, "--whiten", action=argparse.BooleanOptionalAction,
                  help="whiten PCA projections")
 
-    p = _subcommand(sub, "query", cmd_query, help="rank database individuals for one image")
+
+def _query_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--features", required=True, help="query PATF file")
     p.add_argument("--rule", choices=sorted(RULE_TOKENS), default="exp")
     _add_combine_flags(p)
 
-    p = _subcommand(sub, "evaluate", cmd_evaluate, help="run all rules under a protocol")
+
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--protocol", choices=("split", "loo"), default="split")
     p.add_argument("--per-query-csv", default=None)
     _add_combine_flags(p)
 
+
+# name: (help line, function run, what adds its arguments), in usage order.
+SUBCOMMANDS = {
+    "synth": ("generate a synthetic benchmark", cmd_synth, _synth_arguments),
+    "build-vocab": ("train the appearance vocabulary", cmd_build_vocab, _build_vocab_arguments),
+    "query": ("rank database individuals for one image", cmd_query, _query_arguments),
+    "evaluate": ("run all rules under a protocol", cmd_evaluate, _evaluate_arguments),
+}
+
+
+def build_parser(commands=SUBCOMMANDS) -> argparse.ArgumentParser:
+    """The parser of the named subcommands, by default all of them.  Its usage
+    line, which errors such as unrecognized arguments print, lists all four."""
+    parser = argparse.ArgumentParser(
+        prog="patreid",
+        description="Pattern-based animal re-identification engine.",
+    )
+    # Built whole, argparse writes this text itself, and its errors about the
+    # choice name the argument "command", which a set metavar would replace.
+    listed = None if len(commands) == len(SUBCOMMANDS) else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in commands:
+        help, func, add_arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, flags={})  # flags: field -> its flag, for _params
+        add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A call runs one subcommand, so only its parser is built; without one
+    # (no arguments, --help, an unknown name) every subcommand is.
+    commands = argv[:1] if argv and argv[0] in SUBCOMMANDS else SUBCOMMANDS
+    args = build_parser(commands).parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, ReidError) as exc:

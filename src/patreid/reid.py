@@ -156,27 +156,27 @@ def load_images(
     """
     index = vocabulary.index
     rows = {image_id: k for k, image_id in enumerate(index.image_ids)}
-    missing = [e for e in entries if e.image_id not in rows]
+    at = np.array([rows.get(e.image_id, -1) for e in entries], dtype=np.intp)  # -1: not indexed
+    fresh = np.flatnonzero(at < 0)
 
     def parse(part: slice) -> List[Tuple[ImageFeatures, np.ndarray]]:
         # Each file is embedded before the next is parsed: the first error wins.
-        loaded = (load_entry_features(manifest, e) for e in missing[part])
+        loaded = (load_entry_features(manifest, entries[i]) for i in fresh[part])
         return [(features, embed_image(features, vocabulary)) for features in loaded]
 
-    slices = fork_map(len(missing), parse, what="images") if forked else [parse(slice(None))]
-    parsed = iter([image for part in slices for image in part])
+    slices = fork_map(len(fresh), parse, what="images") if forked else [parse(slice(None))]
+    parsed = dict(zip(fresh.tolist(), (image for part in slices for image in part)))
+    embeddings = np.empty((len(entries), vocabulary.kpca.out_dim))
+    indexed = at >= 0
+    embeddings[indexed] = index.embeddings[at[indexed]]
+    for i, (_, embedding) in parsed.items():
+        embeddings[i] = embedding
     read_row = functools.cache(vocabulary.read_row)
-    sources, embeddings = [], []  # per entry: its index row, or its parsed features
-    for entry in entries:
-        k = rows.get(entry.image_id)
-        source, embedding = next(parsed) if k is None else (k, index.embeddings[k])
-        sources.append(source)
-        embeddings.append(embedding)
     return Images(
         [e.image_id for e in entries],
         [e.individual_id for e in entries],
-        np.reshape(embeddings, (len(entries), vocabulary.kpca.out_dim)),
-        lambda i: read_row(sources[i]) if isinstance(sources[i], int) else sources[i],
+        embeddings,
+        lambda i: parsed[i][0] if at[i] < 0 else read_row(int(at[i])),
     )
 
 

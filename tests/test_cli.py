@@ -3,6 +3,7 @@
 import os
 import pickle
 import shutil
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +16,7 @@ import patreid.encode
 import patreid.geometry
 import patreid.ingest
 import patreid.reid
+import patreid.synth
 import patreid.vocab
 from patreid.cli import main
 from patreid.encode import TrainingParams, cosine_distance, embed_image
@@ -695,6 +697,36 @@ class TestDatabaseIndex:
         assert out.splitlines()[2].split()[1:3] == ["newcomer", "ind004_v1"]
         assert out == _query(capsys, copy, fresh, "ind004_v0.patf", *flags)
 
+    def test_load_images_takes_rows_in_manifest_order(self, indexed, parse_calls, row_reads):
+        bench, model = indexed
+        manifest = load_manifest(bench / "manifest.csv")
+        db = manifest.with_role("database")
+        order = np.random.default_rng(0).permutation(len(db))
+        assert (order != np.arange(len(db))).any()
+        entries = [db[k] for k in order]
+        newcomer = replace(manifest.with_role("query")[0], role="database")
+        entries.insert(len(entries) // 2, newcomer)
+        with load_vocabulary(model) as vocabulary:
+            images = patreid.reid.load_images(manifest, entries, vocabulary)
+            # Only the row the index lacks is parsed; indexed rows are not read.
+            assert parse_calls.calls() == [f"{newcomer.image_id}.patf"]
+            assert row_reads.calls() == []
+            assert images.image_ids == [e.image_id for e in entries]
+            assert images.individual_ids == [e.individual_id for e in entries]
+            assert images.embeddings.shape == (len(entries), vocabulary.kpca.out_dim)
+            for i, e in enumerate(entries):
+                features = images.features(i)
+                if e is newcomer:
+                    parsed = load_entry_features(manifest, e)
+                    expected = embed_image(parsed, vocabulary)
+                else:
+                    k = vocabulary.index.image_ids.index(e.image_id)
+                    parsed, expected = vocabulary.read_row(k), vocabulary.index.embeddings[k]
+                assert images.embeddings[i].tobytes() == expected.tobytes()
+                assert features.image_id == e.image_id
+                assert features.frames.tobytes() == parsed.frames.tobytes()
+                assert features.descriptors.tobytes() == parsed.descriptors.tobytes()
+
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -1177,16 +1209,16 @@ class TestLibraryDefaults:
     def spies(self, monkeypatch):
         seen = {}
 
-        def spy(name, record):
-            real = getattr(patreid.cli, name)
+        def spy(name, record, module=patreid.cli):
+            real = getattr(module, name)
 
             def spied(*args, **kwargs):
                 seen[name] = record(*args, **kwargs)
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(patreid.cli, name, spied)
+            monkeypatch.setattr(module, name, spied)
 
-        spy("generate_benchmark", lambda config, out: config)
+        spy("generate_benchmark", lambda config, out: config, patreid.synth)
         spy("train_vocabulary",
             lambda sets, params=TrainingParams(), **options: replace(params, **options))
         spy("evaluate", lambda manifest, vocabulary, params, protocol, k_max,
@@ -1235,6 +1267,58 @@ def test_help_text_golden(capsys, monkeypatch):
         assert exc.value.code == 0
         texts.append(capsys.readouterr().out)
     assert "".join(texts) == (Path(__file__).parent / "cli_help.txt").read_text(encoding="utf-8")
+
+
+_QUERY = ["query", "--manifest", "m.csv", "--vocab", "v.bin", "--features", "q.patf"]
+
+
+# main builds only the subparser that argv[0] names; each of these must be
+# answered byte for byte as the parser of every subcommand answers it.  A
+# subparser's errors print its usage line, which names each of its arguments.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["querx"],
+        ["query", "--manifest", "m.csv", "--features", "q.patf"],
+        _QUERY + ["--rule", "bad"],
+        _QUERY + ["--topk", "x"],
+        _QUERY + ["--seed", "0"],  # reported with the top-level usage line
+        ["evaluate", "--manifest", "m.csv", "--vocab", "v.bin", "--protocol", "foo"],
+        ["synth", "--individuals", "2", "--out", "bench"],
+        ["build-vocab", "--manifest", "m.csv", "--out", "v.bin", "--gmm-k", "x"],
+    ],
+    ids=["none", "help", "typo", "query-no-vocab", "query-rule", "query-topk",
+         "query-unrecognized", "evaluate-protocol", "synth-no-views", "build-vocab-gmm-k"],
+)
+def test_one_subparser_answers_as_all(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def answer(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    assert answer(main) == answer(patreid.cli.build_parser().parse_args)
+
+
+def test_import_loads_no_synth(tmp_path):
+    # Only synth uses the synthetic benchmark's code and its hashlib.
+    src = str(Path(patreid.cli.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys\n"
+        "import patreid.cli\n"
+        "for command in ('build-vocab', 'query', 'evaluate'):\n"
+        "    with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        "        patreid.cli.main([command, '--help'])\n"
+        "print(sorted({'patreid.synth', 'patreid.seeding', '_hashlib'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command", ["query", "evaluate"])
