@@ -83,9 +83,12 @@ def _topk(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from .synth import SynthConfig, generate_benchmark
+    from .synth import SynthConfig, SynthError, generate_benchmark
 
-    generate_benchmark(_params(SynthConfig, args), args.out)
+    try:
+        generate_benchmark(_params(SynthConfig, args), args.out)
+    except SynthError as exc:
+        raise UsageError(_flagged(exc, args.flags)) from None
     print(Path(args.out) / "manifest.csv")
     return 0
 
@@ -125,21 +128,19 @@ def cmd_query(args) -> int:
         if not db_entries:
             raise UsageError("no database entries in manifest")
         db = load_images(manifest, db_entries, vocabulary)
-        result = query_database(
+        ranking = query_database(
             db, vocabulary, query_features, RULE_TOKENS[args.rule], params, geometry_params
         )
 
-    c = result.candidates
-    best = {}
-    for k, individual in enumerate(c.individual_ids):
-        best.setdefault(individual, k)
-    d_l, n, omega, d_c = c.d_L.tolist(), c.n.tolist(), c.omega.tolist(), c.d_C.tolist()
+    rows, d_l, n, omega, d_c, _ = (a[0].tolist() for a in ranking)  # its one query
+    best = {}  # each individual's first ranked row, in rank order
+    for k, row in enumerate(rows):
+        best.setdefault(db.individual_ids[row], k)
     lines = [f"{'rank':>4}  {'individual':<16} {'db_image':<20} "
              f"{'d_L':>10} {'n':>5} {'omega':>8} {'d_C':>12}"]
-    for rank, individual in enumerate(result.individuals[:topk], start=1):
-        k = best[individual]
+    for rank, (individual, k) in enumerate(list(best.items())[:topk], start=1):
         lines.append(
-            f"{rank:>4}  {individual:<16} {c.image_ids[k]:<20} "
+            f"{rank:>4}  {individual:<16} {db.image_ids[rows[k]]:<20} "
             f"{d_l[k]:>10.6f} {n[k]:>5} {omega[k]:>8.4f} {d_c[k]:>12.6g}"
         )
     print("\n".join(lines))

@@ -4,8 +4,11 @@ Database search runs in two stages: a fast cosine scan over embeddings, then
 geometric verification of a shortlist whose inlier statistics modulate the
 distance (polynomial or exponential rule).  The rules re-rank the same
 pairs, so one search embeds each image once, verifies each shortlisted pair
-once and sorts per rule.  Evaluation reports top-k accuracy over distinct
-individuals under a database/query split or a leave-one-out protocol.
+once and sorts per rule.  A search gives one Ranking per rule: (Q, N')
+arrays of every query's database rows in rank order, with their d_L, n,
+omega, d_C and verified flags.  Evaluation takes each query's rank of truth
+among distinct individuals from integer labels of those rows and reports
+top-k accuracy under a database/query split or a leave-one-out protocol.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 import functools
 import os
 import pickle
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -27,6 +31,8 @@ from .vocab import Vocabulary
 
 RULES = ("appearance_only", "geometry_only", "polynomial", "exponential")
 GEOMETRY_RULES = ("geometry_only", "polynomial", "exponential")
+# The exponential rule's base never falls below this, so d_C stays above 0.
+EXPONENTIAL_FLOOR = 1e-9
 
 
 class ReidError(ValueError):
@@ -48,24 +54,17 @@ class CombineParams:
             raise ReidError(f"shortlist_size must be >= 0, got {self.shortlist_size}")
 
 
-class Candidates(NamedTuple):
-    """A query's database images in rank order: item k of each field belongs
-    to the k-th image.  An unverified pair has n = 0, omega = 0, d_C = d_L."""
+class Ranking(NamedTuple):
+    """Each query's database rows in rank order: row q of every (Q, N') array
+    is query q, and column k holds its k-th ranked database row, rows[q, k].
+    An unverified pair has n = 0, omega = 0, d_C = d_L."""
 
-    image_ids: List[str]
-    individual_ids: List[str]
+    rows: np.ndarray
     d_L: np.ndarray
     n: np.ndarray
     omega: np.ndarray
     d_C: np.ndarray
     verified: np.ndarray
-
-
-@dataclass
-class RankedResult:
-    query_image_id: str
-    candidates: Candidates
-    individuals: List[str]
 
 
 class Images(NamedTuple):
@@ -92,26 +91,30 @@ class Images(NamedTuple):
 
 
 @dataclass
-class PerQueryRecord:
-    query_image_id: str
-    truth: str
-    rank_of_truth: int
-    d_L: float
-    n: int
-    omega: float
-    d_C: float
-
-
-@dataclass
 class EvalReport:
+    """One rule's evaluation.  Query q is the q-th key of truths, which maps
+    each query image id to its individual; rank_of_truth[q] is that
+    individual's rank among distinct individuals (0: absent), and top holds
+    query q's first-ranked row, as a Ranking of (Q, 1) arrays.
+    accuracies[k - 1] is the top-k accuracy."""
+
     protocol: str
     accuracies: List[float]
-    records: List[PerQueryRecord]
+    truths: Dict[str, str]
+    rank_of_truth: np.ndarray
+    top: Ranking
     excluded: List[Tuple[str, str]] = field(default_factory=list)
 
     @property
     def n_queries(self) -> int:
-        return len(self.records)
+        return len(self.rank_of_truth)
+
+    def records(self) -> List[tuple]:
+        """(query id, truth, rank of truth, d_L, n, omega, d_C) per query, the
+        last four of its first-ranked row, as Python values."""
+        top = self.top
+        return list(zip(self.truths, self.truths.values(), self.rank_of_truth.tolist(),
+                        *(a[:, 0].tolist() for a in (top.d_L, top.n, top.omega, top.d_C))))
 
 
 def combine_polynomial(d_l: float, omega: float, a: float) -> float:
@@ -119,13 +122,14 @@ def combine_polynomial(d_l: float, omega: float, a: float) -> float:
     return d_l * (1.0 - omega) ** a
 
 
-def combine_exponential(d_l: float, n: int, epsilon: float = 1e-9) -> float:
-    """d_C = clamp(d_L, epsilon, 1)^n: inlier count exponentiates distance.
+def combine_exponential(d_l: float, n: int) -> float:
+    """d_C = clamp(d_L, EXPONENTIAL_FLOOR, 1)^n: inlier count exponentiates
+    distance.
 
     n = 0 yields exactly 1; the clamp keeps the base inside (0, 1] where the
     rule's assumption d_L <= 1 holds.
     """
-    return min(max(d_l, epsilon), 1.0) ** n
+    return min(max(d_l, EXPONENTIAL_FLOOR), 1.0) ** n
 
 
 def _combine(rule: str, a: float, d_l: float, n: int, omega: float) -> float:
@@ -187,17 +191,18 @@ def rank_queries(
     params: CombineParams = CombineParams(),
     geometry_params: GeometryParams = GeometryParams(),
     self_rows: Optional[Sequence[int]] = None,
-) -> Dict[str, List[RankedResult]]:
+) -> Dict[str, Ranking]:
     """Every query's ranking of the database under every rule, in one pass.
 
-    Stage 1 orders a query's database images by (d_L, image_id).  When rules
+    Stage 1 orders each query's database rows by (d_L, image_id).  When rules
     has a geometry rule, the first shortlist_size of them (all when 0) are
     verified in one geometry.verify_shortlist call per query, which every
     geometry rule shares.  A rule's final order is ascending (not verified,
-    d_C, d_L, image_id), so entries outside its shortlist keep d_C = d_L and
-    rank after every verified entry.  self_rows[q], when given, is the
-    database row of query q itself, which its ranking leaves out.  Only the
-    verified pairs' features are asked for, in stage-1 order.
+    d_C, d_L, image_id), so rows outside its shortlist keep d_C = d_L and
+    rank after every verified row.  self_rows[q], when given, is the
+    database row of query q itself, which its ranking leaves out, so N' is
+    N - 1 rather than N.  Only the verified pairs' features are asked for,
+    in stage-1 order.
     """
     for rule in rules:
         if rule not in RULES:
@@ -216,45 +221,41 @@ def rank_queries(
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     distances = cosine_distance(queries.embeddings[:, None], db.embeddings[None])
 
-    verifies = any(rule in GEOMETRY_RULES for rule in rules)
-    results: Dict[str, List[RankedResult]] = {rule: [] for rule in rules}
-    for q in range(len(queries.image_ids)):
-        rows = np.arange(len(ids))
-        if self_rows is not None:
-            rows = np.delete(rows, self_rows[q])
-        d_l = distances[q, rows]
-        stage1 = np.lexsort((id_rank[rows], d_l))
-        rows, d_l = rows[stage1], d_l[stage1]
+    # A query's own row sorts last on a leading key, and is dropped.
+    n_queries, size = distances.shape
+    own = np.zeros(distances.shape, dtype=bool)
+    if self_rows is not None:
+        own[np.arange(n_queries), self_rows] = True
+        size -= 1
+    rows = np.lexsort((np.broadcast_to(id_rank, own.shape), distances, own), axis=-1)[:, :size]
+    d_l = np.take_along_axis(distances, rows, -1)
 
-        shortlist = rows[: (params.shortlist_size or len(rows)) if verifies else 0]
+    verifies = any(rule in GEOMETRY_RULES for rule in rules)
+    k = min(params.shortlist_size or size, size) if verifies else 0
+    n, omega = np.zeros(rows.shape, dtype=int), np.zeros(rows.shape)
+    for q in range(n_queries if k else 0):
         verdicts = geometry.verify_shortlist(
-            queries.features(q), [db.features(j) for j in shortlist], geometry_params
-        ) if len(shortlist) else []
-        for rule in rules:
-            k = len(verdicts) if rule in GEOMETRY_RULES else 0
-            n, omega, d_c = np.zeros(len(rows), dtype=int), np.zeros(len(rows)), d_l.copy()
-            for i, v in enumerate(verdicts[:k]):
-                n[i], omega[i] = v.n, v.omega
-                d_c[i] = _combine(rule, params.a, float(d_l[i]), v.n, v.omega)
-            is_verified = np.arange(len(rows)) < k
-            order = np.lexsort((id_rank[rows], d_l, d_c, ~is_verified))
-            ranked = rows[order]
-            individual_ids = [db.individual_ids[j] for j in ranked]
-            candidates = Candidates(
-                image_ids=[ids[j] for j in ranked],
-                individual_ids=individual_ids,
-                d_L=d_l[order],
-                n=n[order],
-                omega=omega[order],
-                d_C=d_c[order],
-                verified=is_verified[order],
-            )
-            results[rule].append(
-                RankedResult(
-                    queries.image_ids[q], candidates, list(dict.fromkeys(individual_ids))
-                )
-            )
-    return results
+            queries.features(q), [db.features(j) for j in rows[q, :k]], geometry_params
+        )
+        n[q, :k], omega[q, :k] = [v.n for v in verdicts], [v.omega for v in verdicts]
+
+    rankings = {}
+    for rule in rules:
+        geometric = rule in GEOMETRY_RULES
+        k_rule = k if geometric else 0
+        # The scalar rules on Python floats: array ** rounds some powers unlike float **.
+        d_c = d_l.copy()
+        d_c[:, :k_rule] = [
+            [_combine(rule, params.a, *pair) for pair in zip(*query)]
+            for query in zip(*(a[:, :k_rule].tolist() for a in (d_l, n, omega)))
+        ]
+        verified = np.broadcast_to(np.arange(size) < k_rule, rows.shape)
+        n_omega = (n, omega) if geometric else (np.zeros_like(n), np.zeros_like(omega))
+        order = np.lexsort((id_rank[rows], d_l, d_c, ~verified), axis=-1)
+        rankings[rule] = Ranking(
+            *(np.take_along_axis(a, order, -1) for a in (rows, d_l, *n_omega, d_c, verified))
+        )
+    return rankings
 
 
 def query_database(
@@ -264,54 +265,31 @@ def query_database(
     rule: str,
     params: CombineParams = CombineParams(),
     geometry_params: GeometryParams = GeometryParams(),
-) -> RankedResult:
+) -> Ranking:
     """One query image's ranking under one rule: rank_queries with Q = 1."""
     query = Images.of([query_features], embed_image(query_features, vocabulary)[None])
-    return rank_queries(db, query, [rule], params, geometry_params)[rule][0]
+    return rank_queries(db, query, [rule], params, geometry_params)[rule]
 
 
-def topk_accuracy(
-    results: Sequence[RankedResult], truths: Dict[str, str], k: int
-) -> float:
-    """Fraction of queries whose truth is among the first k distinct individuals."""
-    if not results:
-        raise ReidError("no results to score")
-    hits = 0
-    for r in results:
-        if r.query_image_id not in truths:
-            raise ReidError(f"missing truth label for query {r.query_image_id!r}")
-        if truths[r.query_image_id] in r.individuals[:k]:
-            hits += 1
-    return hits / len(results)
+def ranks_of_truth(labels: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """Each query's rank of its truth among the distinct individuals of its
+    ranking, from 1, or 0 where the truth is absent.
+
+    labels[q, k] is the integer label (>= 0) of query q's k-th ranked row and
+    truths[q] the label of query q's individual.  An individual ranks at its
+    first row, so a truth's rank counts the labels whose first row precedes
+    its own.
+    """
+    n_queries, size = labels.shape
+    first = np.full((n_queries, max(labels.max(initial=0), truths.max(initial=0)) + 1), size)
+    np.minimum.at(first, (np.arange(n_queries)[:, None], labels), np.arange(size))
+    truth_first = first[np.arange(n_queries), truths]
+    return np.where(truth_first < size, (first < truth_first[:, None]).sum(axis=1) + 1, 0)
 
 
-def _report(
-    protocol: str,
-    results: List[RankedResult],
-    truths: Dict[str, str],
-    excluded: List[Tuple[str, str]],
-    k_max: int,
-) -> EvalReport:
-    records = []
-    for r in results:
-        truth = truths[r.query_image_id]
-        rank = r.individuals.index(truth) + 1 if truth in r.individuals else 0
-        top = r.candidates
-        records.append(
-            PerQueryRecord(
-                query_image_id=r.query_image_id,
-                truth=truth,
-                rank_of_truth=rank,
-                d_L=float(top.d_L[0]),
-                n=int(top.n[0]),
-                omega=float(top.omega[0]),
-                d_C=float(top.d_C[0]),
-            )
-        )
-    accuracies = [topk_accuracy(results, truths, k) for k in range(1, k_max + 1)]
-    return EvalReport(
-        protocol=protocol, accuracies=accuracies, records=records, excluded=excluded
-    )
+def hit_rates(ranks: np.ndarray, k_max: int) -> List[float]:
+    """Top-k accuracy for k = 1 .. k_max: the share of ranks in 1 .. k."""
+    return [float(np.mean((0 < ranks) & (ranks <= k))) for k in range(1, k_max + 1)]
 
 
 def _split_search(manifest: Manifest, vocabulary: Vocabulary):
@@ -371,9 +349,7 @@ def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
         unit = f"{e.individual_id}|{e.viewpoint}" if use_viewpoint else e.individual_id
         labeled.append(replace(e, individual_id=unit))
 
-    unit_counts: Dict[str, int] = {}
-    for e in labeled:
-        unit_counts[e.individual_id] = unit_counts.get(e.individual_id, 0) + 1
+    unit_counts = Counter(e.individual_id for e in labeled)
 
     db = load_images(manifest, labeled, vocabulary, forked=True)
     truths = {}
@@ -472,20 +448,31 @@ def evaluate(
 
     Every image is read and embedded once (indexed rows from the model file,
     see load_images) and every rule ranks the same search, see rank_queries.
-    Queries are loaded and ranked in fork_map slices, one per usable CPU.
+    Queries are loaded and ranked in fork_map slices, one per usable CPU,
+    and each slice sends back only its ranks of truth and first-ranked rows.
     """
     db, load, truths, excluded, self_rows = _PROTOCOLS[protocol](manifest, vocabulary)
+    codes: Dict[str, int] = {}
+    labels = np.array([codes.setdefault(i, len(codes)) for i in db.individual_ids])
+    truth_labels = np.array([codes[truth] for truth in truths.values()])
 
-    def rank(part: slice, queries: Images) -> Dict[str, List[RankedResult]]:
+    def rank(part: slice, queries: Images) -> Dict[str, Tuple[np.ndarray, Ranking]]:
+        # Each rule's ranks of truth and first-ranked rows: all evaluate keeps.
         rows = None if self_rows is None else self_rows[part]
-        return rank_queries(db, queries, RULES, params, geometry_params, rows)
+        rankings = rank_queries(db, queries, RULES, params, geometry_params, rows)
+        return {
+            rule: (ranks_of_truth(labels[r.rows], truth_labels[part]),
+                   Ranking(*(a[:, :1] for a in r)))
+            for rule, r in rankings.items()
+        }
 
     slices = fork_map(len(truths), load, rank, what="queries")
-    return {
-        rule: _report(protocol, [r for ranked in slices for r in ranked[rule]], truths,
-                      excluded, k_max)
-        for rule in RULES
-    }
+    reports = {}
+    for rule in RULES:
+        ranks = np.concatenate([part[rule][0] for part in slices])
+        top = Ranking(*map(np.concatenate, zip(*(part[rule][1] for part in slices))))
+        reports[rule] = EvalReport(protocol, hit_rates(ranks, k_max), truths, ranks, top, excluded)
+    return reports
 
 
 def write_per_query_csv(reports: Dict[str, EvalReport], path) -> None:
@@ -498,9 +485,8 @@ def write_per_query_csv(reports: Dict[str, EvalReport], path) -> None:
     rows = [["rule", "query_id", "truth", "rank_of_truth", "d_L", "n", "omega", "d_C"]]
     for rule, report in reports.items():
         rows += [
-            [rule, r.query_image_id, r.truth, r.rank_of_truth, repr(float(r.d_L)), r.n,
-             repr(float(r.omega)), repr(float(r.d_C))]
-            for r in report.records
+            [rule, query_id, truth, rank, repr(d_l), n, repr(omega), repr(d_c)]
+            for query_id, truth, rank, d_l, n, omega, d_c in report.records()
         ]
     first = next(iter(reports.values()))
     rows.append(["# protocol", first.protocol])

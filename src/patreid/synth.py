@@ -29,8 +29,16 @@ SIGNATURE_NEIGHBORS = 4
 SIGNATURE_BANDWIDTH = 20.0
 # Minimum pairwise distance between constellation points.
 MIN_SEPARATION = 0.02
+# Placement gives up after this many draws in a row fall too close to a
+# placed point.  Runs that succeed are far shorter (38 at 1,000 points).
+MAX_REJECTIONS = 10_000
 # Isotropic base scale of synthetic affine frames before warping.
 FEATURE_SCALE = 0.02
+
+
+class SynthError(ValueError):
+    """A valid configuration that cannot be generated; the message starts
+    with the field to change."""
 
 
 @dataclass
@@ -69,22 +77,26 @@ class Constellation:
 
 
 def _scatter_points(rng: np.random.Generator, n: int, min_separation: float) -> np.ndarray:
-    """Uniform points in [0,1]^2 kept pairwise at least min_separation apart."""
+    """Uniform points in [0,1]^2 kept pairwise at least min_separation apart.
+
+    A draw closer than that to a placed point is rejected; MAX_REJECTIONS
+    rejections in a row raise SynthError.
+    """
     points = np.empty((n, 2))
-    count = 0
-    attempts = 0
-    max_attempts = 10_000 * n
+    count = rejections = 0
     while count < n:
-        if attempts >= max_attempts:
-            raise ValueError(
-                f"could not place {n} points with separation {min_separation}"
+        if rejections == MAX_REJECTIONS:
+            raise SynthError(
+                f"points_per_individual {n} do not fit {min_separation} apart in the unit "
+                f"square: {MAX_REJECTIONS} draws in a row fell too close to a placed point"
             )
-        attempts += 1
         candidate = rng.random(2)
         if count and np.min(np.linalg.norm(points[:count] - candidate, axis=1)) < min_separation:
+            rejections += 1
             continue
         points[count] = candidate
         count += 1
+        rejections = 0
     return points
 
 

@@ -35,14 +35,13 @@ from patreid.ingest import (
 )
 from patreid.reid import (
     RULES,
-    Candidates,
     CombineParams,
-    RankedResult,
     combine_exponential,
     combine_polynomial,
     evaluate,
+    hit_rates,
     query_database,
-    topk_accuracy,
+    ranks_of_truth,
     write_per_query_csv,
 )
 from patreid.reid import _combine
@@ -244,8 +243,8 @@ def test_ac4_unit_exactness(capsys):
     vocabulary = train_vocabulary(db_features, gmm_k=2, pca_dim=8)
     db = embedded_images(vocabulary, db_features)
     self_result = query_database(db, vocabulary, db_features[0], "exponential")
-    checks.append(self_result.candidates.image_ids[0] == db_features[0].image_id)
-    checks.append(self_result.candidates.d_C[0] == min(self_result.candidates.d_C))
+    checks.append(db.image_ids[self_result.rows[0, 0]] == db_features[0].image_id)
+    checks.append(self_result.d_C[0, 0] == min(self_result.d_C[0]))
     full = query_database(
         db, vocabulary, queries[0], "exponential", CombineParams(shortlist_size=0)
     )
@@ -253,30 +252,20 @@ def test_ac4_unit_exactness(capsys):
         db, vocabulary, queries[0], "exponential",
         CombineParams(shortlist_size=len(db.image_ids)),
     )
-    checks.append(full.candidates.image_ids == covering.candidates.image_ids)
-    checks.append(full.individuals == covering.individuals)
-
-    # Distinct-individual top-k counting: two images of B ahead of one of A.
-    dup = RankedResult(
-        query_image_id="q",
-        candidates=Candidates(
-            image_ids=["b1", "b2", "a1"],
-            individual_ids=["B", "B", "A"],
-            d_L=np.array([0.1, 0.2, 0.3]),
-            n=np.zeros(3, dtype=int),
-            omega=np.zeros(3),
-            d_C=np.array([0.1, 0.2, 0.3]),
-            verified=np.zeros(3, dtype=bool),
-        ),
-        individuals=["B", "A"],
+    checks.append(full.rows.tolist() == covering.rows.tolist())
+    checks.append(
+        list(dict.fromkeys(db.individual_ids[j] for j in full.rows[0]))
+        == list(dict.fromkeys(db.individual_ids[j] for j in covering.rows[0]))
     )
-    checks.append(topk_accuracy([dup], {"q": "A"}, 1) == 0.0)
-    checks.append(topk_accuracy([dup], {"q": "A"}, 2) == 1.0)
-    both = [
-        RankedResult("q1", [], ["A", "B"]),
-        RankedResult("q2", [], ["B", "A"]),
-    ]
-    checks.append(topk_accuracy(both, {"q1": "A", "q2": "B"}, 1) == 1.0)
+
+    # Distinct-individual top-k counting: two images of B (label 1) ahead of
+    # one of A (label 0).
+    dup = ranks_of_truth(np.array([[1, 1, 0]]), np.array([0]))
+    top = hit_rates(dup, 2)
+    checks.append(top[0] == 0.0)
+    checks.append(top[1] == 1.0)
+    both = ranks_of_truth(np.array([[0, 1], [1, 0]]), np.array([0, 1]))
+    checks.append(hit_rates(both, 1) == [1.0])
 
     verdict(
         capsys,
@@ -337,7 +326,7 @@ def test_ac5_benchmark_rule_ordering(capsys, table_benchmark):
         for r in reports.values()
     )
     counted = all(
-        len(r.records) == table_benchmark.n_queries for r in reports.values()
+        r.n_queries == table_benchmark.n_queries for r in reports.values()
     )
     ok = (
         top1["exponential"] >= top1["geometry_only"]
@@ -465,16 +454,16 @@ def test_ac8_leave_one_out_protocol(capsys, tmp_path):
 
     checks = [
         report.excluded == [("ind002_v0", "singleton_identity")],
-        len(report.records) == 4,
-        all(r.rank_of_truth == 1 for r in report.records),
+        report.n_queries == 4,
+        (report.rank_of_truth == 1).all(),
         report.accuracies == [1.0, 1.0, 1.0],
         # Each query faces the other 4 images = 3 distinct individuals, and
         # the surviving same-individual view must out-score both strangers.
-        all(r.d_C <= 1e-3 for r in report.records),
+        (report.top.d_C <= 1e-3).all(),
     ]
     verdict(
         capsys,
         "AC-8 leave-one-out exclusion and scoring",
         all(checks),
-        f"excluded={report.excluded}, ranks={[r.rank_of_truth for r in report.records]}",
+        f"excluded={report.excluded}, ranks={report.rank_of_truth.tolist()}",
     )

@@ -79,6 +79,14 @@ class TestSynth:
         assert err.startswith(f"error: {flag} ") and "Traceback" not in err
         assert not (tmp_path / "bench").exists()
 
+    def test_points_that_do_not_fit_name_the_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(patreid.synth, "MIN_SEPARATION", 0.5)
+        code = main(["synth", "--individuals", "1", "--views", "1", "--points", "12",
+                     "--out", str(tmp_path / "bench")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --points 12 do not fit 0.5 apart") and err.count("\n") == 1
+
 
 class TestBuildVocab:
     def test_same_seed_value_identical(self, workspace, tmp_path):

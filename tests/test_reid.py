@@ -22,15 +22,16 @@ from patreid.reid import (
     CombineParams,
     EvalReport,
     Images,
-    PerQueryRecord,
-    RankedResult,
+    Ranking,
     ReidError,
     combine_exponential,
     combine_polynomial,
     evaluate,
+    hit_rates,
+    load_images,
     query_database,
     rank_queries,
-    topk_accuracy,
+    ranks_of_truth,
     write_per_query_csv,
 )
 from patreid.synth import SynthConfig, generate_benchmark, generate_individual, render_observation
@@ -66,7 +67,7 @@ class TestCombineExponential:
         assert combine_exponential(1.8, 3) == 1.0
 
     def test_clamps_below_epsilon(self):
-        assert combine_exponential(0.0, 2, epsilon=1e-9) == 1e-18
+        assert combine_exponential(0.0, 2) == 1e-18
 
     def test_more_inliers_smaller_distance(self):
         values = [combine_exponential(0.9, n) for n in range(0, 30, 5)]
@@ -93,30 +94,25 @@ class TestCombineParams:
 
 
 class TestTopkAccuracy:
-    def _result(self, query_id, individuals):
-        return RankedResult(query_image_id=query_id, candidates=[], individuals=individuals)
+    """Top-k accuracy from each query's rank of truth, which ranks_of_truth
+    takes from integer individual labels of the ranked rows."""
 
     def test_all_rank_one(self):
-        results = [self._result("q1", ["A", "B"]), self._result("q2", ["B", "A"])]
-        truths = {"q1": "A", "q2": "B"}
-        assert topk_accuracy(results, truths, 1) == 1.0
+        ranks = ranks_of_truth(np.array([[0, 1], [1, 0]]), np.array([0, 1]))
+        assert ranks.tolist() == [1, 1]
+        assert hit_rates(ranks, 1) == [1.0]
 
     def test_distinct_individual_counting(self):
-        # Individuals list is already deduplicated, so [B, A] at k=1 misses
-        # truth A and at k=2 hits it, regardless of how many images of B
-        # ranked ahead.
-        results = [self._result("q1", ["B", "A"])]
-        truths = {"q1": "A"}
-        assert topk_accuracy(results, truths, 1) == 0.0
-        assert topk_accuracy(results, truths, 2) == 1.0
+        # Two images of B (label 1) rank ahead of one of A (label 0): A is
+        # the second distinct individual, however many images of B precede it.
+        ranks = ranks_of_truth(np.array([[1, 1, 0]]), np.array([0]))
+        assert ranks.tolist() == [2]
+        assert hit_rates(ranks, 2) == [0.0, 1.0]
 
-    def test_empty_results_rejected(self):
-        with pytest.raises(ReidError):
-            topk_accuracy([], {}, 1)
-
-    def test_missing_truth_rejected(self):
-        with pytest.raises(ReidError, match="truth"):
-            topk_accuracy([self._result("q1", ["A"])], {}, 1)
+    def test_absent_truth_ranks_zero(self):
+        ranks = ranks_of_truth(np.array([[1, 1, 0], [0, 1, 1]]), np.array([2, 1]))
+        assert ranks.tolist() == [0, 2]
+        assert hit_rates(ranks, 3) == [0.0, 0.5, 0.5]
 
 
 def synth_setup(seed=21, n_individuals=4, views=3, **overrides):
@@ -135,6 +131,11 @@ def synth_setup(seed=21, n_individuals=4, views=3, **overrides):
     return cfg, db_features, queries, vocabulary
 
 
+def individuals(db, ranking):
+    """The distinct individuals of a one-query ranking of db, in rank order."""
+    return list(dict.fromkeys(db.individual_ids[j] for j in ranking.rows[0]))
+
+
 @pytest.fixture(scope="module")
 def small_world():
     cfg, db_features, queries, vocabulary = synth_setup()
@@ -147,20 +148,20 @@ class TestQueryDatabase:
         _, db, _, vocabulary = small_world
         first = db.features(0)
         result = query_database(db, vocabulary, first, "exponential")
-        assert result.candidates.image_ids[0] == first.image_id
-        assert result.individuals[0] == first.individual_id
+        assert db.image_ids[result.rows[0, 0]] == first.image_id
+        assert individuals(db, result)[0] == first.individual_id
 
     def test_true_individual_ranks_first(self, small_world):
         _, db, queries, vocabulary = small_world
         for rule in RULES:
             for query in queries:
                 result = query_database(db, vocabulary, query, rule)
-                assert result.individuals[0] == query.individual_id, rule
+                assert individuals(db, result)[0] == query.individual_id, rule
 
     def test_individuals_deduplicated(self, small_world):
         cfg, db, queries, vocabulary = small_world
         # Duplicate every individual's database image under a new image_id:
-        # candidate list doubles, individual list must not.
+        # the ranked rows double, the distinct individuals must not.
         import dataclasses
         features = [db.features(i) for i in range(len(db.image_ids))]
         doubled = features + [
@@ -168,8 +169,11 @@ class TestQueryDatabase:
         ]
         db2 = embedded_images(vocabulary, doubled)
         result = query_database(db2, vocabulary, queries[0], "exponential")
-        assert len(result.candidates.image_ids) == 2 * len(features)
-        assert sorted(result.individuals) == sorted(db.individual_ids)
+        assert result.rows.shape == (1, 2 * len(features))
+        assert sorted(individuals(db2, result)) == sorted(db.individual_ids)
+        labels = np.array([db.individual_ids.index(i) for i in db2.individual_ids])
+        truth = np.array([db.individual_ids.index(queries[0].individual_id)])
+        assert ranks_of_truth(labels[result.rows], truth).tolist() == [1]
 
     def test_shortlist_equivalence_when_covering(self, small_world):
         _, db, queries, vocabulary = small_world
@@ -180,30 +184,28 @@ class TestQueryDatabase:
             db, vocabulary, queries[0], "exponential",
             CombineParams(shortlist_size=len(db.image_ids)),
         )
-        assert full.individuals == covering.individuals
-        for name in ("image_ids", "d_C", "n", "omega"):
-            assert list(getattr(full.candidates, name)) == list(getattr(covering.candidates, name))
+        assert individuals(db, full) == individuals(db, covering)
+        for name in ("rows", "d_C", "n", "omega"):
+            assert getattr(full, name).tolist() == getattr(covering, name).tolist()
 
     def test_unverified_rank_after_verified(self, small_world):
         _, db, queries, vocabulary = small_world
         params = CombineParams(shortlist_size=1)
         result = query_database(db, vocabulary, queries[0], "exponential", params)
-        verified_flags = result.candidates.verified.tolist()
+        verified_flags = result.verified[0].tolist()
         assert verified_flags[0] is True
         assert sum(verified_flags) == 1
         assert all(not v for v in verified_flags[1:])
 
     def test_appearance_only_skips_geometry(self, small_world):
         _, db, queries, vocabulary = small_world
-        result = query_database(db, vocabulary, queries[0], "appearance_only")
-        c = result.candidates
+        c = query_database(db, vocabulary, queries[0], "appearance_only")
         assert (c.n == 0).all() and (c.omega == 0.0).all()
         assert (c.d_C == c.d_L).all()
 
     def test_geometry_only_scores_negative_inliers(self, small_world):
         _, db, queries, vocabulary = small_world
-        result = query_database(db, vocabulary, queries[0], "geometry_only")
-        c = result.candidates
+        c = query_database(db, vocabulary, queries[0], "geometry_only")
         assert (c.d_C[c.verified] == -c.n[c.verified]).all()
 
     def test_empty_database_rejected(self, small_world):
@@ -236,12 +238,13 @@ class TestQueryDatabase:
         assert len(calls) == 1  # one shortlist per query
         assert sorted(calls[0]) == sorted(db.image_ids)  # once per pair
         # In stage-1 order (d_L, image_id), the order rows are read in.
-        c = results["polynomial"][0].candidates
-        assert calls[0] == [i for _, i in sorted(zip(c.d_L.tolist(), c.image_ids))]
-        a, b = (results[rule][0].candidates for rule in rules)
-        by_id_a = dict(zip(a.image_ids, zip(a.n.tolist(), a.omega.tolist())))
-        by_id_b = dict(zip(b.image_ids, zip(b.n.tolist(), b.omega.tolist())))
-        assert by_id_a == by_id_b
+        c = results["polynomial"]
+        image_ids = [db.image_ids[j] for j in c.rows[0]]
+        assert calls[0] == [i for _, i in sorted(zip(c.d_L[0].tolist(), image_ids))]
+        a, b = (results[rule] for rule in rules)
+        by_row_a = dict(zip(a.rows[0].tolist(), zip(a.n[0].tolist(), a.omega[0].tolist())))
+        by_row_b = dict(zip(b.rows[0].tolist(), zip(b.n[0].tolist(), b.omega[0].tolist())))
+        assert by_row_a == by_row_b
 
 
 class TestScorePair:
@@ -257,9 +260,9 @@ class TestScorePair:
             hobbled,
             Images.of([truth_query], np.zeros((1, db.embeddings.shape[1]))),
             ["exponential"],
-        )["exponential"][0].candidates
-        assert candidate.d_L[0] == 2.0
-        assert candidate.n[0] > 0  # geometry ran despite the appearance blackout
+        )["exponential"]
+        assert candidate.d_L[0, 0] == 2.0
+        assert candidate.n[0, 0] > 0  # geometry ran despite the appearance blackout
 
 
 class TestBuildDatabase:
@@ -299,7 +302,7 @@ class TestEvaluateSplit:
             manifest, vocabulary, CombineParams(), "split", k_max=3
         )["exponential"]
         assert report.protocol == "split"
-        assert len(report.records) == len(manifest.with_role("query"))
+        assert report.n_queries == len(manifest.with_role("query"))
         assert len(report.accuracies) == 3
         assert all(b >= a for a, b in zip(report.accuracies, report.accuracies[1:]))
         assert report.excluded == []
@@ -321,7 +324,7 @@ class TestEvaluateSplit:
         )["exponential"]
         assert (queries[0].image_id, "unlabeled") in report.excluded
         assert (queries[1].image_id, "no_database_match") in report.excluded
-        assert len(report.records) == len(queries) - 2
+        assert report.n_queries == len(queries) - 2
 
     def test_missing_role_rejected(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path)
@@ -357,7 +360,7 @@ class TestEvaluateLeaveOneOut:
             solo, vocabulary, CombineParams(), "leave_one_out", k_max=1
         )["exponential"]
         assert report.protocol == "leave_one_out"
-        assert len(report.records) == 2  # both roles pooled
+        assert report.n_queries == 2  # both roles pooled
         assert report.accuracies[0] == 1.0
 
     def test_singleton_excluded(self, tmp_path):
@@ -374,7 +377,7 @@ class TestEvaluateLeaveOneOut:
             pruned, vocabulary, CombineParams(), "leave_one_out", k_max=2
         )["exponential"]
         assert ("ind002_v0", "singleton_identity") in report.excluded
-        assert len(report.records) == len(keep) - 1
+        assert report.n_queries == len(keep) - 1
 
     def test_viewpoint_qualifies_identity_unit(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=2, views=4)
@@ -388,8 +391,8 @@ class TestEvaluateLeaveOneOut:
         # Each (individual, viewpoint) unit has exactly 2 images, so nothing
         # is singleton and every query's truth unit is present once.
         assert report.excluded == []
-        assert len(report.records) == 8
-        assert all("|" in r.truth for r in report.records)
+        assert report.n_queries == 8
+        assert all("|" in truth for truth in report.truths.values())
 
     def test_all_excluded_rejected(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=2, views=2)
@@ -457,30 +460,44 @@ class TestRankingOracle:
             protocol,
         )
         for rule in RULES:
-            records = [
-                (r.query_image_id, r.truth, r.rank_of_truth, r.d_L, r.n, r.omega, r.d_C)
-                for r in reports[rule].records
-            ]
+            records = reports[rule].records()
             assert records == ranking_oracle(manifest, vocabulary, rule, shortlist, protocol)
 
 
+class TestRankQueries:
+    @pytest.mark.parametrize("protocol", ["split", "leave_one_out"])
+    def test_batch_matches_one_query_at_a_time(self, noisy_world, protocol):
+        # The blank images' d_L ties are broken by image id in both paths.
+        manifest, vocabulary = noisy_world
+        if protocol == "split":
+            db = load_images(manifest, manifest.with_role("database"), vocabulary)
+            queries = load_images(manifest, manifest.with_role("query"), vocabulary)
+            self_rows = None
+        else:
+            db = queries = load_images(manifest, manifest.entries, vocabulary)
+            self_rows = list(range(len(db.image_ids)))
+        params = CombineParams(shortlist_size=3)
+        together = rank_queries(db, queries, RULES, params, self_rows=self_rows)
+        assert len(together["exponential"].rows) == len(queries.image_ids) > 1
+        for q, image_id in enumerate(queries.image_ids):
+            one = Images([image_id], queries.individual_ids[q:q + 1], queries.embeddings[q:q + 1],
+                         lambda _, q=q: queries.features(q))
+            alone = rank_queries(db, one, RULES, params,
+                                 self_rows=None if self_rows is None else self_rows[q:q + 1])
+            for rule in RULES:
+                for name, a, b in zip(Ranking._fields, together[rule], alone[rule]):
+                    assert a[q].tolist() == b[0].tolist(), (image_id, rule, name)
+
+
 class TestPerQueryCsv:
-    def _report(self, protocol="split"):
-        records = [
-            PerQueryRecord(
-                query_image_id="q1",
-                truth="A",
-                rank_of_truth=1,
-                d_L=0.25,
-                n=12,
-                omega=0.5,
-                d_C=0.0625,
-            )
-        ]
+    def _report(self, protocol="split", query_id="q1", truth="A"):
+        top = Ranking(*(np.array([[value]]) for value in (0, 0.25, 12, 0.5, 0.0625, True)))
         return EvalReport(
             protocol=protocol,
             accuracies=[1.0, 1.0],
-            records=records,
+            truths={query_id: truth},
+            rank_of_truth=np.array([1]),
+            top=top,
             excluded=[("q9", "unlabeled")],
         )
 
@@ -495,9 +512,7 @@ class TestPerQueryCsv:
         assert any(line.startswith("# topk,polynomial,1,1.0") for line in lines)
 
     def test_ids_with_commas_and_quotes_read_back_whole(self, tmp_path):
-        report = self._report()
-        report.records[0].query_image_id = "ind001,v1"
-        report.records[0].truth = 'ind001 "spotty"'
+        report = self._report(query_id="ind001,v1", truth='ind001 "spotty"')
         report.excluded = [("ind009,v0", "no_database_match")]
         path = tmp_path / "per_query.csv"
         write_per_query_csv({"polynomial": report}, path)

@@ -8,8 +8,11 @@ import pytest
 from patreid.geometry import apply_homography
 from patreid.ingest import load_entry_features, load_manifest
 from patreid.synth import (
+    MAX_REJECTIONS,
     Constellation,
     SynthConfig,
+    SynthError,
+    _scatter_points,
     generate_benchmark,
     generate_individual,
     neighborhood_signatures,
@@ -77,6 +80,21 @@ class TestGenerateIndividual:
         cfg = small_config(points_per_individual=1)
         c = generate_individual(cfg, 0)
         assert c.canonical_points.shape == (1, 2)
+
+    def test_impossible_placement_stops_at_the_cap(self):
+        # No 12 points of the unit square are 0.5 apart (9 are, on a grid).
+        # Placement gives up after MAX_REJECTIONS rejected draws in a row, not
+        # after a number of draws that grows with the points asked for.
+        rng, draws = np.random.default_rng(3), []
+
+        class Counting:
+            def random(self, size):
+                draws.append(size)
+                return rng.random(size)
+
+        with pytest.raises(SynthError, match="^points_per_individual 12 do not fit 0.5 apart"):
+            _scatter_points(Counting(), 12, 0.5)
+        assert MAX_REJECTIONS <= len(draws) < 2 * MAX_REJECTIONS
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="index"):
