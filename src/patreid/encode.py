@@ -185,6 +185,5 @@ def train_vocabulary(
             np.array([f.count for f in feature_sets]),
         ),
         read_row=feature_sets.__getitem__,
-        descriptor_dim=dim,
         alpha=params.alpha,
     )

@@ -87,9 +87,10 @@ def match_descriptors(
     settings are params' fields, which options override, as in
     match_descriptors(q, d, mutual=False).  Returns an (M, 2) integer array of
     (query index, db index) rows sorted by ascending distance, ties by
-    (query index, db index).
+    query index.
     """
-    params = replace(params, **options)
+    if options:
+        params = replace(params, **options)
     desc_q = np.asarray(query.descriptors, dtype=np.float64)
     desc_d = np.asarray(db.descriptors, dtype=np.float64)
     if desc_q.shape[0] == 0 or desc_d.shape[0] == 0:
@@ -106,7 +107,8 @@ def match_descriptors(
         second = np.partition(dist, 1, axis=1)[:, 1]
         keep &= d <= params.ratio * second
     iq, idb, d = iq[keep], nn_of_q[keep], d[keep]
-    order = np.lexsort((idb, iq, d))
+    # iq is ascending and unique, so a stable sort on d breaks ties by it.
+    order = np.argsort(d, kind="stable")
     return np.stack([iq[order], idb[order]], axis=1)
 
 

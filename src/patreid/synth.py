@@ -244,14 +244,15 @@ def generate_benchmark(config: SynthConfig, out_dir) -> Manifest:
 
     View 0 of each individual becomes the database entry; the remaining
     views become queries.  Regenerating with the same config is
-    byte-identical.
+    byte-identical.  Every constellation is placed before out_dir is made,
+    so points that cannot be placed (SynthError) leave nothing there.
     """
     config.validate()
+    constellations = [generate_individual(config, i) for i in range(config.n_individuals)]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for index in range(config.n_individuals):
-        constellation = generate_individual(config, index)
+    for constellation in constellations:
         for view in range(config.views_per_individual):
             features, H, _ = render_observation(constellation, config, view)
             feature_name = f"{features.image_id}.patf"

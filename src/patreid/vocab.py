@@ -32,7 +32,7 @@ from .ingest import FRAME_FIELDS, ImageFeatures, row_dot, row_faults
 
 VARIANCE_FLOOR = 1e-6
 WHITEN_FLOOR = 1e-12
-VOCAB_VERSION = 7
+VOCAB_VERSION = 8
 
 
 class VocabError(ValueError):
@@ -111,12 +111,15 @@ class Vocabulary:
     # read_row(k) returns index row k's features: from memory after training,
     # from the model file (checked on every call) after load_vocabulary.
     read_row: Callable[[int], ImageFeatures] = field(repr=False, compare=False)
-    descriptor_dim: int
     # Power-normalization exponent used when the database Fisher vectors were
     # built; queries must reuse it, so it travels with the model.
     alpha: float
     # Closes the model file a loaded vocabulary reads its index rows from.
     close: Callable[[], None] = field(default=lambda: None, repr=False, compare=False)
+
+    @property
+    def descriptor_dim(self) -> int:
+        return self.pca.mean.shape[0]
 
     def __enter__(self) -> Vocabulary:
         return self
@@ -376,21 +379,22 @@ def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> np.ndarray:
 # (a fit diagnostic) is not stored.
 _SECTIONS = {"pca": PcaModel, "gmm": Gmm, "kpca": KpcaModel, "index": DatabaseIndex}
 # A model file is an uncompressed zip of a JSON header (the scalars, the
-# image ids and the named dimensions, by type), one raw little-endian member
+# image ids and the sizes of _DIMS, by type), one raw little-endian member
 # per _LAYOUT array, and the index rows' member.
 _HEADER = "header.json"
-_HEADER_FIELDS = {"version": int, "alpha": float, "descriptor_dim": int, "pca_whiten": bool,
+_HEADER_FIELDS = {"version": int, "alpha": float, "pca_whiten": bool,
                   "index_image_ids": list, "dims": dict}
-# name -> (dtype, shape in the header's named dimensions).  Each section has
-# its own names, so _check_vocabulary reports cross-section mismatches in
-# its own words.  The index arrays hold one entry per database image.
+# The sizes the header's dims state, each the length of the array named.
+_DIMS = {"pca_in": "pca_mean", "pca_out": "pca_eigenvalues", "k": "gmm_weights", "m": "kpca_offset"}
+# name -> (dtype, shape in the named sizes): those of _DIMS, "rows" (one per
+# database image id) and "f" (2 * k * pca_out, a Fisher vector's length).
 _LAYOUT = {
     "pca_mean": ("<f8", ("pca_in",)),
     "pca_eigenvalues": ("<f8", ("pca_out",)),
     "pca_basis": ("<f8", ("pca_out", "pca_in")),
     "gmm_weights": ("<f8", ("k",)),
-    "gmm_means": ("<f8", ("k", "gmm_dim")),
-    "gmm_variances": ("<f8", ("k", "gmm_dim")),
+    "gmm_means": ("<f8", ("k", "pca_out")),
+    "gmm_variances": ("<f8", ("k", "pca_out")),
     "kpca_matrix": ("<f8", ("m", "f")),
     "kpca_offset": ("<f8", ("m",)),
     "index_embeddings": ("<f8", ("rows", "m")),
@@ -398,7 +402,7 @@ _LAYOUT = {
     "index_row_crc32": ("<u4", ("rows",)),
 }
 # Every index row, one after another: row k is its (count, 6) frames, then
-# its (count, descriptor_dim) unit descriptors, as raw little-endian float64,
+# its (count, pca_in) unit descriptors, as raw little-endian float64,
 # and index_row_crc32[k] is the CRC-32 of its bytes.
 _ROWS = "index_rows"
 
@@ -417,10 +421,13 @@ def _vocabulary_from(header: dict, members: Dict[str, bytes], rows, path, fh) ->
     if not math.isfinite(header["alpha"]):
         raise VocabError(f"{path}: non-finite value in alpha")
     values, dims, ids = dict(header), header["dims"], header["index_image_ids"]
+    if not all(type(i) is str for i in ids):
+        raise VocabError(f"{path}: header field 'index_image_ids' is not a list of strings")
+    if not all(type(dims.get(d)) is int and dims[d] >= 0 for d in _DIMS):
+        raise VocabError(f"{path}: header dims {', '.join(_DIMS)} are not all counts")
+    sizes = {**dims, "rows": len(ids), "f": 2 * dims["k"] * dims["pca_out"]}
     for name, (dtype, dim_names) in _LAYOUT.items():
-        shape = tuple(dims.get(d) for d in dim_names)
-        if not all(type(size) is int and size >= 0 for size in shape):
-            raise VocabError(f"{path}: header dims {dim_names} of array {name!r} are not counts")
+        shape = tuple(sizes[d] for d in dim_names)
         size, data = np.dtype(dtype).itemsize * math.prod(shape), members[name]
         if len(data) != size:
             raise VocabError(
@@ -434,8 +441,6 @@ def _vocabulary_from(header: dict, members: Dict[str, bytes], rows, path, fh) ->
             section = name.split("_")[0]
             section = section if section == "index" else section.upper()
             raise VocabError(f"{path}: non-finite value in {section} section")
-    if len(ids) != dims["rows"] or not all(type(i) is str for i in ids):
-        raise VocabError(f"{path}: header field 'index_image_ids' is not {dims['rows']} strings")
     vocab = Vocabulary(
         **{
             section: cls(
@@ -445,7 +450,6 @@ def _vocabulary_from(header: dict, members: Dict[str, bytes], rows, path, fh) ->
             for section, cls in _SECTIONS.items()
         },
         read_row=None,
-        descriptor_dim=header["descriptor_dim"],
         alpha=header["alpha"],
     )
     _check_vocabulary(path, vocab)
@@ -506,7 +510,7 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
     failed write leaves whatever path held (a reader of the old file keeps
     reading it); on any error the new file is removed.
     """
-    values = {"version": VOCAB_VERSION, "alpha": vocab.alpha, "descriptor_dim": vocab.descriptor_dim}
+    values = {"version": VOCAB_VERSION, "alpha": vocab.alpha}
     for section in _SECTIONS:
         model = getattr(vocab, section)
         values.update((f"{section}_{f.name}", getattr(model, f.name)) for f in fields(model))
@@ -526,8 +530,7 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
             values["index_row_crc32"] = crcs
             arrays = {n: np.ascontiguousarray(values[n], dtype)
                       for n, (dtype, _) in _LAYOUT.items()}
-            values["dims"] = {d: size for n, (_, dim_names) in _LAYOUT.items()
-                              for d, size in zip(dim_names, arrays[n].shape)}
+            values["dims"] = {d: len(arrays[name]) for d, name in _DIMS.items()}
             header = {name: kind(values[name]) for name, kind in _HEADER_FIELDS.items()}
             archive.writestr(_member(_HEADER), json.dumps(header))
             for name, array in arrays.items():
@@ -586,23 +589,8 @@ def load_vocabulary(path) -> Vocabulary:
 
 
 def _check_vocabulary(path, vocab: Vocabulary) -> None:
-    """Reject shapes and values no trained vocabulary can hold, naming the section."""
-    pca, gmm, kpca = vocab.pca, vocab.gmm, vocab.kpca
-    k, d = gmm.n_components, gmm.dim
-    f = kpca.matrix.shape[1]
-    if pca.mean.shape[0] != vocab.descriptor_dim:
-        raise VocabError(
-            f"{path}: PCA section input dimension {pca.mean.shape[0]} "
-            f"!= descriptor_dim {vocab.descriptor_dim}"
-        )
-    if d != pca.out_dim:
-        raise VocabError(
-            f"{path}: GMM section dim {d} != PCA output dimension {pca.out_dim}"
-        )
-    if f != 2 * k * d:
-        raise VocabError(
-            f"{path}: KPCA section feature dimension {f} != 2*K*dim = {2 * k * d}"
-        )
+    """Reject values no trained vocabulary can hold, naming the section."""
+    gmm = vocab.gmm
     if vocab.alpha <= 0:
         raise VocabError(f"{path}: alpha must be positive, got {vocab.alpha}")
     if np.any(gmm.variances <= 0):

@@ -86,6 +86,7 @@ class TestSynth:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: --points 12 do not fit 0.5 apart") and err.count("\n") == 1
+        assert not (tmp_path / "bench").exists()
 
 
 class TestBuildVocab:

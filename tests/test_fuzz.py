@@ -77,7 +77,7 @@ def members_damaged(data):
     with zipfile.ZipFile(io.BytesIO(data)) as archive:
         members = {info.filename: archive.read(info) for info in archive.infolist()}
     counts = np.frombuffer(members["index_feature_counts"], "<i8")
-    width = 6 + json.loads(members["header.json"])["descriptor_dim"]
+    width = 6 + json.loads(members["header.json"])["dims"]["pca_in"]
     starts = np.concatenate([[0], np.cumsum(width * counts)])
 
     def rewrite(edits):

@@ -361,7 +361,7 @@ class TestVocabularyPersistence:
         kpca = fit_kpca(fvs, out_dim=4)
         index = DatabaseIndex([], np.zeros((0, kpca.out_dim)), np.zeros(0, dtype=np.int64))
         return Vocabulary(pca=pca, gmm=gmm, kpca=kpca, index=index, read_row=[].__getitem__,
-                          descriptor_dim=10, alpha=0.5)
+                          alpha=0.5)
 
     def test_round_trip_value_identical(self, tmp_path):
         vocab = self._make_vocabulary()
@@ -453,15 +453,13 @@ class TestVocabularyPersistence:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda v: setattr(v, "descriptor_dim", 11),
-             "PCA section input dimension 10 != descriptor_dim 11"),
             (lambda v: (setattr(v.gmm, "means", v.gmm.means[:, :5]),
                         setattr(v.gmm, "variances", v.gmm.variances[:, :5])),
-             r"GMM section dim 5 != PCA output dimension 6"),
+             r"array 'gmm_means' has 120 bytes, expected 144 for shape \(3, 6\)"),
             (lambda v: setattr(v.kpca, "matrix", np.hstack([v.kpca.matrix] * 2)),
-             r"KPCA section feature dimension 72 != 2\*K\*dim = 36"),
+             r"array 'kpca_matrix' has 2304 bytes, expected 1152 for shape \(4, 36\)"),
         ],
-        ids=["descriptor_dim", "gmm_dim", "kpca_features"],
+        ids=["gmm_dim", "kpca_features"],
     )
     def test_section_shapes_rejected(self, tmp_path, corrupt, message):
         vocab = self._make_vocabulary()
@@ -521,9 +519,10 @@ def _members(path):
         members = {info.filename: archive.read(info) for info in archive.infolist()}
     header = json.loads(members.pop("header.json"))
     dims, rows = header["dims"], members.pop("index_rows")
-    members = {name: np.frombuffer(members[name], dtype).reshape([dims[d] for d in shape]).copy()
+    sizes = {**dims, "rows": len(header["index_image_ids"]), "f": 2 * dims["k"] * dims["pca_out"]}
+    members = {name: np.frombuffer(members[name], dtype).reshape([sizes[d] for d in shape]).copy()
                for name, (dtype, shape) in vocab_module._LAYOUT.items()}
-    values, dim, at = np.frombuffer(rows, "<f8"), header["descriptor_dim"], 0
+    values, dim, at = np.frombuffer(rows, "<f8"), dims["pca_in"], 0
     members["index_rows"] = []
     for count in members["index_feature_counts"]:
         frames = values[at : at + 6 * count].reshape(count, 6)
@@ -629,10 +628,18 @@ class TestModelFile:
             assert archive.getinfo("index_rows").file_size == 8 * (3 + 2 + 0) * 16
         members = _members(path)
         assert members["header.json"]["index_image_ids"] == ["img0", "img1", "empty"]
-        assert members["header.json"]["dims"]["rows"] == 3
         assert members["index_row_crc32"].tolist() == [
             zlib.crc32(_row_bytes(path, k)) for k in range(3)
         ]
+
+    def test_header_states_each_size_once(self, tmp_path):
+        # rows is the number of image ids and f is 2 * k * pca_out, so
+        # neither is stored, nor is the descriptor width (pca_in).
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(_indexed_vocabulary(), path)
+        header = _members(path)["header.json"]
+        assert header["dims"] == {"pca_in": 10, "pca_out": 6, "k": 3, "m": 4}
+        assert sorted(header) == ["alpha", "dims", "index_image_ids", "pca_whiten", "version"]
 
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -742,17 +749,17 @@ class TestModelFile:
             (_header_change(index_image_ids=["img0", "img0", "empty"]), None, "image id twice"),
             (lambda a: {"index_feature_counts": a["index_feature_counts"].astype("<i4")}, None,
              r"'index_feature_counts' has 12 bytes, expected 24 for shape \(3,\)"),
-            (_header_change(version=1), None, "version 1, expected 7"),
+            (_header_change(version=1), None, "version 1, expected 8"),
             (_before_version_7(3, **{"index_degenerate.npy": np.zeros(3, dtype=bool)}),
-             None, r"version 3, expected 7 \(rebuild it with build-vocab\)"),
+             None, r"version 3, expected 8 \(rebuild it with build-vocab\)"),
             (_before_version_7(2, **{"index_embeddings.npy": np.zeros((3, 4))}),
-             None, r"version 2, expected 7 \(rebuild it with build-vocab\)"),
+             None, r"version 2, expected 8 \(rebuild it with build-vocab\)"),
             (_before_version_7(4, **{"index_frames.npy": np.zeros((5, 6)),
                                      "index_descriptors.npy": np.zeros((5, 10))}),
-             None, r"version 4, expected 7 \(rebuild it with build-vocab\)"),
+             None, r"version 4, expected 8 \(rebuild it with build-vocab\)"),
             (_before_version_7(5, **{"kpca_alphas.npy": np.zeros((9, 4)),
                                      "index_sha256.npy": np.array(["0" * 64] * 3)}),
-             None, r"model file version 5, expected 7 \(rebuild it with build-vocab\)"),
+             None, r"model file version 5, expected 8 \(rebuild it with build-vocab\)"),
             (lambda a: {"index_feature_counts": np.array([-1, 6, 0])}, None, "feature counts"),
             (lambda a: {"index_feature_counts": np.array([3, 1, 0])}, None,
              "index rows member has 640 bytes, expected 512 for the feature counts"),
@@ -783,15 +790,20 @@ class TestModelFile:
             (lambda a: {"header.json": b'{"version": 7,'}, None, "unreadable model file: "),
             (lambda a: {"header.json": b"[7]"}, None, "header 'header.json' is not a JSON object"),
             (_header_change(index_image_ids=["img0", 1, "empty"]), None,
-             "header field 'index_image_ids' is not 3 strings"),
+             "header field 'index_image_ids' is not a list of strings"),
             (lambda a: {"header.json": {**a["header.json"], "dims": {"k": 3}}}, None,
-             r"header dims \('pca_in',\) of array 'pca_mean' are not counts"),
+             "header dims pca_in, pca_out, k, m are not all counts"),
             (_before_version_7(6, **{"pca_mean.npy": np.zeros(10), "index_rows/0": bytes(384)}),
-             None, r"model file version 6, expected 7 \(rebuild it with build-vocab\)"),
+             None, r"model file version 6, expected 8 \(rebuild it with build-vocab\)"),
             (lambda a: {"header.json": {**a["header.json"],
-                                        "dims": {**a["header.json"]["dims"], "m": 0, "f": 1 << 62}},
-                        "kpca_matrix": b""},
-             None, r"array 'kpca_matrix' of shape \(0, 4611686018427387904\): "),
+                                        "dims": {**a["header.json"]["dims"], "k": 0, "m": 1 << 62}},
+                        **dict.fromkeys(["gmm_weights", "gmm_means", "gmm_variances",
+                                         "kpca_matrix"], b"")},
+             None, r"array 'kpca_matrix' of shape \(4611686018427387904, 0\): "),
+            (_header_change(version=7, descriptor_dim=10), None,
+             r"model file version 7, expected 8 \(rebuild it with build-vocab\)"),
+            (_header_change(index_image_ids=["img0", "img1"]), None,
+             r"'index_embeddings' has 96 bytes, expected 64 for shape \(2, 4\)"),
         ],
         ids=["missing", "dtype", "bool_dtype", "shape", "scalar_shape", "index_lengths",
              "embedding_dim", "embedding_nan", "embedding_norm", "embedding_norm_half",
@@ -802,7 +814,7 @@ class TestModelFile:
              "frame_inf", "descriptor_nan", "singular_frame", "det_overflow",
              "descriptor_norm", "row_missing", "row_bytes", "row_crc", "rows_short",
              "header_missing", "header_unparsable", "header_not_object", "id_type", "dims",
-             "version_6", "empty_huge_dim"],
+             "version_6", "empty_huge_dim", "version_7", "id_count"],
     )
     def test_rejected(self, tmp_path, change, row, message):
         """A damage to the vocabulary or the index metadata fails the load;
