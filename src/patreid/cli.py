@@ -14,7 +14,7 @@ import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .encode import TrainingParams, train_vocabulary
+from .encode import TrainingParams, embed_image, train_vocabulary
 from .geometry import GeometryError, GeometryParams
 from .ingest import (
     ManifestError,
@@ -25,11 +25,12 @@ from .ingest import (
 )
 from .reid import (
     CombineParams,
+    Images,
     ReidError,
     evaluate,
     fork_map,
     load_images,
-    query_database,
+    rank_queries,
     write_per_query_csv,
 )
 from .vocab import VocabError, load_vocabulary, save_vocabulary
@@ -128,9 +129,10 @@ def cmd_query(args) -> int:
         if not db_entries:
             raise UsageError("no database entries in manifest")
         db = load_images(manifest, db_entries, vocabulary)
-        ranking = query_database(
-            db, vocabulary, query_features, RULE_TOKENS[args.rule], params, geometry_params
-        )
+        embedding = embed_image(query_features, vocabulary)
+        query = Images([query_features.image_id], [None], embedding[None], lambda _: query_features)
+        rule = RULE_TOKENS[args.rule]
+        ranking = rank_queries(db, query, [rule], params, geometry_params)[rule]
 
     rows, d_l, n, omega, d_c, _ = (a[0].tolist() for a in ranking)  # its one query
     best = {}  # each individual's first ranked row, in rank order

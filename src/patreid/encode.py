@@ -8,7 +8,7 @@ and compared with the cosine distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -126,18 +126,16 @@ def cosine_distance(a: np.ndarray, b: np.ndarray):
 
 
 def train_vocabulary(
-    feature_sets: Sequence[ImageFeatures], params: TrainingParams = TrainingParams(), **options
+    feature_sets: Sequence[ImageFeatures], params: TrainingParams = TrainingParams()
 ) -> Vocabulary:
     """Fit the whole appearance model on the database images, and index them.
 
-    options override fields of params, as in train_vocabulary(sets, gmm_k=2).
     Pools all descriptors for PCA and the GMM, Fisher-encodes each database
     image once, and fits the kernel-PCA compressor on the normalized Fisher
     vectors.  Each image's embedding is then its vector's apply_kpca, bit for
     bit what embed_image gives.  The index rows are feature_sets in order,
     read from memory.  A VocabError about a setting starts with its field name.
     """
-    params = replace(params, **options)
     params.validate()
     feature_sets = list(feature_sets)
     image_ids = [f.image_id for f in feature_sets]

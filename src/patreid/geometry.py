@@ -9,12 +9,12 @@ them into the final distance.  verify_shortlist verifies one query against
 its whole shortlist: matching runs per pair, while normalization, the affine
 maps and hypothesis scoring run over zero- or NaN-padded stacks of all pairs'
 matches, elementwise and in cache-sized blocks, so each pair's verdict is
-the one it gets alone (geometric_similarity).
+the one it gets alone: verify_shortlist(q, [d]) verifies one pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -75,22 +75,17 @@ class GeomVerdict:
     inlier_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
 
-def match_descriptors(
-    query, db, params: GeometryParams = GeometryParams(), **options
-) -> np.ndarray:
+def match_descriptors(query, db, params: GeometryParams = GeometryParams()) -> np.ndarray:
     """Match query descriptors to database descriptors by cosine distance.
 
     Each query descriptor pairs with its nearest database descriptor; a pair
     is kept when its distance is <= max_distance, when (with mutual set) the
     database descriptor's nearest query descriptor closes the cycle, and when
-    (with ratio set) it passes a nearest/second-nearest ratio test.  The three
-    settings are params' fields, which options override, as in
-    match_descriptors(q, d, mutual=False).  Returns an (M, 2) integer array of
+    (with ratio set) it passes a nearest/second-nearest ratio test; the three
+    settings are params' fields.  Returns an (M, 2) integer array of
     (query index, db index) rows sorted by ascending distance, ties by
     query index.
     """
-    if options:
-        params = replace(params, **options)
     desc_q = np.asarray(query.descriptors, dtype=np.float64)
     desc_d = np.asarray(db.descriptors, dtype=np.float64)
     if desc_q.shape[0] == 0 or desc_d.shape[0] == 0:
@@ -366,9 +361,3 @@ def verify_shortlist(
             n = int(mask.sum())
             verdicts[k] = GeomVerdict(n=n, omega=n / total, homography=homography, inlier_mask=mask)
     return verdicts
-
-
-def geometric_similarity(query, db, params: GeometryParams = GeometryParams()) -> GeomVerdict:
-    """Full geometric verification of one (query, db) image pair: the
-    one-pair case of verify_shortlist."""
-    return verify_shortlist(query, [db], params)[0]

@@ -70,10 +70,6 @@ class ImageFeatures:
         return self.frames.shape[0]
 
     @property
-    def degenerate(self) -> bool:
-        return self.count == 0
-
-    @property
     def points(self) -> np.ndarray:
         """Feature centers, shape (M, 2)."""
         return self.frames[:, :2]

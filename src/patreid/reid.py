@@ -78,17 +78,6 @@ class Images(NamedTuple):
     embeddings: np.ndarray
     features: Callable[[int], ImageFeatures]
 
-    @classmethod
-    def of(cls, features: Sequence[ImageFeatures], embeddings: np.ndarray) -> Images:
-        """Images of labelled features already in memory."""
-        features = list(features)
-        return cls(
-            [f.image_id for f in features],
-            [f.individual_id for f in features],
-            embeddings,
-            features.__getitem__,
-        )
-
 
 @dataclass
 class EvalReport:
@@ -256,19 +245,6 @@ def rank_queries(
             *(np.take_along_axis(a, order, -1) for a in (rows, d_l, *n_omega, d_c, verified))
         )
     return rankings
-
-
-def query_database(
-    db: Images,
-    vocabulary: Vocabulary,
-    query_features: ImageFeatures,
-    rule: str,
-    params: CombineParams = CombineParams(),
-    geometry_params: GeometryParams = GeometryParams(),
-) -> Ranking:
-    """One query image's ranking under one rule: rank_queries with Q = 1."""
-    query = Images.of([query_features], embed_image(query_features, vocabulary)[None])
-    return rank_queries(db, query, [rule], params, geometry_params)[rule]
 
 
 def ranks_of_truth(labels: np.ndarray, truths: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ exercised with exact ground truth.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Tuple
@@ -20,7 +21,6 @@ import numpy as np
 
 from .geometry import apply_homography, homography_jacobian
 from .ingest import ImageFeatures, Manifest, ManifestEntry, write_manifest, write_feature_file
-from .seeding import derive_rng
 
 # Offsets to this many nearest neighbors form a point's geometric signature.
 SIGNATURE_NEIGHBORS = 4
@@ -74,6 +74,18 @@ class Constellation:
     individual_id: str
     canonical_points: np.ndarray
     canonical_descriptors: np.ndarray
+
+
+def derive_seed(*tokens) -> int:
+    """Hash a tuple of tokens (ints/strings) into a 64-bit seed, so every work
+    item (an individual, a view) draws from its own stream, whatever the order."""
+    material = "|".join(str(t) for t in tokens).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big", signed=False)
+
+
+def derive_rng(*tokens) -> np.random.Generator:
+    """Generator seeded from a hashed token tuple."""
+    return np.random.default_rng(derive_seed(*tokens))
 
 
 def _scatter_points(rng: np.random.Generator, n: int, min_separation: float) -> np.ndarray:

@@ -205,20 +205,15 @@ def average_log_likelihood(gmm: Gmm, X: np.ndarray) -> float:
     return float(np.mean(_logsumexp(_log_gaussian_terms(gmm, X, X * X))))
 
 
-def gmm_posteriors(gmm: Gmm, x: np.ndarray) -> np.ndarray:
-    """Component posteriors gamma(k), via log-sum-exp; rows sum to 1.
-
-    Accepts one vector (returns (K,)) or a matrix (returns (N, K)).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != gmm.dim:
-        raise VocabError(f"input dim {X.shape[1]} != gmm dim {gmm.dim}")
+def gmm_posteriors(gmm: Gmm, X: np.ndarray) -> np.ndarray:
+    """Component posteriors gamma(k) of each row of the (N, D) X, via
+    log-sum-exp: (N, K), rows sum to 1."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != gmm.dim:
+        raise VocabError(f"expected (N, {gmm.dim}) input, got shape {X.shape}")
     log_terms = _log_gaussian_terms(gmm, X, X * X)
     log_terms -= _logsumexp(log_terms)[:, None]
-    gamma = np.exp(log_terms, out=log_terms)
-    return gamma[0] if single else gamma
+    return np.exp(log_terms, out=log_terms)
 
 
 def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -420,7 +415,11 @@ def _vocabulary_from(header: dict, members: Dict[str, bytes], rows, path, fh) ->
             raise VocabError(f"{path}: header field {name!r} is not of type {kind.__name__}")
     if not math.isfinite(header["alpha"]):
         raise VocabError(f"{path}: non-finite value in alpha")
-    values, dims, ids = dict(header), header["dims"], header["index_image_ids"]
+    unknown = sorted(header.keys() - _HEADER_FIELDS.keys())
+    if unknown:
+        raise VocabError(f"{path}: header has unknown field {unknown[0]!r}")
+    values = {name: header[name] for name in _HEADER_FIELDS}
+    dims, ids = header["dims"], header["index_image_ids"]
     if not all(type(i) is str for i in ids):
         raise VocabError(f"{path}: header field 'index_image_ids' is not a list of strings")
     if not all(type(dims.get(d)) is int and dims[d] >= 0 for d in _DIMS):

@@ -23,7 +23,7 @@ from patreid.geometry import (
     _scale_homography,
     apply_homography,
     dlt_homography,
-    geometric_similarity,
+    verify_shortlist,
 )
 from patreid.ingest import (
     PATF_MAGIC,
@@ -38,12 +38,15 @@ from patreid.vocab import VARIANCE_FLOOR, Gmm, _kmeanspp_centers, average_log_li
 
 def embedded_images(vocabulary, feature_sets):
     """Images of labeled in-memory features, each embedded afresh."""
-    return Images.of(
-        list(feature_sets),
+    feature_sets = list(feature_sets)
+    return Images(
+        [f.image_id for f in feature_sets],
+        [f.individual_id for f in feature_sets],
         np.reshape(
             [embed_image(f, vocabulary) for f in feature_sets],
             (len(feature_sets), vocabulary.kpca.out_dim),
         ),
+        feature_sets.__getitem__,
     )
 
 
@@ -198,7 +201,7 @@ def ranking_oracle(manifest, vocabulary, rule, shortlist, protocol, a=2.0,
         for rank, (d_l, image_id, individual, f) in enumerate(stage1):
             n, omega, d_c, verified = 0, 0.0, d_l, False
             if rule != "appearance_only" and (shortlist == 0 or rank < shortlist):
-                verdict = geometric_similarity(query, f, geometry_params)
+                verdict = verify_shortlist(query, [f], geometry_params)[0]
                 n, omega, verified = verdict.n, verdict.omega, True
                 d_c = {
                     "geometry_only": float(-n),

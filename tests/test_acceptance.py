@@ -21,6 +21,7 @@ from patreid.encode import (
     embed_image,
     fisher_encode,
     power_l2_normalize,
+    TrainingParams,
     train_vocabulary,
 )
 from patreid.geometry import apply_homography, dlt_homography
@@ -40,7 +41,7 @@ from patreid.reid import (
     combine_polynomial,
     evaluate,
     hit_rates,
-    query_database,
+    rank_queries,
     ranks_of_truth,
     write_per_query_csv,
 )
@@ -240,18 +241,18 @@ def test_ac4_unit_exactness(capsys):
     constellations = [generate_individual(cfg, i) for i in range(3)]
     db_features = [render_observation(c, cfg, 0)[0] for c in constellations]
     queries = [render_observation(c, cfg, 1)[0] for c in constellations]
-    vocabulary = train_vocabulary(db_features, gmm_k=2, pca_dim=8)
+    vocabulary = train_vocabulary(db_features, TrainingParams(gmm_k=2, pca_dim=8))
     db = embedded_images(vocabulary, db_features)
-    self_result = query_database(db, vocabulary, db_features[0], "exponential")
+    self_query = embedded_images(vocabulary, db_features[:1])
+    self_result = rank_queries(db, self_query, ["exponential"])["exponential"]
     checks.append(db.image_ids[self_result.rows[0, 0]] == db_features[0].image_id)
     checks.append(self_result.d_C[0, 0] == min(self_result.d_C[0]))
-    full = query_database(
-        db, vocabulary, queries[0], "exponential", CombineParams(shortlist_size=0)
+    query = embedded_images(vocabulary, queries[:1])
+    full = rank_queries(db, query, ["exponential"], CombineParams(shortlist_size=0))
+    covering = rank_queries(
+        db, query, ["exponential"], CombineParams(shortlist_size=len(db.image_ids))
     )
-    covering = query_database(
-        db, vocabulary, queries[0], "exponential",
-        CombineParams(shortlist_size=len(db.image_ids)),
-    )
+    full, covering = full["exponential"], covering["exponential"]
     checks.append(full.rows.tolist() == covering.rows.tolist())
     checks.append(
         list(dict.fromkeys(db.individual_ids[j] for j in full.rows[0]))
@@ -447,7 +448,7 @@ def test_ac8_leave_one_out_protocol(capsys, tmp_path):
     write_manifest(Manifest(entries=entries, base_dir=tmp_path), manifest_path)
     manifest = load_manifest(manifest_path)
 
-    vocabulary = train_vocabulary(all_features, gmm_k=4, pca_dim=16)
+    vocabulary = train_vocabulary(all_features, TrainingParams(gmm_k=4, pca_dim=16))
     report = evaluate(
         manifest, vocabulary, CombineParams(), "leave_one_out", k_max=3
     )["exponential"]

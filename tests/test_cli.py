@@ -309,6 +309,40 @@ def _query(capsys, bench, model, features, *flags):
     return capsys.readouterr().out
 
 
+@pytest.mark.parametrize("shortlist", ["0", "3"])
+@pytest.mark.parametrize("rule", ["app", "geom", "poly", "exp"])
+def test_query_agrees_with_evaluate(indexed, tmp_path, capsys, rule, shortlist):
+    # evaluate on the database plus one query ranks that query as query does:
+    # the same first row (d_L, n, omega, d_C, as query prints them) and the
+    # same rank of its individual.  The CSV names no database image, so the
+    # first row is matched by its values.
+    bench, model = indexed
+    query_id, truth = "ind003_v1", "ind003"
+    lines = (bench / "manifest.csv").read_text(encoding="utf-8").splitlines()
+    kept = [lines[0]] + [
+        f"{row.rsplit(',', 1)[0]},{bench / row.rsplit(',', 1)[1]}"
+        for row in lines[1:] if ",database," in row or row.startswith(f"{query_id},")
+    ]
+    manifest = tmp_path / "one_query.csv"
+    manifest.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    per_query = tmp_path / "per_query.csv"
+    flags = ["--manifest", str(manifest), "--vocab", str(model), "--shortlist", shortlist]
+    assert main(["evaluate", *flags, "--per-query-csv", str(per_query)]) == 0
+    capsys.readouterr()
+    assert main(["query", *flags, "--features", str(bench / f"{query_id}.patf"),
+                 "--rule", rule, "--topk", "8"]) == 0
+    table = [line.split() for line in capsys.readouterr().out.splitlines()]
+
+    full_rule = patreid.cli.RULE_TOKENS[rule]
+    (row,) = [r.split(",") for r in per_query.read_text(encoding="utf-8").splitlines()
+              if r.startswith(f"{full_rule},{query_id},")]
+    _, _, csv_truth, rank, d_l, n, omega, d_c = row
+    assert table[0][0] == "rank" and len(table) == 9
+    assert csv_truth == truth
+    assert table[1][3:] == [f"{float(d_l):.6f}", n, f"{float(omega):.4f}", f"{float(d_c):.6g}"]
+    assert [r[1] for r in table[1:]].index(truth) + 1 == int(rank)
+
+
 class Spy:
     """The calls a patched function saw, from every process: each call is
     one line appended to a file, with the caller's pid, so the calls that
@@ -375,6 +409,7 @@ def embed_calls(monkeypatch, tmp_path):
         return embed_image(features, vocabulary)
 
     monkeypatch.setattr(patreid.reid, "embed_image", counted)
+    monkeypatch.setattr(patreid.cli, "embed_image", counted)
     return spy
 
 
@@ -1228,12 +1263,11 @@ class TestLibraryDefaults:
             monkeypatch.setattr(module, name, spied)
 
         spy("generate_benchmark", lambda config, out: config, patreid.synth)
-        spy("train_vocabulary",
-            lambda sets, params=TrainingParams(), **options: replace(params, **options))
+        spy("train_vocabulary", lambda sets, params=TrainingParams(): params)
         spy("evaluate", lambda manifest, vocabulary, params, protocol, k_max,
             geometry_params: (params, geometry_params))
-        spy("query_database", lambda db, vocabulary, features, rule, params, geometry_params:
-            (rule, params, geometry_params))
+        spy("rank_queries", lambda db, queries, rules, params, geometry_params:
+            (rules, params, geometry_params))
         return seen
 
     def test_synth(self, tmp_path, spies):
@@ -1253,7 +1287,7 @@ class TestLibraryDefaults:
         _, bench, vocab = workspace
         assert main(["query", "--manifest", str(bench / "manifest.csv"), "--vocab", str(vocab),
                      "--features", str(bench / "ind000_v1.patf")]) == 0
-        assert spies["query_database"] == ("exponential", CombineParams(), GeometryParams())
+        assert spies["rank_queries"] == (["exponential"], CombineParams(), GeometryParams())
 
     def test_evaluate(self, workspace, spies):
         _, bench, vocab = workspace
@@ -1322,7 +1356,7 @@ def test_import_loads_no_synth(tmp_path):
         "for command in ('build-vocab', 'query', 'evaluate'):\n"
         "    with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
         "        patreid.cli.main([command, '--help'])\n"
-        "print(sorted({'patreid.synth', 'patreid.seeding', '_hashlib'} & set(sys.modules)))\n"
+        "print(sorted({'patreid.synth', '_hashlib'} & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,

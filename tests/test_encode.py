@@ -197,7 +197,7 @@ class TestTrainVocabularyAndEmbed:
 
     def test_defaults_and_dims(self):
         sets = self._feature_sets()
-        vocab = train_vocabulary(sets, gmm_k=2, pca_dim=4)
+        vocab = train_vocabulary(sets, TrainingParams(gmm_k=2, pca_dim=4))
         assert vocab.pca.out_dim == 4
         assert vocab.gmm.n_components == 2
         assert vocab.kpca.out_dim == min(len(sets) - 1, 512)
@@ -205,7 +205,7 @@ class TestTrainVocabularyAndEmbed:
 
     def test_embedding_unit_norm_and_deterministic(self):
         sets = self._feature_sets()
-        vocab = train_vocabulary(sets, gmm_k=2, pca_dim=4)
+        vocab = train_vocabulary(sets, TrainingParams(gmm_k=2, pca_dim=4))
         a = embed_image(sets[0], vocab)
         b = embed_image(sets[0], vocab)
         assert abs(np.linalg.norm(a) - 1.0) < 1e-12
@@ -213,7 +213,7 @@ class TestTrainVocabularyAndEmbed:
 
     def test_empty_image_degenerate(self):
         sets = self._feature_sets()
-        vocab = train_vocabulary(sets, gmm_k=2, pca_dim=4)
+        vocab = train_vocabulary(sets, TrainingParams(gmm_k=2, pca_dim=4))
         empty = ImageFeatures("e", np.zeros((0, 6)), np.zeros((0, 10)))
         embedding = embed_image(empty, vocab)
         np.testing.assert_array_equal(embedding, np.zeros(vocab.kpca.out_dim))
@@ -224,7 +224,7 @@ class TestTrainVocabularyAndEmbed:
         generate_benchmark(SynthConfig(seed=3, n_individuals=12, views_per_individual=2), tmp_path)
         manifest = load_manifest(tmp_path / "manifest.csv")
         sets = [load_entry_features(manifest, e) for e in manifest.with_role("database")]
-        vocab = train_vocabulary(sets, gmm_k=4, pca_dim=16)
+        vocab = train_vocabulary(sets, TrainingParams(gmm_k=4, pca_dim=16))
         fvs = np.stack(
             [power_l2_normalize(fisher_encode(f, vocab.pca, vocab.gmm), vocab.alpha) for f in sets]
         )
@@ -238,7 +238,7 @@ class TestTrainVocabularyAndEmbed:
         # embedding is bit-equal to embed_image's, and an empty image's is zero.
         empty = ImageFeatures("e", np.zeros((0, 6)), np.zeros((0, 10)))
         sets = self._feature_sets() + [empty]
-        vocab = train_vocabulary(sets, gmm_k=2, pca_dim=4)
+        vocab = train_vocabulary(sets, TrainingParams(gmm_k=2, pca_dim=4))
         assert vocab.index.image_ids == [f.image_id for f in sets]
         assert vocab.index.feature_counts.tolist() == [f.count for f in sets]
         for k, f in enumerate(sets):
@@ -250,12 +250,12 @@ class TestTrainVocabularyAndEmbed:
         sets = self._feature_sets()
         sets[4] = random_features(np.random.default_rng(1), m=40, dim=10, image_id="img2")
         with pytest.raises(VocabError, match="database image id 'img2' given twice"):
-            train_vocabulary(sets, gmm_k=2, pca_dim=4)
+            train_vocabulary(sets, TrainingParams(gmm_k=2, pca_dim=4))
 
     def test_too_few_images(self):
         sets = self._feature_sets(n_images=1)
         with pytest.raises(VocabError, match="at least 2"):
-            train_vocabulary(sets, gmm_k=2, pca_dim=4)
+            train_vocabulary(sets, TrainingParams(gmm_k=2, pca_dim=4))
 
     def test_all_empty_images(self):
         empties = [
@@ -263,12 +263,12 @@ class TestTrainVocabularyAndEmbed:
             for i in range(3)
         ]
         with pytest.raises(VocabError, match="empty"):
-            train_vocabulary(empties, gmm_k=2, pca_dim=4)
+            train_vocabulary(empties, TrainingParams(gmm_k=2, pca_dim=4))
 
     def test_insufficient_descriptors_for_gmm(self):
         sets = self._feature_sets(n_images=2, m=3, dim=10)
         with pytest.raises(VocabError):
-            train_vocabulary(sets, gmm_k=16, pca_dim=2)
+            train_vocabulary(sets, TrainingParams(gmm_k=16, pca_dim=2))
 
     @pytest.mark.parametrize(
         "options, message",
@@ -285,24 +285,15 @@ class TestTrainVocabularyAndEmbed:
     )
     def test_invalid_training_options(self, options, message):
         with pytest.raises(VocabError, match=message):
-            train_vocabulary(self._feature_sets(), **{"gmm_k": 2, "pca_dim": 4, **options})
+            train_vocabulary(
+                self._feature_sets(), TrainingParams(**{"gmm_k": 2, "pca_dim": 4, **options})
+            )
 
     def test_kpca_dim_zero_is_the_default(self, tmp_path):
         sets = self._feature_sets()
-        default = train_vocabulary(sets, gmm_k=2, pca_dim=4)
-        zero = train_vocabulary(sets, gmm_k=2, pca_dim=4, kpca_dim=0)
+        default = train_vocabulary(sets, TrainingParams(gmm_k=2, pca_dim=4))
+        zero = train_vocabulary(sets, TrainingParams(gmm_k=2, pca_dim=4, kpca_dim=0))
         assert model_bytes(zero, tmp_path / "zero") == model_bytes(default, tmp_path / "default")
-
-    def test_params_object_and_keywords_train_alike(self, tmp_path):
-        sets = self._feature_sets()
-        options = {"alpha": 0.3, "kpca_dim": 3, "seed": 5, "gmm_k": 2, "whiten": False}
-        expected = model_bytes(
-            train_vocabulary(sets, TrainingParams(pca_dim=4, **options)), tmp_path / "params"
-        )
-        keywords = train_vocabulary(sets, pca_dim=4, **options)
-        overridden = train_vocabulary(sets, TrainingParams(gmm_k=7, pca_dim=4), **options)
-        assert model_bytes(keywords, tmp_path / "keywords") == expected
-        assert model_bytes(overridden, tmp_path / "overridden") == expected
 
     @pytest.mark.parametrize(
         "m, options, message",
@@ -316,4 +307,4 @@ class TestTrainVocabularyAndEmbed:
     def test_data_bounds_name_the_field(self, m, options, message):
         sets = self._feature_sets(m=m)
         with pytest.raises(VocabError, match=message):
-            train_vocabulary(sets, **{"gmm_k": 1, "pca_dim": 4, **options})
+            train_vocabulary(sets, TrainingParams(**{"gmm_k": 1, "pca_dim": 4, **options}))

@@ -22,15 +22,13 @@ from patreid.geometry import (
     _normalized,
     apply_homography,
     dlt_homography,
-    geometric_similarity,
     homography_jacobian,
     match_descriptors,
     normalize_points,
     verify_shortlist,
 )
 from patreid.ingest import ImageFeatures, parse_feature_file, write_feature_file
-from patreid.seeding import derive_seed
-from patreid.synth import SynthConfig, generate_individual, render_observation
+from patreid.synth import SynthConfig, derive_seed, generate_individual, render_observation
 
 
 def features_from(points, descriptors, image_id="img"):
@@ -82,8 +80,8 @@ class TestMatchDescriptors:
         # 1.0 must keep them, anything lower must drop them.
         q = features_from([[0.0, 0.0]], [[1.0, 0.0]])
         d = features_from([[0.0, 0.0]], [[0.0, 1.0]])
-        assert len(match_descriptors(q, d, max_distance=1.0)) == 1
-        assert len(match_descriptors(q, d, max_distance=0.999)) == 0
+        assert len(match_descriptors(q, d, GeometryParams(max_distance=1.0))) == 1
+        assert len(match_descriptors(q, d, GeometryParams(max_distance=0.999))) == 0
 
     def test_mutual_filter(self):
         # db descriptor 0 is the NN of both queries, but its own NN is
@@ -92,8 +90,8 @@ class TestMatchDescriptors:
             [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.9486832980505138, 0.31622776601683794]]
         )
         d = features_from([[5.0, 5.0]], [[1.0, 0.0]])
-        mutual = match_descriptors(q, d, mutual=True)
-        one_way = match_descriptors(q, d, mutual=False)
+        mutual = match_descriptors(q, d, GeometryParams(mutual=True))
+        one_way = match_descriptors(q, d, GeometryParams(mutual=False))
         assert mutual.tolist() == [[0, 0]]
         assert len(one_way) == 2
 
@@ -109,24 +107,9 @@ class TestMatchDescriptors:
                 [np.cos(0.46), 0.0, np.sin(0.46)],
             ],
         )
-        assert len(match_descriptors(q, d, mutual=False, ratio=0.95)) == 0
-        assert len(match_descriptors(q, d, mutual=False)) == 1
-        assert len(match_descriptors(q, d, mutual=False, ratio=0.97)) == 1
-
-    def test_settings_are_geometry_params_fields(self):
-        # The ambiguous pair above; keywords override the params' fields.
-        q = features_from([[0.0, 0.0]], [[1.0, 0.0, 0.0]])
-        d = features_from(
-            [[0.0, 0.0], [1.0, 1.0]],
-            [
-                [np.cos(0.45), np.sin(0.45), 0.0],
-                [np.cos(0.46), 0.0, np.sin(0.46)],
-            ],
-        )
-        params = GeometryParams(mutual=False, ratio=0.95)
-        assert len(match_descriptors(q, d, params)) == 0
-        assert len(match_descriptors(q, d, params, ratio=0.97)) == 1
-        assert len(match_descriptors(q, d, params, ratio=None)) == 1
+        assert len(match_descriptors(q, d, GeometryParams(mutual=False, ratio=0.95))) == 0
+        assert len(match_descriptors(q, d, GeometryParams(mutual=False))) == 1
+        assert len(match_descriptors(q, d, GeometryParams(mutual=False, ratio=0.97))) == 1
 
     def test_noisy_recovery_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(3)
@@ -164,7 +147,7 @@ class TestMatchDescriptors:
             np.zeros((4, 2)), [[0.6, 0.8], [1.0, 0.0], [0.6, 0.8], [1.0, 0.0]], "q"
         )
         d = features_from(np.zeros((2, 2)), [[1.0, 0.0], [0.8, 0.6]], "d")
-        matches = match_descriptors(q, d, mutual=False)
+        matches = match_descriptors(q, d, GeometryParams(mutual=False))
         assert matches.tolist() == [[1, 0], [3, 0], [0, 1], [2, 1]]
         assert np.all(np.diff(match_distances(q, d, matches)) >= 0)
 
@@ -439,7 +422,7 @@ class TestGeometricSimilarity:
         cfg = SynthConfig(seed=2, n_individuals=1, views_per_individual=2)
         c = generate_individual(cfg, 0)
         features, _, _ = render_observation(c, cfg, 1)
-        verdict = geometric_similarity(features, features)
+        verdict = verify_shortlist(features, [features])[0]
         assert verdict.omega == 1.0
         assert verdict.n == features.count
 
@@ -449,8 +432,8 @@ class TestGeometricSimilarity:
         b = generate_individual(cfg, 1)
         fa, _, _ = render_observation(a, cfg, 1)
         fb, _, _ = render_observation(b, cfg, 0)
-        v1 = geometric_similarity(fa, fb)
-        v2 = geometric_similarity(fa, fb)
+        v1 = verify_shortlist(fa, [fb])[0]
+        v2 = verify_shortlist(fa, [fb])[0]
         assert (v1.n, v1.omega) == (v2.n, v2.omega)
         np.testing.assert_array_equal(v1.inlier_mask, v2.inlier_mask)
         np.testing.assert_array_equal(v1.homography, v2.homography)
@@ -458,7 +441,7 @@ class TestGeometricSimilarity:
     def test_no_matches_zero_verdict(self):
         q = features_from([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]], "q")
         d = features_from([[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [-1.0, 0.0]], "d")
-        verdict = geometric_similarity(q, d)
+        verdict = verify_shortlist(q, [d])[0]
         assert verdict.n == 0 and verdict.omega == 0.0
         assert verdict.homography is None
 
@@ -468,7 +451,7 @@ class TestGeometricSimilarity:
         desc = np.eye(4, 8)
         q = features_from(np.full((4, 2), 3.0), desc, "q")
         d = features_from([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], desc, "d")
-        verdict = geometric_similarity(q, d)
+        verdict = verify_shortlist(q, [d])[0]
         assert verdict.n == 0 and verdict.omega == 0.0
         assert verdict.homography is None
         assert verdict.inlier_mask.shape == (4,)
@@ -483,9 +466,9 @@ class TestGeometricSimilarity:
             for v in range(1, cfg.views_per_individual):
                 query, _, source_index = render_observation(c, cfg, v)
                 retained = int(np.sum(source_index >= 0))
-                verdict = geometric_similarity(
-                    query, db_view, GeometryParams(inlier_threshold=0.1)
-                )
+                verdict = verify_shortlist(
+                    query, [db_view], GeometryParams(inlier_threshold=0.1)
+                )[0]
                 assert verdict.n >= 0.5 * retained
 
     def test_different_individual_views_rejected(self):
@@ -510,10 +493,10 @@ class TestGeometricSimilarity:
                 if other_id == individual_id:
                     continue
                 strict.append(
-                    geometric_similarity(query, db_view, strict_params).omega
+                    verify_shortlist(query, [db_view], strict_params)[0].omega
                 )
                 loose.append(
-                    geometric_similarity(query, db_view, loose_params).omega
+                    verify_shortlist(query, [db_view], loose_params)[0].omega
                 )
         strict, loose = np.array(strict), np.array(loose)
         assert np.mean(strict < 0.2) >= 0.95
@@ -562,9 +545,9 @@ class TestAffineVerifier:
         off = np.linalg.norm(np.column_stack([n_src, np.ones(40)]) @ fit - n_dst, axis=1)
         assert np.all(off[~planted] >= 0.2)
 
-        verdict = geometric_similarity(
-            framed_features(src, frames_q, "q"), framed_features(dst, frames_d, "d")
-        )
+        verdict = verify_shortlist(
+            framed_features(src, frames_q, "q"), [framed_features(dst, frames_d, "d")]
+        )[0]
         np.testing.assert_array_equal(verdict.inlier_mask, planted)
         assert verdict.n == planted.sum() and verdict.omega == planted.mean()
         np.testing.assert_allclose(
@@ -574,9 +557,9 @@ class TestAffineVerifier:
     def test_three_matches_no_verdict(self):
         points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         frames = np.tile(np.eye(2), (3, 1, 1))
-        verdict = geometric_similarity(
-            framed_features(points, frames, "q"), framed_features(points, frames, "d")
-        )
+        verdict = verify_shortlist(
+            framed_features(points, frames, "q"), [framed_features(points, frames, "d")]
+        )[0]
         assert verdict.n == 0 and verdict.omega == 0.0
         assert verdict.homography is None
         np.testing.assert_array_equal(verdict.inlier_mask, np.zeros(3, dtype=bool))
@@ -592,9 +575,9 @@ class TestAffineVerifier:
         frames_q = np.tile(np.eye(2), (10, 1, 1))
         dst = np.array([maps[g][0] @ x + maps[g][1] for g, x in zip(group, src)])
         frames_d = np.array([maps[g][0] for g in group])
-        verdict = geometric_similarity(
-            framed_features(src, frames_q, "q"), framed_features(dst, frames_d, "d")
-        )
+        verdict = verify_shortlist(
+            framed_features(src, frames_q, "q"), [framed_features(dst, frames_d, "d")]
+        )[0]
         np.testing.assert_array_equal(verdict.inlier_mask, group == first)
         assert verdict.n == 5
 
@@ -615,12 +598,12 @@ class TestAffineVerifier:
         write_feature_file(d, tmp_path / "d.patf")
         q, d = parse_feature_file(tmp_path / "q.patf"), parse_feature_file(tmp_path / "d.patf")
 
-        verdict = geometric_similarity(q, d)
+        verdict = verify_shortlist(q, [d])[0]
         assert verdict.n == 12 and verdict.omega == 1.0
         assert np.all(np.isfinite(verdict.homography))
 
         extreme = framed_features(src[:9], frames_q[[0, 1, 2] * 3], "x")
-        verdict = geometric_similarity(extreme, framed_features(src[:9], frames_d[:9], "y"))
+        verdict = verify_shortlist(extreme, [framed_features(src[:9], frames_d[:9], "y")])[0]
         assert 0 <= verdict.n == verdict.inlier_mask.sum() <= 9
         assert np.isfinite(verdict.omega)
 
@@ -653,7 +636,7 @@ def test_noisy_frames_keep_genuine_pairs_first():
     for i, c in enumerate(inds):
         for v in range(1, cfg.views_per_individual):
             query = noisy(render_observation(c, cfg, v)[0])
-            n = [geometric_similarity(query, d).n for d in db]
+            n = [verify_shortlist(query, [d])[0].n for d in db]
             assert n[i] > max(n[:i] + n[i + 1 :]), query.image_id
             assert n[i] >= 12, query.image_id
 
@@ -684,14 +667,14 @@ class TestGeometryParams:
     def test_geometric_similarity_validates(self):
         f = features_from(np.zeros((1, 2)), [[1.0, 0.0]])
         with pytest.raises(GeometryError, match="inlier_threshold"):
-            geometric_similarity(f, f, GeometryParams(inlier_threshold=float("nan")))
+            verify_shortlist(f, [f], GeometryParams(inlier_threshold=float("nan")))[0]
 
 
 # (n, omega) of ransac_homography over the normalized matches of every query
 # (views 1-2) against every database image (view 0, in individual order) of
 # the seed-3 synthetic set with 4 individuals x 3 views, each pair seeded
 # with derive_seed(0, "ransac", query id, database id), recorded with the SVD
-# minimal solver.  These were geometric_similarity's verdicts while it ran
+# minimal solver.  These were the verifier's verdicts while it ran
 # RANSAC.  A change to RANSAC that moves a verdict must update these
 # literals and show the diff.
 PINNED_VERDICTS = {
@@ -707,7 +690,7 @@ PINNED_VERDICTS = {
 
 
 
-# (n, omega) of geometric_similarity(query, db) over the same pairs, from the
+# (n, omega) of verify_shortlist(query, [db])[0] over the same pairs, from the
 # matches' affine frames.  Genuine pairs keep RANSAC's verdicts; impostor
 # pairs no longer get a 4-point consensus for free.  A change to the
 # verifier that moves a verdict must update these literals and show the diff.
@@ -759,11 +742,11 @@ def test_pinned_verdicts():
 
 
 def test_pinned_affine_verdicts():
-    assert pinned_table(geometric_similarity) == PINNED_AFFINE_VERDICTS
+    assert pinned_table(lambda query, d: verify_shortlist(query, [d])[0]) == PINNED_AFFINE_VERDICTS
 
 
 def reference_inliers(query, db, threshold=0.1):
-    """geometric_similarity's consensus, one hypothesis at a time.
+    """verify_shortlist's consensus of one pair, one hypothesis at a time.
 
     Uses np.linalg.inv and Euclidean norms where the verifier uses the
     adjugate and squared distances.
@@ -812,12 +795,12 @@ def test_verifier_matches_per_hypothesis_reference():
     stress = [render_observation(c, cfg, v)[0] for c in inds for v in (1, 2)]
     for query, d in list(pinned_pairs()) + [(q, d) for q in stress for d in db]:
         np.testing.assert_array_equal(
-            geometric_similarity(query, d).inlier_mask, reference_inliers(query, d)
+            verify_shortlist(query, [d])[0].inlier_mask, reference_inliers(query, d)
         )
     # Each stress query's database images verified as one shortlist.
     for query in stress:
         for d, verdict in zip(db, verify_shortlist(query, db)):
-            assert_same_verdict(verdict, geometric_similarity(query, d))
+            assert_same_verdict(verdict, verify_shortlist(query, [d])[0])
             np.testing.assert_array_equal(verdict.inlier_mask, reference_inliers(query, d))
 
 
@@ -860,7 +843,7 @@ def test_hypothesis_blocks_match_dense_scoring():
     m = query.count
     block = SCORE_BUDGET // m
     assert m * m > SCORE_BUDGET and 0 < block < m
-    verdict = geometric_similarity(query, db)
+    verdict = verify_shortlist(query, [db])[0]
 
     # Dense reference: every hypothesis in one (M, M) array, first argmax.
     matches = match_descriptors(query, db)
@@ -923,7 +906,7 @@ def test_mixed_shortlist_matches_one_pair_verdicts():
     assert [len(v.inlier_mask) for v in verdicts] == [3, 40, 6, 1500, 0, 12, 60]
     assert verdicts[5].n == 12
     for d, verdict in zip(shortlist, verdicts):
-        assert_same_verdict(verdict, geometric_similarity(query, d))
+        assert_same_verdict(verdict, verify_shortlist(query, [d])[0])
         if verdict.n == 0:
             assert verdict.homography is None and not verdict.inlier_mask.any()
             continue

@@ -102,7 +102,6 @@ class TestParseFeatureFile:
         path = write_patf(tmp_path / "a.patf", ["PATF 1", "imgA", "128 0"])
         f = parse_feature_file(path)
         assert f.count == 0
-        assert f.degenerate
         assert f.descriptors.shape == (0, 128)
 
     def test_trailing_blank_lines_tolerated(self, tmp_path):
@@ -274,7 +273,6 @@ class TestParseFeatureFile:
         write_feature_file(original, path)
         loaded = parse_feature_file(path)
         assert loaded.count == 0
-        assert loaded.degenerate
 
 
 def test_row_faults_one_rule_per_row():

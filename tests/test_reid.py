@@ -8,7 +8,7 @@ from oracles import embedded_images, ranking_oracle
 
 import patreid.geometry
 from patreid.cli import main
-from patreid.encode import train_vocabulary
+from patreid.encode import TrainingParams, train_vocabulary
 from patreid.ingest import (
     ImageFeatures,
     Manifest,
@@ -29,7 +29,6 @@ from patreid.reid import (
     evaluate,
     hit_rates,
     load_images,
-    query_database,
     rank_queries,
     ranks_of_truth,
     write_per_query_csv,
@@ -127,7 +126,7 @@ def synth_setup(seed=21, n_individuals=4, views=3, **overrides):
         for c in constellations
         for v in range(1, views)
     ]
-    vocabulary = train_vocabulary(db_features, gmm_k=4, pca_dim=16)
+    vocabulary = train_vocabulary(db_features, TrainingParams(gmm_k=4, pca_dim=16))
     return cfg, db_features, queries, vocabulary
 
 
@@ -147,7 +146,8 @@ class TestQueryDatabase:
     def test_database_image_ranks_itself_first(self, small_world):
         _, db, _, vocabulary = small_world
         first = db.features(0)
-        result = query_database(db, vocabulary, first, "exponential")
+        query = embedded_images(vocabulary, [first])
+        result = rank_queries(db, query, ["exponential"])["exponential"]
         assert db.image_ids[result.rows[0, 0]] == first.image_id
         assert individuals(db, result)[0] == first.individual_id
 
@@ -155,7 +155,7 @@ class TestQueryDatabase:
         _, db, queries, vocabulary = small_world
         for rule in RULES:
             for query in queries:
-                result = query_database(db, vocabulary, query, rule)
+                result = rank_queries(db, embedded_images(vocabulary, [query]), [rule])[rule]
                 assert individuals(db, result)[0] == query.individual_id, rule
 
     def test_individuals_deduplicated(self, small_world):
@@ -168,7 +168,8 @@ class TestQueryDatabase:
             dataclasses.replace(f, image_id=f.image_id + "_copy") for f in features
         ]
         db2 = embedded_images(vocabulary, doubled)
-        result = query_database(db2, vocabulary, queries[0], "exponential")
+        query = embedded_images(vocabulary, queries[:1])
+        result = rank_queries(db2, query, ["exponential"])["exponential"]
         assert result.rows.shape == (1, 2 * len(features))
         assert sorted(individuals(db2, result)) == sorted(db.individual_ids)
         labels = np.array([db.individual_ids.index(i) for i in db2.individual_ids])
@@ -177,13 +178,12 @@ class TestQueryDatabase:
 
     def test_shortlist_equivalence_when_covering(self, small_world):
         _, db, queries, vocabulary = small_world
-        full = query_database(
-            db, vocabulary, queries[0], "exponential", CombineParams(shortlist_size=0)
+        query = embedded_images(vocabulary, queries[:1])
+        full = rank_queries(db, query, ["exponential"], CombineParams(shortlist_size=0))
+        covering = rank_queries(
+            db, query, ["exponential"], CombineParams(shortlist_size=len(db.image_ids))
         )
-        covering = query_database(
-            db, vocabulary, queries[0], "exponential",
-            CombineParams(shortlist_size=len(db.image_ids)),
-        )
+        full, covering = full["exponential"], covering["exponential"]
         assert individuals(db, full) == individuals(db, covering)
         for name in ("rows", "d_C", "n", "omega"):
             assert getattr(full, name).tolist() == getattr(covering, name).tolist()
@@ -191,7 +191,8 @@ class TestQueryDatabase:
     def test_unverified_rank_after_verified(self, small_world):
         _, db, queries, vocabulary = small_world
         params = CombineParams(shortlist_size=1)
-        result = query_database(db, vocabulary, queries[0], "exponential", params)
+        query = embedded_images(vocabulary, queries[:1])
+        result = rank_queries(db, query, ["exponential"], params)["exponential"]
         verified_flags = result.verified[0].tolist()
         assert verified_flags[0] is True
         assert sum(verified_flags) == 1
@@ -199,23 +200,24 @@ class TestQueryDatabase:
 
     def test_appearance_only_skips_geometry(self, small_world):
         _, db, queries, vocabulary = small_world
-        c = query_database(db, vocabulary, queries[0], "appearance_only")
+        query = embedded_images(vocabulary, queries[:1])
+        c = rank_queries(db, query, ["appearance_only"])["appearance_only"]
         assert (c.n == 0).all() and (c.omega == 0.0).all()
         assert (c.d_C == c.d_L).all()
 
     def test_geometry_only_scores_negative_inliers(self, small_world):
         _, db, queries, vocabulary = small_world
-        c = query_database(db, vocabulary, queries[0], "geometry_only")
+        query = embedded_images(vocabulary, queries[:1])
+        c = rank_queries(db, query, ["geometry_only"])["geometry_only"]
         assert (c.d_C[c.verified] == -c.n[c.verified]).all()
 
     def test_empty_database_rejected(self, small_world):
         _, db, queries, vocabulary = small_world
         with pytest.raises(ReidError, match="empty"):
-            query_database(
-                Images.of([], np.zeros((0, vocabulary.kpca.out_dim))),
-                vocabulary,
-                queries[0],
-                "exponential",
+            rank_queries(
+                embedded_images(vocabulary, []),
+                embedded_images(vocabulary, queries[:1]),
+                ["exponential"],
             )
 
     def test_unknown_rule_rejected(self, small_world):
@@ -255,10 +257,11 @@ class TestScorePair:
             q for q in queries if q.individual_id == entry.individual_id
         )
         # Zero embeddings on both sides: degenerate images.
-        hobbled = Images.of([entry], np.zeros((1, db.embeddings.shape[1])))
+        zero = np.zeros((1, db.embeddings.shape[1]))
+        hobbled = Images([entry.image_id], [entry.individual_id], zero, lambda _: entry)
         candidate = rank_queries(
             hobbled,
-            Images.of([truth_query], np.zeros((1, db.embeddings.shape[1]))),
+            Images([truth_query.image_id], [None], zero, lambda _: truth_query),
             ["exponential"],
         )["exponential"]
         assert candidate.d_L[0, 0] == 2.0
@@ -271,16 +274,20 @@ class TestBuildDatabase:
         import dataclasses
         unlabeled = dataclasses.replace(db.features(0), individual_id=None)
         with pytest.raises(ReidError, match="individual_id"):
-            query_database(
-                embedded_images(vocabulary, [unlabeled]), vocabulary, queries[0], "exponential"
+            rank_queries(
+                embedded_images(vocabulary, [unlabeled]),
+                embedded_images(vocabulary, queries[:1]),
+                ["exponential"],
             )
 
     def test_rejects_duplicate_ids(self, small_world):
         _, db, queries, vocabulary = small_world
         f = db.features(0)
         with pytest.raises(ReidError, match="duplicate"):
-            query_database(
-                embedded_images(vocabulary, [f, f]), vocabulary, queries[0], "exponential"
+            rank_queries(
+                embedded_images(vocabulary, [f, f]),
+                embedded_images(vocabulary, queries[:1]),
+                ["exponential"],
             )
 
 
@@ -297,7 +304,7 @@ class TestEvaluateSplit:
         feature_sets = [
             load_entry_features(manifest, e) for e in manifest.with_role("database")
         ]
-        vocabulary = train_vocabulary(feature_sets, gmm_k=4, pca_dim=16)
+        vocabulary = train_vocabulary(feature_sets, TrainingParams(gmm_k=4, pca_dim=16))
         report = evaluate(
             manifest, vocabulary, CombineParams(), "split", k_max=3
         )["exponential"]
@@ -318,7 +325,7 @@ class TestEvaluateSplit:
         feature_sets = [
             load_entry_features(manifest, e) for e in manifest.with_role("database")
         ]
-        vocabulary = train_vocabulary(feature_sets, gmm_k=4, pca_dim=16)
+        vocabulary = train_vocabulary(feature_sets, TrainingParams(gmm_k=4, pca_dim=16))
         report = evaluate(
             manifest, vocabulary, CombineParams(), "split", k_max=2
         )["exponential"]
@@ -333,8 +340,7 @@ class TestEvaluateSplit:
         )
         vocabulary = train_vocabulary(
             [load_entry_features(manifest, e) for e in manifest.with_role("database")],
-            gmm_k=4,
-            pca_dim=16,
+            TrainingParams(gmm_k=4, pca_dim=16),
         )
         with pytest.raises(ReidError, match="query"):
             evaluate(db_only, vocabulary, CombineParams(), "split")
@@ -344,8 +350,7 @@ class TestEvaluateLeaveOneOut:
     def _vocabulary_for(self, manifest):
         return train_vocabulary(
             [load_entry_features(manifest, e) for e in manifest.with_role("database")],
-            gmm_k=4,
-            pca_dim=16,
+            TrainingParams(gmm_k=4, pca_dim=16),
         )
 
     def test_two_images_one_individual(self, tmp_path):

@@ -192,7 +192,7 @@ class TestFitGmm:
 class TestGmmPosteriors:
     def test_k1_is_one(self):
         gmm = Gmm(weights=np.ones(1), means=np.zeros((1, 2)), variances=np.ones((1, 2)))
-        np.testing.assert_array_equal(gmm_posteriors(gmm, np.array([3.0, -1.0])), [1.0])
+        np.testing.assert_array_equal(gmm_posteriors(gmm, np.array([[3.0, -1.0]])), [[1.0]])
 
     def test_symmetric_components_split_evenly(self):
         gmm = Gmm(
@@ -201,8 +201,14 @@ class TestGmmPosteriors:
             variances=np.ones((2, 1)),
         )
         np.testing.assert_allclose(
-            gmm_posteriors(gmm, np.array([0.0])), [0.5, 0.5], atol=1e-12
+            gmm_posteriors(gmm, np.array([[0.0]])), [[0.5, 0.5]], atol=1e-12
         )
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 3), (1, 1, 2)])
+    def test_only_rows_of_the_gmm_dim(self, shape):
+        gmm = Gmm(weights=np.ones(1), means=np.zeros((1, 2)), variances=np.ones((1, 2)))
+        with pytest.raises(VocabError, match=r"expected \(N, 2\) input, got shape"):
+            gmm_posteriors(gmm, np.zeros(shape))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -804,6 +810,8 @@ class TestModelFile:
              r"model file version 7, expected 8 \(rebuild it with build-vocab\)"),
             (_header_change(index_image_ids=["img0", "img1"]), None,
              r"'index_embeddings' has 96 bytes, expected 64 for shape \(2, 4\)"),
+            (_header_change(gmm_log_likelihoods="not an array", kpca_eigenvalues={"a": 1}),
+             None, "header has unknown field 'gmm_log_likelihoods'"),
         ],
         ids=["missing", "dtype", "bool_dtype", "shape", "scalar_shape", "index_lengths",
              "embedding_dim", "embedding_nan", "embedding_norm", "embedding_norm_half",
@@ -814,7 +822,7 @@ class TestModelFile:
              "frame_inf", "descriptor_nan", "singular_frame", "det_overflow",
              "descriptor_norm", "row_missing", "row_bytes", "row_crc", "rows_short",
              "header_missing", "header_unparsable", "header_not_object", "id_type", "dims",
-             "version_6", "empty_huge_dim", "version_7", "id_count"],
+             "version_6", "empty_huge_dim", "version_7", "id_count", "unknown_field"],
     )
     def test_rejected(self, tmp_path, change, row, message):
         """A damage to the vocabulary or the index metadata fails the load;
