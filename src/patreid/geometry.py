@@ -107,24 +107,9 @@ def match_descriptors(query, db, params: GeometryParams = GeometryParams()) -> n
     return np.stack([iq[order], idb[order]], axis=1)
 
 
-def normalize_points(points: np.ndarray) -> np.ndarray:
-    """Shift points to zero mean and scale the set's max norm to 1.
-
-    A set of coincident points cannot define a scale and raises
-    GeometryError, as does an empty or non-(N, 2) input.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 1:
-        raise GeometryError(f"expected non-empty (N, 2) points, got {points.shape}")
-    normalized, max_norm = _normalized(points[None], np.array([len(points)]))
-    if max_norm[0] < COINCIDENT_EPS:
-        raise GeometryError("coincident points: no scale to normalize by")
-    return normalized[0]
-
-
 def _normalized(points: np.ndarray, counts: np.ndarray):
-    """normalize_points of each set in a zero-padded (P, N, 2) stack, and the
-    (P,) max norms it divided by.
+    """Each set in a zero-padded (P, N, 2) stack shifted to zero mean and
+    scaled to max norm 1, and the (P,) max norms it divided by.
 
     Set p is its first counts[p] rows.  The padding adds only zeros to a
     set's sums, so each set gets the bits it would get alone; padding rows
@@ -181,7 +166,7 @@ def dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Least-squares 3x3 homography from >= 4 point pairs (direct linear
     transform), scaled per _scale_homography.
 
-    Expects coordinates already normalized per normalize_points.  The
+    Expects coordinates already normalized per _normalized.  The
     solution is the singular direction of the stacked constraint system;
     a configuration that leaves the system rank-deficient (e.g. collinear
     points) raises GeometryError.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -53,7 +53,7 @@ class ManifestError(ValueError):
 
 @dataclass
 class ImageFeatures:
-    """One image's local pattern features plus identity labels.
+    """One image's local pattern features; who it shows is the manifest's.
 
     frames is (M, 6) float64 per FRAME_FIELDS; descriptors is (M, D) float64
     with unit-norm rows.  An empty feature set is legal but degenerate.
@@ -62,17 +62,10 @@ class ImageFeatures:
     image_id: str
     frames: np.ndarray
     descriptors: np.ndarray
-    individual_id: Optional[str] = None
-    viewpoint: Optional[str] = None
 
     @property
     def count(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def points(self) -> np.ndarray:
-        """Feature centers, shape (M, 2)."""
-        return self.frames[:, :2]
 
 
 @dataclass
@@ -288,7 +281,7 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 
 def load_entry_features(manifest: Manifest, entry: ManifestEntry) -> ImageFeatures:
-    """Parse an entry's feature file and attach its manifest labels.
+    """Parse an entry's feature file.
 
     The file must exist, and its image_id must be the entry's: results are
     keyed by it.
@@ -303,6 +296,4 @@ def load_entry_features(manifest: Manifest, entry: ManifestEntry) -> ImageFeatur
             f"{path}: feature file image_id {features.image_id!r} does not match "
             f"manifest image_id {entry.image_id!r}"
         )
-    return replace(
-        features, individual_id=entry.individual_id, viewpoint=entry.viewpoint
-    )
+    return features

@@ -227,7 +227,6 @@ def render_observation(
         image_id=f"{constellation.individual_id}_v{view_index}",
         frames=frames,
         descriptors=np.vstack([descriptors, clutter_desc]),
-        individual_id=constellation.individual_id,
     )
     source_index = np.concatenate(
         [kept_idx, np.full(n_clutter, -1, dtype=np.int64)]
@@ -241,14 +240,6 @@ def write_homography_sidecar(H: np.ndarray, path) -> None:
     H = H / H[2, 2]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(repr(float(v)) for v in H.reshape(-1)) + "\n")
-
-
-def read_homography_sidecar(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        values = np.array(fh.read().split(), dtype=np.float64)
-    if values.size != 9:
-        raise ValueError(f"{path}: expected 9 floats, got {values.size}")
-    return values.reshape(3, 3)
 
 
 def generate_benchmark(config: SynthConfig, out_dir) -> Manifest:

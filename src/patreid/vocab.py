@@ -424,6 +424,9 @@ def _vocabulary_from(header: dict, members: Dict[str, bytes], rows, path, fh) ->
         raise VocabError(f"{path}: header field 'index_image_ids' is not a list of strings")
     if not all(type(dims.get(d)) is int and dims[d] >= 0 for d in _DIMS):
         raise VocabError(f"{path}: header dims {', '.join(_DIMS)} are not all counts")
+    unknown = sorted(dims.keys() - _DIMS.keys())
+    if unknown:
+        raise VocabError(f"{path}: header dims has unknown key {unknown[0]!r}")
     sizes = {**dims, "rows": len(ids), "f": 2 * dims["k"] * dims["pca_out"]}
     for name, (dtype, dim_names) in _LAYOUT.items():
         shape = tuple(sizes[d] for d in dim_names)

@@ -3,10 +3,15 @@
 Everything here is deliberately written the slow, obvious way (explicit
 loops, dense matrices, finite differences) so the production code is
 verified against a formulation that shares none of its algebra.  It also
-holds AC-3's sampling estimator, ransac_homography: a seeded RANSAC over
-bare point pairs whose verdicts test_geometry pins, and which no search
-uses; and reference_parse_feature_file, which reads a PATF file one line
-at a time.
+holds what only the tests read:
+- AC-3's sampling estimator, ransac_homography: a seeded RANSAC over bare
+  point pairs whose verdicts test_geometry pins, and which no search uses;
+- normalize_points, the verifier's own per-set normalization of one set;
+- reference_parse_feature_file, which reads a PATF file one line at a time;
+- read_homography_sidecar, which reads the ground-truth homography that
+  synth writes beside each view;
+- individual_of and embedded_images, which label synth images by their
+  image ids, since features carry no labels.
 """
 
 from pathlib import Path
@@ -15,10 +20,12 @@ import numpy as np
 
 from patreid.encode import cosine_distance, embed_image
 from patreid.geometry import (
+    COINCIDENT_EPS,
     GeometryError,
     GeometryParams,
     GeomVerdict,
     _dlt_matrix,
+    _normalized,
     _point_pairs,
     _scale_homography,
     apply_homography,
@@ -36,12 +43,19 @@ from patreid.reid import Images
 from patreid.vocab import VARIANCE_FLOOR, Gmm, _kmeanspp_centers, average_log_likelihood
 
 
-def embedded_images(vocabulary, feature_sets):
-    """Images of labeled in-memory features, each embedded afresh."""
+def individual_of(features):
+    """The individual a synth image shows: its image id's prefix
+    ("ind003_v2" -> "ind003")."""
+    return features.image_id.split("_", 1)[0]
+
+
+def embedded_images(vocabulary, feature_sets, individual_ids=None):
+    """Images of in-memory features, each embedded afresh, labeled by
+    individual_ids or else by individual_of."""
     feature_sets = list(feature_sets)
     return Images(
         [f.image_id for f in feature_sets],
-        [f.individual_id for f in feature_sets],
+        list(individual_ids or map(individual_of, feature_sets)),
         np.reshape(
             [embed_image(f, vocabulary) for f in feature_sets],
             (len(feature_sets), vocabulary.kpca.out_dim),
@@ -226,6 +240,22 @@ RANSAC_MAX_ITERS = 2000
 COLLINEAR_EPS = 1e-9
 # The four point triples of a 4-point sample.
 _TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def normalize_points(points: np.ndarray) -> np.ndarray:
+    """Shift points to zero mean and scale the set's max norm to 1, as the
+    verifier's _normalized does for each set of a stack.
+
+    A set of coincident points cannot define a scale and raises
+    GeometryError, as does an empty or non-(N, 2) input.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 1:
+        raise GeometryError(f"expected non-empty (N, 2) points, got {points.shape}")
+    normalized, max_norm = _normalized(points[None], np.array([len(points)]))
+    if max_norm[0] < COINCIDENT_EPS:
+        raise GeometryError("coincident points: no scale to normalize by")
+    return normalized[0]
 
 
 def reprojection_residuals(H: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -449,3 +479,13 @@ def reference_parse_feature_file(path) -> ImageFeatures:
         descriptors[i] = desc / norm
 
     return ImageFeatures(image_id=image_id, frames=frames, descriptors=descriptors)
+
+
+def read_homography_sidecar(path) -> np.ndarray:
+    """The 3x3 ground-truth homography of a synth .h sidecar: 9 row-major
+    floats with h33 = 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        values = np.array(fh.read().split(), dtype=np.float64)
+    if values.size != 9:
+        raise ValueError(f"{path}: expected 9 floats, got {values.size}")
+    return values.reshape(3, 3)

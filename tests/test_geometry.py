@@ -9,6 +9,7 @@ from oracles import (
     _minimal_homographies,
     _minimal_rows,
     _noncollinear,
+    normalize_points,
     ransac_homography,
     reprojection_residuals,
 )
@@ -24,7 +25,6 @@ from patreid.geometry import (
     dlt_homography,
     homography_jacobian,
     match_descriptors,
-    normalize_points,
     verify_shortlist,
 )
 from patreid.ingest import ImageFeatures, parse_feature_file, write_feature_file
@@ -730,8 +730,8 @@ def ransac_verdict(query, db):
     """ransac_homography over the pair's normalized matches, seeded per pair."""
     matches = match_descriptors(query, db)
     return ransac_homography(
-        normalize_points(query.points[matches[:, 0]]),
-        normalize_points(db.points[matches[:, 1]]),
+        normalize_points(query.frames[matches[:, 0], :2]),
+        normalize_points(db.frames[matches[:, 1], :2]),
         GeometryParams().inlier_threshold,
         seed=derive_seed(0, "ransac", query.image_id, db.image_id),
     )
@@ -752,7 +752,7 @@ def reference_inliers(query, db, threshold=0.1):
     adjugate and squared distances.
     """
     matches = match_descriptors(query, db)
-    q_points, d_points = query.points[matches[:, 0]], db.points[matches[:, 1]]
+    q_points, d_points = query.frames[matches[:, 0], :2], db.frames[matches[:, 1], :2]
     src, dst = normalize_points(q_points), normalize_points(d_points)
     scale = np.max(np.linalg.norm(q_points - q_points.mean(axis=0), axis=1)) / np.max(
         np.linalg.norm(d_points - d_points.mean(axis=0), axis=1)
@@ -893,13 +893,13 @@ def test_mixed_shortlist_matches_one_pair_verdicts():
     overflow_frames = np.array([floor, huge, wide, np.eye(2)] * 3)
     overflow_frames[3::4] = query.frames[21:33:4, 2:].reshape(-1, 2, 2)
     shortlist = [
-        rows_of(slice(0, 3), big.points[:3], big.frames[:3, 2:], "few"),
-        rows_of(slice(100, 140), big.points[100:140], big.frames[100:140, 2:], "ordinary"),
+        rows_of(slice(0, 3), big.frames[:3, :2], big.frames[:3, 2:], "few"),
+        rows_of(slice(100, 140), big.frames[100:140, :2], big.frames[100:140, 2:], "ordinary"),
         rows_of(slice(3, 9), np.full((6, 2), 5.0), big.frames[3:9, 2:], "coincident"),
         big,
         ImageFeatures("empty", np.zeros((0, 6)), np.zeros((0, 64))),
-        rows_of(slice(21, 33), query.points[21:33], overflow_frames, "overflow"),
-        rows_of(slice(200, 260), big.points[200:260], big.frames[200:260, 2:], "ordinary2"),
+        rows_of(slice(21, 33), query.frames[21:33, :2], overflow_frames, "overflow"),
+        rows_of(slice(200, 260), big.frames[200:260, :2], big.frames[200:260, 2:], "ordinary2"),
     ]
     verdicts = verify_shortlist(query, shortlist)
     assert [v.n > 0 for v in verdicts] == [False, True, False, True, False, True, True]
@@ -912,3 +912,65 @@ def test_mixed_shortlist_matches_one_pair_verdicts():
             continue
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             np.testing.assert_array_equal(verdict.inlier_mask, reference_inliers(query, d))
+
+
+# Seeded small worlds of 5 individuals x 3 views: three at the default
+# distortions, three at heavy descriptor noise, dropout, clutter and perspective.
+HEAVY = dict(descriptor_noise_sigma=0.3, dropout_rate=0.5, clutter_rate=0.5, max_perspective=0.3)
+INVARIANCE_WORLDS = [
+    SynthConfig(seed=seed, n_individuals=5, views_per_individual=3, **distortion)
+    for seed, distortion in enumerate([{}] * 3 + [HEAVY] * 3, start=1)
+]
+
+
+def invariance_worlds():
+    """(queries, database views) of each of INVARIANCE_WORLDS."""
+    for cfg in INVARIANCE_WORLDS:
+        inds = [generate_individual(cfg, i) for i in range(cfg.n_individuals)]
+        views = [[render_observation(c, cfg, v)[0] for c in inds] for v in range(3)]
+        yield views[1] + views[2], views[0]
+
+
+def test_verdicts_invariant_under_query_similarity():
+    # A rotation by 0-2pi, a scale of 0.5-3 and a shift of +-50 of the query's
+    # centres and frames leave every pair's n and omega as they were.
+    rng = np.random.default_rng(5)
+    for queries, db in invariance_worlds():
+        for query in queries:
+            similarity = rotation(rng.uniform(0, 2 * np.pi), rng.uniform(0.5, 3.0))
+            frames = query.frames.copy()
+            frames[:, :2] = frames[:, :2] @ similarity.T + rng.uniform(-50, 50, 2)
+            frames[:, 2:] = (similarity @ frames[:, 2:].reshape(-1, 2, 2)).reshape(-1, 4)
+            moved = ImageFeatures(query.image_id, frames, query.descriptors)
+            want = [(v.n, v.omega) for v in verify_shortlist(query, db)]
+            assert [(v.n, v.omega) for v in verify_shortlist(moved, db)] == want, query.image_id
+
+
+def inlier_pairs(query, db, verdict, q_rows, d_rows):
+    """The verdict's inlier matches as (query row, db row) pairs, each row
+    mapped through q_rows and d_rows."""
+    matches = match_descriptors(query, db)[verdict.inlier_mask]
+    return set(zip(q_rows[matches[:, 0]].tolist(), d_rows[matches[:, 1]].tolist()))
+
+
+def test_verdicts_invariant_under_row_permutation():
+    # Shuffling both images' rows leaves n and omega, and the inlier pairs
+    # mapped back through the shuffles are the same set.
+    rng = np.random.default_rng(6)
+
+    def shuffled(features):
+        rows = rng.permutation(features.count)
+        frames, descriptors = features.frames[rows], features.descriptors[rows]
+        return ImageFeatures(features.image_id, frames, descriptors), rows
+
+    for queries, db in invariance_worlds():
+        shuffled_db = [shuffled(d) for d in db]
+        for query in queries:
+            shuffled_query, q_rows = shuffled(query)
+            want = verify_shortlist(query, db)
+            got = verify_shortlist(shuffled_query, [d for d, _ in shuffled_db])
+            for d, (e, d_rows), w, g in zip(db, shuffled_db, want, got):
+                where = (query.image_id, d.image_id)
+                assert (g.n, g.omega) == (w.n, w.omega), where
+                original = inlier_pairs(query, d, w, np.arange(query.count), np.arange(d.count))
+                assert inlier_pairs(shuffled_query, e, g, q_rows, d_rows) == original, where

@@ -4,7 +4,7 @@ import csv
 
 import numpy as np
 import pytest
-from oracles import embedded_images, ranking_oracle
+from oracles import embedded_images, individual_of, ranking_oracle
 
 import patreid.geometry
 from patreid.cli import main
@@ -149,14 +149,14 @@ class TestQueryDatabase:
         query = embedded_images(vocabulary, [first])
         result = rank_queries(db, query, ["exponential"])["exponential"]
         assert db.image_ids[result.rows[0, 0]] == first.image_id
-        assert individuals(db, result)[0] == first.individual_id
+        assert individuals(db, result)[0] == individual_of(first)
 
     def test_true_individual_ranks_first(self, small_world):
         _, db, queries, vocabulary = small_world
         for rule in RULES:
             for query in queries:
                 result = rank_queries(db, embedded_images(vocabulary, [query]), [rule])[rule]
-                assert individuals(db, result)[0] == query.individual_id, rule
+                assert individuals(db, result)[0] == individual_of(query), rule
 
     def test_individuals_deduplicated(self, small_world):
         cfg, db, queries, vocabulary = small_world
@@ -173,7 +173,7 @@ class TestQueryDatabase:
         assert result.rows.shape == (1, 2 * len(features))
         assert sorted(individuals(db2, result)) == sorted(db.individual_ids)
         labels = np.array([db.individual_ids.index(i) for i in db2.individual_ids])
-        truth = np.array([db.individual_ids.index(queries[0].individual_id)])
+        truth = np.array([db.individual_ids.index(individual_of(queries[0]))])
         assert ranks_of_truth(labels[result.rows], truth).tolist() == [1]
 
     def test_shortlist_equivalence_when_covering(self, small_world):
@@ -253,12 +253,10 @@ class TestScorePair:
     def test_degenerate_embedding_still_verified_geometrically(self, small_world):
         _, db, queries, _ = small_world
         entry = db.features(0)
-        truth_query = next(
-            q for q in queries if q.individual_id == entry.individual_id
-        )
+        truth_query = next(q for q in queries if individual_of(q) == individual_of(entry))
         # Zero embeddings on both sides: degenerate images.
         zero = np.zeros((1, db.embeddings.shape[1]))
-        hobbled = Images([entry.image_id], [entry.individual_id], zero, lambda _: entry)
+        hobbled = Images([entry.image_id], [individual_of(entry)], zero, lambda _: entry)
         candidate = rank_queries(
             hobbled,
             Images([truth_query.image_id], [None], zero, lambda _: truth_query),
@@ -271,11 +269,9 @@ class TestScorePair:
 class TestBuildDatabase:
     def test_requires_labels(self, small_world):
         _, db, queries, vocabulary = small_world
-        import dataclasses
-        unlabeled = dataclasses.replace(db.features(0), individual_id=None)
         with pytest.raises(ReidError, match="individual_id"):
             rank_queries(
-                embedded_images(vocabulary, [unlabeled]),
+                embedded_images(vocabulary, [db.features(0)], [None]),
                 embedded_images(vocabulary, queries[:1]),
                 ["exponential"],
             )

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from oracles import read_homography_sidecar
 
 from patreid.geometry import apply_homography
 from patreid.ingest import load_entry_features, load_manifest
@@ -16,7 +17,6 @@ from patreid.synth import (
     generate_benchmark,
     generate_individual,
     neighborhood_signatures,
-    read_homography_sidecar,
     render_observation,
     write_homography_sidecar,
 )
@@ -127,7 +127,7 @@ class TestRenderObservation:
         c = generate_individual(cfg, 0)
         features, H, source_index = render_observation(c, cfg, 0)
         np.testing.assert_array_equal(H, np.eye(3))
-        np.testing.assert_array_equal(features.points, c.canonical_points)
+        np.testing.assert_array_equal(features.frames[:, :2], c.canonical_points)
         np.testing.assert_array_equal(features.descriptors, c.canonical_descriptors)
         np.testing.assert_array_equal(source_index, np.arange(cfg.points_per_individual))
 
@@ -154,7 +154,7 @@ class TestRenderObservation:
         features, H, source_index = render_observation(c, cfg, 2)
         true = source_index >= 0
         expected = apply_homography(H, c.canonical_points[source_index[true]])
-        np.testing.assert_allclose(features.points[true], expected, atol=1e-9)
+        np.testing.assert_allclose(features.frames[true, :2], expected, atol=1e-9)
 
     def test_clutter_count_and_placement(self):
         cfg = small_config(dropout_rate=0.0, clutter_rate=0.25, points_per_individual=40)

@@ -812,6 +812,9 @@ class TestModelFile:
              r"'index_embeddings' has 96 bytes, expected 64 for shape \(2, 4\)"),
             (_header_change(gmm_log_likelihoods="not an array", kpca_eigenvalues={"a": 1}),
              None, "header has unknown field 'gmm_log_likelihoods'"),
+            (lambda a: {"header.json": {**a["header.json"],
+                                        "dims": {**a["header.json"]["dims"], "rows": 3}}},
+             None, "header dims has unknown key 'rows'"),
         ],
         ids=["missing", "dtype", "bool_dtype", "shape", "scalar_shape", "index_lengths",
              "embedding_dim", "embedding_nan", "embedding_norm", "embedding_norm_half",
@@ -822,7 +825,8 @@ class TestModelFile:
              "frame_inf", "descriptor_nan", "singular_frame", "det_overflow",
              "descriptor_norm", "row_missing", "row_bytes", "row_crc", "rows_short",
              "header_missing", "header_unparsable", "header_not_object", "id_type", "dims",
-             "version_6", "empty_huge_dim", "version_7", "id_count", "unknown_field"],
+             "version_6", "empty_huge_dim", "version_7", "id_count", "unknown_field",
+             "dims_unknown_key"],
     )
     def test_rejected(self, tmp_path, change, row, message):
         """A damage to the vocabulary or the index metadata fails the load;
