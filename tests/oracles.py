@@ -171,8 +171,9 @@ def kernel_row_kpca(X, kpca, v):
 
 def ranking_oracle(manifest, vocabulary, rule, shortlist, protocol, a=2.0,
                    geometry_params=GeometryParams()):
-    """Per-query records (query, truth, rank_of_truth, d_L, n, omega, d_C) of
-    one rule under protocol "split" or "leave_one_out".
+    """Per query, under one rule and protocol "split" or "leave_one_out":
+    its record (query, truth, rank_of_truth, d_L, n, omega, d_C) and the ids
+    of its whole ranking, first to last.
 
     Every image is parsed and embedded afresh, and each query is ranked on
     its own: cosine distance to every candidate, stage-1 sort by (d_L, id),
@@ -204,7 +205,7 @@ def ranking_oracle(manifest, vocabulary, rule, shortlist, protocol, a=2.0,
             if sum(p[1] == unit for p in pool) > 1
         ]
 
-    records = []
+    ranked_queries = []
     for query_id, truth, query, candidates in queries:
         q = embed_image(query, vocabulary)
         stage1 = sorted(
@@ -226,8 +227,9 @@ def ranking_oracle(manifest, vocabulary, rule, shortlist, protocol, a=2.0,
         ranked.sort()
         individuals = list(dict.fromkeys(r[4] for r in ranked))
         _, d_c, d_l, _, _, n, omega = ranked[0]
-        records.append((query_id, truth, individuals.index(truth) + 1, d_l, n, omega, d_c))
-    return records
+        record = (query_id, truth, individuals.index(truth) + 1, d_l, n, omega, d_c)
+        ranked_queries.append((record, [r[3] for r in ranked]))
+    return ranked_queries
 
 
 # Candidate models fitted per vectorized RANSAC round.

@@ -296,21 +296,15 @@ def table_benchmark(tmp_path_factory):
     def run_evaluation(csv_path):
         manifest = load_manifest(manifest_path)
         with load_vocabulary(vocab_path) as vocabulary:
-            reports = evaluate(
-                manifest,
-                vocabulary,
-                CombineParams(),
-                "split",
-                k_max=5,
-            )
-        write_per_query_csv(reports, csv_path)
-        return reports
+            evaluation = evaluate(manifest, vocabulary, CombineParams(), "split")
+        write_per_query_csv(evaluation, 5, csv_path)
+        return evaluation
 
-    reports = run_evaluation(root / "run_a.csv")
+    evaluation = run_evaluation(root / "run_a.csv")
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(
         root=root,
-        reports=reports,
+        evaluation=evaluation,
         elapsed=elapsed,
         run_evaluation=run_evaluation,
         n_queries=len(manifest.with_role("query")),
@@ -320,14 +314,14 @@ def table_benchmark(tmp_path_factory):
 
 def test_ac5_benchmark_rule_ordering(capsys, table_benchmark):
     """Geometric verification helps: exponential rule tops the grid."""
-    reports = table_benchmark.reports
-    top1 = {rule: reports[rule].accuracies[0] for rule in RULES}
+    results = table_benchmark.evaluation.results
+    accuracies = {rule: hit_rates(ranks, 5) for rule, (ranks, _) in results.items()}
+    top1 = {rule: accuracies[rule][0] for rule in RULES}
     monotone = all(
-        all(b >= a for a, b in zip(r.accuracies, r.accuracies[1:]))
-        for r in reports.values()
+        all(b >= a for a, b in zip(acc, acc[1:])) for acc in accuracies.values()
     )
-    counted = all(
-        r.n_queries == table_benchmark.n_queries for r in reports.values()
+    counted = len(table_benchmark.evaluation.truths) == table_benchmark.n_queries and all(
+        len(ranks) == table_benchmark.n_queries for ranks, _ in results.values()
     )
     ok = (
         top1["exponential"] >= top1["geometry_only"]
@@ -449,22 +443,21 @@ def test_ac8_leave_one_out_protocol(capsys, tmp_path):
     manifest = load_manifest(manifest_path)
 
     vocabulary = train_vocabulary(all_features, TrainingParams(gmm_k=4, pca_dim=16))
-    report = evaluate(
-        manifest, vocabulary, CombineParams(), "leave_one_out", k_max=3
-    )["exponential"]
+    evaluation = evaluate(manifest, vocabulary, CombineParams(), "leave_one_out")
+    ranks, top = evaluation.results["exponential"]
 
     checks = [
-        report.excluded == [("ind002_v0", "singleton_identity")],
-        report.n_queries == 4,
-        (report.rank_of_truth == 1).all(),
-        report.accuracies == [1.0, 1.0, 1.0],
+        evaluation.excluded == [("ind002_v0", "singleton_identity")],
+        len(evaluation.truths) == 4,
+        (ranks == 1).all(),
+        hit_rates(ranks, 3) == [1.0, 1.0, 1.0],
         # Each query faces the other 4 images = 3 distinct individuals, and
         # the surviving same-individual view must out-score both strangers.
-        (report.top.d_C <= 1e-3).all(),
+        (top.d_C <= 1e-3).all(),
     ]
     verdict(
         capsys,
         "AC-8 leave-one-out exclusion and scoring",
         all(checks),
-        f"excluded={report.excluded}, ranks={report.rank_of_truth.tolist()}",
+        f"excluded={evaluation.excluded}, ranks={ranks.tolist()}",
     )

@@ -343,6 +343,56 @@ def test_query_agrees_with_evaluate(indexed, tmp_path, capsys, rule, shortlist):
     assert [r[1] for r in table[1:]].index(truth) + 1 == int(rank)
 
 
+def _similarity_mapped(source, target, rng):
+    """Write PATF file source to target with its frames mapped by one random
+    similarity: a rotation in [0, 2 pi), a scale in [0.5, 3] and a shift in
+    [-50, 50] per axis, applied to each center and each 2x2 frame.
+
+    Only the six frame tokens of a row are rewritten.  The descriptor tokens
+    are copied as they are: write_feature_file would re-normalize the
+    descriptors, whose last bits move d_L.
+    """
+    angle, scale = rng.uniform(0.0, 2 * np.pi), rng.uniform(0.5, 3.0)
+    similarity = scale * np.array([[np.cos(angle), -np.sin(angle)],
+                                   [np.sin(angle), np.cos(angle)]])
+    shift = rng.uniform(-50.0, 50.0, 2)
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    for at in range(3, len(lines)):  # after the magic, image id and size lines
+        tokens = lines[at].split(" ")
+        center = similarity @ np.array(tokens[:2], dtype=float) + shift
+        frame = similarity @ np.array(tokens[2:6], dtype=float).reshape(2, 2)
+        lines[at] = " ".join([repr(float(v)) for v in (*center, *frame.ravel())] + tokens[6:])
+    target.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("shortlist", ["0", "3"])
+@pytest.mark.parametrize("seed", [3, 5])
+def test_evaluate_invariant_to_query_similarity(tmp_path, capsys, seed, shortlist):
+    # Verification compares frames in normalized coordinates, so moving,
+    # turning and scaling a query image changes no d_L, n or omega.
+    bench, model, moved = tmp_path / "bench", tmp_path / "model.bin", tmp_path / "moved"
+    assert main(["synth", "--seed", str(seed), "--individuals", "4", "--views", "3",
+                 "--noise", "0.2", "--dropout", "0.4", "--clutter", "0.5",
+                 "--out", str(bench)]) == 0
+    assert main(["build-vocab", "--manifest", str(bench / "manifest.csv"), "--out", str(model),
+                 "--gmm-k", "4", "--pca-dim", "16"]) == 0
+    shutil.copytree(bench, moved)
+    rng = np.random.default_rng(seed)
+    queries = load_manifest(bench / "manifest.csv").with_role("query")
+    for entry in queries:
+        _similarity_mapped(bench / entry.feature_path, moved / entry.feature_path, rng)
+        assert (moved / entry.feature_path).read_bytes() != (bench / entry.feature_path).read_bytes()
+    csvs = []
+    for root in (bench, moved):
+        assert main(["evaluate", "--manifest", str(root / "manifest.csv"), "--vocab", str(model),
+                     "--shortlist", shortlist, "--per-query-csv", str(root / "per_query.csv")]) == 0
+        csvs.append((root / "per_query.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    verified = [row.split(",") for row in csvs[0].decode().splitlines()
+                if row.startswith("geometry_only,")]
+    assert len(verified) == len(queries) and all(int(row[5]) > 0 for row in verified)
+
+
 class Spy:
     """The calls a patched function saw, from every process: each call is
     one line appended to a file, with the caller's pid, so the calls that
@@ -1264,8 +1314,8 @@ class TestLibraryDefaults:
 
         spy("generate_benchmark", lambda config, out: config, patreid.synth)
         spy("train_vocabulary", lambda sets, params=TrainingParams(): params)
-        spy("evaluate", lambda manifest, vocabulary, params, protocol, k_max,
-            geometry_params: (params, geometry_params))
+        spy("evaluate", lambda manifest, vocabulary, params, protocol, geometry_params:
+            (params, geometry_params))
         spy("rank_queries", lambda db, queries, rules, params, geometry_params:
             (rules, params, geometry_params))
         return seen

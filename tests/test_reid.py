@@ -20,7 +20,7 @@ from patreid.ingest import (
 from patreid.reid import (
     RULES,
     CombineParams,
-    EvalReport,
+    Evaluation,
     Images,
     Ranking,
     ReidError,
@@ -189,14 +189,17 @@ class TestQueryDatabase:
             assert getattr(full, name).tolist() == getattr(covering, name).tolist()
 
     def test_unverified_rank_after_verified(self, small_world):
+        # A shortlist of 1 verifies the stage-1 first row alone: it ranks
+        # first, and the rest keep n = 0, omega = 0 and d_C = d_L.
         _, db, queries, vocabulary = small_world
         params = CombineParams(shortlist_size=1)
         query = embedded_images(vocabulary, queries[:1])
-        result = rank_queries(db, query, ["exponential"], params)["exponential"]
-        verified_flags = result.verified[0].tolist()
-        assert verified_flags[0] is True
-        assert sum(verified_flags) == 1
-        assert all(not v for v in verified_flags[1:])
+        results = rank_queries(db, query, ["appearance_only", "exponential"], params)
+        stage1, result = results["appearance_only"], results["exponential"]
+        assert result.rows[0, 0] == stage1.rows[0, 0]
+        assert result.n[0, 0] > 0
+        assert (result.n[0, 1:] == 0).all() and (result.omega[0, 1:] == 0).all()
+        assert (result.d_C[0, 1:] == result.d_L[0, 1:]).all()
 
     def test_appearance_only_skips_geometry(self, small_world):
         _, db, queries, vocabulary = small_world
@@ -209,7 +212,8 @@ class TestQueryDatabase:
         _, db, queries, vocabulary = small_world
         query = embedded_images(vocabulary, queries[:1])
         c = rank_queries(db, query, ["geometry_only"])["geometry_only"]
-        assert (c.d_C[c.verified] == -c.n[c.verified]).all()
+        k = min(CombineParams().shortlist_size, c.rows.shape[1])  # the verified columns
+        assert (c.d_C[:, :k] == -c.n[:, :k]).all()
 
     def test_empty_database_rejected(self, small_world):
         _, db, queries, vocabulary = small_world
@@ -301,14 +305,16 @@ class TestEvaluateSplit:
             load_entry_features(manifest, e) for e in manifest.with_role("database")
         ]
         vocabulary = train_vocabulary(feature_sets, TrainingParams(gmm_k=4, pca_dim=16))
-        report = evaluate(
-            manifest, vocabulary, CombineParams(), "split", k_max=3
-        )["exponential"]
-        assert report.protocol == "split"
-        assert report.n_queries == len(manifest.with_role("query"))
-        assert len(report.accuracies) == 3
-        assert all(b >= a for a, b in zip(report.accuracies, report.accuracies[1:]))
-        assert report.excluded == []
+        evaluation = evaluate(manifest, vocabulary, CombineParams(), "split")
+        assert evaluation.protocol == "split"
+        assert list(evaluation.results) == list(RULES)
+        ranks, top = evaluation.results["exponential"]
+        assert len(evaluation.truths) == len(ranks) == len(manifest.with_role("query"))
+        assert top.rows.shape == (len(ranks), 1)
+        accuracies = hit_rates(ranks, 3)
+        assert len(accuracies) == 3
+        assert all(b >= a for a, b in zip(accuracies, accuracies[1:]))
+        assert evaluation.excluded == []
 
     def test_exclusions_reported_not_counted(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path)
@@ -322,12 +328,11 @@ class TestEvaluateSplit:
             load_entry_features(manifest, e) for e in manifest.with_role("database")
         ]
         vocabulary = train_vocabulary(feature_sets, TrainingParams(gmm_k=4, pca_dim=16))
-        report = evaluate(
-            manifest, vocabulary, CombineParams(), "split", k_max=2
-        )["exponential"]
-        assert (queries[0].image_id, "unlabeled") in report.excluded
-        assert (queries[1].image_id, "no_database_match") in report.excluded
-        assert report.n_queries == len(queries) - 2
+        evaluation = evaluate(manifest, vocabulary, CombineParams(), "split")
+        assert (queries[0].image_id, "unlabeled") in evaluation.excluded
+        assert (queries[1].image_id, "no_database_match") in evaluation.excluded
+        assert len(evaluation.truths) == len(queries) - 2
+        assert all(len(ranks) == len(queries) - 2 for ranks, _ in evaluation.results.values())
 
     def test_missing_role_rejected(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path)
@@ -357,12 +362,10 @@ class TestEvaluateLeaveOneOut:
             entries=[e for e in manifest.entries if e.individual_id == "ind000"],
             base_dir=manifest.base_dir,
         )
-        report = evaluate(
-            solo, vocabulary, CombineParams(), "leave_one_out", k_max=1
-        )["exponential"]
-        assert report.protocol == "leave_one_out"
-        assert report.n_queries == 2  # both roles pooled
-        assert report.accuracies[0] == 1.0
+        evaluation = evaluate(solo, vocabulary, CombineParams(), "leave_one_out")
+        assert evaluation.protocol == "leave_one_out"
+        assert len(evaluation.truths) == 2  # both roles pooled
+        assert hit_rates(evaluation.results["exponential"][0], 1) == [1.0]
 
     def test_singleton_excluded(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=3, views=3)
@@ -374,11 +377,9 @@ class TestEvaluateLeaveOneOut:
         ]
         pruned = Manifest(entries=keep, base_dir=manifest.base_dir)
         vocabulary = self._vocabulary_for(manifest)
-        report = evaluate(
-            pruned, vocabulary, CombineParams(), "leave_one_out", k_max=2
-        )["exponential"]
-        assert ("ind002_v0", "singleton_identity") in report.excluded
-        assert report.n_queries == len(keep) - 1
+        evaluation = evaluate(pruned, vocabulary, CombineParams(), "leave_one_out")
+        assert ("ind002_v0", "singleton_identity") in evaluation.excluded
+        assert len(evaluation.truths) == len(keep) - 1
 
     def test_viewpoint_qualifies_identity_unit(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=2, views=4)
@@ -386,14 +387,12 @@ class TestEvaluateLeaveOneOut:
         for e in manifest.entries:
             e.viewpoint = "left" if e.image_id[-1] in "01" else "right"
         vocabulary = self._vocabulary_for(manifest)
-        report = evaluate(
-            manifest, vocabulary, CombineParams(), "leave_one_out", k_max=1
-        )["exponential"]
+        evaluation = evaluate(manifest, vocabulary, CombineParams(), "leave_one_out")
         # Each (individual, viewpoint) unit has exactly 2 images, so nothing
         # is singleton and every query's truth unit is present once.
-        assert report.excluded == []
-        assert report.n_queries == 8
-        assert all("|" in truth for truth in report.truths.values())
+        assert evaluation.excluded == []
+        assert len(evaluation.truths) == 8
+        assert all("|" in truth for truth in evaluation.truths.values())
 
     def test_all_excluded_rejected(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=2, views=2)
@@ -422,8 +421,9 @@ class TestEvaluateLeaveOneOut:
 
 
 @pytest.fixture(scope="module")
-def noisy_world(tmp_path_factory):
-    """A small noisy benchmark with imperfect rankings, and its indexed model.
+def noisy_paths(tmp_path_factory):
+    """A small noisy benchmark with imperfect rankings, and its indexed model:
+    (benchmark directory, model file).
 
     Three empty images of individual "blank" have degenerate embeddings, so
     every d_L from or to them is 2: their rankings are decided by image id.
@@ -444,8 +444,33 @@ def noisy_world(tmp_path_factory):
     # The two empty database images share one Fisher vector: kernel rank 5.
     assert main(["build-vocab", "--manifest", str(bench / "manifest.csv"), "--out", str(model),
                  "--gmm-k", "4", "--pca-dim", "16", "--kpca-dim", "5"]) == 0
+    return bench, model
+
+
+@pytest.fixture(scope="module")
+def noisy_world(noisy_paths):
+    bench, model = noisy_paths
     with load_vocabulary(model) as vocabulary:
         yield load_manifest(bench / "manifest.csv"), vocabulary
+
+
+def searched(manifest, vocabulary, protocol):
+    """(database, queries, self_rows) of protocol's search, for a manifest
+    whose images are all labeled and none a leave-one-out singleton."""
+    if protocol == "split":
+        db = load_images(manifest, manifest.with_role("database"), vocabulary)
+        return db, load_images(manifest, manifest.with_role("query"), vocabulary), None
+    db = load_images(manifest, manifest.entries, vocabulary)
+    return db, db, list(range(len(db.image_ids)))
+
+
+def records(evaluation, rule):
+    """(query id, truth, rank of truth, d_L, n, omega, d_C) per query under
+    rule, the last four of its first-ranked row, as Python values."""
+    ranks, top = evaluation.results[rule]
+    truths = evaluation.truths
+    return list(zip(truths, truths.values(), ranks.tolist(),
+                    *(a[:, 0].tolist() for a in (top.d_L, top.n, top.omega, top.d_C))))
 
 
 class TestRankingOracle:
@@ -454,15 +479,18 @@ class TestRankingOracle:
     def test_evaluate_matches_oracle(self, noisy_world, protocol, shortlist):
         manifest, vocabulary = noisy_world
         assert 20 > len(manifest.entries)  # the last shortlist covers every image
-        reports = evaluate(
-            manifest,
-            vocabulary,
-            CombineParams(shortlist_size=shortlist),
-            protocol,
-        )
+        params = CombineParams(shortlist_size=shortlist)
+        evaluation = evaluate(manifest, vocabulary, params, protocol)
+        # The whole rankings, columns 2 .. N' too, which evaluate keeps only
+        # the first of.
+        db, queries, self_rows = searched(manifest, vocabulary, protocol)
+        rankings = rank_queries(db, queries, RULES, params, self_rows=self_rows)
         for rule in RULES:
-            records = reports[rule].records()
-            assert records == ranking_oracle(manifest, vocabulary, rule, shortlist, protocol)
+            oracle = ranking_oracle(manifest, vocabulary, rule, shortlist, protocol)
+            assert records(evaluation, rule) == [record for record, _ in oracle]
+            assert [record[0] for record, _ in oracle] == queries.image_ids
+            ranked = [[db.image_ids[j] for j in row] for row in rankings[rule].rows.tolist()]
+            assert ranked == [ids for _, ids in oracle], rule
 
 
 class TestRankQueries:
@@ -470,13 +498,7 @@ class TestRankQueries:
     def test_batch_matches_one_query_at_a_time(self, noisy_world, protocol):
         # The blank images' d_L ties are broken by image id in both paths.
         manifest, vocabulary = noisy_world
-        if protocol == "split":
-            db = load_images(manifest, manifest.with_role("database"), vocabulary)
-            queries = load_images(manifest, manifest.with_role("query"), vocabulary)
-            self_rows = None
-        else:
-            db = queries = load_images(manifest, manifest.entries, vocabulary)
-            self_rows = list(range(len(db.image_ids)))
+        db, queries, self_rows = searched(manifest, vocabulary, protocol)
         params = CombineParams(shortlist_size=3)
         together = rank_queries(db, queries, RULES, params, self_rows=self_rows)
         assert len(together["exponential"].rows) == len(queries.image_ids) > 1
@@ -490,33 +512,63 @@ class TestRankQueries:
                     assert a[q].tolist() == b[0].tolist(), (image_id, rule, name)
 
 
+def test_database_row_order_changes_nothing(noisy_paths, tmp_path, capsys):
+    """Reversing the manifest's database rows among their own positions keeps
+    the split CSV and every query table, though each pair of rows swaps:
+    the blank database images, tied at d_L 2, are ranked by image id."""
+    bench, model = noisy_paths
+    lines = (bench / "manifest.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if ",database," in line]
+    reordered = list(lines)
+    for i, j in zip(at, reversed(at)):
+        reordered[i] = lines[j]
+    assert reordered != lines
+    # Beside the original, so that its feature paths resolve alike.
+    (bench / "reversed.csv").write_text("".join(reordered), encoding="utf-8")
+
+    def outputs(manifest):
+        found = []
+        for shortlist in ("0", "3"):
+            csv_path = tmp_path / f"{manifest.stem}-{shortlist}.csv"
+            assert main(["evaluate", "--manifest", str(manifest), "--vocab", str(model),
+                         "--shortlist", shortlist, "--per-query-csv", str(csv_path)]) == 0
+            capsys.readouterr()
+            found.append(csv_path.read_bytes())
+            for entry in load_manifest(manifest).with_role("query"):
+                for rule in ("app", "geom", "poly", "exp"):
+                    assert main(["query", "--manifest", str(manifest), "--vocab", str(model),
+                                 "--features", str(bench / entry.feature_path), "--rule", rule,
+                                 "--shortlist", shortlist, "--topk", "10"]) == 0
+                    found.append(capsys.readouterr().out)
+        return found
+
+    original, reversed_rows = map(outputs, (bench / "manifest.csv", bench / "reversed.csv"))
+    assert len(original) == 2 * (1 + 4 * 11)
+    assert original == reversed_rows
+
+
 class TestPerQueryCsv:
-    def _report(self, protocol="split", query_id="q1", truth="A"):
-        top = Ranking(*(np.array([[value]]) for value in (0, 0.25, 12, 0.5, 0.0625, True)))
-        return EvalReport(
-            protocol=protocol,
-            accuracies=[1.0, 1.0],
-            truths={query_id: truth},
-            rank_of_truth=np.array([1]),
-            top=top,
-            excluded=[("q9", "unlabeled")],
-        )
+    def _evaluation(self, protocol="split", query_id="q1", truth="A",
+                    excluded=(("q9", "unlabeled"),)):
+        top = Ranking(*(np.array([[value]]) for value in (0, 0.25, 12, 0.5, 0.0625)))
+        return Evaluation(protocol, {query_id: truth}, list(excluded),
+                          {"polynomial": (np.array([1]), top)})
 
     def test_structure(self, tmp_path):
         path = tmp_path / "per_query.csv"
-        write_per_query_csv({"polynomial": self._report()}, path)
+        write_per_query_csv(self._evaluation(), 2, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "rule,query_id,truth,rank_of_truth,d_L,n,omega,d_C"
         assert lines[1].startswith("polynomial,q1,A,1,0.25,12,0.5,")
         assert any(line.startswith("# protocol,split") for line in lines)
         assert any(line.startswith("# excluded,q9,unlabeled") for line in lines)
-        assert any(line.startswith("# topk,polynomial,1,1.0") for line in lines)
+        assert lines[-2:] == ["# topk,polynomial,1,1.0", "# topk,polynomial,2,1.0"]
 
     def test_ids_with_commas_and_quotes_read_back_whole(self, tmp_path):
-        report = self._report(query_id="ind001,v1", truth='ind001 "spotty"')
-        report.excluded = [("ind009,v0", "no_database_match")]
+        evaluation = self._evaluation(query_id="ind001,v1", truth='ind001 "spotty"',
+                                      excluded=[("ind009,v0", "no_database_match")])
         path = tmp_path / "per_query.csv"
-        write_per_query_csv({"polynomial": report}, path)
+        write_per_query_csv(evaluation, 2, path)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][:4] == ["polynomial", "ind001,v1", 'ind001 "spotty"', "1"]
@@ -525,7 +577,7 @@ class TestPerQueryCsv:
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        reports = {"exponential": self._report(), "polynomial": self._report()}
-        write_per_query_csv(reports, a)
-        write_per_query_csv(reports, b)
+        evaluation = self._evaluation()
+        write_per_query_csv(evaluation, 2, a)
+        write_per_query_csv(evaluation, 2, b)
         assert a.read_bytes() == b.read_bytes()
