@@ -95,26 +95,27 @@ class Evaluation(NamedTuple):
     results: Dict[str, Tuple[np.ndarray, Ranking]]
 
 
-def combine_polynomial(d_l: float, omega: float, a: float) -> float:
+def combine_polynomial(d_l, omega, a):
     """d_C = d_L (1 - omega)^a: inlier ratio polynomially discounts distance."""
-    return d_l * (1.0 - omega) ** a
+    return d_l * np.float_power(1.0 - omega, a)
 
 
-def combine_exponential(d_l: float, n: int) -> float:
+def combine_exponential(d_l, n):
     """d_C = clamp(d_L, EXPONENTIAL_FLOOR, 1)^n: inlier count exponentiates
     distance.
 
     n = 0 yields exactly 1; the clamp keeps the base inside (0, 1] where the
     rule's assumption d_L <= 1 holds.
     """
-    return min(max(d_l, EXPONENTIAL_FLOOR), 1.0) ** n
+    return np.float_power(np.clip(d_l, EXPONENTIAL_FLOOR, 1.0), n)
 
 
-def _combine(rule: str, a: float, d_l: float, n: int, omega: float) -> float:
+def _combine(rule: str, a: float, d_l, n, omega):
+    # Floats or arrays: np.float_power rounds as float ** does; np.power does not.
     if rule == "appearance_only":
         return d_l
     if rule == "geometry_only":
-        return float(-n)
+        return np.float64(-n)
     if rule == "polynomial":
         return combine_polynomial(d_l, omega, a)
     return combine_exponential(d_l, n)
@@ -175,12 +176,12 @@ def rank_queries(
     Stage 1 orders each query's database rows by (d_L, image_id).  When rules
     has a geometry rule, the first shortlist_size of them (all when 0) are
     verified in one geometry.verify_shortlist call per query, which every
-    geometry rule shares.  A rule's final order is ascending (not verified,
-    d_C, d_L, image_id), so rows outside its shortlist keep d_C = d_L and
-    rank after every verified row.  self_rows[q], when given, is the
-    database row of query q itself, which its ranking leaves out, so N' is
-    N - 1 rather than N.  Only the verified pairs' features are asked for,
-    in stage-1 order.
+    geometry rule shares.  A rule's d_C is one array call of its rule
+    function, and its final order is ascending (not verified, d_C, d_L,
+    image_id), so rows outside its shortlist keep d_C = d_L and rank after
+    every verified row.  self_rows[q], when given, is the database row of
+    query q itself, which its ranking leaves out, so N' is N - 1 rather than
+    N.  Only the verified pairs' features are asked for, in stage-1 order.
     """
     for rule in rules:
         if rule not in RULES:
@@ -219,25 +220,15 @@ def rank_queries(
 
     rankings = {}
     for rule in rules:
-        geometric = rule in GEOMETRY_RULES
-        k_rule = k if geometric else 0
-        # The scalar rules on Python floats: on an AVX-512 host (numpy 2.4.6),
-        # array ** rounded 103,712 of 2M exponential-rule values (d_L uniform
-        # in [0, 1), n in 0-99) and 1,484 of 2M polynomial ones (a = 2)
-        # unlike float **, which would move the per-query CSV's bytes.
-        d_c = d_l.copy()
-        d_c[:, :k_rule] = [
-            [_combine(rule, params.a, *pair) for pair in zip(*query)]
-            for query in zip(*(a[:, :k_rule].tolist() for a in (d_l, n, omega)))
-        ]
-        unverified = np.broadcast_to(np.arange(size) >= k_rule, rows.shape)
-        n_omega = (n, omega) if geometric else (np.zeros_like(n), np.zeros_like(omega))
+        # Outside a geometry rule's first k columns, n and omega are 0.
+        k_rule = k if rule in GEOMETRY_RULES else 0
+        verified = np.broadcast_to(np.arange(size) < k_rule, rows.shape)
+        d_c = np.where(verified, _combine(rule, params.a, d_l, n, omega), d_l)
         # The columns are in stage-1 (d_L, image_id) order and lexsort is
         # stable, so those two keys break the ties of (unverified, d_C).
-        order = np.lexsort((d_c, unverified), axis=-1)
-        rankings[rule] = Ranking(
-            *(np.take_along_axis(a, order, -1) for a in (rows, d_l, *n_omega, d_c))
-        )
+        order = np.lexsort((d_c, ~verified), axis=-1)
+        columns = (rows, d_l, n * verified, omega * verified, d_c)
+        rankings[rule] = Ranking(*(np.take_along_axis(a, order, -1) for a in columns))
     return rankings
 
 

@@ -13,6 +13,7 @@ exercised with exact ground truth.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Tuple
@@ -92,24 +93,31 @@ def _scatter_points(rng: np.random.Generator, n: int, min_separation: float) -> 
     """Uniform points in [0,1]^2 kept pairwise at least min_separation apart.
 
     A draw closer than that to a placed point is rejected; MAX_REJECTIONS
-    rejections in a row raise SynthError.
+    rejections in a row raise SynthError.  Only points placed in the draw's
+    grid cell, min_separation wide, or the eight around it can be that
+    close; their distances round as np.linalg.norm's do.
     """
-    points = np.empty((n, 2))
-    count = rejections = 0
-    while count < n:
+    placed, cells = [], {}  # cells[i, j]: the points placed in grid cell i, j
+    rejections = 0
+    while len(placed) < n:
         if rejections == MAX_REJECTIONS:
             raise SynthError(
                 f"points_per_individual {n} do not fit {min_separation} apart in the unit "
                 f"square: {MAX_REJECTIONS} draws in a row fell too close to a placed point"
             )
-        candidate = rng.random(2)
-        if count and np.min(np.linalg.norm(points[:count] - candidate, axis=1)) < min_separation:
+        x, y = rng.random(2).tolist()
+        i, j = int(x // min_separation), int(y // min_separation)
+        if any(
+            math.sqrt((px - x) * (px - x) + (py - y) * (py - y)) < min_separation
+            for di in (-1, 0, 1) for dj in (-1, 0, 1)
+            for px, py in cells.get((i + di, j + dj), ())
+        ):
             rejections += 1
             continue
-        points[count] = candidate
-        count += 1
+        cells.setdefault((i, j), []).append((x, y))
+        placed.append((x, y))
         rejections = 0
-    return points
+    return np.array(placed).reshape(n, 2)
 
 
 def neighborhood_signatures(points: np.ndarray, k: int = SIGNATURE_NEIGHBORS) -> np.ndarray:

@@ -11,7 +11,9 @@ holds what only the tests read:
 - read_homography_sidecar, which reads the ground-truth homography that
   synth writes beside each view;
 - individual_of and embedded_images, which label synth images by their
-  image ids, since features carry no labels.
+  image ids, since features carry no labels;
+- scatter_points_brute_force, synth's point placement checking every draw
+  against every placed point, as it did before its grid.
 """
 
 from pathlib import Path
@@ -40,6 +42,7 @@ from patreid.ingest import (
     load_entry_features,
 )
 from patreid.reid import Images
+from patreid.synth import MAX_REJECTIONS, SynthError
 from patreid.vocab import VARIANCE_FLOOR, Gmm, _kmeanspp_centers, average_log_likelihood
 
 
@@ -172,8 +175,8 @@ def kernel_row_kpca(X, kpca, v):
 def ranking_oracle(manifest, vocabulary, rule, shortlist, protocol, a=2.0,
                    geometry_params=GeometryParams()):
     """Per query, under one rule and protocol "split" or "leave_one_out":
-    its record (query, truth, rank_of_truth, d_L, n, omega, d_C) and the ids
-    of its whole ranking, first to last.
+    its record (query, truth, rank_of_truth, d_L, n, omega, d_C), and the ids
+    and the d_C of its whole ranking, first to last.
 
     Every image is parsed and embedded afresh, and each query is ranked on
     its own: cosine distance to every candidate, stage-1 sort by (d_L, id),
@@ -228,8 +231,29 @@ def ranking_oracle(manifest, vocabulary, rule, shortlist, protocol, a=2.0,
         individuals = list(dict.fromkeys(r[4] for r in ranked))
         _, d_c, d_l, _, _, n, omega = ranked[0]
         record = (query_id, truth, individuals.index(truth) + 1, d_l, n, omega, d_c)
-        ranked_queries.append((record, [r[3] for r in ranked]))
+        ranked_queries.append((record, [r[3] for r in ranked], [r[1] for r in ranked]))
     return ranked_queries
+
+
+def scatter_points_brute_force(rng, n, min_separation):
+    """synth._scatter_points measuring each draw against every placed point:
+    the same points, draws and SynthError, at O(n) per draw."""
+    points = np.empty((n, 2))
+    count = rejections = 0
+    while count < n:
+        if rejections == MAX_REJECTIONS:
+            raise SynthError(
+                f"points_per_individual {n} do not fit {min_separation} apart in the unit "
+                f"square: {MAX_REJECTIONS} draws in a row fell too close to a placed point"
+            )
+        candidate = rng.random(2)
+        if count and np.min(np.linalg.norm(points[:count] - candidate, axis=1)) < min_separation:
+            rejections += 1
+            continue
+        points[count] = candidate
+        count += 1
+        rejections = 0
+    return points
 
 
 # Candidate models fitted per vectorized RANSAC round.

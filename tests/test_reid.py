@@ -23,6 +23,7 @@ from patreid.reid import (
     Images,
     Ranking,
     ReidError,
+    _combine,
     combine_exponential,
     combine_polynomial,
     evaluate,
@@ -70,6 +71,46 @@ class TestCombineExponential:
     def test_more_inliers_smaller_distance(self):
         values = [combine_exponential(0.9, n) for n in range(0, 30, 5)]
         assert values == sorted(values, reverse=True)
+
+
+class TestRulesOnArrays:
+    """rank_queries combines every pair in one array call per rule, so that
+    call must give, element by element and bit for bit, what Python float
+    arithmetic gives one pair at a time: np.power rounds some powers
+    differently, which would move the per-query CSV's bytes."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        """200,000 (d_L, n, omega) with d_L in [0, 2], n in 0 .. 2000 and
+        omega = k / M, 0 <= k <= M <= 2000; the first d_L are edge values."""
+        rng = np.random.default_rng(20240)
+        size = 200_000
+        d_l = rng.uniform(0.0, 2.0, size)
+        d_l[:6] = 0.0, 5e-10, 1e-9, 0.5, 1.0, 2.0
+        matches = rng.integers(1, 2001, size)
+        return d_l, rng.integers(0, 2001, size), rng.integers(0, matches + 1) / matches
+
+    @pytest.mark.parametrize("rule, a", [
+        ("appearance_only", 2.0),
+        ("geometry_only", 2.0),
+        ("exponential", 2.0),
+        *(("polynomial", a) for a in (0.0, 0.5, 2.0, 3.7, 123.456)),
+    ])
+    def test_array_call_equals_float_arithmetic(self, draws, rule, a):
+        d_l, n, omega = draws
+        one_pair = {
+            "appearance_only": lambda d, k, w: d,
+            "geometry_only": lambda d, k, w: float(-k),
+            "polynomial": lambda d, k, w: d * (1.0 - w) ** a,
+            "exponential": lambda d, k, w: min(max(d, 1e-9), 1.0) ** k,
+        }[rule]
+        want = np.array([one_pair(*x) for x in zip(d_l.tolist(), n.tolist(), omega.tolist())])
+        got = _combine(rule, a, d_l, n, omega)
+        differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert differ.size == 0, (
+            f"{differ.size} of {want.size} differ; first d_L={d_l[differ[0]]!r} n={n[differ[0]]} "
+            f"omega={omega[differ[0]]!r}: {got[differ[0]]!r} != {want[differ[0]]!r}"
+        )
 
 
 class TestCombineParams:
@@ -466,19 +507,21 @@ def records(evaluation, rule):
 
 
 def assert_matches_oracle(manifest, vocabulary, protocol, shortlist):
-    """evaluate's records and rank_queries' whole rankings, columns 2 .. N'
-    too, which evaluate keeps only the first of, equal the oracle's under
-    every rule."""
+    """evaluate's records, and rank_queries' whole rankings and their d_C bit
+    for bit, columns 2 .. N' too, which evaluate keeps only the first of,
+    equal the oracle's under every rule."""
     params = CombineParams(shortlist_size=shortlist)
     evaluation = evaluate(manifest, vocabulary, params, protocol)
     db, queries, self_rows = searched(manifest, vocabulary, protocol)
     rankings = rank_queries(db, queries, RULES, params, self_rows=self_rows)
     for rule in RULES:
         oracle = ranking_oracle(manifest, vocabulary, rule, shortlist, protocol)
-        assert records(evaluation, rule) == [record for record, _ in oracle]
-        assert [record[0] for record, _ in oracle] == queries.image_ids
+        assert records(evaluation, rule) == [record for record, _, _ in oracle]
+        assert [record[0] for record, _, _ in oracle] == queries.image_ids
         ranked = [[db.image_ids[j] for j in row] for row in rankings[rule].rows.tolist()]
-        assert ranked == [ids for _, ids in oracle], rule
+        assert ranked == [ids for _, ids, _ in oracle], rule
+        d_c = np.array([d_cs for _, _, d_cs in oracle])
+        np.testing.assert_array_equal(rankings[rule].d_C.view(np.uint64), d_c.view(np.uint64), rule)
 
 
 class TestRankingOracle:

@@ -4,12 +4,13 @@ import os
 
 import numpy as np
 import pytest
-from oracles import read_homography_sidecar
+from oracles import read_homography_sidecar, scatter_points_brute_force
 
 from patreid.geometry import apply_homography
 from patreid.ingest import load_entry_features, load_manifest
 from patreid.synth import (
     MAX_REJECTIONS,
+    MIN_SEPARATION,
     Constellation,
     SynthConfig,
     SynthError,
@@ -95,6 +96,24 @@ class TestGenerateIndividual:
         with pytest.raises(SynthError, match="^points_per_individual 12 do not fit 0.5 apart"):
             _scatter_points(Counting(), 12, 0.5)
         assert MAX_REJECTIONS <= len(draws) < 2 * MAX_REJECTIONS
+
+    @pytest.mark.parametrize("seed, n, min_separation", [
+        (0, 80, MIN_SEPARATION),
+        (1, 300, MIN_SEPARATION),
+        (2, 1000, MIN_SEPARATION),  # about 1,800 rejected draws
+        (3, 12, 0.5),  # impossible: both give up after the same draws
+    ])
+    def test_grid_places_as_brute_force(self, seed, n, min_separation):
+        grid_rng, brute_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            want = scatter_points_brute_force(brute_rng, n, min_separation)
+        except SynthError as exc:
+            with pytest.raises(SynthError) as gave_up:
+                _scatter_points(grid_rng, n, min_separation)
+            assert str(gave_up.value) == str(exc)
+        else:
+            assert _scatter_points(grid_rng, n, min_separation).tobytes() == want.tobytes()
+        assert grid_rng.random() == brute_rng.random()  # no more, no fewer draws
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="index"):
