@@ -97,6 +97,8 @@ def cmd_synth(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     params = _params(TrainingParams, args)
+    if not Path(args.out).parent.is_dir():
+        raise UsageError(f"--out directory not found: {Path(args.out).parent}")
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     db_entries = manifest.with_role("database")
     if not db_entries:

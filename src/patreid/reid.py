@@ -293,8 +293,9 @@ def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
     """Leave-one-out: each image queried against all other images.
 
     All roles are pooled.  The identity unit is individual_id, qualified by
-    viewpoint when every labeled image carries one.  Unlabeled images and
-    identity singletons are excluded and reported.
+    viewpoint as "individual_id|viewpoint" (each with \\ and | escaped by a
+    \\) when every labeled image carries one.  Unlabeled images and identity
+    singletons are excluded and reported.
     """
     entries = list(manifest.entries)
     if len(entries) < 2:
@@ -307,7 +308,9 @@ def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
         if e.individual_id is None:
             excluded.append((e.image_id, "unlabeled"))
             continue
-        unit = f"{e.individual_id}|{e.viewpoint}" if use_viewpoint else e.individual_id
+        unit = e.individual_id
+        if use_viewpoint:  # \ and | escaped, so distinct pairs give distinct units
+            unit = "|".join(p.replace("\\", r"\\").replace("|", r"\|") for p in (unit, e.viewpoint))
         labeled.append(replace(e, individual_id=unit))
 
     unit_counts = Counter(e.individual_id for e in labeled)

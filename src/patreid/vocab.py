@@ -13,18 +13,15 @@ database images it verifies.
 from __future__ import annotations
 
 import contextlib
-import io
 import itertools
 import json
 import math
 import os
-import struct
 import warnings
-import zipfile
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 import numpy as np
 
@@ -32,7 +29,7 @@ from .ingest import FRAME_FIELDS, ImageFeatures, row_dot, row_faults
 
 VARIANCE_FLOOR = 1e-6
 WHITEN_FLOOR = 1e-12
-VOCAB_VERSION = 8
+VOCAB_VERSION = 9
 
 
 class VocabError(ValueError):
@@ -373,16 +370,20 @@ def apply_kpca(model: KpcaModel, fisher_vector: np.ndarray) -> np.ndarray:
 # "<section>_<field>"; a field that neither _HEADER_FIELDS nor _LAYOUT names
 # (a fit diagnostic) is not stored.
 _SECTIONS = {"pca": PcaModel, "gmm": Gmm, "kpca": KpcaModel, "index": DatabaseIndex}
-# A model file is an uncompressed zip of a JSON header (the scalars, the
-# image ids and the sizes of _DIMS, by type), one raw little-endian member
-# per _LAYOUT array, and the index rows' member.
-_HEADER = "header.json"
+# A model file is, in order: the index rows from byte 0; each _LAYOUT array
+# as raw little-endian bytes, in table order; a JSON header (the scalars, the
+# image ids, the sizes of _DIMS and each array's CRC-32, by type); the
+# header's length as <u8; and _MAGIC.
+_MAGIC = b"PATMODEL"
 _HEADER_FIELDS = {"version": int, "alpha": float, "pca_whiten": bool,
-                  "index_image_ids": list, "dims": dict}
+                  "index_image_ids": list, "dims": dict, "array_crc32": list}
 # The sizes the header's dims state, each the length of the array named.
 _DIMS = {"pca_in": "pca_mean", "pca_out": "pca_eigenvalues", "k": "gmm_weights", "m": "kpca_offset"}
 # name -> (dtype, shape in the named sizes): those of _DIMS, "rows" (one per
 # database image id) and "f" (2 * k * pca_out, a Fisher vector's length).
+# Row k of the index rows is its (count, 6) frames, then its (count, pca_in)
+# unit descriptors, as raw little-endian float64, and index_row_crc32[k] is
+# the CRC-32 of its bytes.
 _LAYOUT = {
     "pca_mean": ("<f8", ("pca_in",)),
     "pca_eigenvalues": ("<f8", ("pca_out",)),
@@ -396,20 +397,12 @@ _LAYOUT = {
     "index_feature_counts": ("<i8", ("rows",)),
     "index_row_crc32": ("<u4", ("rows",)),
 }
-# Every index row, one after another: row k is its (count, 6) frames, then
-# its (count, pca_in) unit descriptors, as raw little-endian float64,
-# and index_row_crc32[k] is the CRC-32 of its bytes.
-_ROWS = "index_rows"
 
 
-def _member(name: str) -> zipfile.ZipInfo:
-    """A model-file member with a fixed timestamp, stored uncompressed."""
-    return zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-
-
-def _vocabulary_from(header: dict, members: Dict[str, bytes], rows, path, fh) -> Vocabulary:
-    """The Vocabulary that a model file's header and raw arrays hold, once every
-    check passes; it reads index rows from fh, where rows = (offset, size)."""
+def _vocabulary_from(header: dict, end: int, path, fh) -> Vocabulary:
+    """The Vocabulary that a model file's header and the bytes of fh before
+    byte end (where the header starts) hold, once every check passes; it
+    reads index rows from fh."""
     for name, kind in _HEADER_FIELDS.items():
         if type(header.get(name)) is not kind:
             raise VocabError(f"{path}: header field {name!r} is not of type {kind.__name__}")
@@ -419,29 +412,31 @@ def _vocabulary_from(header: dict, members: Dict[str, bytes], rows, path, fh) ->
     if unknown:
         raise VocabError(f"{path}: header has unknown field {unknown[0]!r}")
     values = {name: header[name] for name in _HEADER_FIELDS}
-    dims, ids = header["dims"], header["index_image_ids"]
+    dims, ids, array_crcs = header["dims"], header["index_image_ids"], header["array_crc32"]
     if not all(type(i) is str for i in ids):
         raise VocabError(f"{path}: header field 'index_image_ids' is not a list of strings")
+    if [type(c) for c in array_crcs] != [int] * len(_LAYOUT):
+        raise VocabError(f"{path}: header field 'array_crc32' is not {len(_LAYOUT)} integers")
     if not all(type(dims.get(d)) is int and dims[d] >= 0 for d in _DIMS):
         raise VocabError(f"{path}: header dims {', '.join(_DIMS)} are not all counts")
     unknown = sorted(dims.keys() - _DIMS.keys())
     if unknown:
         raise VocabError(f"{path}: header dims has unknown key {unknown[0]!r}")
     sizes = {**dims, "rows": len(ids), "f": 2 * dims["k"] * dims["pca_out"]}
-    for name, (dtype, dim_names) in _LAYOUT.items():
-        shape = tuple(sizes[d] for d in dim_names)
-        size, data = np.dtype(dtype).itemsize * math.prod(shape), members[name]
-        if len(data) != size:
-            raise VocabError(
-                f"{path}: array {name!r} has {len(data)} bytes, expected {size} for shape {shape}"
-            )
-        try:
-            values[name] = np.frombuffer(data, dtype).reshape(shape)
-        except ValueError as exc:  # an empty array with a dimension numpy cannot hold
-            raise VocabError(f"{path}: array {name!r} of shape {shape}: {exc}") from None
+    shapes = {name: tuple(sizes[d] for d in dim_names) for name, (_, dim_names) in _LAYOUT.items()}
+    at = sum(np.dtype(dtype).itemsize * math.prod(shapes[n]) for n, (dtype, _) in _LAYOUT.items())
+    if at > end:
+        raise VocabError(f"{path}: {end} bytes precede the header, whose dims need {at} of arrays")
+    block = os.pread(fh.fileno(), at, end - at)
+    # at walks from the header back, so an array of the wrong length is the one named.
+    for (name, (dtype, _)), crc in reversed(list(zip(_LAYOUT.items(), array_crcs))):
+        count = math.prod(shapes[name])
+        at -= np.dtype(dtype).itemsize * count
+        values[name] = np.frombuffer(block, dtype, count, at).reshape(shapes[name])
+        if zlib.crc32(values[name]) != crc:
+            raise VocabError(f"{path}: unreadable array {name!r}: bad CRC-32")
         if dtype == "<f8" and not np.isfinite(values[name]).all():
-            section = name.split("_")[0]
-            section = section if section == "index" else section.upper()
+            section = name.split("_")[0].upper().replace("INDEX", "index")
             raise VocabError(f"{path}: non-finite value in {section} section")
     vocab = Vocabulary(
         **{
@@ -457,12 +452,11 @@ def _vocabulary_from(header: dict, members: Dict[str, bytes], rows, path, fh) ->
     _check_vocabulary(path, vocab)
     counts, crcs = values["index_feature_counts"].tolist(), values["index_row_crc32"].tolist()
     dim, width = vocab.descriptor_dim, 8 * (len(FRAME_FIELDS) + vocab.descriptor_dim)
-    starts = list(itertools.accumulate((width * c for c in counts), initial=rows[0]))
-    held = min(rows[1], os.fstat(fh.fileno()).st_size - rows[0])
-    if starts[-1] - rows[0] != held:
+    starts = list(itertools.accumulate((width * c for c in counts), initial=0))
+    if starts[-1] != end - len(block):
         raise VocabError(
-            f"{path}: index rows member has {held} bytes, "
-            f"expected {starts[-1] - rows[0]} for the feature counts"
+            f"{path}: index rows have {end - len(block)} bytes, "
+            f"expected {starts[-1]} for the feature counts"
         )
     vocab.read_row = lambda k: read_index_row(fh, path, ids[k], starts[k], counts[k], dim, crcs[k])
     return vocab
@@ -504,9 +498,9 @@ def read_index_row(fh, path, image_id, at: int, count: int, dim: int, crc: int) 
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    """Write vocab as one model file, streaming the index rows into their
-    member one by one.  Written through an open handle, so path is used as
-    given, with fixed member timestamps, so one model gives one byte string.
+    """Write vocab as one model file, streaming the index rows one by one,
+    then each array.  Written through an open handle, so path is used as
+    given; one model gives one byte string.
 
     The file is written beside path and renamed over it once complete, so a
     failed write leaves whatever path held (a reader of the old file keeps
@@ -516,27 +510,23 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
     for section in _SECTIONS:
         model = getattr(vocab, section)
         values.update((f"{section}_{f.name}", getattr(model, f.name)) for f in fields(model))
-    rows, counts, crcs = _member(_ROWS), vocab.index.feature_counts, []
-    # Sized ahead, so zipfile gives a member over 2 GiB a zip64 header.
-    rows.file_size = 8 * (len(FRAME_FIELDS) + vocab.descriptor_dim) * int(np.sum(counts))
+    counts, values["index_row_crc32"] = vocab.index.feature_counts, []
     partial = f"{os.fspath(path)}.{os.getpid()}.partial"
     fh = open(partial, "xb")  # permissions as open(path, "wb") would give
     try:
-        with fh, zipfile.ZipFile(fh, "w") as archive:
-            with archive.open(rows, "w") as out:
-                for f in map(vocab.read_row, range(len(counts))):
-                    data = b"".join(np.ascontiguousarray(a, "<f8").tobytes()
-                                    for a in (f.frames, f.descriptors))
-                    crcs.append(zlib.crc32(data))
-                    out.write(data)
-            values["index_row_crc32"] = crcs
+        with fh:
+            for f in map(vocab.read_row, range(len(counts))):
+                data = b"".join(np.ascontiguousarray(a, "<f8").tobytes()
+                                for a in (f.frames, f.descriptors))
+                values["index_row_crc32"].append(zlib.crc32(data))
+                fh.write(data)
             arrays = {n: np.ascontiguousarray(values[n], dtype)
                       for n, (dtype, _) in _LAYOUT.items()}
             values["dims"] = {d: len(arrays[name]) for d, name in _DIMS.items()}
-            header = {name: kind(values[name]) for name, kind in _HEADER_FIELDS.items()}
-            archive.writestr(_member(_HEADER), json.dumps(header))
-            for name, array in arrays.items():
-                archive.writestr(_member(name), array.tobytes())
+            values["array_crc32"] = [zlib.crc32(a) for a in arrays.values()]
+            fh.writelines(arrays.values())
+            data = json.dumps({n: kind(values[n]) for n, kind in _HEADER_FIELDS.items()}).encode()
+            fh.write(data + len(data).to_bytes(8, "little") + _MAGIC)
         os.replace(partial, path)
     except BaseException:
         os.remove(partial)
@@ -555,37 +545,30 @@ def load_vocabulary(path) -> Vocabulary:
     path = Path(path)
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(open(path, "rb"))
-        if fh.read(4) != b"PK\x03\x04":  # a zip archive's first local header
+        size = os.fstat(fh.fileno()).st_size
+        trailer = os.pread(fh.fileno(), 16, max(size - 16, 0))
+        if trailer[8:] != _MAGIC:  # such as a text vocabulary or a zip archive
             raise VocabError(
-                f"{path}: not a model file (a text vocabulary from an older "
-                "version must be rebuilt with build-vocab)"
+                f"{path}: not a model file of version {VOCAB_VERSION} "
+                "(one from an older version must be rebuilt with build-vocab)"
             )
+        length = int.from_bytes(trailer[:8], "little")
+        end = size - 16 - length  # where the header starts
+        if end < 0:
+            raise VocabError(f"{path}: header of {length} bytes in a file of {size}")
         try:
-            with zipfile.ZipFile(fh) as archive:
-                if "version.npy" in archive.namelist():  # a file from before version 7
-                    header = {"version": np.load(io.BytesIO(archive.read("version.npy"))).item()}
-                else:
-                    header = json.loads(archive.read(_HEADER))
-                if not isinstance(header, dict):
-                    raise VocabError(f"{path}: header {_HEADER!r} is not a JSON object")
-                # An older file is named as such before anything it lacks.
-                if header.get("version") != VOCAB_VERSION:
-                    raise VocabError(
-                        f"{path}: model file version {header.get('version')}, "
-                        f"expected {VOCAB_VERSION} (rebuild it with build-vocab)"
-                    )
-                members = {name: archive.read(name) for name in _LAYOUT}
-                rows = archive.getinfo(_ROWS)
-                # The rows' data follows their 30-byte local header, name and extra field.
-                fh.seek(rows.header_offset)
-                at = rows.header_offset + 30 + sum(struct.unpack("<26xHH", fh.read(30)))
-        except VocabError:
-            raise
-        except Exception as exc:
-            # zipfile, json and np.load fail on damaged bytes with many types
-            # (BadZipFile, EOFError, KeyError, ValueError, struct.error, ...).
-            raise VocabError(f"{path}: unreadable model file: {exc}") from None
-        vocab = _vocabulary_from(header, members, (at, rows.compress_size), path, fh)
+            header = json.loads(os.pread(fh.fileno(), length, end))
+        except (ValueError, RecursionError) as exc:
+            raise VocabError(f"{path}: unreadable header: {exc}") from None
+        if not isinstance(header, dict):
+            raise VocabError(f"{path}: header is not a JSON object")
+        # An older file is named as such before anything it lacks.
+        if header.get("version") != VOCAB_VERSION:
+            raise VocabError(
+                f"{path}: model file version {header.get('version')}, "
+                f"expected {VOCAB_VERSION} (rebuild it with build-vocab)"
+            )
+        vocab = _vocabulary_from(header, end, path, fh)
         vocab.close = stack.pop_all().close
     return vocab
 

@@ -13,9 +13,13 @@ holds what only the tests read:
 - individual_of and embedded_images, which label synth images by their
   image ids, since features carry no labels;
 - scatter_points_brute_force, synth's point placement checking every draw
-  against every placed point, as it did before its grid.
+  against every placed point, as it did before its grid;
+- split_model_file and join_model_file, which take a model file apart into
+  its index rows, arrays and header, and put such parts together again.
 """
 
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +47,13 @@ from patreid.ingest import (
 )
 from patreid.reid import Images
 from patreid.synth import MAX_REJECTIONS, SynthError
-from patreid.vocab import VARIANCE_FLOOR, Gmm, _kmeanspp_centers, average_log_likelihood
+from patreid.vocab import (
+    VARIANCE_FLOOR,
+    _LAYOUT,
+    Gmm,
+    _kmeanspp_centers,
+    average_log_likelihood,
+)
 
 
 def individual_of(features):
@@ -515,3 +525,26 @@ def read_homography_sidecar(path) -> np.ndarray:
     if values.size != 9:
         raise ValueError(f"{path}: expected 9 floats, got {values.size}")
     return values.reshape(3, 3)
+
+
+def split_model_file(data: bytes):
+    """A model file's parts, found from its end: the bytes of its index rows,
+    the bytes of each array by name in file order, and its header."""
+    end = len(data) - 16 - int.from_bytes(data[-16:-8], "little")
+    header = json.loads(data[end:-16])
+    dims = header["dims"]
+    sizes = {**dims, "rows": len(header["index_image_ids"]), "f": 2 * dims["k"] * dims["pca_out"]}
+    arrays = {}
+    for name, (dtype, shape) in reversed(_LAYOUT.items()):
+        start = end - np.dtype(dtype).itemsize * math.prod(sizes[d] for d in shape)
+        arrays[name], end = data[start:end], start
+    return data[:end], dict(reversed(arrays.items())), header
+
+
+def join_model_file(rows: bytes, arrays: dict, header) -> bytes:
+    """The model file of these parts, in order; header is a dict or the bytes
+    written as it."""
+    if isinstance(header, dict):
+        header = json.dumps(header).encode()
+    return b"".join([rows, *arrays.values(), header, len(header).to_bytes(8, "little"),
+                     b"PATMODEL"])

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import join_model_file, split_model_file
 
 import patreid.cli
 import patreid.encode
@@ -189,6 +191,22 @@ class TestBuildVocab:
         assert "Traceback" not in err
         assert not (tmp_path / "v.bin").exists()
 
+    def test_out_directory_checked_first(self, workspace, tmp_path, capsys, monkeypatch):
+        # Checked before any file is read, so a build is not run to fail at its end.
+        _, bench, _ = workspace
+
+        def load_manifest(path):
+            raise AssertionError(f"{path} read before --out was checked")
+
+        monkeypatch.setattr(patreid.cli, "load_manifest", load_manifest)
+        code = main(["build-vocab", "--manifest", str(bench / "manifest.csv"),
+                     "--out", str(tmp_path / "missing" / "v.bin")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out directory not found: {tmp_path / 'missing'}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--alpha", "-1"), ("--alpha", "0"), ("--alpha", "nan"), ("--alpha", "inf"),
@@ -205,6 +223,61 @@ class TestBuildVocab:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err and "not found" not in err
         assert not (tmp_path / "v.txt").exists()
+
+
+def _header_changed(change):
+    """A change of a model file's bytes: its header replaced by change(header),
+    a dict or the bytes written as the header."""
+
+    def damage(data):
+        rows, arrays, header = split_model_file(data)
+        return join_model_file(rows, arrays, change(header))
+
+    return damage
+
+
+def _array_flipped(name):
+    """A change of a model file's bytes: one byte of array name flipped."""
+
+    def damage(data):
+        rows, arrays, header = split_model_file(data)
+        flipped = bytearray(arrays[name])
+        flipped[len(flipped) // 2] ^= 0x40
+        return join_model_file(rows, {**arrays, name: bytes(flipped)}, header)
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda d: d[:-16] + (2**64 - 1).to_bytes(8, "little") + d[-8:],
+         "header of 18446744073709551615 bytes in a file of "),
+        (lambda d: d[:-16] + len(d).to_bytes(8, "little") + d[-8:], "header of .* bytes in a file"),
+        (lambda d: d[-15:], "not a model file of version 9 "),
+        (_header_changed(lambda h: b'["version", 9]'), "header is not a JSON object"),
+        (_header_changed(lambda h: b"[" * 100_000 + b"]" * 100_000),
+         "unreadable header: maximum recursion depth exceeded"),
+        (_header_changed(lambda h: {**h, "dims": {**h["dims"], "m": 1 << 40}}),
+         "[0-9]+ bytes precede the header, whose dims need [0-9]+ of arrays"),
+        *[(_array_flipped(name), f"unreadable array '{name}': bad CRC-32")
+          for name in patreid.vocab._LAYOUT],
+    ],
+    ids=["header_length_max", "header_past_end", "shorter_than_trailer", "header_not_object",
+         "header_nested", "dims_past_end", *(f"flipped_{n}" for n in patreid.vocab._LAYOUT)],
+)
+def test_damaged_model_file_one_error_line(workspace, tmp_path, capsys, damage, message):
+    # Each of these is a traceback (OverflowError, struct.error, MemoryError,
+    # RecursionError) or an unnamed array for a reader that trusts the file.
+    _, bench, model = workspace
+    damaged = tmp_path / "damaged.bin"
+    damaged.write_bytes(damage(model.read_bytes()))
+    code = main(["query", "--manifest", str(bench / "manifest.csv"), "--vocab", str(damaged),
+                 "--features", str(bench / "ind000_v1.patf")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.match(f"error: {re.escape(str(damaged))}: {message}", err)
+    assert err.count("\n") == 1
 
 
 class TestQuery:

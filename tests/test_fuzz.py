@@ -7,16 +7,14 @@ finite result, and the CLI must turn every failure into exit 1 or 2 with an
 
 import contextlib
 import io
-import json
 import warnings
-import zipfile
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import reference_parse_feature_file
+from oracles import join_model_file, reference_parse_feature_file, split_model_file
 
 from patreid.cli import main
 from patreid.ingest import ImageFeatures, PatfError, parse_feature_file, write_feature_file
@@ -73,16 +71,15 @@ MEMBER_VALUES = {
 def members_damaged(data):
     """Strategy: a model file with a few entries of its index feature counts
     or of its index rows' frames and descriptors overwritten, each edited
-    row's CRC-32 stored anew, saved again as a valid archive."""
-    with zipfile.ZipFile(io.BytesIO(data)) as archive:
-        members = {info.filename: archive.read(info) for info in archive.infolist()}
-    counts = np.frombuffer(members["index_feature_counts"], "<i8")
-    width = 6 + json.loads(members["header.json"])["dims"]["pca_in"]
+    row's CRC-32 and each array's CRC-32 stored anew."""
+    rows_data, arrays, header = split_model_file(data)
+    counts = np.frombuffer(arrays["index_feature_counts"], "<i8")
+    width = 6 + header["dims"]["pca_in"]
     starts = np.concatenate([[0], np.cumsum(width * counts)])
 
     def rewrite(edits):
-        array, crcs = counts.copy(), np.frombuffer(members["index_row_crc32"], "<u4").copy()
-        rows = np.frombuffer(members["index_rows"], "<f8").copy()
+        array, crcs = counts.copy(), np.frombuffer(arrays["index_row_crc32"], "<u4").copy()
+        rows = np.frombuffer(rows_data, "<f8").copy()
         for name, k, at, value in edits:
             if name == "index_feature_counts":
                 array[at % array.size] = value
@@ -93,13 +90,10 @@ def members_damaged(data):
             if part.size:
                 part[at % part.size] = value
             crcs[k] = zlib.crc32(row.tobytes())
-        changed = dict(members, index_feature_counts=array.tobytes(),
-                       index_row_crc32=crcs.tobytes(), index_rows=rows.tobytes())
-        out = io.BytesIO()
-        with zipfile.ZipFile(out, "w") as archive:
-            for name, blob in changed.items():
-                archive.writestr(name, blob)
-        return out.getvalue()
+        changed = dict(arrays, index_feature_counts=array.tobytes(),
+                       index_row_crc32=crcs.tobytes())
+        return join_model_file(rows.tobytes(), changed,
+                               {**header, "array_crc32": list(map(zlib.crc32, changed.values()))})
 
     edit = st.sampled_from(sorted(MEMBER_VALUES)).flatmap(
         lambda name: st.tuples(
@@ -108,6 +102,16 @@ def members_damaged(data):
         )
     )
     return st.lists(edit, min_size=1, max_size=3).map(rewrite)
+
+
+def tail_damaged(data):
+    """Strategy: data with a few of its last 64 bytes, which hold the end of
+    the header, its length and the magic, overwritten, or cut among them."""
+    flips = st.lists(st.tuples(st.integers(1, 64), st.integers(0, 255)), min_size=1, max_size=4)
+    return st.one_of(
+        flips.map(lambda f: flipped(data, [(len(data) - at, value) for at, value in f])),
+        st.integers(1, 64).map(lambda n: data[:-n]),
+    )
 
 
 def retokened(text):
@@ -202,7 +206,7 @@ def test_model_bytes(workspace):
     root, _, model = workspace
     data = model.read_bytes()
 
-    @given(damaged(data) | members_damaged(data))
+    @given(damaged(data) | members_damaged(data) | tail_damaged(data))
     def run(blob):
         (root / "fuzz.bin").write_bytes(blob)
         try:
@@ -234,7 +238,7 @@ def test_cli_query(workspace):
     query = (bench / "ind001_v1.patf").read_bytes()
     data = model.read_bytes()
 
-    @given(damaged(query), damaged(data) | members_damaged(data))
+    @given(damaged(query), damaged(data) | members_damaged(data) | tail_damaged(data))
     def run(query_blob, model_blob):
         (root / "q.patf").write_bytes(query_blob)
         (root / "fuzz.bin").write_bytes(model_blob)

@@ -434,6 +434,24 @@ class TestEvaluateLeaveOneOut:
         assert len(evaluation.truths) == 8
         assert all("|" in truth for truth in evaluation.truths.values())
 
+    def test_identity_units_stay_distinct(self, tmp_path):
+        # Individual "x|y" at viewpoint "z" and individual "x" at viewpoint
+        # "y|z" are two units: joined by a bare "|", both would be "x|y|z".
+        cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=3, views=2)
+        for e in manifest.entries:
+            e.viewpoint = "left"
+            if e.individual_id == "ind000":
+                e.individual_id, e.viewpoint = "x|y", "z"
+        manifest.entries[2].individual_id, manifest.entries[2].viewpoint = "x", "y|z"
+        assert manifest.entries[2].image_id == "ind001_v0"
+        evaluation = evaluate(manifest, self._vocabulary_for(manifest), CombineParams(),
+                              "leave_one_out")
+        assert evaluation.excluded == [("ind001_v0", "singleton_identity"),
+                                       ("ind001_v1", "singleton_identity")]
+        # Units print as individual|viewpoint, each part's \ and | escaped by a \.
+        assert evaluation.truths == {"ind000_v0": r"x\|y|z", "ind000_v1": r"x\|y|z",
+                                     "ind002_v0": "ind002|left", "ind002_v1": "ind002|left"}
+
     def test_all_excluded_rejected(self, tmp_path):
         cfg, manifest = write_benchmark_manifest(tmp_path, n_individuals=2, views=2)
         vocabulary = self._vocabulary_for(manifest)

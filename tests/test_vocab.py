@@ -10,7 +10,13 @@ import zlib
 
 import numpy as np
 import pytest
-from oracles import dense_kpca_oracle, em_reference, kernel_row_kpca
+from oracles import (
+    dense_kpca_oracle,
+    em_reference,
+    join_model_file,
+    kernel_row_kpca,
+    split_model_file,
+)
 
 import patreid.vocab as vocab_module
 from patreid.ingest import ImageFeatures
@@ -421,7 +427,7 @@ class TestVocabularyPersistence:
                 load_vocabulary(path)
 
     def test_corrupt_number(self, tmp_path):
-        # One flipped byte inside an array's data fails the member's CRC.
+        # One flipped byte inside an array's data fails the array's CRC-32.
         vocab = self._make_vocabulary()
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
@@ -429,7 +435,7 @@ class TestVocabularyPersistence:
         at = data.index(vocab.pca.basis.tobytes()[:16])
         data[at + 3] ^= 0x40
         path.write_bytes(bytes(data))
-        with pytest.raises(VocabError, match="unreadable"):
+        with pytest.raises(VocabError, match="unreadable array 'pca_basis': bad CRC-32"):
             load_vocabulary(path)
 
     @pytest.mark.parametrize(
@@ -461,9 +467,9 @@ class TestVocabularyPersistence:
         [
             (lambda v: (setattr(v.gmm, "means", v.gmm.means[:, :5]),
                         setattr(v.gmm, "variances", v.gmm.variances[:, :5])),
-             r"array 'gmm_means' has 120 bytes, expected 144 for shape \(3, 6\)"),
+             "2056 bytes precede the header, whose dims need 2104 of arrays"),
             (lambda v: setattr(v.kpca, "matrix", np.hstack([v.kpca.matrix] * 2)),
-             r"array 'kpca_matrix' has 2304 bytes, expected 1152 for shape \(4, 36\)"),
+             "unreadable array 'kpca_matrix': bad CRC-32"),
         ],
         ids=["gmm_dim", "kpca_features"],
     )
@@ -519,14 +525,12 @@ def _read_all(path):
 
 
 def _members(path):
-    """A model file's members: its header as a dict, each raw array by name,
-    and index_rows as a list of each row's (frames, descriptors)."""
-    with zipfile.ZipFile(path) as archive:
-        members = {info.filename: archive.read(info) for info in archive.infolist()}
-    header = json.loads(members.pop("header.json"))
-    dims, rows = header["dims"], members.pop("index_rows")
+    """A model file's parts: its header as a dict, each array by name, and
+    index_rows as a list of each row's (frames, descriptors)."""
+    rows, arrays, header = split_model_file(path.read_bytes())
+    dims = header["dims"]
     sizes = {**dims, "rows": len(header["index_image_ids"]), "f": 2 * dims["k"] * dims["pca_out"]}
-    members = {name: np.frombuffer(members[name], dtype).reshape([sizes[d] for d in shape]).copy()
+    members = {name: np.frombuffer(arrays[name], dtype).reshape([sizes[d] for d in shape]).copy()
                for name, (dtype, shape) in vocab_module._LAYOUT.items()}
     values, dim, at = np.frombuffer(rows, "<f8"), dims["pca_in"], 0
     members["index_rows"] = []
@@ -535,37 +539,48 @@ def _members(path):
         descriptors = values[at + 6 * count : at + (6 + dim) * count].reshape(count, dim)
         members["index_rows"].append((frames, descriptors))
         at += (6 + dim) * count
-    return {"header.json": header, **members}
+    return {"header": header, **members}
 
 
 def _rewrite(path, changes):
-    """Rewrite a model file's members: a dict replaces the header, an array
-    (its raw bytes) an array member, a list of (frames, descriptors) the
-    index rows, whose CRC-32s are stored anew unless changes gives them;
-    bytes replace any member and None drops one.  An array whose name ends
-    in ".npy" is written in the .npy format of files before version 7."""
-    with zipfile.ZipFile(path) as archive:
-        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    """Rewrite a model file's parts: a dict replaces the header, an array
+    (its raw bytes) an array, a list of (frames, descriptors) the index
+    rows, whose CRC-32s are stored anew unless changes gives them; bytes
+    replace any part and None drops one.  The header's array CRC-32s are
+    stored anew unless changes gives the header.  Changes that are bytes
+    replace the whole file."""
+    if isinstance(changes, bytes):
+        path.write_bytes(changes)
+        return
+    rows, arrays, header = split_model_file(path.read_bytes())
+    parts = {"header": header, "index_rows": rows, **arrays}
     rows = changes.get("index_rows")
     if isinstance(rows, list):
         rows = [b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in row) for row in rows]
         changes = {"index_row_crc32": np.array([zlib.crc32(r) for r in rows], "<u4"),
                    **changes, "index_rows": b"".join(rows)}
     for name, value in changes.items():
-        if isinstance(value, dict):
-            value = json.dumps(value).encode()
-        elif isinstance(value, np.ndarray) and name.endswith(".npy"):
-            buffer = io.BytesIO()
-            np.lib.format.write_array(buffer, value)
-            value = buffer.getvalue()
-        elif isinstance(value, np.ndarray):
-            value = value.tobytes()
-        members.pop(name, None)
-        if value is not None:
-            members[name] = value
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, data in members.items():
-            archive.writestr(name, data)
+        parts[name] = value.tobytes() if isinstance(value, np.ndarray) else value
+    if "header" not in changes:
+        header["array_crc32"] = [c if parts[name] is None else zlib.crc32(parts[name])
+                                 for name, c in zip(vocab_module._LAYOUT, header["array_crc32"])]
+    rows, header = parts.pop("index_rows") or b"", parts.pop("header") or b""
+    path.write_bytes(join_model_file(rows, {n: a for n, a in parts.items() if a is not None},
+                                     header))
+
+
+def _zip_file(members):
+    """A model file of a version before 9: a zip archive of members, each
+    array written in the .npy format of files before version 7."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as archive:
+        for name, value in members.items():
+            if isinstance(value, np.ndarray):
+                buffer = io.BytesIO()
+                np.lib.format.write_array(buffer, value)
+                value = buffer.getvalue()
+            archive.writestr(name, value)
+    return out.getvalue()
 
 
 def _row_change(k, frames=lambda f: f, descriptors=lambda d: d):
@@ -581,14 +596,27 @@ def _row_change(k, frames=lambda f: f, descriptors=lambda d: d):
 
 def _header_change(**fields):
     """A change of the header's fields."""
-    return lambda a: {"header.json": {**a["header.json"], **fields}}
+    return lambda a: {"header": {**a["header"], **fields}}
 
 
 def _before_version_7(version, **members):
-    """A file of an older layout, with no header and no raw member: its
-    version.npy, then members (arrays named "<name>.npy")."""
-    return lambda a: {**dict.fromkeys(["header.json", "index_rows", *vocab_module._LAYOUT]),
-                      "version.npy": np.array(version), **members}
+    """A file of an older layout, a zip archive with no header and no raw
+    member: its version.npy, then members (arrays named "<name>.npy")."""
+    return lambda a: _zip_file({"version.npy": np.array(version), **members})
+
+
+def _version_8(a):
+    """The file as version 8 stored it: a zip archive of header.json without
+    array CRC-32s, one raw member per array, and the index rows' member."""
+    header = {k: v for k, v in a["header"].items() if k != "array_crc32"}
+    rows = b"".join(f.tobytes() + d.tobytes() for f, d in a["index_rows"])
+    return _zip_file({"header.json": json.dumps({**header, "version": 8}), "index_rows": rows,
+                      **{name: a[name].tobytes() for name in vocab_module._LAYOUT}})
+
+
+# A file of an older version, which is a zip archive: refused whole.
+OLDER = (r"not a model file of version 9 "
+         r"\(one from an older version must be rebuilt with build-vocab\)")
 
 
 def _row_bytes(path, k):
@@ -616,24 +644,25 @@ class TestModelFile:
             assert parsed.descriptors.shape == (features.count, vocab.descriptor_dim)
             assert parsed.descriptors.tobytes() == features.descriptors.tobytes()
 
-    def test_plain_npz_at_the_given_path(self, tmp_path):
+    def test_plain_layout_at_the_given_path(self, tmp_path):
         # np.savez would write vocab-0.txt.npz; timestamps would vary by build.
         path = tmp_path / "vocab-0.txt"
         save_vocabulary(_indexed_vocabulary(), path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab-0.txt"]
-        with zipfile.ZipFile(path) as archive:
-            for member in archive.infolist():
-                assert member.date_time == (1980, 1, 1, 0, 0, 0)
-                assert member.compress_type == zipfile.ZIP_STORED
-            # The header, one raw member per array, and one member of every
-            # index row: 8 bytes per frame field and descriptor value of each
-            # feature.  The member count does not grow with the database.
-            assert sorted(archive.namelist()) == sorted(
-                ["header.json", "index_rows", *vocab_module._LAYOUT]
-            )
-            assert archive.getinfo("index_rows").file_size == 8 * (3 + 2 + 0) * 16
+        data = path.read_bytes()
+        rows, arrays, header = split_model_file(data)
+        # The index rows from byte 0, 8 bytes per frame field and descriptor
+        # value of each feature; each array in table order; the header; its
+        # length; the magic.  The header holds one CRC-32 per array, however
+        # large the database.
+        assert rows == b"".join(_row_bytes(path, k) for k in range(3))
+        assert len(rows) == 8 * (3 + 2 + 0) * 16
+        assert list(arrays) == list(vocab_module._LAYOUT)
+        assert header["array_crc32"] == [zlib.crc32(a) for a in arrays.values()]
+        assert data.endswith(len(json.dumps(header)).to_bytes(8, "little") + b"PATMODEL")
+        assert join_model_file(rows, arrays, header) == data
         members = _members(path)
-        assert members["header.json"]["index_image_ids"] == ["img0", "img1", "empty"]
+        assert members["header"]["index_image_ids"] == ["img0", "img1", "empty"]
         assert members["index_row_crc32"].tolist() == [
             zlib.crc32(_row_bytes(path, k)) for k in range(3)
         ]
@@ -643,9 +672,10 @@ class TestModelFile:
         # neither is stored, nor is the descriptor width (pca_in).
         path = tmp_path / "vocab.txt"
         save_vocabulary(_indexed_vocabulary(), path)
-        header = _members(path)["header.json"]
+        header = _members(path)["header"]
         assert header["dims"] == {"pca_in": 10, "pca_out": 6, "k": 3, "m": 4}
-        assert sorted(header) == ["alpha", "dims", "index_image_ids", "pca_whiten", "version"]
+        assert sorted(header) == ["alpha", "array_crc32", "dims", "index_image_ids",
+                                  "pca_whiten", "version"]
 
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -733,17 +763,17 @@ class TestModelFile:
     @pytest.mark.parametrize(
         "change, row, message",
         [
-            (lambda a: {"gmm_weights": None}, None, "no item named 'gmm_weights'"),
+            (lambda a: {"gmm_weights": None}, None, "unreadable array 'gmm_weights': bad CRC-32"),
             (lambda a: {"pca_mean": a["pca_mean"].astype(np.float32)}, None,
-             r"array 'pca_mean' has 40 bytes, expected 80 for shape \(10,\)"),
+             "unreadable array 'pca_mean': bad CRC-32"),
             (_header_change(pca_whiten=1), None, "header field 'pca_whiten' is not of type bool"),
             (lambda a: {"pca_basis": a["pca_basis"][:, :-1]}, None,
-             r"'pca_basis' has 432 bytes, expected 480 for shape \(6, 10\)"),
+             "unreadable array 'pca_basis': bad CRC-32"),
             (_header_change(alpha=[0.5]), None, "header field 'alpha' is not of type float"),
             (lambda a: {"index_feature_counts": a["index_feature_counts"][:-1]}, None,
-             r"'index_feature_counts' has 16 bytes, expected 24 for shape \(3,\)"),
+             "unreadable array 'index_feature_counts': bad CRC-32"),
             (lambda a: {"index_embeddings": a["index_embeddings"][:, :-1]}, None,
-             r"'index_embeddings' has 72 bytes, expected 96 for shape \(3, 4\)"),
+             "unreadable array 'index_embeddings': bad CRC-32"),
             (lambda a: {"index_embeddings": np.where(a["index_embeddings"] > 0.1, np.nan, 0.0)},
              None, "non-finite value in index"),
             (lambda a: {"index_embeddings": 2.0 * a["index_embeddings"]}, None,
@@ -754,27 +784,26 @@ class TestModelFile:
              r"index embedding of 'img0' has norm 1e-07, expected 1 \(or 0"),
             (_header_change(index_image_ids=["img0", "img0", "empty"]), None, "image id twice"),
             (lambda a: {"index_feature_counts": a["index_feature_counts"].astype("<i4")}, None,
-             r"'index_feature_counts' has 12 bytes, expected 24 for shape \(3,\)"),
-            (_header_change(version=1), None, "version 1, expected 8"),
+             "unreadable array 'index_feature_counts': bad CRC-32"),
+            (_header_change(version=1), None, "version 1, expected 9"),
             (_before_version_7(3, **{"index_degenerate.npy": np.zeros(3, dtype=bool)}),
-             None, r"version 3, expected 8 \(rebuild it with build-vocab\)"),
-            (_before_version_7(2, **{"index_embeddings.npy": np.zeros((3, 4))}),
-             None, r"version 2, expected 8 \(rebuild it with build-vocab\)"),
+             None, OLDER),
+            (_before_version_7(2, **{"index_embeddings.npy": np.zeros((3, 4))}), None, OLDER),
             (_before_version_7(4, **{"index_frames.npy": np.zeros((5, 6)),
                                      "index_descriptors.npy": np.zeros((5, 10))}),
-             None, r"version 4, expected 8 \(rebuild it with build-vocab\)"),
+             None, OLDER),
             (_before_version_7(5, **{"kpca_alphas.npy": np.zeros((9, 4)),
                                      "index_sha256.npy": np.array(["0" * 64] * 3)}),
-             None, r"model file version 5, expected 8 \(rebuild it with build-vocab\)"),
+             None, OLDER),
             (lambda a: {"index_feature_counts": np.array([-1, 6, 0])}, None, "feature counts"),
             (lambda a: {"index_feature_counts": np.array([3, 1, 0])}, None,
-             "index rows member has 640 bytes, expected 512 for the feature counts"),
+             "index rows have 640 bytes, expected 512 for the feature counts"),
             (_row_change(0, frames=lambda f: f[:, :-1]), None,
-             "index rows member has 616 bytes, expected 640"),
+             "index rows have 616 bytes, expected 640"),
             (_row_change(0, descriptors=lambda d: d[:-1]), None,
-             "index rows member has 560 bytes, expected 640"),
+             "index rows have 560 bytes, expected 640"),
             (_row_change(1, descriptors=lambda d: d[:, :-1]), None,
-             "index rows member has 624 bytes, expected 640"),
+             "index rows have 624 bytes, expected 640"),
             (_row_change(0, frames=lambda f: np.where(f > 99, np.inf, f)), "img0",
              "non-finite value in index row of 'img0'"),
             (_row_change(1, descriptors=lambda d: np.where(d > 0.5, np.nan, 0.0)), "img1",
@@ -785,36 +814,42 @@ class TestModelFile:
              r"index frame with \|det\| < 1e-12 or overflowing in row of 'img1'"),
             (_row_change(0, descriptors=lambda d: d * (1.0 + 1e-11)), "img0",
              "index descriptor whose norm is not 1 within 1e-12 in row of 'img0'"),
-            (lambda a: {"index_rows": None}, None, "no item named 'index_rows'"),
+            (lambda a: {"index_rows": None}, None,
+             "index rows have 0 bytes, expected 640 for the feature counts"),
             (lambda a: {"index_rows": a["index_rows"][:2] + [(np.zeros((0, 6)), np.zeros(1))]},
-             None, "index rows member has 648 bytes, expected 640 for the feature counts"),
+             None, "index rows have 648 bytes, expected 640 for the feature counts"),
             (lambda a: {"index_row_crc32": a["index_row_crc32"] ^ np.array([0, 1, 0], "<u4")},
              "img1", "unreadable index row of 'img1': bad CRC-32"),
             (lambda a: {"index_rows": bytes(632), "index_row_crc32": a["index_row_crc32"]},
-             None, "index rows member has 632 bytes, expected 640 for the feature counts"),
-            (lambda a: {"header.json": None}, None, "no item named 'header.json'"),
-            (lambda a: {"header.json": b'{"version": 7,'}, None, "unreadable model file: "),
-            (lambda a: {"header.json": b"[7]"}, None, "header 'header.json' is not a JSON object"),
+             None, "index rows have 632 bytes, expected 640 for the feature counts"),
+            (lambda a: {"header": None}, None, "unreadable header: Expecting value"),
+            (lambda a: {"header": b'{"version": 7,'}, None, "unreadable header: "),
+            (lambda a: {"header": b"[7]"}, None, "header is not a JSON object"),
             (_header_change(index_image_ids=["img0", 1, "empty"]), None,
              "header field 'index_image_ids' is not a list of strings"),
-            (lambda a: {"header.json": {**a["header.json"], "dims": {"k": 3}}}, None,
+            (lambda a: {"header": {**a["header"], "dims": {"k": 3}}}, None,
              "header dims pca_in, pca_out, k, m are not all counts"),
             (_before_version_7(6, **{"pca_mean.npy": np.zeros(10), "index_rows/0": bytes(384)}),
-             None, r"model file version 6, expected 8 \(rebuild it with build-vocab\)"),
-            (lambda a: {"header.json": {**a["header.json"],
-                                        "dims": {**a["header.json"]["dims"], "k": 0, "m": 1 << 62}},
+             None, OLDER),
+            (lambda a: {"header": {**a["header"],
+                                   "dims": {**a["header"]["dims"], "k": 0, "m": 1 << 62}},
                         **dict.fromkeys(["gmm_weights", "gmm_means", "gmm_variances",
                                          "kpca_matrix"], b"")},
-             None, r"array 'kpca_matrix' of shape \(4611686018427387904, 0\): "),
+             None,
+             "1412 bytes precede the header, whose dims need 147573952589676413572 of arrays"),
             (_header_change(version=7, descriptor_dim=10), None,
-             r"model file version 7, expected 8 \(rebuild it with build-vocab\)"),
+             r"model file version 7, expected 9 \(rebuild it with build-vocab\)"),
             (_header_change(index_image_ids=["img0", "img1"]), None,
-             r"'index_embeddings' has 96 bytes, expected 64 for shape \(2, 4\)"),
+             "unreadable array 'index_row_crc32': bad CRC-32"),
             (_header_change(gmm_log_likelihoods="not an array", kpca_eigenvalues={"a": 1}),
              None, "header has unknown field 'gmm_log_likelihoods'"),
-            (lambda a: {"header.json": {**a["header.json"],
-                                        "dims": {**a["header.json"]["dims"], "rows": 3}}},
+            (lambda a: {"header": {**a["header"], "dims": {**a["header"]["dims"], "rows": 3}}},
              None, "header dims has unknown key 'rows'"),
+            (_version_8, None, OLDER),
+            (_header_change(array_crc32=[0] * 10), None,
+             "header field 'array_crc32' is not 11 integers"),
+            (_header_change(array_crc32=[0.0] * 11), None,
+             "header field 'array_crc32' is not 11 integers"),
         ],
         ids=["missing", "dtype", "bool_dtype", "shape", "scalar_shape", "index_lengths",
              "embedding_dim", "embedding_nan", "embedding_norm", "embedding_norm_half",
@@ -826,7 +861,7 @@ class TestModelFile:
              "descriptor_norm", "row_missing", "row_bytes", "row_crc", "rows_short",
              "header_missing", "header_unparsable", "header_not_object", "id_type", "dims",
              "version_6", "empty_huge_dim", "version_7", "id_count", "unknown_field",
-             "dims_unknown_key"],
+             "dims_unknown_key", "version_8", "array_crc_count", "array_crc_type"],
     )
     def test_rejected(self, tmp_path, change, row, message):
         """A damage to the vocabulary or the index metadata fails the load;
