@@ -373,7 +373,7 @@ _SECTIONS = {"pca": PcaModel, "gmm": Gmm, "kpca": KpcaModel, "index": DatabaseIn
 # A model file is, in order: the index rows from byte 0; each _LAYOUT array
 # as raw little-endian bytes, in table order; a JSON header (the scalars, the
 # image ids, the sizes of _DIMS and each array's CRC-32, by type); the
-# header's length as <u8; and _MAGIC.
+# header's length as <u8; the header's CRC-32 as <u4; and _MAGIC.
 _MAGIC = b"PATMODEL"
 _HEADER_FIELDS = {"version": int, "alpha": float, "pca_whiten": bool,
                   "index_image_ids": list, "dims": dict, "array_crc32": list}
@@ -428,7 +428,7 @@ def _vocabulary_from(header: dict, end: int, path, fh) -> Vocabulary:
     if at > end:
         raise VocabError(f"{path}: {end} bytes precede the header, whose dims need {at} of arrays")
     block = os.pread(fh.fileno(), at, end - at)
-    # at walks from the header back, so an array of the wrong length is the one named.
+    # at walks back from the header, so with an intact header a wrong-length array is named.
     for (name, (dtype, _)), crc in reversed(list(zip(_LAYOUT.items(), array_crcs))):
         count = math.prod(shapes[name])
         at -= np.dtype(dtype).itemsize * count
@@ -526,7 +526,8 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
             values["array_crc32"] = [zlib.crc32(a) for a in arrays.values()]
             fh.writelines(arrays.values())
             data = json.dumps({n: kind(values[n]) for n, kind in _HEADER_FIELDS.items()}).encode()
-            fh.write(data + len(data).to_bytes(8, "little") + _MAGIC)
+            fh.write(data + len(data).to_bytes(8, "little")
+                     + zlib.crc32(data).to_bytes(4, "little") + _MAGIC)
         os.replace(partial, path)
     except BaseException:
         os.remove(partial)
@@ -546,18 +547,21 @@ def load_vocabulary(path) -> Vocabulary:
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(open(path, "rb"))
         size = os.fstat(fh.fileno()).st_size
-        trailer = os.pread(fh.fileno(), 16, max(size - 16, 0))
-        if trailer[8:] != _MAGIC:  # such as a text vocabulary or a zip archive
+        trailer = os.pread(fh.fileno(), 20, max(size - 20, 0))
+        if trailer[12:] != _MAGIC:  # such as a text vocabulary or a zip archive
             raise VocabError(
                 f"{path}: not a model file of version {VOCAB_VERSION} "
                 "(one from an older version must be rebuilt with build-vocab)"
             )
         length = int.from_bytes(trailer[:8], "little")
-        end = size - 16 - length  # where the header starts
+        end = size - 20 - length  # where the header starts
         if end < 0:
             raise VocabError(f"{path}: header of {length} bytes in a file of {size}")
+        data = os.pread(fh.fileno(), length, end)
+        if zlib.crc32(data) != int.from_bytes(trailer[8:12], "little"):
+            raise VocabError(f"{path}: unreadable header: bad CRC-32")
         try:
-            header = json.loads(os.pread(fh.fileno(), length, end))
+            header = json.loads(data)
         except (ValueError, RecursionError) as exc:
             raise VocabError(f"{path}: unreadable header: {exc}") from None
         if not isinstance(header, dict):

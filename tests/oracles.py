@@ -20,6 +20,7 @@ holds what only the tests read:
 
 import json
 import math
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -530,8 +531,8 @@ def read_homography_sidecar(path) -> np.ndarray:
 def split_model_file(data: bytes):
     """A model file's parts, found from its end: the bytes of its index rows,
     the bytes of each array by name in file order, and its header."""
-    end = len(data) - 16 - int.from_bytes(data[-16:-8], "little")
-    header = json.loads(data[end:-16])
+    end = len(data) - 20 - int.from_bytes(data[-20:-12], "little")
+    header = json.loads(data[end:-20])
     dims = header["dims"]
     sizes = {**dims, "rows": len(header["index_image_ids"]), "f": 2 * dims["k"] * dims["pca_out"]}
     arrays = {}
@@ -547,4 +548,4 @@ def join_model_file(rows: bytes, arrays: dict, header) -> bytes:
     if isinstance(header, dict):
         header = json.dumps(header).encode()
     return b"".join([rows, *arrays.values(), header, len(header).to_bytes(8, "little"),
-                     b"PATMODEL"])
+                     zlib.crc32(header).to_bytes(4, "little"), b"PATMODEL"])

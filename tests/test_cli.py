@@ -248,13 +248,25 @@ def _array_flipped(name):
     return damage
 
 
+def _header_byte_changed(key):
+    """A change of a model file's bytes: the byte after the last occurrence
+    of key, in the header, XORed with 1, with the header's length and CRC-32
+    kept."""
+
+    def damage(data):
+        at = data.rindex(key) + len(key)
+        return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (lambda d: d[:-16] + (2**64 - 1).to_bytes(8, "little") + d[-8:],
+        (lambda d: d[:-20] + (2**64 - 1).to_bytes(8, "little") + d[-12:],
          "header of 18446744073709551615 bytes in a file of "),
-        (lambda d: d[:-16] + len(d).to_bytes(8, "little") + d[-8:], "header of .* bytes in a file"),
-        (lambda d: d[-15:], "not a model file of version 9 "),
+        (lambda d: d[:-20] + len(d).to_bytes(8, "little") + d[-12:], "header of .* bytes in a file"),
+        (lambda d: d[-19:], "not a model file of version 9 "),
         (_header_changed(lambda h: b'["version", 9]'), "header is not a JSON object"),
         (_header_changed(lambda h: b"[" * 100_000 + b"]" * 100_000),
          "unreadable header: maximum recursion depth exceeded"),
@@ -262,9 +274,13 @@ def _array_flipped(name):
          "[0-9]+ bytes precede the header, whose dims need [0-9]+ of arrays"),
         *[(_array_flipped(name), f"unreadable array '{name}': bad CRC-32")
           for name in patreid.vocab._LAYOUT],
+        # alpha 0.5 read as 0.4, and image id ind000_v0 as hnd000_v0.
+        (_header_byte_changed(b'"alpha": 0.'), "unreadable header: bad CRC-32"),
+        (_header_byte_changed(b'"index_image_ids": ["'), "unreadable header: bad CRC-32"),
     ],
     ids=["header_length_max", "header_past_end", "shorter_than_trailer", "header_not_object",
-         "header_nested", "dims_past_end", *(f"flipped_{n}" for n in patreid.vocab._LAYOUT)],
+         "header_nested", "dims_past_end", *(f"flipped_{n}" for n in patreid.vocab._LAYOUT),
+         "header_alpha_digit", "header_image_id_char"],
 )
 def test_damaged_model_file_one_error_line(workspace, tmp_path, capsys, damage, message):
     # Each of these is a traceback (OverflowError, struct.error, MemoryError,

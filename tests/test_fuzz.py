@@ -9,6 +9,7 @@ import contextlib
 import io
 import warnings
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -114,6 +115,16 @@ def tail_damaged(data):
     )
 
 
+def header_damaged(data):
+    """Strategy: data with a few bytes of its header XORed with a value below
+    8, which keeps most digits and letters digits and letters, so the header
+    often stays valid JSON of other values."""
+    end = len(data) - 20 - int.from_bytes(data[-20:-12], "little")
+    flips = st.lists(st.tuples(st.integers(end, len(data) - 21), st.integers(1, 7)),
+                     min_size=1, max_size=4)
+    return flips.map(lambda f: flipped(data, [(at, data[at] ^ x) for at, x in f]))
+
+
 def retokened(text):
     """Strategy: text with some whitespace-separated tokens replaced."""
     words = text.split(" ")
@@ -206,7 +217,9 @@ def test_model_bytes(workspace):
     root, _, model = workspace
     data = model.read_bytes()
 
-    @given(damaged(data) | members_damaged(data) | tail_damaged(data))
+    models = damaged(data) | members_damaged(data) | tail_damaged(data) | header_damaged(data)
+
+    @given(models)
     def run(blob):
         (root / "fuzz.bin").write_bytes(blob)
         try:
@@ -233,12 +246,55 @@ def test_model_bytes(workspace):
     run()
 
 
+def stored(vocab):
+    """A vocabulary's values beside its index rows, as bytes, and each row's
+    features as bytes or the VocabError its read raises."""
+    values = [np.asarray(vocab.alpha).tobytes()] + [
+        np.asarray(getattr(model, f.name)).tobytes()
+        for model in (vocab.pca, vocab.gmm, vocab.kpca, vocab.index) for f in fields(model)
+    ]
+    rows = []
+    for k in range(len(vocab.index.image_ids)):
+        try:
+            features = vocab.read_row(k)
+        except VocabError:
+            rows.append(VocabError)
+            continue
+        rows.append(features.frames.tobytes() + features.descriptors.tobytes())
+    return values, rows
+
+
+def test_model_bytes_load_as_saved(workspace):
+    # The header, each array and each index row are under a CRC-32, so
+    # overwritten or cut bytes that still load give the saved values, and
+    # each row read gives the saved features or fails.
+    root, _, model = workspace
+    data = model.read_bytes()
+    with load_vocabulary(model) as vocab:
+        values, rows = stored(vocab)
+
+    @given(damaged(data) | tail_damaged(data) | header_damaged(data))
+    def run(blob):
+        (root / "fuzz.bin").write_bytes(blob)
+        try:
+            vocab = load_vocabulary(root / "fuzz.bin")
+        except VocabError:
+            return
+        with vocab:
+            got_values, got_rows = stored(vocab)
+        assert got_values == values
+        assert all(got in (VocabError, row) for got, row in zip(got_rows, rows, strict=True))
+
+    run()
+
+
 def test_cli_query(workspace):
     root, bench, model = workspace
     query = (bench / "ind001_v1.patf").read_bytes()
     data = model.read_bytes()
+    models = damaged(data) | members_damaged(data) | tail_damaged(data) | header_damaged(data)
 
-    @given(damaged(query), damaged(data) | members_damaged(data) | tail_damaged(data))
+    @given(damaged(query), models)
     def run(query_blob, model_blob):
         (root / "q.patf").write_bytes(query_blob)
         (root / "fuzz.bin").write_bytes(model_blob)

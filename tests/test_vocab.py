@@ -653,13 +653,15 @@ class TestModelFile:
         rows, arrays, header = split_model_file(data)
         # The index rows from byte 0, 8 bytes per frame field and descriptor
         # value of each feature; each array in table order; the header; its
-        # length; the magic.  The header holds one CRC-32 per array, however
-        # large the database.
+        # length; its CRC-32; the magic.  The header holds one CRC-32 per
+        # array, however large the database.
         assert rows == b"".join(_row_bytes(path, k) for k in range(3))
         assert len(rows) == 8 * (3 + 2 + 0) * 16
         assert list(arrays) == list(vocab_module._LAYOUT)
         assert header["array_crc32"] == [zlib.crc32(a) for a in arrays.values()]
-        assert data.endswith(len(json.dumps(header)).to_bytes(8, "little") + b"PATMODEL")
+        text = json.dumps(header).encode()
+        assert data.endswith(text + len(text).to_bytes(8, "little")
+                             + zlib.crc32(text).to_bytes(4, "little") + b"PATMODEL")
         assert join_model_file(rows, arrays, header) == data
         members = _members(path)
         assert members["header"]["index_image_ids"] == ["img0", "img1", "empty"]
