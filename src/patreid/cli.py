@@ -9,6 +9,7 @@ validation error (bad flags, missing artifacts, insufficient data).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import MISSING, fields
@@ -63,19 +64,13 @@ def _flagged(exc: ValueError, flags) -> str:
 
 
 def _params(config, args):
-    """config built from the fields its subcommand's flags set, once its
-    validate() passes; else a UsageError naming the flag.
-
-    validate() messages start with the offending field's name.
-    """
-    params = config(
-        **{f.name: getattr(args, f.name) for f in fields(config) if f.name in args.flags}
-    )
+    """config built from the fields its subcommand's flags set; the ValueError
+    of a bad one, which starts with the field's name, names its flag instead."""
+    values = {f.name: getattr(args, f.name) for f in fields(config) if f.name in args.flags}
     try:
-        params.validate()
+        return config(**values)
     except ValueError as exc:
         raise UsageError(_flagged(exc, args.flags)) from None
-    return params
 
 
 def _topk(args) -> int:
@@ -103,6 +98,15 @@ def cmd_build_vocab(args) -> int:
     db_entries = manifest.with_role("database")
     if not db_entries:
         raise UsageError("no database entries in manifest")
+    # The model file is renamed over --out: that directory entry must not be
+    # an input's.  A symlink there is replaced, not written through.
+    out = Path(args.out).parent.resolve() / Path(args.out).name
+    inputs = [(args.manifest, "the manifest")] + [
+        (manifest.entry_path(e), f"the feature file of {e.image_id!r}") for e in db_entries
+    ]
+    for path, what in inputs:
+        if Path(path).resolve() == out:
+            raise UsageError(f"--out {args.out} is {what}, which the model file would replace")
 
     def parse(part: slice) -> list:
         return [load_entry_features(manifest, e) for e in db_entries[part]]
@@ -156,6 +160,10 @@ def cmd_evaluate(args) -> int:
     params = _params(CombineParams, args)
     geometry_params = _params(GeometryParams, args)
     topk = _topk(args)
+    csv = args.per_query_csv  # written through links, so an input's file is refused
+    for flag, path in (("--manifest", args.manifest), ("--vocab", args.vocab)):
+        if csv and os.path.exists(csv) and os.path.exists(path) and os.path.samefile(csv, path):
+            raise UsageError(f"--per-query-csv {csv} is the {flag} file, which it would overwrite")
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
     protocol = "split" if args.protocol == "split" else "leave_one_out"
     with load_vocabulary(_require_file(args.vocab, "vocabulary")) as vocabulary:

@@ -42,7 +42,7 @@ class TrainingParams:
     pca_dim: int = 64
     whiten: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise VocabError naming the offending field, for the bounds that
         hold whatever the database; train_vocabulary checks the others."""
         if not 0 < self.alpha < np.inf:
@@ -136,7 +136,6 @@ def train_vocabulary(
     bit what embed_image gives.  The index rows are feature_sets in order,
     read from memory.  A VocabError about a setting starts with its field name.
     """
-    params.validate()
     feature_sets = list(feature_sets)
     image_ids = [f.image_id for f in feature_sets]
     non_empty = [f for f in feature_sets if f.count > 0]

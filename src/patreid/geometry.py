@@ -47,7 +47,7 @@ class GeometryParams:
     max_distance: float = 0.9
     ratio: Optional[float] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise GeometryError naming the offending field."""
         if not 0 < self.inlier_threshold < np.inf:
             raise GeometryError(
@@ -301,7 +301,6 @@ def verify_shortlist(
     matches.  Nothing is sampled, and a pair's verdict is the same in any
     shortlist: it depends only on the two images and params.
     """
-    params.validate()
     matches = [match_descriptors(query, db, params) for db in dbs]
     verdicts = [
         GeomVerdict(n=0, omega=0.0, homography=None, inlier_mask=np.zeros(len(m), dtype=bool))

@@ -40,14 +40,14 @@ class ReidError(ValueError):
     """Invalid search/evaluation configuration or data."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CombineParams:
     """The settings every rule shares; the caller names the rule."""
 
     a: float = 2.0
     shortlist_size: int = 50
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ReidError naming the offending field."""
         if not 0 <= self.a < np.inf:
             raise ReidError(f"a must be finite and >= 0, got {self.a}")
@@ -186,7 +186,6 @@ def rank_queries(
     for rule in rules:
         if rule not in RULES:
             raise ReidError(f"rule must be one of {RULES}, got {rule!r}")
-    params.validate()
     ids = db.image_ids
     if not ids:
         raise ReidError("database is empty")
@@ -414,6 +413,8 @@ def evaluate(
     Queries are loaded and ranked in fork_map slices, one per usable CPU,
     and each slice sends back only its ranks of truth and first-ranked rows.
     """
+    if protocol not in _PROTOCOLS:
+        raise ReidError(f"protocol must be one of {tuple(_PROTOCOLS)}, got {protocol!r}")
     db, load, truths, excluded, self_rows = _PROTOCOLS[protocol](manifest, vocabulary)
     codes: Dict[str, int] = {}
     labels = np.array([codes.setdefault(i, len(codes)) for i in db.individual_ids])

@@ -42,7 +42,7 @@ class SynthError(ValueError):
     with the field to change."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     seed: int
     n_individuals: int
@@ -54,7 +54,7 @@ class SynthConfig:
     clutter_rate: float = 0.2
     max_perspective: float = 0.15
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ValueError naming the offending field."""
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -258,7 +258,6 @@ def generate_benchmark(config: SynthConfig, out_dir) -> Manifest:
     byte-identical.  Every constellation is placed before out_dir is made,
     so points that cannot be placed (SynthError) leave nothing there.
     """
-    config.validate()
     constellations = [generate_individual(config, i) for i in range(config.n_individuals)]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

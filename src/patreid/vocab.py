@@ -399,6 +399,13 @@ _LAYOUT = {
 }
 
 
+def _shapes(dims: dict, rows: int) -> dict:
+    """Each _LAYOUT array's shape, by name, for the sizes dims states and
+    rows database image ids."""
+    sizes = {**dims, "rows": rows, "f": 2 * dims["k"] * dims["pca_out"]}
+    return {name: tuple(sizes[d] for d in dim_names) for name, (_, dim_names) in _LAYOUT.items()}
+
+
 def _vocabulary_from(header: dict, end: int, path, fh) -> Vocabulary:
     """The Vocabulary that a model file's header and the bytes of fh before
     byte end (where the header starts) hold, once every check passes; it
@@ -422,8 +429,7 @@ def _vocabulary_from(header: dict, end: int, path, fh) -> Vocabulary:
     unknown = sorted(dims.keys() - _DIMS.keys())
     if unknown:
         raise VocabError(f"{path}: header dims has unknown key {unknown[0]!r}")
-    sizes = {**dims, "rows": len(ids), "f": 2 * dims["k"] * dims["pca_out"]}
-    shapes = {name: tuple(sizes[d] for d in dim_names) for name, (_, dim_names) in _LAYOUT.items()}
+    shapes = _shapes(dims, len(ids))
     at = sum(np.dtype(dtype).itemsize * math.prod(shapes[n]) for n, (dtype, _) in _LAYOUT.items())
     if at > end:
         raise VocabError(f"{path}: {end} bytes precede the header, whose dims need {at} of arrays")
@@ -500,7 +506,9 @@ def read_index_row(fh, path, image_id, at: int, count: int, dim: int, crc: int) 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
     """Write vocab as one model file, streaming the index rows one by one,
     then each array.  Written through an open handle, so path is used as
-    given; one model gives one byte string.
+    given; one model gives one byte string.  An array whose shape disagrees
+    with the sizes the header would state raises VocabError before a byte is
+    written.
 
     The file is written beside path and renamed over it once complete, so a
     failed write leaves whatever path held (a reader of the old file keeps
@@ -510,19 +518,22 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
     for section in _SECTIONS:
         model = getattr(vocab, section)
         values.update((f"{section}_{f.name}", getattr(model, f.name)) for f in fields(model))
-    counts, values["index_row_crc32"] = vocab.index.feature_counts, []
+    rows = len(vocab.index.image_ids)
+    values["index_row_crc32"] = np.zeros(rows, "<u4")  # filled in as the rows are written
+    arrays = {n: np.ascontiguousarray(values[n], dtype) for n, (dtype, _) in _LAYOUT.items()}
+    values["dims"] = {d: len(arrays[name]) for d, name in _DIMS.items()}
+    for (name, array), shape in zip(arrays.items(), _shapes(values["dims"], rows).values()):
+        if array.shape != shape:
+            raise VocabError(f"{path}: array {name!r} has shape {array.shape}, expected {shape}")
     partial = f"{os.fspath(path)}.{os.getpid()}.partial"
     fh = open(partial, "xb")  # permissions as open(path, "wb") would give
     try:
         with fh:
-            for f in map(vocab.read_row, range(len(counts))):
+            for k, f in enumerate(map(vocab.read_row, range(rows))):
                 data = b"".join(np.ascontiguousarray(a, "<f8").tobytes()
                                 for a in (f.frames, f.descriptors))
-                values["index_row_crc32"].append(zlib.crc32(data))
+                arrays["index_row_crc32"][k] = zlib.crc32(data)
                 fh.write(data)
-            arrays = {n: np.ascontiguousarray(values[n], dtype)
-                      for n, (dtype, _) in _LAYOUT.items()}
-            values["dims"] = {d: len(arrays[name]) for d, name in _DIMS.items()}
             values["array_crc32"] = [zlib.crc32(a) for a in arrays.values()]
             fh.writelines(arrays.values())
             data = json.dumps({n: kind(values[n]) for n, kind in _HEADER_FIELDS.items()}).encode()

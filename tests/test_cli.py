@@ -208,6 +208,39 @@ class TestBuildVocab:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "out, what",
+        [("bench/manifest.csv", "the manifest"),
+         ("bench/ind001_v0.patf", "the feature file of 'ind001_v0'"),
+         ("linked/manifest.csv", "the manifest")],
+        ids=["manifest", "database-file", "through-linked-directory"],
+    )
+    def test_out_that_is_an_input_refused(self, workspace, tmp_path, capsys, out, what):
+        _, bench, _ = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        (tmp_path / "linked").symlink_to(copy)
+        before = {p.name: p.read_bytes() for p in copy.iterdir()}
+        out = str(tmp_path / out)
+        code = main(["build-vocab", "--manifest", str(copy / "manifest.csv"), "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out} is {what}, which the model file would replace\n"
+        )
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+
+    def test_out_symlink_to_an_input_replaced(self, workspace, tmp_path):
+        # The model file is renamed over --out: a symlink there is replaced,
+        # not written through, so the manifest it names is not overwritten.
+        _, bench, _ = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        manifest = (copy / "manifest.csv").read_bytes()
+        link = tmp_path / "v.bin"
+        link.symlink_to(copy / "manifest.csv")
+        assert main(["build-vocab", "--manifest", str(copy / "manifest.csv"),
+                     "--out", str(link)]) == 0
+        assert not link.is_symlink()
+        assert (copy / "manifest.csv").read_bytes() == manifest
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--alpha", "-1"), ("--alpha", "0"), ("--alpha", "nan"), ("--alpha", "inf"),
          ("--kpca-dim", "-3"), ("--seed", "-1"), ("--gmm-k", "0"), ("--gmm-k", "-2"),
@@ -1357,6 +1390,31 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("link", ["same-path", "symlink", "hard-link"])
+    @pytest.mark.parametrize("flag", ["--manifest", "--vocab"])
+    def test_csv_that_is_an_input_refused(self, workspace, tmp_path, capsys, flag, link):
+        # The CSV is written through links, so each way of naming an input's
+        # file is refused before anything is written.
+        _, bench, vocab = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        model = shutil.copy(vocab, tmp_path / "model.bin")
+        target = copy / "manifest.csv" if flag == "--manifest" else model
+        csv = {"same-path": target, "symlink": tmp_path / "s.csv", "hard-link": tmp_path / "h.csv"}
+        csv = csv[link]
+        if link == "symlink":
+            csv.symlink_to(target)
+        elif link == "hard-link":
+            os.link(target, csv)
+        before = target.read_bytes()
+        capsys.readouterr()
+        code = main(["evaluate", "--manifest", str(copy / "manifest.csv"), "--vocab", str(model),
+                     "--per-query-csv", str(csv)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: --per-query-csv {csv} is the {flag} file, which it would overwrite\n"
+        )
+        assert target.read_bytes() == before
 
     def test_invalid_max_desc_dist(self, workspace, capsys):
         _, bench, vocab = workspace

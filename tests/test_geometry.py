@@ -643,7 +643,7 @@ def test_noisy_frames_keep_genuine_pairs_first():
 
 class TestGeometryParams:
     def test_defaults_valid(self):
-        GeometryParams().validate()
+        GeometryParams()
 
     @pytest.mark.parametrize(
         "kwargs, pattern",
@@ -662,7 +662,7 @@ class TestGeometryParams:
     )
     def test_invalid(self, kwargs, pattern):
         with pytest.raises(GeometryError, match=f"^{pattern} must"):
-            GeometryParams(**kwargs).validate()
+            GeometryParams(**kwargs)
 
     def test_geometric_similarity_validates(self):
         f = features_from(np.zeros((1, 2)), [[1.0, 0.0]])

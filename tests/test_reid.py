@@ -115,7 +115,7 @@ class TestRulesOnArrays:
 
 class TestCombineParams:
     def test_defaults_valid(self):
-        CombineParams().validate()
+        CombineParams()
 
     @pytest.mark.parametrize(
         "kwargs, pattern",
@@ -129,7 +129,7 @@ class TestCombineParams:
     )
     def test_invalid(self, kwargs, pattern):
         with pytest.raises(ReidError, match=pattern):
-            CombineParams(**kwargs).validate()
+            CombineParams(**kwargs)
 
 
 class TestTopkAccuracy:
@@ -385,6 +385,13 @@ class TestEvaluateSplit:
         )
         with pytest.raises(ReidError, match="query"):
             evaluate(db_only, vocabulary, CombineParams(), "split")
+
+
+def test_unknown_protocol_named():
+    # The CLI's token is not a protocol name; it is refused before anything is read.
+    message = r"^protocol must be one of \('split', 'leave_one_out'\), got 'loo'$"
+    with pytest.raises(ReidError, match=message):
+        evaluate(Manifest(entries=[]), None, protocol="loo")
 
 
 class TestEvaluateLeaveOneOut:

@@ -31,7 +31,7 @@ def small_config(**overrides):
 
 class TestConfigValidation:
     def test_defaults_valid(self):
-        small_config().validate()
+        small_config()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -50,7 +50,7 @@ class TestConfigValidation:
     )
     def test_invalid_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):
-            small_config(**{field: value}).validate()
+            small_config(**{field: value})
 
 
 class TestGenerateIndividual:
@@ -284,6 +284,6 @@ class TestGenerateBenchmark:
         np.testing.assert_allclose(sidecar, H / H[2, 2], atol=1e-12)
 
     def test_invalid_config_rejected(self, tmp_path):
-        cfg = SynthConfig(seed=1, n_individuals=2, views_per_individual=2, dropout_rate=1.5)
         with pytest.raises(ValueError, match="dropout_rate"):
+            cfg = SynthConfig(seed=1, n_individuals=2, views_per_individual=2, dropout_rate=1.5)
             generate_benchmark(cfg, tmp_path / "bench")
