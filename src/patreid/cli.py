@@ -102,7 +102,7 @@ def cmd_build_vocab(args) -> int:
     # an input's.  A symlink there is replaced, not written through.
     out = Path(args.out).parent.resolve() / Path(args.out).name
     inputs = [(args.manifest, "the manifest")] + [
-        (manifest.entry_path(e), f"the feature file of {e.image_id!r}") for e in db_entries
+        (manifest.entry_path(e), f"the feature file of {e.image_id!r}") for e in manifest.entries
     ]
     for path, what in inputs:
         if Path(path).resolve() == out:
@@ -160,11 +160,15 @@ def cmd_evaluate(args) -> int:
     params = _params(CombineParams, args)
     geometry_params = _params(GeometryParams, args)
     topk = _topk(args)
-    csv = args.per_query_csv  # written through links, so an input's file is refused
-    for flag, path in (("--manifest", args.manifest), ("--vocab", args.vocab)):
-        if csv and os.path.exists(csv) and os.path.exists(path) and os.path.samefile(csv, path):
-            raise UsageError(f"--per-query-csv {csv} is the {flag} file, which it would overwrite")
+    csv = args.per_query_csv
     manifest = load_manifest(_require_file(args.manifest, "manifest"))
+    if csv and os.path.exists(csv):  # written through links, so an input's file is refused
+        inputs = [("--manifest file", args.manifest), ("--vocab file", args.vocab)] + [
+            (f"feature file of {e.image_id!r}", manifest.entry_path(e)) for e in manifest.entries
+        ]
+        for what, path in inputs:
+            if os.path.exists(path) and os.path.samefile(csv, path):
+                raise UsageError(f"--per-query-csv {csv} is the {what}, which it would overwrite")
     protocol = "split" if args.protocol == "split" else "leave_one_out"
     with load_vocabulary(_require_file(args.vocab, "vocabulary")) as vocabulary:
         evaluation = evaluate(manifest, vocabulary, params, protocol, geometry_params)

@@ -130,11 +130,12 @@ def train_vocabulary(
 ) -> Vocabulary:
     """Fit the whole appearance model on the database images, and index them.
 
-    Pools all descriptors for PCA and the GMM, Fisher-encodes each database
-    image once, and fits the kernel-PCA compressor on the normalized Fisher
-    vectors.  Each image's embedding is then its vector's apply_kpca, bit for
-    bit what embed_image gives.  The index rows are feature_sets in order,
-    read from memory.  A VocabError about a setting starts with its field name.
+    Fits PCA on all descriptors and the GMM on fit_pca's projections of them,
+    Fisher-encodes each database image once, and fits the kernel-PCA
+    compressor on the normalized Fisher vectors.  Each image's embedding is
+    then its vector's apply_kpca, bit for bit what embed_image gives.  The
+    index rows are feature_sets in order, read from memory.  A VocabError
+    about a setting starts with its field name.
     """
     feature_sets = list(feature_sets)
     image_ids = [f.image_id for f in feature_sets]
@@ -153,8 +154,7 @@ def train_vocabulary(
                 f"image {f.image_id!r} has {f.descriptors.shape[1]}-dim descriptors, "
                 f"expected {dim} as image {non_empty[0].image_id!r} has"
             )
-    pooled = np.vstack([f.descriptors for f in non_empty])
-    n, top_kpca = len(pooled), len(feature_sets) - 1
+    n, top_kpca = sum(f.count for f in non_empty), len(feature_sets) - 1
     kpca_dim = params.kpca_dim or min(top_kpca, MAX_KPCA_DIM)
     if params.pca_dim > dim:
         raise VocabError(
@@ -167,8 +167,8 @@ def train_vocabulary(
         raise VocabError(
             f"kpca_dim must be in [0, {top_kpca}], below the image count, got {kpca_dim}"
         )
-    pca = fit_pca(pooled, params.pca_dim, whiten=params.whiten)
-    gmm = fit_gmm(apply_pca(pca, pooled), params.gmm_k, seed=params.seed)
+    pca, projections = fit_pca([f.descriptors for f in non_empty], params.pca_dim, params.whiten)
+    gmm = fit_gmm(projections, params.gmm_k, seed=params.seed)
 
     fvs = [power_l2_normalize(fisher_encode(f, pca, gmm), params.alpha) for f in feature_sets]
     kpca = fit_kpca(np.stack(fvs), kpca_dim)

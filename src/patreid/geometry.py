@@ -175,7 +175,8 @@ def dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     if src.shape[0] < 4:
         raise GeometryError(f"need at least 4 correspondences, got {src.shape[0]}")
     A = _dlt_matrix(src, dst)
-    _, s, Vh = np.linalg.svd(A)
+    # From 9 rows on, the reduced SVD has all of Vh, without a (2n, 2n) U.
+    _, s, Vh = np.linalg.svd(A, full_matrices=len(A) < 9)
     # A unique solution has exactly one (near-)zero singular value.
     if s[-2] <= 1e-9 * max(s[0], 1e-30):
         raise GeometryError("degenerate correspondences: homography not unique")

@@ -21,7 +21,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, List
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -133,13 +133,29 @@ def _sign_fix_rows(basis: np.ndarray) -> np.ndarray:
     return basis * signs[:, None]
 
 
-def fit_pca(descriptors: np.ndarray, out_dim: int, whiten: bool = False) -> PcaModel:
-    """Top-out_dim eigenvectors of the biased sample covariance.
+def _project(model: PcaModel, centered: np.ndarray) -> np.ndarray:
+    """Centered descriptors onto the basis; whitening divides by
+    sqrt(eigenvalue), in place, which gives the bits of a new quotient."""
+    Y = centered @ model.basis.T
+    if model.whiten:
+        Y /= np.sqrt(np.maximum(model.eigenvalues, WHITEN_FLOOR))
+    return Y
 
-    Rows of the returned basis are orthonormal, ordered by non-increasing
-    eigenvalue, each row's largest-magnitude entry positive.
+
+def fit_pca(
+    descriptors: Union[np.ndarray, Sequence[np.ndarray]], out_dim: int, whiten: bool = False
+) -> Tuple[PcaModel, np.ndarray]:
+    """Top-out_dim eigenvectors of the biased sample covariance, and the
+    training rows' projections, bit for bit what apply_pca gives them.
+
+    descriptors is one (N, D) array or a sequence of (n_i, D) blocks.  They
+    are stacked, in order, into one private copy that is centered in place,
+    so the caller's arrays stay as they were, and the fit holds one centered
+    copy of its input.  Rows of the returned basis are orthonormal, ordered
+    by non-increasing eigenvalue, each row's largest-magnitude entry positive.
     """
-    X = np.asarray(descriptors, dtype=np.float64)
+    blocks = [descriptors] if isinstance(descriptors, np.ndarray) else descriptors
+    X = np.concatenate(blocks, dtype=np.float64)
     if X.ndim != 2:
         raise VocabError(f"expected (N, D) descriptors, got shape {X.shape}")
     n, d = X.shape
@@ -148,13 +164,14 @@ def fit_pca(descriptors: np.ndarray, out_dim: int, whiten: bool = False) -> PcaM
     if n < out_dim + 1:
         raise VocabError(f"need at least {out_dim + 1} descriptors, got {n}")
     mean = X.mean(axis=0)
-    Xc = X - mean
-    cov = (Xc.T @ Xc) / n
+    X -= mean  # the bits of X - mean
+    cov = (X.T @ X) / n
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals, kind="stable")[::-1][:out_dim]
     eigvals = np.maximum(eigvals[order], 0.0)
     basis = np.ascontiguousarray(_sign_fix_rows(eigvecs[:, order].T))
-    return PcaModel(mean=mean, basis=basis, eigenvalues=eigvals, whiten=whiten)
+    model = PcaModel(mean=mean, basis=basis, eigenvalues=eigvals, whiten=whiten)
+    return model, _project(model, X)
 
 
 def apply_pca(model: PcaModel, descriptors: np.ndarray) -> np.ndarray:
@@ -164,10 +181,7 @@ def apply_pca(model: PcaModel, descriptors: np.ndarray) -> np.ndarray:
         raise VocabError(
             f"descriptor dim {X.shape[-1]} != model dim {model.mean.shape[0]}"
         )
-    Y = (X - model.mean) @ model.basis.T
-    if model.whiten:
-        Y = Y / np.sqrt(np.maximum(model.eigenvalues, WHITEN_FLOOR))
-    return Y
+    return _project(model, X - model.mean)
 
 
 def _log_gaussian_terms(gmm: Gmm, X: np.ndarray, XX: np.ndarray) -> np.ndarray:

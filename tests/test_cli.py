@@ -211,8 +211,9 @@ class TestBuildVocab:
         "out, what",
         [("bench/manifest.csv", "the manifest"),
          ("bench/ind001_v0.patf", "the feature file of 'ind001_v0'"),
+         ("bench/ind001_v1.patf", "the feature file of 'ind001_v1'"),
          ("linked/manifest.csv", "the manifest")],
-        ids=["manifest", "database-file", "through-linked-directory"],
+        ids=["manifest", "database-file", "query-file", "through-linked-directory"],
     )
     def test_out_that_is_an_input_refused(self, workspace, tmp_path, capsys, out, what):
         _, bench, _ = workspace
@@ -1414,6 +1415,35 @@ class TestEvaluate:
         assert capsys.readouterr() == (
             "", f"error: --per-query-csv {csv} is the {flag} file, which it would overwrite\n"
         )
+        assert target.read_bytes() == before
+
+    @pytest.mark.parametrize("link", ["same-path", "symlink"])
+    @pytest.mark.parametrize("image_id", ["ind000_v1", "ind001_v0"], ids=["query", "database"])
+    def test_csv_that_is_a_feature_file_refused(
+        self, workspace, tmp_path, capsys, monkeypatch, image_id, link
+    ):
+        # Any manifest entry's PATF file is an input too: refused before the
+        # model file or any feature file is read, and left as it was.
+        _, bench, vocab = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        target = copy / f"{image_id}.patf"
+        csv = target if link == "same-path" else tmp_path / "s.csv"
+        if link == "symlink":
+            csv.symlink_to(target)
+        before = target.read_bytes()
+
+        def load_vocabulary(path):
+            raise AssertionError(f"{path} read before --per-query-csv was checked")
+
+        monkeypatch.setattr(patreid.cli, "load_vocabulary", load_vocabulary)
+        capsys.readouterr()
+        code = main(["evaluate", "--manifest", str(copy / "manifest.csv"), "--vocab", str(vocab),
+                     "--per-query-csv", str(csv)])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            f"error: --per-query-csv {csv} is the feature file of {image_id!r}, "
+            "which it would overwrite\n"
+        ))
         assert target.read_bytes() == before
 
     def test_invalid_max_desc_dist(self, workspace, capsys):

@@ -1,5 +1,7 @@
 """Fisher encoding, normalization, embedding, and distance tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import fisher_fd_oracle, kernel_row_kpca
@@ -202,6 +204,27 @@ class TestTrainVocabularyAndEmbed:
         assert vocab.gmm.n_components == 2
         assert vocab.kpca.out_dim == min(len(sets) - 1, 512)
         assert vocab.descriptor_dim == 10
+
+    def test_training_holds_one_centered_copy(self):
+        # At its peak, training holds the features, fit_pca's one centered
+        # copy of the pooled descriptors, and their projections.  A second
+        # pooled copy beside them would put the peak near 1.4 times that.
+        n_images, m, dim = 40, 150, 128
+        params = TrainingParams()
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sets = self._feature_sets(n_images=n_images, m=m, dim=dim)
+            train_vocabulary(sets, params)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        features = sum(f.frames.nbytes + f.descriptors.nbytes for f in sets)
+        rows = n_images * m
+        assert peak < 1.15 * (features + rows * dim * 8 + rows * params.pca_dim * 8)
 
     def test_embedding_unit_norm_and_deterministic(self):
         sets = self._feature_sets()

@@ -206,6 +206,21 @@ class TestDltHomography:
             H = dlt_homography(src, dst)
             np.testing.assert_allclose(H, H_true / H_true[2, 2], atol=1e-6)
 
+    @pytest.mark.parametrize("n", [4, 5, 30])
+    def test_refit_is_the_full_svd_solution(self, n):
+        # A consensus of 4 matches gives an 8-row system, whose reduced SVD
+        # lacks the null direction: it must be solved with the full Vh, bit
+        # for bit.  From 5 matches on the reduced SVD holds the same row.
+        rng = np.random.default_rng(n)
+        src = rng.uniform(-1, 1, (n, 2))
+        dst = apply_homography(random_bounded_homography(rng), src) + rng.normal(0, 0.01, (n, 2))
+        H = np.linalg.svd(_dlt_matrix(src, dst))[2][-1].reshape(3, 3)
+        expected = H / H[2, 2]
+        if n == 4:
+            np.testing.assert_array_equal(dlt_homography(src, dst), expected)
+        else:
+            np.testing.assert_allclose(dlt_homography(src, dst), expected, rtol=0, atol=1e-12)
+
     def test_h33_one_after_scaling(self):
         rng = np.random.default_rng(9)
         H_true = random_bounded_homography(rng)

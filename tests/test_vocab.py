@@ -43,7 +43,7 @@ from patreid.vocab import (
 class TestFitPca:
     def test_line_data(self):
         X = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [-2.0, -2.0]])
-        model = fit_pca(X, out_dim=2)
+        model, _ = fit_pca(X, out_dim=2)
         direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
         np.testing.assert_allclose(np.abs(model.basis[0]), direction, atol=1e-12)
         assert model.basis[0] @ direction > 0  # sign convention
@@ -52,7 +52,7 @@ class TestFitPca:
     def test_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((200, 6)) @ rng.standard_normal((6, 6))
-        model = fit_pca(X, out_dim=6)
+        model, _ = fit_pca(X, out_dim=6)
         Xc = X - X.mean(axis=0)
         cov = Xc.T @ Xc / X.shape[0]  # biased, matches the model's convention
         eigvals = np.linalg.eigvalsh(cov)[::-1]
@@ -65,7 +65,7 @@ class TestFitPca:
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((50, 5))
-        model = fit_pca(X, out_dim=5)
+        model, _ = fit_pca(X, out_dim=5)
         Y = apply_pca(model, X)
         back = Y @ model.basis + model.mean
         np.testing.assert_allclose(back, X, atol=1e-9)
@@ -73,16 +73,41 @@ class TestFitPca:
     def test_whitening_unit_variance(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((300, 4)) * np.array([5.0, 2.0, 1.0, 0.3])
-        model = fit_pca(X, out_dim=4, whiten=True)
+        model, _ = fit_pca(X, out_dim=4, whiten=True)
         Y = apply_pca(model, X)
         np.testing.assert_allclose(Y.var(axis=0), 1.0, atol=1e-9)
 
     def test_sign_convention_largest_entry_positive(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((100, 5))
-        model = fit_pca(X, out_dim=5)
+        model, _ = fit_pca(X, out_dim=5)
         for row in model.basis:
             assert row[np.argmax(np.abs(row))] > 0
+
+    @pytest.mark.parametrize("whiten", [False, True])
+    def test_projections_are_apply_pca_bits(self, whiten):
+        # The GMM trains on these, and queries go through apply_pca.
+        X = np.random.default_rng(4).standard_normal((300, 12))
+        model, Y = fit_pca(X, out_dim=5, whiten=whiten)
+        np.testing.assert_array_equal(Y, apply_pca(model, X))
+
+    def test_blocks_stack_in_order(self):
+        X = np.random.default_rng(5).standard_normal((90, 6))
+        model, Y = fit_pca(X, out_dim=3, whiten=True)
+        block_model, block_Y = fit_pca([X[:10], X[10:11], X[11:]], out_dim=3, whiten=True)
+        for name in ("mean", "basis", "eigenvalues"):
+            np.testing.assert_array_equal(getattr(block_model, name), getattr(model, name))
+        np.testing.assert_array_equal(block_Y, Y)
+
+    def test_input_left_unchanged(self):
+        # fit_pca centers a private copy in place, never its caller's arrays.
+        X = np.random.default_rng(6).standard_normal((80, 6)) + 3.0
+        blocks = [X[:30].copy(), X[30:].copy()]
+        before = X.copy()
+        fit_pca(X, out_dim=4, whiten=True)
+        fit_pca(blocks, out_dim=4, whiten=True)
+        np.testing.assert_array_equal(X, before)
+        np.testing.assert_array_equal(np.vstack(blocks), before)
 
     def test_too_few_points(self):
         with pytest.raises(VocabError, match="at least"):
@@ -288,8 +313,7 @@ class TestFitKpca:
         X = rng.standard_normal((40, 10))
         out_dim = 4
         kpca = fit_kpca(X, out_dim)
-        pca = fit_pca(X, out_dim)
-        Y = apply_pca(pca, X)
+        _, Y = fit_pca(X, out_dim)
         for j in range(out_dim):
             col = kpca.training_projections[:, j]
             ref = Y[:, j]
@@ -368,8 +392,8 @@ class TestVocabularyPersistence:
         rng = np.random.default_rng(seed)
         descriptors = rng.standard_normal((120, 10))
         descriptors /= np.linalg.norm(descriptors, axis=1, keepdims=True)
-        pca = fit_pca(descriptors, out_dim=6, whiten=True)
-        gmm = fit_gmm(apply_pca(pca, descriptors), k=3, seed=seed)
+        pca, projections = fit_pca(descriptors, out_dim=6, whiten=True)
+        gmm = fit_gmm(projections, k=3, seed=seed)
         fvs = rng.standard_normal((9, 2 * 3 * 6))
         kpca = fit_kpca(fvs, out_dim=4)
         index = DatabaseIndex([], np.zeros((0, kpca.out_dim)), np.zeros(0, dtype=np.int64))
