@@ -20,12 +20,12 @@ from .vocab import (
     PcaModel,
     Vocabulary,
     VocabError,
+    _e_step,
     apply_kpca,
     apply_pca,
     fit_gmm,
     fit_kpca,
     fit_pca,
-    gmm_posteriors,
 )
 
 MAX_KPCA_DIM = 512
@@ -67,14 +67,15 @@ def fisher_encode(features: ImageFeatures, pca: PcaModel, gmm: Gmm) -> np.ndarra
     if features.count == 0:
         return np.zeros(2 * k * d)
     X = apply_pca(pca, features.descriptors)
+    XX = X * X
     t = X.shape[0]
-    gamma = gmm_posteriors(gmm, X)
+    gamma, _ = _e_step(gmm, X, XX)
     sigma = np.sqrt(gmm.variances)
 
     # Sufficient statistics; avoids materializing a (T, K, D) tensor.
     nk = gamma.sum(axis=0)
     sx = gamma.T @ X
-    sx2 = gamma.T @ (X * X)
+    sx2 = gamma.T @ XX
 
     g_mu = (sx - nk[:, None] * gmm.means) / sigma
     g_mu /= (t * np.sqrt(gmm.weights))[:, None]

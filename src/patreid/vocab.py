@@ -186,7 +186,7 @@ def apply_pca(model: PcaModel, descriptors: np.ndarray) -> np.ndarray:
 
 def _log_gaussian_terms(gmm: Gmm, X: np.ndarray, XX: np.ndarray) -> np.ndarray:
     """log(pi_k) + log N(x; mu_k, diag sigma_k^2) for every (point, component);
-    XX is X * X, which EM computes once per fit."""
+    XX is X * X, which EM computes once per fit and fisher_encode once per image."""
     var = gmm.variances
     log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * var), axis=1)
     # (N, K): quadratic form of the diagonal Gaussian, expanded to use BLAS
@@ -210,21 +210,14 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return m + np.log(np.sum(np.exp(shifted, out=shifted), axis=1))
 
 
-def average_log_likelihood(gmm: Gmm, X: np.ndarray) -> float:
-    """Per-point average log-likelihood of X under the mixture."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return float(np.mean(_logsumexp(_log_gaussian_terms(gmm, X, X * X))))
-
-
-def gmm_posteriors(gmm: Gmm, X: np.ndarray) -> np.ndarray:
-    """Component posteriors gamma(k) of each row of the (N, D) X, via
-    log-sum-exp: (N, K), rows sum to 1."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != gmm.dim:
-        raise VocabError(f"expected (N, {gmm.dim}) input, got shape {X.shape}")
-    log_terms = _log_gaussian_terms(gmm, X, X * X)
-    log_terms -= _logsumexp(log_terms)[:, None]
-    return np.exp(log_terms, out=log_terms)
+def _e_step(gmm: Gmm, X: np.ndarray, XX: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The GMM E-step for the rows of the (N, D) X, with XX = X * X: their
+    (N, K) component posteriors gamma, rows summing to 1, and their (N,)
+    log-likelihoods under the mixture, both via log-sum-exp."""
+    log_terms = _log_gaussian_terms(gmm, X, XX)
+    lse = _logsumexp(log_terms)
+    log_terms -= lse[:, None]
+    return np.exp(log_terms, out=log_terms), lse
 
 
 def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -258,7 +251,8 @@ def fit_gmm(
     quantity), or after max_iters.  On the benchmark's three datasets the
     tol rule ends EM after 30 to 60 iterations.  The likelihood trace is
     attached to the model; it is non-decreasing up to floating-point slack.
-    K=1 is the closed-form maximum-likelihood Gaussian.
+    At K=1 every posterior is exactly 1, so the first M-step gives the
+    sample moments and the next one leaves them as they are.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2:
@@ -268,13 +262,6 @@ def fit_gmm(
         raise VocabError(f"k must be >= 1, got {k}")
     if n < k:
         raise VocabError(f"need at least k={k} vectors, got {n}")
-
-    if k == 1:
-        mean = X.mean(axis=0, keepdims=True)
-        var = np.maximum(X.var(axis=0, keepdims=True), VARIANCE_FLOOR)
-        gmm = Gmm(weights=np.ones(1), means=mean, variances=var)
-        gmm.log_likelihoods = np.array([average_log_likelihood(gmm, X)])
-        return gmm
 
     rng = np.random.default_rng(seed)
     means = _kmeanspp_centers(X, k, rng)
@@ -287,18 +274,12 @@ def fit_gmm(
 
     XX = X * X
     trace = []
-    prev = None
     for _ in range(max_iters):
-        log_terms = _log_gaussian_terms(gmm, X, XX)
-        lse = _logsumexp(log_terms)
-        avg_ll = float(np.mean(lse))
-        trace.append(avg_ll)
-        if prev is not None and avg_ll - prev < tol:
+        gamma, lse = _e_step(gmm, X, XX)
+        trace.append(float(np.mean(lse)))
+        if len(trace) > 1 and trace[-1] - trace[-2] < tol:
             break
-        prev = avg_ll
 
-        log_terms -= lse[:, None]
-        gamma = np.exp(log_terms, out=log_terms)
         nk = gamma.sum(axis=0)
         nk_safe = np.maximum(nk, 1e-10)
         weights = nk / n

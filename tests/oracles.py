@@ -48,13 +48,7 @@ from patreid.ingest import (
 )
 from patreid.reid import Images
 from patreid.synth import MAX_REJECTIONS, SynthError
-from patreid.vocab import (
-    VARIANCE_FLOOR,
-    _LAYOUT,
-    Gmm,
-    _kmeanspp_centers,
-    average_log_likelihood,
-)
+from patreid.vocab import VARIANCE_FLOOR, _LAYOUT, Gmm, _kmeanspp_centers
 
 
 def individual_of(features):
@@ -76,6 +70,22 @@ def embedded_images(vocabulary, feature_sets, individual_ids=None):
         ),
         feature_sets.__getitem__,
     )
+
+
+def average_log_likelihood(gmm, X):
+    """Per-point average log-likelihood of the (N, D) X under the mixture,
+    in log space: each component's weighted log density written out from
+    the diagonal Gaussian, then a max-shifted log of their summed exps."""
+    log_dens = np.empty((X.shape[0], gmm.n_components))
+    for k in range(gmm.n_components):
+        var = gmm.variances[k]
+        log_dens[:, k] = (
+            np.log(gmm.weights[k])
+            - 0.5 * np.sum(np.log(2 * np.pi * var))
+            - 0.5 * np.sum((X - gmm.means[k]) ** 2 / var, axis=1)
+        )
+    top = log_dens.max(axis=1)
+    return float(np.mean(top + np.log(np.sum(np.exp(log_dens - top[:, None]), axis=1))))
 
 
 def fisher_fd_oracle(X, gmm, h=1e-6):
@@ -117,8 +127,8 @@ def fisher_fd_oracle(X, gmm, h=1e-6):
 
 
 def em_reference(X, k, seed=0, max_iters=200, tol=1e-3):
-    """(weights, means, variances, log_likelihoods) of fit_gmm's EM (k >= 2)
-    as it was before X * X left the loop: recomputed in the E step's
+    """(weights, means, variances, log_likelihoods) of fit_gmm's EM, at any
+    k >= 1, as it was before X * X left the loop: recomputed in the E step's
     quadratic form and again in the variance update.
 
     Unlike the oracles above it shares fit_gmm's algebra on purpose, so its

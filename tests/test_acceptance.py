@@ -129,7 +129,7 @@ def test_ac2_em_monotonicity_and_k1_recovery(capsys):
     var_err = float(np.max(np.abs(single.variances[0] - X.var(axis=0))))
     verdict(
         capsys,
-        "AC-2 EM monotonicity and K=1 closed form",
+        "AC-2 EM monotonicity and K=1 sample moments",
         worst_drop >= -1e-9 and mean_err < 1e-10 and var_err < 1e-10,
         f"worst LL step {worst_drop:.2e}, moment errs {mean_err:.1e}/{var_err:.1e}",
     )

@@ -1382,6 +1382,43 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "excluded" in err
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [("query", "no database entries in manifest"),
+         ("evaluate", "manifest has no database entries")],
+    )
+    def test_manifest_without_database_rows(self, workspace, tmp_path, capsys, command,
+                                            message):
+        _, bench, vocab = workspace
+        manifest = tmp_path / "manifest.csv"
+        text = (bench / "manifest.csv").read_text(encoding="utf-8")
+        manifest.write_text(text.replace(",database,", ",query,"), encoding="utf-8")
+        capsys.readouterr()
+        argv = [command, "--manifest", str(manifest), "--vocab", str(vocab)]
+        if command == "query":
+            argv += ["--features", str(bench / "ind000_v1.patf")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_excluded_lines_match_csv(self, workspace, tmp_path, capsys):
+        _, bench, vocab = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        manifest = copy / "manifest.csv"
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("ind002_v2,ind002,", "ind002_v2,,"), encoding="utf-8")
+        csv_path = tmp_path / "per_query.csv"
+        capsys.readouterr()
+        assert main(["evaluate", "--manifest", str(manifest), "--vocab", str(vocab),
+                     "--per-query-csv", str(csv_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-3:] == ["queries: 5   excluded: 1", "  excluded ind002_v2: unlabeled",
+                            str(csv_path)]
+        rows = [line for line in csv_path.read_text(encoding="utf-8").splitlines()
+                if line.startswith("# excluded,")]
+        assert rows == ["# excluded,ind002_v2,unlabeled"]
+
     def test_unwritable_csv_prints_no_table(self, workspace, tmp_path, capsys):
         _, bench, vocab = workspace
         capsys.readouterr()

@@ -596,6 +596,35 @@ class TestAffineVerifier:
         np.testing.assert_array_equal(verdict.inlier_mask, group == first)
         assert verdict.n == 5
 
+    def test_collinear_consensus_keeps_the_affine_verdict(self):
+        # 5 collinear matches under one affine map, and 3 clutter matches off
+        # the line and off the map: the winning consensus is the 5, whose DLT
+        # refit is degenerate, so the first local-optimization round stops.
+        A, t = rotation(0.3, 1.2), np.array([5.0, -3.0])
+        on_line = np.column_stack([np.arange(10.0, 60.0, 10.0)] * 2)
+        src = np.vstack([on_line, [[80.0, 10.0], [10.0, 80.0], [90.0, 60.0]]])
+        dst = np.vstack([on_line @ A.T + t, [[0.0, 90.0], [95.0, 5.0], [20.0, 20.0]]])
+        planted = np.arange(8) < 5
+        frames_q = np.tile(np.eye(2), (8, 1, 1))
+        frames_d = np.array([A] * 5 + [rotation(-1.0, 2.0)] * 3)
+        n_src, n_dst = normalize_points(src), normalize_points(dst)
+        with pytest.raises(GeometryError, match="degenerate"):
+            dlt_homography(n_src[planted], n_dst[planted])
+
+        verdict = verify_shortlist(
+            framed_features(src, frames_q, "q"), [framed_features(dst, frames_d, "d")]
+        )[0]
+        np.testing.assert_array_equal(verdict.inlier_mask, planted)
+        assert verdict.n == 5 and verdict.omega == 5 / 8
+        # The first match's affine hypothesis, in normalized coordinates.
+        scale = np.linalg.norm(src - src.mean(axis=0), axis=1).max() / np.linalg.norm(
+            dst - dst.mean(axis=0), axis=1).max()
+        np.testing.assert_allclose(verdict.homography[:2, :2], scale * A, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            verdict.homography[:2, 2], n_dst[0] - scale * A @ n_src[0], rtol=0, atol=1e-12
+        )
+        np.testing.assert_array_equal(verdict.homography[2], [0.0, 0.0, 1.0])
+
     def test_extreme_frames_finite_verdict(self, tmp_path):
         # Frames at the PATF floor |det| = 1e-12 and with entries up to 1e300
         # overflow their hypotheses; those score no inliers and raise no

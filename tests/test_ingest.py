@@ -121,6 +121,19 @@ class TestParseFeatureFile:
             parse_feature_file(path)
         assert err.value.line_no == 1
 
+    @pytest.mark.parametrize(
+        "id_line, size_line, line_no, message",
+        [("img A", "4 0", 2, "image_id must be a single token, got 'img A'"),
+         ("imgA", "0 0", 3, "invalid dimensions dim=0 count=0"),
+         ("imgA", "4 -1", 3, "invalid dimensions dim=4 count=-1")],
+        ids=["two_token_id", "zero_dim", "negative_count"],
+    )
+    def test_bad_id_or_size_line(self, tmp_path, id_line, size_line, line_no, message):
+        path = write_patf(tmp_path / "a.patf", ["PATF 1", id_line, size_line])
+        with pytest.raises(PatfError, match=message) as err:
+            parse_feature_file(path)
+        assert err.value.line_no == line_no
+
     def test_count_mismatch_reports_line(self, tmp_path):
         path = write_patf(
             tmp_path / "a.patf",
@@ -341,8 +354,9 @@ class TestManifest:
         [("b,ind0,,query", "'b' has fewer fields than the header"),
          ("b", "'b' has fewer fields than the header"),
          ("b,ind0,,query,", "empty feature_path for 'b'"),
-         ("b,ind0,,query,  ", "empty feature_path for 'b'")],
-        ids=["four_fields", "one_field", "empty_path", "blank_path"],
+         ("b,ind0,,query,  ", "empty feature_path for 'b'"),
+         (" ,ind0,,query,b.patf", "empty image_id")],
+        ids=["four_fields", "one_field", "empty_path", "blank_path", "empty_id"],
     )
     def test_short_row_named(self, tmp_path, row, message):
         # Not reported as a missing feature file at the manifest's directory.

@@ -12,6 +12,7 @@ import zlib
 import numpy as np
 import pytest
 from oracles import (
+    average_log_likelihood,
     dense_kpca_oracle,
     em_reference,
     join_model_file,
@@ -28,13 +29,12 @@ from patreid.vocab import (
     PcaModel,
     VocabError,
     Vocabulary,
+    _e_step,
     apply_kpca,
     apply_pca,
-    average_log_likelihood,
     fit_gmm,
     fit_kpca,
     fit_pca,
-    gmm_posteriors,
     load_vocabulary,
     save_vocabulary,
 )
@@ -200,13 +200,25 @@ class TestFitGmm:
         with pytest.raises(VocabError, match="at least"):
             fit_gmm(np.zeros((2, 3)), k=3)
 
-    @pytest.mark.parametrize("max_iters, tol", [(5, 1e-6), (200, 1e-6)], ids=["cap", "tol"])
-    def test_bit_equal_to_reference_loop(self, max_iters, tol):
-        # X * X is computed once per fit; the loop that recomputed it gives the same bits.
+    def test_more_components_than_distinct_points(self):
+        # After the second center every point sits on a chosen center, so
+        # k-means++ draws the third uniformly.
+        X = np.repeat([[0.0, 1.0], [2.0, -1.0]], 5, axis=0)
+        a, b = fit_gmm(X, k=3, seed=5), fit_gmm(X, k=3, seed=5)
+        for name in ("weights", "means", "variances", "log_likelihoods"):
+            assert np.isfinite(getattr(a, name)).all()
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize(
+        "k, max_iters, tol", [(4, 5, 1e-6), (4, 200, 1e-6), (1, 200, 1e-3)], ids=["cap", "tol", "k1"]
+    )
+    def test_bit_equal_to_reference_loop(self, k, max_iters, tol):
+        # X * X is computed once per fit; the loop that recomputed it gives the
+        # same bits.  At K=1 it is the same EM, not a closed form.
         rng = np.random.default_rng(4)
         X = np.vstack([rng.normal(c, 0.8, (90, 6)) for c in rng.uniform(-3, 3, (4, 6))])
-        gmm = fit_gmm(X, k=4, seed=2, max_iters=max_iters, tol=tol)
-        reference = em_reference(X, 4, seed=2, max_iters=max_iters, tol=tol)
+        gmm = fit_gmm(X, k=k, seed=2, max_iters=max_iters, tol=tol)
+        reference = em_reference(X, k, seed=2, max_iters=max_iters, tol=tol)
         fitted = (gmm.weights, gmm.means, gmm.variances, gmm.log_likelihoods)
         for got, want in zip(fitted, reference):
             assert got.tobytes() == want.tobytes()
@@ -220,11 +232,26 @@ class TestFitGmm:
         assert trace.tobytes() == em_reference(X, 4, seed=2)[3].tobytes()
         assert trace[-1] - trace[-2] < defaults["tol"].default
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_last_trace_value_is_the_returned_model(self, k):
+        # EM stops right after an E-step, so the trace's last value is the
+        # average log-likelihood of the model it returns.
+        rng = np.random.default_rng(6)
+        X = np.vstack([rng.normal(c, 0.8, (80, 5)) for c in rng.uniform(-3, 3, (4, 5))])
+        gmm = fit_gmm(X, k=k, seed=1)
+        trace = gmm.log_likelihoods
+        assert 1 < len(trace) < 200 and trace[-1] - trace[-2] < 1e-3
+        assert abs(trace[-1] - average_log_likelihood(gmm, X)) < 1e-12
+
+
+def posteriors(gmm, X):
+    return _e_step(gmm, X, X * X)[0]
+
 
 class TestGmmPosteriors:
     def test_k1_is_one(self):
         gmm = Gmm(weights=np.ones(1), means=np.zeros((1, 2)), variances=np.ones((1, 2)))
-        np.testing.assert_array_equal(gmm_posteriors(gmm, np.array([[3.0, -1.0]])), [[1.0]])
+        np.testing.assert_array_equal(posteriors(gmm, np.array([[3.0, -1.0]])), [[1.0]])
 
     def test_symmetric_components_split_evenly(self):
         gmm = Gmm(
@@ -233,20 +260,14 @@ class TestGmmPosteriors:
             variances=np.ones((2, 1)),
         )
         np.testing.assert_allclose(
-            gmm_posteriors(gmm, np.array([[0.0]])), [[0.5, 0.5]], atol=1e-12
+            posteriors(gmm, np.array([[0.0]])), [[0.5, 0.5]], atol=1e-12
         )
-
-    @pytest.mark.parametrize("shape", [(2,), (1, 3), (1, 1, 2)])
-    def test_only_rows_of_the_gmm_dim(self, shape):
-        gmm = Gmm(weights=np.ones(1), means=np.zeros((1, 2)), variances=np.ones((1, 2)))
-        with pytest.raises(VocabError, match=r"expected \(N, 2\) input, got shape"):
-            gmm_posteriors(gmm, np.zeros(shape))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((100, 4))
         gmm = fit_gmm(X, k=5, seed=1)
-        gamma = gmm_posteriors(gmm, X)
+        gamma = posteriors(gmm, X)
         np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_direct_density_oracle(self):
@@ -264,7 +285,7 @@ class TestGmmPosteriors:
             quad = np.sum((X - gmm.means[k]) ** 2 / gmm.variances[k], axis=1)
             dens[:, k] = gmm.weights[k] * norm * np.exp(-0.5 * quad)
         oracle = dens / dens.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(gmm_posteriors(gmm, X), oracle, atol=1e-12)
+        np.testing.assert_allclose(posteriors(gmm, X), oracle, atol=1e-12)
 
     def test_average_log_likelihood_matches_oracle(self):
         rng = np.random.default_rng(2)
@@ -279,8 +300,9 @@ class TestGmmPosteriors:
             norm = np.prod(2 * np.pi * gmm.variances[k]) ** -0.5
             quad = np.sum((X - gmm.means[k]) ** 2 / gmm.variances[k], axis=1)
             dens[:, k] = gmm.weights[k] * norm * np.exp(-0.5 * quad)
-        oracle = float(np.mean(np.log(dens.sum(axis=1))))
-        assert abs(average_log_likelihood(gmm, X) - oracle) < 1e-12
+        direct = np.log(dens.sum(axis=1))
+        np.testing.assert_allclose(_e_step(gmm, X, X * X)[1], direct, rtol=0, atol=1e-12)
+        assert abs(average_log_likelihood(gmm, X) - float(np.mean(direct))) < 1e-12
 
 
 class TestFitKpca:
@@ -329,6 +351,10 @@ class TestFitKpca:
             model = fit_kpca(X, out_dim=4)
         assert model.out_dim == 2
 
+    def test_all_zero_vectors_rejected(self):
+        with pytest.raises(VocabError, match="no positive eigenvalues"):
+            fit_kpca(np.zeros((4, 3)), out_dim=2)
+
     def test_out_dim_bounds(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((10, 5))
@@ -367,6 +393,15 @@ class TestApplyKpca:
         model = fit_kpca(X, out_dim=2)
         embedding = apply_kpca(model, np.zeros(2))
         np.testing.assert_array_equal(embedding, np.zeros(2))
+
+    def test_nonzero_vector_with_zero_projection_degenerate(self):
+        # Training vectors symmetric in the first two axes have zero kernel row
+        # means, so a query along the third axis projects to exactly zero.
+        X = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        model = fit_kpca(X, out_dim=2)
+        query = np.array([0.0, 0.0, 1.0])
+        assert np.linalg.norm(model.matrix @ query - model.offset) < 1e-30
+        np.testing.assert_array_equal(apply_kpca(model, query), np.zeros(2))
 
     def test_matches_kernel_row_formula(self):
         # The stored affine map against the kernel row it replaces, on the
