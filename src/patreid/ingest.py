@@ -1,12 +1,18 @@
 """Feature-file and manifest I/O.
 
 This is the boundary where external feature extractors' outputs enter the
-engine.  Local features travel in PATF files (plain text):
+engine.  Local features travel in PATF files, whose three header lines are
+text and end in a newline:
 
-    line 1:        PATF 1
+    line 1:        PATF 2
     line 2:        <image_id>
     line 3:        <descriptor_dim> <feature_count>
-    lines 4..3+M:  x y a11 a12 a21 a22 d1 ... dD
+
+then M = feature_count rows of 6 + D little-endian float64 values, row after
+row (x y a11 a12 a21 a22 d1 ... dD), and nothing after them.  Version 1,
+which write_feature_file no longer writes, holds each row as one text line
+of decimal numbers instead, and stays readable; "line 4 + i" names row i in
+either version.
 
 Dataset splits travel in a manifest CSV with columns
 ``image_id,individual_id,viewpoint,role,feature_path``.
@@ -24,7 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 PATF_MAGIC = "PATF"
-PATF_VERSION = 1
+PATF_VERSION = 2  # the version written; versions 1 and 2 are read
 MANIFEST_COLUMNS = ("image_id", "individual_id", "viewpoint", "role", "feature_path")
 ROLES = ("database", "query")
 
@@ -147,14 +153,26 @@ def _convert(path, data_lines: list, width: int):
     return np.array(rows, dtype=np.float64).reshape(-1, width), error
 
 
-def parse_feature_file(path) -> ImageFeatures:
-    """Parse and validate a PATF file; errors name path and the line.
+def _header(path, id_line: str, size_line: str):
+    """(image_id, dim, count) from a PATF file's lines 2 and 3."""
+    image_id = id_line.strip()
+    if not image_id or len(image_id.split()) != 1:
+        raise PatfError(path, 2, f"image_id must be a single token, got {id_line!r}")
 
-    Descriptors are re-normalized to unit L2 norm on the way in so downstream
-    cosine computations are scale-free.  Feature order is preserved.
-    """
-    path = Path(path)
-    data = path.read_bytes()
+    size_tokens = size_line.split()
+    if len(size_tokens) != 2:
+        raise PatfError(path, 3, "size line must be '<descriptor_dim> <count>'")
+    try:
+        dim, count = int(size_tokens[0]), int(size_tokens[1])
+    except ValueError:
+        raise PatfError(path, 3, f"non-integer size line {size_line!r}") from None
+    if dim < 1 or count < 0:
+        raise PatfError(path, 3, f"invalid dimensions dim={dim} count={count}")
+    return image_id, dim, count
+
+
+def _text_rows(path, data: bytes):
+    """(image_id, values, error) of a version-1 file, as _convert gives them."""
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -166,25 +184,11 @@ def parse_feature_file(path) -> ImageFeatures:
 
     if not lines:
         raise PatfError(path, 1, "empty file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != PATF_MAGIC or header[1] != str(PATF_VERSION):
-        raise PatfError(path, 1, f"bad header {lines[0]!r}, expected 'PATF 1'")
+    if lines[0].split() != [PATF_MAGIC, "1"]:
+        raise PatfError(path, 1, f"bad header {lines[0]!r}, expected 'PATF 1' or 'PATF 2'")
     if len(lines) < 3:
         raise PatfError(path, len(lines) + 1, "truncated file: missing id or size line")
-
-    image_id = lines[1].strip()
-    if not image_id or len(image_id.split()) != 1:
-        raise PatfError(path, 2, f"image_id must be a single token, got {lines[1]!r}")
-
-    size_tokens = lines[2].split()
-    if len(size_tokens) != 2:
-        raise PatfError(path, 3, "size line must be '<descriptor_dim> <count>'")
-    try:
-        dim, count = int(size_tokens[0]), int(size_tokens[1])
-    except ValueError:
-        raise PatfError(path, 3, f"non-integer size line {lines[2]!r}") from None
-    if dim < 1 or count < 0:
-        raise PatfError(path, 3, f"invalid dimensions dim={dim} count={count}")
+    image_id, dim, count = _header(path, lines[1], lines[2])
 
     data_lines = lines[3:]
     if len(data_lines) != count:
@@ -193,8 +197,51 @@ def parse_feature_file(path) -> ImageFeatures:
             4 + min(len(data_lines), count),
             f"declared {count} features but file has {len(data_lines)} data lines",
         )
+    return (image_id, *_convert(path, data_lines, len(FRAME_FIELDS) + dim))
 
-    values, error = _convert(path, data_lines, len(FRAME_FIELDS) + dim)
+
+def _binary_rows(path, data: bytes):
+    """(image_id, values, None) of a version-2 file; only its three header
+    lines are decoded."""
+    parts = data.split(b"\n", 3)
+    if len(parts) < 4:
+        raise PatfError(path, len(parts), "truncated file: header line has no newline")
+    for line_no in (2, 3):
+        try:
+            parts[line_no - 1] = parts[line_no - 1].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise PatfError(path, line_no, f"not UTF-8 text: {exc.reason}") from None
+    image_id, dim, count = _header(path, parts[1], parts[2])
+
+    body, width = parts[3], len(FRAME_FIELDS) + dim
+    row_bytes = 8 * width
+    if len(body) != row_bytes * count:
+        raise PatfError(
+            path,
+            4 + min(len(body) // row_bytes, count),
+            f"declared {count} features of {row_bytes} bytes but the rows hold {len(body)} bytes",
+        )
+    # Aligned and native, as the text rows are, so both versions compute alike.
+    values = np.require(np.frombuffer(body, "<f8"), np.float64, "A")
+    return image_id, values.reshape(count, width), None
+
+
+def parse_feature_file(path) -> ImageFeatures:
+    """Parse and validate a PATF file of either version; errors name path
+    and the line.
+
+    The first line's words pick the version: "PATF 2" reads the rows as raw
+    float64, anything else is read as version 1 text, whose header must be
+    "PATF 1".  Descriptors are re-normalized to unit L2 norm on the way in
+    so downstream cosine computations are scale-free.  Feature order is
+    preserved.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    end = data.find(b"\n")
+    binary = data[: end if end >= 0 else None].split() == [PATF_MAGIC.encode(), b"2"]
+    image_id, values, error = (_binary_rows if binary else _text_rows)(path, data)
+
     frames, descriptors = values[:, : len(FRAME_FIELDS)], values[:, len(FRAME_FIELDS) :]
     faults, norms = row_faults(frames, descriptors)
     # The first line to break a rule or fail conversion is named.
@@ -209,23 +256,32 @@ def parse_feature_file(path) -> ImageFeatures:
     )
 
 
-def _fmt(x) -> str:
-    # repr of a Python float is the shortest decimal that round-trips exactly.
-    return repr(float(x))
-
-
 def write_feature_file(features: ImageFeatures, path) -> None:
-    """Write a PATF file; parse_feature_file(write(f)) reproduces f exactly."""
+    """Write a PATF 2 file; parse_feature_file(write(f)) reproduces f exactly.
+
+    Frames and descriptors that are not one (M, 6) and one (M, D >= 1)
+    array, or an image_id that is not one token, raise a PatfError before
+    the file is opened.  An image with no features is written with D = 1
+    unless its descriptors are (0, D).
+    """
     path = Path(path)
-    descriptors = features.descriptors
-    dim = descriptors.shape[1] if descriptors.ndim == 2 and descriptors.shape[1] else 1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{PATF_MAGIC} {PATF_VERSION}\n")
-        fh.write(f"{features.image_id}\n")
-        fh.write(f"{dim} {features.count}\n")
-        for frame, desc in zip(features.frames, features.descriptors):
-            row = [_fmt(v) for v in frame] + [_fmt(v) for v in desc]
-            fh.write(" ".join(row) + "\n")
+    frames, descriptors = np.asarray(features.frames), np.asarray(features.descriptors)
+    count = frames.shape[0]
+    dim = descriptors.shape[1] if descriptors.ndim == 2 else 0
+    if features.image_id.split() != [features.image_id]:
+        raise PatfError(path, 2, f"image_id must be a single token, got {features.image_id!r}")
+    if count == 0 and descriptors.size == 0:
+        dim = dim or 1
+    elif frames.shape != (count, len(FRAME_FIELDS)) or descriptors.shape != (count, dim) or not dim:
+        raise PatfError(
+            path, 3,
+            f"frames of shape {frames.shape} and descriptors of shape {descriptors.shape} "
+            "are not one row of 6 + D >= 7 values per feature",
+        )
+    with open(path, "wb") as fh:
+        fh.write(f"{PATF_MAGIC} {PATF_VERSION}\n{features.image_id}\n{dim} {count}\n".encode())
+        if count:
+            fh.write(np.hstack([frames, descriptors]).astype("<f8").tobytes())
 
 
 def load_manifest(path) -> Manifest:

@@ -7,7 +7,11 @@ holds what only the tests read:
 - AC-3's sampling estimator, ransac_homography: a seeded RANSAC over bare
   point pairs whose verdicts test_geometry pins, and which no search uses;
 - normalize_points, the verifier's own per-set normalization of one set;
-- reference_parse_feature_file, which reads a PATF file one line at a time;
+- reference_parse_feature_file, which reads a PATF file one row at a time,
+  from text lines (version 1) or raw bytes (version 2);
+- write_text_feature_file, the version-1 text writer, which writes each
+  value as its shortest round-tripping decimal, and read_feature_rows, which
+  gives a file's rows as stored, so a benchmark can be copied to version 1;
 - read_homography_sidecar, which reads the ground-truth homography that
   synth writes beside each view;
 - individual_of and embedded_images, which label synth images by their
@@ -20,6 +24,7 @@ holds what only the tests read:
 
 import json
 import math
+import struct
 import zlib
 from pathlib import Path
 
@@ -41,7 +46,6 @@ from patreid.geometry import (
 )
 from patreid.ingest import (
     PATF_MAGIC,
-    PATF_VERSION,
     ImageFeatures,
     PatfError,
     load_entry_features,
@@ -446,26 +450,9 @@ def ransac_homography(
     )
 
 
-def _parse_floats(path, line_no: int, tokens: list, expected: int) -> np.ndarray:
-    if len(tokens) != expected:
-        raise PatfError(
-            path, line_no, f"expected {expected} values, found {len(tokens)}"
-        )
-    try:
-        values = np.array([float(t) for t in tokens], dtype=np.float64)
-    except ValueError as exc:
-        raise PatfError(path, line_no, f"unparseable number: {exc}") from None
-    if not np.all(np.isfinite(values)):
-        raise PatfError(path, line_no, "non-finite value")
-    return values
-
-
-def reference_parse_feature_file(path) -> ImageFeatures:
-    """parse_feature_file line by line: each data line is converted with
-    float() and checked before the next is read, so the first bad line is
-    the one named."""
-    path = Path(path)
-    data = path.read_bytes()
+def _text_rows(path, data):
+    """A version-1 file's image id and dim, and its rows: (line number,
+    values) pairs, each line converted with float() as it is reached."""
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -478,24 +465,11 @@ def reference_parse_feature_file(path) -> ImageFeatures:
     if not lines:
         raise PatfError(path, 1, "empty file")
     header = lines[0].split()
-    if len(header) != 2 or header[0] != PATF_MAGIC or header[1] != str(PATF_VERSION):
-        raise PatfError(path, 1, f"bad header {lines[0]!r}, expected 'PATF 1'")
+    if len(header) != 2 or header[0] != PATF_MAGIC or header[1] != "1":
+        raise PatfError(path, 1, f"bad header {lines[0]!r}, expected 'PATF 1' or 'PATF 2'")
     if len(lines) < 3:
         raise PatfError(path, len(lines) + 1, "truncated file: missing id or size line")
-
-    image_id = lines[1].strip()
-    if not image_id or len(image_id.split()) != 1:
-        raise PatfError(path, 2, f"image_id must be a single token, got {lines[1]!r}")
-
-    size_tokens = lines[2].split()
-    if len(size_tokens) != 2:
-        raise PatfError(path, 3, "size line must be '<descriptor_dim> <count>'")
-    try:
-        dim, count = int(size_tokens[0]), int(size_tokens[1])
-    except ValueError:
-        raise PatfError(path, 3, f"non-integer size line {lines[2]!r}") from None
-    if dim < 1 or count < 0:
-        raise PatfError(path, 3, f"invalid dimensions dim={dim} count={count}")
+    image_id, dim, count = _header_lines(path, lines[1], lines[2])
 
     data_lines = lines[3:]
     if len(data_lines) != count:
@@ -505,11 +479,100 @@ def reference_parse_feature_file(path) -> ImageFeatures:
             f"declared {count} features but file has {len(data_lines)} data lines",
         )
 
-    frames = np.zeros((count, 6), dtype=np.float64)
-    descriptors = np.zeros((count, dim), dtype=np.float64)
-    for i, line in enumerate(data_lines):
-        line_no = 4 + i
-        values = _parse_floats(path, line_no, line.split(), 6 + dim)
+    def rows():
+        for i, line in enumerate(data_lines):
+            tokens = line.split()
+            if len(tokens) != 6 + dim:
+                raise PatfError(path, 4 + i, f"expected {6 + dim} values, found {len(tokens)}")
+            try:
+                yield 4 + i, np.array([float(t) for t in tokens], dtype=np.float64)
+            except ValueError as exc:
+                raise PatfError(path, 4 + i, f"unparseable number: {exc}") from None
+
+    return image_id, dim, rows()
+
+
+def _binary_rows(path, data):
+    """A version-2 file's image id and dim, and its rows: (line number,
+    values) pairs, each row unpacked from its 8·(6 + dim) bytes as it is
+    reached."""
+    raw_lines, at = [], 0
+    for line_no in (1, 2, 3):
+        end = data.find(b"\n", at)
+        if end < 0:
+            raise PatfError(path, line_no, "truncated file: header line has no newline")
+        raw_lines.append(data[at:end])
+        at = end + 1
+    lines = []
+    for line_no, raw in enumerate(raw_lines, start=1):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise PatfError(path, line_no, f"not UTF-8 text: {exc.reason}") from None
+    image_id, dim, count = _header_lines(path, lines[1], lines[2])
+
+    row_bytes = 8 * (6 + dim)
+    size = len(data) - at
+    if size != count * row_bytes:
+        first_wrong = min(size // row_bytes, count)
+        raise PatfError(
+            path,
+            4 + first_wrong,
+            f"declared {count} features of {row_bytes} bytes but the rows hold {size} bytes",
+        )
+
+    def rows():
+        for i in range(count):
+            values = struct.unpack_from(f"<{6 + dim}d", data, at + i * row_bytes)
+            yield 4 + i, np.array(values, dtype=np.float64)
+
+    return image_id, dim, rows()
+
+
+def _header_lines(path, id_line, size_line):
+    image_id = id_line.strip()
+    if not image_id or len(image_id.split()) != 1:
+        raise PatfError(path, 2, f"image_id must be a single token, got {id_line!r}")
+    size_tokens = size_line.split()
+    if len(size_tokens) != 2:
+        raise PatfError(path, 3, "size line must be '<descriptor_dim> <count>'")
+    try:
+        dim, count = int(size_tokens[0]), int(size_tokens[1])
+    except ValueError:
+        raise PatfError(path, 3, f"non-integer size line {size_line!r}") from None
+    if dim < 1 or count < 0:
+        raise PatfError(path, 3, f"invalid dimensions dim={dim} count={count}")
+    return image_id, dim, count
+
+
+def _patf_rows(path):
+    """A PATF file's image id, dim and rows, by the version its first line's
+    words name ("PATF 2" raw rows, anything else text)."""
+    path = Path(path)
+    data = path.read_bytes()
+    first_line = data.split(b"\n", 1)[0]
+    read = _binary_rows if first_line.split() == [b"PATF", b"2"] else _text_rows
+    return read(path, data)
+
+
+def read_feature_rows(path) -> ImageFeatures:
+    """A PATF file's frames and descriptors exactly as stored: no row rule
+    is checked and no descriptor re-normalized."""
+    image_id, dim, rows = _patf_rows(path)
+    values = np.array([v for _, v in rows], dtype=np.float64).reshape(-1, 6 + dim)
+    return ImageFeatures(image_id=image_id, frames=values[:, :6], descriptors=values[:, 6:])
+
+
+def reference_parse_feature_file(path) -> ImageFeatures:
+    """parse_feature_file row by row: each row is converted (float() per
+    token, or struct per row) and checked before the next is read, so the
+    first bad row is the one named."""
+    path = Path(path)
+    image_id, dim, rows = _patf_rows(path)
+    frames, descriptors = [], []
+    for line_no, values in rows:
+        if not np.all(np.isfinite(values)):
+            raise PatfError(path, line_no, "non-finite value")
         frame, desc = values[:6], values[6:]
         with np.errstate(over="ignore", invalid="ignore"):
             det = abs(frame[2] * frame[5] - frame[3] * frame[4])
@@ -522,10 +585,28 @@ def reference_parse_feature_file(path) -> ImageFeatures:
             raise PatfError(path, line_no, "zero-norm descriptor")
         if not norm < np.inf:
             raise PatfError(path, line_no, "descriptor norm overflows")
-        frames[i] = frame
-        descriptors[i] = desc / norm
+        frames.append(frame)
+        descriptors.append(desc / norm)
 
-    return ImageFeatures(image_id=image_id, frames=frames, descriptors=descriptors)
+    return ImageFeatures(
+        image_id=image_id,
+        frames=np.array(frames, dtype=np.float64).reshape(-1, 6),
+        descriptors=np.array(descriptors, dtype=np.float64).reshape(-1, dim),
+    )
+
+
+def write_text_feature_file(features: ImageFeatures, path) -> None:
+    """Write a PATF 1 text file: the header lines, then one line per row of
+    6 + D values, each the repr of a Python float, the shortest decimal that
+    round-trips to the same bits."""
+    descriptors = features.descriptors
+    dim = descriptors.shape[1] if descriptors.ndim == 2 and descriptors.shape[1] else 1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{PATF_MAGIC} 1\n")
+        fh.write(f"{features.image_id}\n")
+        fh.write(f"{dim} {features.count}\n")
+        for frame, desc in zip(features.frames, features.descriptors):
+            fh.write(" ".join(repr(float(v)) for v in (*frame, *desc)) + "\n")
 
 
 def read_homography_sidecar(path) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import join_model_file, split_model_file
+from oracles import join_model_file, read_feature_rows, split_model_file, write_text_feature_file
 
 import patreid.cli
 import patreid.encode
@@ -23,7 +23,13 @@ import patreid.vocab
 from patreid.cli import main
 from patreid.encode import TrainingParams, cosine_distance, embed_image
 from patreid.geometry import GeometryParams
-from patreid.ingest import load_entry_features, load_manifest, parse_feature_file
+from patreid.ingest import (
+    ImageFeatures,
+    load_entry_features,
+    load_manifest,
+    parse_feature_file,
+    write_feature_file,
+)
 from patreid.reid import CombineParams
 from patreid.synth import SynthConfig
 from patreid.vocab import DatabaseIndex, load_vocabulary, save_vocabulary
@@ -471,21 +477,19 @@ def _similarity_mapped(source, target, rng):
     similarity: a rotation in [0, 2 pi), a scale in [0.5, 3] and a shift in
     [-50, 50] per axis, applied to each center and each 2x2 frame.
 
-    Only the six frame tokens of a row are rewritten.  The descriptor tokens
-    are copied as they are: write_feature_file would re-normalize the
-    descriptors, whose last bits move d_L.
+    Only the frames change.  The descriptors are written as stored, not as
+    parsed: parsing re-normalizes them, and their last bits move d_L.
     """
     angle, scale = rng.uniform(0.0, 2 * np.pi), rng.uniform(0.5, 3.0)
     similarity = scale * np.array([[np.cos(angle), -np.sin(angle)],
                                    [np.sin(angle), np.cos(angle)]])
     shift = rng.uniform(-50.0, 50.0, 2)
-    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
-    for at in range(3, len(lines)):  # after the magic, image id and size lines
-        tokens = lines[at].split(" ")
-        center = similarity @ np.array(tokens[:2], dtype=float) + shift
-        frame = similarity @ np.array(tokens[2:6], dtype=float).reshape(2, 2)
-        lines[at] = " ".join([repr(float(v)) for v in (*center, *frame.ravel())] + tokens[6:])
-    target.write_text("".join(lines), encoding="utf-8")
+    stored = read_feature_rows(source)
+    frames = stored.frames.copy()
+    for row in frames:
+        row[:2] = similarity @ row[:2] + shift
+        row[2:] = (similarity @ row[2:].reshape(2, 2)).ravel()
+    write_feature_file(ImageFeatures(stored.image_id, frames, stored.descriptors), target)
 
 
 @pytest.mark.parametrize("shortlist", ["0", "3"])
@@ -514,6 +518,49 @@ def test_evaluate_invariant_to_query_similarity(tmp_path, capsys, seed, shortlis
     verified = [row.split(",") for row in csvs[0].decode().splitlines()
                 if row.startswith("geometry_only,")]
     assert len(verified) == len(queries) and all(int(row[5]) > 0 for row in verified)
+
+
+def _version_copy(bench, out, to_text):
+    """A copy of bench in which each PATF file that to_text(index, name)
+    picks is rewritten as PATF 1 text holding the same stored values."""
+    shutil.copytree(bench, out)
+    for i, patf in enumerate(sorted(out.glob("*.patf"))):
+        if to_text(i, patf.name):
+            write_text_feature_file(read_feature_rows(patf), patf)
+    return out
+
+
+def test_text_copies_give_the_same_outputs(tmp_path, capsys):
+    # PATF 2 files, PATF 1 copies of them, and a mix of both give the same
+    # model file, split and leave-one-out CSVs and stdout, and query table.
+    bench = tmp_path / "bench"
+    assert main(["synth", "--seed", "21", "--individuals", "4", "--views", "3",
+                 "--noise", "0.2", "--clutter", "0.5", "--out", str(bench)]) == 0
+    forms = {
+        "binary": bench,
+        "text": _version_copy(bench, tmp_path / "text", lambda i, name: True),
+        "mixed": _version_copy(bench, tmp_path / "mixed", lambda i, name: i % 2),
+    }
+    headers = {form: {patf.read_bytes()[:7] for patf in root.glob("*.patf")}
+               for form, root in forms.items()}
+    assert headers == {"binary": {b"PATF 2\n"}, "text": {b"PATF 1\n"},
+                       "mixed": {b"PATF 1\n", b"PATF 2\n"}}
+    outputs = {}
+    for form, root in forms.items():
+        model, csv = tmp_path / f"{form}.bin", tmp_path / "out.csv"
+        assert main(["build-vocab", "--manifest", str(root / "manifest.csv"), "--out", str(model),
+                     "--gmm-k", "4", "--pca-dim", "16"]) == 0
+        got = [model.read_bytes()]
+        for protocol in ("split", "loo"):
+            capsys.readouterr()
+            assert main(["evaluate", "--manifest", str(root / "manifest.csv"),
+                         "--vocab", str(model), "--protocol", protocol, "--shortlist", "3",
+                         "--per-query-csv", str(csv)]) == 0
+            got += [capsys.readouterr().out, csv.read_bytes()]
+        got.append(_query(capsys, root, model, "ind002_v1.patf", "--topk", "4"))
+        outputs[form] = got
+    assert outputs["text"] == outputs["binary"]
+    assert outputs["mixed"] == outputs["binary"]
 
 
 class Spy:
@@ -643,9 +690,9 @@ def cpus(monkeypatch, tmp_path):
 
 def _swap_in_ind002_v0(bench):
     """Rewrite bench's ind001_v0.patf to hold ind002_v0's features under its own id."""
-    lines = (bench / "ind002_v0.patf").read_text(encoding="utf-8").splitlines()
-    lines[1] = "ind001_v0"
-    (bench / "ind001_v0.patf").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    stored = read_feature_rows(bench / "ind002_v0.patf")
+    write_feature_file(ImageFeatures("ind001_v0", stored.frames, stored.descriptors),
+                       bench / "ind001_v0.patf")
 
 
 def _damaged_row(model, out, image_id):
@@ -1099,7 +1146,7 @@ class TestParallelEvaluate:
         first_read = row_reads.by_process()[str(os.getpid())][0]
         damaged = _damaged_row(model, tmp_path / "damaged.bin", first_read)
         second = _query_ids(copy)[6]
-        (copy / f"{second}.patf").write_text("PATF 2\n", encoding="utf-8")
+        (copy / f"{second}.patf").write_text("PATF 3\n", encoding="utf-8")
         cpus(1)
         one = _evaluate(capsys, copy, damaged, *flags)
         cpus(2)
@@ -1295,9 +1342,8 @@ class TestEvaluate:
         _, bench, vocab = workspace
         copy = shutil.copytree(bench, tmp_path / "bench")
         patf = copy / "ind001_v1.patf"
-        lines = patf.read_text(encoding="utf-8").splitlines()
-        lines[1] = "renamed"
-        patf.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        stored = read_feature_rows(patf)
+        write_feature_file(ImageFeatures("renamed", stored.frames, stored.descriptors), patf)
         code = main([
             "evaluate", "--manifest", str(copy / "manifest.csv"), "--vocab", str(vocab),
         ])

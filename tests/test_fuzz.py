@@ -7,6 +7,7 @@ finite result, and the CLI must turn every failure into exit 1 or 2 with an
 
 import contextlib
 import io
+import struct
 import warnings
 import zlib
 from dataclasses import fields
@@ -15,7 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import join_model_file, reference_parse_feature_file, split_model_file
+from oracles import (
+    join_model_file,
+    read_feature_rows,
+    reference_parse_feature_file,
+    split_model_file,
+    write_text_feature_file,
+)
 
 from patreid.cli import main
 from patreid.ingest import ImageFeatures, PatfError, parse_feature_file, write_feature_file
@@ -27,7 +34,8 @@ TOKENS = ["0", "-0", "1", "1e200", "1e-320", "1e309", "nan", "inf", "-inf", "1_0
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """A tiny benchmark, its model file, and the bytes of both fuzz seeds."""
+    """A tiny benchmark, its model file, and the fuzz seeds: a two-row PATF 2
+    file, and PATF 1 text copies of it and of one benchmark file."""
     root = tmp_path_factory.mktemp("fuzz")
     bench, model = root / "bench", root / "model.bin"
     assert main(["synth", "--seed", "2", "--individuals", "3", "--views", "2",
@@ -40,6 +48,8 @@ def workspace(tmp_path_factory):
         descriptors=np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
     )
     write_feature_file(features, root / "seed.patf")
+    write_text_feature_file(features, root / "seed-text.patf")
+    write_text_feature_file(read_feature_rows(bench / "ind001_v1.patf"), root / "bench-text.patf")
     return root, bench, model
 
 
@@ -165,7 +175,7 @@ def cli_fails_cleanly(argv):
 
 def test_patf_bytes(workspace):
     root, _, _ = workspace
-    data = (root / "seed.patf").read_bytes()
+    data = (root / "seed-text.patf").read_bytes()
 
     @given(damaged(data))
     def run(blob):
@@ -177,7 +187,7 @@ def test_patf_bytes(workspace):
 
 def test_patf_tokens(workspace):
     root, _, _ = workspace
-    text = (root / "seed.patf").read_text(encoding="utf-8")
+    text = (root / "seed-text.patf").read_text(encoding="utf-8")
 
     @given(retokened(text))
     def run(fuzzed):
@@ -199,7 +209,7 @@ def parse_outcome(parse, path):
 
 def test_patf_matches_reference(workspace):
     root, bench, _ = workspace
-    seeds = [(root / "seed.patf").read_bytes(), (bench / "ind001_v1.patf").read_bytes()]
+    seeds = [(root / "seed-text.patf").read_bytes(), (root / "bench-text.patf").read_bytes()]
     texts = st.sampled_from(seeds).flatmap(
         lambda data: damaged(data) | retokened(data.decode("utf-8")).map(str.encode)
     )
@@ -207,6 +217,64 @@ def test_patf_matches_reference(workspace):
     @given(texts)
     def run(blob):
         (root / "ref.patf").write_bytes(blob)
+        got = parse_outcome(parse_feature_file, root / "ref.patf")
+        assert got == parse_outcome(reference_parse_feature_file, root / "ref.patf")
+
+    run()
+
+
+# Values patched into a PATF 2 file's rows: non-finite ones, ones whose det
+# or norm overflows, and ones that make a frame singular or a norm zero.
+ROW_VALUES = [np.nan, -np.nan, np.inf, -np.inf, 1e200, 1.7e308, 0.0, -0.0, 5e-324, 1e-13]
+
+
+def binary_damaged(data):
+    """Strategy: a PATF 2 file with its rows cut short or extended, one header
+    line rewritten or a few header bytes overwritten, or a few values
+    patched into its rows."""
+    end = data.index(b"\n", data.index(b"\n", data.index(b"\n") + 1) + 1) + 1
+    lines = data[:end].split(b"\n")[:3]
+    dim, count = map(int, lines[2].split())
+    row_bytes = 8 * (6 + dim)
+    header_lines = [b"PATF 2", b"PATF 2\r", b" PATF\t2 ", b"PATF 3", b"PATF 1", b"PATF", b"",
+                    b"img", b"two words", b"\xff", b"\t", f"{dim} {count + 1}".encode(),
+                    f"{dim} {count - 1}".encode(), f"{dim + 1} {count}".encode(),
+                    f"{dim} 0".encode(), b"0 0", b"8 -1", b"x 2", b"8"]
+
+    def rewritten(at_line):
+        at, line = at_line
+        changed = list(lines)
+        changed[at] = line
+        return b"\n".join(changed) + b"\n" + data[end:]
+
+    def patched(edits):
+        out = bytearray(data)
+        for at, value in edits:
+            struct.pack_into("<d", out, end + 8 * (at % (count * (6 + dim))), value)
+        return bytes(out)
+
+    flips = st.lists(st.tuples(st.integers(0, end - 1), st.integers(0, 255)), min_size=1,
+                     max_size=3)
+    return st.one_of(
+        st.integers(0, len(data) - 1).map(lambda n: data[:n]),
+        st.integers(1, 2 * row_bytes).map(lambda n: data + data[end : end + n]),
+        st.tuples(st.integers(0, 2), st.sampled_from(header_lines)).map(rewritten),
+        flips.map(lambda f: flipped(data, f)),
+        st.lists(st.tuples(st.integers(0, 1 << 30), st.sampled_from(ROW_VALUES)),
+                 min_size=1, max_size=3).map(patched),
+    )
+
+
+def test_patf2_matches_reference(workspace):
+    # Damaged PATF 2 files give the arrays of the reference, which unpacks
+    # one row at a time, or its PatfError line and message.
+    root, bench, _ = workspace
+    seeds = [(root / "seed.patf").read_bytes(), (bench / "ind001_v1.patf").read_bytes()]
+
+    @given(st.sampled_from(seeds).flatmap(binary_damaged))
+    def run(blob):
+        (root / "ref.patf").write_bytes(blob)
+        check_features(root / "ref.patf")
         got = parse_outcome(parse_feature_file, root / "ref.patf")
         assert got == parse_outcome(reference_parse_feature_file, root / "ref.patf")
 

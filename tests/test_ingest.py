@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import reference_parse_feature_file
+from oracles import read_feature_rows, reference_parse_feature_file, write_text_feature_file
 
 from patreid.ingest import (
     MANIFEST_COLUMNS,
@@ -116,10 +116,11 @@ class TestParseFeatureFile:
         assert err.value.line_no == 1
 
     def test_bad_version(self, tmp_path):
-        path = write_patf(tmp_path / "a.patf", ["PATF 2", "imgA", "4 0"])
+        path = write_patf(tmp_path / "a.patf", ["PATF 3", "imgA", "4 0"])
         with pytest.raises(PatfError) as err:
             parse_feature_file(path)
         assert err.value.line_no == 1
+        assert err.value.message == "bad header 'PATF 3', expected 'PATF 1' or 'PATF 2'"
 
     @pytest.mark.parametrize(
         "id_line, size_line, line_no, message",
@@ -275,6 +276,110 @@ class TestParseFeatureFile:
             warnings.simplefilter("error")
             f = parse_feature_file(path)
         assert f.frames.shape == (0, 6) and f.descriptors.shape == (0, 8)
+
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        # -0.0, the smallest subnormal and values near the row rules' limits
+        # (det and norm just below overflow) come back with their bits.
+        big = 1e154
+        frames = np.array([[-0.0, 5e-324, big, -0.0, 0.0, big], [1.7e308, -5e-324, 1.0, 0.0, 0.0, 1.0]])
+        descriptors = np.array([[big / 2, -big / 2, 5e-324], [-0.0, 5e-324, 1e-6]])
+        original = ImageFeatures("img", frames, descriptors)
+        write_feature_file(original, tmp_path / "a.patf")
+        assert not row_faults(frames, descriptors)[0].any()
+        stored = read_feature_rows(tmp_path / "a.patf")
+        assert stored.frames.tobytes() == frames.tobytes()
+        assert stored.descriptors.tobytes() == descriptors.tobytes()
+        loaded = parse_feature_file(tmp_path / "a.patf")
+        assert loaded.frames.tobytes() == frames.tobytes()
+        norms = np.sqrt((descriptors**2).sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(loaded.descriptors, descriptors / norms, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize(
+        "frames, descriptors, line_no",
+        [((3, 6), (2, 4), 3), ((3, 6), (3, 0), 3), ((3, 5), (3, 4), 3), ((3, 6), (3,), 3)],
+        ids=["fewer_descriptors", "no_descriptor_values", "short_frames", "flat_descriptors"],
+    )
+    def test_writer_refuses_shapes_it_cannot_read_back(self, tmp_path, frames, descriptors,
+                                                       line_no):
+        features = ImageFeatures("img", np.ones(frames), np.ones(descriptors))
+        with pytest.raises(PatfError, match="not one row of 6 \\+ D") as err:
+            write_feature_file(features, tmp_path / "a.patf")
+        assert err.value.line_no == line_no
+        assert not (tmp_path / "a.patf").exists()
+
+    @pytest.mark.parametrize("image_id", ["", "two words", "id\nline", " padded"])
+    def test_writer_refuses_id_it_cannot_read_back(self, tmp_path, image_id):
+        with pytest.raises(PatfError, match="single token") as err:
+            write_feature_file(make_features(image_id), tmp_path / "a.patf")
+        assert err.value.line_no == 2
+        assert not (tmp_path / "a.patf").exists()
+
+    def test_writes_version_2(self, tmp_path):
+        features = make_features(m=4, dim=5)
+        write_feature_file(features, tmp_path / "a.patf")
+        data = (tmp_path / "a.patf").read_bytes()
+        header = b"PATF 2\nimg0\n5 4\n"
+        assert data[: len(header)] == header
+        rows = np.hstack([features.frames, features.descriptors])
+        assert data[len(header) :] == rows.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_versions_parse_alike(self, tmp_path, seed):
+        # A text copy of a PATF 2 file parses to the same bits.
+        rng = np.random.default_rng(seed)
+        count, dim = int(rng.integers(1, 60)), int(rng.integers(1, 40))
+        frames = np.tile([0.0, 0.0, 1.0, 0.0, 0.0, 1.0], (count, 1)) + rng.normal(size=(count, 6))
+        features = ImageFeatures("img", frames, rng.normal(size=(count, dim)) * 3.0)
+        write_feature_file(features, tmp_path / "two.patf")
+        write_text_feature_file(features, tmp_path / "one.patf")
+        two, one = (parse_feature_file(tmp_path / f"{v}.patf") for v in ("two", "one"))
+        assert two.frames.tobytes() == one.frames.tobytes()
+        assert two.descriptors.tobytes() == one.descriptors.tobytes()
+        want = reference_parse_feature_file(tmp_path / "two.patf")
+        assert two.descriptors.tobytes() == want.descriptors.tobytes()
+
+    @pytest.mark.parametrize(
+        "cut, line_no, size",
+        [(-1, 5, 335), (-88, 5, 248), (-336, 4, 0), (8, 6, 344), (168, 6, 504)],
+        ids=["last_byte", "second_row", "no_rows", "extra_value", "extra_row"],
+    )
+    def test_binary_body_length_names_first_missing_or_extra_row(self, tmp_path, cut, line_no,
+                                                                  size):
+        write_feature_file(make_features(m=2, dim=15), tmp_path / "a.patf")
+        data = (tmp_path / "a.patf").read_bytes()
+        (tmp_path / "a.patf").write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
+        with pytest.raises(PatfError) as err:
+            parse_feature_file(tmp_path / "a.patf")
+        assert err.value.line_no == line_no
+        assert err.value.message == (
+            f"declared 2 features of 168 bytes but the rows hold {size} bytes"
+        )
+
+    @pytest.mark.parametrize(
+        "data, line_no, message",
+        [
+            (b"PATF 2", 1, "truncated file: header line has no newline"),
+            (b"PATF 2\nimg\n4 0", 3, "truncated file: header line has no newline"),
+            (b"PATF 2\nim\xffg\n4 0\n", 2, "not UTF-8 text: invalid start byte"),
+            (b"PATF 2\nimg\n4 x\n", 3, "non-integer size line '4 x'"),
+            (b"PATF 2\nimg\n0 0\n", 3, "invalid dimensions dim=0 count=0"),
+        ],
+        ids=["no_newline", "open_size_line", "id_not_utf8", "size_word", "zero_dim"],
+    )
+    def test_binary_header_lines(self, tmp_path, data, line_no, message):
+        (tmp_path / "a.patf").write_bytes(data)
+        with pytest.raises(PatfError) as err:
+            parse_feature_file(tmp_path / "a.patf")
+        assert (err.value.line_no, err.value.message) == (line_no, message)
+
+    def test_binary_row_rules_named_by_row(self, tmp_path):
+        features = make_features(m=4, dim=3)
+        features.descriptors[2] = 0.0
+        features.frames[3, 0] = np.nan
+        write_feature_file(features, tmp_path / "a.patf")
+        with pytest.raises(PatfError) as err:
+            parse_feature_file(tmp_path / "a.patf")
+        assert (err.value.line_no, err.value.message) == (6, "zero-norm descriptor")
 
     def test_empty_round_trip(self, tmp_path):
         original = ImageFeatures(
