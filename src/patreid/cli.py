@@ -29,7 +29,6 @@ from .reid import (
     Images,
     ReidError,
     evaluate,
-    fork_map,
     hit_rates,
     load_images,
     rank_queries,
@@ -107,15 +106,11 @@ def cmd_build_vocab(args) -> int:
     for path, what in inputs:
         if Path(path).resolve() == out:
             raise UsageError(f"--out {args.out} is {what}, which the model file would replace")
-
-    def parse(part: slice) -> list:
-        return [load_entry_features(manifest, e) for e in db_entries[part]]
-
-    slices = fork_map(len(db_entries), parse, what="database files")
+    features = [load_entry_features(manifest, e) for e in db_entries]
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            vocabulary = train_vocabulary([f for part in slices for f in part], params)
+            vocabulary = train_vocabulary(features, params)
     except VocabError as exc:
         raise UsageError(f"cannot train the vocabulary: {_flagged(exc, args.flags)}") from None
     for warning in caught:

@@ -122,10 +122,7 @@ def _combine(rule: str, a: float, d_l, n, omega):
 
 
 def load_images(
-    manifest: Manifest,
-    entries: Sequence[ManifestEntry],
-    vocabulary: Vocabulary,
-    forked: bool = False,
+    manifest: Manifest, entries: Sequence[ManifestEntry], vocabulary: Vocabulary
 ) -> Images:
     """Manifest rows' labelled images, each taken from the vocabulary's index
     when the index has a row of its image_id.
@@ -133,33 +130,27 @@ def load_images(
     The index is a snapshot of the database as build-vocab saw it, so an
     indexed row's PATF file is never opened: after editing one, rerun
     build-vocab.  An indexed row's features are read on the first features(i)
-    call for it, so a search reads only the rows it verifies, each once.  A
-    row the index lacks is parsed and embedded here, as a query is: in
-    fork_map slices when forked, else in this process.
+    call for it, so a search reads only the rows it verifies, each once.  The
+    rows the index lacks are parsed and embedded here, in this process and in
+    manifest order, as a query is.
     """
     index = vocabulary.index
     rows = {image_id: k for k, image_id in enumerate(index.image_ids)}
     at = np.array([rows.get(e.image_id, -1) for e in entries], dtype=np.intp)  # -1: not indexed
-    fresh = np.flatnonzero(at < 0)
-
-    def parse(part: slice) -> List[Tuple[ImageFeatures, np.ndarray]]:
-        # Each file is embedded before the next is parsed: the first error wins.
-        loaded = (load_entry_features(manifest, entries[i]) for i in fresh[part])
-        return [(features, embed_image(features, vocabulary)) for features in loaded]
-
-    slices = fork_map(len(fresh), parse, what="images") if forked else [parse(slice(None))]
-    parsed = dict(zip(fresh.tolist(), (image for part in slices for image in part)))
-    embeddings = np.empty((len(entries), vocabulary.kpca.out_dim))
     indexed = at >= 0
+    embeddings = np.empty((len(entries), vocabulary.kpca.out_dim))
     embeddings[indexed] = index.embeddings[at[indexed]]
-    for i, (_, embedding) in parsed.items():
-        embeddings[i] = embedding
+    parsed = {}
+    for i in np.flatnonzero(~indexed).tolist():
+        # Each file is embedded before the next is parsed: the first error wins.
+        parsed[i] = load_entry_features(manifest, entries[i])
+        embeddings[i] = embed_image(parsed[i], vocabulary)
     read_row = functools.cache(vocabulary.read_row)
     return Images(
         [e.image_id for e in entries],
         [e.individual_id for e in entries],
         embeddings,
-        lambda i: parsed[i][0] if at[i] < 0 else read_row(int(at[i])),
+        lambda i: parsed[i] if at[i] < 0 else read_row(int(at[i])),
     )
 
 
@@ -264,7 +255,7 @@ def _split_search(manifest: Manifest, vocabulary: Vocabulary):
         raise ReidError("manifest has no database entries")
     if not query_entries:
         raise ReidError("manifest has no query entries")
-    db = load_images(manifest, db_entries, vocabulary, forked=True)
+    db = load_images(manifest, db_entries, vocabulary)
     known = set(db.individual_ids)
 
     kept = []
@@ -314,7 +305,7 @@ def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
 
     unit_counts = Counter(e.individual_id for e in labeled)
 
-    db = load_images(manifest, labeled, vocabulary, forked=True)
+    db = load_images(manifest, labeled, vocabulary)
     truths = {}
     self_rows = []
     for row, e in enumerate(labeled):
@@ -339,17 +330,18 @@ def _leave_one_out_search(manifest: Manifest, vocabulary: Vocabulary):
 _PROTOCOLS = {"split": _split_search, "leave_one_out": _leave_one_out_search}
 
 
-def fork_map(n: int, *steps: Callable, what: str) -> list:
-    """Run steps over range(n) in contiguous slices, one per CPU this process
-    may use, and return the last step's output of each slice, in slice order.
+def fork_map(n: int, *steps: Callable) -> list:
+    """Run steps over n queries in contiguous slices, one per CPU this process
+    may use, and return the last step's output of each slice, in slice order;
+    evaluate's (load, rank) slices are its one use.
 
     Slice 0 runs here and each other slice in a forked child that pickles its
     outcome back over a pipe.  A slice runs steps[0](part), then each next
     step on (part, the previous step's output); no step may call fork_map.
     Every child is reaped before this returns or raises the error of the
     earliest step, then slice: the one a single process that ran each step
-    over all n items would raise.  A child that ends without a result is an
-    OSError naming its slice of what.
+    over all n queries would raise.  A child that ends without a result is an
+    OSError naming its slice of the queries.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = max(1, min(n, cpus))
@@ -386,7 +378,7 @@ def fork_map(n: int, *steps: Callable, what: str) -> list:
                 with open(r, "rb", closefd=False) as fh:
                     outcomes.append(pickle.load(fh))
             except (EOFError, pickle.UnpicklingError):
-                message = f"{what} {part.start + 1}-{part.stop}: worker ended without a result"
+                message = f"queries {part.start + 1}-{part.stop}: worker ended without a result"
                 outcomes.append((0, OSError(message)))
     finally:
         for pid, r in children:
@@ -410,8 +402,10 @@ def evaluate(
 
     Every image is read and embedded once (indexed rows from the model file,
     see load_images) and every rule ranks the same search, see rank_queries.
-    Queries are loaded and ranked in fork_map slices, one per usable CPU,
-    and each slice sends back only its ranks of truth and first-ranked rows.
+    The protocol's database is loaded in this process (under leave-one-out,
+    the pooled images, so the query-role files are parsed here).  Then the
+    queries are loaded and ranked in fork_map slices, one per usable CPU, and
+    each slice sends back only its ranks of truth and first-ranked rows.
     """
     if protocol not in _PROTOCOLS:
         raise ReidError(f"protocol must be one of {tuple(_PROTOCOLS)}, got {protocol!r}")
@@ -430,7 +424,7 @@ def evaluate(
             for rule, r in rankings.items()
         }
 
-    slices = fork_map(len(truths), load, rank, what="queries")
+    slices = fork_map(len(truths), load, rank)
     results = {}
     for rule in RULES:
         ranks = np.concatenate([part[rule][0] for part in slices])

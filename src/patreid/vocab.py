@@ -318,7 +318,7 @@ def fit_kpca(fisher_vectors: np.ndarray, out_dim: int) -> KpcaModel:
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
     positive = eigvals > max(eigvals[0], 0.0) * 1e-12
-    n_pos = int(np.count_nonzero(positive[: len(eigvals)]))
+    n_pos = int(np.count_nonzero(positive))
     if n_pos == 0:
         raise VocabError("centered kernel matrix has no positive eigenvalues")
     if n_pos < out_dim:

@@ -3,10 +3,10 @@ fuzz tests."""
 
 import os
 
-# evaluate and build-vocab fork a worker per usable CPU.  Python 3.12 warns
-# when a process with threads forks, which pytest turns into an error, and
-# OpenBLAS starts its threads when numpy loads: so pin it to one thread
-# before any import of numpy, as CI does.
+# evaluate forks a worker per usable CPU.  Python 3.12 warns when a process
+# with threads forks, which pytest turns into an error, and OpenBLAS starts
+# its threads when numpy loads: so pin it to one thread before any import of
+# numpy, as CI does.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from hypothesis import settings  # noqa: E402

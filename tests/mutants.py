@@ -1,0 +1,174 @@
+"""Kept mutation checks: each mutant is one small edit to src/patreid that
+named tests must catch, so a check that could fail stays able to.
+
+Run from the repository root (not part of tier-1):
+
+    python tests/mutants.py               # every mutant
+    python tests/mutants.py own_row_not_last  # the named mutants
+
+The named tests of every mutant first run once against an unchanged copy of
+src/, where they must pass.  Then each mutant is applied alone to a fresh
+copy of src/ in a temporary directory, and only its tests run, in one pytest
+process, against that copy.  A mutant is killed when every one of its tests
+fails.  The run exits 1 if a mutant is not killed, if its old text is not
+found exactly once in its file (the code moved: bring the mutant up to
+date), or if pytest ends any other way, such as on a test id it cannot find.
+The control mutant changes only a comment and must survive, which shows that
+the runner can see survival.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/patreid
+    old: str
+    new: str
+    tests: Tuple[str, ...]  # pytest node ids, relative to the repository root
+    survives: bool = False  # True only for the control
+
+
+MUTANTS = (
+    Mutant(
+        "header_crc32_dropped",
+        "vocab.py",
+        '        if zlib.crc32(data) != int.from_bytes(trailer[8:12], "little"):\n'
+        '            raise VocabError(f"{path}: unreadable header: bad CRC-32")\n',
+        "",
+        ("tests/test_cli.py::test_damaged_model_file_one_error_line[header_alpha_digit]",
+         "tests/test_cli.py::test_damaged_model_file_one_error_line[header_image_id_char]"),
+    ),
+    Mutant(
+        "np_power_in_exponential",
+        "reid.py",
+        "return np.float_power(np.clip(d_l, EXPONENTIAL_FLOOR, 1.0), n)",
+        "return np.power(np.clip(d_l, EXPONENTIAL_FLOOR, 1.0), n)",
+        ("tests/test_reid.py::TestRulesOnArrays::test_array_call_equals_float_arithmetic"
+         "[exponential-2.0]",),
+    ),
+    Mutant(
+        "affine_query_frame_transposed",
+        "geometry.py",
+        "a, b, c, d = np.moveaxis(query_frames[..., 2:6], -1, 0)",
+        "a, c, b, d = np.moveaxis(query_frames[..., 2:6], -1, 0)",
+        ("tests/test_geometry.py::TestAffineVerifier"
+         "::test_planted_affine_matches_recovered_exactly",
+         "tests/test_geometry.py::test_verdicts_invariant_under_query_similarity"),
+    ),
+    Mutant(
+        "own_row_not_last",
+        "reid.py",
+        "np.lexsort((np.broadcast_to(id_rank, own.shape), distances, own), axis=-1)",
+        "np.lexsort((np.broadcast_to(id_rank, own.shape), distances), axis=-1)",
+        ("tests/test_reid.py::TestRankingOracle::test_evaluate_matches_oracle[3-leave_one_out]",
+         "tests/test_reid.py::TestRankingOracle"
+         "::test_database_row_order_changes_nothing[leave_one_out]"),
+    ),
+    Mutant(
+        "build_vocab_forks",
+        "cli.py",
+        "    features = [load_entry_features(manifest, e) for e in db_entries]\n",
+        "    from .reid import fork_map\n\n"
+        "    features = [f for part in fork_map(len(db_entries), lambda part: [\n"
+        "        load_entry_features(manifest, e) for e in db_entries[part]]) for f in part]\n",
+        ("tests/test_cli.py::TestParallelEvaluate::test_query_never_forks[build-vocab]",
+         "tests/test_cli.py::TestParallelBuildVocab::test_same_bytes_for_any_worker_count"),
+    ),
+    Mutant(
+        "parse_all_then_embed",
+        "reid.py",
+        "        parsed[i] = load_entry_features(manifest, entries[i])\n",
+        "        parsed[i] = load_entry_features(manifest, entries[i])\n"
+        "    for i in parsed:\n",
+        ("tests/test_cli.py::TestParallelEvaluate"
+         "::test_loo_embeds_each_file_before_the_next_is_parsed",),
+    ),
+    Mutant(
+        "control_comment_only",
+        "reid.py",
+        "# -1: not indexed",
+        "# -1: absent from the index",
+        ("tests/test_reid.py::TestRulesOnArrays::test_array_call_equals_float_arithmetic"
+         "[exponential-2.0]",),
+        survives=True,
+    ),
+)
+
+
+def _pytest(src: Path, tests: Sequence[str]) -> Tuple[int, set]:
+    """(pytest's exit code, the node ids that failed or errored) of tests run
+    against the package under src."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests]
+    run = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    # The short summary has one "FAILED <node id> - <message>" line per test.
+    failed = {line.split(" ")[1] for line in run.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))}
+    return run.returncode, failed
+
+
+def _copy_of_src(tmp: str, mutant: Optional[Mutant] = None) -> Optional[Path]:
+    """A copy of src/ under tmp, with mutant applied; None if its old text
+    is not found exactly once."""
+    src = Path(shutil.copytree(ROOT / "src", Path(tmp) / "src",
+                               ignore=shutil.ignore_patterns("__pycache__", "*.egg-info")))
+    if mutant is not None:
+        path = src / "patreid" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return None
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return src
+
+
+def main(names: Sequence[str]) -> int:
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown or not mutants:
+        print(f"unknown mutants: {sorted(unknown)}; known: {[m.name for m in MUTANTS]}")
+        return 2
+    tests = list(dict.fromkeys(t for m in mutants for t in m.tests))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, failed = _pytest(_copy_of_src(tmp), tests)
+    if code != 0:
+        print(f"the named tests do not pass on unchanged src (pytest exit {code}): "
+              f"{sorted(failed)}")
+        return 1
+    bad = 0
+    for mutant in mutants:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            src = _copy_of_src(tmp, mutant)
+            code, failed = (None, set()) if src is None else _pytest(src, mutant.tests)
+        if code is None:
+            outcome = f"old text not found once in {mutant.file}"
+        elif code == 0:
+            outcome = "survived"
+        elif code == 1 and failed == set(mutant.tests):
+            outcome = "killed"
+        elif code == 1:
+            outcome = f"survived {sorted(set(mutant.tests) - failed)}"
+        else:
+            outcome = f"pytest exit {code}"
+        ok = outcome == ("survived" if mutant.survives else "killed")
+        bad += not ok
+        verdict = "as expected" if ok else "FAIL"
+        print(f"{mutant.name:<32} {outcome}: {verdict}  ({time.perf_counter() - start:.1f} s)")
+    print(f"{len(mutants) - bad} of {len(mutants)} mutants as expected")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

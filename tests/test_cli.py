@@ -1029,9 +1029,9 @@ class TestParallelEvaluate:
         assert_no_child_left()
         forks = cpus(2)
         two = _evaluate(capsys, copy, model, *flags)
-        # Leave-one-out loads the query-role images, which the index lacks,
-        # in one fork_map and ranks in a second.
-        assert len(forks) == {"split": 1, "loo": 2}[protocol]
+        # Leave-one-out parses the query-role images, which the index lacks,
+        # in this process: under either protocol only the ranking forks.
+        assert len(forks) == 1
         assert_no_child_left()
         assert one[0] == 0 and one[3]
         assert two == one
@@ -1171,27 +1171,58 @@ class TestParallelEvaluate:
         assert code == 1 and out == ""
         assert err == "error: queries 5-8: worker ended without a result\n"
 
-    @pytest.mark.parametrize("rule", ["exp", "app"])
-    def test_query_never_forks(self, indexed, capsys, cpus, rule):
+    @pytest.mark.parametrize("command", ["exp", "app", "build-vocab"])
+    def test_query_never_forks(self, indexed, tmp_path, capsys, cpus, command):
+        # query (under either rule) and build-vocab run in one process.
         bench, model = indexed
         forks = cpus(2)
-        _query(capsys, bench, model, "ind003_v1.patf", "--rule", rule, "--shortlist", "0")
+        if command == "build-vocab":
+            assert _build_vocab(capsys, bench, tmp_path / "v.bin")[0] == 0
+        else:
+            _query(capsys, bench, model, "ind003_v1.patf", "--rule", command, "--shortlist", "0")
         assert forks == []
 
-    def test_loo_loads_in_slices_then_ranks(self, indexed, capsys, cpus, parse_calls,
-                                             embed_calls):
+    def test_loo_loads_here_then_ranks_in_slices(self, indexed, capsys, cpus, monkeypatch,
+                                                 parse_calls, embed_calls):
         # The pooled set's rows the index lacks (the query-role images) are
-        # parsed and embedded in two contiguous slices before any is ranked.
+        # parsed and embedded in this process, each once and in manifest
+        # order, before the one fork that ranks.
         bench, model = indexed
-        forks = cpus(2)
+        forks, fork = cpus(2), os.fork
+
+        def fork_after_parsing():
+            parse_calls.record("fork")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_after_parsing)
         assert _evaluate(capsys, bench, model, "--protocol", "loo")[0] == 0
         queries = _query_ids(bench)
-        expected = [f"{q}.patf" for q in queries]
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert_no_child_left()
-        assert len(parse_calls.by_process()) == 2
-        assert parse_calls.in_slices(expected) == expected
-        assert embed_calls.in_slices(queries) == queries
+        here = str(os.getpid())
+        assert parse_calls.by_process() == {here: [f"{q}.patf" for q in queries] + ["fork"]}
+        assert embed_calls.by_process() == {here: queries}
+
+    def test_loo_embeds_each_file_before_the_next_is_parsed(self, indexed, tmp_path, capsys,
+                                                           cpus):
+        # A query-role file of another descriptor width, then a malformed
+        # one: the first fails its embedding before the second is parsed, at
+        # any CPU count.
+        bench, model = indexed
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        assert main(["synth", "--seed", "5", "--individuals", "8", "--views", "2",
+                     "--descriptor-dim", "64", "--out", str(tmp_path / "narrow")]) == 0
+        narrow, malformed = _query_ids(copy)[2:4]
+        shutil.copy(tmp_path / "narrow" / f"{narrow}.patf", copy / f"{narrow}.patf")
+        (copy / f"{malformed}.patf").write_text("PATF 3\n", encoding="utf-8")
+        outcomes = []
+        for n in (1, 2):
+            cpus(n)
+            outcomes.append(_evaluate(capsys, copy, model, "--protocol", "loo"))
+            assert_no_child_left()
+        assert outcomes[0] == (1, "", f"error: image '{narrow}' has 64-dim descriptors, "
+                                      "expected 128 as the model has\n", b"")
+        assert outcomes[1] == outcomes[0]
 
     def test_loo_malformed_file_in_second_slice(self, indexed, tmp_path, capsys, cpus):
         bench, model = indexed
@@ -1219,8 +1250,8 @@ def _build_vocab(capsys, bench, out):
 
 
 class TestParallelBuildVocab:
-    """build-vocab parses the indexed benchmark's 8 database files in one
-    contiguous slice per worker."""
+    """build-vocab parses the indexed benchmark's 8 database files in this
+    process, in manifest order, whatever number of CPUs it may use."""
 
     def test_same_bytes_for_any_worker_count(self, indexed, tmp_path, capsys, cpus, parse_calls):
         bench, model = indexed
@@ -1231,17 +1262,14 @@ class TestParallelBuildVocab:
             parse_calls.clear()
             out = tmp_path / f"model-{n}.bin"
             assert _build_vocab(capsys, bench, out)[0] == 0
-            assert len(forks) == n - 1
-            assert_no_child_left()
-            assert len(parse_calls.by_process()) == n
-            assert parse_calls.in_slices(expected) == expected
+            assert forks == []
+            assert parse_calls.by_process() == {str(os.getpid()): expected}
             assert out.read_bytes() == model.read_bytes()
 
     def test_first_damaged_file_in_manifest_order(self, indexed, tmp_path, capsys, cpus):
         bench, _ = indexed
         copy = shutil.copytree(bench, tmp_path / "bench")
         ids = [e.image_id for e in load_manifest(copy / "manifest.csv").with_role("database")]
-        # Rows 3 and 6 fall in slices 0 and 1 of two workers, 1 and 2 of three.
         first, second = ids[3], ids[6]
         (copy / f"{first}.patf").write_text(f"PATF 1\n{first}\n4 1\n0 0 1 0 0 1 nan 0 0 0\n",
                                             encoding="utf-8")
@@ -1254,23 +1282,6 @@ class TestParallelBuildVocab:
         code, out, err = outcomes[0]
         assert code == 1 and out == "" and err.startswith(f"error: {copy / first}.patf:4: ")
         assert outcomes == [outcomes[0]] * 3
-        assert not (tmp_path / "v.bin").exists()
-
-    def test_worker_without_result(self, indexed, tmp_path, capsys, cpus, monkeypatch):
-        bench, _ = indexed
-        parent, load = os.getpid(), patreid.cli.load_entry_features
-
-        def load_or_die(manifest, entry):
-            if os.getpid() != parent:
-                os._exit(3)
-            return load(manifest, entry)
-
-        monkeypatch.setattr(patreid.cli, "load_entry_features", load_or_die)
-        cpus(2)
-        code, out, err = _build_vocab(capsys, bench, tmp_path / "v.bin")
-        assert_no_child_left()
-        assert code == 1 and out == ""
-        assert err == "error: database files 5-8: worker ended without a result\n"
         assert not (tmp_path / "v.bin").exists()
 
 
