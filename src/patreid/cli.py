@@ -34,7 +34,7 @@ from .reid import (
     rank_queries,
     write_per_query_csv,
 )
-from .vocab import VocabError, load_vocabulary, save_vocabulary
+from .vocab import ModelFile, VocabError, load_vocabulary, save_vocabulary
 
 RULE_TOKENS = {
     "app": "appearance_only",
@@ -106,16 +106,20 @@ def cmd_build_vocab(args) -> int:
     for path, what in inputs:
         if Path(path).resolve() == out:
             raise UsageError(f"--out {args.out} is {what}, which the model file would replace")
-    features = [load_entry_features(manifest, e) for e in db_entries]
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            vocabulary = train_vocabulary(features, params)
-    except VocabError as exc:
-        raise UsageError(f"cannot train the vocabulary: {_flagged(exc, args.flags)}") from None
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    save_vocabulary(vocabulary, args.out)
+    # Each file's features go into the model file as they are parsed, and
+    # training reads them back from there: none stays in memory.
+    with ModelFile(args.out) as model:
+        for entry in db_entries:
+            model.append(load_entry_features(manifest, entry))
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                vocabulary = train_vocabulary(model.rows, params)
+        except VocabError as exc:
+            raise UsageError(f"cannot train the vocabulary: {_flagged(exc, args.flags)}") from None
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
+        save_vocabulary(vocabulary, model)
     print(args.out)
     return 0
 

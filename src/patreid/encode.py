@@ -9,7 +9,7 @@ and compared with the cosine distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .ingest import ImageFeatures, row_dot
 from .vocab import (
     DatabaseIndex,
     Gmm,
+    IndexRows,
     PcaModel,
     Vocabulary,
     VocabError,
@@ -127,35 +128,45 @@ def cosine_distance(a: np.ndarray, b: np.ndarray):
 
 
 def train_vocabulary(
-    feature_sets: Sequence[ImageFeatures], params: TrainingParams = TrainingParams()
+    feature_sets: Union[Sequence[ImageFeatures], IndexRows],
+    params: TrainingParams = TrainingParams(),
 ) -> Vocabulary:
     """Fit the whole appearance model on the database images, and index them.
 
-    Fits PCA on all descriptors and the GMM on fit_pca's projections of them,
-    Fisher-encodes each database image once, and fits the kernel-PCA
-    compressor on the normalized Fisher vectors.  Each image's embedding is
-    then its vector's apply_kpca, bit for bit what embed_image gives.  The
-    index rows are feature_sets in order, read from memory.  A VocabError
-    about a setting starts with its field name.
+    feature_sets is a sequence of ImageFeatures, or IndexRows that read each
+    image's features on demand, as build-vocab's do from the model file it
+    is writing.  Fits PCA on all descriptors, which fit_pca reads into one
+    stack, and the GMM on fit_pca's projections of them; both arrays are
+    freed before each database image is read again and Fisher-encoded once.
+    The kernel-PCA compressor is fitted on the normalized Fisher vectors, and
+    each image's embedding is then its vector's apply_kpca, bit for bit what
+    embed_image gives.  At its peak training holds the stack and the
+    projections besides feature_sets: 192 float64 values per descriptor row
+    at D = 128 and pca_dim 64.  The index rows are feature_sets, in
+    order, read as training read them.  A VocabError about a setting starts
+    with its field name.
     """
-    feature_sets = list(feature_sets)
-    image_ids = [f.image_id for f in feature_sets]
-    non_empty = [f for f in feature_sets if f.count > 0]
-    if len(feature_sets) < 2:
-        raise VocabError(f"need at least 2 database images, got {len(feature_sets)}")
+    if not isinstance(feature_sets, IndexRows):
+        sets = list(feature_sets)
+        feature_sets = IndexRows([f.image_id for f in sets], [f.count for f in sets],
+                                 [f.descriptors.shape[1] for f in sets], sets.__getitem__)
+    image_ids, counts, widths, read_row = feature_sets
+    non_empty = [k for k, count in enumerate(counts) if count > 0]
+    if len(image_ids) < 2:
+        raise VocabError(f"need at least 2 database images, got {len(image_ids)}")
     if len(set(image_ids)) != len(image_ids):
         repeated = next(i for i in image_ids if image_ids.count(i) > 1)
         raise VocabError(f"database image id {repeated!r} given twice")
     if not non_empty:
         raise VocabError("all database images are empty")
-    dim = non_empty[0].descriptors.shape[1]
-    for f in non_empty:
-        if f.descriptors.shape[1] != dim:
+    dim = widths[non_empty[0]]
+    for k in non_empty:
+        if widths[k] != dim:
             raise VocabError(
-                f"image {f.image_id!r} has {f.descriptors.shape[1]}-dim descriptors, "
-                f"expected {dim} as image {non_empty[0].image_id!r} has"
+                f"image {image_ids[k]!r} has {widths[k]}-dim descriptors, "
+                f"expected {dim} as image {image_ids[non_empty[0]]!r} has"
             )
-    n, top_kpca = sum(f.count for f in non_empty), len(feature_sets) - 1
+    n, top_kpca = sum(counts), len(image_ids) - 1
     kpca_dim = params.kpca_dim or min(top_kpca, MAX_KPCA_DIM)
     if params.pca_dim > dim:
         raise VocabError(
@@ -168,10 +179,12 @@ def train_vocabulary(
         raise VocabError(
             f"kpca_dim must be in [0, {top_kpca}], below the image count, got {kpca_dim}"
         )
-    pca, projections = fit_pca([f.descriptors for f in non_empty], params.pca_dim, params.whiten)
+    pca, projections = fit_pca(feature_sets, params.pca_dim, params.whiten)
     gmm = fit_gmm(projections, params.gmm_k, seed=params.seed)
+    del projections
 
-    fvs = [power_l2_normalize(fisher_encode(f, pca, gmm), params.alpha) for f in feature_sets]
+    fvs = [power_l2_normalize(fisher_encode(read_row(k), pca, gmm), params.alpha)
+           for k in range(len(image_ids))]
     kpca = fit_kpca(np.stack(fvs), kpca_dim)
     return Vocabulary(
         pca=pca,
@@ -180,8 +193,8 @@ def train_vocabulary(
         index=DatabaseIndex(
             image_ids,
             np.stack([apply_kpca(kpca, v) for v in fvs]),
-            np.array([f.count for f in feature_sets]),
+            np.array(counts),
         ),
-        read_row=feature_sets.__getitem__,
+        read_row=read_row,
         alpha=params.alpha,
     )

@@ -21,7 +21,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,14 +99,26 @@ class DatabaseIndex:
     feature_counts: np.ndarray
 
 
+class IndexRows(NamedTuple):
+    """The database images as training reads them: row k is image
+    image_ids[k], with counts[k] features of widths[k]-dim descriptors, and
+    read(k) returns its features."""
+
+    image_ids: List[str]
+    counts: List[int]
+    widths: List[int]
+    read: Callable[[int], ImageFeatures]
+
+
 @dataclass
 class Vocabulary:
     pca: PcaModel
     gmm: Gmm
     kpca: KpcaModel
     index: DatabaseIndex
-    # read_row(k) returns index row k's features: from memory after training,
-    # from the model file (checked on every call) after load_vocabulary.
+    # read_row(k) returns index row k's features: after training, as training
+    # read them (from memory, or from the model file build-vocab is writing);
+    # after load_vocabulary, from the model file, checked on every call.
     read_row: Callable[[int], ImageFeatures] = field(repr=False, compare=False)
     # Power-normalization exponent used when the database Fisher vectors were
     # built; queries must reuse it, so it travels with the model.
@@ -143,19 +155,32 @@ def _project(model: PcaModel, centered: np.ndarray) -> np.ndarray:
 
 
 def fit_pca(
-    descriptors: Union[np.ndarray, Sequence[np.ndarray]], out_dim: int, whiten: bool = False
+    descriptors: Union[np.ndarray, Sequence[np.ndarray], IndexRows], out_dim: int,
+    whiten: bool = False,
 ) -> Tuple[PcaModel, np.ndarray]:
     """Top-out_dim eigenvectors of the biased sample covariance, and the
     training rows' projections, bit for bit what apply_pca gives them.
 
-    descriptors is one (N, D) array or a sequence of (n_i, D) blocks.  They
-    are stacked, in order, into one private copy that is centered in place,
-    so the caller's arrays stay as they were, and the fit holds one centered
-    copy of its input.  Rows of the returned basis are orthonormal, ordered
+    descriptors is one (N, D) array, a sequence of (n_i, D) blocks, or the
+    IndexRows of the database images, whose descriptors are read image by
+    image into one preallocated (N, D) array.  Either way the fit stacks its input,
+    in order, into one private array that it centers in place, so the
+    caller's arrays stay as they were; at its peak it holds that array and
+    the projections.  Rows of the returned basis are orthonormal, ordered
     by non-increasing eigenvalue, each row's largest-magnitude entry positive.
     """
-    blocks = [descriptors] if isinstance(descriptors, np.ndarray) else descriptors
-    X = np.concatenate(blocks, dtype=np.float64)
+    if isinstance(descriptors, IndexRows):
+        counts = descriptors.counts
+        width = next((w for w, c in zip(descriptors.widths, counts) if c), 0)
+        X = np.empty((sum(counts), width))
+        at = 0
+        for k, count in enumerate(counts):
+            if count:
+                X[at : at + count] = descriptors.read(k).descriptors
+                at += count
+    else:
+        blocks = [descriptors] if isinstance(descriptors, np.ndarray) else descriptors
+        X = np.concatenate(blocks, dtype=np.float64)
     if X.ndim != 2:
         raise VocabError(f"expected (N, D) descriptors, got shape {X.shape}")
     n, d = X.shape
@@ -480,10 +505,8 @@ def read_index_row(fh, path, image_id, at: int, count: int, dim: int, crc: int) 
         )
     if zlib.crc32(data) != crc:
         raise VocabError(f"{path}: unreadable index row of {image_id!r}: bad CRC-32")
-    values = np.frombuffer(data, dtype="<f8")
-    frames = values[: count * len(FRAME_FIELDS)].reshape(count, len(FRAME_FIELDS))
-    descriptors = values[frames.size :].reshape(count, dim)
-    faults, norms = row_faults(frames, descriptors)
+    features = _row_features(data, image_id, count, dim)
+    faults, norms = row_faults(features.frames, features.descriptors)
     if faults[0].any():
         raise VocabError(f"{path}: non-finite value in index row of {image_id!r}")
     if faults[1:3].any():
@@ -495,49 +518,106 @@ def read_index_row(fh, path, image_id, at: int, count: int, dim: int, crc: int) 
             f"{path}: index descriptor whose norm is not 1 within 1e-12 "
             f"in row of {image_id!r}"
         )
-    return ImageFeatures(image_id=image_id, frames=frames, descriptors=descriptors)
+    return features
 
 
-def save_vocabulary(vocab: Vocabulary, path) -> None:
-    """Write vocab as one model file, streaming the index rows one by one,
-    then each array.  Written through an open handle, so path is used as
-    given; one model gives one byte string.  An array whose shape disagrees
-    with the sizes the header would state raises VocabError before a byte is
-    written.
+def _row_features(data: bytes, image_id: str, count: int, dim: int) -> ImageFeatures:
+    """The features an index row's bytes hold: (count, 6) frames, then
+    (count, dim) descriptors."""
+    values = np.frombuffer(data, dtype="<f8")
+    frames = values[: count * len(FRAME_FIELDS)].reshape(count, len(FRAME_FIELDS))
+    return ImageFeatures(image_id, frames, values[frames.size :].reshape(count, dim))
 
-    The file is written beside path and renamed over it once complete, so a
-    failed write leaves whatever path held (a reader of the old file keeps
-    reading it); on any error the new file is removed.
+
+class ModelFile:
+    """The model file being written for path, beside it as
+    "<path>.<pid>.partial": index rows appended one by one and readable back
+    as rows, then the arrays and header that save_vocabulary writes before
+    it renames the file over path.  Leaving its with block removes the
+    partial file unless save_vocabulary renamed it, so an error at any step
+    leaves whatever path held (a reader of the old file keeps reading it).
     """
-    values = {"version": VOCAB_VERSION, "alpha": vocab.alpha}
+
+    def __init__(self, path):
+        self.path, self.partial = path, f"{os.fspath(path)}.{os.getpid()}.partial"
+        self.fh = open(self.partial, "xb+")  # permissions as open(path, "wb") would give
+        self.rows = IndexRows([], [], [], self._read)
+        self.crcs, self.starts = [], [0]
+
+    def __enter__(self) -> ModelFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self.partial)
+
+    def append(self, features: ImageFeatures) -> None:
+        """Write features as the next index row; only its id, sizes and
+        CRC-32 are kept."""
+        crc = 0
+        for a in (features.frames, features.descriptors):
+            a = np.ascontiguousarray(a, "<f8")
+            crc = zlib.crc32(a, crc)
+            self.fh.write(a)
+        self.rows.image_ids.append(features.image_id)
+        self.rows.counts.append(features.count)
+        self.rows.widths.append(features.descriptors.shape[1])
+        self.crcs.append(crc)
+        self.starts.append(self.fh.tell())
+
+    def _read(self, k: int) -> ImageFeatures:
+        # This process wrote the row from checked features: it is not checked again.
+        self.fh.flush()
+        data = os.pread(self.fh.fileno(), self.starts[k + 1] - self.starts[k], self.starts[k])
+        return _row_features(data, self.rows.image_ids[k], self.rows.counts[k],
+                             self.rows.widths[k])
+
+
+def _arrays(vocab: Vocabulary, path, row_crcs) -> Tuple[dict, dict]:
+    """vocab's _LAYOUT arrays, by name, with row_crcs as index_row_crc32, and
+    its header values.  An array whose shape disagrees with the sizes the
+    header would state raises VocabError naming it."""
+    values = {"version": VOCAB_VERSION, "alpha": vocab.alpha, "index_row_crc32": row_crcs}
     for section in _SECTIONS:
         model = getattr(vocab, section)
         values.update((f"{section}_{f.name}", getattr(model, f.name)) for f in fields(model))
-    rows = len(vocab.index.image_ids)
-    values["index_row_crc32"] = np.zeros(rows, "<u4")  # filled in as the rows are written
     arrays = {n: np.ascontiguousarray(values[n], dtype) for n, (dtype, _) in _LAYOUT.items()}
     values["dims"] = {d: len(arrays[name]) for d, name in _DIMS.items()}
-    for (name, array), shape in zip(arrays.items(), _shapes(values["dims"], rows).values()):
+    shapes = _shapes(values["dims"], len(vocab.index.image_ids))
+    for (name, array), shape in zip(arrays.items(), shapes.values()):
         if array.shape != shape:
             raise VocabError(f"{path}: array {name!r} has shape {array.shape}, expected {shape}")
-    partial = f"{os.fspath(path)}.{os.getpid()}.partial"
-    fh = open(partial, "xb")  # permissions as open(path, "wb") would give
-    try:
-        with fh:
-            for k, f in enumerate(map(vocab.read_row, range(rows))):
-                data = b"".join(np.ascontiguousarray(a, "<f8").tobytes()
-                                for a in (f.frames, f.descriptors))
-                arrays["index_row_crc32"][k] = zlib.crc32(data)
-                fh.write(data)
-            values["array_crc32"] = [zlib.crc32(a) for a in arrays.values()]
-            fh.writelines(arrays.values())
-            data = json.dumps({n: kind(values[n]) for n, kind in _HEADER_FIELDS.items()}).encode()
-            fh.write(data + len(data).to_bytes(8, "little")
-                     + zlib.crc32(data).to_bytes(4, "little") + _MAGIC)
-        os.replace(partial, path)
-    except BaseException:
-        os.remove(partial)
-        raise
+    return arrays, values
+
+
+def save_vocabulary(vocab: Vocabulary, path) -> None:
+    """Write vocab as one model file at path: its index rows, streamed one
+    by one, then each array and the header.  Written through an open handle,
+    so path is used as given; one model gives one byte string.  An array
+    whose shape disagrees with the sizes the header would state raises
+    VocabError before a byte is written.
+
+    path may instead be the ModelFile that already holds vocab's index rows,
+    as build-vocab writes them while it parses: then only the arrays and
+    header follow them, after the same shape check.  Either way the file is
+    renamed over its path once complete, and on any error removed.
+    """
+    if not isinstance(path, ModelFile):
+        rows = len(vocab.index.image_ids)
+        _arrays(vocab, path, [0] * rows)  # the shape check, before the first byte
+        with ModelFile(path) as model:
+            for k in range(rows):
+                model.append(vocab.read_row(k))
+            return save_vocabulary(vocab, model)
+    arrays, values = _arrays(vocab, path.path, path.crcs)
+    values["array_crc32"] = [zlib.crc32(a) for a in arrays.values()]
+    with path.fh as fh:
+        fh.writelines(arrays.values())
+        data = json.dumps({n: kind(values[n]) for n, kind in _HEADER_FIELDS.items()}).encode()
+        fh.write(data + len(data).to_bytes(8, "little")
+                 + zlib.crc32(data).to_bytes(4, "little") + _MAGIC)
+    os.replace(path.partial, path.path)
 
 
 def load_vocabulary(path) -> Vocabulary:

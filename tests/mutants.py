@@ -79,12 +79,54 @@ MUTANTS = (
     Mutant(
         "build_vocab_forks",
         "cli.py",
-        "    features = [load_entry_features(manifest, e) for e in db_entries]\n",
-        "    from .reid import fork_map\n\n"
-        "    features = [f for part in fork_map(len(db_entries), lambda part: [\n"
-        "        load_entry_features(manifest, e) for e in db_entries[part]]) for f in part]\n",
+        "        for entry in db_entries:\n"
+        "            model.append(load_entry_features(manifest, entry))\n",
+        "        from .reid import fork_map\n\n"
+        "        for part in fork_map(len(db_entries), lambda part: [\n"
+        "                load_entry_features(manifest, e) for e in db_entries[part]]):\n"
+        "            for features in part:\n"
+        "                model.append(features)\n",
         ("tests/test_cli.py::TestParallelEvaluate::test_query_never_forks[build-vocab]",
-         "tests/test_cli.py::TestParallelBuildVocab::test_same_bytes_for_any_worker_count"),
+         "tests/test_cli.py::TestBuildVocabParsesInOneProcess::test_same_bytes_for_any_cpu_count"),
+    ),
+    Mutant(
+        "build_vocab_keeps_rows",
+        "cli.py",
+        "            model.append(load_entry_features(manifest, entry))\n",
+        "            model.append(vars(args).setdefault(entry.image_id,\n"
+        "                                               load_entry_features(manifest, entry)))\n",
+        ("tests/test_cli.py::TestBuildVocab::test_peak_memory_per_descriptor_row",),
+    ),
+    Mutant(
+        "header_length_check_dropped",
+        "vocab.py",
+        "        if end < 0:\n"
+        '            raise VocabError(f"{path}: header of {length} bytes in a file of {size}")\n',
+        "",
+        ("tests/test_cli.py::test_damaged_model_file_one_error_line[header_length_max]",
+         "tests/test_cli.py::test_damaged_model_file_one_error_line[header_past_end]"),
+    ),
+    Mutant(
+        "arrays_fit_check_dropped",
+        "vocab.py",
+        "    if at > end:\n"
+        '        raise VocabError(f"{path}: {end} bytes precede the header, '
+        'whose dims need {at} of arrays")\n',
+        "",
+        ("tests/test_cli.py::test_damaged_model_file_one_error_line[dims_past_end]",),
+    ),
+    Mutant(
+        "writer_shape_check_dropped",
+        "vocab.py",
+        "        if array.shape != shape:\n"
+        '            raise VocabError(f"{path}: array {name!r} has shape {array.shape}, '
+        'expected {shape}")\n',
+        "        pass\n",
+        ("tests/test_vocab.py::TestVocabularyPersistence::test_section_shapes_rejected[gmm_dim]",
+         "tests/test_vocab.py::TestVocabularyPersistence"
+         "::test_section_shapes_rejected[kpca_features]",
+         "tests/test_vocab.py::TestVocabularyPersistence"
+         "::test_section_shapes_rejected_after_the_rows"),
     ),
     Mutant(
         "parse_all_then_embed",

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,6 +148,48 @@ class TestBuildVocab:
                      "--out", str(tmp_path / "v.bin"), "--gmm-k", "4", "--pca-dim", "16"]) == 0
         db = load_manifest(bench / "manifest.csv").with_role("database")
         assert calls == [e.image_id for e in db]
+
+    def test_peak_memory_per_descriptor_row(self, tmp_path):
+        # build-vocab writes each database image's features into the model
+        # file as it parses them and keeps none: training reads them back
+        # into one stack, which fit_pca centers in place.  At its peak it
+        # holds that stack (128 float64 values per descriptor row) and the
+        # projections (pca_dim 64), 192 a row; with every parsed image kept
+        # as well it was 343.  This is CI's "Training peak memory" data.
+        bench, model = tmp_path / "bench", tmp_path / "model.bin"
+        assert main(["synth", "--individuals", "60", "--views", "2", "--out", str(bench)]) == 0
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(["build-vocab", "--manifest", str(bench / "manifest.csv"),
+                         "--out", str(model)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        with load_vocabulary(model) as vocabulary:
+            rows = int(vocabulary.index.feature_counts.sum())
+        assert peak / (8 * rows) < 260
+
+    @pytest.mark.parametrize("damage", ["parse", "train"])
+    def test_error_leaves_no_file(self, workspace, tmp_path, capsys, damage):
+        # A parse error comes once some rows are in the partial model file,
+        # and a training error once all are: either way it is removed.
+        _, bench, _ = workspace
+        copy = shutil.copytree(bench, tmp_path / "bench")
+        flags = ["--pca-dim", "300"]
+        if damage == "parse":
+            (copy / "ind002_v0.patf").write_text("PATF 2\n", encoding="utf-8")
+            flags = []
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["build-vocab", "--manifest", str(copy / "manifest.csv"),
+                     "--out", str(out / "v.bin"), *flags])
+        assert code == {"parse": 1, "train": 2}[damage]
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(out.iterdir()) == []
 
     def test_mixed_descriptor_widths(self, workspace, tmp_path, capsys):
         _, bench, _ = workspace
@@ -1224,7 +1267,7 @@ class TestParallelEvaluate:
                                       "expected 128 as the model has\n", b"")
         assert outcomes[1] == outcomes[0]
 
-    def test_loo_malformed_file_in_second_slice(self, indexed, tmp_path, capsys, cpus):
+    def test_loo_first_malformed_file_in_manifest_order(self, indexed, tmp_path, capsys, cpus):
         bench, model = indexed
         copy = shutil.copytree(bench, tmp_path / "bench")
         first, second = _query_ids(copy)[5], _query_ids(copy)[6]
@@ -1249,11 +1292,11 @@ def _build_vocab(capsys, bench, out):
     return code, stdout, stderr
 
 
-class TestParallelBuildVocab:
+class TestBuildVocabParsesInOneProcess:
     """build-vocab parses the indexed benchmark's 8 database files in this
     process, in manifest order, whatever number of CPUs it may use."""
 
-    def test_same_bytes_for_any_worker_count(self, indexed, tmp_path, capsys, cpus, parse_calls):
+    def test_same_bytes_for_any_cpu_count(self, indexed, tmp_path, capsys, cpus, parse_calls):
         bench, model = indexed
         expected = [f"{e.image_id}.patf"
                     for e in load_manifest(bench / "manifest.csv").with_role("database")]

@@ -16,7 +16,7 @@ from patreid.encode import (
 )
 from patreid.ingest import ImageFeatures, load_entry_features, load_manifest
 from patreid.synth import SynthConfig, generate_benchmark
-from patreid.vocab import Gmm, PcaModel, VocabError, fit_gmm, save_vocabulary
+from patreid.vocab import Gmm, ModelFile, PcaModel, VocabError, fit_gmm, save_vocabulary
 
 
 def identity_pca(dim):
@@ -225,6 +225,21 @@ class TestTrainVocabularyAndEmbed:
         features = sum(f.frames.nbytes + f.descriptors.nbytes for f in sets)
         rows = n_images * m
         assert peak < 1.15 * (features + rows * dim * 8 + rows * params.pca_dim * 8)
+
+    def test_model_file_rows_train_as_memory_does(self, tmp_path):
+        # build-vocab trains on the rows of the model file it is writing,
+        # read back by row: the same model file as from the features in
+        # memory, here with an empty image of another width among them.
+        sets = self._feature_sets()
+        sets.insert(2, ImageFeatures("empty", np.zeros((0, 6)), np.zeros((0, 3))))
+        params = TrainingParams(gmm_k=2, pca_dim=4)
+        with ModelFile(tmp_path / "rows.bin") as model:
+            for f in sets:
+                model.append(f)
+            save_vocabulary(train_vocabulary(model.rows, params), model)
+        expected = model_bytes(train_vocabulary(sets, params), tmp_path / "memory.bin")
+        assert (tmp_path / "rows.bin").read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.bin", "rows.bin"]
 
     def test_embedding_unit_norm_and_deterministic(self):
         sets = self._feature_sets()

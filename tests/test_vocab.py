@@ -25,7 +25,9 @@ from patreid.ingest import ImageFeatures
 from patreid.vocab import (
     DatabaseIndex,
     Gmm,
+    IndexRows,
     KpcaModel,
+    ModelFile,
     PcaModel,
     VocabError,
     Vocabulary,
@@ -98,6 +100,21 @@ class TestFitPca:
         for name in ("mean", "basis", "eigenvalues"):
             np.testing.assert_array_equal(getattr(block_model, name), getattr(model, name))
         np.testing.assert_array_equal(block_Y, Y)
+
+    def test_index_rows_stack_in_order(self):
+        # Only rows with features are read, so an empty row's width is moot.
+        X = np.random.default_rng(5).standard_normal((90, 6))
+        model, Y = fit_pca(X, out_dim=3, whiten=True)
+        blocks = [X[:10], np.zeros((0, 2)), X[10:11], X[11:]]
+        reads = []
+        rows = IndexRows([f"img{k}" for k in range(4)], [len(b) for b in blocks],
+                         [b.shape[1] for b in blocks],
+                         lambda k: reads.append(k) or ImageFeatures("", None, blocks[k]))
+        rows_model, rows_Y = fit_pca(rows, out_dim=3, whiten=True)
+        assert reads == [0, 2, 3]
+        for name in ("mean", "basis", "eigenvalues"):
+            np.testing.assert_array_equal(getattr(rows_model, name), getattr(model, name))
+        np.testing.assert_array_equal(rows_Y, Y)
 
     def test_input_left_unchanged(self):
         # fit_pca centers a private copy in place, never its caller's arrays.
@@ -539,6 +556,22 @@ class TestVocabularyPersistence:
         corrupt(vocab)
         with pytest.raises(VocabError, match=re.escape(message)):
             save_vocabulary(vocab, tmp_path / "vocab.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_section_shapes_rejected_after_the_rows(self, tmp_path):
+        # build-vocab's ModelFile holds the index rows before training ends:
+        # the same check then runs before the arrays, and leaves no file.
+        vocab = _indexed_vocabulary()
+        vocab.kpca.matrix = np.hstack([vocab.kpca.matrix] * 2)
+        path = tmp_path / "vocab.bin"
+        with pytest.raises(VocabError, match=re.escape(
+                "array 'kpca_matrix' has shape (4, 72), expected (4, 36)")):
+            with ModelFile(path) as model:
+                for k in range(3):
+                    model.append(vocab.read_row(k))
+                model.fh.flush()
+                assert os.path.getsize(model.partial) == 8 * (3 + 2 + 0) * 16
+                save_vocabulary(vocab, model)
         assert list(tmp_path.iterdir()) == []
 
     def test_weights_sum_tolerance(self, tmp_path):
