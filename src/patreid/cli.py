@@ -114,7 +114,7 @@ def cmd_build_vocab(args) -> int:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                vocabulary = train_vocabulary(model.rows, params)
+                vocabulary = train_vocabulary(model, params)
         except VocabError as exc:
             raise UsageError(f"cannot train the vocabulary: {_flagged(exc, args.flags)}") from None
         for warning in caught:

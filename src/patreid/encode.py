@@ -9,7 +9,7 @@ and compared with the cosine distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .ingest import ImageFeatures, row_dot
 from .vocab import (
     DatabaseIndex,
     Gmm,
-    IndexRows,
     PcaModel,
     Vocabulary,
     VocabError,
@@ -128,32 +127,29 @@ def cosine_distance(a: np.ndarray, b: np.ndarray):
 
 
 def train_vocabulary(
-    feature_sets: Union[Sequence[ImageFeatures], IndexRows],
-    params: TrainingParams = TrainingParams(),
+    feature_sets: Sequence[ImageFeatures], params: TrainingParams = TrainingParams(),
 ) -> Vocabulary:
     """Fit the whole appearance model on the database images, and index them.
 
-    feature_sets is a sequence of ImageFeatures, or IndexRows that read each
-    image's features on demand, as build-vocab's do from the model file it
-    is writing.  Fits PCA on all descriptors, which fit_pca reads into one
-    stack, and the GMM on fit_pca's projections of them; both arrays are
-    freed before each database image is read again and Fisher-encoded once.
-    The kernel-PCA compressor is fitted on the normalized Fisher vectors, and
+    feature_sets is any sequence of ImageFeatures: a list, or the ModelFile
+    that build-vocab is writing, whose items are read from disk on demand.
+    Training reads it in three passes: every image for its id and sizes;
+    the non-empty images, whose descriptors go into one preallocated (N, D)
+    stack that fit_pca centers in place; every image again, each
+    Fisher-encoded once.  The GMM is fitted on fit_pca's projections, and
+    the stack and projections are freed before the last pass.  The
+    kernel-PCA compressor is fitted on the normalized Fisher vectors, and
     each image's embedding is then its vector's apply_kpca, bit for bit what
     embed_image gives.  At its peak training holds the stack and the
     projections besides feature_sets: 192 float64 values per descriptor row
-    at D = 128 and pca_dim 64.  The index rows are feature_sets, in
-    order, read as training read them.  A VocabError about a setting starts
-    with its field name.
+    at D = 128 and pca_dim 64.  The index rows are feature_sets, in order.
+    A VocabError about a setting starts with its field name.
     """
-    if not isinstance(feature_sets, IndexRows):
-        sets = list(feature_sets)
-        feature_sets = IndexRows([f.image_id for f in sets], [f.count for f in sets],
-                                 [f.descriptors.shape[1] for f in sets], sets.__getitem__)
-    image_ids, counts, widths, read_row = feature_sets
+    if len(feature_sets) < 2:
+        raise VocabError(f"need at least 2 database images, got {len(feature_sets)}")
+    image_ids, counts, widths = map(list, zip(
+        *[(f.image_id, f.count, f.descriptors.shape[1]) for f in feature_sets]))
     non_empty = [k for k, count in enumerate(counts) if count > 0]
-    if len(image_ids) < 2:
-        raise VocabError(f"need at least 2 database images, got {len(image_ids)}")
     if len(set(image_ids)) != len(image_ids):
         repeated = next(i for i in image_ids if image_ids.count(i) > 1)
         raise VocabError(f"database image id {repeated!r} given twice")
@@ -179,12 +175,16 @@ def train_vocabulary(
         raise VocabError(
             f"kpca_dim must be in [0, {top_kpca}], below the image count, got {kpca_dim}"
         )
-    pca, projections = fit_pca(feature_sets, params.pca_dim, params.whiten)
+    stack, at = np.empty((n, dim)), 0
+    for k in non_empty:
+        stack[at : at + counts[k]] = feature_sets[k].descriptors
+        at += counts[k]
+    pca, projections = fit_pca(stack, params.pca_dim, params.whiten)
+    del stack
     gmm = fit_gmm(projections, params.gmm_k, seed=params.seed)
     del projections
 
-    fvs = [power_l2_normalize(fisher_encode(read_row(k), pca, gmm), params.alpha)
-           for k in range(len(image_ids))]
+    fvs = [power_l2_normalize(fisher_encode(f, pca, gmm), params.alpha) for f in feature_sets]
     kpca = fit_kpca(np.stack(fvs), kpca_dim)
     return Vocabulary(
         pca=pca,
@@ -195,6 +195,6 @@ def train_vocabulary(
             np.stack([apply_kpca(kpca, v) for v in fvs]),
             np.array(counts),
         ),
-        read_row=read_row,
+        read_row=feature_sets.__getitem__,
         alpha=params.alpha,
     )

@@ -125,20 +125,9 @@ def row_faults(frames: np.ndarray, descriptors: np.ndarray):
 
 
 def _convert(path, data_lines: list, width: int):
-    """(values, error): the data lines as an (n, width) array, and for n short
-    of every line the PatfError of line 4 + n, the first not converted.
-
-    One np.loadtxt pass, which gives the same doubles as float() for every
-    token it accepts.  It skips blank lines and refuses some tokens float()
-    takes ("1_0"); then the lines are converted one by one.
-    """
-    if data_lines:  # np.loadtxt warns on empty input; an empty image is legal.
-        try:
-            values = np.loadtxt(data_lines, dtype=np.float64, comments=None, ndmin=2)
-            if values.shape == (len(data_lines), width):
-                return values, None
-        except ValueError:
-            pass
+    """(values, error): the data lines as an (n, width) array, each token
+    converted by float(), and for n short of every line the PatfError of
+    line 4 + n, the first not converted."""
     rows, error = [], None
     for i, line in enumerate(data_lines):
         tokens = line.split()

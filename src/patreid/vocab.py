@@ -12,6 +12,7 @@ database images it verifies.
 
 from __future__ import annotations
 
+import collections.abc
 import contextlib
 import itertools
 import json
@@ -21,7 +22,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -99,25 +100,14 @@ class DatabaseIndex:
     feature_counts: np.ndarray
 
 
-class IndexRows(NamedTuple):
-    """The database images as training reads them: row k is image
-    image_ids[k], with counts[k] features of widths[k]-dim descriptors, and
-    read(k) returns its features."""
-
-    image_ids: List[str]
-    counts: List[int]
-    widths: List[int]
-    read: Callable[[int], ImageFeatures]
-
-
 @dataclass
 class Vocabulary:
     pca: PcaModel
     gmm: Gmm
     kpca: KpcaModel
     index: DatabaseIndex
-    # read_row(k) returns index row k's features: after training, as training
-    # read them (from memory, or from the model file build-vocab is writing);
+    # read_row(k) returns index row k's features: after training, item k of the
+    # sequence it trained on (a list, or the ModelFile build-vocab is writing);
     # after load_vocabulary, from the model file, checked on every call.
     read_row: Callable[[int], ImageFeatures] = field(repr=False, compare=False)
     # Power-normalization exponent used when the database Fisher vectors were
@@ -154,33 +144,17 @@ def _project(model: PcaModel, centered: np.ndarray) -> np.ndarray:
     return Y
 
 
-def fit_pca(
-    descriptors: Union[np.ndarray, Sequence[np.ndarray], IndexRows], out_dim: int,
-    whiten: bool = False,
-) -> Tuple[PcaModel, np.ndarray]:
-    """Top-out_dim eigenvectors of the biased sample covariance, and the
-    training rows' projections, bit for bit what apply_pca gives them.
+def fit_pca(X: np.ndarray, out_dim: int, whiten: bool = False) -> Tuple[PcaModel, np.ndarray]:
+    """Top-out_dim eigenvectors of the biased sample covariance of the
+    float64 (N, D) X, and its rows' projections, bit for bit what apply_pca
+    gives them.
 
-    descriptors is one (N, D) array, a sequence of (n_i, D) blocks, or the
-    IndexRows of the database images, whose descriptors are read image by
-    image into one preallocated (N, D) array.  Either way the fit stacks its input,
-    in order, into one private array that it centers in place, so the
-    caller's arrays stay as they were; at its peak it holds that array and
-    the projections.  Rows of the returned basis are orthonormal, ordered
-    by non-increasing eigenvalue, each row's largest-magnitude entry positive.
+    X is scratch space: the fit centers it in place, leaving the bits of
+    X - X.mean(axis=0), so a caller who needs X afterwards passes a copy.
+    At its peak the fit holds X and the projections.  Rows of the returned
+    basis are orthonormal, ordered by non-increasing eigenvalue, each row's
+    largest-magnitude entry positive.
     """
-    if isinstance(descriptors, IndexRows):
-        counts = descriptors.counts
-        width = next((w for w, c in zip(descriptors.widths, counts) if c), 0)
-        X = np.empty((sum(counts), width))
-        at = 0
-        for k, count in enumerate(counts):
-            if count:
-                X[at : at + count] = descriptors.read(k).descriptors
-                at += count
-    else:
-        blocks = [descriptors] if isinstance(descriptors, np.ndarray) else descriptors
-        X = np.concatenate(blocks, dtype=np.float64)
     if X.ndim != 2:
         raise VocabError(f"expected (N, D) descriptors, got shape {X.shape}")
     n, d = X.shape
@@ -529,20 +503,20 @@ def _row_features(data: bytes, image_id: str, count: int, dim: int) -> ImageFeat
     return ImageFeatures(image_id, frames, values[frames.size :].reshape(count, dim))
 
 
-class ModelFile:
+class ModelFile(collections.abc.Sequence):
     """The model file being written for path, beside it as
-    "<path>.<pid>.partial": index rows appended one by one and readable back
-    as rows, then the arrays and header that save_vocabulary writes before
-    it renames the file over path.  Leaving its with block removes the
-    partial file unless save_vocabulary renamed it, so an error at any step
-    leaves whatever path held (a reader of the old file keeps reading it).
+    "<path>.<pid>.partial": index rows appended one by one, and read back as
+    the sequence of the ImageFeatures they hold, then the arrays and header
+    that save_vocabulary writes before it renames the file over path.
+    Leaving its with block removes the partial file unless save_vocabulary
+    renamed it, so an error at any step leaves whatever path held (a reader
+    of the old file keeps reading it).
     """
 
     def __init__(self, path):
         self.path, self.partial = path, f"{os.fspath(path)}.{os.getpid()}.partial"
         self.fh = open(self.partial, "xb+")  # permissions as open(path, "wb") would give
-        self.rows = IndexRows([], [], [], self._read)
-        self.crcs, self.starts = [], [0]
+        self.heads, self.crcs, self.starts = [], [], [0]  # heads: (image_id, count, width)
 
     def __enter__(self) -> ModelFile:
         return self
@@ -560,18 +534,19 @@ class ModelFile:
             a = np.ascontiguousarray(a, "<f8")
             crc = zlib.crc32(a, crc)
             self.fh.write(a)
-        self.rows.image_ids.append(features.image_id)
-        self.rows.counts.append(features.count)
-        self.rows.widths.append(features.descriptors.shape[1])
+        self.heads.append((features.image_id, features.count, features.descriptors.shape[1]))
         self.crcs.append(crc)
         self.starts.append(self.fh.tell())
 
-    def _read(self, k: int) -> ImageFeatures:
+    def __len__(self) -> int:
+        return len(self.heads)
+
+    def __getitem__(self, k: int) -> ImageFeatures:
         # This process wrote the row from checked features: it is not checked again.
+        k = range(len(self))[k]  # a negative k counts from the end, as in a list
         self.fh.flush()
         data = os.pread(self.fh.fileno(), self.starts[k + 1] - self.starts[k], self.starts[k])
-        return _row_features(data, self.rows.image_ids[k], self.rows.counts[k],
-                             self.rows.widths[k])
+        return _row_features(data, *self.heads[k])
 
 
 def _arrays(vocab: Vocabulary, path, row_crcs) -> Tuple[dict, dict]:

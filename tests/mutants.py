@@ -138,6 +138,77 @@ MUTANTS = (
          "::test_loo_embeds_each_file_before_the_next_is_parsed",),
     ),
     Mutant(
+        "train_stacks_a_copy",
+        "encode.py",
+        "fit_pca(stack, ",
+        "fit_pca(stack.copy(), ",
+        ("tests/test_cli.py::TestBuildVocab::test_peak_memory_per_descriptor_row",
+         "tests/test_encode.py::TestTrainVocabularyAndEmbed"
+         "::test_training_holds_one_centered_copy"),
+    ),
+    Mutant(
+        "final_ties_reverse_row_order",
+        "reid.py",
+        "order = np.lexsort((d_c, ~verified), axis=-1)",
+        "order = np.lexsort((np.broadcast_to(-np.arange(size), d_c.shape), d_c, ~verified),"
+        " axis=-1)",
+        ("tests/test_reid.py::TestRankingOracle::test_evaluate_matches_oracle[3-split]",
+         "tests/test_reid.py::TestRankingOracle"
+         "::test_database_row_order_changes_nothing[split]"),
+    ),
+    Mutant(
+        "stage1_ties_by_row",
+        "reid.py",
+        "np.lexsort((np.broadcast_to(id_rank, own.shape), distances, own), axis=-1)",
+        "np.lexsort((distances, own), axis=-1)",
+        ("tests/test_reid.py::TestRankingOracle::test_evaluate_matches_oracle[0-split]",
+         "tests/test_reid.py::TestRankingOracle"
+         "::test_database_row_order_changes_nothing[leave_one_out]"),
+    ),
+    Mutant(
+        "cross_block_best_on_ties",
+        "geometry.py",
+        "better = top_count > best_count[pairs]",
+        "better = top_count >= best_count[pairs]",
+        ("tests/test_geometry.py::test_hypothesis_blocks_match_dense_scoring",),
+    ),
+    Mutant(
+        "padding_zero_not_nan",
+        "geometry.py",
+        "shifted[~valid] = np.nan",
+        "shifted[~valid] = 0.0",
+        ("tests/test_geometry.py::test_verifier_matches_per_hypothesis_reference",
+         "tests/test_reid.py::TestRankingOracle::test_evaluate_matches_oracle[3-leave_one_out]"),
+    ),
+    Mutant(
+        "patf2_short_row_named_later",
+        "ingest.py",
+        "            4 + min(len(body) // row_bytes, count),\n",
+        "            5 + min(len(body) // row_bytes, count),\n",
+        ("tests/test_ingest.py::TestParseFeatureFile"
+         "::test_binary_body_length_names_first_missing_or_extra_row[second_row]",
+         "tests/test_ingest.py::TestParseFeatureFile"
+         "::test_binary_body_length_names_first_missing_or_extra_row[no_rows]"),
+    ),
+    Mutant(
+        "patf2_rows_big_endian",
+        "ingest.py",
+        'np.frombuffer(body, "<f8")',
+        'np.frombuffer(body, ">f8")',
+        ("tests/test_ingest.py::TestParseFeatureFile::test_round_trip_keeps_every_bit",
+         "tests/test_ingest.py::TestParseFeatureFile::test_versions_parse_alike[0]"),
+    ),
+    Mutant(
+        "patf2_longer_body_accepted",
+        "ingest.py",
+        "    if len(body) != row_bytes * count:\n",
+        "    if len(body) < row_bytes * count:\n",
+        ("tests/test_ingest.py::TestParseFeatureFile"
+         "::test_binary_body_length_names_first_missing_or_extra_row[extra_value]",
+         "tests/test_ingest.py::TestParseFeatureFile"
+         "::test_binary_body_length_names_first_missing_or_extra_row[extra_row]"),
+    ),
+    Mutant(
         "control_comment_only",
         "reid.py",
         "# -1: not indexed",

@@ -395,7 +395,7 @@ def test_ac7_kpca_oracles(capsys):
             proj_err, min(np.max(np.abs(col - ref)), np.max(np.abs(col + ref)))
         )
 
-    pca, _ = fit_pca(X, out_dim)
+    pca, _ = fit_pca(X.copy(), out_dim)
     Y = apply_pca(pca, X)
     pca_err = 0.0
     for j in range(out_dim):

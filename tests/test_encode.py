@@ -1,5 +1,6 @@
 """Fisher encoding, normalization, embedding, and distance tests."""
 
+import collections.abc
 import tracemalloc
 
 import numpy as np
@@ -206,8 +207,8 @@ class TestTrainVocabularyAndEmbed:
         assert vocab.descriptor_dim == 10
 
     def test_training_holds_one_centered_copy(self):
-        # At its peak, training holds the features, fit_pca's one centered
-        # copy of the pooled descriptors, and their projections.  A second
+        # At its peak, training holds the features, one stack of the pooled
+        # descriptors (which fit_pca centers in place), and their projections.  A second
         # pooled copy beside them would put the peak near 1.4 times that.
         n_images, m, dim = 40, 150, 128
         params = TrainingParams()
@@ -236,10 +237,33 @@ class TestTrainVocabularyAndEmbed:
         with ModelFile(tmp_path / "rows.bin") as model:
             for f in sets:
                 model.append(f)
-            save_vocabulary(train_vocabulary(model.rows, params), model)
+            save_vocabulary(train_vocabulary(model, params), model)
         expected = model_bytes(train_vocabulary(sets, params), tmp_path / "memory.bin")
         assert (tmp_path / "rows.bin").read_bytes() == expected
         assert sorted(p.name for p in tmp_path.iterdir()) == ["memory.bin", "rows.bin"]
+
+    def test_three_passes_over_the_rows(self):
+        # Training reads every row for its id and sizes, then the non-empty
+        # rows into the stack, then every row to Fisher-encode it; a fourth
+        # read is a pass too many, since build-vocab's rows come from disk.
+        sets = self._feature_sets()
+        sets.insert(2, ImageFeatures("empty", np.zeros((0, 6)), np.zeros((0, 3))))
+        everything = list(range(len(sets)))
+        expected = everything + [k for k in everything if sets[k].count] + everything
+        reads = []
+
+        class CountedRows(collections.abc.Sequence):
+            def __len__(self):
+                return len(sets)
+
+            def __getitem__(self, k):
+                features = sets[k]
+                reads.append(k)
+                assert len(reads) <= len(expected), f"a fourth pass read row {k}"
+                return features
+
+        train_vocabulary(CountedRows(), TrainingParams(gmm_k=2, pca_dim=4))
+        assert reads == expected
 
     def test_embedding_unit_norm_and_deterministic(self):
         sets = self._feature_sets()

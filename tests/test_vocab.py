@@ -25,7 +25,6 @@ from patreid.ingest import ImageFeatures
 from patreid.vocab import (
     DatabaseIndex,
     Gmm,
-    IndexRows,
     KpcaModel,
     ModelFile,
     PcaModel,
@@ -54,7 +53,7 @@ class TestFitPca:
     def test_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((200, 6)) @ rng.standard_normal((6, 6))
-        model, _ = fit_pca(X, out_dim=6)
+        model, _ = fit_pca(X.copy(), out_dim=6)
         Xc = X - X.mean(axis=0)
         cov = Xc.T @ Xc / X.shape[0]  # biased, matches the model's convention
         eigvals = np.linalg.eigvalsh(cov)[::-1]
@@ -67,7 +66,7 @@ class TestFitPca:
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((50, 5))
-        model, _ = fit_pca(X, out_dim=5)
+        model, _ = fit_pca(X.copy(), out_dim=5)
         Y = apply_pca(model, X)
         back = Y @ model.basis + model.mean
         np.testing.assert_allclose(back, X, atol=1e-9)
@@ -75,7 +74,7 @@ class TestFitPca:
     def test_whitening_unit_variance(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((300, 4)) * np.array([5.0, 2.0, 1.0, 0.3])
-        model, _ = fit_pca(X, out_dim=4, whiten=True)
+        model, _ = fit_pca(X.copy(), out_dim=4, whiten=True)
         Y = apply_pca(model, X)
         np.testing.assert_allclose(Y.var(axis=0), 1.0, atol=1e-9)
 
@@ -90,41 +89,17 @@ class TestFitPca:
     def test_projections_are_apply_pca_bits(self, whiten):
         # The GMM trains on these, and queries go through apply_pca.
         X = np.random.default_rng(4).standard_normal((300, 12))
-        model, Y = fit_pca(X, out_dim=5, whiten=whiten)
+        model, Y = fit_pca(X.copy(), out_dim=5, whiten=whiten)
         np.testing.assert_array_equal(Y, apply_pca(model, X))
 
-    def test_blocks_stack_in_order(self):
-        X = np.random.default_rng(5).standard_normal((90, 6))
-        model, Y = fit_pca(X, out_dim=3, whiten=True)
-        block_model, block_Y = fit_pca([X[:10], X[10:11], X[11:]], out_dim=3, whiten=True)
-        for name in ("mean", "basis", "eigenvalues"):
-            np.testing.assert_array_equal(getattr(block_model, name), getattr(model, name))
-        np.testing.assert_array_equal(block_Y, Y)
-
-    def test_index_rows_stack_in_order(self):
-        # Only rows with features are read, so an empty row's width is moot.
-        X = np.random.default_rng(5).standard_normal((90, 6))
-        model, Y = fit_pca(X, out_dim=3, whiten=True)
-        blocks = [X[:10], np.zeros((0, 2)), X[10:11], X[11:]]
-        reads = []
-        rows = IndexRows([f"img{k}" for k in range(4)], [len(b) for b in blocks],
-                         [b.shape[1] for b in blocks],
-                         lambda k: reads.append(k) or ImageFeatures("", None, blocks[k]))
-        rows_model, rows_Y = fit_pca(rows, out_dim=3, whiten=True)
-        assert reads == [0, 2, 3]
-        for name in ("mean", "basis", "eigenvalues"):
-            np.testing.assert_array_equal(getattr(rows_model, name), getattr(model, name))
-        np.testing.assert_array_equal(rows_Y, Y)
-
-    def test_input_left_unchanged(self):
-        # fit_pca centers a private copy in place, never its caller's arrays.
+    def test_input_centered_in_place(self):
+        # X is the fit's scratch space: it is left holding the centered rows,
+        # whose projections are those of the uncentered rows through apply_pca.
         X = np.random.default_rng(6).standard_normal((80, 6)) + 3.0
-        blocks = [X[:30].copy(), X[30:].copy()]
         before = X.copy()
-        fit_pca(X, out_dim=4, whiten=True)
-        fit_pca(blocks, out_dim=4, whiten=True)
-        np.testing.assert_array_equal(X, before)
-        np.testing.assert_array_equal(np.vstack(blocks), before)
+        model, Y = fit_pca(X, out_dim=4, whiten=True)
+        np.testing.assert_array_equal(X, before - before.mean(axis=0))
+        np.testing.assert_array_equal(Y, apply_pca(model, before))
 
     def test_too_few_points(self):
         with pytest.raises(VocabError, match="at least"):
@@ -720,6 +695,25 @@ def _row_bytes(path, k):
 
 
 class TestModelFile:
+    def test_sequence_of_the_appended_rows(self, tmp_path):
+        # build-vocab trains on its ModelFile as on a list of the rows it holds.
+        rows = [_features("img0", 3, np.random.default_rng(0)),
+                _features("empty", 0, np.random.default_rng(1), dim=4),
+                _features("img2", 2, np.random.default_rng(2))]
+        with ModelFile(tmp_path / "model.bin") as model:
+            assert len(model) == 0
+            for k, features in enumerate(rows):
+                model.append(features)
+                assert len(model) == k + 1
+            assert [f.image_id for f in model] == ["img0", "empty", "img2"]
+            for k, features in enumerate(rows):
+                assert model[k].image_id == features.image_id
+                assert model[k].frames.tobytes() == features.frames.tobytes()
+                assert model[k].descriptors.shape == features.descriptors.shape
+                assert model[k].descriptors.tobytes() == features.descriptors.tobytes()
+            with pytest.raises(IndexError):
+                model[len(rows)]
+
     def test_index_round_trip(self, tmp_path):
         vocab = _indexed_vocabulary()
         path = tmp_path / "vocab.txt"
