@@ -208,17 +208,14 @@ def render_observation(
         descriptors += rng.normal(0.0, noise, descriptors.shape)
         descriptors /= np.linalg.norm(descriptors, axis=1, keepdims=True)
 
-    if n_clutter:
-        if positions.shape[0]:
-            lo, hi = positions.min(axis=0), positions.max(axis=0)
-        else:
-            lo, hi = np.zeros(2), np.ones(2)
-        clutter_pos = rng.uniform(lo, hi, (n_clutter, 2))
-        clutter_desc = rng.standard_normal((n_clutter, config.descriptor_dim))
-        clutter_desc /= np.linalg.norm(clutter_desc, axis=1, keepdims=True)
+    # With n_clutter 0 these draw no values, which leaves rng's state as it was.
+    if positions.shape[0]:
+        lo, hi = positions.min(axis=0), positions.max(axis=0)
     else:
-        clutter_pos = np.zeros((0, 2))
-        clutter_desc = np.zeros((0, config.descriptor_dim))
+        lo, hi = np.zeros(2), np.ones(2)
+    clutter_pos = rng.uniform(lo, hi, (n_clutter, 2))
+    clutter_desc = rng.standard_normal((n_clutter, config.descriptor_dim))
+    clutter_desc /= np.linalg.norm(clutter_desc, axis=1, keepdims=True)
 
     m = positions.shape[0] + n_clutter
     frames = np.zeros((m, 6))

@@ -549,50 +549,35 @@ class ModelFile(collections.abc.Sequence):
         return _row_features(data, *self.heads[k])
 
 
-def _arrays(vocab: Vocabulary, path, row_crcs) -> Tuple[dict, dict]:
-    """vocab's _LAYOUT arrays, by name, with row_crcs as index_row_crc32, and
-    its header values.  An array whose shape disagrees with the sizes the
-    header would state raises VocabError naming it."""
-    values = {"version": VOCAB_VERSION, "alpha": vocab.alpha, "index_row_crc32": row_crcs}
+def save_vocabulary(vocab: Vocabulary, model: ModelFile) -> None:
+    """Finish model, the ModelFile that holds vocab's index rows: write each
+    array and the header after the rows, then rename the file over its path.
+    Before that, VocabError names the first row that is not vocab.index's
+    entry (image id, feature count and, unless empty, width descriptor_dim),
+    or else the first array whose shape disagrees with the header's sizes."""
+    dim, path = vocab.descriptor_dim, model.path
+    rows = [(i, c, w if c else dim) for i, c, w in model.heads]
+    index = zip(vocab.index.image_ids, vocab.index.feature_counts.tolist(), itertools.repeat(dim))
+    for k, (row, entry) in enumerate(itertools.zip_longest(rows, index)):
+        if row != entry:
+            raise VocabError(f"{path}: index row {k} is {row}, expected {entry}")
+    values = {"version": VOCAB_VERSION, "alpha": vocab.alpha, "index_row_crc32": model.crcs}
     for section in _SECTIONS:
-        model = getattr(vocab, section)
-        values.update((f"{section}_{f.name}", getattr(model, f.name)) for f in fields(model))
+        part = getattr(vocab, section)
+        values.update((f"{section}_{f.name}", getattr(part, f.name)) for f in fields(part))
     arrays = {n: np.ascontiguousarray(values[n], dtype) for n, (dtype, _) in _LAYOUT.items()}
     values["dims"] = {d: len(arrays[name]) for d, name in _DIMS.items()}
     shapes = _shapes(values["dims"], len(vocab.index.image_ids))
     for (name, array), shape in zip(arrays.items(), shapes.values()):
         if array.shape != shape:
             raise VocabError(f"{path}: array {name!r} has shape {array.shape}, expected {shape}")
-    return arrays, values
-
-
-def save_vocabulary(vocab: Vocabulary, path) -> None:
-    """Write vocab as one model file at path: its index rows, streamed one
-    by one, then each array and the header.  Written through an open handle,
-    so path is used as given; one model gives one byte string.  An array
-    whose shape disagrees with the sizes the header would state raises
-    VocabError before a byte is written.
-
-    path may instead be the ModelFile that already holds vocab's index rows,
-    as build-vocab writes them while it parses: then only the arrays and
-    header follow them, after the same shape check.  Either way the file is
-    renamed over its path once complete, and on any error removed.
-    """
-    if not isinstance(path, ModelFile):
-        rows = len(vocab.index.image_ids)
-        _arrays(vocab, path, [0] * rows)  # the shape check, before the first byte
-        with ModelFile(path) as model:
-            for k in range(rows):
-                model.append(vocab.read_row(k))
-            return save_vocabulary(vocab, model)
-    arrays, values = _arrays(vocab, path.path, path.crcs)
     values["array_crc32"] = [zlib.crc32(a) for a in arrays.values()]
-    with path.fh as fh:
+    with model.fh as fh:
         fh.writelines(arrays.values())
         data = json.dumps({n: kind(values[n]) for n, kind in _HEADER_FIELDS.items()}).encode()
         fh.write(data + len(data).to_bytes(8, "little")
                  + zlib.crc32(data).to_bytes(4, "little") + _MAGIC)
-    os.replace(path.partial, path.path)
+    os.replace(model.partial, model.path)
 
 
 def load_vocabulary(path) -> Vocabulary:

@@ -129,6 +129,15 @@ MUTANTS = (
          "::test_section_shapes_rejected_after_the_rows"),
     ),
     Mutant(
+        "save_skips_row_check",
+        "vocab.py",
+        '            raise VocabError(f"{path}: index row {k} is {row}, expected {entry}")\n',
+        "            pass\n",
+        ("tests/test_vocab.py::TestModelFile::test_rows_not_the_index_refused[reverse_order]",
+         "tests/test_vocab.py::TestModelFile::test_rows_not_the_index_refused[count]",
+         "tests/test_vocab.py::TestModelFile::test_rows_not_the_index_refused[width]"),
+    ),
+    Mutant(
         "parse_all_then_embed",
         "reid.py",
         "        parsed[i] = load_entry_features(manifest, entries[i])\n",
@@ -179,6 +188,30 @@ MUTANTS = (
         "shifted[~valid] = 0.0",
         ("tests/test_geometry.py::test_verifier_matches_per_hypothesis_reference",
          "tests/test_reid.py::TestRankingOracle::test_evaluate_matches_oracle[3-leave_one_out]"),
+    ),
+    Mutant(
+        "normalized_no_mean_shift",
+        "geometry.py",
+        "shifted = points - (points.sum(axis=1) / counts[:, None])[:, None]",
+        "shifted = points.copy()",
+        ("tests/test_geometry.py::TestNormalizePoints::test_forced_example",
+         "tests/test_geometry.py::test_verdicts_invariant_under_query_similarity"),
+    ),
+    Mutant(
+        "matcher_skips_distance_sort",
+        "geometry.py",
+        'order = np.argsort(d, kind="stable")',
+        "order = np.arange(d.size)",
+        ("tests/test_geometry.py::TestMatchDescriptors::test_sorted_by_distance",
+         "tests/test_geometry.py::test_pinned_verdicts"),
+    ),
+    Mutant(
+        "shortlist_default_one",
+        "reid.py",
+        "shortlist_size: int = 50",
+        "shortlist_size: int = 1",
+        ("tests/test_reid.py::TestQueryDatabase::test_default_shortlist_verifies_fifty_rows",
+         "tests/test_reid.py::TestQueryDatabase::test_geometry_cache_reused_across_rules"),
     ),
     Mutant(
         "patf2_short_row_named_later",

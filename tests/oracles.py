@@ -19,7 +19,9 @@ holds what only the tests read:
 - scatter_points_brute_force, synth's point placement checking every draw
   against every placed point, as it did before its grid;
 - split_model_file and join_model_file, which take a model file apart into
-  its index rows, arrays and header, and put such parts together again.
+  its index rows, arrays and header, and put such parts together again;
+- write_model_file, which writes an in-memory Vocabulary as build-vocab
+  writes its model file.
 """
 
 import json
@@ -52,7 +54,14 @@ from patreid.ingest import (
 )
 from patreid.reid import Images
 from patreid.synth import MAX_REJECTIONS, SynthError
-from patreid.vocab import VARIANCE_FLOOR, _LAYOUT, Gmm, _kmeanspp_centers
+from patreid.vocab import (
+    VARIANCE_FLOOR,
+    _LAYOUT,
+    Gmm,
+    ModelFile,
+    _kmeanspp_centers,
+    save_vocabulary,
+)
 
 
 def individual_of(features):
@@ -640,3 +649,12 @@ def join_model_file(rows: bytes, arrays: dict, header) -> bytes:
         header = json.dumps(header).encode()
     return b"".join([rows, *arrays.values(), header, len(header).to_bytes(8, "little"),
                      zlib.crc32(header).to_bytes(4, "little"), b"PATMODEL"])
+
+
+def write_model_file(vocab, path) -> None:
+    """Write vocab as a model file at path the way build-vocab writes one:
+    its index rows appended to a ModelFile, which save_vocabulary finishes."""
+    with ModelFile(path) as model:
+        for k in range(len(vocab.index.image_ids)):
+            model.append(vocab.read_row(k))
+        save_vocabulary(vocab, model)

@@ -13,7 +13,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import dense_kpca_oracle, embedded_images, fisher_fd_oracle, ransac_homography
+from oracles import (
+    dense_kpca_oracle,
+    embedded_images,
+    fisher_fd_oracle,
+    ransac_homography,
+    write_model_file,
+)
 
 from patreid.cli import main
 from patreid.encode import (
@@ -56,7 +62,6 @@ from patreid.vocab import (
     fit_pca,
     apply_pca,
     load_vocabulary,
-    save_vocabulary,
 )
 
 
@@ -291,7 +296,7 @@ def table_benchmark(tmp_path_factory):
         load_entry_features(manifest, e) for e in manifest.with_role("database")
     ]
     vocabulary = train_vocabulary(feature_sets)
-    save_vocabulary(vocabulary, vocab_path)
+    write_model_file(vocabulary, vocab_path)
 
     def run_evaluation(csv_path):
         manifest = load_manifest(manifest_path)
@@ -373,7 +378,7 @@ def test_indexed_model_reproduces_benchmark_csv(table_benchmark):
         assert len(vocabulary.index.image_ids) == len(load_manifest(manifest).with_role("database"))
         m = vocabulary.kpca.out_dim
         empty = DatabaseIndex([], np.zeros((0, m)), np.zeros(0, dtype=np.int64))
-        save_vocabulary(replace(vocabulary, index=empty), root / "unindexed.bin")
+        write_model_file(replace(vocabulary, index=empty), root / "unindexed.bin")
     assert main(["evaluate", "--manifest", str(manifest), "--vocab", str(root / "unindexed.bin"),
                  "--per-query-csv", str(root / "unindexed.csv")]) == 0
     assert (root / "unindexed.csv").read_bytes() == (root / "run_a.csv").read_bytes()

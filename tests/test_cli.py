@@ -12,7 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import join_model_file, read_feature_rows, split_model_file, write_text_feature_file
+from oracles import (
+    join_model_file,
+    read_feature_rows,
+    split_model_file,
+    write_model_file,
+    write_text_feature_file,
+)
 
 import patreid.cli
 import patreid.encode
@@ -33,7 +39,7 @@ from patreid.ingest import (
 )
 from patreid.reid import CombineParams
 from patreid.synth import SynthConfig
-from patreid.vocab import DatabaseIndex, load_vocabulary, save_vocabulary
+from patreid.vocab import DatabaseIndex, load_vocabulary
 
 
 @pytest.fixture(scope="module")
@@ -470,7 +476,7 @@ def _reindexed(model, manifest_path, out):
             np.array([f.count for f in rows]),
         )
         vocabulary.read_row = rows.__getitem__
-        save_vocabulary(vocabulary, out)
+        write_model_file(vocabulary, out)
     return out
 
 

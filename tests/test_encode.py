@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import fisher_fd_oracle, kernel_row_kpca
+from oracles import fisher_fd_oracle, kernel_row_kpca, write_model_file
 
 from patreid.encode import (
     TrainingParams,
@@ -35,7 +35,7 @@ def features_with(descriptors, image_id="img"):
 
 
 def model_bytes(vocabulary, path):
-    save_vocabulary(vocabulary, path)
+    write_model_file(vocabulary, path)
     return path.read_bytes()
 
 

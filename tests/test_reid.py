@@ -292,6 +292,25 @@ class TestQueryDatabase:
         by_row_b = dict(zip(b.rows[0].tolist(), zip(b.n[0].tolist(), b.omega[0].tolist())))
         assert by_row_a == by_row_b
 
+    def test_default_shortlist_verifies_fifty_rows(self, small_world, monkeypatch):
+        # CombineParams() is what evaluate and query use without --shortlist:
+        # of 60 database rows, a geometry rule verifies the first 50.
+        _, db, queries, vocabulary = small_world
+        rows = [db.features(j % len(db.image_ids)) for j in range(60)]
+        embeddings = np.random.default_rng(3).standard_normal((60, db.embeddings.shape[1]))
+        embeddings /= np.linalg.norm(embeddings, axis=1, keepdims=True)
+        big = Images([f"img{j}" for j in range(60)], [f"ind{j}" for j in range(60)], embeddings,
+                     rows.__getitem__)
+        sizes = []
+        verify = patreid.geometry.verify_shortlist
+        monkeypatch.setattr(
+            patreid.geometry,
+            "verify_shortlist",
+            lambda q, dbs, params: sizes.append(len(dbs)) or verify(q, dbs, params),
+        )
+        rank_queries(big, embedded_images(vocabulary, queries[:1]), ["exponential"])
+        assert sizes == [50]
+
 
 class TestScorePair:
     def test_degenerate_embedding_still_verified_geometrically(self, small_world):

@@ -18,6 +18,7 @@ from oracles import (
     join_model_file,
     kernel_row_kpca,
     split_model_file,
+    write_model_file,
 )
 
 import patreid.vocab as vocab_module
@@ -430,7 +431,7 @@ class TestVocabularyPersistence:
     def test_round_trip_value_identical(self, tmp_path):
         vocab = self._make_vocabulary()
         path = tmp_path / "vocab.txt"
-        save_vocabulary(vocab, path)
+        write_model_file(vocab, path)
         loaded, _ = _read_all(path)
         np.testing.assert_array_equal(loaded.pca.mean, vocab.pca.mean)
         np.testing.assert_array_equal(loaded.pca.basis, vocab.pca.basis)
@@ -456,9 +457,9 @@ class TestVocabularyPersistence:
     def test_rewrite_byte_identical(self, tmp_path):
         vocab = self._make_vocabulary()
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_vocabulary(vocab, a)
+        write_model_file(vocab, a)
         with load_vocabulary(a) as loaded:
-            save_vocabulary(loaded, b)
+            write_model_file(loaded, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_text_vocabulary_rejected(self, tmp_path):
@@ -471,7 +472,7 @@ class TestVocabularyPersistence:
     def test_truncated_file(self, tmp_path):
         vocab = self._make_vocabulary()
         path = tmp_path / "vocab.txt"
-        save_vocabulary(vocab, path)
+        write_model_file(vocab, path)
         data = path.read_bytes()
         for size in (4, 100, len(data) // 2, len(data) - 1):
             path.write_bytes(data[:size])
@@ -482,7 +483,7 @@ class TestVocabularyPersistence:
         # One flipped byte inside an array's data fails the array's CRC-32.
         vocab = self._make_vocabulary()
         path = tmp_path / "vocab.txt"
-        save_vocabulary(vocab, path)
+        write_model_file(vocab, path)
         data = bytearray(path.read_bytes())
         at = data.index(vocab.pca.basis.tobytes()[:16])
         data[at + 3] ^= 0x40
@@ -510,7 +511,7 @@ class TestVocabularyPersistence:
         vocab = self._make_vocabulary()
         corrupt(vocab)
         path = tmp_path / "vocab.txt"
-        save_vocabulary(vocab, path)
+        write_model_file(vocab, path)
         with pytest.raises(VocabError, match=message):
             load_vocabulary(path)
 
@@ -526,16 +527,16 @@ class TestVocabularyPersistence:
         ids=["gmm_dim", "kpca_features"],
     )
     def test_section_shapes_rejected(self, tmp_path, corrupt, message):
-        # The writer refuses them before its first byte: no file, no .partial.
+        # The writer refuses them before the arrays: no file, no .partial.
         vocab = self._make_vocabulary()
         corrupt(vocab)
         with pytest.raises(VocabError, match=re.escape(message)):
-            save_vocabulary(vocab, tmp_path / "vocab.txt")
+            write_model_file(vocab, tmp_path / "vocab.txt")
         assert list(tmp_path.iterdir()) == []
 
     def test_section_shapes_rejected_after_the_rows(self, tmp_path):
-        # build-vocab's ModelFile holds the index rows before training ends:
-        # the same check then runs before the arrays, and leaves no file.
+        # The rows are written by then, as build-vocab writes them while it
+        # parses: the check still runs before the arrays, and leaves no file.
         vocab = _indexed_vocabulary()
         vocab.kpca.matrix = np.hstack([vocab.kpca.matrix] * 2)
         path = tmp_path / "vocab.bin"
@@ -553,7 +554,7 @@ class TestVocabularyPersistence:
         vocab = self._make_vocabulary()
         vocab.gmm.weights = vocab.gmm.weights * (1.0 + 5e-7)
         path = tmp_path / "vocab.txt"
-        save_vocabulary(vocab, path)
+        write_model_file(vocab, path)
         np.testing.assert_array_equal(_read_all(path)[0].gmm.weights, vocab.gmm.weights)
 
 
@@ -714,10 +715,51 @@ class TestModelFile:
             with pytest.raises(IndexError):
                 model[len(rows)]
 
+    @staticmethod
+    def _equal_rows():
+        """A vocabulary indexing four rows of 3 features each, and the rows."""
+        vocab = TestVocabularyPersistence()._make_vocabulary()
+        rng = np.random.default_rng(8)
+        rows = [_features(f"img{i}", 3, rng) for i in range(4)]
+        vocab.index = DatabaseIndex([f.image_id for f in rows], np.eye(4), np.full(4, 3))
+        vocab.read_row = rows.__getitem__
+        return vocab, rows
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # Equal counts make every size agree: without the row check, the
+            # file loaded with row 0 labelled img0 and holding img3's features.
+            (lambda rows, rng: rows[::-1],
+             "index row 0 is ('img3', 3, 10), expected ('img0', 3, 10)"),
+            (lambda rows, rng: rows[:3], "index row 3 is None, expected ('img3', 3, 10)"),
+            (lambda rows, rng: rows + [_features("img4", 3, rng)],
+             "index row 4 is ('img4', 3, 10), expected None"),
+            (lambda rows, rng: rows[:1] + [_features("img1", 2, rng)] + rows[2:],
+             "index row 1 is ('img1', 2, 10), expected ('img1', 3, 10)"),
+            (lambda rows, rng: rows[:2] + [_features("img2", 3, rng, dim=12)] + rows[3:],
+             "index row 2 is ('img2', 3, 12), expected ('img2', 3, 10)"),
+            (lambda rows, rng: rows[:1] + [_features("other", 3, rng)] + rows[2:],
+             "index row 1 is ('other', 3, 10), expected ('img1', 3, 10)"),
+        ],
+        ids=["reverse_order", "row_missing", "row_extra", "count", "width", "image_id"],
+    )
+    def test_rows_not_the_index_refused(self, tmp_path, change, message):
+        # Refused before the arrays: leaving the with block removes the
+        # partial file, so nothing is left at the path.
+        vocab, rows = self._equal_rows()
+        path = tmp_path / "vocab.bin"
+        with pytest.raises(VocabError, match=re.escape(f"{path}: {message}")):
+            with ModelFile(path) as model:
+                for features in change(rows, np.random.default_rng(9)):
+                    model.append(features)
+                save_vocabulary(vocab, model)
+        assert list(tmp_path.iterdir()) == []
+
     def test_index_round_trip(self, tmp_path):
         vocab = _indexed_vocabulary()
         path = tmp_path / "vocab.txt"
-        save_vocabulary(vocab, path)
+        write_model_file(vocab, path)
         loaded, read = _read_all(path)
         assert loaded.index.image_ids == vocab.index.image_ids == ["img0", "img1", "empty"]
         assert loaded.index.feature_counts.tolist() == [3, 2, 0]
@@ -734,7 +776,7 @@ class TestModelFile:
     def test_plain_layout_at_the_given_path(self, tmp_path):
         # np.savez would write vocab-0.txt.npz; timestamps would vary by build.
         path = tmp_path / "vocab-0.txt"
-        save_vocabulary(_indexed_vocabulary(), path)
+        write_model_file(_indexed_vocabulary(), path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab-0.txt"]
         data = path.read_bytes()
         rows, arrays, header = split_model_file(data)
@@ -760,7 +802,7 @@ class TestModelFile:
         # rows is the number of image ids and f is 2 * k * pca_out, so
         # neither is stored, nor is the descriptor width (pca_in).
         path = tmp_path / "vocab.txt"
-        save_vocabulary(_indexed_vocabulary(), path)
+        write_model_file(_indexed_vocabulary(), path)
         header = _members(path)["header"]
         assert header["dims"] == {"pca_in": 10, "pca_out": 6, "k": 3, "m": 4}
         assert sorted(header) == ["alpha", "array_crc32", "dims", "index_image_ids",
@@ -768,7 +810,7 @@ class TestModelFile:
 
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "vocab.txt"
-        save_vocabulary(_indexed_vocabulary(), path)
+        write_model_file(_indexed_vocabulary(), path)
         old = path.read_bytes()
         vocab = _indexed_vocabulary()
         rows = vocab.read_row
@@ -780,13 +822,13 @@ class TestModelFile:
 
         vocab.read_row = read_row
         with pytest.raises(OSError, match="No space left"):
-            save_vocabulary(vocab, path)
+            write_model_file(vocab, path)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
     def test_load_parses_no_npy_header(self, tmp_path, monkeypatch):
         path = tmp_path / "vocab.txt"
-        save_vocabulary(_indexed_vocabulary(), path)
+        write_model_file(_indexed_vocabulary(), path)
         monkeypatch.setattr(np.lib.format, "read_array", None)
         monkeypatch.setattr(np, "load", None)
         with load_vocabulary(path) as vocab:
@@ -794,13 +836,13 @@ class TestModelFile:
 
     def test_empty_index_is_data(self, tmp_path):
         path = tmp_path / "vocab.txt"
-        save_vocabulary(TestVocabularyPersistence()._make_vocabulary(), path)
+        write_model_file(TestVocabularyPersistence()._make_vocabulary(), path)
         assert _members(path)["index_embeddings"].shape == (0, 4)
         assert _read_all(path)[0].index.image_ids == []
 
     def test_rows_read_on_demand(self, tmp_path, monkeypatch):
         path = tmp_path / "vocab.txt"
-        save_vocabulary(_indexed_vocabulary(), path)
+        write_model_file(_indexed_vocabulary(), path)
         reads = []
         read_index_row = vocab_module.read_index_row
         monkeypatch.setattr(
@@ -818,7 +860,7 @@ class TestModelFile:
     def test_damaged_row_fails_its_crc(self, tmp_path):
         # One flipped byte inside a row's data fails only that row's read.
         path = tmp_path / "vocab.txt"
-        save_vocabulary(_indexed_vocabulary(), path)
+        write_model_file(_indexed_vocabulary(), path)
         row = _row_bytes(path, 1)
         data = bytearray(path.read_bytes())
         data[data.index(row) + 5] ^= 0x40
@@ -832,15 +874,15 @@ class TestModelFile:
         # A row is read from the file that was loaded, as it is when read:
         # replacing the path changes nothing, a byte flipped in place fails.
         path, other = tmp_path / "vocab.txt", tmp_path / "other.txt"
-        save_vocabulary(_indexed_vocabulary(), path)
+        write_model_file(_indexed_vocabulary(), path)
         rows = [_row_bytes(path, k) for k in range(3)]
         with load_vocabulary(path) as vocab:
-            save_vocabulary(TestVocabularyPersistence()._make_vocabulary(), other)
+            write_model_file(TestVocabularyPersistence()._make_vocabulary(), other)
             os.replace(other, path)
             assert [vocab.read_row(k).frames.tobytes() for k in range(2)] == [
                 r[: len(r) * 6 // 16] for r in rows[:2]
             ]
-        save_vocabulary(_indexed_vocabulary(), path)
+        write_model_file(_indexed_vocabulary(), path)
         with load_vocabulary(path) as vocab:
             with open(path, "r+b") as fh:
                 fh.seek(path.read_bytes().index(rows[0]) + 9)
@@ -956,7 +998,7 @@ class TestModelFile:
         """A damage to the vocabulary or the index metadata fails the load;
         a damage to an index row fails only that row's read."""
         path = tmp_path / "vocab.txt"
-        save_vocabulary(_indexed_vocabulary(), path)
+        write_model_file(_indexed_vocabulary(), path)
         _rewrite(path, change(_members(path)))
         if row is None:
             with pytest.raises(VocabError, match=message):
